@@ -109,11 +109,20 @@ fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> Suite
     let sampler = StemRootSampler::new(options.stem_config.clone());
     let mut sections = Vec::new();
 
-    // Ground-truth simulation: the full analytic model over every invocation.
+    // Ground-truth simulation: the full analytic model over every
+    // invocation, through the fold `Pipeline`, campaigns and `repro` run.
     let t = Instant::now();
     let mut total_cycles = 0.0_f64;
     for w in &workloads {
-        total_cycles += sim.run_full_par(w, par).total_cycles;
+        total_cycles += gpu_sim::workload_total(
+            &sim,
+            par,
+            w,
+            gpu_workload::DEFAULT_BLOCK_LEN,
+            gpu_sim::DEFAULT_CHANNEL_BLOCKS,
+        )
+        .expect("generated workloads fold cleanly")
+        .total_cycles;
     }
     sections.push(Section {
         name: "ground_truth_sim",

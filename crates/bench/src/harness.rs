@@ -218,8 +218,8 @@ pub fn eval_method_on_sources(
     })
 }
 
-/// One method on one workload. Ground truth folds out-of-core through
-/// the block-streaming executor — bit-identical to
+/// One method on one workload. Ground truth is the in-memory group fold
+/// (`gpu_sim::workload_total`) — bit-identical to
 /// `run_full(w).total_cycles` without materializing the per-invocation
 /// cycle vector.
 fn eval_method_on_workload(

@@ -473,11 +473,11 @@ impl Pipeline {
         let missing: Vec<u64> = (0..total_units).filter(|u| !done.contains_key(u)).collect();
 
         // Ground-truth totals, computed lazily so fully-resumed workloads
-        // never pay for one. Only the total is needed, so the streamed
-        // executor folds blocks without a per-invocation vector (its
-        // in-order fold is bit-identical to `run_full().total_cycles`,
-        // and its fingerprint cross-check turns a corrupted stream into
-        // a typed error instead of a wrong total).
+        // never pay for one. Only the total is needed, so the in-memory
+        // group fold runs without a per-invocation vector (its in-order
+        // fold is bit-identical to `run_full().total_cycles`, and its
+        // fingerprint re-fold turns corrupted content into a typed error
+        // instead of a wrong total).
         let full_totals: Vec<OnceLock<Result<f64, String>>> =
             (0..workloads.len()).map(|_| OnceLock::new()).collect();
         let local_cache;

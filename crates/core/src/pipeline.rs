@@ -184,10 +184,11 @@ impl Pipeline {
         self.sim.run_full_par(workload, self.parallelism)
     }
 
-    /// Ground-truth total via the pipelined block-streaming executor —
-    /// bit-identical to [`Pipeline::full_run`]'s `total_cycles` at every
-    /// thread count, without ever materializing a per-invocation vector.
-    /// The campaign paths compute their totals this way.
+    /// Ground-truth total via [`gpu_sim::workload_total`], the in-memory
+    /// group fold — bit-identical to [`Pipeline::full_run`]'s
+    /// `total_cycles` at every thread count, without ever materializing a
+    /// per-invocation vector. The campaign paths compute their totals
+    /// this way.
     ///
     /// # Errors
     ///
@@ -212,10 +213,11 @@ impl Pipeline {
         self.run_against(sampler, workload, &full)
     }
 
-    /// [`Pipeline::run`] with the ground truth folded out-of-core through
-    /// the block-streaming executor. Identical arithmetic — the summary is
-    /// bit-identical to [`Pipeline::run`] — but peak memory stays flat in
-    /// the workload length, so this is the paper-scale entry point.
+    /// [`Pipeline::run`] with the ground truth folded by
+    /// [`Pipeline::ground_truth_total`]. Identical arithmetic — the
+    /// summary is bit-identical to [`Pipeline::run`] — but no
+    /// per-invocation cycle vector is ever built, so this is the
+    /// paper-scale entry point.
     ///
     /// # Errors
     ///

@@ -154,20 +154,6 @@ impl Simulator {
         }
     }
 
-    /// Ground-truth total cycles without materializing the per-invocation
-    /// vector: group precompute (optionally parallel), then a serial
-    /// left-to-right streaming fold over the jittered cycles — bit-identical
-    /// to `run_full(..).total_cycles`, with O(groups) instead of
-    /// O(invocations) memory. Campaign aggregation uses this.
-    pub fn run_full_total(&self, workload: &Workload, par: stem_par::Parallelism) -> f64 {
-        let groups = self.group_timings_par(workload, par);
-        let mut total = 0.0;
-        for (i, inv) in workload.invocations().iter().enumerate() {
-            total += groups[workload.group_of(i) as usize].jittered_cycles(inv.noise_z as f64);
-        }
-        total
-    }
-
     /// Simulates only the invocations at `indices`, returning their cycle
     /// counts in the same order. Deterministic cores are computed lazily,
     /// once per group touched.

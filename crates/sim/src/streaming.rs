@@ -1,24 +1,38 @@
-//! Out-of-core ground truth: the pipelined generate→simulate→fold
-//! executor.
+//! Ground-truth totals: the pipelined generate→simulate→fold executor
+//! for block streams, and the channel-free fold for workloads already in
+//! memory.
 //!
-//! [`run_streaming_total`] computes the same number as
-//! [`Simulator::run_full_total`] without ever holding a whole workload in
-//! memory. A producer thread emits the block stream (a streaming suite
-//! generator, or a columnar store read) into a bounded channel; the
-//! calling thread consumes blocks in stream order, computing each newly
-//! seen `(kernel, context, work_scale)` group's deterministic timing once
-//! (groups within a block in parallel — they are independent, so thread
-//! count cannot reach the result) and folding the per-invocation jittered
-//! cycles serially, left to right.
+//! [`run_streaming_total`] never holds a whole workload in memory. A
+//! producer thread emits the block stream (a streaming suite generator,
+//! or a columnar store read) into a bounded channel; the calling thread
+//! consumes blocks in stream order. Per block it makes one validating
+//! pass that resolves every row to a dense timing-group id, computes the
+//! deterministic core of each group first seen in the block (in
+//! parallel), and folds the per-invocation jittered cycles and the
+//! content fingerprint serially, left to right.
+//!
+//! **Dense group slots.** When the tables arrive, the consumer lays out
+//! one slot per `(kernel, context)` pair, kernel `k`'s contexts at
+//! `slot_base[k]..slot_base[k + 1]` (prefix sums over the context
+//! tables). A slot remembers the last `(work_scale bits, group id)` it
+//! resolved. A row whose work scale matches its slot's takes that group
+//! id with one array index; only a miss (a new work scale for the pair,
+//! as in gaussian's shrinking submatrices) consults the
+//! `(slot, work bits) → group` map, and only a group never seen before
+//! gets a fresh id. Ids are minted in first-appearance order, so they are
+//! exactly [`Workload::group_of`]'s ids of the materialized stream. The
+//! range and work-scale checks run in the same pass, before anything in
+//! the block is timed, so the first invalid row is reported with its
+//! exact stream index.
 //!
 //! Determinism argument, in the same terms as `stem-par`'s:
 //!
 //! 1. The deterministic timing of a group depends only on the frozen
-//!    tables and the group key, never on *when* the group was first seen
-//!    or which thread computed it.
-//! 2. The jittered-cycles fold runs on one thread in stream order —
-//!    bit-identical to the in-memory fold of `run_full_total`, whose
-//!    group values are the same f64s.
+//!    tables and the group key, never on *when* the group was first seen,
+//!    which slot cache hit or missed, or which thread computed it.
+//! 2. The jittered-cycles fold runs on one thread in stream order and
+//!    reads each row's group core by id — the same f64s in the same order
+//!    as the in-memory fold, so the same bits.
 //! 3. The channel bound only throttles the producer; it cannot reorder
 //!    blocks (`std::sync::mpsc` is FIFO).
 //!
@@ -26,6 +40,16 @@
 //! cross-checks it against the producer's [`StreamSummary`], so a total
 //! can never silently describe different content than the producer
 //! claims to have sent.
+//!
+//! **In-memory workloads** ([`workload_total`]) skip the producer thread
+//! and the channel: a [`Workload`] already carries its dense group ids
+//! ([`Workload::group_of`]), so the fold computes every group core with
+//! [`Simulator::group_timings_par`] and walks the invocation vector once,
+//! folding jittered cycles and the re-folded content fingerprint side by
+//! side. The fingerprint is compared with [`Workload::fingerprint`], and
+//! a non-finite or non-positive work scale is a typed error, as on the
+//! streamed path. Same cores, same order, same bits as the streamed fold
+//! over the workload's block stream.
 
 use crate::exec::{deterministic_of_invocation, DeterministicTiming};
 use crate::simulator::Simulator;
@@ -44,7 +68,8 @@ pub const DEFAULT_CHANNEL_BLOCKS: usize = 4;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StreamingTotal {
     /// Ground-truth total cycles — bit-identical to
-    /// [`Simulator::run_full_total`] over the materialized equivalent.
+    /// [`Simulator::run_full`]'s `total_cycles` over the materialized
+    /// equivalent.
     pub total_cycles: f64,
     /// Invocations folded.
     pub invocations: u64,
@@ -115,12 +140,36 @@ impl<E: std::fmt::Display> std::fmt::Display for StreamRunError<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for StreamRunError<E> {}
 
+/// A `(kernel, context)` pair's one-entry cache: the last work-scale
+/// bits seen in this slot and the group they resolved to.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    work_bits: u32,
+    group: u32,
+}
+
+/// [`Slot::group`] of a slot that has not resolved any row yet.
+const NO_GROUP: u32 = u32::MAX;
+
 /// Serial in-stream-order fold state of the consumer.
 struct StreamFold<'a> {
     sim: &'a Simulator,
     par: stem_par::Parallelism,
     skeleton: Option<Workload>,
-    memo: HashMap<(u32, u16, u32), DeterministicTiming>,
+    /// Kernel `k`'s slots are `slot_base[k]..slot_base[k + 1]`, one per
+    /// context; `slot_base.len()` is one more than the kernel count.
+    slot_base: Vec<usize>,
+    slots: Vec<Slot>,
+    /// Every group seen, by `(slot, work bits)`: consulted only when a
+    /// slot's one-entry cache misses.
+    group_ids: HashMap<(usize, u32), u32>,
+    /// Deterministic core of each group, indexed by group id.
+    timings: Vec<DeterministicTiming>,
+    /// The current block's group id per row (reused across blocks).
+    block_groups: Vec<u32>,
+    /// Block offsets of the rows that minted the current block's new
+    /// groups, in id order (reused across blocks).
+    fresh: Vec<usize>,
     fingerprint: FingerprintFold,
     total: f64,
     count: u64,
@@ -132,7 +181,12 @@ impl<'a> StreamFold<'a> {
             sim,
             par,
             skeleton: None,
-            memo: HashMap::new(),
+            slot_base: Vec::new(),
+            slots: Vec::new(),
+            group_ids: HashMap::new(),
+            timings: Vec::new(),
+            block_groups: Vec::new(),
+            fresh: Vec::new(),
             fingerprint: FingerprintFold::new(),
             total: 0.0,
             count: 0,
@@ -143,80 +197,108 @@ impl<'a> StreamFold<'a> {
         if self.skeleton.is_some() {
             return Err(StreamRunError::DuplicateTables);
         }
-        let contexts: Vec<_> = (0..skeleton.kernels().len())
-            .map(|k| skeleton.contexts_of(KernelId(k as u32)).to_vec())
-            .collect();
-        self.fingerprint.eat_header(
-            skeleton.name(),
-            skeleton.suite(),
-            skeleton.kernels(),
-            &contexts,
-        );
+        let mut base = 0;
+        self.slot_base = Vec::with_capacity(skeleton.kernels().len() + 1);
+        self.slot_base.push(base);
+        for k in 0..skeleton.kernels().len() {
+            base += skeleton.contexts_of(KernelId(k as u32)).len();
+            self.slot_base.push(base);
+        }
+        self.slots = vec![
+            Slot {
+                work_bits: 0,
+                group: NO_GROUP,
+            };
+            base
+        ];
+        self.fingerprint = FingerprintFold::of_tables(&skeleton);
         self.skeleton = Some(skeleton);
         Ok(())
     }
 
+    /// The validating first pass: checks every row's kernel, context and
+    /// work scale and resolves it to a group id in `block_groups`,
+    /// recording the rows that mint new groups in `fresh`. Nothing is
+    /// timed, so a bad row stops the run before any of its block counts.
+    fn resolve<E>(&mut self, invocations: &[Invocation]) -> Result<(), StreamRunError<E>> {
+        self.block_groups.clear();
+        self.fresh.clear();
+        let kernels = self.slot_base.len().saturating_sub(1);
+        for (offset, inv) in invocations.iter().enumerate() {
+            let invalid = |message: String| StreamRunError::InvalidInvocation {
+                index: self.count + offset as u64,
+                message,
+            };
+            let k = inv.kernel.index();
+            if k >= kernels {
+                return Err(invalid(format!("kernel id {k} out of range")));
+            }
+            let slot = self.slot_base[k] + inv.context as usize;
+            if slot >= self.slot_base[k + 1] {
+                return Err(invalid(format!(
+                    "context {} out of range for {}",
+                    inv.context, inv.kernel
+                )));
+            }
+            if !inv.work_scale.is_finite() || inv.work_scale <= 0.0 {
+                return Err(invalid(format!(
+                    "work scale {} not finite-positive",
+                    inv.work_scale
+                )));
+            }
+            let work_bits = inv.work_scale.to_bits();
+            let cached = self.slots[slot];
+            let group = if cached.group != NO_GROUP && cached.work_bits == work_bits {
+                cached.group
+            } else {
+                let next = (self.timings.len() + self.fresh.len()) as u32;
+                let group = *self.group_ids.entry((slot, work_bits)).or_insert(next);
+                if group == next {
+                    self.fresh.push(offset);
+                }
+                self.slots[slot] = Slot { work_bits, group };
+                group
+            };
+            self.block_groups.push(group);
+        }
+        Ok(())
+    }
+
     fn block<E>(&mut self, invocations: Vec<Invocation>) -> Result<(), StreamRunError<E>> {
+        if self.skeleton.is_none() {
+            return Err(StreamRunError::MissingTables);
+        }
+        // Validate and resolve the whole block before timing any of it: a
+        // stream that escaped checksumming must yield a typed error, never
+        // garbage cycles or an index panic.
+        self.resolve(&invocations)?;
         let Some(skeleton) = self.skeleton.as_ref() else {
             return Err(StreamRunError::MissingTables);
         };
-        // Validate the whole block before timing any of it: a stream that
-        // escaped checksumming must yield a typed error, never garbage
-        // cycles or an index panic.
-        for (offset, inv) in invocations.iter().enumerate() {
-            let index = self.count + offset as u64;
-            if inv.kernel.index() >= skeleton.kernels().len() {
-                return Err(StreamRunError::InvalidInvocation {
-                    index,
-                    message: format!("kernel id {} out of range", inv.kernel.index()),
-                });
-            }
-            if (inv.context as usize) >= skeleton.contexts_of(inv.kernel).len() {
-                return Err(StreamRunError::InvalidInvocation {
-                    index,
-                    message: format!("context {} out of range for {}", inv.context, inv.kernel),
-                });
-            }
-            if !inv.work_scale.is_finite() || inv.work_scale <= 0.0 {
-                return Err(StreamRunError::InvalidInvocation {
-                    index,
-                    message: format!("work scale {} not finite-positive", inv.work_scale),
-                });
-            }
-        }
-        // Deterministic cores for groups first seen in this block, in
-        // first-appearance order. Each core depends only on the tables
-        // and the group key, so computing them in parallel (and in
-        // whatever block they first appear) cannot change their values.
-        let mut fresh: Vec<(u32, u16, u32)> = Vec::new();
-        let mut representatives: Vec<&Invocation> = Vec::new();
-        for inv in &invocations {
-            let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
-            if !self.memo.contains_key(&key) && !fresh.contains(&key) {
-                fresh.push(key);
-                representatives.push(inv);
-            }
-        }
-        let timings = stem_par::par_map_indexed(self.par, &representatives, |_, inv| {
-            deterministic_of_invocation(skeleton, inv, self.sim.config(), self.sim.options())
+        // Deterministic cores for the groups first seen in this block, in
+        // id order. Each core depends only on the tables and the group
+        // key, so computing them in parallel (and in whatever block they
+        // first appear) cannot change their values.
+        let fresh = stem_par::par_map_indexed(self.par, &self.fresh, |_, &offset| {
+            deterministic_of_invocation(
+                skeleton,
+                &invocations[offset],
+                self.sim.config(),
+                self.sim.options(),
+            )
         });
-        for (key, timing) in fresh.into_iter().zip(timings) {
-            self.memo.insert(key, timing);
+        self.timings.extend(fresh);
+        // Serial, stream-order jitter and fingerprint fold: bit-identical
+        // to the in-memory fold of `workload_total`.
+        let mut fingerprint = self.fingerprint.clone();
+        let mut total = self.total;
+        for (inv, &group) in invocations.iter().zip(&self.block_groups) {
+            fingerprint.eat_invocation(inv);
+            total += self.timings[group as usize].jittered_cycles(inv.noise_z as f64);
         }
-        // Serial, stream-order jitter fold: bit-identical to the
-        // in-memory `run_full_total` loop.
-        for inv in &invocations {
-            let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
-            let Some(timing) = self.memo.get(&key) else {
-                return Err(StreamRunError::InvalidInvocation {
-                    index: self.count,
-                    message: "group timing missing after precompute".to_string(),
-                });
-            };
-            self.fingerprint.eat_invocation(inv);
-            self.total += timing.jittered_cycles(inv.noise_z as f64);
-            self.count += 1;
-        }
+        self.fingerprint = fingerprint;
+        self.total = total;
+        self.count += invocations.len() as u64;
         Ok(())
     }
 }
@@ -285,14 +367,14 @@ where
         total_cycles: fold.total,
         invocations: fold.count,
         fingerprint,
-        groups: fold.memo.len(),
+        groups: fold.timings.len(),
     })
 }
 
 /// Streaming ground truth of a generated workload: runs the source's
 /// emit body on the producer thread, cutting blocks of `block_len`.
-/// Bit-identical to `run_full_total` of `source.materialize()` at every
-/// thread count.
+/// Bit-identical to [`workload_total`] of `source.materialize()` at
+/// every thread count.
 ///
 /// # Errors
 ///
@@ -309,26 +391,64 @@ pub fn source_total(
     })
 }
 
-/// Streaming ground truth of an already-materialized workload — replays
-/// it as a block stream through the pipelined executor. Bit-identical to
-/// [`Simulator::run_full_total`] at every thread count; the campaign and
-/// `Pipeline` ground-truth paths run through here, so the streamed
-/// executor is the code under test everywhere totals are produced.
+/// Ground truth of an already-materialized workload, folded in place:
+/// every group core once ([`Simulator::group_timings_par`]), then one
+/// serial pass over the invocations that sums the jittered cycles in
+/// stream order and re-folds the content fingerprint. No producer
+/// thread, channel or block copy is involved: the block length and
+/// channel bound are accepted for call-site symmetry with
+/// [`source_total`] and have nothing to bound here. Bit-identical to
+/// [`source_total`] and [`store_total`] over the same stream at every
+/// thread count; the campaign and `Pipeline` ground-truth paths run
+/// through here.
 ///
 /// # Errors
 ///
-/// [`StreamRunError`] — only reachable for a hand-built workload whose
-/// invocations escape [`gpu_workload::Workload`]'s construction checks
-/// (e.g. a non-finite work scale).
+/// [`StreamRunError::InvalidInvocation`] for a non-finite or
+/// non-positive work scale (a hand-built workload can carry one:
+/// [`Workload`] construction checks table ranges only), reporting the
+/// first such row; [`StreamRunError::FingerprintMismatch`] if the
+/// re-folded content disagrees with [`Workload::fingerprint`].
 pub fn workload_total(
     sim: &Simulator,
     par: stem_par::Parallelism,
     workload: &Workload,
-    block_len: usize,
-    channel_blocks: usize,
+    _block_len: usize,
+    _channel_blocks: usize,
 ) -> Result<StreamingTotal, StreamRunError<SinkError>> {
-    run_streaming_total(sim, par, channel_blocks, |sink| {
-        workload.stream_blocks(sink, block_len)
+    let invocations = workload.invocations();
+    // Group members share their work-scale bits, and a group's
+    // representative is its first row, so the first bad row of the
+    // stream is the representative of the first bad group.
+    for g in 0..workload.num_invocation_groups() {
+        let index = workload.group_representative(g as u32);
+        let work_scale = invocations[index].work_scale;
+        if !work_scale.is_finite() || work_scale <= 0.0 {
+            return Err(StreamRunError::InvalidInvocation {
+                index: index as u64,
+                message: format!("work scale {work_scale} not finite-positive"),
+            });
+        }
+    }
+    let timings = sim.group_timings_par(workload, par);
+    let mut fingerprint = FingerprintFold::of_tables(workload);
+    let mut total = 0.0;
+    for (i, inv) in invocations.iter().enumerate() {
+        fingerprint.eat_invocation(inv);
+        total += timings[workload.group_of(i) as usize].jittered_cycles(inv.noise_z as f64);
+    }
+    let found = fingerprint.finish();
+    if found != workload.fingerprint() {
+        return Err(StreamRunError::FingerprintMismatch {
+            expected: workload.fingerprint(),
+            found,
+        });
+    }
+    Ok(StreamingTotal {
+        total_cycles: total,
+        invocations: invocations.len() as u64,
+        fingerprint: found,
+        groups: timings.len(),
     })
 }
 
@@ -357,18 +477,64 @@ pub fn store_total(
 mod tests {
     use super::*;
     use crate::config::GpuConfig;
+    use crate::simulator::reference;
+    use gpu_workload::kernel::KernelClassBuilder;
     use gpu_workload::suites::rodinia_sources;
-    use gpu_workload::SuiteKind;
+    use gpu_workload::{RuntimeContext, SuiteKind};
 
     fn sim() -> Simulator {
         Simulator::new(GpuConfig::rtx2080())
+    }
+
+    /// Tables with uneven context counts: kernel 0 has one context,
+    /// kernel 1 has two, so kernel 0's context 1 would land in kernel 1's
+    /// first slot if contexts were only checked against the slot table.
+    fn tables() -> (Vec<gpu_workload::KernelClass>, Vec<Vec<RuntimeContext>>) {
+        (
+            vec![
+                KernelClassBuilder::new("a").build(),
+                KernelClassBuilder::new("b").build(),
+            ],
+            vec![
+                vec![RuntimeContext::neutral()],
+                vec![
+                    RuntimeContext::neutral(),
+                    RuntimeContext::neutral().with_work(2.0),
+                ],
+            ],
+        )
+    }
+
+    fn hand_built(invocations: Vec<Invocation>) -> Workload {
+        let (kernels, contexts) = tables();
+        Workload::new("hand", SuiteKind::Custom, kernels, contexts, invocations)
+    }
+
+    /// A row with any work scale, bypassing `Invocation::with_work`'s
+    /// positivity assert the way a damaged stream would.
+    fn row(kernel: u32, context: u16, work_scale: f32, noise_z: f32) -> Invocation {
+        Invocation {
+            kernel: KernelId(kernel),
+            context,
+            work_scale,
+            noise_z,
+        }
+    }
+
+    fn stream_of(
+        w: &Workload,
+        par: stem_par::Parallelism,
+        block_len: usize,
+    ) -> Result<StreamingTotal, StreamRunError<SinkError>> {
+        run_streaming_total(&sim(), par, 2, |sink| w.stream_blocks(sink, block_len))
     }
 
     #[test]
     fn streamed_total_is_bit_identical_to_in_memory() {
         let sim = sim();
         for source in rodinia_sources(7).iter().take(4) {
-            let reference = sim.run_full_total(&source.materialize(), stem_par::Parallelism::serial());
+            let w = source.materialize();
+            let reference = reference::run_full(&sim, &w).total_cycles;
             for threads in [1usize, 4] {
                 let par = stem_par::Parallelism::with_threads(threads);
                 let got = source_total(&sim, par, source, 256, 2).expect("stream");
@@ -396,15 +562,51 @@ mod tests {
     }
 
     #[test]
-    fn workload_total_replays_in_memory_workloads() {
+    fn workload_total_folds_in_memory_workloads() {
         let sim = sim();
         let w = rodinia_sources(5)[2].materialize();
-        let reference = sim.run_full_total(&w, stem_par::Parallelism::serial());
+        let reference = reference::run_full(&sim, &w).total_cycles;
         for threads in [1usize, 4] {
             let par = stem_par::Parallelism::with_threads(threads);
-            let got = workload_total(&sim, par, &w, 128, 2).expect("stream");
+            let got = workload_total(&sim, par, &w, 128, 2).expect("in-memory fold");
             assert_eq!(got.total_cycles.to_bits(), reference.to_bits());
             assert_eq!(got.fingerprint, w.fingerprint());
+            assert_eq!(got.invocations, w.num_invocations() as u64);
+            assert_eq!(got.groups, w.num_invocation_groups());
+        }
+    }
+
+    /// Kernel 1 context 0 alternates its work scale on every one of its
+    /// rows, so that slot's one-entry cache misses every time and the
+    /// group map decides; the other pairs hit.
+    #[test]
+    fn slot_cache_misses_resolve_through_the_group_map() {
+        let invocations: Vec<Invocation> = (0..300u32)
+            .map(|i| {
+                let noise = ((i * 37) % 17) as f32 / 8.0 - 1.0;
+                match i % 5 {
+                    3 => row(0, 0, 1.0, noise),
+                    4 => row(1, 1, 1.0, noise),
+                    _ => row(1, 0, [1.0, 0.5][(i % 2) as usize], noise),
+                }
+            })
+            .collect();
+        let w = hand_built(invocations);
+        let reference = reference::run_full(&sim(), &w).total_cycles;
+        for threads in [1usize, 4] {
+            let par = stem_par::Parallelism::with_threads(threads);
+            for block_len in [1usize, 7, 65_536] {
+                let got = stream_of(&w, par, block_len).expect("stream");
+                assert_eq!(
+                    got.total_cycles.to_bits(),
+                    reference.to_bits(),
+                    "threads {threads}, block length {block_len}"
+                );
+                assert_eq!(got.groups, w.num_invocation_groups());
+                assert_eq!(got.fingerprint, w.fingerprint());
+            }
+            let in_memory = workload_total(&sim(), par, &w, 1, 1).expect("in-memory fold");
+            assert_eq!(in_memory.total_cycles.to_bits(), reference.to_bits());
         }
     }
 
@@ -452,6 +654,82 @@ mod tests {
             result,
             Err(StreamRunError::InvalidInvocation { index: 0, .. })
         ));
+    }
+
+    /// Each class of bad row, placed at offset 2 of the second 4-row
+    /// block, is reported at stream index 6 — after the first block was
+    /// timed, before any of the second is.
+    #[test]
+    fn bad_row_in_second_block_reports_its_stream_index() {
+        let skeleton = hand_built(Vec::new());
+        let good = row(1, 1, 1.0, 0.25);
+        for (bad, what) in [
+            (row(2, 0, 1.0, 0.0), "kernel id 2 out of range"),
+            (row(1, 2, 1.0, 0.0), "context 2 out of range"),
+            (row(0, 0, f32::NAN, 0.0), "not finite-positive"),
+            (row(0, 0, 0.0, 0.0), "not finite-positive"),
+            (row(0, 0, -1.0, 0.0), "not finite-positive"),
+        ] {
+            let result: Result<StreamingTotal, StreamRunError<SinkError>> =
+                run_streaming_total(&sim(), stem_par::Parallelism::serial(), 2, |sink| {
+                    sink.tables(&skeleton)?;
+                    sink.block(&[good; 4])?;
+                    sink.block(&[good, good, bad, good])?;
+                    Ok(StreamSummary {
+                        fingerprint: 0,
+                        invocations: 8,
+                    })
+                });
+            match result {
+                Err(StreamRunError::InvalidInvocation { index, message }) => {
+                    assert_eq!(index, 6, "{what}");
+                    assert!(message.contains(what), "{message:?} should say {what:?}");
+                }
+                other => panic!("{what}: wanted InvalidInvocation, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn context_valid_only_for_another_kernel_is_rejected() {
+        let skeleton = hand_built(Vec::new());
+        // Kernel 1 has a context 1; kernel 0 does not.
+        let result: Result<StreamingTotal, StreamRunError<SinkError>> =
+            run_streaming_total(&sim(), stem_par::Parallelism::serial(), 2, |sink| {
+                sink.tables(&skeleton)?;
+                sink.block(&[row(1, 1, 1.0, 0.0), row(0, 1, 1.0, 0.0)])?;
+                Ok(StreamSummary {
+                    fingerprint: 0,
+                    invocations: 2,
+                })
+            });
+        match result {
+            Err(StreamRunError::InvalidInvocation { index, message }) => {
+                assert_eq!(index, 1);
+                assert!(message.contains("context 1 out of range"), "{message}");
+            }
+            other => panic!("wanted InvalidInvocation, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn in_memory_nan_work_scale_is_typed_error() {
+        let w = hand_built(vec![
+            row(0, 0, 1.0, 0.1),
+            row(1, 1, 2.0, 0.2),
+            row(1, 0, f32::NAN, 0.3),
+            row(1, 0, f32::NAN, 0.4),
+        ]);
+        for threads in [1usize, 4] {
+            let par = stem_par::Parallelism::with_threads(threads);
+            match workload_total(&sim(), par, &w, gpu_workload::DEFAULT_BLOCK_LEN, 2) {
+                Err(StreamRunError::InvalidInvocation { index, message }) => {
+                    assert_eq!(index, 2);
+                    assert!(message.contains("not finite-positive"), "{message}");
+                }
+                other => panic!("wanted InvalidInvocation, got {other:?}"),
+            }
+        }
     }
 
     #[test]

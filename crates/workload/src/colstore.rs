@@ -177,16 +177,21 @@ impl From<StorageError> for ColStoreError {
     }
 }
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+/// Continues an FNV-1a 64 fold from state `h` over `bytes`.
+#[inline]
+fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
 /// FNV-1a 64 over raw bytes (manifest body and block files use the same
 /// fold as every other durable format in the workspace).
 fn fnv64(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h = (h ^ u64::from(b)).wrapping_mul(PRIME);
-    }
-    h
+    fnv_fold(FNV_OFFSET, bytes)
 }
 
 /// Path of block `index` inside `dir`.
@@ -212,9 +217,63 @@ fn encode_block(invocations: &[Invocation]) -> Vec<u8> {
     out
 }
 
-/// Decodes a column-major block into `out` (cleared first), validating
-/// every row against the skeleton's tables. Allocation-free beyond the
-/// caller-owned buffer: the hot loop only indexes and pushes.
+/// The four little-endian column slices of one block.
+struct Columns<'a> {
+    kernels: &'a [[u8; 4]],
+    contexts: &'a [[u8; 2]],
+    works: &'a [[u8; 4]],
+    noises: &'a [[u8; 4]],
+}
+
+impl<'a> Columns<'a> {
+    /// Splits a block of exactly `rows * ROW_BYTES` bytes into its
+    /// columns.
+    fn of(bytes: &'a [u8], rows: usize) -> Self {
+        let (kernels, rest) = bytes.split_at(rows * 4);
+        let (contexts, rest) = rest.split_at(rows * 2);
+        let (works, noises) = rest.split_at(rows * 4);
+        Columns {
+            kernels: kernels.as_chunks().0,
+            contexts: contexts.as_chunks().0,
+            works: works.as_chunks().0,
+            noises: noises.as_chunks().0,
+        }
+    }
+
+    /// Each row's four fields, in row order.
+    fn rows(&self) -> impl Iterator<Item = (&'a [u8; 4], &'a [u8; 2], &'a [u8; 4], &'a [u8; 4])> {
+        self.kernels
+            .iter()
+            .zip(self.contexts)
+            .zip(self.works)
+            .zip(self.noises)
+            .map(|(((k, c), w), n)| (k, c, w, n))
+    }
+}
+
+/// One pass over a block of exactly `rows * ROW_BYTES` bytes computing
+/// two independent FNV-1a chains: the block checksum over the file bytes
+/// in file order, and `fold` advanced over the rows in row order, read
+/// straight from the four column slices. Each loop step feeds 14 bytes
+/// to each chain; neither chain reads the other's state, so the CPU
+/// overlaps their multiply latencies instead of running two serial
+/// passes. Both values are the ones the separate folds would produce.
+fn checksum_and_fingerprint(bytes: &[u8], rows: usize, fold: &mut FingerprintFold) -> u64 {
+    let file_order = bytes.as_chunks::<ROW_BYTES>().0;
+    let mut checksum = FNV_OFFSET;
+    let mut row_fold = fold.clone();
+    for (file, (k, c, w, n)) in file_order.iter().zip(Columns::of(bytes, rows).rows()) {
+        checksum = fnv_fold(checksum, file);
+        row_fold.eat_row(*k, *c, *w, *n);
+    }
+    *fold = row_fold;
+    checksum
+}
+
+/// Decodes a checksum-verified column-major block of exactly
+/// `rows * ROW_BYTES` bytes into `out` (cleared first), validating every
+/// row against the skeleton's tables. Allocation-free beyond the
+/// caller-owned buffer: the hot loop only zips the columns and pushes.
 fn decode_block(
     bytes: &[u8],
     rows: usize,
@@ -225,28 +284,11 @@ fn decode_block(
     out.clear();
     out.reserve(rows);
     let kernels = skeleton.kernels().len();
-    let (k_base, c_base) = (0usize, rows * 4);
-    let (w_base, n_base) = (rows * 6, rows * 10);
-    for row in 0..rows {
-        let k = u32::from_le_bytes([
-            bytes[k_base + row * 4],
-            bytes[k_base + row * 4 + 1],
-            bytes[k_base + row * 4 + 2],
-            bytes[k_base + row * 4 + 3],
-        ]);
-        let c = u16::from_le_bytes([bytes[c_base + row * 2], bytes[c_base + row * 2 + 1]]);
-        let w = f32::from_bits(u32::from_le_bytes([
-            bytes[w_base + row * 4],
-            bytes[w_base + row * 4 + 1],
-            bytes[w_base + row * 4 + 2],
-            bytes[w_base + row * 4 + 3],
-        ]));
-        let z = f32::from_bits(u32::from_le_bytes([
-            bytes[n_base + row * 4],
-            bytes[n_base + row * 4 + 1],
-            bytes[n_base + row * 4 + 2],
-            bytes[n_base + row * 4 + 3],
-        ]));
+    for (row, (k, c, w, z)) in Columns::of(bytes, rows).rows().enumerate() {
+        let k = u32::from_le_bytes(*k);
+        let c = u16::from_le_bytes(*c);
+        let w = f32::from_bits(u32::from_le_bytes(*w));
+        let z = f32::from_bits(u32::from_le_bytes(*z));
         if (k as usize) >= kernels {
             return Err(ColStoreError::InvalidRow {
                 block,
@@ -514,7 +556,7 @@ fn parse_manifest(text: &str) -> Result<StoreManifest, ColStoreError> {
                 let checksum = take("block entry needs a checksum")?;
                 let checksum = u64::from_str_radix(checksum, 16)
                     .map_err(|_| malformed(line_no, "bad block checksum"))?;
-                if bytes != rows * ROW_BYTES {
+                if rows.checked_mul(ROW_BYTES) != Some(bytes) {
                     return Err(malformed(line_no, "block bytes disagree with rows"));
                 }
                 blocks.push(BlockEntry { rows, bytes, checksum });
@@ -586,15 +628,7 @@ pub fn stream_store(
 ) -> Result<StreamSummary, ColStoreError> {
     let manifest = open_store(storage, dir)?;
     let skeleton = manifest.skeleton();
-    let mut fold = FingerprintFold::new();
-    fold.eat_header(
-        skeleton.name(),
-        skeleton.suite(),
-        skeleton.kernels(),
-        &(0..skeleton.kernels().len())
-            .map(|k| skeleton.contexts_of(KernelId(k as u32)).to_vec())
-            .collect::<Vec<_>>(),
-    );
+    let mut fold = FingerprintFold::of_tables(skeleton);
     relay(sink.tables(skeleton))?;
     let mut decoded: Vec<Invocation> = Vec::new();
     let mut emitted = 0u64;
@@ -609,7 +643,10 @@ pub fn stream_store(
                     found: bytes.len(),
                 });
             }
-            if fnv64(&bytes) != entry.checksum {
+            // `parse_manifest` pinned `entry.bytes == entry.rows * ROW_BYTES`,
+            // so the column split below is exact. The checksum is compared
+            // before a single row is decoded.
+            if checksum_and_fingerprint(&bytes, entry.rows, &mut fold) != entry.checksum {
                 return Err(ColStoreError::BlockChecksumMismatch { index });
             }
             decode_block(&bytes, entry.rows, index, skeleton, &mut decoded)
@@ -617,9 +654,6 @@ pub fn stream_store(
         if let Err(e) = checked {
             let _ = quarantine(storage, &path);
             return Err(e);
-        }
-        for inv in &decoded {
-            fold.eat_invocation(inv);
         }
         emitted += decoded.len() as u64;
         relay(sink.block(&decoded))?;

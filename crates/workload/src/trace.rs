@@ -79,6 +79,7 @@ impl FingerprintFold {
         FingerprintFold { h: Self::OFFSET }
     }
 
+    #[inline]
     fn eat(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.h = (self.h ^ u64::from(b)).wrapping_mul(Self::PRIME);
@@ -100,13 +101,43 @@ impl FingerprintFold {
         self.eat(format!("{suite:?}{kernels:?}{contexts:?}").as_bytes());
     }
 
+    /// A fold that has already eaten `workload`'s header (name, suite,
+    /// kernel and context tables): the starting state for re-folding the
+    /// invocation stream of `workload`, or of any block stream carrying
+    /// its tables.
+    pub fn of_tables(workload: &Workload) -> Self {
+        let mut fold = FingerprintFold::new();
+        fold.eat_header(
+            &workload.name,
+            workload.suite,
+            &workload.kernels,
+            &workload.contexts,
+        );
+        fold
+    }
+
     /// Folds one invocation's raw fields (`work_scale`/`noise_z` by bit
     /// pattern), in stream order.
+    #[inline]
     pub fn eat_invocation(&mut self, inv: &Invocation) {
-        self.eat(&inv.kernel.0.to_le_bytes());
-        self.eat(&inv.context.to_le_bytes());
-        self.eat(&inv.work_scale.to_bits().to_le_bytes());
-        self.eat(&inv.noise_z.to_bits().to_le_bytes());
+        self.eat_row(
+            inv.kernel.0.to_le_bytes(),
+            inv.context.to_le_bytes(),
+            inv.work_scale.to_bits().to_le_bytes(),
+            inv.noise_z.to_bits().to_le_bytes(),
+        );
+    }
+
+    /// Folds one invocation given as the little-endian bytes of its four
+    /// fields — exactly the bytes [`FingerprintFold::eat_invocation`]
+    /// folds, so a column-major reader can fingerprint rows straight from
+    /// its raw column slices without decoding them first.
+    #[inline]
+    pub fn eat_row(&mut self, kernel: [u8; 4], context: [u8; 2], work: [u8; 4], noise: [u8; 4]) {
+        self.eat(&kernel);
+        self.eat(&context);
+        self.eat(&work);
+        self.eat(&noise);
     }
 
     /// The fingerprint of everything folded so far.

@@ -11,14 +11,15 @@
 //!    every generator in the tree).
 //! 2. **Streamed ≡ reference.** The pipelined generate→simulate→fold
 //!    executor and the store-backed reader produce ground-truth totals
-//!    bit-identical to the retained in-memory path
-//!    (`run_full_total` / `reference::run_full`) at thread counts 1
-//!    and 4, across all three suites.
+//!    bit-identical to the in-memory fold (`workload_total`) and to the
+//!    per-invocation `reference::run_full` at thread counts 1 and 4,
+//!    across all three suites.
 //! 3. **Checksum-before-trust.** A store damaged in any way — torn
-//!    block, flipped byte, truncated manifest, lying fingerprint —
-//!    yields a typed [`ColStoreError`] and quarantines the damaged
-//!    file. It never streams wrong invocations, so a streamed total can
-//!    never silently be garbage cycles.
+//!    block, flipped byte in any column, truncated manifest, lying
+//!    fingerprint, rows permuted under re-forged checksums — yields a
+//!    typed [`ColStoreError`] and quarantines the damaged file. It never
+//!    streams wrong invocations, so a streamed total can never silently
+//!    be garbage cycles.
 
 use std::path::PathBuf;
 
@@ -118,11 +119,9 @@ fn streamed_totals_match_in_memory_reference_across_suites_and_threads() {
         // multi-kernel and multi-context table shapes.
         for source in sources.iter().take(2) {
             let w = source.materialize();
-            let expected = sim.run_full_total(&w, Parallelism::serial());
-            // The retained per-invocation reference path must agree with
-            // the total-only fold before we pin the streamed paths to it.
-            let full = reference::run_full(&sim, &w);
-            assert_eq!(full.total_cycles.to_bits(), expected.to_bits());
+            // The per-invocation reference path is the oracle every
+            // streamed and in-memory fold is pinned to.
+            let expected = reference::run_full(&sim, &w).total_cycles;
             let dir = write_store(&storage, "equiv", source, 2048);
             for threads in [1_usize, 4] {
                 let par = Parallelism::with_threads(threads);
@@ -159,17 +158,6 @@ fn corrupt_stores_are_typed_and_quarantined_never_garbage_cycles() {
     let sim = Simulator::new(GpuConfig::rtx2080());
     let sources = rodinia_sources(31);
     let source = &sources[0];
-
-    let quarantined = |dir: &PathBuf| -> usize {
-        std::fs::read_dir(dir)
-            .map(|entries| {
-                entries
-                    .filter_map(Result::ok)
-                    .filter(|e| e.file_name().to_string_lossy().contains(".quarantined"))
-                    .count()
-            })
-            .unwrap_or(0)
-    };
 
     // Corruption classes: (tag, mutation) applied to a fresh store.
     type Mutate = fn(&PathBuf);
@@ -243,6 +231,148 @@ fn corrupt_stores_are_typed_and_quarantined_never_garbage_cycles() {
     }
 }
 
+/// Number of `.quarantined` files in `dir`.
+fn quarantined(dir: &PathBuf) -> usize {
+    std::fs::read_dir(dir)
+        .map(|entries| {
+            entries
+                .filter_map(Result::ok)
+                .filter(|e| e.file_name().to_string_lossy().contains(".quarantined"))
+                .count()
+        })
+        .unwrap_or(0)
+}
+
+/// Block length of the corruption stores below: small, so the damaged
+/// block is the second of many full blocks.
+const DAMAGE_BLOCK_LEN: usize = 64;
+
+/// The reader folds the block checksum and the row fingerprint in one
+/// pass, but still compares the checksum before decoding. One flipped
+/// byte in each column region — a kernel id's high byte, a context id's
+/// high byte, a work scale's sign/exponent byte, a noise draw — and in
+/// the block's last byte is a checksum mismatch with the block
+/// quarantined: never an `InvalidRow` from decoding the garbage, never
+/// a panic.
+#[test]
+fn flipped_byte_in_any_column_region_is_a_checksum_mismatch() {
+    let storage = RealFs;
+    let sim = Simulator::new(GpuConfig::rtx2080());
+    let sources = rodinia_sources(31);
+    let source = &sources[0];
+    let rows = DAMAGE_BLOCK_LEN;
+    assert!(
+        source.materialize().num_invocations() > 2 * rows,
+        "need two full blocks"
+    );
+    let cases = [
+        ("kernel", 4 * 3 + 3),
+        ("context", rows * 4 + 2 * 5 + 1),
+        ("work", rows * 6 + 4 * 7 + 3),
+        ("noise", rows * 10 + 4 * 9),
+        ("last-byte", rows * 14 - 1),
+    ];
+    for (region, offset) in cases {
+        for reader in ["store_total", "load_store"] {
+            let dir = write_store(&storage, &format!("flip-{region}-{reader}"), source, rows);
+            let block = dir.join("block-00001.col");
+            let mut bytes = std::fs::read(&block).expect("read block");
+            assert_eq!(bytes.len(), rows * 14);
+            bytes[offset] ^= 0xff;
+            std::fs::write(&block, &bytes).expect("flip byte");
+            let err = match reader {
+                "store_total" => {
+                    match store_total(&sim, Parallelism::serial(), &storage, &dir, 2) {
+                        Err(StreamRunError::Produce(e)) => e,
+                        other => panic!("{region}: wanted a producer error, got {other:?}"),
+                    }
+                }
+                _ => load_store(&storage, &dir).expect_err("damaged store loaded"),
+            };
+            assert_eq!(
+                err,
+                ColStoreError::BlockChecksumMismatch { index: 1 },
+                "{region} via {reader}"
+            );
+            assert!(
+                dir.join("block-00001.col.quarantined").exists(),
+                "{region} via {reader}: damaged block must be quarantined"
+            );
+            assert_eq!(quarantined(&dir), 1, "{region} via {reader}");
+            let _ = std::fs::remove_dir_all(dir.parent().expect("parent"));
+        }
+    }
+}
+
+/// Rows permuted inside one block, with the block checksum and the
+/// manifest checksum re-forged to match: every checksum verifies and
+/// every row decodes, so only the row-order fingerprint folded in the
+/// same pass can catch it — and it does, quarantining the manifest.
+#[test]
+fn permuted_block_under_reforged_checksums_is_a_fingerprint_mismatch() {
+    let storage = RealFs;
+    let sim = Simulator::new(GpuConfig::rtx2080());
+    let sources = rodinia_sources(31);
+    let source = &sources[0];
+    let rows = DAMAGE_BLOCK_LEN;
+    let dir = write_store(&storage, "permuted", source, rows);
+
+    // Reverse the row order of block 1, column by column.
+    let block = dir.join("block-00001.col");
+    let bytes = std::fs::read(&block).expect("read block");
+    let mut permuted = Vec::with_capacity(bytes.len());
+    let mut start = 0;
+    for width in [4_usize, 2, 4, 4] {
+        let column = &bytes[start..start + rows * width];
+        for cell in column.chunks_exact(width).rev() {
+            permuted.extend_from_slice(cell);
+        }
+        start += rows * width;
+    }
+    assert_ne!(permuted, bytes, "reversal must change the block");
+    std::fs::write(&block, &permuted).expect("write permuted block");
+
+    // Re-forge block 1's checksum, then the manifest's own checksum.
+    let manifest = dir.join("manifest.txt");
+    let text = std::fs::read_to_string(&manifest).expect("read manifest");
+    let mut body = String::new();
+    let mut forged = false;
+    for line in text.lines() {
+        if line.starts_with("checksum ") {
+            continue;
+        }
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        if fields.len() == 5 && fields[0] == "block" && fields[1] == "1" {
+            body.push_str(&format!(
+                "block 1 {} {} {:016x}\n",
+                fields[2],
+                fields[3],
+                fnv64(&permuted)
+            ));
+            forged = true;
+        } else {
+            body.push_str(line);
+            body.push('\n');
+        }
+    }
+    assert!(forged, "manifest must list block 1");
+    body.push_str(&format!("checksum {:016x}\n", fnv64(body.as_bytes())));
+    std::fs::write(&manifest, body).expect("forge manifest");
+
+    match store_total(&sim, Parallelism::serial(), &storage, &dir, 2) {
+        Err(StreamRunError::Produce(ColStoreError::FingerprintMismatch { expected, found })) => {
+            assert_eq!(expected, source.materialize().fingerprint());
+            assert_ne!(found, expected);
+        }
+        other => panic!("wanted a fingerprint mismatch, got {other:?}"),
+    }
+    assert!(
+        dir.join("manifest.txt.quarantined").exists(),
+        "the lying manifest must be quarantined"
+    );
+    let _ = std::fs::remove_dir_all(dir.parent().expect("parent"));
+}
+
 /// Write-side storage chaos: committing a store through a faulty
 /// filesystem either succeeds with a fully verifiable store or fails
 /// with a typed error — the manifest-last commit point means a crashed
@@ -254,7 +384,7 @@ fn store_commit_under_storage_faults_is_typed_or_absent() {
     let source = &sources[1];
     let reference = {
         let w = source.materialize();
-        sim.run_full_total(&w, Parallelism::serial())
+        reference::run_full(&sim, &w).total_cycles
     };
     let mut completed = 0_usize;
     for (i, plan) in StorageFaultPlan::all_classes(99).into_iter().enumerate() {

@@ -58,10 +58,16 @@ fn ground_truth_matches_per_invocation_reference() {
         let slow = sim_reference::run_full(&sim, w);
         let fast = sim.run_full(w);
         assert_eq!(fast, slow, "{}: grouped full run diverged", w.name());
+        let total = |par| {
+            workload_total(&sim, par, w, DEFAULT_BLOCK_LEN, DEFAULT_CHANNEL_BLOCKS)
+                .expect("in-memory ground truth")
+                .total_cycles
+                .to_bits()
+        };
         assert_eq!(
-            sim.run_full_total(w, Parallelism::serial()),
-            slow.total_cycles,
-            "{}: run_full_total diverged",
+            total(Parallelism::serial()),
+            slow.total_cycles.to_bits(),
+            "{}: workload_total diverged",
             w.name()
         );
         for threads in THREADS {
@@ -73,9 +79,9 @@ fn ground_truth_matches_per_invocation_reference() {
                 w.name()
             );
             assert_eq!(
-                sim.run_full_total(w, par),
-                slow.total_cycles,
-                "{}: parallel run_full_total diverged at threads = {threads}",
+                total(par),
+                slow.total_cycles.to_bits(),
+                "{}: parallel workload_total diverged at threads = {threads}",
                 w.name()
             );
         }
