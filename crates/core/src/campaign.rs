@@ -14,37 +14,29 @@
 //!
 //! # Snapshot format
 //!
-//! A snapshot is a small plain-text file, written atomically (tmp file +
-//! `rename`) after *each* completed unit so a kill at any instant leaves
-//! either the previous snapshot or the new one, never a torn file:
+//! A snapshot is a sealed file (`stem_storage::sealed`; DESIGN.md §14,
+//! "Sealed files") under the header `STEM-CAMPAIGN-SNAPSHOT v1`,
+//! rewritten atomically after *each* completed unit. Its record lines:
 //!
 //! ```text
-//! STEM-CAMPAIGN-SNAPSHOT v1
 //! fingerprint 6b1c3f...        ; binds the file to one exact campaign
 //! unit 0 <err> <speedup> <n> <pred>
 //! unit 3 <err> <speedup> <n> <pred>
-//! checksum 9d41a2...           ; FNV-1a 64 over everything above
 //! ```
 //!
 //! `f64` fields are stored as `to_bits()` hex so the round-trip is exact
 //! — a resumed summary must not differ in the last ulp. The fingerprint
 //! hashes the sampler name, repetition count, base seed, GPU config, and
-//! every workload's name and size; the checksum covers the whole body.
-//! A snapshot that fails *any* check — header, version, fingerprint,
-//! checksum, line grammar, unit range — is never trusted and never
-//! deleted: [`Pipeline::resume_from`] renames it to the first free
-//! `<path>.quarantined[.N]` name, reports it in the [`CampaignReport`],
-//! and recomputes from scratch. Wrong results are impossible; the worst
-//! corruption can do is cost the saved work.
+//! every workload's name and size. A snapshot failing any check — the
+//! sealed-file checks, fingerprint, line grammar, unit range — is
+//! quarantined by [`Pipeline::resume_from`], reported in the
+//! [`CampaignReport`], and the campaign recomputes from scratch: the
+//! worst corruption can do is cost the saved work.
 //!
 //! All durable writes go through the pipeline's
-//! [`Storage`](stem_storage::Storage) (see
-//! [`Pipeline::with_storage`]): the real filesystem by default, the
-//! chaos crate's fault-injecting `FaultFs` under test. `stem-storage`'s
-//! `write_atomic` adds an fsync of the tmp file before the rename and a
-//! best-effort parent-directory fsync after it, so a power loss cannot
-//! tear a snapshot or (modulo the documented directory-sync caveat)
-//! silently un-commit one.
+//! [`Storage`](stem_storage::Storage) (see [`Pipeline::with_storage`]):
+//! the real filesystem by default, the chaos crate's fault-injecting
+//! `FaultFs` under test.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -59,86 +51,10 @@ use crate::sampler::KernelSampler;
 use gpu_sim::SimCache;
 use gpu_workload::Workload;
 use stem_par::{supervised_map_indexed, ExecLog, Parallelism, TaskFailure};
-use stem_storage::{Storage, StorageError};
+use stem_storage::sealed::{self, QuarantinedSnapshot, SnapshotError};
 
-/// First token of the snapshot header; the version tag follows it.
-const HEADER_PREFIX: &str = "STEM-CAMPAIGN-SNAPSHOT";
 /// The exact header this version writes and accepts.
 const HEADER: &str = "STEM-CAMPAIGN-SNAPSHOT v1";
-
-/// Why a snapshot was rejected (and quarantined) or could not be written.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SnapshotError {
-    /// Storage failure, with the operation and path that failed (the
-    /// underlying `io::Error` is not `Clone`, so [`StorageError`] keeps
-    /// its kind and text instead).
-    Io(StorageError),
-    /// The file does not start with the snapshot header.
-    MissingHeader,
-    /// The header names a version this build does not understand.
-    VersionMismatch {
-        /// The header line as found.
-        found: String,
-    },
-    /// The snapshot belongs to a different campaign (sampler, seed,
-    /// repetition count, GPU config, or workload list differ).
-    FingerprintMismatch,
-    /// The body does not hash to the recorded checksum.
-    ChecksumMismatch,
-    /// A line violates the snapshot grammar.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-}
-
-impl std::fmt::Display for SnapshotError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Io(e) => write!(f, "snapshot io error: {e}"),
-            SnapshotError::MissingHeader => f.write_str("missing snapshot header"),
-            SnapshotError::VersionMismatch { found } => {
-                write!(f, "unsupported snapshot version: {found:?} (expected {HEADER:?})")
-            }
-            SnapshotError::FingerprintMismatch => {
-                f.write_str("snapshot belongs to a different campaign")
-            }
-            SnapshotError::ChecksumMismatch => f.write_str("snapshot checksum mismatch"),
-            SnapshotError::Malformed { line, message } => {
-                write!(f, "malformed snapshot at line {line}: {message}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for SnapshotError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            SnapshotError::Io(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<StorageError> for SnapshotError {
-    fn from(e: StorageError) -> Self {
-        SnapshotError::Io(e)
-    }
-}
-
-/// A rejected snapshot, set aside rather than deleted so the evidence
-/// survives for inspection.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedSnapshot {
-    /// Where the rejected file was moved — the first free
-    /// `<snapshot>.quarantined[.N]` name, so repeated corruption never
-    /// overwrites earlier evidence.
-    pub path: PathBuf,
-    /// Why it was rejected.
-    pub reason: SnapshotError,
-}
 
 /// Outcome of a completed campaign.
 #[derive(Debug, Clone, PartialEq)]
@@ -169,24 +85,13 @@ struct UnitRecord {
     predicted_error_pct: f64,
 }
 
-/// FNV-1a 64 — the workspace's std-only integrity hash.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Serializes the snapshot body and appends its checksum line.
+/// Serializes a sealed snapshot of `units`.
 fn serialize_snapshot(fingerprint: u64, units: &BTreeMap<u64, UnitRecord>) -> String {
-    let mut body = String::new();
-    let _ = writeln!(body, "{HEADER}");
-    let _ = writeln!(body, "fingerprint {fingerprint:016x}");
+    let mut records = String::new();
+    let _ = writeln!(records, "fingerprint {fingerprint:016x}");
     for (index, rec) in units {
         let _ = writeln!(
-            body,
+            records,
             "unit {index} {:016x} {:016x} {} {:016x}",
             rec.error_pct.to_bits(),
             rec.speedup.to_bits(),
@@ -194,9 +99,7 @@ fn serialize_snapshot(fingerprint: u64, units: &BTreeMap<u64, UnitRecord>) -> St
             rec.predicted_error_pct.to_bits(),
         );
     }
-    let checksum = fnv1a64(body.as_bytes());
-    let _ = writeln!(body, "checksum {checksum:016x}");
-    body
+    sealed::seal(HEADER, &records)
 }
 
 /// Parses one `unit` line's payload (everything after the keyword).
@@ -226,84 +129,14 @@ fn parse_unit_fields(rest: &str, line: usize) -> Result<(u64, UnitRecord), Snaps
     ))
 }
 
-/// Parses and integrity-checks a snapshot. Returns the recorded
-/// fingerprint and the unit map; any deviation is a typed rejection.
-fn parse_snapshot(text: &str) -> Result<(u64, BTreeMap<u64, UnitRecord>), SnapshotError> {
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    if header != HEADER {
-        if header.starts_with(HEADER_PREFIX) {
-            return Err(SnapshotError::VersionMismatch { found: header.to_string() });
-        }
-        return Err(SnapshotError::MissingHeader);
-    }
-
-    // Verify the checksum before believing any line: the last line must be
-    // `checksum <hex>` and must hash the whole body above it.
-    let Some(tail) = text.lines().next_back() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    let Some(recorded) = tail.strip_prefix("checksum ") else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    let recorded =
-        u64::from_str_radix(recorded.trim(), 16).map_err(|_| SnapshotError::ChecksumMismatch)?;
-    let Some(body_len) = text.len().checked_sub(tail.len() + 1) else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    if fnv1a64(text[..body_len].as_bytes()) != recorded {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut fingerprint = None;
-    let mut units = BTreeMap::new();
-    for (i, line) in lines {
-        let lineno = i + 1;
-        if line == tail && fingerprint.is_some() {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("fingerprint ") {
-            let fp = u64::from_str_radix(rest.trim(), 16).map_err(|_| {
-                SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("bad fingerprint {rest:?}"),
-                }
-            })?;
-            fingerprint = Some(fp);
-        } else if let Some(rest) = line.strip_prefix("unit ") {
-            let (index, rec) = parse_unit_fields(rest, lineno)?;
-            if units.insert(index, rec).is_some() {
-                return Err(SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("duplicate unit {index}"),
-                });
-            }
-        } else {
-            return Err(SnapshotError::Malformed {
-                line: lineno,
-                message: format!("unrecognized line {line:?}"),
-            });
-        }
-    }
-    let Some(fingerprint) = fingerprint else {
-        return Err(SnapshotError::Malformed {
-            line: 2,
-            message: "missing fingerprint line".to_string(),
-        });
-    };
-    Ok((fingerprint, units))
-}
-
-/// Full validation of a snapshot against this campaign: grammar +
-/// checksum, then fingerprint, then unit range.
-fn validate_snapshot(
-    text: &str,
+/// Parses a snapshot's record lines and validates them against this
+/// campaign: fingerprint, then unit range.
+fn parse_snapshot(
+    lines: sealed::Lines<'_>,
     expected_fingerprint: u64,
     total_units: u64,
 ) -> Result<BTreeMap<u64, UnitRecord>, SnapshotError> {
-    let (fingerprint, units) = parse_snapshot(text)?;
+    let (fingerprint, units) = sealed::fingerprinted_records(lines, "unit", parse_unit_fields)?;
     if fingerprint != expected_fingerprint {
         return Err(SnapshotError::FingerprintMismatch);
     }
@@ -316,24 +149,6 @@ fn validate_snapshot(
         }
     }
     Ok(units)
-}
-
-/// Atomically replaces `path` with `text` under the durability
-/// discipline of [`stem_storage::write_atomic`]: tmp write → tmp fsync →
-/// `rename` → best-effort parent-dir fsync. A kill at any boundary
-/// leaves the previous snapshot or the new one, never a torn file.
-fn write_snapshot_atomic(
-    storage: &dyn Storage,
-    path: &Path,
-    text: &str,
-) -> Result<(), SnapshotError> {
-    stem_storage::write_atomic(storage, path, text).map_err(SnapshotError::Io)
-}
-
-/// Moves a rejected snapshot aside to the first free
-/// `<path>.quarantined[.N]` name (never deletes or overwrites evidence).
-fn quarantine(storage: &dyn Storage, path: &Path) -> Result<PathBuf, SnapshotError> {
-    stem_storage::quarantine(storage, path).map_err(SnapshotError::Io)
 }
 
 /// Locks the shared campaign state, recovering from poisoning: the map
@@ -371,7 +186,7 @@ impl Pipeline {
         for w in workloads {
             let _ = write!(canon, "workload={}:{};", w.name(), w.num_invocations());
         }
-        fnv1a64(canon.as_bytes())
+        sealed::fnv1a64(canon.as_bytes())
     }
 
     /// Runs a fresh campaign of `sampler` over `workloads`, persisting a
@@ -433,17 +248,11 @@ impl Pipeline {
         // so interrupted runs do not accrete garbage next to snapshots.
         let swept = stem_storage::sweep_tmp_sibling(storage, snapshot_path)
             .map_err(SnapshotError::Io)?;
-        let (done, quarantined) = match storage.read_to_string(snapshot_path) {
-            Err(e) if e.is_not_found() => (BTreeMap::new(), None),
-            Err(e) => return Err(SnapshotError::Io(e).into()),
-            Ok(text) => match validate_snapshot(&text, fingerprint, total_units) {
-                Ok(units) => (units, None),
-                Err(reason) => {
-                    let path = quarantine(storage, snapshot_path)?;
-                    (BTreeMap::new(), Some(QuarantinedSnapshot { path, reason }))
-                }
-            },
-        };
+        let (done, quarantined) =
+            sealed::load_or_quarantine(storage, snapshot_path, HEADER, |lines| {
+                parse_snapshot(lines, fingerprint, total_units)
+            })?
+            .or_default();
         let swept_tmp: Vec<PathBuf> = swept.into_iter().collect();
         self.campaign(sampler, workloads, snapshot_path, done, quarantined, swept_tmp)
     }
@@ -559,11 +368,12 @@ impl Pipeline {
                 // cannot rename an older snapshot over a newer one.
                 let mut st = lock_state(&state);
                 st.insert(unit, record);
-                write_snapshot_atomic(
+                stem_storage::write_atomic(
                     &*self.storage,
                     snapshot_path,
                     &serialize_snapshot(fingerprint, &st),
-                )?;
+                )
+                .map_err(SnapshotError::Io)?;
                 drop(st);
                 executed.fetch_add(1, Ordering::SeqCst);
                 Ok(())
@@ -665,95 +475,48 @@ mod tests {
         m
     }
 
+    fn open_and_parse(
+        text: &str,
+        fingerprint: u64,
+        total_units: u64,
+    ) -> Result<BTreeMap<u64, UnitRecord>, SnapshotError> {
+        parse_snapshot(sealed::open(text.as_bytes(), HEADER)?, fingerprint, total_units)
+    }
+
     #[test]
     fn snapshot_round_trips_bitwise() {
         let text = serialize_snapshot(0xdead_beef, &sample_map());
-        let (fp, units) = parse_snapshot(&text).expect("round trip");
-        assert_eq!(fp, 0xdead_beef);
-        assert_eq!(units, sample_map());
+        assert_eq!(open_and_parse(&text, 0xdead_beef, 100), Ok(sample_map()));
     }
 
+    /// Pins the v1 bytes of a 2-unit snapshot: existing snapshots must
+    /// keep resuming, so the serializer may never change a byte.
     #[test]
-    fn truncated_snapshot_rejected() {
-        let text = serialize_snapshot(1, &sample_map());
-        let cut = &text[..text.len() / 2];
-        assert!(matches!(
-            parse_snapshot(cut),
-            Err(SnapshotError::ChecksumMismatch)
-        ));
-    }
-
-    #[test]
-    fn flipped_byte_rejected() {
-        let text = serialize_snapshot(1, &sample_map());
-        let mut bytes = text.into_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] = if bytes[mid] == b'0' { b'1' } else { b'0' };
-        let tampered = String::from_utf8(bytes).expect("ascii");
-        assert!(parse_snapshot(&tampered).is_err());
-    }
-
-    #[test]
-    fn stale_version_rejected() {
-        let text = serialize_snapshot(1, &sample_map());
-        let stale = text.replacen("v1", "v999", 1);
-        assert!(matches!(
-            parse_snapshot(&stale),
-            Err(SnapshotError::VersionMismatch { .. })
-        ));
+    fn two_unit_snapshot_matches_the_v1_golden_bytes() {
+        let mut units = BTreeMap::new();
+        units.insert(0, record(1.25));
+        units.insert(3, record(0.0625));
+        let golden = "STEM-CAMPAIGN-SNAPSHOT v1\n\
+            fingerprint 0123456789abcdef\n\
+            unit 0 3ff4000000000000 4029000000000000 42 3fe4000000000000\n\
+            unit 3 3fb0000000000000 3fe4000000000000 42 3fa0000000000000\n\
+            checksum 919e3a5eaf1983d1\n";
+        assert_eq!(serialize_snapshot(0x0123_4567_89ab_cdef, &units), golden);
     }
 
     #[test]
     fn foreign_fingerprint_rejected() {
         let text = serialize_snapshot(5, &sample_map());
-        assert!(matches!(
-            validate_snapshot(&text, 6, 100),
-            Err(SnapshotError::FingerprintMismatch)
-        ));
-        assert!(validate_snapshot(&text, 5, 100).is_ok());
+        assert_eq!(open_and_parse(&text, 6, 100), Err(SnapshotError::FingerprintMismatch));
+        assert!(open_and_parse(&text, 5, 100).is_ok());
     }
 
     #[test]
     fn out_of_range_unit_rejected() {
         let text = serialize_snapshot(5, &sample_map());
         assert!(matches!(
-            validate_snapshot(&text, 5, 4),
+            open_and_parse(&text, 5, 4),
             Err(SnapshotError::Malformed { .. })
         ));
-    }
-
-    #[test]
-    fn empty_and_garbage_rejected() {
-        assert!(matches!(parse_snapshot(""), Err(SnapshotError::MissingHeader)));
-        assert!(matches!(
-            parse_snapshot("not a snapshot\n"),
-            Err(SnapshotError::MissingHeader)
-        ));
-    }
-
-    #[test]
-    fn atomic_write_then_quarantine() {
-        let dir = std::env::temp_dir().join("stem-campaign-test-atomic");
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let storage = stem_storage::RealFs;
-        let path = dir.join("campaign.snap");
-        let text = serialize_snapshot(9, &sample_map());
-        write_snapshot_atomic(&storage, &path, &text).expect("atomic write");
-        assert_eq!(std::fs::read_to_string(&path).expect("written"), text);
-        assert!(
-            !stem_storage::sibling(&path, ".tmp").exists(),
-            "tmp must be renamed away"
-        );
-        let q = quarantine(&storage, &path).expect("quarantine");
-        assert!(!path.exists());
-        assert!(q.exists());
-        assert!(q.to_string_lossy().ends_with(".quarantined"));
-        // A second rejected snapshot must not overwrite the evidence.
-        write_snapshot_atomic(&storage, &path, &text).expect("second write");
-        let q2 = quarantine(&storage, &path).expect("second quarantine");
-        assert!(q2.to_string_lossy().ends_with(".quarantined.1"));
-        assert!(q.exists() && q2.exists());
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -8,7 +8,7 @@
 //! on the precise failure class afterwards. Conversions are provided via
 //! `From`, so substrate errors propagate without explicit mapping.
 
-use crate::campaign::SnapshotError;
+use stem_storage::sealed::SnapshotError;
 use gpu_profile::{
     DataQualityReport, InvalidProfileError, ParseCsvError, ValidationError, WriteCsvError,
 };

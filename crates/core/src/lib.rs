@@ -65,7 +65,7 @@ pub mod root;
 pub mod sampler;
 pub mod stem;
 
-pub use campaign::{CampaignReport, QuarantinedSnapshot, SnapshotError};
+pub use campaign::CampaignReport;
 pub use config::StemConfig;
 pub use degrade::RecoveryPolicy;
 pub use error::StemError;
@@ -75,3 +75,4 @@ pub use plan::SamplingPlan;
 pub use registry::SamplerRegistry;
 pub use sampler::KernelSampler;
 pub use stem::StemRootSampler;
+pub use stem_storage::sealed::{QuarantinedSnapshot, SnapshotError};

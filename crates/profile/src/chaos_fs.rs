@@ -322,10 +322,6 @@ impl FaultFs {
 }
 
 impl Storage for FaultFs {
-    fn read_to_string(&self, path: &Path) -> Result<String, StorageError> {
-        RealFs.read_to_string(path)
-    }
-
     fn read_bytes(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
         RealFs.read_bytes(path)
     }

@@ -1,16 +1,12 @@
-//! The crash-safe job journal: which jobs this daemon has accepted, in a
-//! plain-text file with the same integrity discipline as campaign
-//! snapshots (atomic tmp+rename writes, a fingerprint binding the file to
-//! one daemon identity, an FNV-1a 64 checksum over the body, and
-//! quarantine-never-trust on any validation failure).
+//! The crash-safe job journal: which jobs this daemon has accepted.
 //!
-//! # Format
+//! The journal is a sealed file (`stem_storage::sealed`; DESIGN.md §14,
+//! "Sealed files") under the header `STEM-SERVE-JOURNAL v1`, rewritten
+//! atomically after every admission. Its record lines:
 //!
 //! ```text
-//! STEM-SERVE-JOURNAL v1
-//! fingerprint 6b1c3f...
+//! fingerprint 6b1c3f...        ; binds the file to one daemon identity
 //! job <id> <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> <deadline_ms|-> <sampler> [<store_path> <store_fp>]
-//! checksum 9d41a2...
 //! ```
 //!
 //! A `job` line with only 8 fields (written before samplers were
@@ -30,29 +26,16 @@ use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
 use crate::job::{JobSpec, StoreRef, SuiteId};
-use stem_core::SnapshotError;
+use stem_storage::sealed::{self, QuarantinedSnapshot, SnapshotError};
 use stem_storage::Storage;
 
-/// First token of the journal header; the version tag follows it.
-const HEADER_PREFIX: &str = "STEM-SERVE-JOURNAL";
 /// The exact header this version writes and accepts.
 pub(crate) const HEADER: &str = "STEM-SERVE-JOURNAL v1";
 
-/// FNV-1a 64 — the workspace's std-only integrity hash.
-pub(crate) fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// Serializes the journal body and appends its checksum line.
+/// Serializes a sealed journal of `jobs`.
 pub(crate) fn serialize_journal(fingerprint: u64, jobs: &BTreeMap<u64, JobSpec>) -> String {
-    let mut body = String::new();
-    let _ = writeln!(body, "{HEADER}");
-    let _ = writeln!(body, "fingerprint {fingerprint:016x}");
+    let mut records = String::new();
+    let _ = writeln!(records, "fingerprint {fingerprint:016x}");
     for (id, spec) in jobs {
         let deadline = match spec.deadline_ms {
             Some(ms) => ms.to_string(),
@@ -63,7 +46,7 @@ pub(crate) fn serialize_journal(fingerprint: u64, jobs: &BTreeMap<u64, JobSpec>)
             None => String::new(),
         };
         let _ = writeln!(
-            body,
+            records,
             "job {id} {} {} {} {} {} {} {deadline} {}{store}",
             spec.tenant,
             spec.suite.as_str(),
@@ -74,9 +57,7 @@ pub(crate) fn serialize_journal(fingerprint: u64, jobs: &BTreeMap<u64, JobSpec>)
             spec.sampler,
         );
     }
-    let checksum = fnv1a64(body.as_bytes());
-    let _ = writeln!(body, "checksum {checksum:016x}");
-    body
+    sealed::seal(HEADER, &records)
 }
 
 /// Parses one `job` line's payload (everything after the keyword).
@@ -125,106 +106,11 @@ fn parse_job_fields(rest: &str, line: usize) -> Result<(u64, JobSpec), SnapshotE
     Ok((id, spec))
 }
 
-/// Parses and integrity-checks a journal: header, checksum, grammar.
-/// Returns the recorded fingerprint and the job map.
-pub(crate) fn parse_journal(
-    text: &str,
-) -> Result<(u64, BTreeMap<u64, JobSpec>), SnapshotError> {
-    let mut lines = text.lines().enumerate();
-    let Some((_, header)) = lines.next() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    if header != HEADER {
-        if header.starts_with(HEADER_PREFIX) {
-            return Err(SnapshotError::VersionMismatch { found: header.to_string() });
-        }
-        return Err(SnapshotError::MissingHeader);
-    }
-
-    // Verify the checksum before believing any line.
-    let Some(tail) = text.lines().next_back() else {
-        return Err(SnapshotError::MissingHeader);
-    };
-    let Some(recorded) = tail.strip_prefix("checksum ") else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    let recorded =
-        u64::from_str_radix(recorded.trim(), 16).map_err(|_| SnapshotError::ChecksumMismatch)?;
-    let Some(body_len) = text.len().checked_sub(tail.len() + 1) else {
-        return Err(SnapshotError::ChecksumMismatch);
-    };
-    if fnv1a64(text[..body_len].as_bytes()) != recorded {
-        return Err(SnapshotError::ChecksumMismatch);
-    }
-
-    let mut fingerprint = None;
-    let mut jobs = BTreeMap::new();
-    for (i, line) in lines {
-        let lineno = i + 1;
-        if line == tail && fingerprint.is_some() {
-            break;
-        }
-        if let Some(rest) = line.strip_prefix("fingerprint ") {
-            let fp = u64::from_str_radix(rest.trim(), 16).map_err(|_| {
-                SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("bad fingerprint {rest:?}"),
-                }
-            })?;
-            fingerprint = Some(fp);
-        } else if let Some(rest) = line.strip_prefix("job ") {
-            let (id, spec) = parse_job_fields(rest, lineno)?;
-            if jobs.insert(id, spec).is_some() {
-                return Err(SnapshotError::Malformed {
-                    line: lineno,
-                    message: format!("duplicate job {id}"),
-                });
-            }
-        } else {
-            return Err(SnapshotError::Malformed {
-                line: lineno,
-                message: format!("unrecognized line {line:?}"),
-            });
-        }
-    }
-    let Some(fingerprint) = fingerprint else {
-        return Err(SnapshotError::Malformed {
-            line: 2,
-            message: "missing fingerprint line".to_string(),
-        });
-    };
-    Ok((fingerprint, jobs))
-}
-
-/// Atomically replaces the journal under the durability discipline of
-/// [`stem_storage::write_atomic`]: tmp write → tmp fsync → `rename` →
-/// best-effort parent-dir fsync, so a kill at any instant leaves either
-/// the previous journal or the new one, never a torn file.
-pub(crate) fn write_journal_atomic(
-    storage: &dyn Storage,
-    path: &Path,
-    text: &str,
-) -> Result<(), SnapshotError> {
-    stem_storage::write_atomic(storage, path, text).map_err(SnapshotError::Io)
-}
-
-/// A journal that failed validation and was set aside, never trusted.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QuarantinedJournal {
-    /// Where the rejected file was moved — the first free
-    /// `<journal>.quarantined[.N]` name, so repeated corruption never
-    /// overwrites earlier evidence.
-    pub path: PathBuf,
-    /// Why it was rejected.
-    pub reason: SnapshotError,
-}
-
 /// Loads the journal at `path`, validating it against this daemon's
 /// `fingerprint`. A missing file is an empty journal; a file failing any
-/// check is renamed to the first free `<path>.quarantined[.N]` name and
-/// reported, and the daemon starts with an empty job set (re-submitted
-/// jobs still resume from their per-job snapshots — the journal never
-/// holds results).
+/// check is quarantined and reported, and the daemon starts with an
+/// empty job set (re-submitted jobs still resume from their per-job
+/// snapshots — the journal never holds results).
 ///
 /// # Errors
 ///
@@ -234,26 +120,16 @@ pub(crate) fn load_journal(
     storage: &dyn Storage,
     path: &Path,
     fingerprint: u64,
-) -> Result<(BTreeMap<u64, JobSpec>, Option<QuarantinedJournal>), SnapshotError> {
-    let text = match storage.read_to_string(path) {
-        Err(e) if e.is_not_found() => return Ok((BTreeMap::new(), None)),
-        Err(e) => return Err(SnapshotError::Io(e)),
-        Ok(text) => text,
-    };
-    let verdict = parse_journal(&text).and_then(|(fp, jobs)| {
+) -> Result<(BTreeMap<u64, JobSpec>, Option<QuarantinedSnapshot>), SnapshotError> {
+    let loaded = sealed::load_or_quarantine(storage, path, HEADER, |lines| {
+        let (fp, jobs) = sealed::fingerprinted_records(lines, "job", parse_job_fields)?;
         if fp == fingerprint {
             Ok(jobs)
         } else {
             Err(SnapshotError::FingerprintMismatch)
         }
-    });
-    match verdict {
-        Ok(jobs) => Ok((jobs, None)),
-        Err(reason) => {
-            let target = stem_storage::quarantine(storage, path).map_err(SnapshotError::Io)?;
-            Ok((BTreeMap::new(), Some(QuarantinedJournal { path: target, reason })))
-        }
-    }
+    })?;
+    Ok(loaded.or_default())
 }
 
 #[cfg(test)]
@@ -290,63 +166,54 @@ mod tests {
         m
     }
 
+    fn parse_journal(text: &str) -> Result<(u64, BTreeMap<u64, JobSpec>), SnapshotError> {
+        let lines = sealed::open(text.as_bytes(), HEADER)?;
+        sealed::fingerprinted_records(lines, "job", parse_job_fields)
+    }
+
     #[test]
     fn journal_round_trips() {
         let text = serialize_journal(0xfeed, &jobs());
-        let (fp, parsed) = parse_journal(&text).expect("round trip");
-        assert_eq!(fp, 0xfeed);
-        assert_eq!(parsed, jobs());
+        assert_eq!(parse_journal(&text), Ok((0xfeed, jobs())));
+    }
+
+    /// Pins the v1 bytes of a journal holding one plain job and one
+    /// store-backed job with no deadline: existing journals must keep
+    /// loading, so the serializer may never change a byte.
+    #[test]
+    fn journal_matches_the_v1_golden_bytes() {
+        let golden = "STEM-SERVE-JOURNAL v1\n\
+            fingerprint 000000000000feed\n\
+            job 0 alice casio 5 0 2 9 500 STEM\n\
+            job 2 bob casio 5 1 2 9 - RSS /tmp/stores/bfs 00000000deadbeef\n\
+            checksum 9e9bd30ffee3e98b\n";
+        assert_eq!(serialize_journal(0xfeed, &jobs()), golden);
     }
 
     #[test]
     fn legacy_eight_field_job_lines_default_to_stem() {
-        // A journal written before samplers were per-job: rebuild one by
-        // stripping the sampler column and re-checksumming the body.
-        // (Store-backed jobs postdate samplers, so legacy lines never
-        // carry a store — drop it before cutting the last column.)
-        let mut legacy_jobs = jobs();
-        for spec in legacy_jobs.values_mut() {
-            spec.store = None;
-        }
-        let text = serialize_journal(3, &legacy_jobs);
-        let body_no_checksum: String = text
-            .lines()
-            .filter(|l| !l.starts_with("checksum "))
-            .map(|l| {
-                if l.starts_with("job ") {
-                    let cut = l.rfind(' ').expect("fields");
-                    format!("{}\n", &l[..cut])
-                } else {
-                    format!("{l}\n")
-                }
-            })
-            .collect();
-        let legacy =
-            format!("{body_no_checksum}checksum {:016x}\n", fnv1a64(body_no_checksum.as_bytes()));
-        let (fp, parsed) = parse_journal(&legacy).expect("legacy journal parses");
-        assert_eq!(fp, 3);
-        assert_eq!(parsed.len(), jobs().len());
+        // Written before samplers were per-job (and so before stores).
+        let records = "fingerprint 0000000000000003\n\
+            job 0 alice casio 5 0 2 9 500\n\
+            job 2 bob casio 5 1 2 9 -\n";
+        let (fp, parsed) = parse_journal(&sealed::seal(HEADER, records)).expect("legacy parses");
+        assert_eq!((fp, parsed.len()), (3, 2));
         for spec in parsed.values() {
             assert_eq!(spec.sampler, "STEM", "legacy jobs ran STEM");
+            assert_eq!(spec.store, None);
         }
     }
 
     #[test]
-    fn damage_is_rejected() {
-        let text = serialize_journal(1, &jobs());
-        let cut = &text[..text.len() / 2];
-        assert!(matches!(parse_journal(cut), Err(SnapshotError::ChecksumMismatch)));
-        let stale = text.replacen("v1", "v999", 1);
-        assert!(matches!(
-            parse_journal(&stale),
-            Err(SnapshotError::VersionMismatch { .. })
-        ));
-        let mut bytes = text.clone().into_bytes();
-        let mid = bytes.len() / 2;
-        bytes[mid] = if bytes[mid] == b'0' { b'1' } else { b'0' };
-        let flipped = String::from_utf8(bytes).expect("ascii");
-        assert!(parse_journal(&flipped).is_err());
-        assert!(matches!(parse_journal(""), Err(SnapshotError::MissingHeader)));
+    fn bad_job_lines_are_rejected() {
+        let records = "fingerprint 0000000000000001\njob 0 alice nosuch 5 0 2 9 500 STEM\n";
+        assert_eq!(
+            parse_journal(&sealed::seal(HEADER, records)),
+            Err(SnapshotError::Malformed {
+                line: 3,
+                message: "unknown suite \"nosuch\"".to_string()
+            })
+        );
     }
 
     #[test]
@@ -362,7 +229,8 @@ mod tests {
         assert!(empty.is_empty() && q.is_none());
 
         // Valid file, matching fingerprint.
-        write_journal_atomic(&storage, &path, &serialize_journal(7, &jobs())).expect("write");
+        stem_storage::write_atomic(&storage, &path, &serialize_journal(7, &jobs()))
+            .expect("write");
         assert!(!sibling(&path, ".tmp").exists(), "tmp must be renamed away");
         let (loaded, q) = load_journal(&storage, &path, 7).expect("load");
         assert_eq!(loaded, jobs());

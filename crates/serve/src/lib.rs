@@ -57,6 +57,5 @@ pub mod server;
 
 pub use config::ServeConfig;
 pub use job::{JobPhase, JobSpec, JobStatus, StoreRef, SuiteId};
-pub use journal::QuarantinedJournal;
 pub use proto::{parse_request, render_error, render_result_payload, Request};
 pub use server::{AccessError, RecoveryReport, Server};

@@ -26,15 +26,13 @@ use std::time::{Duration, Instant};
 
 use crate::config::ServeConfig;
 use crate::job::{JobPhase, JobSpec, JobStatus};
-use crate::journal::{
-    fnv1a64, load_journal, serialize_journal, write_journal_atomic, QuarantinedJournal, HEADER,
-};
+use crate::journal::{load_journal, serialize_journal, HEADER};
 use crate::proto::{parse_request, render_error, render_result_payload, Request};
 use gpu_sim::{SimCache, Simulator};
 use stem_baselines::standard_registry;
-use stem_core::{Pipeline, SamplerRegistry, SnapshotError, StemError};
+use stem_core::{Pipeline, QuarantinedSnapshot, SamplerRegistry, SnapshotError, StemError};
 use stem_par::{Parallelism, Supervisor};
-use stem_storage::{StorageError, StorageOp};
+use stem_storage::{sealed::fnv1a64, StorageError, StorageOp};
 
 /// Why a tenant-scoped lookup was refused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,7 +49,7 @@ pub struct RecoveryReport {
     /// Journal jobs re-admitted to the queue, in id order.
     pub re_admitted: Vec<u64>,
     /// A journal that failed validation and was set aside, if any.
-    pub quarantined: Option<QuarantinedJournal>,
+    pub quarantined: Option<QuarantinedSnapshot>,
     /// Orphan `*.tmp` files a crash mid-write left in the journal
     /// directory, removed before recovery (sorted).
     pub swept_tmp: Vec<PathBuf>,
@@ -157,11 +155,12 @@ impl Inner {
             .filter(|(_, j)| !matches!(j.phase, JobPhase::Cancelled | JobPhase::Failed))
             .map(|(&id, j)| (id, j.spec.clone()))
             .collect();
-        let result = write_journal_atomic(
+        let result = stem_storage::write_atomic(
             &*self.config.storage,
             &self.journal_path,
             &serialize_journal(self.fingerprint, &durable),
-        );
+        )
+        .map_err(SnapshotError::Io);
         if result.is_err() {
             self.journal_write_failures.fetch_add(1, Ordering::SeqCst);
         }

@@ -34,6 +34,9 @@
 //! deleted: [`quarantine`] renames it to the first free
 //! `<path>.quarantined[.N]` name, so repeated corruption keeps every
 //! piece of evidence instead of silently overwriting the last one.
+//!
+//! The record-holding text formats (campaign snapshot, serve journal,
+//! colstore manifest) share one checksummed container, [`sealed`].
 
 // Workspace lint headers, enforced by `stem-tidy` (rule `lint-headers`).
 #![deny(missing_debug_implementations)]
@@ -42,6 +45,8 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+
+pub mod sealed;
 
 /// Which storage operation failed — part of every [`StorageError`], so a
 /// log line or campaign report names the exact syscall boundary.
@@ -146,21 +151,14 @@ impl std::error::Error for StorageError {}
 /// All methods take `&self`: implementations must be safe to share
 /// across the worker threads of a campaign or daemon.
 pub trait Storage: Send + Sync + std::fmt::Debug {
-    /// Reads a whole file as UTF-8 text.
+    /// Reads a whole file as raw bytes. Text formats are read this way
+    /// too, so a byte that is not UTF-8 reaches their parser as a typed
+    /// rejection instead of failing the read.
     ///
     /// # Errors
     ///
     /// [`StorageError`] with op [`StorageOp::Read`]; a missing file
     /// reports `kind == NotFound` (see [`StorageError::is_not_found`]).
-    fn read_to_string(&self, path: &Path) -> Result<String, StorageError>;
-
-    /// Reads a whole file as raw bytes (columnar block files are binary,
-    /// so they cannot go through [`Storage::read_to_string`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StorageError`] with op [`StorageOp::Read`]; a missing file
-    /// reports `kind == NotFound`.
     fn read_bytes(&self, path: &Path) -> Result<Vec<u8>, StorageError>;
 
     /// Writes `bytes` to `path`, creating or truncating it.
@@ -225,10 +223,6 @@ pub trait Storage: Send + Sync + std::fmt::Debug {
 pub struct RealFs;
 
 impl Storage for RealFs {
-    fn read_to_string(&self, path: &Path) -> Result<String, StorageError> {
-        fs::read_to_string(path).map_err(|e| StorageError::from_io(StorageOp::Read, path, &e))
-    }
-
     fn read_bytes(&self, path: &Path) -> Result<Vec<u8>, StorageError> {
         fs::read(path).map_err(|e| StorageError::from_io(StorageOp::Read, path, &e))
     }
@@ -403,7 +397,7 @@ mod tests {
         let path = dir.join("file.snap");
         write_atomic(&RealFs, &path, "first\n").expect("write");
         write_atomic(&RealFs, &path, "second\n").expect("rewrite");
-        assert_eq!(RealFs.read_to_string(&path).expect("read"), "second\n");
+        assert_eq!(fs::read_to_string(&path).expect("read"), "second\n");
         assert!(!RealFs.exists(&sibling(&path, ".tmp")), "tmp must be renamed away");
         let _ = fs::remove_dir_all(&dir);
     }
@@ -419,9 +413,9 @@ mod tests {
         let q0 = sibling(&path, ".quarantined");
         let q1 = sibling(&path, ".quarantined.1");
         let q2 = sibling(&path, ".quarantined.2");
-        assert_eq!(RealFs.read_to_string(&q0).expect("q0"), "evidence 0\n");
-        assert_eq!(RealFs.read_to_string(&q1).expect("q1"), "evidence 1\n");
-        assert_eq!(RealFs.read_to_string(&q2).expect("q2"), "evidence 2\n");
+        assert_eq!(fs::read_to_string(&q0).expect("q0"), "evidence 0\n");
+        assert_eq!(fs::read_to_string(&q1).expect("q1"), "evidence 1\n");
+        assert_eq!(fs::read_to_string(&q2).expect("q2"), "evidence 2\n");
         assert!(!RealFs.exists(&path));
         let _ = fs::remove_dir_all(&dir);
     }
@@ -471,7 +465,7 @@ mod tests {
         assert!(rendered.contains("missing.tmp"), "{rendered}");
 
         // Read on a missing path is the fresh-start signal.
-        let err = RealFs.read_to_string(&dir.join("absent")).expect_err("missing file");
+        let err = RealFs.read_bytes(&dir.join("absent")).expect_err("missing file");
         assert_eq!(err.op, StorageOp::Read);
         assert!(err.is_not_found());
         let _ = fs::remove_dir_all(&dir);

@@ -22,10 +22,12 @@
 //! block is ~900 KiB — the unit of streaming I/O and of pipelined
 //! simulation.
 //!
-//! # Manifest grammar (`manifest.txt`)
+//! # Manifest (`manifest.txt`)
+//!
+//! A sealed file (`stem_storage::sealed`; DESIGN.md §14, "Sealed files")
+//! under the header `STEM-COLSTORE v1`. Its record lines:
 //!
 //! ```text
-//! STEM-COLSTORE v1
 //! block_len 65536
 //! invocations 11600000
 //! fingerprint 6b1c3f09a2...      ; Workload::fingerprint of the stream
@@ -34,7 +36,6 @@
 //! end_tables
 //! block 0 65536 917504 9d41a2...  ; index, rows, bytes, FNV-1a of file
 //! block 1 65536 917504 77120c...
-//! checksum 55aa90...              ; FNV-1a 64 over every line above
 //! ```
 //!
 //! The whole-stream `fingerprint` is the same FNV-1a fold as
@@ -44,24 +45,23 @@
 //!
 //! # Quarantine, never trust
 //!
-//! Readers verify the manifest's header, version, grammar, and trailing
-//! checksum *before trusting any line*, then verify each block's byte
-//! length and checksum and each row's table ranges before yielding it. A
-//! file failing any check is renamed to `<file>.quarantined[.N]`
-//! (evidence is never deleted, never overwritten) and the read returns a
-//! typed [`ColStoreError`] — corrupt bytes can cost the cached stream,
-//! never produce wrong cycles.
+//! A manifest failing the sealed-file checks or its record grammar is
+//! quarantined. Readers then verify each block's byte length and
+//! checksum and each row's table ranges before yielding it. A block
+//! failing any check is renamed to `<file>.quarantined[.N]` (evidence is
+//! never deleted, never overwritten) and the read returns a typed
+//! [`ColStoreError`] — corrupt bytes can cost the cached stream, never
+//! produce wrong cycles.
 
 use crate::invocation::{Invocation, KernelId};
-use crate::io::{from_text, to_text, ParseWorkloadError};
+use crate::io::{from_text, to_text};
 use crate::stream::{BlockSink, SinkError, StreamSummary};
 use crate::trace::{FingerprintFold, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
-use stem_storage::{quarantine, write_atomic, write_atomic_bytes, Storage, StorageError};
+use stem_storage::sealed::{self, fnv1a64, fnv1a64_fold, Loaded, SnapshotError, FNV_OFFSET};
+use stem_storage::{quarantine, write_atomic, write_atomic_bytes, Storage, StorageError, StorageOp};
 
-/// First token of the manifest header; the version tag follows it.
-const HEADER_PREFIX: &str = "STEM-COLSTORE";
 /// The exact header this version writes and accepts.
 const HEADER: &str = "STEM-COLSTORE v1";
 /// Manifest file name inside a store directory.
@@ -77,24 +77,8 @@ const ROW_BYTES: usize = 14;
 pub enum ColStoreError {
     /// Storage failure, with the operation and path that failed.
     Io(StorageError),
-    /// The manifest does not start with the store header.
-    MissingHeader,
-    /// The header names a version this build does not understand.
-    VersionMismatch {
-        /// The header line as found.
-        found: String,
-    },
-    /// The manifest body does not hash to its recorded checksum.
-    ManifestChecksumMismatch,
-    /// A manifest line violates the grammar.
-    Malformed {
-        /// 1-based line number.
-        line: usize,
-        /// What was wrong.
-        message: String,
-    },
-    /// The embedded tables section failed workload parsing/validation.
-    Tables(ParseWorkloadError),
+    /// The manifest failed a sealed-file check or its record grammar.
+    Manifest(SnapshotError),
     /// A block file's byte length does not match its manifest entry.
     BlockSize {
         /// Block index.
@@ -132,17 +116,7 @@ impl std::fmt::Display for ColStoreError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             ColStoreError::Io(e) => write!(f, "colstore io error: {e}"),
-            ColStoreError::MissingHeader => f.write_str("missing colstore manifest header"),
-            ColStoreError::VersionMismatch { found } => {
-                write!(f, "unsupported colstore version: {found:?} (expected {HEADER:?})")
-            }
-            ColStoreError::ManifestChecksumMismatch => {
-                f.write_str("colstore manifest checksum mismatch")
-            }
-            ColStoreError::Malformed { line, message } => {
-                write!(f, "malformed colstore manifest at line {line}: {message}")
-            }
-            ColStoreError::Tables(e) => write!(f, "colstore tables section: {e}"),
+            ColStoreError::Manifest(e) => write!(f, "colstore manifest: {e}"),
             ColStoreError::BlockSize { index, expected, found } => write!(
                 f,
                 "colstore block {index} is {found} bytes (manifest promises {expected})"
@@ -165,7 +139,7 @@ impl std::error::Error for ColStoreError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ColStoreError::Io(e) => Some(e),
-            ColStoreError::Tables(e) => Some(e),
+            ColStoreError::Manifest(e) => Some(e),
             _ => None,
         }
     }
@@ -177,21 +151,13 @@ impl From<StorageError> for ColStoreError {
     }
 }
 
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-/// Continues an FNV-1a 64 fold from state `h` over `bytes`.
-#[inline]
-fn fnv_fold(h: u64, bytes: &[u8]) -> u64 {
-    bytes
-        .iter()
-        .fold(h, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
-}
-
-/// FNV-1a 64 over raw bytes (manifest body and block files use the same
-/// fold as every other durable format in the workspace).
-fn fnv64(bytes: &[u8]) -> u64 {
-    fnv_fold(FNV_OFFSET, bytes)
+impl From<SnapshotError> for ColStoreError {
+    fn from(e: SnapshotError) -> Self {
+        match e {
+            SnapshotError::Io(e) => ColStoreError::Io(e),
+            other => ColStoreError::Manifest(other),
+        }
+    }
 }
 
 /// Path of block `index` inside `dir`.
@@ -263,7 +229,7 @@ fn checksum_and_fingerprint(bytes: &[u8], rows: usize, fold: &mut FingerprintFol
     let mut checksum = FNV_OFFSET;
     let mut row_fold = fold.clone();
     for (file, (k, c, w, n)) in file_order.iter().zip(Columns::of(bytes, rows).rows()) {
-        checksum = fnv_fold(checksum, file);
+        checksum = fnv1a64_fold(checksum, file);
         row_fold.eat_row(*k, *c, *w, *n);
     }
     *fold = row_fold;
@@ -365,31 +331,27 @@ impl<'a> StoreWriter<'a> {
     /// # Errors
     ///
     /// [`ColStoreError::Io`] on a failed manifest write, or
-    /// [`ColStoreError::Malformed`] if no tables were ever received.
+    /// [`ColStoreError::Manifest`] if no tables were ever received.
     pub fn finish(self, summary: &StreamSummary) -> Result<(), ColStoreError> {
-        let tables = self.tables_text.ok_or(ColStoreError::Malformed {
+        let tables = self.tables_text.ok_or(ColStoreError::Manifest(SnapshotError::Malformed {
             line: 0,
             message: "stream ended before tables were emitted".to_string(),
-        })?;
-        let mut body = String::new();
-        body.push_str(HEADER);
-        body.push('\n');
-        writeln!(body, "block_len {}", self.block_len).expect("write to string");
-        writeln!(body, "invocations {}", summary.invocations).expect("write to string");
-        writeln!(body, "fingerprint {:016x}", summary.fingerprint).expect("write to string");
-        writeln!(body, "tables {}", tables.lines().count()).expect("write to string");
-        body.push_str(&tables);
+        }))?;
+        let mut records = String::new();
+        let _ = writeln!(records, "block_len {}", self.block_len);
+        let _ = writeln!(records, "invocations {}", summary.invocations);
+        let _ = writeln!(records, "fingerprint {:016x}", summary.fingerprint);
+        let _ = writeln!(records, "tables {}", tables.lines().count());
+        records.push_str(&tables);
         if !tables.ends_with('\n') {
-            body.push('\n');
+            records.push('\n');
         }
-        body.push_str("end_tables\n");
+        records.push_str("end_tables\n");
         for (i, b) in self.blocks.iter().enumerate() {
-            writeln!(body, "block {i} {} {} {:016x}", b.rows, b.bytes, b.checksum)
-                .expect("write to string");
+            let _ = writeln!(records, "block {i} {} {} {:016x}", b.rows, b.bytes, b.checksum);
         }
-        let checksum = fnv64(body.as_bytes());
-        writeln!(body, "checksum {checksum:016x}").expect("write to string");
-        write_atomic(self.storage, &self.dir.join(MANIFEST_NAME), &body)?;
+        let manifest = sealed::seal(HEADER, &records);
+        write_atomic(self.storage, &self.dir.join(MANIFEST_NAME), &manifest)?;
         Ok(())
     }
 }
@@ -406,7 +368,7 @@ impl BlockSink for StoreWriter<'_> {
         let entry = BlockEntry {
             rows: invocations.len(),
             bytes: bytes.len(),
-            checksum: fnv64(&bytes),
+            checksum: fnv1a64(&bytes),
         };
         write_atomic_bytes(self.storage, &block_path(&self.dir, index), &bytes)
             .map_err(|e| SinkError::from(ColStoreError::Io(e)))?;
@@ -454,139 +416,75 @@ impl StoreManifest {
     }
 }
 
-/// Parses and verifies a manifest body. Pure (no storage): callers
-/// decide what to quarantine.
-fn parse_manifest(text: &str) -> Result<StoreManifest, ColStoreError> {
-    let mut lines = text.lines();
-    let header = lines.next().unwrap_or("");
-    if !header.starts_with(HEADER_PREFIX) {
-        return Err(ColStoreError::MissingHeader);
-    }
-    if header != HEADER {
-        return Err(ColStoreError::VersionMismatch { found: header.to_string() });
-    }
-    // Checksum before trust: the last line must be `checksum <hex>` and
-    // the body above it must hash to it.
-    let body_end = text
-        .trim_end_matches('\n')
-        .rfind('\n')
-        .map(|i| i + 1)
-        .unwrap_or(0);
-    let last = text[body_end..].trim_end();
-    let recorded = match last.strip_prefix("checksum ") {
-        Some(hex) => u64::from_str_radix(hex.trim(), 16)
-            .map_err(|_| ColStoreError::ManifestChecksumMismatch)?,
-        None => return Err(ColStoreError::ManifestChecksumMismatch),
-    };
-    if fnv64(text[..body_end].as_bytes()) != recorded {
-        return Err(ColStoreError::ManifestChecksumMismatch);
-    }
-
-    let malformed = |line: usize, message: &str| ColStoreError::Malformed {
-        line,
-        message: message.to_string(),
-    };
-    let all: Vec<&str> = text.lines().collect();
-    let mut i = 1usize; // past the header
-    let mut block_len = None;
-    let mut invocations = None;
-    let mut fingerprint = None;
-    let mut skeleton = None;
+/// Parses a manifest's record lines. Pure (no storage): the loader
+/// quarantines whatever this rejects.
+fn parse_manifest(mut lines: sealed::Lines<'_>) -> Result<StoreManifest, SnapshotError> {
+    // The trailer's line number, where whole-manifest faults are reported.
+    let mut end = 2;
+    let (mut block_len, mut invocations, mut fingerprint, mut skeleton) = (None, None, None, None);
     let mut blocks: Vec<BlockEntry> = Vec::new();
-    while i < all.len() {
-        let line_no = i + 1;
-        let line = all[i];
-        let mut parts = line.split_whitespace();
-        match parts.next() {
-            Some("block_len") => {
-                let v: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(line_no, "block_len takes a positive integer"))?;
-                if v == 0 {
-                    return Err(malformed(line_no, "block_len must be positive"));
-                }
-                block_len = Some(v);
-                i += 1;
+    while let Some((line_no, line)) = lines.next() {
+        end = line_no + 1;
+        let bad = |message: &str| SnapshotError::Malformed {
+            line: line_no,
+            message: message.to_string(),
+        };
+        let fields: Vec<&str> = line.split_whitespace().collect();
+        match fields[..] {
+            ["block_len", v] => {
+                let v = v.parse().ok().filter(|&v: &usize| v > 0);
+                block_len = Some(v.ok_or_else(|| bad("block_len takes a positive integer"))?);
             }
-            Some("invocations") => {
-                let v: u64 = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(line_no, "invocations takes an integer"))?;
+            ["invocations", v] => {
+                let v: u64 = v.parse().map_err(|_| bad("invocations takes an integer"))?;
                 invocations = Some(v);
-                i += 1;
             }
-            Some("fingerprint") => {
-                let v = parts
-                    .next()
-                    .and_then(|s| u64::from_str_radix(s, 16).ok())
-                    .ok_or_else(|| malformed(line_no, "fingerprint takes 16 hex digits"))?;
+            ["fingerprint", v] => {
+                let v = u64::from_str_radix(v, 16).map_err(|_| bad("fingerprint takes hex"))?;
                 fingerprint = Some(v);
-                i += 1;
             }
-            Some("tables") => {
-                let n: usize = parts
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or_else(|| malformed(line_no, "tables takes a line count"))?;
-                if i + n + 1 >= all.len() || all[i + n + 1] != "end_tables" {
-                    return Err(malformed(line_no, "tables section not closed by end_tables"));
+            ["tables", n] => {
+                let n: usize = n.parse().map_err(|_| bad("tables takes a line count"))?;
+                let section: Vec<&str> = lines.by_ref().take(n).map(|(_, l)| l).collect();
+                match lines.next() {
+                    Some((close, "end_tables")) => end = close + 1,
+                    _ => return Err(bad("tables section not closed by end_tables")),
                 }
-                let section = all[i + 1..i + n + 1].join("\n");
-                skeleton = Some(from_text(&section).map_err(ColStoreError::Tables)?);
-                i += n + 2;
+                let tables = from_text(&section.join("\n"))
+                    .map_err(|e| bad(&format!("tables section: {e}")))?;
+                skeleton = Some(tables);
             }
-            Some("block") => {
-                let mut take = |what: &str| -> Result<&str, ColStoreError> {
-                    parts.next().ok_or_else(|| malformed(line_no, what))
-                };
-                let idx: usize = take("block entry needs an index")?
-                    .parse()
-                    .map_err(|_| malformed(line_no, "bad block index"))?;
-                if idx != blocks.len() {
-                    return Err(malformed(line_no, "block entries out of order"));
+            ["block", index, rows, bytes, checksum] => {
+                if index.parse() != Ok(blocks.len()) {
+                    return Err(bad("block entries out of order"));
                 }
-                let rows: usize = take("block entry needs a row count")?
-                    .parse()
-                    .map_err(|_| malformed(line_no, "bad block row count"))?;
-                let bytes: usize = take("block entry needs a byte count")?
-                    .parse()
-                    .map_err(|_| malformed(line_no, "bad block byte count"))?;
-                let checksum = take("block entry needs a checksum")?;
-                let checksum = u64::from_str_radix(checksum, 16)
-                    .map_err(|_| malformed(line_no, "bad block checksum"))?;
+                let rows: usize = rows.parse().map_err(|_| bad("bad block row count"))?;
+                let bytes: usize = bytes.parse().map_err(|_| bad("bad block byte count"))?;
+                let checksum =
+                    u64::from_str_radix(checksum, 16).map_err(|_| bad("bad block checksum"))?;
                 if rows.checked_mul(ROW_BYTES) != Some(bytes) {
-                    return Err(malformed(line_no, "block bytes disagree with rows"));
+                    return Err(bad("block bytes disagree with rows"));
                 }
                 blocks.push(BlockEntry { rows, bytes, checksum });
-                i += 1;
             }
-            Some("checksum") => {
-                i += 1; // verified above, must be last
-                if i != all.len() {
-                    return Err(malformed(line_no, "content after checksum"));
-                }
-            }
-            Some(other) => {
-                return Err(malformed(line_no, &format!("unknown record tag {other}")));
-            }
-            None => {
-                i += 1;
-            }
+            [] => {}
+            [..] => return Err(bad(&format!("unexpected record {line:?}"))),
         }
     }
-    let skeleton = skeleton
-        .ok_or_else(|| malformed(all.len(), "manifest has no tables section"))?;
-    let block_len =
-        block_len.ok_or_else(|| malformed(all.len(), "manifest has no block_len"))?;
-    let invocations =
-        invocations.ok_or_else(|| malformed(all.len(), "manifest has no invocations"))?;
-    let fingerprint =
-        fingerprint.ok_or_else(|| malformed(all.len(), "manifest has no fingerprint"))?;
+    let missing = |what: &str| SnapshotError::Malformed {
+        line: end,
+        message: format!("manifest has no {what}"),
+    };
+    let skeleton = skeleton.ok_or_else(|| missing("tables section"))?;
+    let block_len = block_len.ok_or_else(|| missing("block_len"))?;
+    let invocations = invocations.ok_or_else(|| missing("invocations"))?;
+    let fingerprint = fingerprint.ok_or_else(|| missing("fingerprint"))?;
     let total: u64 = blocks.iter().map(|b| b.rows as u64).sum();
     if total != invocations {
-        return Err(malformed(all.len(), "block rows do not sum to invocations"));
+        return Err(SnapshotError::Malformed {
+            line: end,
+            message: "block rows do not sum to invocations".to_string(),
+        });
     }
     Ok(StoreManifest { skeleton, block_len, invocations, fingerprint, blocks })
 }
@@ -597,17 +495,20 @@ fn parse_manifest(text: &str) -> Result<StoreManifest, ColStoreError> {
 ///
 /// # Errors
 ///
-/// [`ColStoreError::Io`] if the manifest cannot be read; any validation
-/// variant after quarantining it.
+/// [`ColStoreError::Io`] if the manifest is missing, cannot be read or
+/// cannot be quarantined; [`ColStoreError::Manifest`] after quarantining
+/// a rejected one.
 pub fn open_store(storage: &dyn Storage, dir: &Path) -> Result<StoreManifest, ColStoreError> {
     let path = dir.join(MANIFEST_NAME);
-    let text = storage.read_to_string(&path)?;
-    match parse_manifest(&text) {
-        Ok(manifest) => Ok(manifest),
-        Err(e) => {
-            let _ = quarantine(storage, &path);
-            Err(e)
-        }
+    match sealed::load_or_quarantine(storage, &path, HEADER, parse_manifest)? {
+        Loaded::Valid(manifest) => Ok(manifest),
+        Loaded::Quarantined(q) => Err(ColStoreError::Manifest(q.reason)),
+        Loaded::Absent => Err(ColStoreError::Io(StorageError::new(
+            StorageOp::Read,
+            path,
+            std::io::ErrorKind::NotFound,
+            "no manifest: the store was never committed",
+        ))),
     }
 }
 
@@ -675,7 +576,7 @@ fn relay(result: Result<(), SinkError>) -> Result<(), ColStoreError> {
         Ok(()) => Ok(()),
         Err(SinkError::Store(e)) => Err(*e),
         Err(SinkError::Closed) => Err(ColStoreError::Io(StorageError::new(
-            stem_storage::StorageOp::Write,
+            StorageOp::Write,
             "<block-sink>",
             std::io::ErrorKind::BrokenPipe,
             "block stream consumer hung up",
@@ -783,11 +684,11 @@ mod tests {
         let w = sample_workload();
         write_store(&w, &dir, 256);
         let path = dir.join(MANIFEST_NAME);
-        let mut text = RealFs.read_to_string(&path).expect("read");
+        let mut text = std::fs::read_to_string(&path).expect("read");
         text = text.replacen("block_len 256", "block_len 512", 1);
         RealFs.write(&path, text.as_bytes()).expect("tamper");
         let e = open_store(&RealFs, &dir).expect_err("tampered manifest");
-        assert_eq!(e, ColStoreError::ManifestChecksumMismatch);
+        assert_eq!(e, ColStoreError::Manifest(SnapshotError::ChecksumMismatch));
         assert!(RealFs.exists(&stem_storage::sibling(&path, ".quarantined")));
         assert!(!RealFs.exists(&path));
         let _ = std::fs::remove_dir_all(&dir);
@@ -821,22 +722,36 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Pins the v1 manifest of a 2-block store: existing stores must keep
+    /// opening, so the writer may never change a byte.
     #[test]
-    fn version_and_header_are_checked() {
-        let dir = scratch("header");
-        std::fs::create_dir_all(&dir).expect("dir");
-        let path = dir.join(MANIFEST_NAME);
-        RealFs.write(&path, b"garbage\n").expect("write");
-        assert_eq!(
-            open_store(&RealFs, &dir).expect_err("garbage"),
-            ColStoreError::MissingHeader
+    fn small_store_manifest_matches_the_v1_golden_bytes() {
+        let dir = scratch("golden");
+        let mut b = WorkloadBuilder::new("golden", SuiteKind::Custom, 7);
+        let k = b.add_kernel(
+            KernelClassBuilder::new("k").build(),
+            vec![RuntimeContext::neutral(), RuntimeContext::neutral().with_work(2.0)],
         );
-        // Quarantined; write a future version next.
-        RealFs.write(&path, b"STEM-COLSTORE v9\nchecksum 0\n").expect("write");
-        assert!(matches!(
-            open_store(&RealFs, &dir).expect_err("future version"),
-            ColStoreError::VersionMismatch { .. }
-        ));
+        b.schedule(k, &ContextSchedule::Weighted(vec![2.0, 1.0]), 6);
+        write_store(&b.build(), &dir, 4);
+        let golden = "STEM-COLSTORE v1\n\
+            block_len 4\n\
+            invocations 6\n\
+            fingerprint 96b32295c278ccd5\n\
+            tables 6\n\
+            # stem-workload v1\n\
+            name golden\n\
+            suite custom\n\
+            kernel k 128 256 32 8192 2000 0.55 0.1 0.15 0.08 0.07 0.03 0.02 8388608 4 \
+            1,1,1,1,1,1,1,1\n\
+            context 0 1 1 1 0.02\n\
+            context 0 2 1 1 0.02\n\
+            end_tables\n\
+            block 0 4 56 0fab4f823168e432\n\
+            block 1 2 28 1eca36e17fcda6f0\n\
+            checksum ce315298d1d1e47b\n";
+        let written = std::fs::read_to_string(dir.join(MANIFEST_NAME)).expect("manifest");
+        assert_eq!(written, golden);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -6,6 +6,7 @@ use crate::error::{WorkloadError, WorkloadErrorKind};
 use crate::invocation::{Invocation, KernelId};
 use crate::kernel::KernelClass;
 use std::collections::BTreeMap;
+use stem_storage::sealed::{fnv1a64_fold, FNV_OFFSET};
 
 /// Which benchmark suite a workload belongs to (drives evaluation
 /// aggregation and default sampling rates for the Random baseline).
@@ -71,19 +72,14 @@ pub struct FingerprintFold {
 }
 
 impl FingerprintFold {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-
     /// A fresh fold at the FNV-1a offset basis.
     pub fn new() -> Self {
-        FingerprintFold { h: Self::OFFSET }
+        FingerprintFold { h: FNV_OFFSET }
     }
 
     #[inline]
     fn eat(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.h = (self.h ^ u64::from(b)).wrapping_mul(Self::PRIME);
-        }
+        self.h = fnv1a64_fold(self.h, bytes);
     }
 
     /// Folds the workload header: name, then the `Debug` form of the

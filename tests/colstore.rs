@@ -161,7 +161,7 @@ fn corrupt_stores_are_typed_and_quarantined_never_garbage_cycles() {
 
     // Corruption classes: (tag, mutation) applied to a fresh store.
     type Mutate = fn(&PathBuf);
-    let classes: [(&str, Mutate); 5] = [
+    let classes: [(&str, Mutate); 6] = [
         ("torn-block", |dir| {
             // Truncate the first block mid-row.
             let block = dir.join("block-00000.col");
@@ -186,6 +186,14 @@ fn corrupt_stores_are_typed_and_quarantined_never_garbage_cycles() {
             let manifest = dir.join("manifest.txt");
             let text = std::fs::read_to_string(&manifest).expect("read manifest");
             std::fs::write(&manifest, format!("NOT-A-STORE\n{text}")).expect("spoof header");
+        }),
+        ("non-utf8-manifest", |dir| {
+            // One byte that is not UTF-8, mid-manifest.
+            let manifest = dir.join("manifest.txt");
+            let mut bytes = std::fs::read(&manifest).expect("read manifest");
+            let mid = bytes.len() / 2;
+            bytes[mid] = 0xff;
+            std::fs::write(&manifest, bytes).expect("plant invalid byte");
         }),
         ("lying-fingerprint", |dir| {
             // Flip one fingerprint bit but re-forge the manifest checksum,

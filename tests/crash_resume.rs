@@ -204,15 +204,26 @@ fn corrupted_snapshots_are_quarantined_never_trusted() {
         .expect("baseline campaign");
     let pristine = std::fs::read_to_string(&snap).expect("snapshot written");
 
+    // `None` plants one byte that is not UTF-8 mid-file.
     for fault in [
-        SnapshotFault::TruncateTail,
-        SnapshotFault::FlipByte,
-        SnapshotFault::StaleVersion,
+        Some(SnapshotFault::TruncateTail),
+        Some(SnapshotFault::FlipByte),
+        Some(SnapshotFault::StaleVersion),
+        None,
     ] {
-        let corrupted = ExecFaultPlan::new(0xBADF)
-            .with_snapshot_fault(fault)
-            .corrupt_snapshot(&pristine);
-        assert_ne!(corrupted, pristine, "{fault:?}: corruption was a no-op");
+        let corrupted = match fault {
+            Some(fault) => ExecFaultPlan::new(0xBADF)
+                .with_snapshot_fault(fault)
+                .corrupt_snapshot(&pristine)
+                .into_bytes(),
+            None => {
+                let mut bytes = pristine.clone().into_bytes();
+                let mid = bytes.len() / 2;
+                bytes[mid] = 0xff;
+                bytes
+            }
+        };
+        assert_ne!(corrupted, pristine.as_bytes(), "{fault:?}: corruption was a no-op");
         std::fs::write(&snap, &corrupted).expect("plant corrupted snapshot");
 
         let report = pipeline(4)

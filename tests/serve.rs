@@ -386,46 +386,51 @@ fn corrupt_journal_is_quarantined_and_jobs_recompute_the_same_bits() {
     drop(first);
 
     // Damage the journal on disk and remove the snapshots, so the only
-    // way back to a result is a full, correct recompute.
-    let journal = dir.join("serve.journal");
-    let mut bytes = std::fs::read(&journal).expect("journal written");
-    let mid = bytes.len() / 2;
-    bytes[mid] = bytes[mid].wrapping_add(1);
-    std::fs::write(&journal, &bytes).expect("plant corrupt journal");
-    for entry in std::fs::read_dir(&dir).expect("scratch dir") {
-        let path = entry.expect("dir entry").path();
-        if path.extension().is_some_and(|e| e == "snap") {
-            std::fs::remove_file(&path).expect("drop snapshot");
+    // way back to a result is a full, correct recompute. The second
+    // damage is one byte that is not UTF-8.
+    let damages: [fn(u8) -> u8; 2] = [|b| b.wrapping_add(1), |_| 0xff];
+    for damage in damages {
+        let journal = dir.join("serve.journal");
+        let mut bytes = std::fs::read(&journal).expect("journal written");
+        let mid = bytes.len() / 2;
+        bytes[mid] = damage(bytes[mid]);
+        std::fs::write(&journal, &bytes).expect("plant corrupt journal");
+        for entry in std::fs::read_dir(&dir).expect("scratch dir") {
+            let path = entry.expect("dir entry").path();
+            if path.extension().is_some_and(|e| e == "snap") {
+                std::fs::remove_file(&path).expect("drop snapshot");
+            }
         }
-    }
 
-    let second = Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon restarts");
-    let quarantined = second
-        .recovery()
-        .quarantined
-        .as_ref()
-        .expect("corrupt journal must be quarantined, never trusted");
-    assert!(
-        quarantined.path.exists(),
-        "quarantined journal missing at {}",
-        quarantined.path.display()
-    );
-    assert!(
-        second.recovery().re_admitted.is_empty(),
-        "nothing from a corrupt journal may be re-admitted"
-    );
-    let id = second.try_submit(spec.clone()).expect("resubmission admitted");
-    assert!(second.wait_idle(IDLE));
-    let status = second.status(&spec.tenant, id).expect("own job");
-    assert_eq!(status.phase, JobPhase::Done);
-    assert_eq!(status.resumed_units, 0, "snapshots were removed; nothing to resume");
-    let recomputed = second
-        .result_payload(&spec.tenant, id)
-        .expect("own job")
-        .expect("payload present");
-    assert_eq!(recomputed, pristine_payload, "recompute after quarantine changed bits");
-    second.shutdown();
-    drop(second);
+        let second =
+            Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon restarts");
+        let quarantined = second
+            .recovery()
+            .quarantined
+            .as_ref()
+            .expect("corrupt journal must be quarantined, never trusted");
+        assert!(
+            quarantined.path.exists(),
+            "quarantined journal missing at {}",
+            quarantined.path.display()
+        );
+        assert!(
+            second.recovery().re_admitted.is_empty(),
+            "nothing from a corrupt journal may be re-admitted"
+        );
+        let id = second.try_submit(spec.clone()).expect("resubmission admitted");
+        assert!(second.wait_idle(IDLE));
+        let status = second.status(&spec.tenant, id).expect("own job");
+        assert_eq!(status.phase, JobPhase::Done);
+        assert_eq!(status.resumed_units, 0, "snapshots were removed; nothing to resume");
+        let recomputed = second
+            .result_payload(&spec.tenant, id)
+            .expect("own job")
+            .expect("payload present");
+        assert_eq!(recomputed, pristine_payload, "recompute after quarantine changed bits");
+        second.shutdown();
+        drop(second);
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
