@@ -6,11 +6,13 @@ cd "$(dirname "$0")"
 
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
-# The chaos, sealed-file and parallel-equivalence suites are part of the
-# workspace run above; keep explicit invocations so a fault-model,
-# durability or determinism regression is named in CI output.
+# The chaos, sealed-file, parallel-equivalence and lint-engine suites are
+# part of the workspace run above; keep explicit invocations so a
+# fault-model, durability, determinism or lint regression is named in CI
+# output.
 cargo test -q --offline --test chaos
 cargo test -q --offline -p stem-storage
+cargo test -q --offline -p stem-tidy
 cargo test -q --offline --test storage_chaos
 cargo test -q --offline --test colstore
 cargo test -q --offline --test crash_resume

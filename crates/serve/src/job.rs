@@ -101,6 +101,11 @@ pub struct JobSpec {
     pub store: Option<StoreRef>,
 }
 
+/// Parses a `u64` field, naming it in the error.
+pub(crate) fn parse_u64(token: &str, what: &str) -> Result<u64, String> {
+    token.parse().map_err(|_| format!("bad {what}: {token:?}"))
+}
+
 /// True for tokens safe to embed in one-line plain-text records: tenant
 /// ids and other fields the journal and protocol echo back verbatim.
 pub(crate) fn valid_token(s: &str) -> bool {
@@ -116,6 +121,86 @@ pub(crate) fn valid_path_token(s: &str) -> bool {
 }
 
 impl JobSpec {
+    /// Parses the positional job-spec grammar, shared by the wire and the
+    /// journal (a `SUBMIT` request's arguments; a journal `job` record's
+    /// fields after the id):
+    ///
+    /// ```text
+    /// <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> [deadline_ms [sampler [store_path store_fp]]]
+    /// ```
+    ///
+    /// `deadline_ms` may be `-` (no deadline) so a `sampler` can follow
+    /// it; the sampler defaults to `STEM`. The parsed spec is validated.
+    ///
+    /// # Errors
+    ///
+    /// Returns a human-readable message naming the first bad field.
+    pub fn parse(fields: &[&str]) -> Result<JobSpec, String> {
+        // 9 fields would be a store path without its fingerprint.
+        if !(6..=10).contains(&fields.len()) || fields.len() == 9 {
+            return Err(format!(
+                "SUBMIT takes <tenant> <suite> <suite_seed> <workload_index> <reps> \
+                 <seed> [deadline_ms [sampler [store_path store_fp]]], got {} fields",
+                fields.len()
+            ));
+        }
+        if !valid_token(fields[0]) {
+            return Err(format!("bad tenant: {:?}", fields[0]));
+        }
+        let Some(suite) = SuiteId::parse(fields[1]) else {
+            return Err(format!("unknown suite {:?} (rodinia|casio|huggingface)", fields[1]));
+        };
+        let spec = JobSpec {
+            tenant: fields[0].to_string(),
+            suite,
+            suite_seed: parse_u64(fields[2], "suite seed")?,
+            workload_index: parse_u64(fields[3], "workload index")? as usize,
+            reps: u32::try_from(parse_u64(fields[4], "rep count")?)
+                .map_err(|_| format!("rep count {} too large", fields[4]))?,
+            seed: parse_u64(fields[5], "seed")?,
+            // `-` keeps the positional slot free for a sampler token.
+            deadline_ms: match fields.get(6) {
+                Some(&"-") | None => None,
+                Some(d) => Some(parse_u64(d, "deadline")?),
+            },
+            sampler: fields.get(7).unwrap_or(&"STEM").to_string(),
+            store: match (fields.get(8), fields.get(9)) {
+                (Some(path), Some(fp)) => Some(StoreRef {
+                    path: PathBuf::from(path),
+                    fingerprint: u64::from_str_radix(fp, 16)
+                        .map_err(|_| format!("bad store fingerprint: {fp:?}"))?,
+                }),
+                _ => None,
+            },
+        };
+        spec.validate().map_err(|e| e.to_string())?;
+        Ok(spec)
+    }
+
+    /// Renders the spec in the [`JobSpec::parse`] grammar, every optional
+    /// field up to the sampler spelled out (`-` for no deadline), the
+    /// store pair only when set.
+    pub fn render(&self) -> String {
+        let deadline = match self.deadline_ms {
+            Some(ms) => ms.to_string(),
+            None => "-".to_string(),
+        };
+        let store = match &self.store {
+            Some(s) => format!(" {} {:016x}", s.path.display(), s.fingerprint),
+            None => String::new(),
+        };
+        format!(
+            "{} {} {} {} {} {} {deadline} {}{store}",
+            self.tenant,
+            self.suite.as_str(),
+            self.suite_seed,
+            self.workload_index,
+            self.reps,
+            self.seed,
+            self.sampler,
+        )
+    }
+
     /// Structural validation: tenant token shape and a positive rep
     /// count. (The workload index is range-checked at materialization,
     /// where the suite length is known.)

@@ -6,13 +6,19 @@
 //!
 //! ```text
 //! fingerprint 6b1c3f...        ; binds the file to one daemon identity
-//! job <id> <tenant> <suite> <suite_seed> <workload_index> <reps> <seed> <deadline_ms|-> <sampler> [<store_path> <store_fp>]
+//! job <id> <SUBMIT arguments>  ; JobSpec::render, read back by JobSpec::parse
 //! ```
 //!
-//! A `job` line with only 8 fields (written before samplers were
-//! per-job) parses with the sampler defaulted to `STEM`, and a 9-field
-//! line (written before store-backed jobs) parses with no store, so
-//! upgrading the daemon never quarantines a healthy journal.
+//! A `job` record is the job id followed by exactly the arguments of the
+//! `SUBMIT` that admitted it, in the one job-spec grammar of
+//! [`JobSpec::parse`]. The writer spells out every field up to the
+//! sampler (`-` for no deadline); the reader accepts every form `SUBMIT`
+//! does, so the older 8- and 9-field lines (written before samplers were
+//! per-job, and before store-backed jobs) are just shorter argument lists
+//! that default the sampler to `STEM` and carry no store. The reader
+//! also takes `SUBMIT`'s 6-argument form (no deadline slot), which the
+//! writer never emits. Upgrading the daemon never quarantines a healthy
+//! journal.
 //!
 //! The journal records job *specs*, never results: a job's completed
 //! units live in its own campaign snapshot (`job-<id>.snap` next to the
@@ -23,9 +29,9 @@
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::job::{JobSpec, StoreRef, SuiteId};
+use crate::job::{parse_u64, JobSpec};
 use stem_storage::sealed::{self, QuarantinedSnapshot, SnapshotError};
 use stem_storage::Storage;
 
@@ -37,73 +43,21 @@ pub(crate) fn serialize_journal(fingerprint: u64, jobs: &BTreeMap<u64, JobSpec>)
     let mut records = String::new();
     let _ = writeln!(records, "fingerprint {fingerprint:016x}");
     for (id, spec) in jobs {
-        let deadline = match spec.deadline_ms {
-            Some(ms) => ms.to_string(),
-            None => "-".to_string(),
-        };
-        let store = match &spec.store {
-            Some(s) => format!(" {} {:016x}", s.path.display(), s.fingerprint),
-            None => String::new(),
-        };
-        let _ = writeln!(
-            records,
-            "job {id} {} {} {} {} {} {} {deadline} {}{store}",
-            spec.tenant,
-            spec.suite.as_str(),
-            spec.suite_seed,
-            spec.workload_index,
-            spec.reps,
-            spec.seed,
-            spec.sampler,
-        );
+        let _ = writeln!(records, "job {id} {}", spec.render());
     }
     sealed::seal(HEADER, &records)
 }
 
-/// Parses one `job` line's payload (everything after the keyword).
-fn parse_job_fields(rest: &str, line: usize) -> Result<(u64, JobSpec), SnapshotError> {
+/// Parses one `job` record's payload (everything after the keyword): the
+/// job id, then the spec's `SUBMIT` arguments.
+fn parse_job_record(rest: &str, line: usize) -> Result<(u64, JobSpec), SnapshotError> {
     let malformed = |message: String| SnapshotError::Malformed { line, message };
     let fields: Vec<&str> = rest.split_whitespace().collect();
-    // 8 = pre-sampler, 9 = pre-store, 11 = store-backed; 10 would be a
-    // store path with no fingerprint.
-    if !matches!(fields.len(), 8 | 9 | 11) {
-        return Err(malformed(format!("expected 8, 9 or 11 job fields, got {}", fields.len())));
-    }
-    let num = |s: &str, what: &str| -> Result<u64, SnapshotError> {
-        s.parse().map_err(|_| malformed(format!("bad {what} {s:?}")))
+    let Some((id, spec)) = fields.split_first() else {
+        return Err(malformed("job record has no id".to_string()));
     };
-    let id = num(fields[0], "job id")?;
-    let suite = SuiteId::parse(fields[2])
-        .ok_or_else(|| malformed(format!("unknown suite {:?}", fields[2])))?;
-    let reps = u32::try_from(num(fields[5], "rep count")?)
-        .map_err(|_| malformed(format!("rep count {} too large", fields[5])))?;
-    let deadline_ms = if fields[7] == "-" {
-        None
-    } else {
-        Some(num(fields[7], "deadline")?)
-    };
-    let spec = JobSpec {
-        tenant: fields[1].to_string(),
-        suite,
-        suite_seed: num(fields[3], "suite seed")?,
-        workload_index: num(fields[4], "workload index")? as usize,
-        reps,
-        seed: num(fields[6], "seed")?,
-        deadline_ms,
-        // 8-field lines predate per-job samplers: those jobs ran STEM.
-        sampler: fields.get(8).unwrap_or(&"STEM").to_string(),
-        store: match (fields.get(9), fields.get(10)) {
-            (Some(path), Some(fp)) => Some(StoreRef {
-                path: PathBuf::from(path),
-                fingerprint: u64::from_str_radix(fp, 16)
-                    .map_err(|_| malformed(format!("bad store fingerprint {fp:?}")))?,
-            }),
-            _ => None,
-        },
-    };
-    spec.validate()
-        .map_err(|e| malformed(format!("invalid job spec: {e}")))?;
-    Ok((id, spec))
+    let id = parse_u64(id, "job id").map_err(malformed)?;
+    Ok((id, JobSpec::parse(spec).map_err(malformed)?))
 }
 
 /// Loads the journal at `path`, validating it against this daemon's
@@ -122,7 +76,7 @@ pub(crate) fn load_journal(
     fingerprint: u64,
 ) -> Result<(BTreeMap<u64, JobSpec>, Option<QuarantinedSnapshot>), SnapshotError> {
     let loaded = sealed::load_or_quarantine(storage, path, HEADER, |lines| {
-        let (fp, jobs) = sealed::fingerprinted_records(lines, "job", parse_job_fields)?;
+        let (fp, jobs) = sealed::fingerprinted_records(lines, "job", parse_job_record)?;
         if fp == fingerprint {
             Ok(jobs)
         } else {
@@ -135,7 +89,9 @@ pub(crate) fn load_journal(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::{StoreRef, SuiteId};
     use std::fs;
+    use std::path::PathBuf;
     use stem_storage::{sibling, RealFs};
 
     fn spec(tenant: &str, idx: usize) -> JobSpec {
@@ -168,7 +124,7 @@ mod tests {
 
     fn parse_journal(text: &str) -> Result<(u64, BTreeMap<u64, JobSpec>), SnapshotError> {
         let lines = sealed::open(text.as_bytes(), HEADER)?;
-        sealed::fingerprinted_records(lines, "job", parse_job_fields)
+        sealed::fingerprinted_records(lines, "job", parse_job_record)
     }
 
     #[test]
@@ -205,13 +161,21 @@ mod tests {
     }
 
     #[test]
+    fn six_argument_job_lines_have_no_deadline() {
+        let records = "fingerprint 0000000000000003\njob 4 alice casio 5 0 2 9\n";
+        let (_, parsed) = parse_journal(&sealed::seal(HEADER, records)).expect("parses");
+        let spec = &parsed[&4];
+        assert_eq!((spec.deadline_ms, spec.sampler.as_str()), (None, "STEM"));
+    }
+
+    #[test]
     fn bad_job_lines_are_rejected() {
         let records = "fingerprint 0000000000000001\njob 0 alice nosuch 5 0 2 9 500 STEM\n";
         assert_eq!(
             parse_journal(&sealed::seal(HEADER, records)),
             Err(SnapshotError::Malformed {
                 line: 3,
-                message: "unknown suite \"nosuch\"".to_string()
+                message: "unknown suite \"nosuch\" (rodinia|casio|huggingface)".to_string()
             })
         );
     }

@@ -12,11 +12,14 @@
 //! PING
 //! ```
 //!
-//! `deadline_ms` may be `-` (no deadline) when a `sampler` follows it;
-//! the sampler is any `standard_registry` name and defaults to `STEM`.
-//! `store_path store_fp` (always together, after an explicit sampler)
-//! point the job at a pre-materialized columnar store: the directory
-//! path and the expected `Workload::fingerprint` as 16 hex digits.
+//! `SUBMIT`'s arguments are the job-spec grammar of [`JobSpec::parse`],
+//! the same grammar the journal persists each job in, so the wire and
+//! the disk cannot drift apart. `deadline_ms` may be `-` (no deadline)
+//! when a `sampler` follows it; the sampler is any `standard_registry`
+//! name and defaults to `STEM`. `store_path store_fp` (always together,
+//! after an explicit sampler) point the job at a pre-materialized
+//! columnar store: the directory path and the expected
+//! `Workload::fingerprint` as 16 hex digits.
 //! Admission verifies the store manifest against the fingerprint and
 //! rejects a mismatch with a typed `ERR` — a swapped store never runs.
 //!
@@ -34,8 +37,7 @@
 //! byte-for-byte across daemon restarts — the protocol-level form of the
 //! repo's bit-identical invariant.
 
-use crate::job::{valid_token, JobSpec, StoreRef, SuiteId};
-use std::path::PathBuf;
+use crate::job::{parse_u64, valid_token, JobSpec};
 use stem_core::{EvalSummary, StemError};
 
 /// A parsed client request.
@@ -70,10 +72,6 @@ pub enum Request {
     Ping,
 }
 
-fn parse_u64(token: &str, what: &str) -> Result<u64, String> {
-    token.parse().map_err(|_| format!("bad {what}: {token:?}"))
-}
-
 fn parse_tenant_job(fields: &[&str], verb: &str) -> Result<(String, u64), String> {
     if fields.len() != 2 {
         return Err(format!("{verb} takes <tenant> <job>, got {} fields", fields.len()));
@@ -98,47 +96,7 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
     };
     let rest: Vec<&str> = fields.collect();
     match verb {
-        "SUBMIT" => {
-            // 9 fields would be a store path without its fingerprint.
-            if !(6..=10).contains(&rest.len()) || rest.len() == 9 {
-                return Err(format!(
-                    "SUBMIT takes <tenant> <suite> <suite_seed> <workload_index> <reps> \
-                     <seed> [deadline_ms [sampler [store_path store_fp]]], got {} fields",
-                    rest.len()
-                ));
-            }
-            if !valid_token(rest[0]) {
-                return Err(format!("bad tenant: {:?}", rest[0]));
-            }
-            let Some(suite) = SuiteId::parse(rest[1]) else {
-                return Err(format!("unknown suite {:?} (rodinia|casio|huggingface)", rest[1]));
-            };
-            let spec = JobSpec {
-                tenant: rest[0].to_string(),
-                suite,
-                suite_seed: parse_u64(rest[2], "suite seed")?,
-                workload_index: parse_u64(rest[3], "workload index")? as usize,
-                reps: u32::try_from(parse_u64(rest[4], "rep count")?)
-                    .map_err(|_| format!("rep count {} too large", rest[4]))?,
-                seed: parse_u64(rest[5], "seed")?,
-                // `-` keeps the positional slot free for a sampler token.
-                deadline_ms: match rest.get(6) {
-                    Some(&"-") | None => None,
-                    Some(d) => Some(parse_u64(d, "deadline")?),
-                },
-                sampler: rest.get(7).unwrap_or(&"STEM").to_string(),
-                store: match (rest.get(8), rest.get(9)) {
-                    (Some(path), Some(fp)) => Some(StoreRef {
-                        path: PathBuf::from(path),
-                        fingerprint: u64::from_str_radix(fp, 16)
-                            .map_err(|_| format!("bad store fingerprint: {fp:?}"))?,
-                    }),
-                    _ => None,
-                },
-            };
-            spec.validate().map_err(|e| e.to_string())?;
-            Ok(Request::Submit(spec))
-        }
+        "SUBMIT" => Ok(Request::Submit(JobSpec::parse(&rest)?)),
         "STATUS" => {
             let (tenant, job) = parse_tenant_job(&rest, "STATUS")?;
             Ok(Request::Status { tenant, job })
@@ -198,6 +156,8 @@ pub fn render_result_payload(summary: &EvalSummary) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::SuiteId;
+    use std::path::PathBuf;
     use stem_core::EvalResult;
 
     #[test]

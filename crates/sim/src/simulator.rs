@@ -198,22 +198,6 @@ pub mod reference {
         }
     }
 
-    /// Per-invocation [`Simulator::run_full_par`].
-    pub fn run_full_par(
-        sim: &Simulator,
-        workload: &Workload,
-        par: stem_par::Parallelism,
-    ) -> FullRun {
-        let invocations = workload.invocations();
-        let per_invocation =
-            stem_par::par_map_indexed(par, invocations, |_, inv| sim.cycles(workload, inv));
-        let total_cycles = per_invocation.iter().sum();
-        FullRun {
-            total_cycles,
-            per_invocation,
-        }
-    }
-
     /// Per-invocation `Simulator::run_sampled`: full model per sample.
     pub fn run_sampled(
         sim: &Simulator,

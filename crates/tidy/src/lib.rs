@@ -20,7 +20,6 @@
 
 pub mod allowlist;
 pub mod callgraph;
-pub mod lexer;
 pub mod parse;
 pub mod rules;
 pub mod semantic;
@@ -108,8 +107,8 @@ impl Report {
 /// Scan the workspace at `root` with `allowlist`, returning every
 /// diagnostic. IO errors on individual files become violations (rule
 /// `hygiene`) rather than aborting the pass. Runs two phases: the
-/// per-line/manifest rules file by file, then the call-graph semantic
-/// rules over the library-source files as one unit.
+/// token-pattern and manifest rules file by file, then the call-graph
+/// semantic rules over the library-source files as one unit.
 pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
     let mut files = Vec::new();
     collect_files(root, root, &mut files);
@@ -152,7 +151,7 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
         let found = if rel_str.ends_with("Cargo.toml") {
             rules::check_manifest(&rel_str, &text)
         } else {
-            let found = rules::check_rust_file(&rel_str, &lexer::analyze(&text));
+            let found = rules::check_rust_file(&rel_str, &text);
             if rules::in_lib_src(&rel_str) {
                 lib_sources.push((rel_str.clone(), text));
             }

@@ -9,10 +9,14 @@
 //! argument.
 //!
 //! Items under `#[cfg(test)]` / `#[test]` are skipped entirely: test code
-//! is allowed to be impure, and excluding it here mirrors the line rules'
-//! test-region exemption.
+//! is allowed to be impure. The attribute and item boundaries come from
+//! `tokens::attribute` and `tokens::item_end`, the same pair that gives
+//! the line rules their test regions, so both passes agree on what is
+//! test code.
 
-use crate::tokens::{skip_balanced, tokenize, Tok, TokKind};
+use crate::tokens::{
+    attribute, item_end, seek_body_or_semi, skip_balanced, tokenize, Body, Tok, TokKind,
+};
 
 /// A single parsed source file.
 #[derive(Debug, Clone)]
@@ -146,7 +150,7 @@ pub fn module_of(path: &str) -> (String, String) {
 
 /// Parse one file into its `fn` items.
 pub fn parse_file(path: &str, src: &str) -> ParsedFile {
-    let toks = tokenize(src);
+    let toks = tokenize(src).toks;
     let (krate, module) = module_of(path);
     let mut fns = Vec::new();
     parse_items(&toks, 0, toks.len(), &Ctx { path, krate: &krate, module, type_name: None }, &mut fns);
@@ -164,25 +168,16 @@ struct Ctx<'a> {
 /// `trait` bodies, collecting `fn` items into `out`.
 fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut Vec<FnItem>) {
     let mut i = start;
-    let mut skip_item = false; // a test attribute covers the next item
     while i < end {
         let t = &toks[i];
         match t.kind {
             TokKind::Punct('#') => {
-                // Attribute: `#[...]` or `#![...]`.
-                let mut j = i + 1;
-                if j < end && toks[j].is_punct('!') {
-                    j += 1;
-                }
-                if j < end && toks[j].kind == TokKind::Open('[') {
-                    let close = skip_balanced(toks, j);
-                    if toks[j..close].iter().any(|t| t.is_ident("test")) {
-                        skip_item = true;
-                    }
-                    i = close;
-                } else {
-                    i += 1;
-                }
+                i = match attribute(toks, i) {
+                    // Test code may be impure: the whole item stays out.
+                    Some((after, true)) => item_end(toks, after, end),
+                    Some((after, false)) => after,
+                    None => i + 1,
+                };
             }
             TokKind::Ident => match t.text.as_str() {
                 "mod" => {
@@ -190,41 +185,12 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
                     match seek_body_or_semi(toks, i + 1, end) {
                         Body::Braced(open) => {
                             let close = skip_balanced(toks, open);
-                            if !skip_item {
-                                if let Some(name) = name {
-                                    let sub = Ctx {
-                                        path: ctx.path,
-                                        krate: ctx.krate,
-                                        module: format!("{}::{}", ctx.module, name.text),
-                                        type_name: None,
-                                    };
-                                    parse_items(toks, open + 1, close - 1, &sub, out);
-                                }
-                            }
-                            i = close;
-                        }
-                        Body::Semi(after) => i = after,
-                    }
-                    skip_item = false;
-                }
-                "impl" | "trait" => {
-                    let is_trait = t.text == "trait";
-                    match seek_body_or_semi(toks, i + 1, end) {
-                        Body::Braced(open) => {
-                            let close = skip_balanced(toks, open);
-                            if !skip_item {
-                                let ty = if is_trait {
-                                    toks.get(i + 1)
-                                        .filter(|t| t.kind == TokKind::Ident)
-                                        .map(|t| t.text.clone())
-                                } else {
-                                    impl_target(&toks[i + 1..open])
-                                };
+                            if let Some(name) = name {
                                 let sub = Ctx {
                                     path: ctx.path,
                                     krate: ctx.krate,
-                                    module: ctx.module.clone(),
-                                    type_name: ty,
+                                    module: format!("{}::{}", ctx.module, name.text),
+                                    type_name: None,
                                 };
                                 parse_items(toks, open + 1, close - 1, &sub, out);
                             }
@@ -232,16 +198,34 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
                         }
                         Body::Semi(after) => i = after,
                     }
-                    skip_item = false;
+                }
+                "impl" | "trait" => {
+                    let is_trait = t.text == "trait";
+                    match seek_body_or_semi(toks, i + 1, end) {
+                        Body::Braced(open) => {
+                            let close = skip_balanced(toks, open);
+                            let ty = if is_trait {
+                                toks.get(i + 1)
+                                    .filter(|t| t.kind == TokKind::Ident)
+                                    .map(|t| t.text.clone())
+                            } else {
+                                impl_target(&toks[i + 1..open])
+                            };
+                            let sub = Ctx {
+                                path: ctx.path,
+                                krate: ctx.krate,
+                                module: ctx.module.clone(),
+                                type_name: ty,
+                            };
+                            parse_items(toks, open + 1, close - 1, &sub, out);
+                            i = close;
+                        }
+                        Body::Semi(after) => i = after,
+                    }
                 }
                 "fn" => {
                     let (item, after) = parse_fn(toks, i, end, ctx);
-                    if !skip_item {
-                        if let Some(item) = item {
-                            out.push(item);
-                        }
-                    }
-                    skip_item = false;
+                    out.extend(item);
                     i = after;
                 }
                 // Items with bodies or terminators we step over wholesale.
@@ -257,11 +241,7 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
                         i = j;
                         continue;
                     }
-                    match seek_body_or_semi(toks, i + 1, end) {
-                        Body::Braced(open) => i = skip_balanced(toks, open),
-                        Body::Semi(after) => i = after,
-                    }
-                    skip_item = false;
+                    i = item_end(toks, i + 1, end);
                 }
                 _ => i += 1,
             },
@@ -269,42 +249,6 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
             _ => i += 1,
         }
     }
-}
-
-enum Body {
-    /// Index of the `{` that opens the item body.
-    Braced(usize),
-    /// Index just past the `;` that ends a body-less item.
-    Semi(usize),
-}
-
-/// From `start`, find the item's `{` body or terminating `;`, skipping
-/// balanced `()`/`[]`/`<>` regions (generics, where-clause bounds).
-fn seek_body_or_semi(toks: &[Tok], start: usize, end: usize) -> Body {
-    let mut i = start;
-    let mut angle = 0i64;
-    while i < end {
-        match toks[i].kind {
-            TokKind::Open('{') if angle == 0 => return Body::Braced(i),
-            TokKind::Punct(';') if angle == 0 => return Body::Semi(i + 1),
-            TokKind::Open(_) => {
-                i = skip_balanced(toks, i);
-                continue;
-            }
-            TokKind::Punct('<') => {
-                // `->` never reaches here ('-' precedes), `<<` just nests.
-                angle += 1;
-            }
-            TokKind::Punct('>') => {
-                if angle > 0 {
-                    angle -= 1;
-                }
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    Body::Semi(end)
 }
 
 /// Target type of an `impl` header (the tokens between `impl` and `{`):

@@ -12,8 +12,8 @@
 //!   where a stray `panic!` would take down a long sampling run (or every
 //!   tenant's campaign at once).
 //! * **ingestion paths** — `profile`, `workload/src/io.rs`, and the serve
-//!   crate's wire-facing files (`serve/src/{proto,journal}.rs`): code that
-//!   parses or validates *external* data (profiler CSVs, workload text
+//!   crate's wire-facing files (`serve/src/{proto,journal,job}.rs`): code
+//!   that parses or validates *external* data (profiler CSVs, workload text
 //!   documents, raw traces, protocol lines, on-disk journals). Malformed
 //!   input there must surface as a typed error, so the whole
 //!   `panic!`/`assert!` family is banned.
@@ -24,9 +24,14 @@
 //!   every surviving allocation needs an allowlist justification placing it
 //!   at setup time, outside the per-item loop.
 //! * **everywhere** — all `.rs` files outside `#[cfg(test)]`/`#[test]`
-//!   regions, including benches and examples.
+//!   items, including benches and examples.
+//!
+//! Every source rule reads the one token stream of `tokens::tokenize`:
+//! a pattern is a token sequence, so text inside strings and comments
+//! never matches, and the test items exempted here are exactly the ones
+//! the semantic pass leaves out (`tokens::test_regions`).
 
-use crate::lexer::Line;
+use crate::tokens::{test_regions, tokenize, Tok, TokKind};
 
 /// Rule identifiers, also the section names of `allowlist.toml`.
 pub const HERMETIC_DEPS: &str = "hermetic-deps";
@@ -113,17 +118,19 @@ const HOT_SRC_PREFIXES: [&str; 7] = [
 /// Ingestion paths: library code that parses or validates external data
 /// (the whole `panic!`/`assert!` family is banned, asserts included).
 /// For the serve crate that is the wire-facing surface: the protocol
-/// parser and the on-disk journal reader, both fed attacker-shaped bytes.
+/// parser, the on-disk journal reader and the job-spec grammar both of
+/// them parse with, all fed attacker-shaped bytes.
 /// The storage crate counts too: it is the layer every snapshot and
 /// journal read enters the process through, and it must degrade to typed
 /// errors, never panic, on whatever a damaged disk hands back.
-const INGEST_SRC_PREFIXES: [&str; 6] = [
+const INGEST_SRC_PREFIXES: [&str; 7] = [
     "crates/profile/src/",
     "crates/storage/src/",
     "crates/workload/src/io.rs",
     "crates/workload/src/colstore.rs",
     "crates/serve/src/proto.rs",
     "crates/serve/src/journal.rs",
+    "crates/serve/src/job.rs",
 ];
 
 /// The hot inner-loop files: the per-invocation simulation loop and the
@@ -183,139 +190,97 @@ fn in_hot_alloc_src(path: &str) -> bool {
     HOT_ALLOC_SRC_FILES.contains(&path)
 }
 
-/// Scan one `.rs` file (already lexed) against every source rule.
-pub fn check_rust_file(path: &str, lines: &[Line]) -> Vec<Violation> {
-    let mut out = Vec::new();
-    let lib = in_lib_src(path);
-    let hot = in_hot_src(path);
-    let ingest = in_ingest_src(path);
-    let hot_alloc = in_hot_alloc_src(path);
+/// Scan one `.rs` file against every source rule. Each rule is a token
+/// sequence (`.` `unwrap` `(` `)`, `vec` `!` `[`) or a token predicate
+/// (float equality) matched on the file's one token stream; a hit is
+/// reported once per (line, pattern), and hits inside test items are
+/// exempt.
+pub fn check_rust_file(path: &str, src: &str) -> Vec<Violation> {
+    let tokens = tokenize(src);
+    let mut scan = Scan::new(path, &tokens.toks);
 
-    for (idx, line) in lines.iter().enumerate() {
-        let n = idx + 1;
-        let code = line.code.as_str();
+    scan.flag_patterns(
+        NO_ENTROPY_RNG,
+        &["thread_rng", "from_entropy", "OsRng", "getrandom", "rand::random"],
+        |pat| format!("`{pat}` draws ambient entropy; all randomness must flow through a seeded `stem_core::rng` generator"),
+    );
+    if in_lib_src(path) {
+        scan.flag_patterns(NO_UNWRAP, &[".unwrap()", ".expect("], |pat| {
+            format!("`{pat}` in library code can panic; return an error or use a total operation (allowlistable with justification)")
+        });
+        scan.flag(NO_FLOAT_EQ, |toks, i| {
+            float_compare(toks, i).map(|op| {
+                format!("bare float `{op}` comparison; use an epsilon tolerance, `total_cmp`, or restructure")
+            })
+        });
+        scan.flag_patterns(
+            NO_DEBUG_PRINT,
+            &["println!(", "print!(", "eprintln!(", "eprint!(", "dbg!("],
+            |pat| format!("`{pat}..)` in library code; route output through the caller or a reporting layer"),
+        );
+    }
+    if in_hot_src(path) {
+        scan.flag_patterns(NO_PANIC, &["panic!(", "todo!(", "unimplemented!("], |pat| {
+            format!("`{pat}..)` on the simulation hot path; bubble an error instead")
+        });
+    }
+    if in_hot_alloc_src(path) {
+        scan.flag_patterns(
+            NO_HOT_ALLOC,
+            &["vec![", "Vec::new(", "Vec::with_capacity(", ".to_vec()", ".collect()", ".collect::<"],
+            |pat| format!("`{pat}..` allocates in a hot inner-loop file; hoist it to setup or allowlist with a justification placing it outside the per-item loop"),
+        );
+    }
+    if in_ingest_src(path) {
+        scan.flag_patterns(
+            NO_INGEST_PANIC,
+            &[
+                "panic!(",
+                "assert!(",
+                "assert_eq!(",
+                "assert_ne!(",
+                "debug_assert!(",
+                "debug_assert_eq!(",
+                "debug_assert_ne!(",
+                "todo!(",
+                "unimplemented!(",
+            ],
+            |pat| format!("`{pat}..)` on a data-ingestion path; malformed external input must surface as a typed error, never a panic (allowlistable with justification)"),
+        );
+    }
 
-        if !line.in_test {
-            for pat in ["thread_rng", "from_entropy", "OsRng", "getrandom", "rand::random"] {
-                if code.contains(pat) {
-                    out.push(Violation::new(
-                        path,
-                        n,
-                        NO_ENTROPY_RNG,
-                        format!("`{pat}` draws ambient entropy; all randomness must flow through a seeded `stem_core::rng` generator"),
-                    ));
-                }
-            }
-
-            if lib {
-                for pat in [".unwrap()", ".expect("] {
-                    if code.contains(pat) {
-                        out.push(Violation::new(
-                            path,
-                            n,
-                            NO_UNWRAP,
-                            format!("`{pat}` in library code can panic; return an error or use a total operation (allowlistable with justification)"),
-                        ));
-                    }
-                }
-                if let Some(op) = float_literal_compare(code) {
-                    out.push(Violation::new(
-                        path,
-                        n,
-                        NO_FLOAT_EQ,
-                        format!("bare float `{op}` comparison; use an epsilon tolerance, `total_cmp`, or restructure"),
-                    ));
-                }
-                for pat in ["println!(", "print!(", "eprintln!(", "eprint!(", "dbg!("] {
-                    if code.contains(pat) {
-                        out.push(Violation::new(
-                            path,
-                            n,
-                            NO_DEBUG_PRINT,
-                            format!("`{pat}..)` in library code; route output through the caller or a reporting layer"),
-                        ));
-                    }
-                }
-            }
-
-            if hot {
-                for pat in ["panic!(", "todo!(", "unimplemented!("] {
-                    if code.contains(pat) {
-                        out.push(Violation::new(
-                            path,
-                            n,
-                            NO_PANIC,
-                            format!("`{pat}..)` on the simulation hot path; bubble an error instead"),
-                        ));
-                    }
-                }
-            }
-
-            if hot_alloc {
-                for pat in [
-                    "vec![",
-                    "Vec::new(",
-                    "Vec::with_capacity(",
-                    ".to_vec()",
-                    ".collect()",
-                    ".collect::<",
-                ] {
-                    if code.contains(pat) {
-                        out.push(Violation::new(
-                            path,
-                            n,
-                            NO_HOT_ALLOC,
-                            format!("`{pat}..` allocates in a hot inner-loop file; hoist it to setup or allowlist with a justification placing it outside the per-item loop"),
-                        ));
-                    }
-                }
-            }
-
-            if ingest {
-                for pat in [
-                    "panic!(",
-                    "assert!(",
-                    "assert_eq!(",
-                    "assert_ne!(",
-                    "todo!(",
-                    "unimplemented!(",
-                ] {
-                    if code.contains(pat) {
-                        out.push(Violation::new(
-                            path,
-                            n,
-                            NO_INGEST_PANIC,
-                            format!("`{pat}..)` on a data-ingestion path; malformed external input must surface as a typed error, never a panic (allowlistable with justification)"),
-                        ));
-                    }
-                }
-            }
-        }
-
-        for marker in ["TODO", "FIXME", "XXX", "HACK"] {
-            if line.comment.contains(marker) {
+    let mut out = scan.out;
+    for marker in ["TODO", "FIXME", "XXX", "HACK"] {
+        let mut last_line = 0;
+        for c in tokens.comments.iter().filter(|c| c.text.contains(marker)) {
+            if c.line != last_line {
+                last_line = c.line;
                 out.push(Violation::new(
                     path,
-                    n,
+                    c.line as usize,
                     HYGIENE,
                     format!("`{marker}` marker; resolve it or file it in ROADMAP.md"),
                 ));
             }
         }
     }
+    // Line-major, rule order within a line (the sort is stable).
+    out.sort_by_key(|v| v.line);
 
-    if lines.len() > MAX_FILE_LINES {
+    let lines = src.lines().count();
+    if lines > MAX_FILE_LINES {
         out.push(Violation::new(
             path,
             0,
             HYGIENE,
-            format!("{} lines (max {MAX_FILE_LINES}); split the module", lines.len()),
+            format!("{lines} lines (max {MAX_FILE_LINES}); split the module"),
         ));
     }
 
     if path.ends_with("src/lib.rs") {
         for attr in ["#![deny(missing_debug_implementations)]", "#![forbid(unsafe_code)]"] {
-            if !lines.iter().any(|l| l.code.contains(attr)) {
+            let seq = tokenize(attr).toks;
+            if !(0..tokens.toks.len()).any(|i| starts_with(&tokens.toks[i..], &seq)) {
                 out.push(Violation::new(
                     path,
                     0,
@@ -329,62 +294,77 @@ pub fn check_rust_file(path: &str, lines: &[Line]) -> Vec<Violation> {
     out
 }
 
-/// Detect `== 0.5` / `0.5 !=`-style comparisons against float literals in
-/// stripped code. A literal "looks float" when its digit run contains `.`
-/// (`1.0`, `.5`) — integer comparisons and `Ordering` equality stay legal.
-fn float_literal_compare(code: &str) -> Option<&'static str> {
-    let bytes = code.as_bytes();
-    for (i, win) in bytes.windows(2).enumerate() {
-        let op = match win {
-            b"==" => "==",
-            b"!=" => "!=",
-            _ => continue,
-        };
-        // `<=`, `>=`, `!=` share the '=' byte; make sure `==` isn't the
-        // tail of `<==`-like sequences and skip `=>`/`<=`.
-        if i > 0 && matches!(bytes[i - 1], b'<' | b'>' | b'=' | b'!') {
-            continue;
+/// One file's token stream with its test items masked out, collecting
+/// the hits of the token rules.
+struct Scan<'a> {
+    path: &'a str,
+    toks: &'a [Tok],
+    /// `live[i]` is false when token `i` is test code.
+    live: Vec<bool>,
+    out: Vec<Violation>,
+}
+
+impl<'a> Scan<'a> {
+    fn new(path: &'a str, toks: &'a [Tok]) -> Self {
+        let mut live = vec![true; toks.len()];
+        for region in test_regions(toks) {
+            live[region].fill(false);
         }
-        if bytes.get(i + 2) == Some(&b'=') {
-            continue;
-        }
-        if !code.is_char_boundary(i) || !code.is_char_boundary(i + 2) {
-            continue; // non-ASCII neighbourhood cannot be a float compare
-        }
-        let left = code[..i].trim_end();
-        let right = code[i + 2..].trim_start();
-        if token_is_float(last_token(left)) || token_is_float(first_token(right)) {
-            return Some(op);
+        Scan { path, toks, live, out: Vec::new() }
+    }
+
+    /// Report `rule` at most once per line: at each live token `i` on a
+    /// line not yet reported, `hit(toks, i)` returns the message if the
+    /// rule matches there.
+    fn flag(&mut self, rule: &'static str, hit: impl Fn(&[Tok], usize) -> Option<String>) {
+        let mut last_line = 0;
+        for (i, t) in self.toks.iter().enumerate() {
+            if self.live[i] && t.line != last_line {
+                if let Some(message) = hit(self.toks, i) {
+                    last_line = t.line;
+                    self.out.push(Violation::new(self.path, t.line as usize, rule, message));
+                }
+            }
         }
     }
-    None
-}
 
-fn last_token(s: &str) -> &str {
-    let end = s.len();
-    let start = s
-        .rfind(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '_'))
-        .map(|p| p + 1)
-        .unwrap_or(0);
-    &s[start..end]
-}
-
-fn first_token(s: &str) -> &str {
-    let s = s.strip_prefix('-').unwrap_or(s);
-    let end = s
-        .find(|c: char| !(c.is_ascii_alphanumeric() || c == '.' || c == '_'))
-        .unwrap_or(s.len());
-    &s[..end]
-}
-
-/// `1.0`, `0.5e3`, `.5` are float literals; `1e9` (no dot) and `x.len` are
-/// not (the latter starts with a letter).
-fn token_is_float(tok: &str) -> bool {
-    let tok = tok.trim_end_matches("f64").trim_end_matches("f32");
-    if tok.is_empty() || !tok.starts_with(|c: char| c.is_ascii_digit() || c == '.') {
-        return false;
+    /// Report `rule` once per (line, pattern) where the token sequence of
+    /// a pattern starts in live code.
+    fn flag_patterns(&mut self, rule: &'static str, pats: &[&str], why: impl Fn(&str) -> String) {
+        for pat in pats {
+            let seq = tokenize(pat).toks;
+            self.flag(rule, |toks, i| starts_with(&toks[i..], &seq).then(|| why(pat)));
+        }
     }
-    tok.contains('.') && tok.chars().all(|c| c.is_ascii_digit() || c == '.' || c == '_' || c == 'e' || c == '-')
+}
+
+/// True when `toks` begins with the kinds and texts of `seq`.
+fn starts_with(toks: &[Tok], seq: &[Tok]) -> bool {
+    toks.len() >= seq.len() && toks.iter().zip(seq).all(|(t, s)| t.kind == s.kind && t.text == s.text)
+}
+
+/// `==` or `!=` at `i` with a float literal on either side (`x == 0.5`,
+/// `1.0 != y`, `x == -0.5`). `<=`/`>=` and longer `=` runs are not
+/// equality; integer comparisons and `Ordering` equality stay legal. A
+/// literal is a float when its digits contain `.` (`1.0`, `2.5e3`).
+fn float_compare(toks: &[Tok], i: usize) -> Option<&'static str> {
+    let op = match (&toks[i].kind, toks.get(i + 1).map(|t| &t.kind)) {
+        (TokKind::Punct('='), Some(TokKind::Punct('='))) => "==",
+        (TokKind::Punct('!'), Some(TokKind::Punct('='))) => "!=",
+        _ => return None,
+    };
+    let left = i.checked_sub(1).map(|j| &toks[j]);
+    if left.is_some_and(|t| matches!(t.kind, TokKind::Punct('<' | '>' | '=' | '!')))
+        || toks.get(i + 2).is_some_and(|t| t.is_punct('='))
+    {
+        return None;
+    }
+    let right = match toks.get(i + 2) {
+        Some(t) if t.is_punct('-') => toks.get(i + 3),
+        t => t,
+    };
+    let is_float = |t: &Tok| t.kind == TokKind::Lit && t.text.contains('.');
+    (left.is_some_and(is_float) || right.is_some_and(is_float)).then_some(op)
 }
 
 /// Scan a `Cargo.toml` for non-path dependencies (the hermetic-deps rule).
@@ -447,10 +427,9 @@ pub fn check_manifest(path: &str, text: &str) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::analyze;
 
     fn check(path: &str, src: &str) -> Vec<Violation> {
-        check_rust_file(path, &analyze(src))
+        check_rust_file(path, src)
     }
 
     #[test]
@@ -585,6 +564,19 @@ mod tests {
         let long = "fn a() {}\n".repeat(MAX_FILE_LINES + 1);
         let v = check("crates/core/src/a.rs", &long);
         assert!(v.iter().any(|v| v.rule == HYGIENE && v.line == 0));
+    }
+
+    #[test]
+    fn token_patterns_follow_tokens_not_layout() {
+        // A negated float literal is still a float compare.
+        assert_eq!(check("crates/sim/src/a.rs", "if x == -0.5 {}\n")[0].rule, NO_FLOAT_EQ);
+        // A marker inside a multi-line block comment is reported on its
+        // own line.
+        let v = check("crates/core/src/a.rs", "/* one\n two T\u{4f}DO\n */\nfn a() {}\n");
+        assert_eq!(v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(), [(HYGIENE, 2)]);
+        // Patterns match whole identifiers: `eprintln!(` is not also a
+        // `println!(` hit.
+        assert_eq!(check("crates/core/src/a.rs", "eprintln!(\"x\");\n").len(), 1);
     }
 
     #[test]

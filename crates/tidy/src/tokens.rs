@@ -1,18 +1,27 @@
-//! Whole-file tokenizer for the semantic pass.
+//! The one tokenizer behind every `stem-tidy` source rule.
 //!
-//! Unlike `lexer` (which splits each *line* into code/comment channels for
-//! the pattern rules), this module produces a flat token stream over the
-//! entire file: identifiers, single-character punctuation, literals and
-//! delimiters, each tagged with its 1-based source line. Comments are
-//! dropped; string/char literal bodies collapse into a single `Lit` token,
-//! so downstream parsing never confuses text inside a string for code.
+//! Produces a flat token stream over the whole file: identifiers,
+//! single-character punctuation, literals and delimiters, each tagged
+//! with its 1-based source line. String/char literal bodies collapse into
+//! a single `Lit` token, so no rule ever confuses text inside a string
+//! for code; numeric literals keep their digits (the float-equality rule
+//! reads them). Comments leave the code stream and arrive separately,
+//! one entry per source line they cover, for the hygiene markers.
 //!
-//! It is deliberately not a full Rust lexer — multi-character operators
-//! arrive as adjacent single `Punct` tokens and the parser matches the
-//! sequences it cares about (`::`, `->`, `+=`). That keeps this file small
-//! enough to audit while staying robust on every construct the workspace
-//! actually uses, including nested block comments, raw strings with hash
-//! runs, byte strings, raw identifiers and lifetimes.
+//! It deliberately stops short of Rust's full grammar — multi-character
+//! operators arrive as adjacent single `Punct` tokens and the rules match
+//! the sequences they care about (`::`, `->`, `==`, `.unwrap()`). That
+//! keeps this file small enough to audit while staying robust on every
+//! construct the workspace actually uses, including nested block
+//! comments, raw strings with hash runs, byte strings, raw identifiers
+//! and lifetimes.
+//!
+//! The item-boundary helpers at the bottom (`seek_body_or_semi`,
+//! `item_end`, `attribute`, `test_regions`) are the single definition of
+//! "which tokens belong to which item" and of "which items are test
+//! code", shared by the line rules and the item parser.
+
+use std::ops::Range;
 
 /// Token kind. Delimiters are split out so the parser can do cheap
 /// balanced-region skips without re-inspecting punct characters.
@@ -34,7 +43,8 @@ pub enum TokKind {
 #[derive(Debug, Clone)]
 pub struct Tok {
     pub kind: TokKind,
-    /// Identifier text; empty for every other kind.
+    /// Identifier text, or the digits of a numeric literal (`1.5e-3`,
+    /// `0x1f`, `2u32`); empty for every other kind.
     pub text: String,
     /// 1-based line number of the token's first character.
     pub line: u32,
@@ -52,12 +62,30 @@ impl Tok {
     }
 }
 
+/// The text of one source line's share of a comment (line, block or
+/// doc). A block comment spanning lines yields one entry per line.
+#[derive(Debug, Clone)]
+pub struct Comment {
+    /// 1-based source line.
+    pub line: u32,
+    pub text: String,
+}
+
+/// A tokenized file: the code tokens and, apart from them, the comments.
+#[derive(Debug, Clone)]
+pub struct Tokens {
+    pub toks: Vec<Tok>,
+    /// In source order, so lines never decrease.
+    pub comments: Vec<Comment>,
+}
+
 /// Tokenize a whole source file. Never fails: unrecognised bytes are
 /// skipped, unterminated literals simply run to end of input. The stream
-/// is best-effort by design — the semantic pass is a lint, not a compiler.
-pub fn tokenize(src: &str) -> Vec<Tok> {
+/// is best-effort by design — `stem-tidy` is a lint, not a compiler.
+pub fn tokenize(src: &str) -> Tokens {
     let chars: Vec<char> = src.chars().collect();
     let mut toks: Vec<Tok> = Vec::new();
+    let mut comments: Vec<Comment> = Vec::new();
     let mut line: u32 = 1;
     let mut i = 0usize;
 
@@ -71,16 +99,23 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
             }
             c if c.is_whitespace() => i += 1,
             '/' if next == Some('/') => {
+                let start = i;
                 while i < chars.len() && chars[i] != '\n' {
                     i += 1;
                 }
+                comments.push(Comment { line, text: chars[start..i].iter().collect() });
             }
             '/' if next == Some('*') => {
                 let mut depth = 1u32;
+                let mut seg = i; // start of this line's share of the comment
                 i += 2;
                 while i < chars.len() && depth > 0 {
                     match (chars[i], chars.get(i + 1).copied()) {
-                        ('\n', _) => line += 1,
+                        ('\n', _) => {
+                            comments.push(Comment { line, text: chars[seg..i].iter().collect() });
+                            seg = i + 1;
+                            line += 1;
+                        }
                         ('/', Some('*')) => {
                             depth += 1;
                             i += 1;
@@ -93,6 +128,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                     }
                     i += 1;
                 }
+                comments.push(Comment { line, text: chars[seg..i].iter().collect() });
             }
             'r' | 'b' if raw_string_hashes(&chars, i).is_some() => {
                 let (hashes, prefix) = raw_string_hashes(&chars, i).expect("checked");
@@ -148,8 +184,9 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
                 i = end;
             }
             c if c.is_ascii_digit() => {
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line });
-                i = consume_number(&chars, i);
+                let end = consume_number(&chars, i);
+                toks.push(Tok { kind: TokKind::Lit, text: chars[i..end].iter().collect(), line });
+                i = end;
             }
             '(' | '[' | '{' => {
                 toks.push(Tok { kind: TokKind::Open(c), text: String::new(), line });
@@ -165,7 +202,7 @@ pub fn tokenize(src: &str) -> Vec<Tok> {
             }
         }
     }
-    toks
+    Tokens { toks, comments }
 }
 
 fn is_ident_start(c: char) -> bool {
@@ -236,8 +273,7 @@ fn consume_char_lit(chars: &[char], mut i: usize) -> usize {
     i
 }
 
-/// Same heuristic as `lexer::is_char_literal`: `'x'` / `'\n'` are literals,
-/// `'static` is a lifetime.
+/// `'x'` / `'\n'` are char literals, `'static` is a lifetime.
 fn is_char_literal(chars: &[char], i: usize) -> bool {
     match chars.get(i + 1) {
         Some('\\') => true,
@@ -292,16 +328,122 @@ pub fn skip_balanced(toks: &[Tok], open_idx: usize) -> usize {
     toks.len()
 }
 
+/// Where an item's declaration ends.
+#[derive(Debug)]
+pub enum Body {
+    /// Index of the `{` that opens the item body.
+    Braced(usize),
+    /// Index just past the `;` that ends a body-less item.
+    Semi(usize),
+}
+
+/// From `start`, find the item's `{` body or terminating `;`, skipping
+/// balanced `()`/`[]`/`<>` regions (generics, where-clause bounds).
+pub fn seek_body_or_semi(toks: &[Tok], start: usize, end: usize) -> Body {
+    let mut i = start;
+    let mut angle = 0i64;
+    while i < end {
+        match toks[i].kind {
+            TokKind::Open('{') if angle == 0 => return Body::Braced(i),
+            TokKind::Punct(';') if angle == 0 => return Body::Semi(i + 1),
+            TokKind::Open(_) => {
+                i = skip_balanced(toks, i);
+                continue;
+            }
+            TokKind::Punct('<') => {
+                // `->` never reaches here ('-' precedes), `<<` just nests.
+                angle += 1;
+            }
+            TokKind::Punct('>') => {
+                if angle > 0 {
+                    angle -= 1;
+                }
+            }
+            _ => {}
+        }
+        i += 1;
+    }
+    Body::Semi(end)
+}
+
+/// Index just past the item whose declaration starts at `start`: past
+/// its closing `}`, or past its `;` when it has no body.
+pub fn item_end(toks: &[Tok], start: usize, end: usize) -> usize {
+    match seek_body_or_semi(toks, start, end) {
+        Body::Braced(open) => skip_balanced(toks, open),
+        Body::Semi(after) => after,
+    }
+}
+
+/// The outer attribute `#[...]` at `i`, if one starts there: the index
+/// just past its `]`, and whether it marks test code. Exactly `#[test]`
+/// and `#[cfg(test)]` do; `#[cfg(not(test))]` guards live code.
+pub fn attribute(toks: &[Tok], i: usize) -> Option<(usize, bool)> {
+    if !toks[i].is_punct('#') || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Open('[')) {
+        return None;
+    }
+    let close = skip_balanced(toks, i + 1);
+    let is_test = match &toks[i + 2..close.saturating_sub(1).max(i + 2)] {
+        [t] => t.is_ident("test"),
+        [cfg, open, t, shut] => {
+            cfg.is_ident("cfg")
+                && open.kind == TokKind::Open('(')
+                && t.is_ident("test")
+                && shut.kind == TokKind::Close(')')
+        }
+        _ => false,
+    };
+    Some((close, is_test))
+}
+
+/// Token ranges of every item under a test attribute, attribute included,
+/// wherever in the file it sits. The line rules exempt these tokens; the
+/// item parser leaves the same items out of the call graph.
+pub fn test_regions(toks: &[Tok]) -> Vec<Range<usize>> {
+    let mut regions = Vec::new();
+    let mut i = 0usize;
+    while i < toks.len() {
+        i = match attribute(toks, i) {
+            Some((after, true)) => {
+                let end = item_end(toks, after, toks.len());
+                regions.push(i..end);
+                end
+            }
+            Some((after, false)) => after,
+            None => i + 1,
+        };
+    }
+    regions
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn idents(src: &str) -> Vec<String> {
         tokenize(src)
+            .toks
             .into_iter()
             .filter(|t| t.kind == TokKind::Ident)
             .map(|t| t.text)
             .collect()
+    }
+
+    /// Identifiers on source line `line` (1-based).
+    fn idents_on(src: &str, line: u32) -> Vec<String> {
+        tokenize(src)
+            .toks
+            .into_iter()
+            .filter(|t| t.kind == TokKind::Ident && t.line == line)
+            .map(|t| t.text)
+            .collect()
+    }
+
+    /// Whether the first identifier `name` lies inside a test region.
+    fn in_test(src: &str, name: &str) -> bool {
+        let toks = tokenize(src).toks;
+        let at = toks.iter().position(|t| t.is_ident(name)).expect("ident present");
+        test_regions(&toks).iter().any(|r| r.contains(&at))
     }
 
     #[test]
@@ -312,12 +454,72 @@ mod tests {
     }
 
     #[test]
+    fn comments_keep_their_text_and_line() {
+        let src = "let x = 1; // unwrap() in comment\n/// doc unwrap()\nfn f() {}\n";
+        let t = tokenize(src);
+        let lines: Vec<u32> = t.comments.iter().map(|c| c.line).collect();
+        assert_eq!(lines, [1, 2]);
+        assert!(t.comments.iter().all(|c| c.text.contains("unwrap")));
+        assert!(!idents(src).contains(&"unwrap".to_string()));
+    }
+
+    #[test]
+    fn block_comments_span_lines() {
+        let src = "a();\n/* unwrap()\n still comment */ b();\n";
+        let t = tokenize(src);
+        assert!(idents_on(src, 2).is_empty(), "comment body leaked as code");
+        assert_eq!(idents_on(src, 3), ["b"]);
+        // One comment entry per covered line, so a marker is reported on
+        // its own line.
+        let per_line: Vec<(u32, bool)> =
+            t.comments.iter().map(|c| (c.line, c.text.contains("still"))).collect();
+        assert_eq!(per_line, [(2, false), (3, true)]);
+    }
+
+    #[test]
     fn raw_strings_span_lines() {
         let src = "let a = r##\"x\ny \"# z\nw\"##; tail();\n";
-        let toks = tokenize(src);
+        let toks = tokenize(src).toks;
         let tail = toks.iter().find(|t| t.is_ident("tail")).expect("tail survives");
         assert_eq!(tail.line, 3);
         assert!(!toks.iter().any(|t| t.is_ident("w")), "raw body leaked into code");
+    }
+
+    #[test]
+    fn ident_tail_r_is_not_a_raw_string_open() {
+        // `xr` is an identifier; `#` and `""` follow it. Taking the
+        // trailing `r` as a raw-string prefix would swallow every later
+        // line until a stray `"#`.
+        let src = "let a = xr #\"\";\nx.unwrap();\n";
+        assert_eq!(idents_on(src, 2), ["x", "unwrap"]);
+        // Adjacent form (no space): ident `xr`, then `#`, then a string.
+        let src = "m!(xr#\"\");\nx.unwrap();\n";
+        assert_eq!(idents_on(src, 2), ["x", "unwrap"]);
+    }
+
+    #[test]
+    fn ident_tail_r_before_quote_keeps_escape_semantics() {
+        // `rr"\""` is ident `rr` + a *normal* string containing an escaped
+        // quote; the string stays open past the line end. Read as a raw
+        // string it would close at the `\"` and leak the real string body
+        // on the following lines as code.
+        let src = "let a = rr\"\\\"\nnot_code();\n\";\nreal();\n";
+        assert!(idents_on(src, 2).is_empty(), "string body leaked as code");
+        assert_eq!(idents_on(src, 4), ["real"]);
+    }
+
+    #[test]
+    fn ident_tail_br_is_not_a_byte_raw_open() {
+        let src = "let a = xbr #\"\";\nx.unwrap();\n";
+        assert_eq!(idents_on(src, 2), ["x", "unwrap"]);
+    }
+
+    #[test]
+    fn real_raw_strings_are_still_literals() {
+        let src = "let s = r#\"panic!()\"#;\nlet b = br##\"unwrap()\"##;\nok();\n";
+        assert_eq!(idents_on(src, 1), ["let", "s"]);
+        assert_eq!(idents_on(src, 2), ["let", "b"]);
+        assert_eq!(idents_on(src, 3), ["ok"]);
     }
 
     #[test]
@@ -338,16 +540,17 @@ mod tests {
     #[test]
     fn numbers_do_not_eat_ranges_or_methods() {
         let src = "for i in 0..10 { let x = 1.5e-3; let y = 2.max(i); }\n";
-        let toks = tokenize(src);
+        let toks = tokenize(src).toks;
         assert!(toks.iter().any(|t| t.is_ident("max")), "method after int literal lost");
-        let lits = toks.iter().filter(|t| t.kind == TokKind::Lit).count();
-        assert_eq!(lits, 4, "0, 10, 1.5e-3, 2");
+        let lits: Vec<&str> =
+            toks.iter().filter(|t| t.kind == TokKind::Lit).map(|t| t.text.as_str()).collect();
+        assert_eq!(lits, ["0", "10", "1.5e-3", "2"]);
     }
 
     #[test]
     fn line_numbers_track_every_literal_form() {
         let src = "a();\n\"two\nthree\";\nb();\n/* four\nfive */\nc();\n";
-        let toks = tokenize(src);
+        let toks = tokenize(src).toks;
         let line_of = |name: &str| toks.iter().find(|t| t.is_ident(name)).map(|t| t.line);
         assert_eq!(line_of("a"), Some(1));
         assert_eq!(line_of("b"), Some(4));
@@ -356,8 +559,46 @@ mod tests {
 
     #[test]
     fn skip_balanced_nested() {
-        let toks = tokenize("{ a { b } ( c ) } tail");
+        let toks = tokenize("{ a { b } ( c ) } tail").toks;
         let end = skip_balanced(&toks, 0);
         assert!(toks[end].is_ident("tail"));
+    }
+
+    #[test]
+    fn cfg_test_region_marked() {
+        let src = "fn lib() { x.unwrap(); }\n#[cfg(test)]\nmod tests {\n    fn t() { y.unwrap(); }\n}\nfn lib2() {}\n";
+        assert!(!in_test(src, "x"));
+        assert!(in_test(src, "cfg"));
+        assert!(in_test(src, "tests"));
+        assert!(in_test(src, "y"));
+        assert!(!in_test(src, "lib2"));
+    }
+
+    #[test]
+    fn test_attribute_function_marked() {
+        let src = "fn a() {}\n#[test]\nfn t() {\n    body();\n}\nfn b() {}\n";
+        assert!(!in_test(src, "a"));
+        assert!(in_test(src, "body"));
+        assert!(!in_test(src, "b"));
+    }
+
+    #[test]
+    fn a_test_attribute_covers_only_its_own_item() {
+        // A body-less item ends at its `;`: the fn after it is live code.
+        let src = "#[cfg(test)]\nuse super::*;\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+        assert!(in_test(src, "super"));
+        assert!(!in_test(src, "unwrap"));
+        // Stacked attributes stay with their item.
+        let src = "#[cfg(test)]\n#[derive(Debug)]\nstruct S { a: u8 }\nfn live() {}\n";
+        assert!(in_test(src, "a"));
+        assert!(!in_test(src, "live"));
+    }
+
+    #[test]
+    fn only_test_and_cfg_test_are_test_attributes() {
+        for attr in ["#[cfg(not(test))]", "#[cfg_attr(test, derive(Debug))]", "#![cfg(test)]"] {
+            let src = format!("{attr}\nfn leaf() {{ now(); }}\n");
+            assert!(!in_test(&src, "now"), "{attr} marked live code as test");
+        }
     }
 }

@@ -97,6 +97,24 @@ fn fixtures_produce_exactly_the_golden_diagnostics() {
     );
 }
 
+/// A test attribute covers exactly the item it is attached to: after
+/// `#[cfg(test)] use super::*;` the next fn is library code again.
+#[test]
+fn test_attribute_ends_with_its_item() {
+    let root = build_tree("cfg-test-use", &[("crates/core/src/a.rs", "cfg_test_use.rs")]);
+    let report = scan(&root, &Allowlist::default());
+    let _ = fs::remove_dir_all(&root);
+
+    let got: Vec<(String, usize, &str)> =
+        report.violations.iter().map(|v| (v.path.clone(), v.line, v.rule)).collect();
+    assert_eq!(
+        got,
+        vec![("crates/core/src/a.rs".to_string(), 7, "no-unwrap")],
+        "diagnostics:\n{}",
+        report.diagnostics().join("\n")
+    );
+}
+
 #[test]
 fn allowlist_excuses_named_files_only() {
     let root = build_tree("allow", &TREE);

@@ -13,15 +13,19 @@ fn fixture(name: &str) -> String {
     fs::read_to_string(&p).unwrap_or_else(|e| panic!("read fixture {name}: {e}"))
 }
 
-fn build_tree(tag: &str) -> PathBuf {
+const TREE: [(&str, &str); 3] = [
+    ("crates/sim/src/memo.rs", "semantic_memo.rs"),
+    ("crates/core/src/eval.rs", "semantic_rng.rs"),
+    ("crates/cluster/src/accum.rs", "semantic_float.rs"),
+];
+
+/// Materialize `(workspace-relative path, fixture name)` pairs under a
+/// scratch root and return it.
+fn build_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
     let root =
         std::env::temp_dir().join(format!("stem-tidy-sem-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    for (rel, name) in [
-        ("crates/sim/src/memo.rs", "semantic_memo.rs"),
-        ("crates/core/src/eval.rs", "semantic_rng.rs"),
-        ("crates/cluster/src/accum.rs", "semantic_float.rs"),
-    ] {
+    for (rel, name) in files {
         let abs = root.join(rel);
         fs::create_dir_all(abs.parent().expect("has parent")).expect("mkdir");
         fs::write(&abs, fixture(name)).expect("write");
@@ -31,7 +35,7 @@ fn build_tree(tag: &str) -> PathBuf {
 
 #[test]
 fn each_semantic_rule_has_a_true_positive() {
-    let root = build_tree("tp");
+    let root = build_tree("tp", &TREE);
     let report = scan(&root, &Allowlist::default());
     let _ = fs::remove_dir_all(&root);
 
@@ -61,9 +65,30 @@ fn each_semantic_rule_has_a_true_positive() {
     assert!(memo.message.contains("Instant::now"), "{}", memo.message);
 }
 
+/// `#[cfg(not(test))]` guards live code: an impure leaf under it is still
+/// reachable from the memo insert path and must be reported.
+#[test]
+fn cfg_not_test_code_is_analyzed() {
+    let root = build_tree(
+        "cfg-not-test",
+        &[("crates/sim/src/memo.rs", "semantic_memo_cfg_not_test.rs")],
+    );
+    let report = scan(&root, &Allowlist::default());
+    let _ = fs::remove_dir_all(&root);
+
+    let got: Vec<(String, usize, &str)> =
+        report.violations.iter().map(|v| (v.path.clone(), v.line, v.rule)).collect();
+    assert_eq!(
+        got,
+        vec![("crates/sim/src/memo.rs".to_string(), 9, "memo-purity")],
+        "diagnostics:\n{}",
+        report.diagnostics().join("\n")
+    );
+}
+
 #[test]
 fn each_semantic_rule_is_allowlistable_without_going_stale() {
-    let root = build_tree("allow");
+    let root = build_tree("allow", &TREE);
     let allow = Allowlist::parse(concat!(
         "[memo-purity]\n",
         "\"crates/sim/src/memo.rs\" = \"fixture: clock read is fingerprint-invariant here\"\n",
@@ -86,7 +111,7 @@ fn each_semantic_rule_is_allowlistable_without_going_stale() {
 
 #[test]
 fn stale_semantic_entry_is_flagged() {
-    let root = build_tree("stale");
+    let root = build_tree("stale", &TREE);
     // Excuses a rule/file pair that has no hit: eval.rs has an rng finding
     // but no memo-purity finding.
     let allow = Allowlist::parse(concat!(
