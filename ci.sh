@@ -6,10 +6,10 @@ cd "$(dirname "$0")"
 
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
-# The chaos, sealed-file, parallel-equivalence and lint-engine suites are
-# part of the workspace run above; keep explicit invocations so a
-# fault-model, durability, determinism or lint regression is named in CI
-# output.
+# The chaos, sealed-file, serve, parallel-equivalence and lint-engine
+# suites are part of the workspace run above; keep explicit invocations
+# so a fault-model, durability, job-materialization, determinism or lint
+# regression is named in CI output.
 cargo test -q --offline --test chaos
 cargo test -q --offline -p stem-storage
 cargo test -q --offline -p stem-tidy
@@ -17,6 +17,7 @@ cargo test -q --offline --test storage_chaos
 cargo test -q --offline --test colstore
 cargo test -q --offline --test crash_resume
 cargo test -q --offline --test serve
+cargo test -q --offline -p stem-serve
 cargo test -q --offline --test parallel_equivalence
 cargo test -q --offline --test hotpath_equivalence
 cargo test -q --offline --test coverage

@@ -25,8 +25,8 @@
 use gpu_profile::{ExecTimeProfiler, Fault, FaultPlan, TraceRecord};
 use gpu_sim::{GpuConfig, Simulator};
 use gpu_workload::scenarios::{bursty_interference, longtail_skew, phase_drift};
-use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
-use gpu_workload::Workload;
+use gpu_workload::suites::{casio_sources, huggingface_sources, rodinia_sources, HuggingfaceScale};
+use gpu_workload::{Workload, WorkloadSource};
 use stem_baselines::stratum;
 use stem_core::plan::SamplingPlan;
 use stem_core::{StemConfig, StemRootSampler};
@@ -151,23 +151,22 @@ impl CoverageReport {
 /// (regenerated per repetition at a shifted seed, so jitter is fresh)
 /// plus the three adversarial generators.
 fn scenario_roster() -> Vec<(&'static str, fn(u64) -> Workload, bool)> {
+    /// Materializes only the named source, never the rest of its suite.
+    fn named(sources: Vec<WorkloadSource>, name: &str) -> Workload {
+        sources
+            .iter()
+            .find(|s| s.name() == name)
+            .unwrap_or_else(|| panic!("{name} in its suite"))
+            .materialize()
+    }
     fn srad(seed: u64) -> Workload {
-        rodinia_suite(seed)
-            .into_iter()
-            .find(|w| w.name() == "srad")
-            .expect("srad in rodinia")
+        named(rodinia_sources(seed), "srad")
     }
     fn ssdrn34(seed: u64) -> Workload {
-        casio_suite(seed)
-            .into_iter()
-            .find(|w| w.name() == "ssdrn34_infer")
-            .expect("ssdrn34_infer in casio")
+        named(casio_sources(seed), "ssdrn34_infer")
     }
     fn bert(seed: u64) -> Workload {
-        huggingface_suite(seed, HuggingfaceScale::custom(0.002))
-            .into_iter()
-            .find(|w| w.name() == "bert")
-            .expect("bert in huggingface")
+        named(huggingface_sources(seed, HuggingfaceScale::custom(0.002)), "bert")
     }
     fn drift(seed: u64) -> Workload {
         phase_drift(seed).materialize()

@@ -2,8 +2,8 @@
 
 use std::path::PathBuf;
 
-use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
-use gpu_workload::Workload;
+use gpu_workload::suites::{casio_sources, huggingface_sources, rodinia_sources, HuggingfaceScale};
+use gpu_workload::{Workload, WorkloadSource};
 use stem_core::StemError;
 use stem_storage::{RealFs, Storage};
 
@@ -43,13 +43,16 @@ impl SuiteId {
         }
     }
 
-    /// Materializes the suite deterministically from its seed.
-    pub fn workloads(&self, seed: u64) -> Vec<Workload> {
+    /// The suite's deferred workload sources at `seed`. Listing them
+    /// generates nothing; each source carries its own seed, so
+    /// materializing source `i` alone yields exactly the suite's
+    /// workload `i`.
+    pub fn sources(&self, seed: u64) -> Vec<WorkloadSource> {
         match self {
-            SuiteId::Rodinia => rodinia_suite(seed),
-            SuiteId::Casio => casio_suite(seed),
+            SuiteId::Rodinia => rodinia_sources(seed),
+            SuiteId::Casio => casio_sources(seed),
             SuiteId::Huggingface => {
-                huggingface_suite(seed, HuggingfaceScale::custom(SERVE_HF_SCALE))
+                huggingface_sources(seed, HuggingfaceScale::custom(SERVE_HF_SCALE))
             }
         }
     }
@@ -202,8 +205,8 @@ impl JobSpec {
     }
 
     /// Structural validation: tenant token shape and a positive rep
-    /// count. (The workload index is range-checked at materialization,
-    /// where the suite length is known.)
+    /// count. (The workload index is range-checked against the suite at
+    /// admission and again at materialization.)
     ///
     /// # Errors
     ///
@@ -277,14 +280,27 @@ impl JobSpec {
             }
             return Ok(loaded);
         }
-        let suite = self.suite.workloads(self.suite_seed);
-        suite.into_iter().nth(self.workload_index).ok_or_else(|| {
-            StemError::InvalidConfig(format!(
-                "workload index {} out of range for suite {}",
+        self.source().map(|s| s.materialize())
+    }
+
+    /// The one deferred source a suite-drawn job materializes (only that
+    /// source is ever generated, never the rest of the suite).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StemError::InvalidConfig`] if `workload_index` is out
+    /// of range for the suite.
+    pub(crate) fn source(&self) -> Result<WorkloadSource, StemError> {
+        let mut sources = self.suite.sources(self.suite_seed);
+        if self.workload_index >= sources.len() {
+            return Err(StemError::InvalidConfig(format!(
+                "workload index {} out of range for suite {} ({} workloads)",
                 self.workload_index,
-                self.suite.as_str()
-            ))
-        })
+                self.suite.as_str(),
+                sources.len()
+            )));
+        }
+        Ok(sources.swap_remove(self.workload_index))
     }
 }
 
@@ -418,12 +434,28 @@ mod tests {
     }
 
     #[test]
-    fn workload_materializes_and_range_checks() {
-        let w = spec().workload().expect("workload 0 exists");
-        assert!(w.num_invocations() > 0);
-        let mut far = spec();
-        far.workload_index = 10_000;
-        assert!(matches!(far.workload(), Err(StemError::InvalidConfig(_))));
+    fn one_source_materializes_exactly_the_suites_workload() {
+        use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite};
+        let seed = 33;
+        for (suite, whole) in [
+            (SuiteId::Rodinia, rodinia_suite(seed)),
+            (SuiteId::Casio, casio_suite(seed)),
+            (
+                SuiteId::Huggingface,
+                huggingface_suite(seed, HuggingfaceScale::custom(SERVE_HF_SCALE)),
+            ),
+        ] {
+            assert_eq!(suite.sources(seed).len(), whole.len(), "{}", suite.as_str());
+            for (i, expected) in whole.iter().enumerate() {
+                let job = JobSpec { suite, suite_seed: seed, workload_index: i, ..spec() };
+                let w = job.workload().expect("index in range");
+                let label = format!("{} #{i}", suite.as_str());
+                assert_eq!(w.fingerprint(), expected.fingerprint(), "{label}");
+                assert!(w == *expected, "{label}: workload differs from the suite's");
+            }
+            let past = JobSpec { suite, suite_seed: seed, workload_index: whole.len(), ..spec() };
+            assert!(matches!(past.workload(), Err(StemError::InvalidConfig(_))));
+        }
     }
 
     #[test]

@@ -179,7 +179,12 @@ impl Inner {
         // job must never fail at dispatch time for a reason the daemon
         // knew at submit time.
         self.registry.build(&spec.sampler)?;
-        // Same principle for store-backed jobs: verify the manifest (one
+        // Same principle for the workload index of a suite-drawn job:
+        // listing the suite's sources generates nothing.
+        if spec.store.is_none() {
+            spec.source()?;
+        }
+        // And for store-backed jobs: verify the manifest (one
         // small read) and pin its fingerprint to the client's expectation
         // now; dispatch re-verifies every streamed byte.
         if let Some(store) = &spec.store {

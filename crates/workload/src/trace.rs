@@ -365,11 +365,23 @@ impl Workload {
     /// "group kernel calls by name" first step of the STEM+ROOT pipeline
     /// (Fig. 3).
     pub fn invocations_by_kernel(&self) -> BTreeMap<KernelId, Vec<usize>> {
-        let mut map: BTreeMap<KernelId, Vec<usize>> = BTreeMap::new();
-        for (i, inv) in self.invocations.iter().enumerate() {
-            map.entry(inv.kernel).or_default().push(i);
+        // Kernel ids are dense indices into `kernels`: count, fill one
+        // exactly-sized `Vec` per kernel, then one map insert per kernel
+        // that has calls.
+        let mut counts = vec![0usize; self.kernels.len()];
+        for inv in &self.invocations {
+            counts[inv.kernel.index()] += 1;
         }
-        map
+        let mut groups: Vec<Vec<usize>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (i, inv) in self.invocations.iter().enumerate() {
+            groups[inv.kernel.index()].push(i);
+        }
+        groups
+            .into_iter()
+            .enumerate()
+            .filter(|(_, members)| !members.is_empty())
+            .map(|(k, members)| (KernelId(k as u32), members))
+            .collect()
     }
 
     /// Invocation indices grouped by kernel *name*, in stream order. Two
@@ -507,6 +519,24 @@ mod tests {
         let groups = w.invocations_by_kernel();
         assert_eq!(groups[&KernelId(0)], vec![0, 2]);
         assert_eq!(groups[&KernelId(1)], vec![1]);
+    }
+
+    #[test]
+    fn grouping_by_kernel_omits_kernels_without_calls() {
+        let w = Workload::new(
+            "w",
+            SuiteKind::Custom,
+            ["a", "unused", "c"].map(|n| KernelClassBuilder::new(n).build()).to_vec(),
+            vec![vec![RuntimeContext::neutral()]; 3],
+            vec![
+                Invocation::new(KernelId(2), 0, 0.0),
+                Invocation::new(KernelId(0), 0, 0.0),
+                Invocation::new(KernelId(2), 0, 0.0),
+            ],
+        );
+        let groups = w.invocations_by_kernel();
+        assert_eq!(groups.keys().copied().collect::<Vec<_>>(), vec![KernelId(0), KernelId(2)]);
+        assert_eq!(groups[&KernelId(2)], vec![0, 2]);
     }
 
     #[test]

@@ -541,6 +541,50 @@ fn per_job_samplers_dispatch_through_the_registry() {
 }
 
 #[test]
+fn out_of_range_workload_index_is_refused_at_admission() {
+    let dir = scratch("index-range");
+    let server = Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
+    let mut wire = Wire::connect(server.addr());
+
+    // Past the end of every suite (and at Rodinia's exact length) the
+    // SUBMIT is a typed rejection naming the problem.
+    for line in [
+        "SUBMIT alice rodinia 33 10000 2 61\n",
+        "SUBMIT alice rodinia 33 13 2 61\n",
+        "SUBMIT alice casio 33 10000 2 61\n",
+        "SUBMIT alice huggingface 33 10000 2 61\n",
+    ] {
+        let reply = wire.roundtrip(line);
+        assert!(
+            reply.starts_with("ERR rejected") && reply.contains("out of range"),
+            "{line:?} must be refused at admission: {reply:?}"
+        );
+    }
+    let mut far = suite_specs().remove(0);
+    far.workload_index = 10_000;
+    assert!(matches!(server.try_submit(far), Err(StemError::InvalidConfig(_))));
+
+    // Nothing was journaled and no job id was spent: the first honest
+    // submission is job 0 and the only `job` record.
+    let journal = dir.join("serve.journal");
+    let job_lines = || {
+        std::fs::read_to_string(&journal)
+            .unwrap_or_default()
+            .lines()
+            .filter(|l| l.starts_with("job "))
+            .count()
+    };
+    assert_eq!(job_lines(), 0, "a refused SUBMIT must never reach the journal");
+    assert_eq!(wire.roundtrip("SUBMIT alice rodinia 33 7 1 51\n"), "OK job 0\n");
+    wire.wait_done("alice", 0);
+    assert_eq!(job_lines(), 1);
+    drop(wire);
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
 fn wire_chaos_never_takes_the_daemon_down() {
     let dir = scratch("wire-chaos");
     let server = Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
