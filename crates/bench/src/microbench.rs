@@ -263,6 +263,89 @@ pub fn grouped_timing_check() -> GroupedTimingCheck {
     check
 }
 
+/// Outcome of the ROOT fast path vs reference recursion probe
+/// ([`root_ratio_check`]).
+#[derive(Debug, Clone)]
+pub struct RootRatioCheck {
+    /// Workload the probe ran on.
+    pub workload: String,
+    /// Total invocations clustered per run.
+    pub invocations: usize,
+    /// Fastest of the runs of the production recursion, nanoseconds.
+    pub fast_ns: f64,
+    /// Fastest of the runs of `stem_core::root::reference`, nanoseconds.
+    pub reference_ns: f64,
+    /// fast / reference wall-clock ratio (below 1 is faster).
+    pub ratio: f64,
+    /// Whether every run of both paths produced bit-identical clusters.
+    pub identical: bool,
+}
+
+impl RootRatioCheck {
+    fn report(&self) {
+        println!(
+            "root {:<36} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}",
+            self.workload,
+            fmt_ns(self.reference_ns),
+            fmt_ns(self.fast_ns),
+            self.invocations,
+            self.ratio,
+            self.identical
+        );
+    }
+}
+
+/// Times ROOT on the largest HuggingFace workload's profiled times `runs`
+/// times each, alternating between the production recursion
+/// (`cluster_workload`) and the per-node-Vec reference recursion
+/// (`stem_core::root::reference::cluster_workload`), and reports the ratio
+/// of their fastest runs. Both paths run in this process on the same
+/// inputs, so the ratio is meaningful where absolute times are not.
+///
+/// # Panics
+///
+/// Panics if `runs == 0` or the HuggingFace suite is empty.
+pub fn root_ratio_check(runs: usize) -> RootRatioCheck {
+    use crate::harness::ExperimentOptions;
+    use gpu_profile::ExecTimeProfiler;
+    use gpu_workload::SuiteKind;
+    use stem_core::root::{cluster_workload, reference};
+
+    assert!(runs > 0, "at least one run per path");
+    let options = ExperimentOptions::fast();
+    let workload = options
+        .suite(SuiteKind::Huggingface)
+        .into_iter()
+        .max_by_key(gpu_workload::Workload::num_invocations)
+        .expect("huggingface suite is non-empty");
+    let config = &options.stem_config;
+    let times = ExecTimeProfiler::new(config.profile_config.clone(), config.profile_seed)
+        .profile(&workload);
+
+    let expected = reference::cluster_workload(&workload, &times, config);
+    let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut identical = true;
+    for _ in 0..runs {
+        let t = Instant::now();
+        let slow = black_box(reference::cluster_workload(&workload, &times, config));
+        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
+        let t = Instant::now();
+        let fast = black_box(cluster_workload(&workload, &times, config));
+        fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
+        identical &= fast == expected && slow == expected;
+    }
+    let check = RootRatioCheck {
+        workload: workload.name().to_string(),
+        invocations: workload.num_invocations(),
+        fast_ns,
+        reference_ns,
+        ratio: fast_ns / reference_ns.max(1.0),
+        identical,
+    };
+    check.report();
+    check
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,11 +1,13 @@
 //! Threads=1 vs threads=N smoke check on the largest synthetic suite.
 //!
-//! The assertion is *determinism only*: the parallel run must produce a
-//! bit-identical summary. The measured speedup is printed (run with
-//! `--nocapture` to see it) but never gated on — CI machines are too noisy
-//! for wall-clock thresholds.
+//! The thread-scaling assertion is *determinism only*: the parallel run
+//! must produce a bit-identical summary. The measured speedup is printed
+//! (run with `--nocapture` to see it) but never gated on — CI machines are
+//! too noisy for absolute wall-clock thresholds. The one timing gate is a
+//! ratio of two paths measured in this same process (ROOT's recursion
+//! against its reference), which machine speed cancels out of.
 
-use stem_bench::microbench::{grouped_timing_check, scaling_smoke_check};
+use stem_bench::microbench::{grouped_timing_check, root_ratio_check, scaling_smoke_check};
 
 /// Regression entry for the deterministic-core/jitter split: the grouped
 /// ground-truth path must stay bit-identical to the per-invocation
@@ -34,6 +36,29 @@ fn parallel_run_matches_serial_and_reports_speedup() {
     assert!(
         check.identical,
         "parallel run diverged from serial on {}",
+        check.workload
+    );
+}
+
+/// ROOT's sort-once, ping-pong recursion must reproduce the per-node-Vec
+/// reference recursion bit for bit, and take at most 0.85x its time (the
+/// fastest of 5 runs each, alternated in this process).
+#[test]
+fn root_recursion_matches_reference_and_beats_it() {
+    let check = root_ratio_check(5);
+    println!(
+        "root fast path vs reference on {}: ratio {:.2}",
+        check.workload, check.ratio
+    );
+    assert!(
+        check.identical,
+        "ROOT fast path diverged from the reference recursion on {}",
+        check.workload
+    );
+    assert!(
+        check.ratio <= 0.85,
+        "ROOT fast path took {:.2}x the reference's time on {} (gate: 0.85x)",
+        check.ratio,
         check.workload
     );
 }

@@ -5,15 +5,19 @@
 //! 2). In one dimension the optimal 2-means partition is a *contiguous*
 //! split of the sorted values, so instead of iterative Lloyd steps we find
 //! the globally optimal split in O(n) after sorting via prefix sums
-//! ([`best_two_split`]). A general exact DP (`O(k n^2)`) is provided for
-//! arbitrary `k` ([`kmeans_1d`]).
+//! ([`best_two_split`]; [`TwoSplitScan`] is its allocation-free prefix
+//! pass, which ROOT feeds cut by cut). A general exact DP (`O(k n^2)`) is
+//! provided for arbitrary `k` ([`kmeans_1d`]).
 
 
 /// The optimal two-way split of a set of values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoSplit {
     /// Values `< threshold` go to the lower cluster, the rest to the upper.
-    /// Lies strictly between the two clusters' extreme members.
+    /// With `a` the lower cluster's largest value and `b` the upper's
+    /// smallest, `a < threshold <= b`: the midpoint of the two, or `b`
+    /// itself when the midpoint rounds onto `a` (adjacent floats). So the
+    /// threshold realizes exactly the cut that `lower_count` reports.
     pub threshold: f64,
     /// Within-cluster sum of squared deviations after the split.
     pub sse: f64,
@@ -25,8 +29,8 @@ pub struct TwoSplit {
 ///
 /// Returns the split with minimal within-cluster SSE. If all values are
 /// equal the "split" places everything in the lower cluster
-/// (`lower_count == values.len()`, `sse == 0`) with the threshold just above
-/// the common value — callers should treat that as "no useful split".
+/// (`lower_count == values.len()`, `sse == 0`, `threshold == +inf`) —
+/// callers should treat that as "no useful split".
 ///
 /// # Panics
 ///
@@ -49,12 +53,11 @@ pub fn best_two_split(values: &[f64]) -> TwoSplit {
     best_two_split_sorted(&sorted)
 }
 
-/// [`best_two_split`] for values already sorted by [`f64::total_cmp`] —
-/// the entry point for ROOT's sort-once recursion, where children of a
-/// sorted range are contiguous subranges and never need re-sorting. The
-/// arithmetic is exactly [`best_two_split`]'s post-sort arithmetic, so
+/// [`best_two_split`] for values already sorted by [`f64::total_cmp`].
+/// The arithmetic is exactly [`best_two_split`]'s post-sort arithmetic, so
 /// `best_two_split(v)` and `best_two_split_sorted(sort(v))` return
-/// identical bits.
+/// identical bits. Validates its input, sums it, and runs one
+/// [`TwoSplitScan`] over it: two passes, no allocation.
 ///
 /// # Panics
 ///
@@ -71,50 +74,105 @@ pub fn best_two_split_sorted(sorted: &[f64]) -> TwoSplit {
         );
     }
     let n = sorted.len();
-
     if n == 1 || sorted[0] == sorted[n - 1] {
         return TwoSplit {
-            threshold: sorted[n - 1] + 1.0,
+            threshold: f64::INFINITY,
             sse: 0.0,
             lower_count: n,
         };
     }
+    let (sum, sum_sq) = sorted
+        .iter()
+        .fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
+    TwoSplitScan::run(sorted, sum, sum_sq).best()
+}
 
-    // Prefix sums for O(1) segment SSE:
-    // sse(l..r) = sum x^2 - (sum x)^2 / len
-    let mut pre = vec![0.0; n + 1];
-    let mut pre2 = vec![0.0; n + 1];
-    for (i, &v) in sorted.iter().enumerate() {
-        pre[i + 1] = pre[i] + v;
-        pre2[i + 1] = pre2[i] + v * v;
-    }
-    let seg_sse = |l: usize, r: usize| -> f64 {
-        // SSE of sorted[l..r], r exclusive.
-        let len = (r - l) as f64;
-        let s = pre[r] - pre[l];
-        let s2 = pre2[r] - pre2[l];
-        (s2 - s * s / len).max(0.0)
-    };
+/// The prefix pass of the optimal two-way split, one cut at a time — the
+/// single implementation of its arithmetic. [`best_two_split_sorted`] runs
+/// it over a whole slice; ROOT feeds it a child's cuts inside the loop
+/// that folds the child's statistics, so a split costs no pass of its own.
+///
+/// The scan needs the slice's totals up front: `sum` and `sum_sq` are the
+/// left-to-right sums `Σ v` and `Σ v * v` from `0.0`, exactly the last
+/// entries of the prefix-sum arrays the split used to build, and the
+/// upper segment's sums are taken as `total - prefix`. The values fed must
+/// be finite and sorted by `total_cmp`; that is not re-checked (a
+/// violation gives a meaningless split, never undefined behavior).
+#[derive(Debug, Clone, Copy)]
+pub struct TwoSplitScan {
+    len: usize,
+    sum: f64,
+    sum_sq: f64,
+    pre: f64,
+    pre2: f64,
+    best: TwoSplit,
+    lower_sums: (f64, f64),
+}
 
-    let mut best = TwoSplit {
-        threshold: 0.0,
-        sse: f64::INFINITY,
-        lower_count: 0,
-    };
-    for cut in 1..n {
-        if sorted[cut] == sorted[cut - 1] {
-            continue; // equal values must not straddle the cut
+impl TwoSplitScan {
+    /// An empty scan over `len` sorted values with the given totals.
+    pub fn new(len: usize, sum: f64, sum_sq: f64) -> Self {
+        TwoSplitScan {
+            len,
+            sum,
+            sum_sq,
+            pre: 0.0,
+            pre2: 0.0,
+            best: TwoSplit {
+                threshold: 0.0,
+                sse: f64::INFINITY,
+                lower_count: 0,
+            },
+            lower_sums: (0.0, 0.0),
         }
-        let sse = seg_sse(0, cut) + seg_sse(cut, n);
-        if sse < best.sse {
-            best = TwoSplit {
-                threshold: (sorted[cut - 1] + sorted[cut]) / 2.0,
+    }
+
+    /// A scan fed every cut of `sorted` (see [`TwoSplitScan::new`] for
+    /// what `sum` and `sum_sq` must be).
+    pub fn run(sorted: &[f64], sum: f64, sum_sq: f64) -> Self {
+        let mut scan = TwoSplitScan::new(sorted.len(), sum, sum_sq);
+        for (i, w) in sorted.windows(2).enumerate() {
+            scan.step(i + 1, w[0], w[1]);
+        }
+        scan
+    }
+
+    /// Feeds the cut between `a = sorted[cut - 1]` and `b = sorted[cut]`.
+    /// Cuts must be fed in order, `cut = 1, 2, ..., len - 1`.
+    #[inline]
+    pub fn step(&mut self, cut: usize, a: f64, b: f64) {
+        self.pre += a;
+        self.pre2 += a * a;
+        if b == a {
+            return; // equal values must not straddle the cut
+        }
+        // sse(l..r) = sum x^2 - (sum x)^2 / len, per segment.
+        let (pre, pre2) = (self.pre, self.pre2);
+        let (s, s2) = (self.sum - pre, self.sum_sq - pre2);
+        let sse = (pre2 - pre * pre / cut as f64).max(0.0)
+            + (s2 - s * s / (self.len - cut) as f64).max(0.0);
+        if sse < self.best.sse {
+            let mid = (a + b) / 2.0;
+            self.best = TwoSplit {
+                threshold: if a < mid && mid <= b { mid } else { b },
                 sse,
                 lower_count: cut,
             };
+            self.lower_sums = (pre, pre2);
         }
     }
-    best
+
+    /// The best split among the cuts fed so far; `lower_count == 0` when
+    /// none was admissible (no cut fed, or all values equal).
+    pub fn best(&self) -> TwoSplit {
+        self.best
+    }
+
+    /// `(Σ v, Σ v * v)` over the best split's lower cluster, left to
+    /// right from `0.0`: exactly the totals a scan of that cluster needs.
+    pub fn lower_sums(&self) -> (f64, f64) {
+        self.lower_sums
+    }
 }
 
 /// Exact 1-D k-means by dynamic programming over the sorted order
@@ -220,6 +278,47 @@ mod tests {
         let s = best_two_split(&[5.0; 8]);
         assert_eq!(s.lower_count, 8);
         assert_eq!(s.sse, 0.0);
+    }
+
+    #[test]
+    fn two_split_threshold_realizes_adjacent_ulp_cut() {
+        // The midpoint of `a` and `next_up(a)` rounds onto `a`; the
+        // threshold must still put exactly the two `a`s below it.
+        let a = 1000.0_f64;
+        let b = a.next_up();
+        let s = best_two_split(&[a, b, a, b]);
+        assert_eq!(s.lower_count, 2);
+        assert!(
+            a < s.threshold && s.threshold <= b,
+            "threshold {}",
+            s.threshold
+        );
+        assert_eq!([a, b, a, b].iter().filter(|&&v| v < s.threshold).count(), 2);
+    }
+
+    #[test]
+    fn two_split_constant_above_2_pow_53_keeps_everything_lower() {
+        // `max + 1.0 == max` up here; the no-split threshold is +inf.
+        let v = 2f64.powi(60);
+        let s = best_two_split(&[v; 5]);
+        assert_eq!(s.lower_count, 5);
+        assert_eq!(s.threshold, f64::INFINITY);
+    }
+
+    #[test]
+    fn scan_lower_sums_are_the_lower_clusters_totals() {
+        let mut sorted = vec![3.0, 1.0, 4.0, 1.5, 9.2, 2.6, 5.3, 5.8, 9.7, 9.3, 9.3];
+        sorted.sort_by(f64::total_cmp);
+        let (sum, sum_sq) = sorted
+            .iter()
+            .fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
+        let scan = TwoSplitScan::run(&sorted, sum, sum_sq);
+        assert_eq!(scan.best(), best_two_split_sorted(&sorted));
+        let lower = &sorted[..scan.best().lower_count];
+        let totals = lower
+            .iter()
+            .fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
+        assert_eq!(scan.lower_sums(), totals);
     }
 
     #[test]

@@ -39,5 +39,5 @@ pub mod pca;
 pub mod quality;
 
 pub use kmeans::{ClusterMembership, KMeans, KMeansConfig};
-pub use kmeans1d::{best_two_split, best_two_split_sorted, kmeans_1d, TwoSplit};
+pub use kmeans1d::{best_two_split, best_two_split_sorted, kmeans_1d, TwoSplit, TwoSplitScan};
 pub use matrix::Matrix;

@@ -41,10 +41,9 @@ fn two_split_partitions_and_never_beats_total_sse() {
         let values = vec_in(&mut rng, 0.001, 1e6, 2, 300);
         let split = best_two_split(&values);
         let below = values.iter().filter(|&&v| v < split.threshold).count();
-        // The threshold realizes the reported partition.
-        if split.lower_count < values.len() {
-            assert_eq!(below, split.lower_count, "case {case}");
-        }
+        // The threshold realizes the reported partition, the no-split
+        // case (everything lower) included.
+        assert_eq!(below, split.lower_count, "case {case}");
         // Split SSE never exceeds the unsplit SSE.
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let total: f64 = values.iter().map(|v| (v - mean).powi(2)).sum();

@@ -12,7 +12,7 @@
 
 use crate::config::StemConfig;
 use gpu_workload::{KernelId, Workload};
-use stem_cluster::{best_two_split_sorted, kmeans_1d};
+use stem_cluster::{kmeans_1d, TwoSplitScan};
 use stem_stats::clt::sample_size;
 use stem_stats::kkt::{solve_sample_sizes, ClusterStat};
 use stem_stats::Summary;
@@ -59,10 +59,9 @@ pub fn cluster_indices(
         );
     }
     config.validate();
-    let mut tagged = Vec::new();
-    let (node, stat) = root_node(members, times);
-    split_recursive(KernelId(0), node, stat, config, 0, &mut tagged);
-    tagged
+    let mut leaves = Vec::new();
+    split_group(KernelId(0), &members, times, config, &mut leaves);
+    leaves
         .into_iter()
         .map(|c| IndexCluster {
             members: c.members,
@@ -89,9 +88,10 @@ pub fn cluster_workload(
 
 /// [`cluster_workload`] with the per-kernel groups split across `par`
 /// threads. Each kernel's recursive splitting is independent of every
-/// other kernel's (no RNG, no shared accumulators), and the leaf clusters
-/// are concatenated in the groups' deterministic `BTreeMap` order — so the
-/// result is bit-identical to the serial clustering at any thread count.
+/// other kernel's (no RNG, no shared accumulators, buffers owned by the
+/// task), and the leaf clusters are concatenated in the groups'
+/// deterministic `BTreeMap` order — so the result is bit-identical to the
+/// serial clustering at any thread count.
 ///
 /// # Panics
 ///
@@ -102,6 +102,20 @@ pub fn cluster_workload_par(
     config: &StemConfig,
     par: stem_par::Parallelism,
 ) -> Vec<KernelCluster> {
+    validate_workload_times(workload, times, config);
+    let groups: Vec<(KernelId, Vec<usize>)> =
+        workload.invocations_by_kernel().into_iter().collect();
+    let per_group = stem_par::par_map_indexed(par, &groups, |_, (kernel, members)| {
+        let mut leaves = Vec::new();
+        split_group(*kernel, members, times, config, &mut leaves);
+        leaves
+    });
+    per_group.into_iter().flatten().collect()
+}
+
+/// The entry checks of [`cluster_workload_par`], shared with
+/// [`reference::cluster_workload`].
+fn validate_workload_times(workload: &Workload, times: &[f64], config: &StemConfig) {
     assert_eq!(
         times.len(),
         workload.num_invocations(),
@@ -115,168 +129,527 @@ pub fn cluster_workload_par(
         );
     }
     config.validate();
-
-    let groups: Vec<(KernelId, Vec<usize>)> =
-        workload.invocations_by_kernel().into_iter().collect();
-    let per_group = stem_par::par_map_indexed(par, &groups, |_, (kernel, members)| {
-        let mut local = Vec::new();
-        let (node, stat) = root_node(members.clone(), times);
-        split_recursive(*kernel, node, stat, config, 0, &mut local);
-        local
-    });
-    per_group.into_iter().flatten().collect()
 }
 
-/// Per-node state carried down ROOT's recursion: member indices and their
-/// times in stream order, plus the same times sorted once by `total_cmp`.
-/// A sorted array is a unique function of its value multiset, and the two
-/// children of a sorted range are contiguous subranges — so the recursion
-/// sorts each kernel group exactly once at the root and every descendant
-/// split is O(n), where it used to re-sort at every node.
+/// A `(member, time)` row: an item index and its profiled time.
+type Row = (usize, f64);
+
+/// One node of the recursion: rows `lo..hi` of its kernel's buffers and
+/// sorted times, the node's stream-order statistics, and (k = 2) its
+/// optimal cut, scanned while its parent folded it. A node owns no
+/// allocation.
+#[derive(Clone, Copy)]
 struct Node {
-    members: Vec<usize>,
-    values: Vec<f64>,
-    sorted: Vec<f64>,
-}
-
-/// Builds a root [`Node`] plus its statistics from raw member indices.
-fn root_node(members: Vec<usize>, times: &[f64]) -> (Node, ClusterStat) {
-    let values: Vec<f64> = members.iter().map(|&i| times[i]).collect();
-    let summary: Summary = values.iter().copied().collect();
-    let stat = ClusterStat::new(
-        members.len() as u64,
-        summary.mean(),
-        summary.population_std_dev(),
-    );
-    let mut sorted = values.clone();
-    sorted.sort_by(f64::total_cmp);
-    (Node { members, values, sorted }, stat)
-}
-
-/// Recursive splitter for one cluster of one kernel. `stat` is the node's
-/// statistics, computed by the parent (the same stream-order [`Summary`]
-/// fold the parent needed for its own tau comparison — passing it down
-/// halves the folding work and changes no bits).
-fn split_recursive(
-    kernel: KernelId,
-    node: Node,
+    lo: usize,
+    hi: usize,
     stat: ClusterStat,
+    /// `None` at the root (whose times are not sorted yet) and for k > 2.
+    scan: Option<TwoSplitScan>,
+}
+
+/// One kernel group's recursion state, allocated once per group:
+///
+/// - `rows`: a ping-pong pair of `(member, time)` buffers. A node at
+///   depth `d` holds its rows, in stream order, in `rows[d % 2][lo..hi]`
+///   (the root's are gathered into `rows[0]`). Splitting it partitions
+///   them stably into `rows[1 - d % 2][lo..hi]`, lower child first, so
+///   each child keeps stream order (its `Summary` bits equal a fold over
+///   the original stream) and nothing is copied back. A child's subtree
+///   only touches its own range of either buffer, and a node whose split
+///   is rejected still has its rows intact.
+/// - `sorted`: the group's times, sorted once, when the root first needs
+///   to split. A node's sorted values are `sorted[lo..hi]`: the children
+///   of a sorted range are contiguous subranges, so nothing is re-sorted
+///   or copied below the root.
+struct Recursion<'a> {
+    kernel: KernelId,
+    config: &'a StemConfig,
+    rows: [Vec<Row>; 2],
+    sorted: Vec<f64>,
+    out: &'a mut Vec<KernelCluster>,
+}
+
+/// Runs ROOT over one kernel group — `members` in stream order, every
+/// referenced time already validated positive and finite — appending its
+/// leaves to `out` in depth-first, lower-child-first order.
+fn split_group(
+    kernel: KernelId,
+    members: &[usize],
+    times: &[f64],
     config: &StemConfig,
-    depth: usize,
     out: &mut Vec<KernelCluster>,
 ) {
-    let Node { members, values, sorted } = node;
-    let stop_here = members.len() < config.min_split_size
-        || stat.std_dev == 0.0
-        || depth >= config.max_depth;
-    if stop_here {
-        out.push(KernelCluster {
-            kernel,
-            members,
-            stat,
-        });
-        return;
+    // One gather pass builds the root's rows and folds its stream-order
+    // statistics; the fold's latency chain overlaps the gather's loads.
+    let mut rows = Vec::with_capacity(members.len());
+    let mut summary = Summary::new();
+    for &m in members {
+        let v = times[m];
+        rows.push((m, v));
+        summary.push(v);
     }
+    let root = Node {
+        lo: 0,
+        hi: rows.len(),
+        stat: cluster_stat(rows.len(), &summary),
+        scan: None,
+    };
+    let mut recursion = Recursion {
+        kernel,
+        config,
+        rows: [rows, Vec::new()],
+        sorted: Vec::new(),
+        out,
+    };
+    recursion.split(root, 0);
+}
 
-    // tau_old (Eq. 7): projected sampled time without splitting.
-    let eps = config.epsilon;
-    let z = config.z();
-    let m_old = sample_size(stat.mean, stat.std_dev, eps, z).min(stat.n);
-    let tau_old = m_old as f64 * stat.mean;
-
-    // Split into k sub-clusters by execution time.
-    let children = split_once(&members, &values, &sorted, config.k_split);
-    if children.len() < 2 {
-        out.push(KernelCluster {
-            kernel,
-            members,
-            stat,
-        });
-        return;
-    }
-
-    // tau_new (Eq. 8): joint KKT projection across the children.
-    let child_stats: Vec<ClusterStat> = children
-        .iter()
-        .map(|c| {
-            let s: Summary = c.values.iter().copied().collect();
-            ClusterStat::new(c.members.len() as u64, s.mean(), s.population_std_dev())
-        })
-        .collect();
-    let sol = solve_sample_sizes(&child_stats, eps, z);
-    let tau_new = sol.tau;
-
-    if tau_new < tau_old {
-        for (child, child_stat) in children.into_iter().zip(child_stats) {
-            split_recursive(kernel, child, child_stat, config, depth + 1, out);
+impl Recursion<'_> {
+    /// Splits `node` (at `depth`) while STEM projects the split to reduce
+    /// sampled simulation time, emitting the leaves it ends at.
+    fn split(&mut self, node: Node, depth: usize) {
+        let config = self.config;
+        let stat = node.stat;
+        if node.hi - node.lo < config.min_split_size
+            || stat.std_dev == 0.0
+            || depth >= config.max_depth
+        {
+            return self.leaf(node, depth);
         }
-    } else {
-        out.push(KernelCluster {
-            kernel,
+
+        // tau_old (Eq. 7): projected sampled time without splitting.
+        let eps = config.epsilon;
+        let z = config.z();
+        let m_old = sample_size(stat.mean, stat.std_dev, eps, z).min(stat.n);
+        let tau_old = m_old as f64 * stat.mean;
+        // tau_new (Eq. 8): joint KKT projection across the children.
+        let pays = |stats: &[ClusterStat]| solve_sample_sizes(stats, eps, z).tau < tau_old;
+
+        if config.k_split == 2 {
+            match self.split_two(node, depth) {
+                Some([lower, upper]) if pays(&[lower.stat, upper.stat]) => {
+                    self.split(lower, depth + 1);
+                    self.split(upper, depth + 1);
+                }
+                _ => self.leaf(node, depth),
+            }
+        } else {
+            let children = self.split_k(node, depth);
+            let stats: Vec<ClusterStat> = children.iter().map(|c| c.stat).collect();
+            if children.len() >= 2 && pays(&stats) {
+                for child in children {
+                    self.split(child, depth + 1);
+                }
+            } else {
+                self.leaf(node, depth);
+            }
+        }
+    }
+
+    /// The k = 2 split (the paper's setting): the node's optimal cut, a
+    /// stable partition of its rows at that cut into the other buffer, and
+    /// one fold over both children that also scans their own cuts. `None`
+    /// when the values admit no cut.
+    fn split_two(&mut self, node: Node, depth: usize) -> Option<[Node; 2]> {
+        let Node { lo, hi, .. } = node;
+        let scan = match node.scan {
+            Some(scan) => scan,
+            None => self.sort_root(),
+        };
+        let cut = scan.best();
+        if cut.lower_count == 0 || cut.lower_count == hi - lo {
+            return None;
+        }
+        let (src, dst, sorted) = self.buffers(depth);
+        let dst = &mut dst[lo..hi];
+        partition(&src[lo..hi], dst, cut.threshold, cut.lower_count);
+        Some(fold_children(dst, &sorted[lo..hi], lo, cut.lower_count, scan.lower_sums()))
+    }
+
+    /// Sorts the group's times, once, and scans the root's cuts. For
+    /// positive finite floats the `u64` bit order is exactly the
+    /// `total_cmp` order, and an integer sort is the cheaper one.
+    fn sort_root(&mut self) -> TwoSplitScan {
+        let mut bits: Vec<u64> = self.rows[0].iter().map(|&(_, v)| v.to_bits()).collect();
+        bits.sort_unstable();
+        self.sorted = bits.into_iter().map(f64::from_bits).collect();
+        // The group's one sortedness check, fused with the root's totals.
+        let (mut prev, mut sum, mut sum_sq) = (0.0, 0.0, 0.0);
+        for &v in &self.sorted {
+            assert!(prev <= v, "kernel times must sort as positive finite floats");
+            prev = v;
+            sum += v;
+            sum_sq += v * v;
+        }
+        TwoSplitScan::run(&self.sorted, sum, sum_sq)
+    }
+
+    /// The k > 2 split (an ablation; the paper uses k = 2): the exact DP
+    /// over the node's stream-order times, then a stable counting
+    /// partition of its rows into the other buffer in cluster order, with
+    /// empty clusters dropped. Allocates per node, as the DP does anyway.
+    fn split_k(&mut self, node: Node, depth: usize) -> Vec<Node> {
+        let Node { lo, hi, .. } = node;
+        let k = self.config.k_split;
+        let (src, dst, _) = self.buffers(depth);
+        let (src, dst) = (&src[lo..hi], &mut dst[lo..hi]);
+        let values: Vec<f64> = src.iter().map(|&(_, v)| v).collect();
+        let (assignments, _) = kmeans_1d(&values, k);
+        let clusters = assignments.iter().max().map_or(0, |&a| a + 1);
+        // starts[c] = first row of cluster c in `dst`.
+        let mut starts = vec![0; clusters + 1];
+        for &a in &assignments {
+            starts[a + 1] += 1;
+        }
+        for c in 1..=clusters {
+            starts[c] += starts[c - 1];
+        }
+        let mut next = starts.clone();
+        for (&row, &a) in src.iter().zip(&assignments) {
+            dst[next[a]] = row;
+            next[a] += 1;
+        }
+        starts
+            .windows(2)
+            .filter(|w| w[0] < w[1])
+            .map(|w| Node {
+                lo: lo + w[0],
+                hi: lo + w[1],
+                stat: stream_stat(&dst[w[0]..w[1]]),
+                scan: None,
+            })
+            .collect()
+    }
+
+    /// The rows of the nodes at `depth`, the buffer their children go to,
+    /// and the sorted times; the second buffer is allocated on first use.
+    fn buffers(&mut self, depth: usize) -> (&[Row], &mut [Row], &[f64]) {
+        let [even, odd] = &mut self.rows;
+        if odd.is_empty() {
+            *odd = vec![(0, 0.0); even.len()];
+        }
+        let (src, dst) = if depth.is_multiple_of(2) { (even, odd) } else { (odd, even) };
+        (src, dst, &self.sorted)
+    }
+
+    /// Emits `node` (at `depth`) as a leaf; its members are its rows, in
+    /// stream order.
+    fn leaf(&mut self, node: Node, depth: usize) {
+        let rows = &self.rows[depth % 2][node.lo..node.hi];
+        let members = rows.iter().map(|&(m, _)| m).collect();
+        self.out.push(KernelCluster {
+            kernel: self.kernel,
             members,
-            stat,
+            stat: node.stat,
         });
     }
 }
 
-/// One k-way 1-D split. Uses the exact O(n) two-way split over the node's
-/// pre-sorted values for `k = 2` (the paper's setting) and the exact DP
-/// for larger `k`. Children that would be empty are dropped. `values[j]`
-/// is the time of `members[j]`; `sorted` is the same multiset ordered by
-/// `total_cmp`.
-fn split_once(members: &[usize], values: &[f64], sorted: &[f64], k: usize) -> Vec<Node> {
-    if k == 2 {
-        let split = best_two_split_sorted(sorted);
-        if split.lower_count == 0 || split.lower_count == members.len() {
-            return vec![Node {
-                members: members.to_vec(),
-                values: values.to_vec(),
-                sorted: sorted.to_vec(),
-            }];
+/// Stable branchless partition of `src` into `dst` (same length): rows
+/// timed `< threshold` fill `dst[..lower_count]`, the rest
+/// `dst[lower_count..]`, each side in `src` order.
+fn partition(src: &[Row], dst: &mut [Row], threshold: f64, lower_count: usize) {
+    let (mut lower, mut upper) = (0, lower_count);
+    for &row in src {
+        let below = row.1 < threshold;
+        dst[if below { lower } else { upper }] = row;
+        lower += usize::from(below);
+        upper += usize::from(!below);
+    }
+    assert_eq!(lower, lower_count, "a split's threshold must realize its cut");
+}
+
+/// One child's running fold: its stream-order [`Summary`] and the scan of
+/// its own cuts over its sorted range.
+struct Fold {
+    summary: Summary,
+    scan: TwoSplitScan,
+}
+
+impl Fold {
+    fn new(len: usize, (sum, sum_sq): (f64, f64)) -> Self {
+        Fold {
+            summary: Summary::new(),
+            scan: TwoSplitScan::new(len, sum, sum_sq),
         }
-        // The children's sorted arrays are contiguous subranges of the
-        // parent's. The boundary is located with the same `v < threshold`
-        // predicate the stream partition below uses — the midpoint
-        // threshold can round onto one of its neighbors, so the cut index
-        // itself is not authoritative for membership.
-        let boundary = sorted.partition_point(|&v| v < split.threshold);
-        let mut lower = Node {
-            members: Vec::with_capacity(boundary),
-            values: Vec::with_capacity(boundary),
-            sorted: sorted[..boundary].to_vec(),
-        };
-        let mut upper = Node {
-            members: Vec::with_capacity(members.len() - boundary),
-            values: Vec::with_capacity(members.len() - boundary),
-            sorted: sorted[boundary..].to_vec(),
-        };
-        for (&idx, &v) in members.iter().zip(values) {
-            let child = if v < split.threshold { &mut lower } else { &mut upper };
-            child.members.push(idx);
-            child.values.push(v);
+    }
+
+    /// Folds the child's stream-order row `cut` and scans its sorted cut
+    /// `w = [sorted[cut - 1], sorted[cut]]`.
+    #[inline]
+    fn push(&mut self, cut: usize, streamed: f64, w: &[f64]) {
+        self.summary.push(streamed);
+        self.scan.step(cut, w[0], w[1]);
+    }
+
+    /// Folds the child's rows and cuts from `cut` (at least 1) to its end.
+    fn push_from(&mut self, cut: usize, rows: &[Row], sorted: &[f64]) {
+        let cuts = rows[cut..].iter().zip(sorted[cut - 1..].windows(2));
+        for (cut, (r, w)) in (cut..).zip(cuts) {
+            self.push(cut, r.1, w);
         }
-        vec![lower, upper]
-    } else {
-        // Ablation-only path (k > 2): keep the DP and re-sort each child.
-        let (assignments, _) = kmeans_1d(values, k);
-        let num = assignments.iter().copied().max().unwrap_or(0) + 1;
-        let mut children: Vec<Node> = (0..num)
-            .map(|_| Node {
-                members: Vec::new(),
-                values: Vec::new(),
-                sorted: Vec::new(),
+    }
+
+    fn node(&self, lo: usize, hi: usize) -> Node {
+        Node {
+            lo,
+            hi,
+            stat: cluster_stat(hi - lo, &self.summary),
+            scan: Some(self.scan),
+        }
+    }
+}
+
+/// Folds both children of a split at `lo + lower_count` in one loop;
+/// `rows` and `sorted` are the parent's partitioned rows and sorted range,
+/// `lower_sums` the lower child's sorted totals (from the parent's scan).
+/// Per child that is its stream-order `Summary` (its statistics) and the
+/// scan of its own cuts, so a child that splits needs no pass of its own.
+/// The children's chains are independent, so the loop overlaps them while
+/// every bit equals a separate fold and scan per child.
+fn fold_children(
+    rows: &[Row],
+    sorted: &[f64],
+    lo: usize,
+    lower_count: usize,
+    lower_sums: (f64, f64),
+) -> [Node; 2] {
+    let (lower_rows, upper_rows) = rows.split_at(lower_count);
+    let (lower_sorted, upper_sorted) = sorted.split_at(lower_count);
+    let upper_sums = upper_sorted
+        .iter()
+        .fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
+    let mut lower = Fold::new(lower_count, lower_sums);
+    let mut upper = Fold::new(upper_sorted.len(), upper_sums);
+    lower.summary.push(lower_rows[0].1);
+    upper.summary.push(upper_rows[0].1);
+    // Row `cut >= 1` of a child pairs with its sorted cut `cut`.
+    let lower_cuts = lower_rows[1..].iter().zip(lower_sorted.windows(2));
+    let upper_cuts = upper_rows[1..].iter().zip(upper_sorted.windows(2));
+    for (cut, ((l, lw), (u, uw))) in (1..).zip(lower_cuts.zip(upper_cuts)) {
+        lower.push(cut, l.1, lw);
+        upper.push(cut, u.1, uw);
+    }
+    let both = lower_rows.len().min(upper_rows.len());
+    lower.push_from(both, lower_rows, lower_sorted);
+    upper.push_from(both, upper_rows, upper_sorted);
+    let mid = lo + lower_count;
+    [lower.node(lo, mid), upper.node(mid, lo + rows.len())]
+}
+
+/// A node's statistics: the stream-order [`Summary`] fold over its rows.
+fn stream_stat(rows: &[Row]) -> ClusterStat {
+    let mut summary = Summary::new();
+    for &(_, v) in rows {
+        summary.push(v);
+    }
+    cluster_stat(rows.len(), &summary)
+}
+
+/// The [`ClusterStat`] of `n` rows folded into `summary`.
+fn cluster_stat(n: usize, summary: &Summary) -> ClusterStat {
+    ClusterStat::new(n as u64, summary.mean(), summary.population_std_dev())
+}
+
+/// The recursion ROOT ran before the sort-once, ping-pong rewrite: every
+/// node owns fresh `members`/`values`/`sorted` vectors, re-checks its
+/// sorted input, and folds each child's statistics separately. Kept as the
+/// executable specification the equivalence suites pin the production
+/// path to, bit for bit.
+#[doc(hidden)]
+pub mod reference {
+    use super::{validate_workload_times, IndexCluster, KernelCluster};
+    use crate::config::StemConfig;
+    use gpu_workload::{KernelId, Workload};
+    use stem_cluster::{best_two_split_sorted, kmeans_1d};
+    use stem_stats::clt::sample_size;
+    use stem_stats::kkt::{solve_sample_sizes, ClusterStat};
+    use stem_stats::Summary;
+
+    /// Reference [`super::cluster_indices`].
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`super::cluster_indices`].
+    pub fn cluster_indices(
+        members: Vec<usize>,
+        times: &[f64],
+        config: &StemConfig,
+    ) -> Vec<IndexCluster> {
+        assert!(!members.is_empty(), "cannot cluster an empty group");
+        for &m in &members {
+            assert!(m < times.len(), "member index {m} out of range");
+            assert!(
+                times[m].is_finite() && times[m] > 0.0,
+                "profiled times must be positive and finite"
+            );
+        }
+        config.validate();
+        let mut tagged = Vec::new();
+        let (node, stat) = root_node(members, times);
+        split_recursive(KernelId(0), node, stat, config, 0, &mut tagged);
+        tagged
+            .into_iter()
+            .map(|c| IndexCluster {
+                members: c.members,
+                stat: c.stat,
+            })
+            .collect()
+    }
+
+    /// Reference [`super::cluster_workload`] (serial).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`super::cluster_workload`].
+    pub fn cluster_workload(
+        workload: &Workload,
+        times: &[f64],
+        config: &StemConfig,
+    ) -> Vec<KernelCluster> {
+        validate_workload_times(workload, times, config);
+        let mut out = Vec::new();
+        for (kernel, members) in workload.invocations_by_kernel() {
+            let (node, stat) = root_node(members, times);
+            split_recursive(kernel, node, stat, config, 0, &mut out);
+        }
+        out
+    }
+
+    /// Per-node state: member indices and their times in stream order,
+    /// plus the same times sorted by `total_cmp`.
+    struct Node {
+        members: Vec<usize>,
+        values: Vec<f64>,
+        sorted: Vec<f64>,
+    }
+
+    /// Builds a root [`Node`] plus its statistics from raw member indices.
+    fn root_node(members: Vec<usize>, times: &[f64]) -> (Node, ClusterStat) {
+        let values: Vec<f64> = members.iter().map(|&i| times[i]).collect();
+        let summary: Summary = values.iter().copied().collect();
+        let stat = ClusterStat::new(
+            members.len() as u64,
+            summary.mean(),
+            summary.population_std_dev(),
+        );
+        let mut sorted = values.clone();
+        sorted.sort_by(f64::total_cmp);
+        (Node { members, values, sorted }, stat)
+    }
+
+    /// Recursive splitter for one cluster of one kernel; `stat` is the
+    /// node's statistics, computed by the parent.
+    fn split_recursive(
+        kernel: KernelId,
+        node: Node,
+        stat: ClusterStat,
+        config: &StemConfig,
+        depth: usize,
+        out: &mut Vec<KernelCluster>,
+    ) {
+        let Node { members, values, sorted } = node;
+        let stop_here = members.len() < config.min_split_size
+            || stat.std_dev == 0.0
+            || depth >= config.max_depth;
+        if stop_here {
+            out.push(KernelCluster {
+                kernel,
+                members,
+                stat,
+            });
+            return;
+        }
+
+        let eps = config.epsilon;
+        let z = config.z();
+        let m_old = sample_size(stat.mean, stat.std_dev, eps, z).min(stat.n);
+        let tau_old = m_old as f64 * stat.mean;
+
+        let children = split_once(&members, &values, &sorted, config.k_split);
+        if children.len() < 2 {
+            out.push(KernelCluster {
+                kernel,
+                members,
+                stat,
+            });
+            return;
+        }
+
+        let child_stats: Vec<ClusterStat> = children
+            .iter()
+            .map(|c| {
+                let s: Summary = c.values.iter().copied().collect();
+                ClusterStat::new(c.members.len() as u64, s.mean(), s.population_std_dev())
             })
             .collect();
-        for ((&idx, &v), &a) in members.iter().zip(values).zip(&assignments) {
-            children[a].members.push(idx);
-            children[a].values.push(v);
+        let sol = solve_sample_sizes(&child_stats, eps, z);
+        let tau_new = sol.tau;
+
+        if tau_new < tau_old {
+            for (child, child_stat) in children.into_iter().zip(child_stats) {
+                split_recursive(kernel, child, child_stat, config, depth + 1, out);
+            }
+        } else {
+            out.push(KernelCluster {
+                kernel,
+                members,
+                stat,
+            });
         }
-        children.retain(|c| !c.members.is_empty());
-        for c in &mut children {
-            c.sorted = c.values.clone();
-            c.sorted.sort_by(f64::total_cmp);
+    }
+
+    /// One k-way 1-D split: the exact two-way split over the node's sorted
+    /// values for `k = 2`, the exact DP for larger `k`. Children that would
+    /// be empty are dropped.
+    fn split_once(members: &[usize], values: &[f64], sorted: &[f64], k: usize) -> Vec<Node> {
+        if k == 2 {
+            let split = best_two_split_sorted(sorted);
+            if split.lower_count == 0 || split.lower_count == members.len() {
+                return vec![Node {
+                    members: members.to_vec(),
+                    values: values.to_vec(),
+                    sorted: sorted.to_vec(),
+                }];
+            }
+            let boundary = sorted.partition_point(|&v| v < split.threshold);
+            let mut lower = Node {
+                members: Vec::with_capacity(boundary),
+                values: Vec::with_capacity(boundary),
+                sorted: sorted[..boundary].to_vec(),
+            };
+            let mut upper = Node {
+                members: Vec::with_capacity(members.len() - boundary),
+                values: Vec::with_capacity(members.len() - boundary),
+                sorted: sorted[boundary..].to_vec(),
+            };
+            for (&idx, &v) in members.iter().zip(values) {
+                let child = if v < split.threshold { &mut lower } else { &mut upper };
+                child.members.push(idx);
+                child.values.push(v);
+            }
+            vec![lower, upper]
+        } else {
+            let (assignments, _) = kmeans_1d(values, k);
+            let num = assignments.iter().copied().max().unwrap_or(0) + 1;
+            let mut children: Vec<Node> = (0..num)
+                .map(|_| Node {
+                    members: Vec::new(),
+                    values: Vec::new(),
+                    sorted: Vec::new(),
+                })
+                .collect();
+            for ((&idx, &v), &a) in members.iter().zip(values).zip(&assignments) {
+                children[a].members.push(idx);
+                children[a].values.push(v);
+            }
+            children.retain(|c| !c.members.is_empty());
+            for c in &mut children {
+                c.sorted = c.values.clone();
+                c.sorted.sort_by(f64::total_cmp);
+            }
+            children
         }
-        children
     }
 }
 
@@ -334,6 +707,30 @@ mod tests {
             );
             assert_eq!(par, serial, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn adjacent_ulp_values_split_at_their_cut() {
+        // `(a + next_up(a)) / 2` rounds onto `a`; the cut must still put
+        // both `a`s in the lower child (an empty child used to panic).
+        let w = flat_workload(8);
+        let (a, b) = (1000.0_f64, 1000.0_f64.next_up());
+        let times = vec![a, b, a, b, a, b, a, b];
+        let mut cfg = config();
+        cfg.min_split_size = 2;
+        let fast = cluster_workload(&w, &times, &cfg);
+        assert_eq!(fast, reference::cluster_workload(&w, &times, &cfg));
+        let total: usize = fast.iter().map(|c| c.members.len()).sum();
+        assert_eq!(total, 8);
+    }
+
+    #[test]
+    fn constant_group_above_2_pow_53_is_one_leaf() {
+        let w = flat_workload(16);
+        let times = vec![2f64.powi(60); 16];
+        let clusters = cluster_workload(&w, &times, &config());
+        assert_eq!(clusters.len(), 1);
+        assert_eq!(clusters, reference::cluster_workload(&w, &times, &config()));
     }
 
     #[test]

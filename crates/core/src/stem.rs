@@ -444,6 +444,29 @@ mod tests {
     }
 
     #[test]
+    fn adjacent_ulp_times_plan_without_panicking() {
+        // Two values one ulp apart: the split midpoint rounds onto the
+        // lower one, which once left ROOT an empty lower child.
+        use gpu_workload::kernel::KernelClassBuilder;
+        use gpu_workload::{RuntimeContext, SuiteKind, WorkloadBuilder};
+        let mut b = WorkloadBuilder::new("ulp", SuiteKind::Custom, 1);
+        let k = b.add_kernel(
+            KernelClassBuilder::new("k").build(),
+            vec![RuntimeContext::neutral()],
+        );
+        for _ in 0..1000 {
+            b.invoke(k, 0, 1.0);
+        }
+        let w = b.build();
+        let (a, up) = (1000.0_f64, 1000.0_f64.next_up());
+        let times: Vec<f64> = (0..1000).map(|i| if i % 2 == 0 { a } else { up }).collect();
+        let plan = sampler()
+            .try_plan_from_times(&w, &times, 7)
+            .expect("adjacent-ulp times are valid profiles");
+        assert!(plan.num_samples() >= 1);
+    }
+
+    #[test]
     fn plan_meets_bound_on_rodinia() {
         let suite = rodinia_suite(11);
         let sim = Simulator::new(GpuConfig::rtx2080());

@@ -155,3 +155,125 @@ fn tighter_epsilon_monotone() {
         assert!(tight >= loose, "case {case}: tight {tight} < loose {loose}");
     }
 }
+
+/// One kernel's profiled-time shape in the adversarial ROOT cases.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// Well-separated modes with a continuous wobble.
+    Modes,
+    /// A handful of distinct values, heavily repeated, so the best cut
+    /// would straddle a tie if ties were allowed to split.
+    Ties,
+    /// Values one or two ulps apart (midpoints round onto a neighbor).
+    AdjacentUlps,
+    /// Every invocation takes the same time.
+    Constant,
+}
+
+/// `len` times of the given shape.
+fn shape_times(rng: &mut StdRng, shape: Shape, len: usize) -> Vec<f64> {
+    let base = rng.random_range(1.0..1e5);
+    match shape {
+        Shape::Modes => {
+            let gap = rng.random_range(1.2..40.0);
+            (0..len)
+                .map(|i| {
+                    let mode = rng.random_range(0u32..3);
+                    base * gap.powi(mode as i32) * (1.0 + (i % 11) as f64 * 0.004)
+                })
+                .collect()
+        }
+        Shape::Ties => {
+            let levels = rng.random_range(2usize..5);
+            (0..len)
+                .map(|_| base * (1 + rng.random_range(0..levels)) as f64)
+                .collect()
+        }
+        Shape::AdjacentUlps => (0..len)
+            .map(|_| match rng.random_range(0u32..3) {
+                0 => base,
+                1 => base.next_up(),
+                _ => base.next_up().next_up(),
+            })
+            .collect(),
+        Shape::Constant => vec![base; len],
+    }
+}
+
+/// The sort-once, ping-pong ROOT recursion equals the per-node-Vec
+/// reference recursion on adversarial inputs: several kernels interleaved
+/// in one stream, each with a tie-heavy, adjacent-ulp, constant or
+/// multi-modal time shape and a size that is a singleton, just below or
+/// at `min_split_size`, or large; `max_depth` cut-offs and `k_split = 3`
+/// ride along. Both entry points are pinned: the workload one at two
+/// thread counts, and the index one over the whole stream.
+#[test]
+fn root_matches_reference_on_adversarial_cases() {
+    use stem_core::root::{cluster_indices, cluster_workload_par, reference};
+    const SHAPES: [Shape; 4] = [Shape::Modes, Shape::Ties, Shape::AdjacentUlps, Shape::Constant];
+    for case in 0..96u64 {
+        let mut rng = rng_for(5, case);
+        let mut cfg = StemConfig::paper();
+        cfg.min_split_size = rng.random_range(2usize..12);
+        if case % 4 == 1 {
+            cfg.max_depth = rng.random_range(1usize..4);
+        }
+        if case % 6 == 5 {
+            cfg.k_split = 3;
+        }
+        let kernels = 1 + (case as usize % 4);
+        let sizes: Vec<usize> = (0..kernels)
+            .map(|k| match (case as usize + k) % 5 {
+                0 => 1,
+                1 => cfg.min_split_size - 1,
+                2 => cfg.min_split_size,
+                _ => rng.random_range(16usize..if cfg.k_split == 2 { 400 } else { 90 }),
+            })
+            .map(|n| n.max(1))
+            .collect();
+        let per_kernel: Vec<Vec<f64>> = sizes
+            .iter()
+            .enumerate()
+            .map(|(k, &n)| shape_times(&mut rng, SHAPES[(case as usize + k) % 4], n))
+            .collect();
+
+        // Interleave the kernels' calls at random, each in its own order.
+        let mut b = WorkloadBuilder::new("adversarial", SuiteKind::Custom, 1);
+        let ids: Vec<_> = (0..kernels)
+            .map(|k| {
+                b.add_kernel(
+                    KernelClassBuilder::new(&format!("k{k}")).build(),
+                    vec![RuntimeContext::neutral()],
+                )
+            })
+            .collect();
+        let mut next = vec![0usize; kernels];
+        let mut times = Vec::new();
+        while let Some(k) = {
+            let open: Vec<usize> = (0..kernels).filter(|&k| next[k] < sizes[k]).collect();
+            (!open.is_empty()).then(|| open[rng.random_range(0..open.len())])
+        } {
+            b.invoke(ids[k], 0, 1.0);
+            times.push(per_kernel[k][next[k]]);
+            next[k] += 1;
+        }
+        let w = b.build();
+
+        let slow = reference::cluster_workload(&w, &times, &cfg);
+        for threads in [1usize, 3] {
+            let fast = cluster_workload_par(
+                &w,
+                &times,
+                &cfg,
+                stem_par::Parallelism::with_threads(threads),
+            );
+            assert_eq!(fast, slow, "case {case} at threads = {threads}");
+        }
+        let all: Vec<usize> = (0..times.len()).collect();
+        assert_eq!(
+            cluster_indices(all.clone(), &times, &cfg),
+            reference::cluster_indices(all, &times, &cfg),
+            "case {case}: index clusters"
+        );
+    }
+}

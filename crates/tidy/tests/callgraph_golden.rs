@@ -16,8 +16,11 @@ fn fixture(name: &str) -> String {
     fs::read_to_string(&p).unwrap_or_else(|e| panic!("read fixture {name}: {e}"))
 }
 
-fn build_tree(files: &[(&str, &str)]) -> PathBuf {
-    let root = std::env::temp_dir().join(format!("stem-tidy-cg-{}", std::process::id()));
+/// Materializes `files` under a temp root unique to this process and
+/// `tag`: the tests in this file run concurrently, and a shared root let
+/// one test delete the tree while the other was still reading it.
+fn build_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
+    let root = std::env::temp_dir().join(format!("stem-tidy-cg-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     for (rel, name) in files {
         let abs = root.join(rel);
@@ -29,7 +32,7 @@ fn build_tree(files: &[(&str, &str)]) -> PathBuf {
 
 #[test]
 fn dump_matches_committed_golden() {
-    let root = build_tree(&[
+    let root = build_tree("golden", &[
         ("crates/cluster/src/lib.rs", "cluster_lib.rs"),
         ("crates/cluster/src/geom.rs", "cluster_geom.rs"),
         ("crates/sim/src/lib.rs", "sim_lib.rs"),
@@ -48,7 +51,7 @@ fn dump_matches_committed_golden() {
 
 #[test]
 fn dump_edges_cover_the_resolution_strategies() {
-    let root = build_tree(&[
+    let root = build_tree("edges", &[
         ("crates/cluster/src/lib.rs", "cluster_lib.rs"),
         ("crates/cluster/src/geom.rs", "cluster_geom.rs"),
         ("crates/sim/src/lib.rs", "sim_lib.rs"),

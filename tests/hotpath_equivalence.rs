@@ -10,15 +10,17 @@
 //! thread count. The pre-overhaul implementations are kept as
 //! `#[doc(hidden)] pub mod reference` executable specifications
 //! (`gpu_sim::simulator::reference`, `gpu_sim::hardware::reference`,
-//! `stem_cluster::kmeans::reference`), and this suite pins the fast paths
-//! to them on one workload from each of the three synthetic suites, at
-//! threads ∈ {1, 4}.
+//! `stem_cluster::kmeans::reference`, `stem_core::root::reference`), and
+//! this suite pins the fast paths to them on one workload from each of the
+//! three synthetic suites, at threads ∈ {1, 4}.
 
 use std::path::PathBuf;
 
 use stem::cluster::kmeans::reference as kmeans_reference;
 use stem::cluster::{KMeans, KMeansConfig};
 use stem::core::eval::StreamingAggregate;
+use stem::core::root::{cluster_indices, cluster_workload_par, reference as root_reference};
+use stem::profile::ExecTimeProfiler;
 use stem::prelude::*;
 use stem::sim::hardware::{reference as hw_reference, HardwareRunner};
 use stem::sim::simulator::reference as sim_reference;
@@ -155,6 +157,39 @@ fn plans_and_clusters_are_unchanged_by_the_overhaul() {
                 s.clusters(w),
                 serial_clusters,
                 "{}: clusters diverged at threads = {threads}",
+                w.name()
+            );
+        }
+    }
+}
+
+#[test]
+fn root_matches_reference_recursion() {
+    // The sort-once, ping-pong ROOT recursion against the per-node-Vec
+    // recursion it replaced, on real profiled times: through the workload
+    // entry point at every thread count, and through the index entry point
+    // (the execution-trace path) per kernel group and over the whole
+    // stream as one group.
+    let config = StemConfig::paper();
+    let profiler = ExecTimeProfiler::new(config.profile_config.clone(), config.profile_seed);
+    for w in &suite_workloads() {
+        let times = profiler.profile(w);
+        let slow = root_reference::cluster_workload(w, &times, &config);
+        for threads in THREADS {
+            assert_eq!(
+                cluster_workload_par(w, &times, &config, Parallelism::with_threads(threads)),
+                slow,
+                "{}: ROOT clusters diverged at threads = {threads}",
+                w.name()
+            );
+        }
+        let mut groups: Vec<Vec<usize>> = w.invocations_by_kernel().into_values().collect();
+        groups.push((0..w.num_invocations()).collect());
+        for members in groups {
+            assert_eq!(
+                cluster_indices(members.clone(), &times, &config),
+                root_reference::cluster_indices(members, &times, &config),
+                "{}: index clusters diverged",
                 w.name()
             );
         }
