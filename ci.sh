@@ -6,12 +6,14 @@ cd "$(dirname "$0")"
 
 cargo build --workspace --release --offline
 cargo test --workspace -q --offline
-# The chaos, sealed-file, serve, parallel-equivalence and lint-engine
-# suites are part of the workspace run above; keep explicit invocations
-# so a fault-model, durability, job-materialization, determinism or lint
+# The chaos, sealed-file, workload-construction, serve,
+# parallel-equivalence and lint-engine suites are part of the workspace
+# run above; keep explicit invocations so a fault-model, durability,
+# fingerprint or group-id, job-materialization, determinism or lint
 # regression is named in CI output.
 cargo test -q --offline --test chaos
 cargo test -q --offline -p stem-storage
+cargo test -q --offline -p gpu-workload
 cargo test -q --offline -p stem-tidy
 cargo test -q --offline --test storage_chaos
 cargo test -q --offline --test colstore
@@ -21,8 +23,11 @@ cargo test -q --offline -p stem-serve
 cargo test -q --offline --test parallel_equivalence
 cargo test -q --offline --test hotpath_equivalence
 cargo test -q --offline --test coverage
-# Threads=1 vs threads=4 smoke check: asserts bit-identical results only;
-# the printed speedup is informational (never a gate).
+# Threads=1 vs threads=4 smoke check: asserts bit-identical results; the
+# printed thread speedup is informational (never a gate). It also gates on
+# two ratios measured within one process, which machine speed cancels out
+# of: ROOT's recursion against its reference (<= 0.85x) and one-pass
+# workload construction against its three-pass reference (<= 0.5x).
 cargo test -q --offline -p stem-bench --test scaling_smoke -- --nocapture
 # The tidy pass publishes its one-line JSON summary (violation, warning
 # and per-rule counts) as a committed artifact so rule-count drift shows

@@ -1,7 +1,8 @@
-//! Paper-scale hot-path benchmark: times ground-truth simulation,
-//! clustering (plan construction), and the end-to-end pipeline per suite,
-//! and emits a machine-readable `BENCH_hotpath.json` so every PR can be
-//! compared against the previous perf trajectory point.
+//! Paper-scale hot-path benchmark: times workload materialization,
+//! ground-truth simulation, clustering (plan construction), and the
+//! end-to-end pipeline per suite, and emits a machine-readable
+//! `BENCH_hotpath.json` so every change can be compared against the previous
+//! perf trajectory point.
 //!
 //! Usage:
 //!
@@ -102,12 +103,21 @@ fn parse_args() -> Result<(f64, u64, u32, String), StemError> {
 }
 
 fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> SuiteReport {
+    // Workload materialization: generation plus construction (range
+    // checks, timing groups, content fingerprint) of every workload.
+    let t = Instant::now();
     let workloads: Vec<Workload> = options.suite(kind);
+    let materialize_ns = t.elapsed().as_nanos();
     let invocations: u64 = workloads.iter().map(|w| w.num_invocations() as u64).sum();
     let sim = options.simulator();
     let par = stem_par::Parallelism::from_env();
     let sampler = StemRootSampler::new(options.stem_config.clone());
-    let mut sections = Vec::new();
+    let mut sections = vec![Section {
+        name: "workload_materialize",
+        wall_ns: materialize_ns,
+        units: invocations,
+        peak_rss_kb: peak_rss_kb(),
+    }];
 
     // Ground-truth simulation: the full analytic model over every
     // invocation, through the fold `Pipeline`, campaigns and `repro` run.

@@ -346,6 +346,124 @@ pub fn root_ratio_check(runs: usize) -> RootRatioCheck {
     check
 }
 
+/// Outcome of the one-pass workload constructor vs three-pass reference
+/// probe ([`construct_ratio_check`]).
+#[derive(Debug, Clone)]
+pub struct ConstructRatioCheck {
+    /// Workload the probe ran on.
+    pub workload: String,
+    /// Invocations per construction.
+    pub invocations: usize,
+    /// Fastest of the runs of `Workload::try_new`, nanoseconds.
+    pub fast_ns: f64,
+    /// Fastest of the runs of `gpu_workload::trace::reference::derive`,
+    /// nanoseconds.
+    pub reference_ns: f64,
+    /// fast / reference wall-clock ratio (below 1 is faster).
+    pub ratio: f64,
+    /// Whether every run of both paths derived bit-identical group ids,
+    /// representatives and fingerprints.
+    pub identical: bool,
+}
+
+impl ConstructRatioCheck {
+    fn report(&self) {
+        println!(
+            "construct {:<31} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}",
+            self.workload,
+            fmt_ns(self.reference_ns),
+            fmt_ns(self.fast_ns),
+            self.invocations,
+            self.ratio,
+            self.identical
+        );
+    }
+}
+
+/// Times workload construction on the largest HuggingFace workload
+/// `runs` times each, alternating between the one-pass
+/// `Workload::try_new` (from owned parts cloned before the clock starts)
+/// and the three-pass `trace::reference::derive` (table and range checks,
+/// hashed timing groups, plain fingerprint fold), and reports the ratio
+/// of their fastest runs. Both paths run in this process on the same
+/// inputs, so the ratio is meaningful where absolute times are not.
+///
+/// # Panics
+///
+/// Panics if `runs == 0` or the HuggingFace suite is empty.
+pub fn construct_ratio_check(runs: usize) -> ConstructRatioCheck {
+    use crate::harness::ExperimentOptions;
+    use gpu_workload::trace::reference;
+    use gpu_workload::{KernelId, SuiteKind, Workload};
+
+    assert!(runs > 0, "at least one run per path");
+    let options = ExperimentOptions::fast();
+    let workload = options
+        .suite(SuiteKind::Huggingface)
+        .into_iter()
+        .max_by_key(Workload::num_invocations)
+        .expect("huggingface suite is non-empty");
+    let contexts: Vec<_> = (0..workload.kernels().len())
+        .map(|k| workload.contexts_of(KernelId(k as u32)).to_vec())
+        .collect();
+    let derive = || {
+        reference::derive(
+            workload.name(),
+            workload.suite(),
+            workload.kernels(),
+            &contexts,
+            workload.invocations(),
+        )
+        .expect("a generated workload is valid")
+    };
+    let (group_of, representatives, fingerprint) = derive();
+    let matches = |w: &Workload| {
+        w.fingerprint() == fingerprint
+            && w.num_invocation_groups() == representatives.len()
+            && group_of
+                .iter()
+                .enumerate()
+                .all(|(i, &g)| w.group_of(i) == g)
+            && representatives
+                .iter()
+                .enumerate()
+                .all(|(g, &rep)| w.group_representative(g as u32) == rep)
+    };
+    let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut identical = true;
+    for _ in 0..runs {
+        let t = Instant::now();
+        let slow = black_box(derive());
+        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
+        let parts = (
+            workload.kernels().to_vec(),
+            contexts.clone(),
+            workload.invocations().to_vec(),
+        );
+        let t = Instant::now();
+        let fast = black_box(Workload::try_new(
+            workload.name(),
+            workload.suite(),
+            parts.0,
+            parts.1,
+            parts.2,
+        ));
+        fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
+        identical &= slow == (group_of.clone(), representatives.clone(), fingerprint)
+            && fast.as_ref().is_ok_and(|w| matches(w) && *w == workload);
+    }
+    let check = ConstructRatioCheck {
+        workload: workload.name().to_string(),
+        invocations: workload.num_invocations(),
+        fast_ns,
+        reference_ns,
+        ratio: fast_ns / reference_ns.max(1.0),
+        identical,
+    };
+    check.report();
+    check
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -3,11 +3,14 @@
 //! The thread-scaling assertion is *determinism only*: the parallel run
 //! must produce a bit-identical summary. The measured speedup is printed
 //! (run with `--nocapture` to see it) but never gated on — CI machines are
-//! too noisy for absolute wall-clock thresholds. The one timing gate is a
-//! ratio of two paths measured in this same process (ROOT's recursion
-//! against its reference), which machine speed cancels out of.
+//! too noisy for absolute wall-clock thresholds. The timing gates are
+//! ratios of two paths measured in this same process (ROOT's recursion
+//! and workload construction, each against its reference), which machine
+//! speed cancels out of.
 
-use stem_bench::microbench::{grouped_timing_check, root_ratio_check, scaling_smoke_check};
+use stem_bench::microbench::{
+    construct_ratio_check, grouped_timing_check, root_ratio_check, scaling_smoke_check,
+};
 
 /// Regression entry for the deterministic-core/jitter split: the grouped
 /// ground-truth path must stay bit-identical to the per-invocation
@@ -58,6 +61,30 @@ fn root_recursion_matches_reference_and_beats_it() {
     assert!(
         check.ratio <= 0.85,
         "ROOT fast path took {:.2}x the reference's time on {} (gate: 0.85x)",
+        check.ratio,
+        check.workload
+    );
+}
+
+/// One-pass workload construction must derive the three-pass reference's
+/// group ids, representatives and fingerprint bit for bit, and take at
+/// most 0.5x its time (the fastest of 5 runs each, alternated in this
+/// process).
+#[test]
+fn workload_construction_matches_reference_and_beats_it() {
+    let check = construct_ratio_check(5);
+    println!(
+        "one-pass construction vs reference on {}: ratio {:.2}",
+        check.workload, check.ratio
+    );
+    assert!(
+        check.identical,
+        "one-pass construction diverged from the reference on {}",
+        check.workload
+    );
+    assert!(
+        check.ratio <= 0.5,
+        "one-pass construction took {:.2}x the reference's time on {} (gate: 0.5x)",
         check.ratio,
         check.workload
     );

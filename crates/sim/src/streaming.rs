@@ -12,18 +12,15 @@
 //! content fingerprint serially, left to right.
 //!
 //! **Dense group slots.** When the tables arrive, the consumer lays out
-//! one slot per `(kernel, context)` pair, kernel `k`'s contexts at
-//! `slot_base[k]..slot_base[k + 1]` (prefix sums over the context
-//! tables). A slot remembers the last `(work_scale bits, group id)` it
-//! resolved. A row whose work scale matches its slot's takes that group
-//! id with one array index; only a miss (a new work scale for the pair,
-//! as in gaussian's shrinking submatrices) consults the
-//! `(slot, work bits) → group` map, and only a group never seen before
-//! gets a fresh id. Ids are minted in first-appearance order, so they are
-//! exactly [`Workload::group_of`]'s ids of the materialized stream. The
-//! range and work-scale checks run in the same pass, before anything in
-//! the block is timed, so the first invalid row is reported with its
-//! exact stream index.
+//! a [`GroupSlots`] table: one slot per `(kernel, context)` pair with a
+//! one-entry `(work_scale bits, group id)` cache, a `(slot, work bits) →
+//! group` map consulted only on a cache miss (a new work scale for the
+//! pair, as in gaussian's shrinking submatrices), and ids minted in
+//! first-appearance order. [`Workload::try_new`] assigns
+//! [`Workload::group_of`] through the same table, so the ids are exactly
+//! those of the materialized stream. The range and work-scale checks run
+//! in the same pass, before anything in the block is timed, so the first
+//! invalid row is reported with its exact stream index.
 //!
 //! Determinism argument, in the same terms as `stem-par`'s:
 //!
@@ -36,10 +33,10 @@
 //! 3. The channel bound only throttles the producer; it cannot reorder
 //!    blocks (`std::sync::mpsc` is FIFO).
 //!
-//! The consumer also re-folds the stream's content fingerprint and
-//! cross-checks it against the producer's [`StreamSummary`], so a total
-//! can never silently describe different content than the producer
-//! claims to have sent.
+//! The consumer also re-folds the stream's content fingerprint (through
+//! the prefix-memoized [`MemoFold`]) and cross-checks it against the
+//! producer's [`StreamSummary`], so a total can never silently describe
+//! different content than the producer claims to have sent.
 //!
 //! **In-memory workloads** ([`workload_total`]) skip the producer thread
 //! and the channel: a [`Workload`] already carries its dense group ids
@@ -54,8 +51,9 @@
 use crate::exec::{deterministic_of_invocation, DeterministicTiming};
 use crate::simulator::Simulator;
 use gpu_workload::stream::{BlockSink, ChannelSink, SinkError, StreamItem, StreamSummary};
-use gpu_workload::{FingerprintFold, Invocation, KernelId, Workload, WorkloadSource};
-use std::collections::HashMap;
+use gpu_workload::{
+    FingerprintFold, GroupSlots, Invocation, MemoFold, SlotError, Workload, WorkloadSource,
+};
 use std::path::Path;
 use std::sync::Mutex;
 
@@ -140,29 +138,13 @@ impl<E: std::fmt::Display> std::fmt::Display for StreamRunError<E> {
 
 impl<E: std::fmt::Display + std::fmt::Debug> std::error::Error for StreamRunError<E> {}
 
-/// A `(kernel, context)` pair's one-entry cache: the last work-scale
-/// bits seen in this slot and the group they resolved to.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    work_bits: u32,
-    group: u32,
-}
-
-/// [`Slot::group`] of a slot that has not resolved any row yet.
-const NO_GROUP: u32 = u32::MAX;
-
 /// Serial in-stream-order fold state of the consumer.
 struct StreamFold<'a> {
     sim: &'a Simulator,
     par: stem_par::Parallelism,
     skeleton: Option<Workload>,
-    /// Kernel `k`'s slots are `slot_base[k]..slot_base[k + 1]`, one per
-    /// context; `slot_base.len()` is one more than the kernel count.
-    slot_base: Vec<usize>,
-    slots: Vec<Slot>,
-    /// Every group seen, by `(slot, work bits)`: consulted only when a
-    /// slot's one-entry cache misses.
-    group_ids: HashMap<(usize, u32), u32>,
+    /// Group assignment over the frozen tables (empty until they arrive).
+    slots: GroupSlots,
     /// Deterministic core of each group, indexed by group id.
     timings: Vec<DeterministicTiming>,
     /// The current block's group id per row (reused across blocks).
@@ -170,7 +152,7 @@ struct StreamFold<'a> {
     /// Block offsets of the rows that minted the current block's new
     /// groups, in id order (reused across blocks).
     fresh: Vec<usize>,
-    fingerprint: FingerprintFold,
+    fingerprint: MemoFold,
     total: f64,
     count: u64,
 }
@@ -181,13 +163,11 @@ impl<'a> StreamFold<'a> {
             sim,
             par,
             skeleton: None,
-            slot_base: Vec::new(),
-            slots: Vec::new(),
-            group_ids: HashMap::new(),
+            slots: GroupSlots::new([]),
             timings: Vec::new(),
             block_groups: Vec::new(),
             fresh: Vec::new(),
-            fingerprint: FingerprintFold::new(),
+            fingerprint: MemoFold::new(FingerprintFold::new()),
             total: 0.0,
             count: 0,
         }
@@ -197,21 +177,8 @@ impl<'a> StreamFold<'a> {
         if self.skeleton.is_some() {
             return Err(StreamRunError::DuplicateTables);
         }
-        let mut base = 0;
-        self.slot_base = Vec::with_capacity(skeleton.kernels().len() + 1);
-        self.slot_base.push(base);
-        for k in 0..skeleton.kernels().len() {
-            base += skeleton.contexts_of(KernelId(k as u32)).len();
-            self.slot_base.push(base);
-        }
-        self.slots = vec![
-            Slot {
-                work_bits: 0,
-                group: NO_GROUP,
-            };
-            base
-        ];
-        self.fingerprint = FingerprintFold::of_tables(&skeleton);
+        self.slots = GroupSlots::of_tables(&skeleton);
+        self.fingerprint = MemoFold::new(FingerprintFold::of_tables(&skeleton));
         self.skeleton = Some(skeleton);
         Ok(())
     }
@@ -223,42 +190,36 @@ impl<'a> StreamFold<'a> {
     fn resolve<E>(&mut self, invocations: &[Invocation]) -> Result<(), StreamRunError<E>> {
         self.block_groups.clear();
         self.fresh.clear();
-        let kernels = self.slot_base.len().saturating_sub(1);
         for (offset, inv) in invocations.iter().enumerate() {
             let invalid = |message: String| StreamRunError::InvalidInvocation {
                 index: self.count + offset as u64,
                 message,
             };
-            let k = inv.kernel.index();
-            if k >= kernels {
-                return Err(invalid(format!("kernel id {k} out of range")));
-            }
-            let slot = self.slot_base[k] + inv.context as usize;
-            if slot >= self.slot_base[k + 1] {
-                return Err(invalid(format!(
-                    "context {} out of range for {}",
-                    inv.context, inv.kernel
-                )));
-            }
+            let slot = match self.slots.slot(inv) {
+                Ok(slot) => slot,
+                Err(SlotError::Kernel) => {
+                    return Err(invalid(format!(
+                        "kernel id {} out of range",
+                        inv.kernel.index()
+                    )))
+                }
+                Err(SlotError::Context) => {
+                    return Err(invalid(format!(
+                        "context {} out of range for {}",
+                        inv.context, inv.kernel
+                    )))
+                }
+            };
             if !inv.work_scale.is_finite() || inv.work_scale <= 0.0 {
                 return Err(invalid(format!(
                     "work scale {} not finite-positive",
                     inv.work_scale
                 )));
             }
-            let work_bits = inv.work_scale.to_bits();
-            let cached = self.slots[slot];
-            let group = if cached.group != NO_GROUP && cached.work_bits == work_bits {
-                cached.group
-            } else {
-                let next = (self.timings.len() + self.fresh.len()) as u32;
-                let group = *self.group_ids.entry((slot, work_bits)).or_insert(next);
-                if group == next {
-                    self.fresh.push(offset);
-                }
-                self.slots[slot] = Slot { work_bits, group };
-                group
-            };
+            let (group, fresh) = self.slots.resolve(slot, inv.work_scale.to_bits());
+            if fresh {
+                self.fresh.push(offset);
+            }
             self.block_groups.push(group);
         }
         Ok(())
@@ -290,13 +251,11 @@ impl<'a> StreamFold<'a> {
         self.timings.extend(fresh);
         // Serial, stream-order jitter and fingerprint fold: bit-identical
         // to the in-memory fold of `workload_total`.
-        let mut fingerprint = self.fingerprint.clone();
         let mut total = self.total;
         for (inv, &group) in invocations.iter().zip(&self.block_groups) {
-            fingerprint.eat_invocation(inv);
+            self.fingerprint.eat_invocation(inv, group);
             total += self.timings[group as usize].jittered_cycles(inv.noise_z as f64);
         }
-        self.fingerprint = fingerprint;
         self.total = total;
         self.count += invocations.len() as u64;
         Ok(())
@@ -431,11 +390,12 @@ pub fn workload_total(
         }
     }
     let timings = sim.group_timings_par(workload, par);
-    let mut fingerprint = FingerprintFold::of_tables(workload);
+    let mut fingerprint = MemoFold::new(FingerprintFold::of_tables(workload));
     let mut total = 0.0;
     for (i, inv) in invocations.iter().enumerate() {
-        fingerprint.eat_invocation(inv);
-        total += timings[workload.group_of(i) as usize].jittered_cycles(inv.noise_z as f64);
+        let group = workload.group_of(i);
+        fingerprint.eat_invocation(inv, group);
+        total += timings[group as usize].jittered_cycles(inv.noise_z as f64);
     }
     let found = fingerprint.finish();
     if found != workload.fingerprint() {
@@ -479,8 +439,10 @@ mod tests {
     use crate::config::GpuConfig;
     use crate::simulator::reference;
     use gpu_workload::kernel::KernelClassBuilder;
-    use gpu_workload::suites::rodinia_sources;
-    use gpu_workload::{RuntimeContext, SuiteKind};
+    use gpu_workload::suites::{
+        casio_sources, huggingface_sources, rodinia_sources, HuggingfaceScale,
+    };
+    use gpu_workload::{KernelId, RuntimeContext, SuiteKind};
 
     fn sim() -> Simulator {
         Simulator::new(GpuConfig::rtx2080())
@@ -519,6 +481,19 @@ mod tests {
             work_scale,
             noise_z,
         }
+    }
+
+    /// `w`'s tables with an empty invocation stream.
+    fn skeleton_of(w: &Workload) -> Workload {
+        Workload::new(
+            w.name().to_string(),
+            w.suite(),
+            w.kernels().to_vec(),
+            (0..w.kernels().len())
+                .map(|k| w.contexts_of(KernelId(k as u32)).to_vec())
+                .collect(),
+            Vec::new(),
+        )
     }
 
     fn stream_of(
@@ -610,6 +585,36 @@ mod tests {
         }
     }
 
+    /// The streamed fold assigns every row the group id the materialized
+    /// constructor gave it, block by block, on every suite source.
+    #[test]
+    fn stream_group_ids_equal_materialized_group_of() {
+        let sim = sim();
+        let sources = rodinia_sources(13)
+            .into_iter()
+            .chain(casio_sources(13))
+            .chain(huggingface_sources(13, HuggingfaceScale::custom(0.002)));
+        for source in sources {
+            let w = source.materialize();
+            let mut fold = StreamFold::new(&sim, stem_par::Parallelism::serial());
+            fold.tables::<SinkError>(skeleton_of(&w)).expect("tables");
+            for (b, chunk) in w.invocations().chunks(4096).enumerate() {
+                fold.block::<SinkError>(chunk.to_vec()).expect("block");
+                for (offset, &group) in fold.block_groups.iter().enumerate() {
+                    let i = b * 4096 + offset;
+                    assert_eq!(group, w.group_of(i), "{} row {i}", w.name());
+                }
+            }
+            assert_eq!(
+                fold.timings.len(),
+                w.num_invocation_groups(),
+                "{}",
+                w.name()
+            );
+            assert_eq!(fold.fingerprint.finish(), w.fingerprint(), "{}", w.name());
+        }
+    }
+
     #[test]
     fn block_before_tables_is_typed_error() {
         let sim = sim();
@@ -627,19 +632,7 @@ mod tests {
     #[test]
     fn out_of_range_invocation_is_typed_error_not_panic() {
         let sim = sim();
-        let sources = rodinia_sources(3);
-        let skeleton = {
-            let w = sources[0].materialize();
-            Workload::new(
-                w.name().to_string(),
-                SuiteKind::Rodinia,
-                w.kernels().to_vec(),
-                (0..w.kernels().len())
-                    .map(|k| w.contexts_of(KernelId(k as u32)).to_vec())
-                    .collect(),
-                Vec::new(),
-            )
-        };
+        let skeleton = skeleton_of(&rodinia_sources(3)[0].materialize());
         let bogus = Invocation::with_work(KernelId(99), 0, 1.0, 0.0);
         let result: Result<StreamingTotal, StreamRunError<SinkError>> =
             run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, move |sink| {

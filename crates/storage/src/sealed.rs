@@ -23,7 +23,8 @@ use crate::{Storage, StorageError};
 
 /// The FNV-1a 64 offset basis: the state of a fold over no bytes.
 pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+/// The FNV-1a 64 prime: each byte step is `(h ^ byte) * FNV_PRIME`.
+pub const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// Continues an FNV-1a 64 fold from state `hash` over `bytes`. Inlined
 /// across crates: the columnar store's block checksum and the workload

@@ -140,7 +140,7 @@ const INGEST_SRC_PREFIXES: [&str; 7] = [
 /// per-kernel buffers exist precisely to keep allocation out of the
 /// per-item and per-node loops, so any allocation that stays must carry
 /// an allowlist justification placing it at setup time.
-const HOT_ALLOC_SRC_FILES: [&str; 11] = [
+const HOT_ALLOC_SRC_FILES: [&str; 12] = [
     "crates/sim/src/simulator.rs",
     "crates/sim/src/sampled.rs",
     "crates/sim/src/hardware.rs",
@@ -152,6 +152,7 @@ const HOT_ALLOC_SRC_FILES: [&str; 11] = [
     "crates/cluster/src/distance.rs",
     "crates/core/src/root.rs",
     "crates/workload/src/colstore.rs",
+    "crates/workload/src/trace.rs",
 ];
 
 /// Files longer than this are flagged by the hygiene rule.

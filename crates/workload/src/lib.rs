@@ -57,4 +57,4 @@ pub use invocation::{Invocation, KernelId};
 pub use kernel::{InstructionMix, KernelClass};
 pub use metrics::{MetricCategory, MetricKind, MetricVector, METRIC_COUNT};
 pub use stream::{BlockSink, ChannelSink, CollectSink, SinkError, StreamItem, StreamSummary};
-pub use trace::{FingerprintFold, SuiteKind, Workload};
+pub use trace::{FingerprintFold, GroupSlots, MemoFold, SlotError, SuiteKind, Workload};

@@ -5,8 +5,8 @@ use crate::context::RuntimeContext;
 use crate::error::{WorkloadError, WorkloadErrorKind};
 use crate::invocation::{Invocation, KernelId};
 use crate::kernel::KernelClass;
-use std::collections::BTreeMap;
-use stem_storage::sealed::{fnv1a64_fold, FNV_OFFSET};
+use std::collections::{BTreeMap, HashMap};
+use stem_storage::sealed::{fnv1a64_fold, FNV_OFFSET, FNV_PRIME};
 
 /// Which benchmark suite a workload belongs to (drives evaluation
 /// aggregation and default sampling rates for the Random baseline).
@@ -148,45 +148,361 @@ impl Default for FingerprintFold {
     }
 }
 
-/// FNV-1a 64 content hash of a workload's defining tables — the
-/// materialized entry point over [`FingerprintFold`], so the streamed
-/// and in-memory fingerprints are the same fold by construction.
-fn content_fingerprint(
-    name: &str,
-    suite: SuiteKind,
-    kernels: &[KernelClass],
-    contexts: &[Vec<RuntimeContext>],
-    invocations: &[Invocation],
-) -> u64 {
-    let mut fold = FingerprintFold::new();
-    fold.eat_header(name, suite, kernels, contexts);
-    for inv in invocations {
-        fold.eat_invocation(inv);
-    }
-    fold.finish()
+/// Bytes at the head of a folded row that its timing group fixes:
+/// kernel (4), context (2) and work-scale bits (4).
+const PREFIX_LEN: u32 = 10;
+
+/// `FNV_PRIME^PREFIX_LEN` (mod 2^64).
+const PRIME_POW_PREFIX: u64 = FNV_PRIME.wrapping_pow(PREFIX_LEN);
+
+/// Prefix tables one [`MemoFold`] keeps; a row's table is picked by its
+/// timing group id modulo this. This bounds a memo's memory to
+/// `MEMO_TABLES` tables of 2 096 bytes (256 folded tails, a 256-bit fill
+/// mask and the prefix tag), 131 KiB in all, whatever the stream length
+/// or table sizes. A row whose table is tagged with another prefix
+/// retags it; each low byte it then meets costs one plain prefix fold.
+pub const MEMO_TABLES: usize = 64;
+
+/// One memo table: `tail[l] = fnv(l, prefix) − l·P^10` for every low
+/// byte `l` whose bit is set in `filled`.
+#[derive(Debug, Clone)]
+struct PrefixTable {
+    prefix: [u8; PREFIX_LEN as usize],
+    filled: [u64; 4],
+    tail: [u64; 256],
 }
 
-/// Assigns every invocation its timing group: first occurrence of a
-/// `(kernel, context, work_scale-bits)` triple mints the next group id.
-fn timing_groups(invocations: &[Invocation]) -> (Vec<u32>, Vec<usize>) {
-    use std::collections::HashMap;
-    let mut ids: HashMap<(u32, u16, u32), u32> = HashMap::new();
-    let mut group_of = Vec::with_capacity(invocations.len());
-    let mut representatives = Vec::new();
-    for (i, inv) in invocations.iter().enumerate() {
-        let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
-        let next = representatives.len() as u32;
-        let g = *ids.entry(key).or_insert(next);
-        if g == next && representatives.len() == g as usize {
-            representatives.push(i);
+/// [`FingerprintFold::eat_invocation`] with each row's 10-byte prefix
+/// memoized: the same fold, so the same hash, in 5 dependent multiplies
+/// per row instead of 14.
+///
+/// For any byte string `s`, `fnv(h, s) − h·P^|s|` (mod 2^64) depends only
+/// on `h mod 256`: XOR with a byte changes only the low byte, and the low
+/// byte of a product depends only on the low bytes of its factors
+/// (DESIGN.md, "Workload construction in one pass"). A row's prefix
+/// (kernel, context, work-scale bits) repeats across its timing group, so
+/// its table caches that difference lazily per low byte `l`, and a row
+/// folds as `h·P^10 + tail[h & 0xff]` followed by its 4 `noise_z` bytes.
+/// A table is tagged with its prefix, so which table a row uses never
+/// changes the hash, only how often it is refilled.
+#[derive(Debug, Clone)]
+pub struct MemoFold {
+    h: u64,
+    tables: Vec<PrefixTable>,
+}
+
+impl MemoFold {
+    /// Continues `fold`, typically one that has eaten a workload header.
+    /// The tables are allocated by the first row, so a fold over no rows
+    /// (a workload skeleton) allocates nothing.
+    pub fn new(fold: FingerprintFold) -> Self {
+        MemoFold {
+            h: fold.h,
+            tables: Vec::new(),
         }
-        group_of.push(g);
     }
-    (group_of, representatives)
+
+    #[cold]
+    fn allocate(&mut self) {
+        let empty = PrefixTable {
+            prefix: [0; PREFIX_LEN as usize],
+            filled: [0; 4],
+            tail: [0; 256],
+        };
+        self.tables = vec![empty; MEMO_TABLES];
+    }
+
+    /// Folds one invocation: bit-identical to
+    /// [`FingerprintFold::eat_invocation`] from the same state, whatever
+    /// `group` is. Passing the row's timing group id gives each of the
+    /// first [`MEMO_TABLES`] groups a table of its own.
+    #[inline]
+    pub fn eat_invocation(&mut self, inv: &Invocation, group: u32) {
+        let [k0, k1, k2, k3] = inv.kernel.0.to_le_bytes();
+        let [c0, c1] = inv.context.to_le_bytes();
+        let work_bits = inv.work_scale.to_bits();
+        let [w0, w1, w2, w3] = work_bits.to_le_bytes();
+        let prefix = [k0, k1, k2, k3, c0, c1, w0, w1, w2, w3];
+        if self.tables.is_empty() {
+            self.allocate();
+        }
+        let table = &mut self.tables[group as usize % MEMO_TABLES];
+        if table.prefix != prefix {
+            table.prefix = prefix;
+            table.filled = [0; 4];
+        }
+        let l = (self.h & 0xff) as usize;
+        let bit = 1u64 << (l & 63);
+        if table.filled[l >> 6] & bit == 0 {
+            let low = l as u64;
+            table.tail[l] =
+                fnv1a64_fold(low, &prefix).wrapping_sub(low.wrapping_mul(PRIME_POW_PREFIX));
+            table.filled[l >> 6] |= bit;
+        }
+        let h = self
+            .h
+            .wrapping_mul(PRIME_POW_PREFIX)
+            .wrapping_add(table.tail[l]);
+        self.h = fnv1a64_fold(h, &inv.noise_z.to_bits().to_le_bytes());
+    }
+
+    /// The fingerprint of everything folded so far.
+    pub fn finish(&self) -> u64 {
+        self.h
+    }
+}
+
+/// Why an invocation has no `(kernel, context)` slot in its tables.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotError {
+    /// The kernel id is past the kernel table.
+    Kernel,
+    /// The context index is past the kernel's context table.
+    Context,
+}
+
+/// A `(kernel, context)` slot's one-entry cache: the last work-scale bits
+/// it resolved and their group.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    work_bits: u32,
+    group: u32,
+}
+
+/// [`Slot::group`] of a slot that has not resolved any row yet.
+const NO_GROUP: u32 = u32::MAX;
+
+/// Dense timing-group assignment over a workload's tables: the one
+/// implementation behind [`Workload::group_of`] and the streamed
+/// ground-truth fold.
+///
+/// There is one slot per `(kernel, context)` pair, kernel `k`'s contexts
+/// at `slot_base[k]..slot_base[k + 1]`. A slot remembers the last
+/// `(work-scale bits, group)` it resolved, so a row repeating its slot's
+/// work scale takes that group with one array index. Only a miss consults
+/// the `(slot, work bits) → group` map, and only a key never seen before
+/// mints an id. Ids are minted in first-appearance order.
+#[derive(Debug, Clone)]
+pub struct GroupSlots {
+    slot_base: Vec<usize>,
+    slots: Vec<Slot>,
+    group_ids: HashMap<(usize, u32), u32>,
+    groups: u32,
+}
+
+impl GroupSlots {
+    /// Slots for tables whose kernel `k` has `context_counts[k]` contexts.
+    pub fn new(context_counts: impl IntoIterator<Item = usize>) -> Self {
+        let mut slot_base = vec![0];
+        let mut base = 0;
+        for count in context_counts {
+            base += count;
+            slot_base.push(base);
+        }
+        GroupSlots {
+            slot_base,
+            slots: vec![
+                Slot {
+                    work_bits: 0,
+                    group: NO_GROUP,
+                };
+                base
+            ],
+            group_ids: HashMap::new(),
+            groups: 0,
+        }
+    }
+
+    /// Slots for `workload`'s kernel and context tables.
+    pub fn of_tables(workload: &Workload) -> Self {
+        GroupSlots::new(workload.contexts.iter().map(Vec::len))
+    }
+
+    /// The slot of `inv`'s `(kernel, context)`; the kernel is checked
+    /// first.
+    ///
+    /// # Errors
+    ///
+    /// [`SlotError`] names the first table `inv` falls outside.
+    #[inline]
+    pub fn slot(&self, inv: &Invocation) -> Result<usize, SlotError> {
+        let k = inv.kernel.index();
+        if k + 1 >= self.slot_base.len() {
+            return Err(SlotError::Kernel);
+        }
+        let slot = self.slot_base[k] + inv.context as usize;
+        if slot >= self.slot_base[k + 1] {
+            return Err(SlotError::Context);
+        }
+        Ok(slot)
+    }
+
+    /// The group of a row in `slot` with work-scale bits `work_bits`, and
+    /// whether this row minted it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `slot` did not come from [`GroupSlots::slot`].
+    #[inline]
+    pub fn resolve(&mut self, slot: usize, work_bits: u32) -> (u32, bool) {
+        let cached = self.slots[slot];
+        if cached.group != NO_GROUP && cached.work_bits == work_bits {
+            return (cached.group, false);
+        }
+        let next = self.groups;
+        let group = *self.group_ids.entry((slot, work_bits)).or_insert(next);
+        if group == next {
+            self.groups += 1;
+        }
+        self.slots[slot] = Slot { work_bits, group };
+        (group, group == next)
+    }
+}
+
+/// The table checks both construction paths share: a non-empty kernel
+/// table, one non-empty context table per kernel, valid components.
+fn check_tables(
+    name: &str,
+    kernels: &[KernelClass],
+    contexts: &[Vec<RuntimeContext>],
+) -> Result<(), WorkloadError> {
+    let structure =
+        |message: String| Err(WorkloadError::new(WorkloadErrorKind::Structure, message));
+    if kernels.is_empty() {
+        return structure(format!("workload {name} has no kernels"));
+    }
+    if kernels.len() != contexts.len() {
+        return structure(format!(
+            "workload {name}: one context table per kernel required \
+             ({} kernels, {} context tables)",
+            kernels.len(),
+            contexts.len()
+        ));
+    }
+    for k in kernels {
+        k.try_validate()?;
+    }
+    for (k, ctxs) in contexts.iter().enumerate() {
+        if ctxs.is_empty() {
+            return structure(format!(
+                "workload {name}: kernel {} has no contexts",
+                kernels[k].name
+            ));
+        }
+        for c in ctxs {
+            c.try_validate()?;
+        }
+    }
+    Ok(())
+}
+
+fn kernel_out_of_range(name: &str, i: usize, k: usize) -> WorkloadError {
+    WorkloadError::new(
+        WorkloadErrorKind::Invocation,
+        format!("workload {name}: invocation {i} references kernel {k} out of range"),
+    )
+}
+
+fn context_out_of_range(name: &str, i: usize, context: u16, kernel: &str) -> WorkloadError {
+    WorkloadError::new(
+        WorkloadErrorKind::Invocation,
+        format!(
+            "workload {name}: invocation {i} references context {context} of kernel {kernel} \
+             out of range"
+        ),
+    )
+}
+
+/// The three-pass construction [`Workload::try_new`] replaced: a range
+/// check pass, a hashed grouping pass and a plain fingerprint pass. Kept
+/// as the executable oracle the property tests and the same-process ratio
+/// gate compare the one-pass constructor against.
+#[doc(hidden)]
+pub mod reference {
+    use super::*;
+
+    /// Checks every invocation's kernel, then context, in stream order.
+    fn check_invocations(
+        name: &str,
+        kernels: &[KernelClass],
+        contexts: &[Vec<RuntimeContext>],
+        invocations: &[Invocation],
+    ) -> Result<(), WorkloadError> {
+        for (i, inv) in invocations.iter().enumerate() {
+            let k = inv.kernel.index();
+            if k >= kernels.len() {
+                return Err(kernel_out_of_range(name, i, k));
+            }
+            if (inv.context as usize) >= contexts[k].len() {
+                return Err(context_out_of_range(name, i, inv.context, &kernels[k].name));
+            }
+        }
+        Ok(())
+    }
+
+    /// Assigns every invocation its timing group: first occurrence of a
+    /// `(kernel, context, work_scale-bits)` triple mints the next group id.
+    fn timing_groups(invocations: &[Invocation]) -> (Vec<u32>, Vec<usize>) {
+        let mut ids: HashMap<(u32, u16, u32), u32> = HashMap::new();
+        let mut group_of = Vec::with_capacity(invocations.len());
+        let mut representatives = Vec::new();
+        for (i, inv) in invocations.iter().enumerate() {
+            let key = (inv.kernel.0, inv.context, inv.work_scale.to_bits());
+            let next = representatives.len() as u32;
+            let g = *ids.entry(key).or_insert(next);
+            if g == next && representatives.len() == g as usize {
+                representatives.push(i);
+            }
+            group_of.push(g);
+        }
+        (group_of, representatives)
+    }
+
+    /// FNV-1a 64 content hash of a workload's defining tables, one
+    /// [`FingerprintFold::eat_invocation`] per row.
+    fn content_fingerprint(
+        name: &str,
+        suite: SuiteKind,
+        kernels: &[KernelClass],
+        contexts: &[Vec<RuntimeContext>],
+        invocations: &[Invocation],
+    ) -> u64 {
+        let mut fold = FingerprintFold::new();
+        fold.eat_header(name, suite, kernels, contexts);
+        for inv in invocations {
+            fold.eat_invocation(inv);
+        }
+        fold.finish()
+    }
+
+    /// Everything construction derives from its parts, by the three
+    /// passes: `(group_of, group_representatives, fingerprint)`.
+    ///
+    /// # Errors
+    ///
+    /// The [`WorkloadError`] [`Workload::try_new`] returns on the same
+    /// parts.
+    pub fn derive(
+        name: &str,
+        suite: SuiteKind,
+        kernels: &[KernelClass],
+        contexts: &[Vec<RuntimeContext>],
+        invocations: &[Invocation],
+    ) -> Result<(Vec<u32>, Vec<usize>, u64), WorkloadError> {
+        check_tables(name, kernels, contexts)?;
+        check_invocations(name, kernels, contexts, invocations)?;
+        let (group_of, representatives) = timing_groups(invocations);
+        let fingerprint = content_fingerprint(name, suite, kernels, contexts, invocations);
+        Ok((group_of, representatives, fingerprint))
+    }
 }
 
 impl Workload {
     /// Assembles and validates a workload.
+    ///
+    /// One pass over the invocations range-checks each row, assigns its
+    /// timing group ([`GroupSlots`]) and folds it into the fingerprint
+    /// ([`MemoFold`]); [`reference::derive`] is the three-pass oracle.
     ///
     /// # Errors
     ///
@@ -201,57 +517,43 @@ impl Workload {
         contexts: Vec<Vec<RuntimeContext>>,
         invocations: Vec<Invocation>,
     ) -> Result<Self, WorkloadError> {
-        let name = name.into();
-        let structure =
-            |message: String| Err(WorkloadError::new(WorkloadErrorKind::Structure, message));
-        if kernels.is_empty() {
-            return structure(format!("workload {name} has no kernels"));
-        }
-        if kernels.len() != contexts.len() {
-            return structure(format!(
-                "workload {name}: one context table per kernel required \
-                 ({} kernels, {} context tables)",
-                kernels.len(),
-                contexts.len()
-            ));
-        }
-        for k in &kernels {
-            k.try_validate()?;
-        }
-        for (k, ctxs) in contexts.iter().enumerate() {
-            if ctxs.is_empty() {
-                return structure(format!(
-                    "workload {name}: kernel {} has no contexts",
-                    kernels[k].name
-                ));
-            }
-            for c in ctxs {
-                c.try_validate()?;
-            }
-        }
+        Workload::construct(name.into(), suite, kernels, contexts, invocations)
+    }
+
+    /// [`Workload::try_new`] past its one generic parameter, so the
+    /// per-row pass is compiled once, in this crate.
+    fn construct(
+        name: String,
+        suite: SuiteKind,
+        kernels: Vec<KernelClass>,
+        contexts: Vec<Vec<RuntimeContext>>,
+        invocations: Vec<Invocation>,
+    ) -> Result<Self, WorkloadError> {
+        check_tables(&name, &kernels, &contexts)?;
+        let mut slots = GroupSlots::new(contexts.iter().map(Vec::len));
+        let mut header = FingerprintFold::new();
+        header.eat_header(&name, suite, &kernels, &contexts);
+        let mut fold = MemoFold::new(header);
+        let mut group_of = Vec::with_capacity(invocations.len());
+        let mut group_representatives = Vec::new();
         for (i, inv) in invocations.iter().enumerate() {
-            let k = inv.kernel.index();
-            if k >= kernels.len() {
-                return Err(WorkloadError::new(
-                    WorkloadErrorKind::Invocation,
-                    format!(
-                        "workload {name}: invocation {i} references kernel {k} out of range"
-                    ),
-                ));
+            let slot = match slots.slot(inv) {
+                Ok(slot) => slot,
+                Err(SlotError::Kernel) => {
+                    return Err(kernel_out_of_range(&name, i, inv.kernel.index()))
+                }
+                Err(SlotError::Context) => {
+                    let kernel = &kernels[inv.kernel.index()].name;
+                    return Err(context_out_of_range(&name, i, inv.context, kernel));
+                }
+            };
+            let (group, fresh) = slots.resolve(slot, inv.work_scale.to_bits());
+            if fresh {
+                group_representatives.push(i);
             }
-            if (inv.context as usize) >= contexts[k].len() {
-                return Err(WorkloadError::new(
-                    WorkloadErrorKind::Invocation,
-                    format!(
-                        "workload {name}: invocation {i} references context {} of kernel {} \
-                         out of range",
-                        inv.context, kernels[k].name
-                    ),
-                ));
-            }
+            group_of.push(group);
+            fold.eat_invocation(inv, group);
         }
-        let (group_of, group_representatives) = timing_groups(&invocations);
-        let fingerprint = content_fingerprint(&name, suite, &kernels, &contexts, &invocations);
         Ok(Workload {
             name,
             suite,
@@ -260,7 +562,7 @@ impl Workload {
             invocations,
             group_of,
             group_representatives,
-            fingerprint,
+            fingerprint: fold.finish(),
         })
     }
 

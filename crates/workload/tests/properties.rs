@@ -5,7 +5,11 @@
 
 use gpu_workload::kernel::KernelClassBuilder;
 use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
-use gpu_workload::{ContextSchedule, RuntimeContext, SuiteKind, WorkloadBuilder};
+use gpu_workload::trace::{reference, MEMO_TABLES};
+use gpu_workload::{
+    ContextSchedule, FingerprintFold, Invocation, KernelClass, KernelId, RuntimeContext, SuiteKind,
+    Workload, WorkloadBuilder,
+};
 use stem_stats::rng::{RngExt, SeedableRng, StdRng};
 
 fn rng_for(test_tag: u64, case: u64) -> StdRng {
@@ -109,4 +113,187 @@ fn hf_scale_monotone() {
             .sum();
         assert!(large >= small, "case {case}");
     }
+}
+
+/// Tables of `kernels` kernels; kernel `k` has `1 + (k * 5 + extra) % max_contexts`
+/// contexts, so context counts are uneven.
+fn oracle_tables(
+    kernels: usize,
+    max_contexts: usize,
+    extra: usize,
+) -> (Vec<KernelClass>, Vec<Vec<RuntimeContext>>) {
+    let classes = (0..kernels)
+        .map(|k| KernelClassBuilder::new(format!("k{k}")).build())
+        .collect();
+    let contexts = (0..kernels)
+        .map(|k| {
+            let n = 1 + (k * 5 + extra) % max_contexts;
+            (0..n)
+                .map(|c| RuntimeContext::neutral().with_work(1.0 + c as f64))
+                .collect()
+        })
+        .collect();
+    (classes, contexts)
+}
+
+/// A row of any kernel, context and work scale, bypassing
+/// `Invocation::with_work`'s positivity assert.
+fn raw_row(kernel: u32, context: u16, work_scale: f32, noise_z: f32) -> Invocation {
+    Invocation {
+        kernel: KernelId(kernel),
+        context,
+        work_scale,
+        noise_z,
+    }
+}
+
+/// One adversarial stream over `contexts`; `shape` picks the pattern.
+fn oracle_stream(
+    rng: &mut StdRng,
+    shape: u64,
+    contexts: &[Vec<RuntimeContext>],
+) -> Vec<Invocation> {
+    let kernels = contexts.len() as u32;
+    let any_slot = |rng: &mut StdRng| {
+        let k = rng.random_range(0..kernels);
+        let c = rng.random_range(0..contexts[k as usize].len()) as u16;
+        (k, c)
+    };
+    let noise = |rng: &mut StdRng| rng.random_range(-4.0f64..4.0) as f32;
+    let len = rng.random_range(1usize..3000);
+    match shape {
+        // Interleaved kernels over a few work scales.
+        0 => (0..len)
+            .map(|_| {
+                let (k, c) = any_slot(rng);
+                let work = [1.0, 0.5, 2.0][rng.random_range(0usize..3)];
+                raw_row(k, c, work, noise(rng))
+            })
+            .collect(),
+        // One (kernel, context) changes its work bits on every row,
+        // interleaved with rows of other slots.
+        1 => (0..len)
+            .map(|i| {
+                if i % 3 == 0 {
+                    let (k, c) = any_slot(rng);
+                    raw_row(k, c, 1.0, noise(rng))
+                } else {
+                    raw_row(0, 0, 1.0 + i as f32 / 64.0, noise(rng))
+                }
+            })
+            .collect(),
+        // Rounds over more distinct prefixes than the memo holds, so
+        // every prefix's table is retagged before its work bits return.
+        2 => {
+            let prefixes: Vec<(u32, u16, f32)> = (0..3 * MEMO_TABLES)
+                .map(|p| {
+                    let (k, c) = any_slot(rng);
+                    (k, c, 1.0 + (p % 7) as f32 / 4.0)
+                })
+                .collect();
+            (0..len)
+                .map(|i| {
+                    let (k, c, w) = prefixes[(i * 7) % prefixes.len()];
+                    raw_row(k, c, w, noise(rng))
+                })
+                .collect()
+        }
+        // Zero, NaN, negative and infinite work scales among good ones.
+        3 => (0..len)
+            .map(|_| {
+                let (k, c) = any_slot(rng);
+                let work = [0.0, -0.0, f32::NAN, -1.5, f32::INFINITY, 1.0, 3.0]
+                    [rng.random_range(0usize..7)];
+                raw_row(k, c, work, noise(rng))
+            })
+            .collect(),
+        // Long runs of one prefix: its table meets many low bytes.
+        _ => (0..len)
+            .map(|i| {
+                let k = ((i / 500) as u32) % kernels;
+                raw_row(k, 0, 1.0, noise(rng))
+            })
+            .collect(),
+    }
+}
+
+/// The one-pass constructor against `trace::reference`'s three passes:
+/// group ids, representatives and fingerprint, or the first error's kind
+/// and message. Streams are interleaved, thrash the prefix memo, carry
+/// degenerate work scales and (in some cases) one out-of-range row; over
+/// the whole run every low byte `0..=255` of the fold state is met at
+/// row entry.
+#[test]
+fn one_pass_construction_matches_reference() {
+    let mut low_bytes = [false; 256];
+    for case in 0..96u64 {
+        let mut rng = rng_for(5, case);
+        // Cases 0..32 keep fewer slots than the memo holds; the rest
+        // hold more live slots than it has tables.
+        let (kernels, max_contexts) = if case < 32 { (3, 4) } else { (40, 6) };
+        let (classes, contexts) = oracle_tables(kernels, max_contexts, case as usize);
+        let mut invocations = match case {
+            0 => Vec::new(),
+            1 => vec![raw_row(1, 0, 1.0, 0.5)],
+            _ => oracle_stream(&mut rng, case % 5, &contexts),
+        };
+        // A third of the longer cases carry one bad row: a kernel past
+        // the table, a context past its kernel's table, or a context
+        // only another kernel has.
+        if case >= 2 && case % 3 == 0 {
+            let at = rng.random_range(0..invocations.len());
+            let wide = (0..kernels).max_by_key(|&k| contexts[k].len()).unwrap_or(0);
+            let narrow = (0..kernels).min_by_key(|&k| contexts[k].len()).unwrap_or(0);
+            invocations[at] = match case % 4 {
+                0 => raw_row(kernels as u32 + 3, 0, 1.0, 0.0),
+                1 => raw_row(0, contexts[0].len() as u16, 1.0, 0.0),
+                _ => raw_row(narrow as u32, contexts[wide].len() as u16 - 1, 1.0, 0.0),
+            };
+        }
+        let name = format!("oracle{case}");
+        let mut fold = FingerprintFold::new();
+        fold.eat_header(&name, SuiteKind::Custom, &classes, &contexts);
+        for inv in &invocations {
+            low_bytes[(fold.finish() & 0xff) as usize] = true;
+            fold.eat_invocation(inv);
+        }
+        let expected =
+            reference::derive(&name, SuiteKind::Custom, &classes, &contexts, &invocations);
+        let got = Workload::try_new(name, SuiteKind::Custom, classes, contexts, invocations);
+        match (got, expected) {
+            (Ok(w), Ok((group_of, representatives, fingerprint))) => {
+                assert_eq!(w.fingerprint(), fingerprint, "case {case}");
+                assert_eq!(fold.finish(), fingerprint, "case {case}");
+                assert_eq!(
+                    w.num_invocation_groups(),
+                    representatives.len(),
+                    "case {case}"
+                );
+                for (i, &g) in group_of.iter().enumerate() {
+                    assert_eq!(w.group_of(i), g, "case {case} row {i}");
+                }
+                for (g, &rep) in representatives.iter().enumerate() {
+                    assert_eq!(
+                        w.group_representative(g as u32),
+                        rep,
+                        "case {case} group {g}"
+                    );
+                }
+            }
+            (Err(got), Err(expected)) => {
+                assert_eq!(got.kind, expected.kind, "case {case}");
+                assert_eq!(got.message, expected.message, "case {case}");
+            }
+            (got, expected) => panic!(
+                "case {case}: one-pass {:?} vs reference {:?}",
+                got.map(|w| w.fingerprint()),
+                expected.map(|(_, _, fingerprint)| fingerprint)
+            ),
+        }
+    }
+    let missed: Vec<usize> = (0..256).filter(|&l| !low_bytes[l]).collect();
+    assert!(
+        missed.is_empty(),
+        "low bytes never met at row entry: {missed:?}"
+    );
 }
