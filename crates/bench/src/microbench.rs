@@ -263,36 +263,82 @@ pub fn grouped_timing_check() -> GroupedTimingCheck {
     check
 }
 
-/// Outcome of the ROOT fast path vs reference recursion probe
-/// ([`root_ratio_check`]).
+/// Outcome of a same-process ratio probe ([`root_ratio_check`],
+/// [`construct_ratio_check`], [`profile_root_ratio_checks`]): a production
+/// path timed against its reference on the same inputs.
 #[derive(Debug, Clone)]
-pub struct RootRatioCheck {
-    /// Workload the probe ran on.
+pub struct RatioCheck {
+    /// What the probe compares, e.g. `root`.
+    pub probe: &'static str,
+    /// Workload (or suite) the probe ran on.
     pub workload: String,
-    /// Total invocations clustered per run.
+    /// Total invocations processed per run.
     pub invocations: usize,
-    /// Fastest of the runs of the production recursion, nanoseconds.
+    /// Fastest of the runs of the production path, nanoseconds.
     pub fast_ns: f64,
-    /// Fastest of the runs of `stem_core::root::reference`, nanoseconds.
+    /// Fastest of the runs of the reference path, nanoseconds.
     pub reference_ns: f64,
     /// fast / reference wall-clock ratio (below 1 is faster).
     pub ratio: f64,
-    /// Whether every run of both paths produced bit-identical clusters.
+    /// Whether every run of both paths produced bit-identical results.
     pub identical: bool,
 }
 
-impl RootRatioCheck {
-    fn report(&self) {
+impl RatioCheck {
+    fn new(
+        probe: &'static str,
+        workload: &str,
+        invocations: usize,
+        fast_ns: f64,
+        reference_ns: f64,
+        identical: bool,
+    ) -> Self {
+        let check = RatioCheck {
+            probe,
+            workload: workload.to_string(),
+            invocations,
+            fast_ns,
+            reference_ns,
+            ratio: fast_ns / reference_ns.max(1.0),
+            identical,
+        };
         println!(
-            "root {:<36} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}",
-            self.workload,
-            fmt_ns(self.reference_ns),
-            fmt_ns(self.fast_ns),
-            self.invocations,
-            self.ratio,
-            self.identical
+            "{:<41} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}",
+            format!("{} {}", check.probe, check.workload),
+            fmt_ns(check.reference_ns),
+            fmt_ns(check.fast_ns),
+            check.invocations,
+            check.ratio,
+            check.identical
         );
+        check
     }
+}
+
+/// Runs `reference` and `fast` once each untimed (so neither pays
+/// first-touch costs inside the timed runs), then `runs` times each,
+/// alternating, and returns the fastest fast and reference runs in
+/// nanoseconds and whether every result equalled the first reference
+/// result.
+fn alternate<T: PartialEq>(
+    runs: usize,
+    reference: impl Fn() -> T,
+    fast: impl Fn() -> T,
+) -> (f64, f64, bool) {
+    assert!(runs > 0, "at least one run per path");
+    let expected = reference();
+    let mut identical = fast() == expected;
+    let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..runs {
+        let t = Instant::now();
+        let slow = black_box(reference());
+        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
+        let t = Instant::now();
+        let quick = black_box(fast());
+        fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
+        identical &= quick == expected && slow == expected;
+    }
+    (fast_ns, reference_ns, identical)
 }
 
 /// Times ROOT on the largest HuggingFace workload's profiled times `runs`
@@ -305,13 +351,12 @@ impl RootRatioCheck {
 /// # Panics
 ///
 /// Panics if `runs == 0` or the HuggingFace suite is empty.
-pub fn root_ratio_check(runs: usize) -> RootRatioCheck {
+pub fn root_ratio_check(runs: usize) -> RatioCheck {
     use crate::harness::ExperimentOptions;
     use gpu_profile::ExecTimeProfiler;
     use gpu_workload::SuiteKind;
     use stem_core::root::{cluster_workload, reference};
 
-    assert!(runs > 0, "at least one run per path");
     let options = ExperimentOptions::fast();
     let workload = options
         .suite(SuiteKind::Huggingface)
@@ -322,62 +367,19 @@ pub fn root_ratio_check(runs: usize) -> RootRatioCheck {
     let times = ExecTimeProfiler::new(config.profile_config.clone(), config.profile_seed)
         .profile(&workload);
 
-    let expected = reference::cluster_workload(&workload, &times, config);
-    let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
-    let mut identical = true;
-    for _ in 0..runs {
-        let t = Instant::now();
-        let slow = black_box(reference::cluster_workload(&workload, &times, config));
-        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
-        let t = Instant::now();
-        let fast = black_box(cluster_workload(&workload, &times, config));
-        fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
-        identical &= fast == expected && slow == expected;
-    }
-    let check = RootRatioCheck {
-        workload: workload.name().to_string(),
-        invocations: workload.num_invocations(),
+    let (fast_ns, reference_ns, identical) = alternate(
+        runs,
+        || reference::cluster_workload(&workload, &times, config),
+        || cluster_workload(&workload, &times, config),
+    );
+    RatioCheck::new(
+        "root",
+        workload.name(),
+        workload.num_invocations(),
         fast_ns,
         reference_ns,
-        ratio: fast_ns / reference_ns.max(1.0),
         identical,
-    };
-    check.report();
-    check
-}
-
-/// Outcome of the one-pass workload constructor vs three-pass reference
-/// probe ([`construct_ratio_check`]).
-#[derive(Debug, Clone)]
-pub struct ConstructRatioCheck {
-    /// Workload the probe ran on.
-    pub workload: String,
-    /// Invocations per construction.
-    pub invocations: usize,
-    /// Fastest of the runs of `Workload::try_new`, nanoseconds.
-    pub fast_ns: f64,
-    /// Fastest of the runs of `gpu_workload::trace::reference::derive`,
-    /// nanoseconds.
-    pub reference_ns: f64,
-    /// fast / reference wall-clock ratio (below 1 is faster).
-    pub ratio: f64,
-    /// Whether every run of both paths derived bit-identical group ids,
-    /// representatives and fingerprints.
-    pub identical: bool,
-}
-
-impl ConstructRatioCheck {
-    fn report(&self) {
-        println!(
-            "construct {:<31} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}",
-            self.workload,
-            fmt_ns(self.reference_ns),
-            fmt_ns(self.fast_ns),
-            self.invocations,
-            self.ratio,
-            self.identical
-        );
-    }
+    )
 }
 
 /// Times workload construction on the largest HuggingFace workload
@@ -391,7 +393,7 @@ impl ConstructRatioCheck {
 /// # Panics
 ///
 /// Panics if `runs == 0` or the HuggingFace suite is empty.
-pub fn construct_ratio_check(runs: usize) -> ConstructRatioCheck {
+pub fn construct_ratio_check(runs: usize) -> RatioCheck {
     use crate::harness::ExperimentOptions;
     use gpu_workload::trace::reference;
     use gpu_workload::{KernelId, SuiteKind, Workload};
@@ -452,16 +454,90 @@ pub fn construct_ratio_check(runs: usize) -> ConstructRatioCheck {
         identical &= slow == (group_of.clone(), representatives.clone(), fingerprint)
             && fast.as_ref().is_ok_and(|w| matches(w) && *w == workload);
     }
-    let check = ConstructRatioCheck {
-        workload: workload.name().to_string(),
-        invocations: workload.num_invocations(),
+    RatioCheck::new(
+        "construct",
+        workload.name(),
+        workload.num_invocations(),
         fast_ns,
         reference_ns,
-        ratio: fast_ns / reference_ns.max(1.0),
         identical,
-    };
-    check.report();
-    check
+    )
+}
+
+/// Times the campaign's profile into ROOT over the HuggingFace suite
+/// against the path it replaced, `runs` times each, alternating, and
+/// reports two ratios of fastest runs, both measured serially in this
+/// process on the same inputs:
+///
+/// - `profile`: the handoff into ROOT's input. One profiler (as one cold
+///   `StemRootSampler` holds) writes each workload's by-kernel rows over
+///   its shared noise table, against a fresh profiler per workload whose
+///   `ExecTimeProfiler::profile_par` times are then gathered by kernel
+///   (`KernelProfile::from_times`, what `cluster_workload` does).
+/// - `profile+root`: the same, with ROOT run on each side: one cold
+///   sampler's clusters against a fresh profiler per workload running
+///   `profile_par` and `cluster_workload`. ROOT's recursion is the same
+///   code on both sides.
+///
+/// Both checks require bit-identical results.
+///
+/// # Panics
+///
+/// Panics if `runs == 0`.
+pub fn profile_root_ratio_checks(runs: usize) -> [RatioCheck; 2] {
+    use crate::harness::ExperimentOptions;
+    use gpu_profile::{ExecTimeProfiler, KernelProfile};
+    use gpu_workload::{SuiteKind, Workload};
+    use stem_core::root::cluster_workload;
+    use stem_core::StemRootSampler;
+
+    let options = ExperimentOptions::fast();
+    let workloads = options.suite(SuiteKind::Huggingface);
+    let invocations = workloads.iter().map(Workload::num_invocations).sum();
+    let config = &options.stem_config;
+    let serial = stem_par::Parallelism::serial();
+    let profiler = || ExecTimeProfiler::new(config.profile_config.clone(), config.profile_seed);
+    let stream_times = |w: &Workload| profiler().profile_par(w, serial);
+
+    let (fast_ns, reference_ns, identical) = alternate(
+        runs,
+        || -> Vec<_> {
+            let gather = |w| KernelProfile::from_times(w, &stream_times(w), serial);
+            workloads.iter().map(gather).collect()
+        },
+        || -> Vec<_> {
+            let shared = profiler();
+            workloads.iter().map(|w| shared.profile_by_kernel(w, serial)).collect()
+        },
+    );
+    let profile = RatioCheck::new(
+        "profile",
+        "huggingface suite",
+        invocations,
+        fast_ns,
+        reference_ns,
+        identical,
+    );
+    let (fast_ns, reference_ns, identical) = alternate(
+        runs,
+        || -> Vec<_> {
+            let cluster = |w| cluster_workload(w, &stream_times(w), config);
+            workloads.iter().map(cluster).collect()
+        },
+        || -> Vec<_> {
+            let sampler = StemRootSampler::new(config.clone());
+            workloads.iter().map(|w| sampler.clusters(w)).collect()
+        },
+    );
+    let profile_root = RatioCheck::new(
+        "profile+root",
+        "huggingface suite",
+        invocations,
+        fast_ns,
+        reference_ns,
+        identical,
+    );
+    [profile, profile_root]
 }
 
 #[cfg(test)]

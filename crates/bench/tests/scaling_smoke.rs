@@ -4,19 +4,32 @@
 //! must produce a bit-identical summary. The measured speedup is printed
 //! (run with `--nocapture` to see it) but never gated on — CI machines are
 //! too noisy for absolute wall-clock thresholds. The timing gates are
-//! ratios of two paths measured in this same process (ROOT's recursion
-//! and workload construction, each against its reference), which machine
-//! speed cancels out of.
+//! ratios of two paths measured in this same process (ROOT's recursion,
+//! workload construction, and the sampler's profile+ROOT, each against its
+//! reference), which machine speed cancels out of.
+
+use std::sync::{Mutex, MutexGuard};
 
 use stem_bench::microbench::{
-    construct_ratio_check, grouped_timing_check, root_ratio_check, scaling_smoke_check,
+    construct_ratio_check, grouped_timing_check, profile_root_ratio_checks, root_ratio_check,
+    scaling_smoke_check,
 };
+
+/// The probes take turns: the test harness runs tests concurrently, and a
+/// probe timed while another one (the threads=4 run above all) holds the
+/// CPUs measures the contention, not its two paths.
+static PROBE: Mutex<()> = Mutex::new(());
+
+fn one_probe_at_a_time() -> MutexGuard<'static, ()> {
+    PROBE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 /// Regression entry for the deterministic-core/jitter split: the grouped
 /// ground-truth path must stay bit-identical to the per-invocation
 /// reference; its measured speedup is printed but never gated on.
 #[test]
 fn grouped_timing_matches_per_invocation_reference() {
+    let _turn = one_probe_at_a_time();
     let check = grouped_timing_check();
     println!(
         "grouped vs per-invocation on {}: {:.2}x speedup (informational)",
@@ -31,6 +44,7 @@ fn grouped_timing_matches_per_invocation_reference() {
 
 #[test]
 fn parallel_run_matches_serial_and_reports_speedup() {
+    let _turn = one_probe_at_a_time();
     let check = scaling_smoke_check(4);
     println!(
         "threads=1 vs threads={}: {:.2}x speedup (informational)",
@@ -48,6 +62,7 @@ fn parallel_run_matches_serial_and_reports_speedup() {
 /// fastest of 5 runs each, alternated in this process).
 #[test]
 fn root_recursion_matches_reference_and_beats_it() {
+    let _turn = one_probe_at_a_time();
     let check = root_ratio_check(5);
     println!(
         "root fast path vs reference on {}: ratio {:.2}",
@@ -72,6 +87,7 @@ fn root_recursion_matches_reference_and_beats_it() {
 /// process).
 #[test]
 fn workload_construction_matches_reference_and_beats_it() {
+    let _turn = one_probe_at_a_time();
     let check = construct_ratio_check(5);
     println!(
         "one-pass construction vs reference on {}: ratio {:.2}",
@@ -87,5 +103,34 @@ fn workload_construction_matches_reference_and_beats_it() {
         "one-pass construction took {:.2}x the reference's time on {} (gate: 0.5x)",
         check.ratio,
         check.workload
+    );
+}
+
+/// A cold sampler's profile into ROOT over the HuggingFace suite
+/// (by-kernel rows over one shared noise table, moved straight into ROOT)
+/// must reproduce a fresh profiler per workload plus `cluster_workload` bit
+/// for bit. Its handoff into ROOT's input must take at most 0.85x the time
+/// of a fresh profiler's stream-order profile gathered by kernel (the
+/// fastest of 5 runs each, alternated in this process). The profile+ROOT
+/// ratio is printed, not gated: ROOT's recursion is the same code on both
+/// sides and most of either's time, so that ratio rises with host load.
+#[test]
+fn sampler_profile_into_root_matches_the_unfused_path_and_beats_it() {
+    let _turn = one_probe_at_a_time();
+    let [profile, profile_root] = profile_root_ratio_checks(5);
+    println!(
+        "profile vs unfused on {}: ratio {:.2}; profile+root: ratio {:.2} (informational)",
+        profile.workload, profile.ratio, profile_root.ratio
+    );
+    assert!(
+        profile.identical && profile_root.identical,
+        "the sampler's profile into ROOT diverged from the unfused path on {}",
+        profile.workload
+    );
+    assert!(
+        profile.ratio <= 0.85,
+        "the by-kernel profile took {:.2}x the unfused path's time on {} (gate: 0.85x)",
+        profile.ratio,
+        profile.workload
     );
 }

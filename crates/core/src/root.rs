@@ -11,6 +11,7 @@
 //! ROOT's point.
 
 use crate::config::StemConfig;
+use gpu_profile::{KernelProfile, KernelRows};
 use gpu_workload::{KernelId, Workload};
 use stem_cluster::{kmeans_1d, TwoSplitScan};
 use stem_stats::clt::sample_size;
@@ -59,8 +60,21 @@ pub fn cluster_indices(
         );
     }
     config.validate();
+    let mut summary = Summary::new();
+    let rows = members
+        .into_iter()
+        .map(|m| {
+            summary.push(times[m]);
+            (m, times[m])
+        })
+        .collect();
+    let group = KernelRows {
+        kernel: KernelId(0),
+        rows,
+        summary,
+    };
     let mut leaves = Vec::new();
-    split_group(KernelId(0), &members, times, config, &mut leaves);
+    split_group(group, config, &mut leaves);
     leaves
         .into_iter()
         .map(|c| IndexCluster {
@@ -87,11 +101,9 @@ pub fn cluster_workload(
 }
 
 /// [`cluster_workload`] with the per-kernel groups split across `par`
-/// threads. Each kernel's recursive splitting is independent of every
-/// other kernel's (no RNG, no shared accumulators, buffers owned by the
-/// task), and the leaf clusters are concatenated in the groups'
-/// deterministic `BTreeMap` order — so the result is bit-identical to the
-/// serial clustering at any thread count.
+/// threads: a gather of `times` into a [`KernelProfile`], then
+/// [`cluster_profile`]. Bit-identical to the serial clustering at any
+/// thread count.
 ///
 /// # Panics
 ///
@@ -103,14 +115,35 @@ pub fn cluster_workload_par(
     par: stem_par::Parallelism,
 ) -> Vec<KernelCluster> {
     validate_workload_times(workload, times, config);
-    let groups: Vec<(KernelId, Vec<usize>)> =
-        workload.invocations_by_kernel().into_iter().collect();
-    let per_group = stem_par::par_map_indexed(par, &groups, |_, (kernel, members)| {
+    cluster_profile(KernelProfile::from_times(workload, times, par), config, par)
+}
+
+/// ROOT's one entry point: splits each kernel's profiled rows, across
+/// `par` threads. Each kernel's row buffer moves into its recursion (no
+/// gather) and is freed when that kernel finishes. Each kernel's recursive
+/// splitting is independent of every other kernel's (no RNG, no shared
+/// accumulators, buffers owned by the task), and the leaf clusters are
+/// concatenated in kernel order, so the result is bit-identical to the
+/// serial clustering at any thread count.
+///
+/// # Panics
+///
+/// Panics if the profile has no kernels, a kernel has no rows or a
+/// summary that does not count them, or any time is nonpositive or
+/// non-finite.
+pub fn cluster_profile(
+    profile: KernelProfile,
+    config: &StemConfig,
+    par: stem_par::Parallelism,
+) -> Vec<KernelCluster> {
+    assert!(!profile.kernels.is_empty(), "cannot cluster an empty workload");
+    config.validate();
+    let per_kernel = stem_par::par_map_owned(par, profile.kernels, |_, group| {
         let mut leaves = Vec::new();
-        split_group(*kernel, members, times, config, &mut leaves);
+        split_group(group, config, &mut leaves);
         leaves
     });
-    per_group.into_iter().flatten().collect()
+    per_kernel.into_iter().flatten().collect()
 }
 
 /// The entry checks of [`cluster_workload_par`], shared with
@@ -151,12 +184,12 @@ struct Node {
 ///
 /// - `rows`: a ping-pong pair of `(member, time)` buffers. A node at
 ///   depth `d` holds its rows, in stream order, in `rows[d % 2][lo..hi]`
-///   (the root's are gathered into `rows[0]`). Splitting it partitions
-///   them stably into `rows[1 - d % 2][lo..hi]`, lower child first, so
-///   each child keeps stream order (its `Summary` bits equal a fold over
-///   the original stream) and nothing is copied back. A child's subtree
-///   only touches its own range of either buffer, and a node whose split
-///   is rejected still has its rows intact.
+///   (the root's are the group's [`KernelRows`], moved in as `rows[0]`).
+///   Splitting it partitions them stably into `rows[1 - d % 2][lo..hi]`,
+///   lower child first, so each child keeps stream order (its `Summary`
+///   bits equal a fold over the original stream) and nothing is copied
+///   back. A child's subtree only touches its own range of either buffer,
+///   and a node whose split is rejected still has its rows intact.
 /// - `sorted`: the group's times, sorted once, when the root first needs
 ///   to split. A node's sorted values are `sorted[lo..hi]`: the children
 ///   of a sorted range are contiguous subranges, so nothing is re-sorted
@@ -169,25 +202,23 @@ struct Recursion<'a> {
     out: &'a mut Vec<KernelCluster>,
 }
 
-/// Runs ROOT over one kernel group — `members` in stream order, every
-/// referenced time already validated positive and finite — appending its
-/// leaves to `out` in depth-first, lower-child-first order.
-fn split_group(
-    kernel: KernelId,
-    members: &[usize],
-    times: &[f64],
-    config: &StemConfig,
-    out: &mut Vec<KernelCluster>,
-) {
-    // One gather pass builds the root's rows and folds its stream-order
-    // statistics; the fold's latency chain overlaps the gather's loads.
-    let mut rows = Vec::with_capacity(members.len());
-    let mut summary = Summary::new();
-    for &m in members {
-        let v = times[m];
-        rows.push((m, v));
-        summary.push(v);
-    }
+/// Runs ROOT over one kernel group, appending its leaves to `out` in
+/// depth-first, lower-child-first order. The group's rows become the
+/// root's rows and its summary the root's statistics.
+fn split_group(group: KernelRows, config: &StemConfig, out: &mut Vec<KernelCluster>) {
+    let KernelRows {
+        kernel,
+        rows,
+        summary,
+    } = group;
+    assert!(!rows.is_empty(), "cannot cluster an empty group");
+    assert_eq!(summary.count(), rows.len() as u64, "a group's summary must fold its rows");
+    // The summary's extremes and mean vouch for every row: the minimum is
+    // positive, the maximum finite, and a NaN would have poisoned the mean.
+    assert!(
+        summary.min() > 0.0 && summary.max().is_finite() && !summary.mean().is_nan(),
+        "profiled times must be positive and finite"
+    );
     let root = Node {
         lo: 0,
         hi: rows.len(),

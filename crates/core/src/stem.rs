@@ -5,13 +5,14 @@ use crate::config::StemConfig;
 use crate::degrade::inflate_cluster_stats;
 use crate::error::StemError;
 use crate::plan::{ClusterSummary, SamplingPlan};
-use crate::root::{cluster_workload_par, KernelCluster};
+use crate::root::{cluster_profile, cluster_workload_par, KernelCluster};
 use crate::sampler::KernelSampler;
 use gpu_profile::validate::reconstructed_times;
 use gpu_profile::{DataQualityReport, ExecTimeProfiler, TraceRecord, TraceValidator};
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
 use crate::rng::{RngExt, SeedableRng, StdRng};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use stem_par::Parallelism;
@@ -146,10 +147,13 @@ impl StemRootSampler {
     /// share one computation. External-times planners bypass this
     /// deliberately: caller-supplied profiles are not keyed by the
     /// workload fingerprint.
+    ///
+    /// The profile comes grouped by kernel and moves straight into ROOT,
+    /// so no stream-order time vector is built or gathered.
     fn cached_clusters(&self, workload: &Workload) -> Arc<Vec<KernelCluster>> {
         self.memo.get_or_compute(workload.fingerprint(), || {
-            let times = self.profiler.profile_par(workload, self.parallelism);
-            self.cluster_times(workload, &times)
+            let profile = self.profiler.profile_by_kernel(workload, self.parallelism);
+            cluster_profile(profile, &self.root_config(), self.parallelism)
         })
     }
 
@@ -277,15 +281,16 @@ impl StemRootSampler {
         Ok((plan, report))
     }
 
-    fn cluster_times(&self, workload: &Workload, times: &[f64]) -> Vec<KernelCluster> {
+    /// The config ROOT runs with: the sampler's own, or, without ROOT, one
+    /// that never splits (one cluster per kernel name).
+    fn root_config(&self) -> Cow<'_, StemConfig> {
         if self.enable_root {
-            cluster_workload_par(workload, times, &self.config, self.parallelism)
+            Cow::Borrowed(&self.config)
         } else {
-            // One cluster per kernel name, no splitting.
             let mut cfg = self.config.clone();
             cfg.max_depth = 1;
             cfg.min_split_size = usize::MAX;
-            cluster_workload_par(workload, times, &cfg, self.parallelism)
+            Cow::Owned(cfg)
         }
     }
 }
@@ -329,7 +334,7 @@ impl StemRootSampler {
         rep_seed: u64,
         degraded_fraction: f64,
     ) -> SamplingPlan {
-        let clusters = self.cluster_times(workload, times);
+        let clusters = cluster_workload_par(workload, times, &self.root_config(), self.parallelism);
         self.plan_from_clusters(workload, &clusters, rep_seed, degraded_fraction)
     }
 

@@ -60,6 +60,7 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 pub mod supervisor;
 
@@ -223,6 +224,59 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     par_map_range(par, items.len(), |i| f(i, &items[i]))
+}
+
+/// Maps `f(index, item)` over owned items in parallel, returning results in
+/// input-index order: each task takes its item by value, so it can move a
+/// large buffer into its own state and free it when it finishes. See
+/// [`par_map_range`] for the determinism contract.
+pub fn par_map_owned<T, U, F>(par: Parallelism, items: Vec<T>, f: F) -> Vec<U>
+where
+    T: Send,
+    U: Send,
+    F: Fn(usize, T) -> U + Sync,
+{
+    if par.is_serial() || items.len() <= 1 {
+        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+    }
+    let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
+    // `par_map_range` visits every index exactly once, so every take
+    // finds its item and the flatten drops nothing.
+    par_map_range(par, slots.len(), |i| {
+        let item = match slots[i].lock() {
+            Ok(mut slot) => slot.take(),
+            Err(poisoned) => poisoned.into_inner().take(),
+        };
+        item.map(|t| f(i, t))
+    })
+    .into_iter()
+    .flatten()
+    .collect()
+}
+
+/// [`par_map_range`] into the caller's buffer: sets `out[i] = f(i)` for
+/// every index, each chunk of `out` on the pool, with no result vector of
+/// its own to allocate and copy. Which worker fills a chunk never reaches
+/// the result.
+pub fn par_fill<T, F>(par: Parallelism, out: &mut [T], f: F)
+where
+    T: Send,
+    F: Fn(usize) -> T + Sync,
+{
+    if par.is_serial() || out.len() <= 1 {
+        for (i, slot) in out.iter_mut().enumerate() {
+            *slot = f(i);
+        }
+        return;
+    }
+    let chunk = chunk_size(out.len(), par.threads().min(out.len()));
+    let pieces: Vec<(usize, &mut [T])> =
+        out.chunks_mut(chunk).enumerate().map(|(c, piece)| (c * chunk, piece)).collect();
+    par_map_owned(par, pieces, |_, (start, piece)| {
+        for (j, slot) in piece.iter_mut().enumerate() {
+            *slot = f(start + j);
+        }
+    });
 }
 
 /// Parallel map + **serial in-order fold**: computes `f(index, &item)` for

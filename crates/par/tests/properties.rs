@@ -7,8 +7,8 @@
 //! serial code path* — parallelism must be invisible in results.
 
 use stem_par::{
-    par_map_indexed, par_map_range, par_reduce_ordered, split_seed, supervised_map_indexed,
-    Parallelism, Supervisor, TaskCtx,
+    par_fill, par_map_indexed, par_map_owned, par_map_range, par_reduce_ordered, split_seed,
+    supervised_map_indexed, Parallelism, Supervisor, TaskCtx,
 };
 use stem_stats::rng::{RngCore, RngExt, SeedableRng, StdRng};
 
@@ -100,6 +100,43 @@ fn par_map_range_equals_serial_range() {
             split_seed(seed, i as u64)
         });
         assert_eq!(got, serial, "case {case}: len {len} threads {threads}");
+    }
+}
+
+#[test]
+fn par_fill_equals_serial_range_map() {
+    for case in 0..CASES {
+        let mut rng = rng_for(10, case);
+        let (seed, items, threads) = triple(&mut rng);
+        let serial: Vec<f64> =
+            items.iter().enumerate().map(|(i, &x)| seeded_map(seed, i, x)).collect();
+        let mut got = vec![f64::NAN; items.len()];
+        par_fill(Parallelism::with_threads(threads), &mut got, |i| seeded_map(seed, i, items[i]));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&serial), "case {case}: threads {threads}");
+    }
+}
+
+#[test]
+fn par_map_owned_equals_serial_map_and_moves_every_item() {
+    for case in 0..CASES {
+        let mut rng = rng_for(9, case);
+        let (seed, items, threads) = triple(&mut rng);
+        // Owned buffers of varying length: each task must get its own
+        // item, by value, exactly once.
+        let owned: Vec<Vec<f64>> = items.iter().map(|&x| vec![x; 1 + (x as usize % 5)]).collect();
+        let serial: Vec<f64> = owned
+            .iter()
+            .enumerate()
+            .map(|(i, v)| seeded_map(seed, i, v.iter().sum()))
+            .collect();
+        let got = par_map_owned(Parallelism::with_threads(threads), owned, |i, v| {
+            seeded_map(seed, i, v.into_iter().sum())
+        });
+        assert_eq!(got.len(), serial.len(), "case {case}");
+        for (g, s) in got.iter().zip(&serial) {
+            assert_eq!(g.to_bits(), s.to_bits(), "case {case}: threads {threads}");
+        }
     }
 }
 

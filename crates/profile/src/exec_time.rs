@@ -1,7 +1,9 @@
 //! Nsight-Systems-style execution-time profiling — STEM's only input.
 
 use gpu_sim::{GpuConfig, HardwareRunner};
-use gpu_workload::Workload;
+use gpu_workload::{KernelId, Workload};
+use stem_par::Parallelism;
+use stem_stats::Summary;
 
 /// Collects per-invocation execution times from a hardware run.
 ///
@@ -44,14 +46,126 @@ impl ExecTimeProfiler {
     /// [`ExecTimeProfiler::profile`] spread across `par` threads;
     /// bit-identical to the serial profile at any thread count because
     /// measurement noise is a pure function of `(seed, index)`.
-    pub fn profile_par(&self, workload: &Workload, par: stem_par::Parallelism) -> Vec<f64> {
+    pub fn profile_par(&self, workload: &Workload, par: Parallelism) -> Vec<f64> {
         self.hw.measure_all_par(workload, par)
+    }
+
+    /// The same measurements grouped by kernel, as ROOT consumes them:
+    /// each kernel's `(invocation, time)` rows in stream order with their
+    /// [`Summary`] folded in the same pass. No stream-order time vector is
+    /// built. Bit-identical to [`KernelProfile::from_times`] over
+    /// [`ExecTimeProfiler::profile`], at any thread count.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use gpu_profile::ExecTimeProfiler;
+    /// use gpu_sim::GpuConfig;
+    /// use gpu_workload::suites::rodinia_suite;
+    /// use stem_par::Parallelism;
+    ///
+    /// let w = &rodinia_suite(1)[0];
+    /// let profiler = ExecTimeProfiler::new(GpuConfig::rtx2080(), 42);
+    /// let by_kernel = profiler.profile_by_kernel(w, Parallelism::serial());
+    /// let rows: usize = by_kernel.kernels.iter().map(|k| k.rows.len()).sum();
+    /// assert_eq!(rows, w.num_invocations());
+    /// ```
+    pub fn profile_by_kernel(&self, workload: &Workload, par: Parallelism) -> KernelProfile {
+        let measurements = self.hw.measurements(workload, par);
+        by_kernel(workload, par, |i| measurements.time(i))
     }
 
     /// The profiling machine's config.
     pub fn config(&self) -> &GpuConfig {
         self.hw.config()
     }
+}
+
+/// One kernel's profiled calls.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelRows {
+    /// The kernel.
+    pub kernel: KernelId,
+    /// `(invocation index, time)` of every call of the kernel, in stream
+    /// order.
+    pub rows: Vec<(usize, f64)>,
+    /// The stream-order [`Summary`] fold over the rows' times.
+    pub summary: Summary,
+}
+
+/// An execution-time profile grouped by kernel: one [`KernelRows`] per
+/// kernel with at least one call, in kernel-id order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct KernelProfile {
+    /// The kernels' rows.
+    pub kernels: Vec<KernelRows>,
+}
+
+impl KernelProfile {
+    /// Groups a stream-order profile by kernel; `times[i]` is invocation
+    /// `i`'s time. Bit-identical at any thread count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `times` is shorter than the workload.
+    pub fn from_times(workload: &Workload, times: &[f64], par: Parallelism) -> Self {
+        by_kernel(workload, par, |i| times[i])
+    }
+}
+
+/// The one by-kernel pass: `time(i)` is invocation `i`'s time. Serial, it
+/// is one stream pass; each row lands in its kernel's exactly-sized buffer
+/// and folds into its kernel's summary. The kernels' fold chains are
+/// independent, so the pass overlaps them. In parallel, each kernel is a
+/// task over its own calls. Either way each kernel's rows and fold are in
+/// stream order, so the bits agree.
+fn by_kernel(
+    workload: &Workload,
+    par: Parallelism,
+    time: impl Fn(usize) -> f64 + Sync,
+) -> KernelProfile {
+    let invocations = workload.invocations();
+    let kernels = if par.is_serial() {
+        let mut counts = vec![0usize; workload.kernels().len()];
+        for inv in invocations {
+            counts[inv.kernel.index()] += 1;
+        }
+        let mut kernels: Vec<KernelRows> = (0u32..)
+            .zip(counts)
+            .map(|(k, calls)| KernelRows {
+                kernel: KernelId(k),
+                rows: Vec::with_capacity(calls),
+                summary: Summary::new(),
+            })
+            .collect();
+        for (i, inv) in invocations.iter().enumerate() {
+            let t = time(i);
+            let kernel = &mut kernels[inv.kernel.index()];
+            kernel.rows.push((i, t));
+            kernel.summary.push(t);
+        }
+        kernels.retain(|k| !k.rows.is_empty());
+        kernels
+    } else {
+        let groups: Vec<_> = workload.invocations_by_kernel().into_iter().collect();
+        stem_par::par_map_owned(par, groups, |_, (kernel, members)| {
+            let mut summary = Summary::new();
+            let rows = members
+                .into_iter()
+                .map(|m| {
+                    let t = time(m);
+                    summary.push(t);
+                    (m, t)
+                })
+                .collect();
+            KernelRows {
+                kernel,
+                rows,
+                summary,
+            }
+        })
+    };
+    KernelProfile { kernels }
 }
 
 #[cfg(test)]
@@ -74,6 +188,31 @@ mod tests {
         for threads in [1usize, 2, 3, 8] {
             let par = p.profile_par(w, stem_par::Parallelism::with_threads(threads));
             assert_eq!(par, serial, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn by_kernel_profile_matches_the_stream_profile_at_every_thread_count() {
+        let p = ExecTimeProfiler::new(GpuConfig::rtx2080(), 7);
+        for w in &rodinia_suite(1) {
+            let times = p.profile(w);
+            let expected = KernelProfile::from_times(w, &times, Parallelism::serial());
+            let rows: usize = expected.kernels.iter().map(|k| k.rows.len()).sum();
+            assert_eq!(rows, w.num_invocations());
+            for k in &expected.kernels {
+                let same = |&(m, t): &(usize, f64)| {
+                    w.invocations()[m].kernel == k.kernel && t.to_bits() == times[m].to_bits()
+                };
+                assert!(k.rows.iter().all(same), "kernel and time bits");
+                assert!(k.rows.windows(2).all(|r| r[0].0 < r[1].0), "stream order");
+                let fold: Summary = k.rows.iter().map(|&(_, t)| t).collect();
+                assert_eq!(k.summary, fold);
+            }
+            for threads in [1usize, 2, 3, 8] {
+                let par = Parallelism::with_threads(threads);
+                assert_eq!(p.profile_by_kernel(w, par), expected, "threads = {threads}");
+                assert_eq!(KernelProfile::from_times(w, &times, par), expected);
+            }
         }
     }
 

@@ -8,17 +8,31 @@
 //! identical to* what any simulator config produces.
 
 use crate::config::GpuConfig;
+use crate::exec::DeterministicTiming;
 use crate::simulator::Simulator;
 use gpu_workload::Workload;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Measures kernel execution times the way a lightweight profiler would.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct HardwareRunner {
     sim: Simulator,
     /// CoV of multiplicative measurement noise.
     measurement_noise: f64,
     /// Seed decorrelating measurement noise from workload jitter.
     seed: u64,
+    /// Memoized measurement-noise factors of this `(seed, noise)` pair.
+    noise: NoiseTable,
+}
+
+/// Two runners are equal when they measure alike; the noise table is a
+/// cache derived from the compared fields.
+impl PartialEq for HardwareRunner {
+    fn eq(&self, other: &Self) -> bool {
+        self.sim == other.sim
+            && self.measurement_noise == other.measurement_noise
+            && self.seed == other.seed
+    }
 }
 
 impl HardwareRunner {
@@ -31,10 +45,12 @@ impl HardwareRunner {
             sim: Simulator::new(config),
             measurement_noise: Self::DEFAULT_NOISE,
             seed,
+            noise: NoiseTable::default(),
         }
     }
 
-    /// Overrides the measurement-noise CoV.
+    /// Overrides the measurement-noise CoV (and starts a fresh noise
+    /// table for it).
     ///
     /// # Panics
     ///
@@ -42,6 +58,7 @@ impl HardwareRunner {
     pub fn with_noise(mut self, cov: f64) -> Self {
         assert!((0.0..=1.0).contains(&cov), "noise CoV must be in [0, 1]");
         self.measurement_noise = cov;
+        self.noise = NoiseTable::default();
         self
     }
 
@@ -54,9 +71,7 @@ impl HardwareRunner {
     pub fn measure_one(&self, workload: &Workload, index: usize) -> f64 {
         let inv = &workload.invocations()[index];
         let true_cycles = self.sim.cycles(workload, inv);
-        let z = noise_z(self.seed, index as u64);
-        let s = self.measurement_noise;
-        true_cycles * (s * z - s * s / 2.0).exp()
+        true_cycles * noise_factor(self.seed, self.measurement_noise, index as u64)
     }
 
     /// Measures every invocation — the execution-time profile STEM consumes
@@ -64,7 +79,8 @@ impl HardwareRunner {
     ///
     /// Grouped fast path: the simulator's deterministic core runs once per
     /// invocation group, then each measurement applies the invocation's
-    /// jitter and its own `(seed, index)` noise — bit-identical to calling
+    /// jitter and its own `(seed, index)` noise factor from the runner's
+    /// noise table — bit-identical to calling
     /// [`HardwareRunner::measure_one`] per index, because the per-index
     /// floating-point expression is unchanged.
     pub fn measure_all(&self, workload: &Workload) -> Vec<f64> {
@@ -75,28 +91,148 @@ impl HardwareRunner {
     /// Measurement noise is a pure function of `(seed, index)`, so the
     /// result is bit-identical to the serial profile at any thread count.
     pub fn measure_all_par(&self, workload: &Workload, par: stem_par::Parallelism) -> Vec<f64> {
+        let measurements = self.measurements(workload, par);
+        stem_par::par_map_range(par, workload.num_invocations(), |i| measurements.time(i))
+    }
+
+    /// What measuring `workload` needs, computed once: the deterministic
+    /// core of every invocation group and the noise factors of the first
+    /// `num_invocations` indices. Both are computed across `par` threads;
+    /// [`Measurements::time`] then gives any invocation's measured time in
+    /// any order, bit-identical to [`HardwareRunner::measure_one`].
+    pub fn measurements<'w>(
+        &self,
+        workload: &'w Workload,
+        par: stem_par::Parallelism,
+    ) -> Measurements<'w> {
         let invocations = workload.invocations();
-        stem_par::par_map_grouped(
-            par,
-            workload.num_invocation_groups(),
-            |g| {
-                let rep = &invocations[workload.group_representative(g as u32)];
-                crate::exec::deterministic_of_invocation(
-                    workload,
-                    rep,
-                    self.sim.config(),
-                    self.sim.options(),
-                )
-            },
-            invocations.len(),
-            |i, groups: &[crate::exec::DeterministicTiming]| {
-                let true_cycles = groups[workload.group_of(i) as usize]
-                    .jittered_cycles(invocations[i].noise_z as f64);
-                let z = noise_z(self.seed, i as u64);
-                let s = self.measurement_noise;
-                true_cycles * (s * z - s * s / 2.0).exp()
-            },
-        )
+        let groups = stem_par::par_map_range(par, workload.num_invocation_groups(), |g| {
+            let rep = &invocations[workload.group_representative(g as u32)];
+            crate::exec::deterministic_of_invocation(
+                workload,
+                rep,
+                self.sim.config(),
+                self.sim.options(),
+            )
+        });
+        let factors = self
+            .noise
+            .factors(self.seed, self.measurement_noise, invocations.len(), par);
+        Measurements {
+            workload,
+            groups,
+            factors,
+        }
+    }
+}
+
+/// One workload's measurement inputs (see [`HardwareRunner::measurements`]).
+pub struct Measurements<'w> {
+    workload: &'w Workload,
+    groups: Vec<DeterministicTiming>,
+    /// At least one factor per invocation (a shared table may be longer).
+    factors: Arc<Vec<f64>>,
+}
+
+impl std::fmt::Debug for Measurements<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Measurements")
+            .field("workload", &self.workload.name())
+            .field("groups", &self.groups.len())
+            .finish_non_exhaustive()
+    }
+}
+
+impl Measurements<'_> {
+    /// Measured time (cycles) of invocation `i`: its group's jittered
+    /// cycles times its noise factor, the expression of
+    /// [`HardwareRunner::measure_one`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn time(&self, i: usize) -> f64 {
+        let w = self.workload;
+        let true_cycles = self.groups[w.group_of(i) as usize]
+            .jittered_cycles(w.invocations()[i].noise_z as f64);
+        true_cycles * self.factors[i]
+    }
+}
+
+/// A grow-only table of measurement-noise factors: entry `i` is
+/// [`noise_factor`]`(seed, s, i)`, the factor measurement `i` of *every*
+/// workload is multiplied by. A factor depends only on `(seed, s, i)`, so
+/// the workloads a runner profiles share one table, sized exactly to the
+/// longest of them; a campaign's workloads draw the same indices, and only
+/// the longest one pays the splitmix, `ln`, `sqrt`, `cos` and `exp` draws.
+///
+/// The lock guards only the handle: a profile clones the current `Arc`
+/// and releases the lock, a growth computes the longer table outside the
+/// lock and swaps it in, so concurrent profiles never wait on each other's
+/// work. Two racing growths each compute the same values; the longer
+/// table stays. A clone shares the current table.
+#[derive(Default)]
+struct NoiseTable {
+    factors: Mutex<Arc<Vec<f64>>>,
+}
+
+impl NoiseTable {
+    /// A table with at least `len` factors of `(seed, s)`, grown to exactly
+    /// `len` across `par` threads if the current one is shorter.
+    fn factors(
+        &self,
+        seed: u64,
+        s: f64,
+        len: usize,
+        par: stem_par::Parallelism,
+    ) -> Arc<Vec<f64>> {
+        let current = Arc::clone(&lock_table(&self.factors));
+        if current.len() >= len {
+            return current;
+        }
+        let have = current.len();
+        // One allocation at the final length; the new factors are written
+        // in place.
+        let mut grown = Vec::with_capacity(len);
+        grown.extend_from_slice(&current);
+        grown.resize(len, 0.0);
+        stem_par::par_fill(par, &mut grown[have..], |j| {
+            noise_factor(seed, s, (have + j) as u64)
+        });
+        let grown = Arc::new(grown);
+        let mut slot = lock_table(&self.factors);
+        if slot.len() < len {
+            *slot = Arc::clone(&grown);
+        }
+        grown
+    }
+}
+
+impl Clone for NoiseTable {
+    fn clone(&self) -> Self {
+        NoiseTable {
+            factors: Mutex::new(Arc::clone(&lock_table(&self.factors))),
+        }
+    }
+}
+
+impl std::fmt::Debug for NoiseTable {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let len = lock_table(&self.factors).len();
+        f.debug_struct("NoiseTable").field("len", &len).finish()
+    }
+}
+
+/// Locks the table handle. A panic elsewhere cannot leave the handle
+/// half-written (it is swapped whole), so poison is cleared, not spread.
+fn lock_table(m: &Mutex<Arc<Vec<f64>>>) -> MutexGuard<'_, Arc<Vec<f64>>> {
+    match m.lock() {
+        Ok(guard) => guard,
+        Err(poisoned) => {
+            m.clear_poison();
+            poisoned.into_inner()
+        }
     }
 }
 
@@ -112,6 +248,12 @@ pub mod reference {
             .map(|i| hw.measure_one(workload, i))
             .collect()
     }
+}
+
+/// Multiplicative measurement-noise factor of measurement `index`: a
+/// mean-one lognormal with log-scale `s`.
+fn noise_factor(seed: u64, s: f64, index: u64) -> f64 {
+    (s * noise_z(seed, index) - s * s / 2.0).exp()
 }
 
 /// Deterministic standard-normal draw from `(seed, index)` via splitmix64 +

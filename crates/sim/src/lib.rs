@@ -49,7 +49,7 @@ pub mod waves;
 pub use config::{DseTransform, GpuConfig};
 pub use energy::EnergyModel;
 pub use exec::{DeterministicTiming, KernelTiming, SimOptions};
-pub use hardware::HardwareRunner;
+pub use hardware::{HardwareRunner, Measurements};
 pub use memo::SimCache;
 pub use multi_gpu::{simulate_trace, ClusterConfig, TraceRun};
 pub use sampled::{SampledRun, WeightedSample};

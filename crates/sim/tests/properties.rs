@@ -4,10 +4,13 @@
 //! property tests so the workspace builds hermetically.
 
 use gpu_sim::exec::{time_kernel, SimOptions};
-use gpu_sim::{DseTransform, GpuConfig};
+use gpu_sim::hardware::reference;
+use gpu_sim::{DseTransform, GpuConfig, HardwareRunner};
 use gpu_workload::kernel::{InstructionMix, KernelClassBuilder};
-use gpu_workload::{KernelClass, RuntimeContext};
-use stem_stats::rng::{RngExt, SeedableRng, StdRng};
+use gpu_workload::{KernelClass, RuntimeContext, SuiteKind, Workload, WorkloadBuilder};
+use std::sync::Barrier;
+use stem_par::Parallelism;
+use stem_stats::rng::{RngCore, RngExt, SeedableRng, StdRng};
 
 const CASES: u64 = 64;
 
@@ -176,5 +179,88 @@ fn locality_never_hurts() {
             t_warm.deterministic_cycles <= t_cold.deterministic_cycles * (1.0 + 1e-9),
             "case {case}"
         );
+    }
+}
+
+/// A seeded workload of `n` calls spread over one to three random kernels
+/// with two contexts each.
+fn gen_workload(rng: &mut StdRng, n: usize) -> Workload {
+    let mut b = WorkloadBuilder::new("prop", SuiteKind::Custom, rng.next_u64());
+    let kernels: Vec<_> = (0..rng.random_range(1usize..4))
+        .map(|_| {
+            let kernel = gen_kernel(rng);
+            let contexts = vec![gen_ctx(rng), gen_ctx(rng)];
+            b.add_kernel(kernel, contexts)
+        })
+        .collect();
+    for _ in 0..n {
+        let k = kernels[rng.random_range(0..kernels.len())];
+        let context = rng.random_range(0u32..2) as u16;
+        b.invoke(k, context, rng.random_range(0.5..2.0) as f32);
+    }
+    b.build()
+}
+
+/// `hw` profiles `w` bit-identically to the per-invocation reference.
+fn assert_profile_exact(hw: &HardwareRunner, w: &Workload, par: Parallelism, what: &str) {
+    let got: Vec<u64> = hw.measure_all_par(w, par).iter().map(|t| t.to_bits()).collect();
+    let want: Vec<u64> = reference::measure_all(hw, w).iter().map(|t| t.to_bits()).collect();
+    assert_eq!(got, want, "{what}: {} calls, {} threads", w.num_invocations(), par.threads());
+}
+
+/// The runner's shared noise table never moves a bit: one runner profiles
+/// workloads whose lengths grow, shrink and repeat (the table grows only
+/// to the longest), a clone and a `with_noise` copy profile on from the
+/// shared or reset table, and two threads profile on one runner at once.
+#[test]
+fn noise_table_growth_clones_resets_and_races_match_the_reference() {
+    for case in 0..16 {
+        let mut rng = rng_for(8, case);
+        let seed = rng.next_u64();
+        let short = rng.random_range(1usize..40);
+        let mid = rng.random_range(40usize..200);
+        let long = rng.random_range(200usize..400);
+        let workloads: Vec<Workload> = [mid, long, short, long, mid, long + 50]
+            .iter()
+            .map(|&n| gen_workload(&mut rng, n))
+            .collect();
+        let hw = HardwareRunner::new(GpuConfig::rtx2080(), seed);
+        for (i, w) in workloads.iter().enumerate() {
+            let par = Parallelism::with_threads(1 + i % 3);
+            assert_profile_exact(&hw, w, par, &format!("case {case}: profile {i}"));
+        }
+
+        // A clone shares the grown table; each side keeps growing alone.
+        let copy = hw.clone();
+        let longer = gen_workload(&mut rng, long + 100);
+        let serial = Parallelism::serial();
+        assert_profile_exact(&copy, &longer, serial, &format!("case {case}: clone"));
+        assert_profile_exact(&hw, &workloads[2], serial, &format!("case {case}: original"));
+
+        // `with_noise` starts a fresh table for the new noise level.
+        let noisier = hw.clone().with_noise(rng.random_range(0.02..0.2));
+        for w in workloads.iter().rev() {
+            assert_profile_exact(&noisier, w, serial, &format!("case {case}: reset"));
+        }
+
+        // Two threads on one cold runner, released together by a barrier,
+        // in opposite length orders: both grow the table at once.
+        let shared = HardwareRunner::new(GpuConfig::rtx2080(), seed ^ 1);
+        let start = Barrier::new(2);
+        std::thread::scope(|scope| {
+            let forward = scope.spawn(|| {
+                start.wait();
+                for w in &workloads {
+                    assert_profile_exact(&shared, w, Parallelism::serial(), "forward");
+                }
+            });
+            start.wait();
+            for w in workloads.iter().rev() {
+                assert_profile_exact(&shared, w, Parallelism::with_threads(2), "backward");
+            }
+            if let Err(payload) = forward.join() {
+                std::panic::resume_unwind(payload);
+            }
+        });
     }
 }

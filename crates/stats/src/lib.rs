@@ -19,8 +19,6 @@
 //! * [`kde`] — Gaussian kernel density estimation, used both for peak
 //!   detection diagnostics and by the Sieve baseline's sub-clustering.
 //! * [`quantile`] — order-statistics helpers.
-//! * [`p2`] — the P-square streaming quantile estimator (O(1) memory, for
-//!   profiles too large to retain).
 //! * [`student_t`] — Student's t distribution for small-sample confidence
 //!   corrections (the CLT's m >= 30 rule of thumb breaks on ROOT's finest
 //!   clusters).
@@ -51,7 +49,6 @@ pub mod histogram;
 pub mod kde;
 pub mod kkt;
 pub mod normal;
-pub mod p2;
 pub mod quantile;
 pub mod rng;
 pub mod student_t;

@@ -5,7 +5,7 @@
 //!
 //! ```toml
 //! [no-unwrap]
-//! "crates/stats/src/p2.rs" = "P-square markers are finite by construction"
+//! "crates/baselines/src/pka.rs" = "best is Some: the candidate-k loop runs at least once"
 //! ```
 //!
 //! The justification string is mandatory: an allowlist entry without a

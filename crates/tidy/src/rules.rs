@@ -17,9 +17,10 @@
 //!   documents, raw traces, protocol lines, on-disk journals). Malformed
 //!   input there must surface as a typed error, so the whole
 //!   `panic!`/`assert!` family is banned.
-//! * **hot inner-loop files** — the per-invocation simulation loop and the
-//!   k-means assignment loop (`sim/src/{simulator,sampled,hardware,memo,
-//!   exec}.rs`, `cluster/src/{kmeans,matrix,distance}.rs`): `Vec`
+//! * **hot inner-loop files** — the per-invocation simulation and profile
+//!   loops and the k-means assignment loop (`sim/src/{simulator,sampled,
+//!   hardware,memo,exec}.rs`, `profile/src/exec_time.rs`,
+//!   `cluster/src/{kmeans,matrix,distance}.rs`): `Vec`
 //!   collection/allocation there is *advisory* (rule `no-hot-alloc`) —
 //!   every surviving allocation needs an allowlist justification placing it
 //!   at setup time, outside the per-item loop.
@@ -134,18 +135,20 @@ const INGEST_SRC_PREFIXES: [&str; 7] = [
 ];
 
 /// The hot inner-loop files: the per-invocation simulation loop, the
-/// k-means assignment loop and ROOT's per-node recursion. `Vec`
-/// collection here is advisory (rule `no-hot-alloc`): the grouped
-/// deterministic-core split, the flat bounds-pruned k-means and ROOT's
-/// per-kernel buffers exist precisely to keep allocation out of the
-/// per-item and per-node loops, so any allocation that stays must carry
-/// an allowlist justification placing it at setup time.
-const HOT_ALLOC_SRC_FILES: [&str; 12] = [
+/// per-invocation profile pass, the k-means assignment loop and ROOT's
+/// per-node recursion. `Vec` collection here is advisory (rule
+/// `no-hot-alloc`): the grouped deterministic-core split, the by-kernel
+/// profile rows, the flat bounds-pruned k-means and ROOT's per-kernel
+/// buffers exist precisely to keep allocation out of the per-item and
+/// per-node loops, so any allocation that stays must carry an allowlist
+/// justification placing it at setup time.
+const HOT_ALLOC_SRC_FILES: [&str; 13] = [
     "crates/sim/src/simulator.rs",
     "crates/sim/src/sampled.rs",
     "crates/sim/src/hardware.rs",
     "crates/sim/src/memo.rs",
     "crates/sim/src/exec.rs",
+    "crates/profile/src/exec_time.rs",
     "crates/cluster/src/kmeans.rs",
     "crates/cluster/src/kmeans1d.rs",
     "crates/cluster/src/matrix.rs",

@@ -197,6 +197,54 @@ fn root_matches_reference_recursion() {
 }
 
 #[test]
+fn sampler_profile_into_root_matches_the_reference_chain() {
+    // The sampler's one data flow (the by-kernel profile over the shared
+    // noise table, moved straight into ROOT) against the reference chain
+    // it replaced: the per-invocation profile, then the per-node-Vec
+    // recursion. One sampler visits every workload in turn, so its noise
+    // table grows, is reused by shorter workloads and grows again.
+    let config = StemConfig::paper();
+    let mut flat = config.clone();
+    flat.max_depth = 1;
+    flat.min_split_size = usize::MAX;
+    let hw = HardwareRunner::new(config.profile_config.clone(), config.profile_seed);
+    let mut workloads = rodinia_suite(33);
+    workloads.extend(casio_suite(33));
+    workloads.extend(huggingface_suite(33, HuggingfaceScale::custom(0.02)));
+    let expected: Vec<_> = workloads
+        .iter()
+        .map(|w| {
+            let times = hw_reference::measure_all(&hw, w);
+            (
+                root_reference::cluster_workload(w, &times, &config),
+                root_reference::cluster_workload(w, &times, &flat),
+            )
+        })
+        .collect();
+    for threads in THREADS {
+        let par = Parallelism::with_threads(threads);
+        let rooted = StemRootSampler::new(config.clone()).with_parallelism(par);
+        let unrooted = StemRootSampler::new(config.clone())
+            .without_root()
+            .with_parallelism(par);
+        for (w, (with_root, without_root)) in workloads.iter().zip(&expected) {
+            assert_eq!(
+                &rooted.clusters(w),
+                with_root,
+                "{}: fused clusters diverged at threads = {threads}",
+                w.name()
+            );
+            assert_eq!(
+                &unrooted.clusters(w),
+                without_root,
+                "{}: fused clusters without ROOT diverged at threads = {threads}",
+                w.name()
+            );
+        }
+    }
+}
+
+#[test]
 fn campaign_aggregates_match_reference_slow_path() {
     let dir = scratch("campaign");
     let workloads: Vec<Workload> = suite_workloads().into_iter().take(2).collect();
