@@ -264,7 +264,7 @@ pub fn grouped_timing_check() -> GroupedTimingCheck {
 }
 
 /// Outcome of a same-process ratio probe ([`root_ratio_check`],
-/// [`construct_ratio_check`], [`profile_root_ratio_checks`]): a production
+/// [`construct_ratio_check`], [`profile_root_ratio_check`]): a production
 /// path timed against its reference on the same inputs.
 #[derive(Debug, Clone)]
 pub struct RatioCheck {
@@ -464,64 +464,38 @@ pub fn construct_ratio_check(runs: usize) -> RatioCheck {
     )
 }
 
-/// Times the campaign's profile into ROOT over the HuggingFace suite
-/// against the path it replaced, `runs` times each, alternating, and
-/// reports two ratios of fastest runs, both measured serially in this
-/// process on the same inputs:
-///
-/// - `profile`: the handoff into ROOT's input. One profiler (as one cold
-///   `StemRootSampler` holds) writes each workload's by-kernel rows over
-///   its shared noise table, against a fresh profiler per workload whose
-///   `ExecTimeProfiler::profile_par` times are then gathered by kernel
-///   (`KernelProfile::from_times`, what `cluster_workload` does).
-/// - `profile+root`: the same, with ROOT run on each side: one cold
-///   sampler's clusters against a fresh profiler per workload running
-///   `profile_par` and `cluster_workload`. ROOT's recursion is the same
-///   code on both sides.
-///
-/// Both checks require bit-identical results.
+/// Times one cold `StemRootSampler`'s profile into ROOT over the
+/// HuggingFace suite against the path it replaced, `runs` times each,
+/// alternating. The sampler writes each workload's by-kernel rows over one
+/// shared noise table and moves them into ROOT; the reference profiles
+/// each workload with a fresh runner, drawing every measurement's noise
+/// factor itself (`gpu_sim::hardware::reference::measure_all_grouped`),
+/// and runs `cluster_workload` over the times. Both run serially in this
+/// process on the same inputs and must give bit-identical clusters.
 ///
 /// # Panics
 ///
 /// Panics if `runs == 0`.
-pub fn profile_root_ratio_checks(runs: usize) -> [RatioCheck; 2] {
+pub fn profile_root_ratio_check(runs: usize) -> RatioCheck {
     use crate::harness::ExperimentOptions;
-    use gpu_profile::{ExecTimeProfiler, KernelProfile};
+    use gpu_sim::hardware::reference;
+    use gpu_sim::HardwareRunner;
     use gpu_workload::{SuiteKind, Workload};
     use stem_core::root::cluster_workload;
     use stem_core::StemRootSampler;
 
     let options = ExperimentOptions::fast();
     let workloads = options.suite(SuiteKind::Huggingface);
-    let invocations = workloads.iter().map(Workload::num_invocations).sum();
     let config = &options.stem_config;
     let serial = stem_par::Parallelism::serial();
-    let profiler = || ExecTimeProfiler::new(config.profile_config.clone(), config.profile_seed);
-    let stream_times = |w: &Workload| profiler().profile_par(w, serial);
 
     let (fast_ns, reference_ns, identical) = alternate(
         runs,
         || -> Vec<_> {
-            let gather = |w| KernelProfile::from_times(w, &stream_times(w), serial);
-            workloads.iter().map(gather).collect()
-        },
-        || -> Vec<_> {
-            let shared = profiler();
-            workloads.iter().map(|w| shared.profile_by_kernel(w, serial)).collect()
-        },
-    );
-    let profile = RatioCheck::new(
-        "profile",
-        "huggingface suite",
-        invocations,
-        fast_ns,
-        reference_ns,
-        identical,
-    );
-    let (fast_ns, reference_ns, identical) = alternate(
-        runs,
-        || -> Vec<_> {
-            let cluster = |w| cluster_workload(w, &stream_times(w), config);
+            let cluster = |w| {
+                let hw = HardwareRunner::new(config.profile_config.clone(), config.profile_seed);
+                cluster_workload(w, &reference::measure_all_grouped(&hw, w, serial), config)
+            };
             workloads.iter().map(cluster).collect()
         },
         || -> Vec<_> {
@@ -529,15 +503,14 @@ pub fn profile_root_ratio_checks(runs: usize) -> [RatioCheck; 2] {
             workloads.iter().map(|w| sampler.clusters(w)).collect()
         },
     );
-    let profile_root = RatioCheck::new(
+    RatioCheck::new(
         "profile+root",
         "huggingface suite",
-        invocations,
+        workloads.iter().map(Workload::num_invocations).sum(),
         fast_ns,
         reference_ns,
         identical,
-    );
-    [profile, profile_root]
+    )
 }
 
 #[cfg(test)]

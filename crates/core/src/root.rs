@@ -60,19 +60,7 @@ pub fn cluster_indices(
         );
     }
     config.validate();
-    let mut summary = Summary::new();
-    let rows = members
-        .into_iter()
-        .map(|m| {
-            summary.push(times[m]);
-            (m, times[m])
-        })
-        .collect();
-    let group = KernelRows {
-        kernel: KernelId(0),
-        rows,
-        summary,
-    };
+    let group = KernelRows::gather(KernelId(0), members, |m| times[m]);
     let mut leaves = Vec::new();
     split_group(group, config, &mut leaves);
     leaves
@@ -128,17 +116,16 @@ pub fn cluster_workload_par(
 ///
 /// # Panics
 ///
-/// Panics if the profile has no kernels, a kernel has no rows or a
-/// summary that does not count them, or any time is nonpositive or
-/// non-finite.
+/// Panics if the profile has no kernels, a kernel has no rows, or any
+/// time is nonpositive or non-finite.
 pub fn cluster_profile(
     profile: KernelProfile,
     config: &StemConfig,
     par: stem_par::Parallelism,
 ) -> Vec<KernelCluster> {
-    assert!(!profile.kernels.is_empty(), "cannot cluster an empty workload");
+    assert!(!profile.kernels().is_empty(), "cannot cluster an empty workload");
     config.validate();
-    let per_kernel = stem_par::par_map_owned(par, profile.kernels, |_, group| {
+    let per_kernel = stem_par::par_map_owned(par, profile.into_kernels(), |_, group| {
         let mut leaves = Vec::new();
         split_group(group, config, &mut leaves);
         leaves
@@ -206,15 +193,12 @@ struct Recursion<'a> {
 /// depth-first, lower-child-first order. The group's rows become the
 /// root's rows and its summary the root's statistics.
 fn split_group(group: KernelRows, config: &StemConfig, out: &mut Vec<KernelCluster>) {
-    let KernelRows {
-        kernel,
-        rows,
-        summary,
-    } = group;
+    let (kernel, rows, summary) = group.into_parts();
     assert!(!rows.is_empty(), "cannot cluster an empty group");
-    assert_eq!(summary.count(), rows.len() as u64, "a group's summary must fold its rows");
-    // The summary's extremes and mean vouch for every row: the minimum is
-    // positive, the maximum finite, and a NaN would have poisoned the mean.
+    // The summary is the fold over the rows (`KernelRows` builds them
+    // together), so its extremes and mean vouch for every row: the minimum
+    // is positive, the maximum finite, and a NaN would have poisoned the
+    // mean.
     assert!(
         summary.min() > 0.0 && summary.max().is_finite() && !summary.mean().is_nan(),
         "profiled times must be positive and finite"
@@ -908,5 +892,20 @@ mod tests {
     fn nonpositive_times_rejected() {
         let w = flat_workload(2);
         cluster_workload(&w, &[1.0, 0.0], &config());
+    }
+
+    /// A profile built from unchecked times reaches ROOT only through its
+    /// summaries, which must still reject every bad row.
+    #[test]
+    fn bad_times_in_a_profile_are_rejected() {
+        let w = flat_workload(4);
+        for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let times = [1.0, 2.0, bad, 3.0];
+            let profile = KernelProfile::from_times(&w, &times, stem_par::Parallelism::serial());
+            let rejected = std::panic::catch_unwind(|| {
+                cluster_profile(profile, &config(), stem_par::Parallelism::serial())
+            });
+            assert!(rejected.is_err(), "time {bad} was accepted");
+        }
     }
 }

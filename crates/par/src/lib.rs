@@ -135,6 +135,17 @@ impl Parallelism {
     pub fn is_serial(&self) -> bool {
         self.threads == 1
     }
+
+    /// This parallelism for a map over `len` cheap items: serial when
+    /// `len < min_len`, where starting the pool would cost more than its
+    /// threads save. Results are the same either way.
+    pub fn serial_below(self, len: usize, min_len: usize) -> Self {
+        if len < min_len {
+            Self::serial()
+        } else {
+            self
+        }
+    }
 }
 
 impl Default for Parallelism {
@@ -602,6 +613,9 @@ mod tests {
         assert!(Parallelism::serial().is_serial());
         assert_eq!(Parallelism::with_threads(6).threads(), 6);
         assert!(Parallelism::available().threads() >= 1);
+        let four = Parallelism::with_threads(4);
+        assert!(four.serial_below(99, 100).is_serial());
+        assert_eq!(four.serial_below(100, 100), four);
     }
 
     #[test]

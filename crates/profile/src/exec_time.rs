@@ -67,7 +67,7 @@ impl ExecTimeProfiler {
     /// let w = &rodinia_suite(1)[0];
     /// let profiler = ExecTimeProfiler::new(GpuConfig::rtx2080(), 42);
     /// let by_kernel = profiler.profile_by_kernel(w, Parallelism::serial());
-    /// let rows: usize = by_kernel.kernels.iter().map(|k| k.rows.len()).sum();
+    /// let rows: usize = by_kernel.kernels().iter().map(|k| k.rows().len()).sum();
     /// assert_eq!(rows, w.num_invocations());
     /// ```
     pub fn profile_by_kernel(&self, workload: &Workload, par: Parallelism) -> KernelProfile {
@@ -81,24 +81,74 @@ impl ExecTimeProfiler {
     }
 }
 
-/// One kernel's profiled calls.
+/// Below this many invocations a by-kernel profile runs serially:
+/// starting the pool would cost more than its threads save.
+const MIN_PARALLEL_ROWS: usize = 1 << 14;
+
+/// One kernel's profiled calls: their `(invocation index, time)` rows and
+/// the stream-order [`Summary`] fold over the rows' times. The rows and
+/// their summary are only ever built together ([`KernelRows::gather`]), so
+/// the summary vouches for every row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelRows {
+    kernel: KernelId,
+    rows: Vec<(usize, f64)>,
+    summary: Summary,
+}
+
+impl KernelRows {
+    /// Times each of `kernel`'s `members` with `time` and folds their
+    /// summary in the same pass. Callers pass the members in stream order,
+    /// as ROOT's clusters expect.
+    pub fn gather(
+        kernel: KernelId,
+        members: impl IntoIterator<Item = usize>,
+        time: impl Fn(usize) -> f64,
+    ) -> Self {
+        let mut summary = Summary::new();
+        let rows = members
+            .into_iter()
+            .map(|m| {
+                let t = time(m);
+                summary.push(t);
+                (m, t)
+            })
+            .collect();
+        KernelRows {
+            kernel,
+            rows,
+            summary,
+        }
+    }
+
     /// The kernel.
-    pub kernel: KernelId,
-    /// `(invocation index, time)` of every call of the kernel, in stream
-    /// order.
-    pub rows: Vec<(usize, f64)>,
-    /// The stream-order [`Summary`] fold over the rows' times.
-    pub summary: Summary,
+    pub fn kernel(&self) -> KernelId {
+        self.kernel
+    }
+
+    /// `(invocation index, time)` of every call of the kernel.
+    pub fn rows(&self) -> &[(usize, f64)] {
+        &self.rows
+    }
+
+    /// The fold over the rows' times, in row order.
+    pub fn summary(&self) -> &Summary {
+        &self.summary
+    }
+
+    /// The kernel, its rows and their summary, by value (ROOT moves the
+    /// rows into its recursion).
+    pub fn into_parts(self) -> (KernelId, Vec<(usize, f64)>, Summary) {
+        (self.kernel, self.rows, self.summary)
+    }
 }
 
 /// An execution-time profile grouped by kernel: one [`KernelRows`] per
-/// kernel with at least one call, in kernel-id order.
+/// kernel with at least one call, in kernel-id order, each kernel's rows
+/// in stream order.
 #[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
-    /// The kernels' rows.
-    pub kernels: Vec<KernelRows>,
+    kernels: Vec<KernelRows>,
 }
 
 impl KernelProfile {
@@ -111,67 +161,88 @@ impl KernelProfile {
     pub fn from_times(workload: &Workload, times: &[f64], par: Parallelism) -> Self {
         by_kernel(workload, par, |i| times[i])
     }
+
+    /// The kernels' rows, in kernel-id order.
+    pub fn kernels(&self) -> &[KernelRows] {
+        &self.kernels
+    }
+
+    /// The kernels' rows by value, in kernel-id order.
+    pub fn into_kernels(self) -> Vec<KernelRows> {
+        self.kernels
+    }
 }
 
-/// The one by-kernel pass: `time(i)` is invocation `i`'s time. Serial, it
-/// is one stream pass; each row lands in its kernel's exactly-sized buffer
-/// and folds into its kernel's summary. The kernels' fold chains are
-/// independent, so the pass overlaps them. In parallel, each kernel is a
-/// task over its own calls. Either way each kernel's rows and fold are in
-/// stream order, so the bits agree.
+/// The one by-kernel pass: `time(i)` is invocation `i`'s time. The
+/// kernels are dealt out to at most one task per thread, balanced by call
+/// count, and each task makes one stream pass over the invocations of its
+/// own kernels: a row lands in its kernel's exactly-sized buffer and folds
+/// into its kernel's summary, so the fold chains of a task's kernels
+/// overlap. Serially that is one task and one stream pass. Each kernel's
+/// rows and fold are in stream order whichever task owns it, so the bits
+/// agree at any thread count.
 fn by_kernel(
     workload: &Workload,
     par: Parallelism,
     time: impl Fn(usize) -> f64 + Sync,
 ) -> KernelProfile {
     let invocations = workload.invocations();
-    let kernels = if par.is_serial() {
-        let mut counts = vec![0usize; workload.kernels().len()];
-        for inv in invocations {
-            counts[inv.kernel.index()] += 1;
-        }
-        let mut kernels: Vec<KernelRows> = (0u32..)
-            .zip(counts)
-            .map(|(k, calls)| KernelRows {
-                kernel: KernelId(k),
-                rows: Vec::with_capacity(calls),
-                summary: Summary::new(),
-            })
-            .collect();
-        for (i, inv) in invocations.iter().enumerate() {
-            let t = time(i);
-            let kernel = &mut kernels[inv.kernel.index()];
-            kernel.rows.push((i, t));
-            kernel.summary.push(t);
-        }
-        kernels.retain(|k| !k.rows.is_empty());
-        kernels
-    } else {
-        let groups: Vec<_> = workload.invocations_by_kernel().into_iter().collect();
-        stem_par::par_map_owned(par, groups, |_, (kernel, members)| {
-            let mut summary = Summary::new();
-            let rows = members
-                .into_iter()
-                .map(|m| {
-                    let t = time(m);
-                    summary.push(t);
-                    (m, t)
-                })
-                .collect();
-            KernelRows {
-                kernel,
-                rows,
-                summary,
+    let mut counts = vec![0usize; workload.kernels().len()];
+    for inv in invocations {
+        counts[inv.kernel.index()] += 1;
+    }
+    let par = par.serial_below(invocations.len(), MIN_PARALLEL_ROWS);
+    let (owner, tasks) = deal_kernels(&counts, par.threads());
+    let per_task = stem_par::par_map_range(par, tasks, |task| {
+        // `slot[k]`: kernel `k`'s place in this task's buffers, if it owns
+        // `k`.
+        let mut slot = vec![usize::MAX; counts.len()];
+        let mut kernels = Vec::new();
+        for (k, &calls) in counts.iter().enumerate() {
+            if calls > 0 && owner[k] == task {
+                slot[k] = kernels.len();
+                kernels.push(KernelRows {
+                    kernel: KernelId(k as u32),
+                    rows: Vec::with_capacity(calls),
+                    summary: Summary::new(),
+                });
             }
-        })
-    };
+        }
+        for (i, inv) in invocations.iter().enumerate() {
+            if let Some(kernel) = kernels.get_mut(slot[inv.kernel.index()]) {
+                let t = time(i);
+                kernel.rows.push((i, t));
+                kernel.summary.push(t);
+            }
+        }
+        kernels
+    });
+    let mut kernels: Vec<KernelRows> = per_task.into_iter().flatten().collect();
+    kernels.sort_unstable_by_key(|k| k.kernel);
     KernelProfile { kernels }
+}
+
+/// Deals the kernels with calls out to at most `threads` tasks, largest
+/// first, each to the task with the fewest calls so far. Returns each
+/// kernel's task and the task count.
+fn deal_kernels(counts: &[usize], threads: usize) -> (Vec<usize>, usize) {
+    let mut called: Vec<usize> = (0..counts.len()).filter(|&k| counts[k] > 0).collect();
+    let tasks = threads.min(called.len()).max(1);
+    called.sort_unstable_by_key(|&k| std::cmp::Reverse(counts[k]));
+    let mut load = vec![0usize; tasks];
+    let mut owner = vec![0usize; counts.len()];
+    for k in called {
+        let task = (0..tasks).min_by_key(|&t| load[t]).unwrap_or(0);
+        owner[k] = task;
+        load[task] += counts[k];
+    }
+    (owner, tasks)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_workload::suites::rodinia_suite;
+    use gpu_workload::suites::{casio_sources, rodinia_suite};
 
     #[test]
     fn profile_is_deterministic() {
@@ -194,19 +265,23 @@ mod tests {
     #[test]
     fn by_kernel_profile_matches_the_stream_profile_at_every_thread_count() {
         let p = ExecTimeProfiler::new(GpuConfig::rtx2080(), 7);
-        for w in &rodinia_suite(1) {
+        // Rodinia's workloads are short enough to stay serial; a CASIO one
+        // is long enough to deal its kernels out to the pool.
+        let casio = casio_sources(1)[0].materialize();
+        assert!(casio.num_invocations() >= MIN_PARALLEL_ROWS);
+        for w in rodinia_suite(1).iter().chain([&casio]) {
             let times = p.profile(w);
             let expected = KernelProfile::from_times(w, &times, Parallelism::serial());
-            let rows: usize = expected.kernels.iter().map(|k| k.rows.len()).sum();
+            let rows: usize = expected.kernels().iter().map(|k| k.rows().len()).sum();
             assert_eq!(rows, w.num_invocations());
-            for k in &expected.kernels {
+            for k in expected.kernels() {
                 let same = |&(m, t): &(usize, f64)| {
-                    w.invocations()[m].kernel == k.kernel && t.to_bits() == times[m].to_bits()
+                    w.invocations()[m].kernel == k.kernel() && t.to_bits() == times[m].to_bits()
                 };
-                assert!(k.rows.iter().all(same), "kernel and time bits");
-                assert!(k.rows.windows(2).all(|r| r[0].0 < r[1].0), "stream order");
-                let fold: Summary = k.rows.iter().map(|&(_, t)| t).collect();
-                assert_eq!(k.summary, fold);
+                assert!(k.rows().iter().all(same), "kernel and time bits");
+                assert!(k.rows().windows(2).all(|r| r[0].0 < r[1].0), "stream order");
+                let fold: Summary = k.rows().iter().map(|&(_, t)| t).collect();
+                assert_eq!(*k.summary(), fold);
             }
             for threads in [1usize, 2, 3, 8] {
                 let par = Parallelism::with_threads(threads);
@@ -214,6 +289,17 @@ mod tests {
                 assert_eq!(KernelProfile::from_times(w, &times, par), expected);
             }
         }
+    }
+
+    #[test]
+    fn kernels_are_dealt_largest_first_to_the_least_loaded_task() {
+        // Kernel 2 has no calls; the rest go 50 | 40 | 30 + 20 over 3 tasks.
+        let (owner, tasks) = deal_kernels(&[20, 50, 0, 40, 30], 3);
+        assert_eq!(tasks, 3);
+        assert_eq!([owner[1], owner[3], owner[4], owner[0]], [0, 1, 2, 2]);
+        // Never more tasks than kernels with calls, and always one.
+        assert_eq!(deal_kernels(&[5, 0, 7], 8).1, 2);
+        assert_eq!(deal_kernels(&[0, 0], 4).1, 1);
     }
 
     #[test]

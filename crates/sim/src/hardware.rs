@@ -105,8 +105,25 @@ impl HardwareRunner {
         workload: &'w Workload,
         par: stem_par::Parallelism,
     ) -> Measurements<'w> {
+        let factors = self
+            .noise
+            .factors(self.seed, self.measurement_noise, workload.num_invocations(), par);
+        Measurements {
+            workload,
+            groups: self.group_cores(workload, par),
+            factors,
+        }
+    }
+
+    /// The deterministic core of every invocation group, across `par`
+    /// threads.
+    fn group_cores(
+        &self,
+        workload: &Workload,
+        par: stem_par::Parallelism,
+    ) -> Vec<DeterministicTiming> {
         let invocations = workload.invocations();
-        let groups = stem_par::par_map_range(par, workload.num_invocation_groups(), |g| {
+        stem_par::par_map_range(par, workload.num_invocation_groups(), |g| {
             let rep = &invocations[workload.group_representative(g as u32)];
             crate::exec::deterministic_of_invocation(
                 workload,
@@ -114,15 +131,7 @@ impl HardwareRunner {
                 self.sim.config(),
                 self.sim.options(),
             )
-        });
-        let factors = self
-            .noise
-            .factors(self.seed, self.measurement_noise, invocations.len(), par);
-        Measurements {
-            workload,
-            groups,
-            factors,
-        }
+        })
     }
 }
 
@@ -177,6 +186,10 @@ struct NoiseTable {
     factors: Mutex<Arc<Vec<f64>>>,
 }
 
+/// Below this many new factors a table growth is filled serially:
+/// starting the pool would cost more than its threads save.
+const MIN_PARALLEL_FILL: usize = 1 << 12;
+
 impl NoiseTable {
     /// A table with at least `len` factors of `(seed, s)`, grown to exactly
     /// `len` across `par` threads if the current one is shorter.
@@ -193,10 +206,11 @@ impl NoiseTable {
         }
         let have = current.len();
         // One allocation at the final length; the new factors are written
-        // in place.
+        // in place, serially for a short growth.
         let mut grown = Vec::with_capacity(len);
         grown.extend_from_slice(&current);
         grown.resize(len, 0.0);
+        let par = par.serial_below(len - have, MIN_PARALLEL_FILL);
         stem_par::par_fill(par, &mut grown[have..], |j| {
             noise_factor(seed, s, (have + j) as u64)
         });
@@ -247,6 +261,23 @@ pub mod reference {
         (0..workload.num_invocations())
             .map(|i| hw.measure_one(workload, i))
             .collect()
+    }
+
+    /// [`HardwareRunner::measure_all_par`] without the noise table: the
+    /// group cores once, then every measurement draws its own noise
+    /// factor. The baseline of `scaling_smoke`'s profile+ROOT ratio.
+    pub fn measure_all_grouped(
+        hw: &HardwareRunner,
+        workload: &Workload,
+        par: stem_par::Parallelism,
+    ) -> Vec<f64> {
+        let groups = hw.group_cores(workload, par);
+        let invocations = workload.invocations();
+        stem_par::par_map_range(par, invocations.len(), |i| {
+            let true_cycles = groups[workload.group_of(i) as usize]
+                .jittered_cycles(invocations[i].noise_z as f64);
+            true_cycles * noise_factor(hw.seed, hw.measurement_noise, i as u64)
+        })
     }
 }
 

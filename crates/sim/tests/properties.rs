@@ -210,7 +210,7 @@ fn assert_profile_exact(hw: &HardwareRunner, w: &Workload, par: Parallelism, wha
 
 /// The runner's shared noise table never moves a bit: one runner profiles
 /// workloads whose lengths grow, shrink and repeat (the table grows only
-/// to the longest), a clone and a `with_noise` copy profile on from the
+/// to the longest, serially or on the pool), a clone and a `with_noise` copy profile on from the
 /// shared or reset table, and two threads profile on one runner at once.
 #[test]
 fn noise_table_growth_clones_resets_and_races_match_the_reference() {
@@ -220,7 +220,9 @@ fn noise_table_growth_clones_resets_and_races_match_the_reference() {
         let short = rng.random_range(1usize..40);
         let mid = rng.random_range(40usize..200);
         let long = rng.random_range(200usize..400);
-        let workloads: Vec<Workload> = [mid, long, short, long, mid, long + 50]
+        // Long enough that its growth fills on the pool.
+        let huge = rng.random_range(4500usize..6000);
+        let workloads: Vec<Workload> = [mid, huge, short, long, mid, huge + 50]
             .iter()
             .map(|&n| gen_workload(&mut rng, n))
             .collect();
@@ -232,7 +234,7 @@ fn noise_table_growth_clones_resets_and_races_match_the_reference() {
 
         // A clone shares the grown table; each side keeps growing alone.
         let copy = hw.clone();
-        let longer = gen_workload(&mut rng, long + 100);
+        let longer = gen_workload(&mut rng, huge + 100);
         let serial = Parallelism::serial();
         assert_profile_exact(&copy, &longer, serial, &format!("case {case}: clone"));
         assert_profile_exact(&hw, &workloads[2], serial, &format!("case {case}: original"));
