@@ -106,6 +106,11 @@ pub fn cluster_workload_par(
     cluster_profile(KernelProfile::from_times(workload, times, par), config, par)
 }
 
+/// Below this many rows ROOT splits its kernels serially: at ~80 ns a
+/// row, a smaller workload (Rodinia's are at most a few thousand calls)
+/// takes less time than starting a pool.
+const MIN_PARALLEL_ROWS: usize = 1 << 13;
+
 /// ROOT's one entry point: splits each kernel's profiled rows, across
 /// `par` threads. Each kernel's row buffer moves into its recursion (no
 /// gather) and is freed when that kernel finishes. Each kernel's recursive
@@ -125,6 +130,8 @@ pub fn cluster_profile(
 ) -> Vec<KernelCluster> {
     assert!(!profile.kernels().is_empty(), "cannot cluster an empty workload");
     config.validate();
+    let rows = profile.kernels().iter().map(|k| k.rows().len()).sum();
+    let par = par.serial_below(rows, MIN_PARALLEL_ROWS);
     let per_kernel = stem_par::par_map_owned(par, profile.into_kernels(), |_, group| {
         let mut leaves = Vec::new();
         split_group(group, config, &mut leaves);
@@ -695,32 +702,35 @@ mod tests {
     fn parallel_clustering_is_bit_identical() {
         // Two kernels with bimodal time mixtures so splitting actually
         // recurses, then every thread count must reproduce the serial
-        // leaves exactly (same order, same stats bits).
-        let mut b = WorkloadBuilder::new("t", SuiteKind::Custom, 1);
-        let a = b.add_kernel(
-            KernelClassBuilder::new("a").build(),
-            vec![RuntimeContext::neutral()],
-        );
-        let c = b.add_kernel(
-            KernelClassBuilder::new("c").build(),
-            vec![RuntimeContext::neutral()],
-        );
-        for i in 0..600 {
-            b.invoke(if i % 2 == 0 { a } else { c }, 0, 1.0);
-        }
-        let w = b.build();
-        let times: Vec<f64> = (0..600)
-            .map(|i| if i % 4 < 2 { 100.0 + (i % 7) as f64 } else { 900.0 + (i % 5) as f64 })
-            .collect();
-        let serial = cluster_workload(&w, &times, &config());
-        for threads in [1usize, 2, 3, 8] {
-            let par = cluster_workload_par(
-                &w,
-                &times,
-                &config(),
-                stem_par::Parallelism::with_threads(threads),
+        // leaves exactly (same order, same stats bits). The smaller
+        // workload stays on the calling thread, the larger one does not.
+        for n in [600, MIN_PARALLEL_ROWS + 600] {
+            let mut b = WorkloadBuilder::new("t", SuiteKind::Custom, 1);
+            let a = b.add_kernel(
+                KernelClassBuilder::new("a").build(),
+                vec![RuntimeContext::neutral()],
             );
-            assert_eq!(par, serial, "threads = {threads}");
+            let c = b.add_kernel(
+                KernelClassBuilder::new("c").build(),
+                vec![RuntimeContext::neutral()],
+            );
+            for i in 0..n {
+                b.invoke(if i % 2 == 0 { a } else { c }, 0, 1.0);
+            }
+            let w = b.build();
+            let times: Vec<f64> = (0..n)
+                .map(|i| if i % 4 < 2 { 100.0 + (i % 7) as f64 } else { 900.0 + (i % 5) as f64 })
+                .collect();
+            let serial = cluster_workload(&w, &times, &config());
+            for threads in [1usize, 2, 3, 8] {
+                let par = cluster_workload_par(
+                    &w,
+                    &times,
+                    &config(),
+                    stem_par::Parallelism::with_threads(threads),
+                );
+                assert_eq!(par, serial, "n = {n}, threads = {threads}");
+            }
         }
     }
 

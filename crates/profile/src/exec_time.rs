@@ -81,9 +81,10 @@ impl ExecTimeProfiler {
     }
 }
 
-/// Below this many invocations a by-kernel profile runs serially:
-/// starting the pool would cost more than its threads save.
-const MIN_PARALLEL_ROWS: usize = 1 << 14;
+/// Below this many invocations a by-kernel profile runs serially: at
+/// ~20 ns a row, a shorter pass saves less than starting the pool costs
+/// (CASIO's 40-70 K-call workloads ran no faster on two threads).
+const MIN_PARALLEL_ROWS: usize = 1 << 17;
 
 /// One kernel's profiled calls: their `(invocation index, time)` rows and
 /// the stream-order [`Summary`] fold over the rows' times. The rows and
@@ -242,7 +243,25 @@ fn deal_kernels(counts: &[usize], threads: usize) -> (Vec<usize>, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gpu_workload::suites::{casio_sources, rodinia_suite};
+    use gpu_workload::kernel::KernelClassBuilder;
+    use gpu_workload::suites::rodinia_suite;
+    use gpu_workload::{RuntimeContext, SuiteKind, WorkloadBuilder};
+
+    /// `n` calls cycling over three kernels of unequal call counts.
+    fn long_workload(n: usize) -> Workload {
+        let mut b = WorkloadBuilder::new("long", SuiteKind::Custom, 3);
+        let kernels: Vec<_> = ["a", "b", "c"]
+            .into_iter()
+            .map(|name| {
+                let contexts = vec![RuntimeContext::neutral()];
+                b.add_kernel(KernelClassBuilder::new(name).build(), contexts)
+            })
+            .collect();
+        for i in 0..n {
+            b.invoke(kernels[[0, 1, 1, 2, 2, 2][i % 6]], 0, 1.0 + (i % 7) as f32 * 0.1);
+        }
+        b.build()
+    }
 
     #[test]
     fn profile_is_deterministic() {
@@ -265,11 +284,10 @@ mod tests {
     #[test]
     fn by_kernel_profile_matches_the_stream_profile_at_every_thread_count() {
         let p = ExecTimeProfiler::new(GpuConfig::rtx2080(), 7);
-        // Rodinia's workloads are short enough to stay serial; a CASIO one
-        // is long enough to deal its kernels out to the pool.
-        let casio = casio_sources(1)[0].materialize();
-        assert!(casio.num_invocations() >= MIN_PARALLEL_ROWS);
-        for w in rodinia_suite(1).iter().chain([&casio]) {
+        // Rodinia's workloads are short enough to stay serial; a long
+        // three-kernel one deals its kernels out to the pool.
+        let long = long_workload(MIN_PARALLEL_ROWS + 1000);
+        for w in rodinia_suite(1).iter().chain([&long]) {
             let times = p.profile(w);
             let expected = KernelProfile::from_times(w, &times, Parallelism::serial());
             let rows: usize = expected.kernels().iter().map(|k| k.rows().len()).sum();

@@ -116,14 +116,16 @@ impl HardwareRunner {
     }
 
     /// The deterministic core of every invocation group, across `par`
-    /// threads.
+    /// threads when there are enough groups.
     fn group_cores(
         &self,
         workload: &Workload,
         par: stem_par::Parallelism,
     ) -> Vec<DeterministicTiming> {
         let invocations = workload.invocations();
-        stem_par::par_map_range(par, workload.num_invocation_groups(), |g| {
+        let groups = workload.num_invocation_groups();
+        let par = par.serial_below(groups, MIN_PARALLEL_GROUPS);
+        stem_par::par_map_range(par, groups, |g| {
             let rep = &invocations[workload.group_representative(g as u32)];
             crate::exec::deterministic_of_invocation(
                 workload,
@@ -186,9 +188,15 @@ struct NoiseTable {
     factors: Mutex<Arc<Vec<f64>>>,
 }
 
-/// Below this many new factors a table growth is filled serially:
-/// starting the pool would cost more than its threads save.
-const MIN_PARALLEL_FILL: usize = 1 << 12;
+/// Below this many new factors a table growth is filled serially: at
+/// ~45 ns a factor, a shorter fill saves less than starting the pool
+/// costs.
+const MIN_PARALLEL_FILL: usize = 1 << 14;
+
+/// Below this many invocation groups their deterministic cores are
+/// computed serially: a core costs ~0.1 us, so the suites' few to ~1000
+/// groups take less time than starting a pool.
+const MIN_PARALLEL_GROUPS: usize = 1 << 12;
 
 impl NoiseTable {
     /// A table with at least `len` factors of `(seed, s)`, grown to exactly
@@ -200,15 +208,23 @@ impl NoiseTable {
         len: usize,
         par: stem_par::Parallelism,
     ) -> Arc<Vec<f64>> {
-        let current = Arc::clone(&lock_table(&self.factors));
-        if current.len() >= len {
-            return current;
+        let mut slot = lock_table(&self.factors);
+        if slot.len() >= len {
+            return Arc::clone(&slot);
         }
-        let have = current.len();
-        // One allocation at the final length; the new factors are written
-        // in place, serially for a short growth.
-        let mut grown = Vec::with_capacity(len);
-        grown.extend_from_slice(&current);
+        // Take the table out to grow it. A profile that starts meanwhile
+        // finds a shorter table and grows its own, to the same values.
+        let taken = std::mem::take(&mut *slot);
+        drop(slot);
+        // Unshared, the table grows in its own allocation (the allocator
+        // can often extend it without a copy); shared, it is copied once.
+        let mut grown = Arc::try_unwrap(taken).unwrap_or_else(|shared| {
+            let mut copy = Vec::with_capacity(len);
+            copy.extend_from_slice(&shared);
+            copy
+        });
+        let have = grown.len();
+        grown.reserve_exact(len - have);
         grown.resize(len, 0.0);
         let par = par.serial_below(len - have, MIN_PARALLEL_FILL);
         stem_par::par_fill(par, &mut grown[have..], |j| {

@@ -221,7 +221,7 @@ fn noise_table_growth_clones_resets_and_races_match_the_reference() {
         let mid = rng.random_range(40usize..200);
         let long = rng.random_range(200usize..400);
         // Long enough that its growth fills on the pool.
-        let huge = rng.random_range(4500usize..6000);
+        let huge = rng.random_range(17_000usize..18_000);
         let workloads: Vec<Workload> = [mid, huge, short, long, mid, huge + 50]
             .iter()
             .map(|&n| gen_workload(&mut rng, n))
