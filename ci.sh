@@ -5,6 +5,12 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 cargo build --workspace --release --offline
+# perfbench is a workspace of its own that compiles against the library
+# crates by path; building it here makes a change to an API it uses fail
+# this gate, not the benchmark run. --locked keeps perfbench/Cargo.lock as
+# committed.
+cargo build --release --offline --locked --manifest-path perfbench/Cargo.toml \
+  --target-dir target/perfbench
 cargo test --workspace -q --offline
 # The chaos, sealed-file, workload-construction, serve,
 # parallel-equivalence and lint-engine suites are part of the workspace

@@ -1,7 +1,7 @@
 //! Ablations: the Sec. 3.3 KKT-vs-per-cluster claim, the ROOT on/off
 //! contribution, and the Sec. 6.2 L2-flush warmup sensitivity.
 
-use crate::harness::{build_sampler, ExperimentOptions, MethodKind};
+use crate::harness::{build_sampler, ground_truth, ExperimentOptions, MethodKind};
 use crate::report::{fnum, write_result, Table};
 use gpu_sim::exec::SimOptions;
 use gpu_sim::Simulator;
@@ -91,15 +91,15 @@ pub fn ablation_root(options: &ExperimentOptions) -> Vec<RootRow> {
     let without = StemRootSampler::new(options.stem_config.clone()).without_root();
     let mut rows = Vec::new();
     for w in &workloads {
-        let full = sim.run_full(w);
+        let full = ground_truth(&sim, w);
         let a = sim.run_sampled(w, with_root.plan(w, options.seed).samples());
         let b = sim.run_sampled(w, without.plan(w, options.seed).samples());
         rows.push(RootRow {
             workload: w.name().to_string(),
             with_root_cycles: a.simulated_cycles,
             without_root_cycles: b.simulated_cycles,
-            with_root_error_pct: a.error(full.total_cycles) * 100.0,
-            without_root_error_pct: b.error(full.total_cycles) * 100.0,
+            with_root_error_pct: a.error(full) * 100.0,
+            without_root_error_pct: b.error(full) * 100.0,
         });
     }
     let mut t = Table::new(&[
@@ -175,19 +175,19 @@ pub fn ablation_flush(options: &ExperimentOptions) -> Vec<FlushRow> {
             let mut warmup_err = Vec::new();
             for w in &workloads {
                 let plan = build_sampler(method, w, &options.stem_config).plan(w, options.seed);
-                let full_n = normal_sim.run_full(w);
-                let full_f = flush_sim.run_full(w);
+                let full_n = ground_truth(&normal_sim, w);
+                let full_f = ground_truth(&flush_sim, w);
                 normal_err.push(
-                    normal_sim.run_sampled(w, plan.samples()).error(full_n.total_cycles) * 100.0,
+                    normal_sim.run_sampled(w, plan.samples()).error(full_n) * 100.0,
                 );
                 flush_err.push(
-                    flush_sim.run_sampled(w, plan.samples()).error(full_f.total_cycles) * 100.0,
+                    flush_sim.run_sampled(w, plan.samples()).error(full_f) * 100.0,
                 );
                 // The warmup strategy only changes the *sampled* run (full
                 // simulation keeps real inter-kernel state); its estimate is
                 // judged against the normal-residency ground truth.
                 warmup_err.push(
-                    warmup_sim.run_sampled(w, plan.samples()).error(full_n.total_cycles) * 100.0,
+                    warmup_sim.run_sampled(w, plan.samples()).error(full_n) * 100.0,
                 );
             }
             rows.push(FlushRow {
@@ -254,7 +254,7 @@ pub fn ablation_smallsample(options: &ExperimentOptions) -> Vec<SmallSampleRow> 
     let reps = (options.reps * 3).max(12);
     let mut rows = Vec::new();
     for w in options.suite(SuiteKind::Rodinia) {
-        let full = sim.run_full(&w);
+        let full = ground_truth(&sim, &w);
         let mut cover = [0usize; 2];
         let mut samples = [0usize; 2];
         for (vi, sampler) in [&z_sampler, &t_sampler].into_iter().enumerate() {
@@ -262,7 +262,7 @@ pub fn ablation_smallsample(options: &ExperimentOptions) -> Vec<SmallSampleRow> 
                 let plan = sampler.plan(&w, options.seed.wrapping_add(r as u64));
                 samples[vi] = plan.num_samples();
                 let run = sim.run_sampled(&w, plan.samples());
-                if run.error(full.total_cycles) <= loose.epsilon {
+                if run.error(full) <= loose.epsilon {
                     cover[vi] += 1;
                 }
             }

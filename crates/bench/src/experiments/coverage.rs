@@ -32,7 +32,7 @@ use stem_core::plan::SamplingPlan;
 use stem_core::{StemConfig, StemRootSampler};
 use stem_stats::z_for_confidence;
 
-use crate::harness::{build_sampler, MethodKind};
+use crate::harness::{build_sampler, ground_truth, MethodKind};
 use crate::report::write_result;
 
 /// The methods the calibration matrix scores, in row order.
@@ -254,7 +254,7 @@ fn run_rep(
         .wrapping_add(r as u64)
         .wrapping_mul(0x9e37_79b9_7f4a_7c15);
     let sim = Simulator::new(GpuConfig::rtx2080());
-    let truth = sim.run_full(&workload).total_cycles;
+    let truth = ground_truth(&sim, &workload);
     let times = ExecTimeProfiler::new(GpuConfig::rtx2080(), 0xC0FFEE).profile(&workload);
     let stem_config = StemConfig::paper();
 

@@ -1,7 +1,7 @@
 //! Table 4 and Figures 12–13: design-space exploration and cross-GPU
 //! portability.
 
-use crate::harness::{build_sampler, ExperimentOptions, MethodKind};
+use crate::harness::{build_sampler, ground_truth, ExperimentOptions, MethodKind};
 use crate::report::{fnum, write_result, Table};
 use gpu_sim::{DseTransform, GpuConfig, Simulator};
 use gpu_workload::suites::HuggingfaceScale;
@@ -72,9 +72,9 @@ pub fn table4(options: &ExperimentOptions) -> Vec<DseCell> {
         for (mi, &method) in DSE_METHODS.iter().enumerate() {
             let mut errors = Vec::new();
             for (w, plan) in workloads.iter().zip(&plans[mi]) {
-                let full = sim.run_full(w);
+                let full = ground_truth(&sim, w);
                 let run = sim.run_sampled(w, plan.samples());
-                errors.push(run.error(full.total_cycles) * 100.0);
+                errors.push(run.error(full) * 100.0);
             }
             cells.push(DseCell {
                 transform: transform.label(),
@@ -145,7 +145,7 @@ pub fn fig12(options: &ExperimentOptions) -> Vec<CycleComparison> {
     for transform in DseTransform::TABLE4 {
         let sim = Simulator::new(base.with_transform(transform));
         for &w in &workloads {
-            let full = sim.run_full(w);
+            let full = ground_truth(&sim, w);
             for method in DSE_METHODS {
                 let plan = build_sampler(method, w, &options.stem_config).plan(w, options.seed);
                 let run = sim.run_sampled(w, plan.samples());
@@ -154,7 +154,7 @@ pub fn fig12(options: &ExperimentOptions) -> Vec<CycleComparison> {
                     transform: transform.label(),
                     method: method.label().to_string(),
                     estimated: run.estimated_total_cycles,
-                    full: full.total_cycles,
+                    full,
                 });
             }
         }
@@ -204,11 +204,11 @@ pub fn fig13(options: &ExperimentOptions) -> Vec<PortabilityPoint> {
     let mut points = Vec::new();
     for w in &workloads {
         let plan = build_sampler(MethodKind::Stem, w, &stem_on_h100).plan(w, options.seed);
-        let full = h200.run_full(w);
+        let full = ground_truth(&h200, w);
         let run = h200.run_sampled(w, plan.samples());
         points.push(PortabilityPoint {
             workload: w.name().to_string(),
-            error_pct: run.error(full.total_cycles) * 100.0,
+            error_pct: run.error(full) * 100.0,
         });
     }
     let mut t = Table::new(&["workload", "error_pct"]);

@@ -1,6 +1,6 @@
 //! Table 2 (suite inventory) and Figures 1–2 (runtime heterogeneity).
 
-use crate::harness::ExperimentOptions;
+use crate::harness::{ground_truth, ExperimentOptions};
 use crate::report::{fnum, write_result, Table};
 use gpu_sim::Simulator;
 use gpu_workload::{SuiteKind, Workload};
@@ -30,8 +30,7 @@ pub fn table2(options: &ExperimentOptions) -> Vec<SuiteRow> {
         let mut total_s = 0.0;
         let mut total_calls = 0usize;
         for w in &workloads {
-            let full = sim.run_full(w);
-            total_s += sim.config().cycles_to_seconds(full.total_cycles);
+            total_s += sim.config().cycles_to_seconds(ground_truth(&sim, w));
             total_calls += w.num_invocations();
         }
         rows.push(SuiteRow {

@@ -11,9 +11,10 @@ use stem_baselines::{
     PhotonSampler, PkaSampler, RandomSampler, RssSampler, SieveSampler, TbPointSampler,
     TwoPhaseSampler,
 };
-use stem_core::eval::{evaluate_total_par, EvalSummary};
+use stem_core::eval::EvalSummary;
 use stem_core::sampler::KernelSampler;
-use stem_core::{StemConfig, StemRootSampler};
+use stem_core::{Pipeline, StemConfig, StemRootSampler};
+use stem_par::Parallelism;
 
 /// The sampling methods of the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -198,7 +199,7 @@ pub fn eval_method_on_suite(
     workloads: &[Workload],
     options: &ExperimentOptions,
 ) -> Vec<EvalSummary> {
-    stem_par::par_map_indexed(stem_par::Parallelism::from_env(), workloads, |_, w| {
+    stem_par::par_map_indexed(Parallelism::from_env(), workloads, |_, w| {
         eval_method_on_workload(method, w, options)
     })
 }
@@ -212,41 +213,49 @@ pub fn eval_method_on_sources(
     sources: &[WorkloadSource],
     options: &ExperimentOptions,
 ) -> Vec<EvalSummary> {
-    stem_par::par_map_indexed(stem_par::Parallelism::from_env(), sources, |_, s| {
+    stem_par::par_map_indexed(Parallelism::from_env(), sources, |_, s| {
         let w = s.materialize();
         eval_method_on_workload(method, &w, options)
     })
 }
 
-/// One method on one workload. Ground truth is the in-memory group fold
-/// (`gpu_sim::workload_total`) — bit-identical to
-/// `run_full(w).total_cycles` without materializing the per-invocation
-/// cycle vector.
+/// One method on one workload: [`Pipeline::run`] on a serial pipeline
+/// (the suite loops above already spread workloads across threads).
+///
+/// # Panics
+///
+/// Panics if `options.reps == 0`, or where [`Pipeline::run`] does.
 fn eval_method_on_workload(
     method: MethodKind,
     w: &Workload,
     options: &ExperimentOptions,
 ) -> EvalSummary {
-    let sim = options.simulator();
     let sampler = build_sampler(method, w, &options.stem_config);
-    let full_total = gpu_sim::workload_total(
-        &sim,
-        stem_par::Parallelism::serial(),
+    Pipeline::new(options.simulator())
+        .with_reps(options.reps)
+        .expect("at least one repetition required")
+        .with_seed(options.seed)
+        .with_parallelism(Parallelism::serial())
+        .run(sampler.as_ref(), w)
+}
+
+/// Ground-truth total cycles of `w` on `sim`, from the serial in-memory
+/// group fold ([`gpu_sim::workload_total`]): bit-identical to
+/// `run_full(w).total_cycles` without the per-invocation cycle vector.
+///
+/// # Panics
+///
+/// Panics if the fold rejects `w` (generated workloads never fail it).
+pub(crate) fn ground_truth(sim: &Simulator, w: &Workload) -> f64 {
+    gpu_sim::workload_total(
+        sim,
+        Parallelism::serial(),
         w,
         gpu_workload::DEFAULT_BLOCK_LEN,
         gpu_sim::DEFAULT_CHANNEL_BLOCKS,
     )
-    .expect("generated workloads stream cleanly")
-    .total_cycles;
-    evaluate_total_par(
-        sampler.as_ref(),
-        w,
-        &sim,
-        full_total,
-        options.reps,
-        options.seed,
-        stem_par::Parallelism::serial(),
-    )
+    .expect("generated workloads fold cleanly")
+    .total_cycles
 }
 
 /// Suite-level aggregation: harmonic-mean speedup and arithmetic-mean error
@@ -264,7 +273,6 @@ pub fn aggregate(summaries: &[EvalSummary]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use stem_core::eval::evaluate;
 
     #[test]
     fn tuning_applies_to_the_right_workloads() {
@@ -296,8 +304,8 @@ mod tests {
     }
 
     /// Regression for the pre-`stem-par` harness: summaries must come back
-    /// in `workloads` order (not completion order) and match a serial
-    /// in-order loop bitwise.
+    /// in `workloads` order (not completion order) and match
+    /// [`Pipeline::run`] on each workload bitwise.
     #[test]
     fn eval_method_preserves_workload_order() {
         let mut opts = ExperimentOptions::fast();
@@ -308,11 +316,13 @@ mod tests {
         assert_eq!(summaries.len(), workloads.len());
         for (i, (summary, w)) in summaries.iter().zip(&workloads).enumerate() {
             assert_eq!(summary.workload, w.name(), "summary {i} out of order");
-            let sim = opts.simulator();
             let sampler = build_sampler(MethodKind::Random, w, &opts.stem_config);
-            let full = sim.run_full(w);
-            let serial = evaluate(sampler.as_ref(), w, &sim, &full, opts.reps, opts.seed);
-            assert_eq!(*summary, serial, "summary {i} diverges from serial eval");
+            let run = Pipeline::new(opts.simulator())
+                .with_reps(opts.reps)
+                .expect("positive reps")
+                .with_seed(opts.seed)
+                .run(sampler.as_ref(), w);
+            assert_eq!(*summary, run, "summary {i} diverges from Pipeline::run");
         }
     }
 

@@ -196,8 +196,8 @@ pub struct GroupedTimingCheck {
     pub per_invocation_ns: f64,
     /// per-invocation / grouped wall-clock ratio.
     pub speedup: f64,
-    /// Whether the two paths produced bit-identical full runs. This is the
-    /// only field tests may gate on — timing is informational.
+    /// Whether the two paths produced bit-identical ground-truth totals.
+    /// This is the only field tests may gate on — timing is informational.
     pub identical: bool,
 }
 
@@ -217,14 +217,15 @@ impl GroupedTimingCheck {
 }
 
 /// Times the ground-truth simulation of the largest HuggingFace workload
-/// twice — once on the grouped deterministic-core/jitter fast path
-/// (`Simulator::run_full`), once on the pre-overhaul per-invocation
-/// reference (`gpu_sim::simulator::reference::run_full`) — and reports the
+/// twice — once on the grouped in-memory fold every evaluation path uses
+/// (`harness::ground_truth`, i.e. `gpu_sim::workload_total`),
+/// once on the pre-overhaul per-invocation reference
+/// (`gpu_sim::simulator::reference::run_full`) — and reports the
 /// wall-clock ratio.
 ///
 /// The regression contract is [`GroupedTimingCheck::identical`]: the two
-/// paths must produce bit-identical [`gpu_sim::FullRun`]s. The speedup is
-/// informational only (CI machines are too noisy for wall-clock gates).
+/// paths must produce bit-identical totals. The speedup is informational
+/// only (CI machines are too noisy for wall-clock gates).
 ///
 /// # Panics
 ///
@@ -243,7 +244,7 @@ pub fn grouped_timing_check() -> GroupedTimingCheck {
     let sim = options.simulator();
 
     let t = Instant::now();
-    let grouped = sim.run_full(&workload);
+    let grouped = crate::harness::ground_truth(&sim, &workload);
     let grouped_ns = t.elapsed().as_nanos() as f64;
 
     let t = Instant::now();
@@ -257,7 +258,7 @@ pub fn grouped_timing_check() -> GroupedTimingCheck {
         grouped_ns,
         per_invocation_ns,
         speedup: per_invocation_ns / grouped_ns.max(1.0),
-        identical: grouped == per_invocation,
+        identical: grouped.to_bits() == per_invocation.total_cycles.to_bits(),
     };
     check.report();
     check

@@ -3,8 +3,8 @@
 //! ROOT (the paper's hierarchical clustering layer) needs a fast, seeded
 //! 2-means split over one-dimensional execution times; the baseline methods
 //! need d-dimensional k-means (PKA sweeps `k = 1..20` over 12-metric feature
-//! vectors), BBV distance functions and PCA (Photon reduces 800+-dimensional
-//! basic-block vectors), and cluster-quality scores for the k sweep.
+//! vectors), BBV distance functions, and cluster-quality scores for the k
+//! sweep.
 //!
 //! * [`kmeans`] — d-dimensional Lloyd's algorithm with k-means++ seeding,
 //!   Hamerly-style bounds pruning on a flat point matrix.
@@ -12,7 +12,6 @@
 //! * [`kmeans1d`] — exact 1-D k-means by dynamic programming, plus the O(n)
 //!   optimal two-way split ROOT uses at every recursion step.
 //! * [`distance`] — euclidean / manhattan / cosine metrics.
-//! * [`pca`] — principal component analysis via Jacobi eigendecomposition.
 //! * [`quality`] — BIC and silhouette scores for choosing `k`.
 //!
 //! # Example
@@ -35,7 +34,6 @@ pub mod distance;
 pub mod kmeans;
 pub mod kmeans1d;
 pub mod matrix;
-pub mod pca;
 pub mod quality;
 
 pub use kmeans::{ClusterMembership, KMeans, KMeansConfig};

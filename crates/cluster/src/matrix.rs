@@ -1,6 +1,6 @@
 //! Flat row-major matrix storage for clustering hot paths.
 //!
-//! The k-means and PCA inner loops walk every point every iteration; a
+//! The k-means inner loops walk every point every iteration; a
 //! `Vec<Vec<f64>>` costs one pointer chase (and one cache line of `Vec`
 //! header) per point per pass. [`Matrix`] stores all rows contiguously so a
 //! full pass is a single linear scan, while `row()` still hands out plain

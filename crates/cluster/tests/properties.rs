@@ -5,7 +5,6 @@
 //! from a fixed seed and reproduces exactly from the printed case number.
 
 use stem_cluster::distance::{bbv_magnitude_similarity, bbv_similarity, euclidean, sq_euclidean};
-use stem_cluster::pca::Pca;
 use stem_cluster::{best_two_split, kmeans_1d, KMeans, KMeansConfig};
 use stem_stats::rng::{RngExt, SeedableRng, StdRng};
 
@@ -138,21 +137,6 @@ fn bbv_similarities_bounded() {
             if (b_scale - 1.0).abs() > 0.01 {
                 assert!(s2 < 1.0, "case {case}");
             }
-        }
-    }
-}
-
-#[test]
-fn pca_projection_dimension() {
-    for case in 0..CASES {
-        let mut rng = rng_for(8, case);
-        let points = points_in(&mut rng, -50.0, 50.0, 3, 3, 40);
-        let keep = rng.random_range(1usize..3);
-        let pca = Pca::fit(&points, keep);
-        let projected = pca.transform_all(&points);
-        for p in &projected {
-            assert_eq!(p.len(), keep.min(3), "case {case}");
-            assert!(p.iter().all(|v| v.is_finite()), "case {case}");
         }
     }
 }

@@ -45,10 +45,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use crate::error::StemError;
-use crate::eval::{EvalResult, EvalSummary, StreamingAggregate};
+use crate::eval::{EvalResult, EvalSummary};
 use crate::pipeline::Pipeline;
 use crate::sampler::KernelSampler;
-use gpu_sim::SimCache;
 use gpu_workload::Workload;
 use stem_par::{supervised_map_indexed, ExecLog, Parallelism, TaskFailure};
 use stem_storage::sealed::{self, QuarantinedSnapshot, SnapshotError};
@@ -59,8 +58,9 @@ const HEADER: &str = "STEM-CAMPAIGN-SNAPSHOT v1";
 /// Outcome of a completed campaign.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CampaignReport {
-    /// One summary per workload, in input order — bit-identical to what
-    /// an uninterrupted [`Pipeline::run_against`] loop would produce.
+    /// One summary per workload, in input order — bit-identical to
+    /// [`Pipeline::run`] on each workload: the same ground-truth fold, rep
+    /// seeds, unit body and summary fold.
     pub summaries: Vec<EvalSummary>,
     /// Units loaded from the snapshot instead of recomputed.
     pub resumed_units: u64,
@@ -281,22 +281,13 @@ impl Pipeline {
         let resumed_units = done.len() as u64;
         let missing: Vec<u64> = (0..total_units).filter(|u| !done.contains_key(u)).collect();
 
-        // Ground-truth totals, computed lazily so fully-resumed workloads
-        // never pay for one. Only the total is needed, so the in-memory
-        // group fold runs without a per-invocation vector (its in-order
-        // fold is bit-identical to `run_full().total_cycles`, and its
-        // fingerprint re-fold turns corrupted content into a typed error
-        // instead of a wrong total).
-        let full_totals: Vec<OnceLock<Result<f64, String>>> =
+        // Ground-truth totals from the in-memory fold, computed lazily so
+        // fully-resumed workloads never pay for one. A unit is serial, so
+        // is its fold; the fold's fingerprint re-check turns corrupted
+        // content into a typed error instead of a wrong total.
+        let full_totals: Vec<OnceLock<Result<f64, StemError>>> =
             (0..workloads.len()).map(|_| OnceLock::new()).collect();
-        let local_cache;
-        let cache: &SimCache = match &self.shared_cache {
-            Some(shared) => shared,
-            None => {
-                local_cache = SimCache::new();
-                &local_cache
-            }
-        };
+        let cache = self.memo_cache();
         let state = Mutex::new(done);
         let executed = AtomicU64::new(0);
         // Admission counter for the simulated kill: gating on *starts*
@@ -333,36 +324,18 @@ impl Pipeline {
                 let wi = (unit / reps) as usize;
                 let rep = unit % reps;
                 let workload = &workloads[wi];
-                let full_total = match full_totals[wi].get_or_init(|| {
-                    gpu_sim::workload_total(
-                        &self.sim,
-                        Parallelism::serial(),
-                        workload,
-                        gpu_workload::DEFAULT_BLOCK_LEN,
-                        gpu_sim::DEFAULT_CHANNEL_BLOCKS,
-                    )
-                    .map(|t| t.total_cycles)
-                    .map_err(|e| e.to_string())
-                }) {
-                    Ok(total) => *total,
-                    Err(msg) => return Err(StemError::GroundTruth(msg.clone())),
-                };
-                let seed = self
-                    .base_seed
-                    .wrapping_add(rep)
-                    .wrapping_mul(0x9e3779b97f4a7c15);
-                let plan = sampler.try_plan(workload, seed)?;
-                let run = self.sim.run_sampled_cached(
-                    workload,
-                    plan.samples(),
-                    Parallelism::serial(),
-                    cache,
-                );
+                let full_total = full_totals[wi]
+                    .get_or_init(|| self.ground_truth_total_on(workload, Parallelism::serial()))
+                    .clone()?;
+                let result =
+                    self.rep_unit(sampler.name(), workload, full_total, &cache, rep, |seed| {
+                        sampler.try_plan(workload, seed)
+                    })?;
                 let record = UnitRecord {
-                    error_pct: run.error(full_total) * 100.0,
-                    speedup: run.speedup(full_total),
-                    num_samples: plan.num_samples(),
-                    predicted_error_pct: plan.predicted_error() * 100.0,
+                    error_pct: result.error_pct,
+                    speedup: result.speedup,
+                    num_samples: result.num_samples,
+                    predicted_error_pct: result.predicted_error_pct,
                 };
                 // Persist under the state lock so concurrent writers
                 // cannot rename an older snapshot over a newer one.
@@ -431,17 +404,7 @@ impl Pipeline {
                     predicted_error_pct: rec.predicted_error_pct,
                 });
             }
-            let mut agg = StreamingAggregate::new();
-            for r in &results {
-                agg.push(r.error_pct, r.speedup);
-            }
-            summaries.push(EvalSummary {
-                method: sampler.name().to_string(),
-                workload: workload.name().to_string(),
-                mean_error_pct: agg.mean_error_pct(),
-                harmonic_speedup: agg.harmonic_speedup(),
-                results,
-            });
+            summaries.push(EvalSummary::fold(sampler.name(), workload.name(), results));
         }
         Ok(CampaignReport {
             summaries,

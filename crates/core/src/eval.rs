@@ -2,11 +2,6 @@
 //! aggregation conventions (harmonic-mean speedup, arithmetic-mean error —
 //! Sec. 4, citing Eeckhout's "RIP geomean speedup").
 
-use crate::sampler::KernelSampler;
-use gpu_sim::{FullRun, SimCache, Simulator};
-use gpu_workload::Workload;
-use stem_par::Parallelism;
-
 /// One repetition's outcome on one workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalResult {
@@ -125,118 +120,44 @@ impl StreamingAggregate {
     }
 }
 
-/// Evaluates one sampling method once on one workload against a
-/// pre-computed full run.
-pub fn evaluate_once(
-    sampler: &dyn KernelSampler,
-    workload: &Workload,
-    sim: &Simulator,
-    full: &FullRun,
-    rep_seed: u64,
-) -> EvalResult {
-    let plan = sampler.plan(workload, rep_seed);
-    let run = sim.run_sampled(workload, plan.samples());
-    EvalResult {
-        method: sampler.name().to_string(),
-        workload: workload.name().to_string(),
-        error_pct: run.error(full.total_cycles) * 100.0,
-        speedup: run.speedup(full.total_cycles),
-        num_samples: plan.num_samples(),
-        predicted_error_pct: plan.predicted_error() * 100.0,
-    }
+/// Seed of repetition `rep` under `base_seed`: the affine golden-ratio
+/// map `(base + rep) * 0x9e3779b97f4a7c15`. Every evaluation driver
+/// ([`crate::Pipeline::run`], [`crate::Pipeline::run_from_profile`] and
+/// the campaign) seeds its reps here, so a campaign unit replays the
+/// exact stream of the matching plain rep. The seed depends on the rep
+/// index only — never on a worker or a retry attempt — so it is the same
+/// at every thread count. It predates `stem_par::split_seed`; moving to
+/// that would re-key every committed `results/*.csv` figure.
+pub(crate) fn rep_seed(base_seed: u64, rep: u64) -> u64 {
+    base_seed.wrapping_add(rep).wrapping_mul(0x9e3779b97f4a7c15)
 }
 
-/// Evaluates over `reps` repetitions (the paper uses 10), averaging error
-/// arithmetically and speedup harmonically.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn evaluate(
-    sampler: &dyn KernelSampler,
-    workload: &Workload,
-    sim: &Simulator,
-    full: &FullRun,
-    reps: u32,
-    base_seed: u64,
-) -> EvalSummary {
-    evaluate_par(sampler, workload, sim, full, reps, base_seed, Parallelism::serial())
-}
-
-/// [`evaluate`] with the repetitions spread across `par` threads.
-///
-/// Every rep's seed is derived from its index (never from the worker that
-/// ran it), reps share a [`SimCache`] of pure timing results, and the
-/// summary aggregates per-rep results in index order — so the outcome is
-/// bit-identical to the serial evaluation at every thread count.
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn evaluate_par(
-    sampler: &dyn KernelSampler,
-    workload: &Workload,
-    sim: &Simulator,
-    full: &FullRun,
-    reps: u32,
-    base_seed: u64,
-    par: Parallelism,
-) -> EvalSummary {
-    evaluate_total_par(sampler, workload, sim, full.total_cycles, reps, base_seed, par)
-}
-
-/// [`evaluate_par`] against a bare ground-truth total instead of a full
-/// per-invocation run — the entry point for streamed ground truth, where
-/// the total was folded out-of-core and no per-invocation vector exists.
-/// Identical arithmetic to [`evaluate_par`] (which delegates here).
-///
-/// # Panics
-///
-/// Panics if `reps == 0`.
-pub fn evaluate_total_par(
-    sampler: &dyn KernelSampler,
-    workload: &Workload,
-    sim: &Simulator,
-    full_total: f64,
-    reps: u32,
-    base_seed: u64,
-    par: Parallelism,
-) -> EvalSummary {
-    assert!(reps > 0, "at least one repetition required");
-    let cache = SimCache::new();
-    let results: Vec<EvalResult> = stem_par::par_map_range(par, reps as usize, |r| {
-        let rep_seed = base_seed.wrapping_add(r as u64).wrapping_mul(0x9e3779b97f4a7c15);
-        let plan = sampler.plan(workload, rep_seed);
-        let run = sim.run_sampled_cached(workload, plan.samples(), Parallelism::serial(), &cache);
-        EvalResult {
-            method: sampler.name().to_string(),
-            workload: workload.name().to_string(),
-            error_pct: run.error(full_total) * 100.0,
-            speedup: run.speedup(full_total),
-            num_samples: plan.num_samples(),
-            predicted_error_pct: plan.predicted_error() * 100.0,
+impl EvalSummary {
+    /// Folds per-rep results, in rep order, into a summary: arithmetic
+    /// mean error and harmonic mean speedup through one
+    /// [`StreamingAggregate`] pass.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `results` is empty or a speedup is nonpositive.
+    pub(crate) fn fold(method: &str, workload: &str, results: Vec<EvalResult>) -> Self {
+        let mut agg = StreamingAggregate::new();
+        for r in &results {
+            agg.push(r.error_pct, r.speedup);
         }
-    });
-    let mut agg = StreamingAggregate::new();
-    for r in &results {
-        agg.push(r.error_pct, r.speedup);
-    }
-    EvalSummary {
-        method: sampler.name().to_string(),
-        workload: workload.name().to_string(),
-        mean_error_pct: agg.mean_error_pct(),
-        harmonic_speedup: agg.harmonic_speedup(),
-        results,
+        EvalSummary {
+            method: method.to_string(),
+            workload: workload.to_string(),
+            mean_error_pct: agg.mean_error_pct(),
+            harmonic_speedup: agg.harmonic_speedup(),
+            results,
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::StemConfig;
-    use crate::stem::StemRootSampler;
-    use gpu_sim::GpuConfig;
-    use gpu_workload::suites::rodinia_suite;
 
     #[test]
     fn means() {
@@ -270,70 +191,6 @@ mod tests {
     fn harmonic_below_arithmetic() {
         let v = [2.0, 8.0, 32.0];
         assert!(harmonic_mean(&v) < arithmetic_mean(&v));
-    }
-
-    #[test]
-    fn evaluate_aggregates_reps() {
-        let suite = rodinia_suite(13);
-        let w = &suite[0];
-        let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
-        let sampler = StemRootSampler::new(StemConfig::paper());
-        let summary = evaluate(&sampler, w, &sim, &full, 3, 0);
-        assert_eq!(summary.results.len(), 3);
-        assert!(summary.mean_error_pct < 6.0);
-        assert!(summary.harmonic_speedup >= 1.0);
-        assert_eq!(summary.method, "STEM");
-    }
-
-    #[test]
-    fn parallel_evaluate_is_bit_identical() {
-        let suite = rodinia_suite(13);
-        let w = &suite[1];
-        let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
-        let sampler = StemRootSampler::new(StemConfig::paper());
-        let serial = evaluate(&sampler, w, &sim, &full, 4, 9);
-        for threads in [1usize, 2, 3, 8] {
-            let par = evaluate_par(
-                &sampler,
-                w,
-                &sim,
-                &full,
-                4,
-                9,
-                stem_par::Parallelism::with_threads(threads),
-            );
-            assert_eq!(par, serial, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn evaluate_matches_manual_once_loop() {
-        // `evaluate` (cached, fold-ordered) must agree bitwise with the
-        // plain `evaluate_once` loop it replaced.
-        let suite = rodinia_suite(13);
-        let w = &suite[2];
-        let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
-        let sampler = StemRootSampler::new(StemConfig::paper());
-        let summary = evaluate(&sampler, w, &sim, &full, 3, 5);
-        for (r, result) in summary.results.iter().enumerate() {
-            let rep_seed = 5u64.wrapping_add(r as u64).wrapping_mul(0x9e3779b97f4a7c15);
-            let once = evaluate_once(&sampler, w, &sim, &full, rep_seed);
-            assert_eq!(*result, once, "rep {r}");
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one repetition")]
-    fn zero_reps_rejected() {
-        let suite = rodinia_suite(13);
-        let w = &suite[0];
-        let sim = Simulator::new(GpuConfig::rtx2080());
-        let full = sim.run_full(w);
-        let sampler = StemRootSampler::new(StemConfig::paper());
-        evaluate(&sampler, w, &sim, &full, 0, 0);
     }
 
     #[test]

@@ -3,13 +3,15 @@
 
 use crate::degrade::RecoveryPolicy;
 use crate::error::StemError;
-use crate::eval::{evaluate_par, evaluate_total_par, EvalResult, EvalSummary, StreamingAggregate};
+use crate::eval::{rep_seed, EvalResult, EvalSummary};
+use crate::plan::SamplingPlan;
 use crate::sampler::KernelSampler;
 use crate::stem::StemRootSampler;
 use gpu_profile::validate::reconstructed_times;
 use gpu_profile::{DataQualityReport, ExecFaultPlan, TraceRecord, TraceValidator};
 use gpu_sim::{FullRun, SimCache, Simulator};
 use gpu_workload::Workload;
+use std::convert::Infallible;
 use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use stem_par::{Parallelism, Supervisor};
@@ -126,7 +128,8 @@ impl Pipeline {
     /// return pure, bit-identical timing values, so sharing one cache
     /// between campaigns (or tenants of a long-lived service) is sound:
     /// results never depend on who warmed an entry. Without this, each
-    /// campaign run builds a private cold cache.
+    /// run ([`Pipeline::run`], [`Pipeline::run_from_profile`], a campaign)
+    /// builds a private cold cache.
     pub fn with_shared_cache(mut self, cache: Arc<SimCache>) -> Self {
         self.shared_cache = Some(cache);
         self
@@ -176,29 +179,34 @@ impl Pipeline {
         &self.sim
     }
 
-    /// Ground-truth full simulation (exposed so callers can reuse it across
-    /// methods — it is by far the most expensive step). Materializes the
-    /// per-invocation cycle vector; when only the total is needed, prefer
-    /// [`Pipeline::ground_truth_total`], which streams blocks instead.
-    pub fn full_run(&self, workload: &Workload) -> FullRun {
-        self.sim.run_full_par(workload, self.parallelism)
-    }
-
-    /// Ground-truth total via [`gpu_sim::workload_total`], the in-memory
-    /// group fold — bit-identical to [`Pipeline::full_run`]'s
-    /// `total_cycles` at every thread count, without ever materializing a
-    /// per-invocation vector. The campaign paths compute their totals
-    /// this way.
+    /// Ground-truth total `t*` of Eq. (1) via [`gpu_sim::workload_total`],
+    /// the in-memory group fold: one deterministic core per invocation
+    /// group, then every invocation's jittered cycles summed in stream
+    /// order, with no per-invocation vector. Bit-identical to
+    /// `run_full(workload).total_cycles` at every thread count. Every
+    /// evaluation path ([`Pipeline::run`], [`Pipeline::run_from_profile`],
+    /// the campaigns) takes its ground truth from this fold.
     ///
     /// # Errors
     ///
-    /// [`StemError::GroundTruth`] if the block stream is rejected (only
-    /// reachable for a workload whose invocations escape construction
-    /// validation).
+    /// [`StemError::GroundTruth`] if the fold rejects the workload: a work
+    /// scale that is not finite-positive, or content that no longer
+    /// matches the workload's fingerprint (only reachable for a workload
+    /// whose invocations escape construction validation).
     pub fn ground_truth_total(&self, workload: &Workload) -> Result<f64, StemError> {
+        self.ground_truth_total_on(workload, self.parallelism)
+    }
+
+    /// [`Pipeline::ground_truth_total`] on an explicit thread budget (a
+    /// campaign folds each total inside one serial unit).
+    pub(crate) fn ground_truth_total_on(
+        &self,
+        workload: &Workload,
+        par: Parallelism,
+    ) -> Result<f64, StemError> {
         gpu_sim::workload_total(
             &self.sim,
-            self.parallelism,
+            par,
             workload,
             gpu_workload::DEFAULT_BLOCK_LEN,
             gpu_sim::DEFAULT_CHANNEL_BLOCKS,
@@ -207,54 +215,95 @@ impl Pipeline {
         .map_err(|e| StemError::GroundTruth(e.to_string()))
     }
 
-    /// Runs the whole pipeline for one sampler on one workload.
+    /// Runs the whole pipeline for one sampler on one workload: the ground
+    /// truth from [`Pipeline::ground_truth_total`], then the pipeline's
+    /// repetitions across its thread budget, folded into one summary.
+    ///
+    /// # Panics
+    ///
+    /// Panics with the fold's typed message if
+    /// [`Pipeline::ground_truth_total`] rejects the workload (for example
+    /// a work scale that is not finite-positive);
+    /// [`Pipeline::run_campaign`] returns the same failure as
+    /// [`StemError::GroundTruth`]. Also panics wherever the sampler's
+    /// [`KernelSampler::plan`] does.
     pub fn run(&self, sampler: &dyn KernelSampler, workload: &Workload) -> EvalSummary {
-        let full = self.full_run(workload);
-        self.run_against(sampler, workload, &full)
+        match self.ground_truth_total(workload) {
+            Ok(full_total) => self.run_total(sampler, workload, full_total),
+            Err(e) => panic!("{e}"),
+        }
     }
 
-    /// [`Pipeline::run`] with the ground truth folded by
-    /// [`Pipeline::ground_truth_total`]. Identical arithmetic — the
-    /// summary is bit-identical to [`Pipeline::run`] — but no
-    /// per-invocation cycle vector is ever built, so this is the
-    /// paper-scale entry point.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Pipeline::ground_truth_total`].
-    pub fn run_streamed(
-        &self,
-        sampler: &dyn KernelSampler,
-        workload: &Workload,
-    ) -> Result<EvalSummary, StemError> {
-        let full_total = self.ground_truth_total(workload)?;
-        Ok(evaluate_total_par(
-            sampler,
-            workload,
-            &self.sim,
-            full_total,
-            self.reps,
-            self.base_seed,
-            self.parallelism,
-        ))
-    }
-
-    /// Runs against a precomputed full run.
+    /// [`Pipeline::run`] against a precomputed [`FullRun`]'s total instead
+    /// of the in-memory fold. Kept because perfbench's `serve_jobs` oracle
+    /// compiles against it; new code should call [`Pipeline::run`].
     pub fn run_against(
         &self,
         sampler: &dyn KernelSampler,
         workload: &Workload,
         full: &FullRun,
     ) -> EvalSummary {
-        evaluate_par(
-            sampler,
-            workload,
-            &self.sim,
-            full,
-            self.reps,
-            self.base_seed,
-            self.parallelism,
-        )
+        self.run_total(sampler, workload, full.total_cycles)
+    }
+
+    /// The unsupervised rep loop behind [`Pipeline::run`]: reps run on
+    /// the `stem-par` pool and fold in rep order, so the summary is
+    /// bit-identical at every thread count.
+    fn run_total(
+        &self,
+        sampler: &dyn KernelSampler,
+        workload: &Workload,
+        full_total: f64,
+    ) -> EvalSummary {
+        let cache = self.memo_cache();
+        let results = stem_par::par_map_range(self.parallelism, self.reps as usize, |rep| {
+            let Ok(result) = self.rep_unit(
+                sampler.name(),
+                workload,
+                full_total,
+                &cache,
+                rep as u64,
+                |seed| Ok::<_, Infallible>(sampler.plan(workload, seed)),
+            );
+            result
+        });
+        EvalSummary::fold(sampler.name(), workload.name(), results)
+    }
+
+    /// One repetition, the unit body every evaluation driver runs: plan
+    /// with the rep's seed ([`rep_seed`]), simulate the plan's samples
+    /// through `cache`, and score the estimate against `full_total`.
+    /// Depends on the rep index only, so a retried or resumed rep
+    /// recomputes the same bits.
+    pub(crate) fn rep_unit<E>(
+        &self,
+        method: &str,
+        workload: &Workload,
+        full_total: f64,
+        cache: &SimCache,
+        rep: u64,
+        plan: impl FnOnce(u64) -> Result<SamplingPlan, E>,
+    ) -> Result<EvalResult, E> {
+        let plan = plan(rep_seed(self.base_seed, rep))?;
+        let run =
+            self.sim
+                .run_sampled_cached(workload, plan.samples(), Parallelism::serial(), cache);
+        Ok(EvalResult {
+            method: method.to_string(),
+            workload: workload.name().to_string(),
+            error_pct: run.error(full_total) * 100.0,
+            speedup: run.speedup(full_total),
+            num_samples: plan.num_samples(),
+            predicted_error_pct: plan.predicted_error() * 100.0,
+        })
+    }
+
+    /// The memo cache one run's reps share: the caller's cache if one was
+    /// set ([`Pipeline::with_shared_cache`]), else a private cold one.
+    pub(crate) fn memo_cache(&self) -> Arc<SimCache> {
+        self.shared_cache
+            .clone()
+            .unwrap_or_else(|| Arc::new(SimCache::new()))
     }
 
     /// Runs the pipeline from an *externally ingested* execution trace
@@ -329,21 +378,13 @@ impl Pipeline {
         let times = reconstructed_times(clean, expected);
         let degraded = report.degraded_fraction();
 
-        let full = self.full_run(workload);
-        // Repetitions run on supervised worker threads: seeds derive from
-        // the rep index, reps share a memo cache of pure timing results,
-        // a panicking rep is retried within the supervisor's budget (a
-        // retry recomputes the same bits — randomness is index-derived),
-        // and any planning failure is reported for the *lowest failing
-        // rep* — so success and error behavior match the serial loop.
-        let local_cache;
-        let cache: &SimCache = match &self.shared_cache {
-            Some(shared) => shared,
-            None => {
-                local_cache = SimCache::new();
-                &local_cache
-            }
-        };
+        let full_total = self.ground_truth_total(workload)?;
+        // Repetitions run on supervised worker threads: a panicking rep is
+        // retried within the supervisor's budget (a retry recomputes the
+        // same bits — randomness is index-derived), and any planning
+        // failure is reported for the *lowest failing rep* — so success
+        // and error behavior match the serial loop.
+        let cache = self.memo_cache();
         let (outcomes, _exec_log) = stem_par::supervised_map_range(
             self.parallelism,
             self.reps as usize,
@@ -352,44 +393,19 @@ impl Pipeline {
                 if let Some(faults) = &self.exec_faults {
                     faults.inject(ctx.index as u64, ctx.attempt);
                 }
-                let seed = self
-                    .base_seed
-                    .wrapping_add(ctx.index as u64)
-                    .wrapping_mul(0x9e3779b97f4a7c15);
-                let plan = sampler.try_plan_degraded(workload, &times, seed, degraded)?;
-                let run = self.sim.run_sampled_cached(
+                self.rep_unit(
+                    sampler.name(),
                     workload,
-                    plan.samples(),
-                    Parallelism::serial(),
-                    cache,
-                );
-                Ok(EvalResult {
-                    method: plan.method().to_string(),
-                    workload: workload.name().to_string(),
-                    error_pct: run.error(full.total_cycles) * 100.0,
-                    speedup: run.speedup(full.total_cycles),
-                    num_samples: plan.num_samples(),
-                    predicted_error_pct: plan.predicted_error() * 100.0,
-                })
+                    full_total,
+                    &cache,
+                    ctx.index as u64,
+                    |seed| sampler.try_plan_degraded(workload, &times, seed, degraded),
+                )
             },
         )
         .map_err(StemError::TaskFailure)?;
-        // Stream every rep through the fold once; aggregation order is the
-        // rep index order, bit-identical to the old collect-then-mean pass.
-        let mut results = Vec::with_capacity(self.reps as usize);
-        let mut agg = StreamingAggregate::new();
-        for outcome in outcomes {
-            let result = outcome?;
-            agg.push(result.error_pct, result.speedup);
-            results.push(result);
-        }
-        let summary = EvalSummary {
-            method: sampler.name().to_string(),
-            workload: workload.name().to_string(),
-            mean_error_pct: agg.mean_error_pct(),
-            harmonic_speedup: agg.harmonic_speedup(),
-            results,
-        };
+        let results = outcomes.into_iter().collect::<Result<Vec<_>, _>>()?;
+        let summary = EvalSummary::fold(sampler.name(), workload.name(), results);
         Ok((summary, report))
     }
 }
@@ -400,8 +416,10 @@ mod tests {
     use crate::config::StemConfig;
     use crate::stem::StemRootSampler;
     use gpu_profile::ExecTimeProfiler;
-    use gpu_sim::GpuConfig;
+    use gpu_sim::{simulator, GpuConfig};
+    use gpu_workload::kernel::KernelClassBuilder;
     use gpu_workload::suites::rodinia_suite;
+    use gpu_workload::{Invocation, KernelId, RuntimeContext, SuiteKind};
 
     fn pipeline(reps: u32) -> Pipeline {
         Pipeline::new(Simulator::new(GpuConfig::rtx2080()))
@@ -410,29 +428,78 @@ mod tests {
     }
 
     #[test]
-    fn full_run_reused_across_methods() {
-        let suite = rodinia_suite(17);
-        let w = &suite[0];
-        let pipeline = pipeline(2);
-        let full = pipeline.full_run(w);
-        let sampler = StemRootSampler::new(StemConfig::paper());
-        let a = pipeline.run_against(&sampler, w, &full);
-        let b = pipeline.run(&sampler, w);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn streamed_run_is_bit_identical_to_in_memory_run() {
+    fn run_aggregates_reps_and_matches_a_full_run_oracle() {
         let suite = rodinia_suite(17);
         let w = &suite[2];
         let sampler = StemRootSampler::new(StemConfig::paper());
+        let full = simulator::reference::run_full(&Simulator::new(GpuConfig::rtx2080()), w);
         for threads in [1usize, 4] {
-            let p = pipeline(2).with_parallelism(Parallelism::with_threads(threads));
-            let reference = p.run(&sampler, w);
-            let streamed = p.run_streamed(&sampler, w).expect("valid workload streams");
-            assert_eq!(streamed, reference, "{threads} threads");
-            let total = p.ground_truth_total(w).expect("valid workload streams");
-            assert_eq!(total.to_bits(), p.full_run(w).total_cycles.to_bits());
+            let p = pipeline(3).with_parallelism(Parallelism::with_threads(threads));
+            let summary = p.run(&sampler, w);
+            assert_eq!(summary.results.len(), 3);
+            assert_eq!(summary.method, "STEM");
+            assert!(summary.mean_error_pct < 6.0);
+            assert!(summary.harmonic_speedup >= 1.0);
+            assert_eq!(
+                p.run_against(&sampler, w, &full),
+                summary,
+                "{threads} threads"
+            );
+            let total = p.ground_truth_total(w).expect("valid workload folds");
+            assert_eq!(total.to_bits(), full.total_cycles.to_bits());
+        }
+    }
+
+    /// Two one-context kernels and one bad row: a NaN work scale that
+    /// bypassed `Invocation::with_work`'s assert, as a damaged stream would.
+    fn nan_work_scale_workload() -> Workload {
+        let row = |kernel: u32, work_scale: f32, noise_z: f32| Invocation {
+            kernel: KernelId(kernel),
+            context: 0,
+            work_scale,
+            noise_z,
+        };
+        Workload::new(
+            "hand",
+            SuiteKind::Custom,
+            vec![
+                KernelClassBuilder::new("a").build(),
+                KernelClassBuilder::new("b").build(),
+            ],
+            vec![
+                vec![RuntimeContext::neutral()],
+                vec![RuntimeContext::neutral()],
+            ],
+            vec![
+                row(0, 1.0, 0.1),
+                row(1, 2.0, 0.2),
+                row(1, f32::NAN, 0.3),
+                row(0, 1.0, 0.4),
+            ],
+        )
+    }
+
+    #[test]
+    #[should_panic(expected = "work scale NaN not finite-positive")]
+    fn run_panics_up_front_with_the_folds_message() {
+        let sampler = StemRootSampler::new(StemConfig::paper());
+        pipeline(2).run(&sampler, &nan_work_scale_workload());
+    }
+
+    #[test]
+    fn campaign_reports_a_rejected_ground_truth_as_typed() {
+        let dir = std::env::temp_dir().join(format!("stem-pipeline-nan-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let sampler = StemRootSampler::new(StemConfig::paper());
+        let e = pipeline(2)
+            .run_campaign(&sampler, &[nan_work_scale_workload()], &dir.join("snap"))
+            .expect_err("NaN work scale");
+        let _ = std::fs::remove_dir_all(&dir);
+        match e {
+            StemError::GroundTruth(msg) => {
+                assert!(msg.contains("work scale NaN not finite-positive"), "{msg}");
+            }
+            other => panic!("wanted GroundTruth, got {other}"),
         }
     }
 

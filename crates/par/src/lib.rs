@@ -2,11 +2,10 @@
 //! index-ordered chunked map/reduce.
 //!
 //! Every hot path of the reproduction (per-invocation timing in `gpu-sim`,
-//! k-means assignment and PCA gram accumulation in `stem-cluster`,
-//! per-repetition evaluation in `stem-core::Pipeline`) is a map over
-//! independent items followed by an order-sensitive aggregation. This crate
-//! parallelizes exactly that shape while preserving STEM's trustworthiness
-//! invariant:
+//! k-means assignment in `stem-cluster`, per-repetition evaluation in
+//! `stem-core::Pipeline`) is a map over independent items followed by an
+//! order-sensitive aggregation. This crate parallelizes exactly that shape
+//! while preserving STEM's trustworthiness invariant:
 //!
 //! > **same seed + same inputs ⇒ identical output for every thread count.**
 //!

@@ -43,18 +43,6 @@ pub struct FullRun {
     pub per_invocation: Vec<f64>,
 }
 
-impl FullRun {
-    /// Mean cycles per invocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is empty.
-    pub fn mean_cycles(&self) -> f64 {
-        assert!(!self.per_invocation.is_empty(), "empty run");
-        self.total_cycles / self.per_invocation.len() as f64
-    }
-}
-
 impl Simulator {
     /// Creates a simulator with default options.
     ///
@@ -153,25 +141,6 @@ impl Simulator {
             per_invocation,
         }
     }
-
-    /// Simulates only the invocations at `indices`, returning their cycle
-    /// counts in the same order. Deterministic cores are computed lazily,
-    /// once per group touched.
-    pub fn run_subset(&self, workload: &Workload, indices: &[usize]) -> Vec<f64> {
-        let mut groups: Vec<Option<DeterministicTiming>> =
-            vec![None; workload.num_invocation_groups()];
-        indices
-            .iter()
-            .map(|&i| {
-                let inv = &workload.invocations()[i];
-                let g = workload.group_of(i) as usize;
-                let det = groups[g].get_or_insert_with(|| {
-                    deterministic_of_invocation(workload, inv, &self.config, self.options)
-                });
-                det.jittered_cycles(inv.noise_z as f64)
-            })
-            .collect()
-    }
 }
 
 /// The pre-overhaul per-invocation slow paths, kept as the executable
@@ -220,17 +189,6 @@ pub mod reference {
             num_samples: samples.len(),
         }
     }
-
-    /// Per-invocation [`Simulator::run_subset`].
-    pub fn run_subset(sim: &Simulator, workload: &Workload, indices: &[usize]) -> Vec<f64> {
-        indices
-            .iter()
-            .map(|&i| {
-                let inv = &workload.invocations()[i];
-                sim.cycles(workload, inv)
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -246,17 +204,6 @@ mod tests {
         let sum: f64 = run.per_invocation.iter().sum();
         assert!((run.total_cycles - sum).abs() < 1e-6 * run.total_cycles);
         assert!(run.per_invocation.iter().all(|&c| c > 0.0 && c.is_finite()));
-    }
-
-    #[test]
-    fn run_subset_matches_full() {
-        let w = &rodinia_suite(3)[1];
-        let sim = Simulator::new(GpuConfig::rtx2080());
-        let run = sim.run_full(w);
-        let subset = sim.run_subset(w, &[0, 5, 10]);
-        assert_eq!(subset[0], run.per_invocation[0]);
-        assert_eq!(subset[1], run.per_invocation[5]);
-        assert_eq!(subset[2], run.per_invocation[10]);
     }
 
     #[test]

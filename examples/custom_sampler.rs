@@ -67,7 +67,6 @@ fn main() -> Result<(), stem::core::StemError> {
 
     let sim = Simulator::new(GpuConfig::rtx2080());
     let pipeline = Pipeline::new(sim).with_reps(5)?;
-    let full = pipeline.full_run(&workload);
 
     let stem = StemRootSampler::new(StemConfig::default());
     let systematic = SystematicSampler { stride: 100 };
@@ -78,7 +77,7 @@ fn main() -> Result<(), stem::core::StemError> {
         "method", "error %", "speedup"
     );
     for sampler in [&stem as &dyn KernelSampler, &systematic, &random] {
-        let summary = pipeline.run_against(sampler, &workload, &full);
+        let summary = pipeline.run(sampler, &workload);
         println!(
             "{:<12} {:>10.3} {:>10.1}",
             summary.method, summary.mean_error_pct, summary.harmonic_speedup

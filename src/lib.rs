@@ -20,7 +20,7 @@
 //!   the Table 5 overhead models.
 //! * [`stats`] (`stem-stats`) — CLT sample sizing, the KKT solver, error
 //!   bounds, KDE and summaries.
-//! * [`cluster`] (`stem-cluster`) — k-means, exact 1-D k-means, PCA.
+//! * [`cluster`] (`stem-cluster`) — k-means, exact 1-D k-means.
 //! * [`par`] (`stem-par`) — the deterministic parallel runtime: a scoped
 //!   thread pool with index-ordered map/reduce whose results are
 //!   bit-identical at every thread count (`STEM_THREADS` override).

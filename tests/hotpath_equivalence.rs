@@ -103,14 +103,6 @@ fn sampled_runs_match_per_invocation_reference() {
             "{}: grouped sampled run diverged",
             w.name()
         );
-        // Subset timing (used by DSE) rides the same lazy group table.
-        let indices: Vec<usize> = plan.samples().iter().map(|s| s.index).collect();
-        assert_eq!(
-            sim.run_subset(w, &indices),
-            sim_reference::run_subset(&sim, w, &indices),
-            "{}: grouped subset run diverged",
-            w.name()
-        );
     }
 }
 

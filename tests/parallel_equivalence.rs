@@ -7,7 +7,7 @@
 //! pipeline to that promise on one workload from each of the three
 //! synthetic suites, at threads ∈ {1, 2, 3, 8}:
 //!
-//! * ground-truth cycle totals ([`Pipeline::full_run`]),
+//! * ground-truth cycle totals ([`Pipeline::ground_truth_total`]),
 //! * sampling plans and ROOT cluster assignments
 //!   ([`StemRootSampler::with_parallelism`]),
 //! * clean evaluations ([`Pipeline::run`]),
@@ -16,11 +16,13 @@
 //!
 //! A final golden check pins `threads = 1` (and `Parallelism::serial()`)
 //! to the pre-parallelism behavior: the same per-rep results as a manual
-//! [`evaluate_once`] loop, so the serial goldens never move.
+//! loop over the documented rep-seed schedule (plan, sampled run, score),
+//! so the serial goldens never move.
 
-use stem::core::eval::{evaluate_once, EvalResult};
+use stem::core::eval::EvalResult;
 use stem::prelude::*;
 use stem::profile::ExecTimeProfiler;
+use stem::sim::simulator::reference as sim_reference;
 
 const THREADS: [usize; 4] = [1, 2, 3, 8];
 const REPS: u32 = 3;
@@ -58,14 +60,18 @@ fn clean_records(w: &Workload) -> Vec<TraceRecord> {
 
 #[test]
 fn ground_truth_cycles_are_bit_identical_across_thread_counts() {
+    let sim = Simulator::new(GpuConfig::rtx2080());
     for w in &suite_workloads() {
-        let serial = pipeline_with(Parallelism::serial()).full_run(w);
-        for threads in THREADS {
-            let par = pipeline_with(Parallelism::with_threads(threads)).full_run(w);
+        let reference = sim_reference::run_full(&sim, w).total_cycles;
+        let budgets = THREADS.map(Parallelism::with_threads);
+        for par in budgets.into_iter().chain([Parallelism::serial()]) {
+            let total = pipeline_with(par)
+                .ground_truth_total(w)
+                .expect("generated workloads fold cleanly");
             assert_eq!(
-                par,
-                serial,
-                "{}: full run differs at threads = {threads}",
+                total.to_bits(),
+                reference.to_bits(),
+                "{}: ground truth differs from the reference at {par:?}",
                 w.name()
             );
         }
@@ -174,8 +180,9 @@ fn new_samplers_on_adversarial_scenarios_are_bit_identical() {
 }
 
 /// `threads = 1` (and `Parallelism::serial()`) must reproduce the pre-`stem-par`
-/// behavior exactly: per-rep results equal to a manual [`evaluate_once`] loop
-/// over the documented rep-seed schedule. This pins the serial goldens.
+/// behavior exactly: per-rep results equal to a manual loop over the
+/// documented rep-seed schedule — plan, uncached sampled run, score against
+/// the full run's total. This pins the serial goldens.
 #[test]
 fn threads_one_matches_the_manual_serial_loop() {
     for w in &suite_workloads() {
@@ -185,11 +192,20 @@ fn threads_one_matches_the_manual_serial_loop() {
         let manual: Vec<EvalResult> = (0..REPS as u64)
             .map(|r| {
                 let rep_seed = BASE_SEED.wrapping_add(r).wrapping_mul(0x9e3779b97f4a7c15);
-                evaluate_once(&sampler, w, &sim, &full, rep_seed)
+                let plan = sampler.plan(w, rep_seed);
+                let run = sim.run_sampled(w, plan.samples());
+                EvalResult {
+                    method: sampler.name().to_string(),
+                    workload: w.name().to_string(),
+                    error_pct: run.error(full.total_cycles) * 100.0,
+                    speedup: run.speedup(full.total_cycles),
+                    num_samples: plan.num_samples(),
+                    predicted_error_pct: plan.predicted_error() * 100.0,
+                }
             })
             .collect();
         for par in [Parallelism::serial(), Parallelism::with_threads(1)] {
-            let summary = pipeline_with(par).run_against(&sampler, w, &full);
+            let summary = pipeline_with(par).run(&sampler, w);
             assert_eq!(
                 summary.results,
                 manual,
