@@ -474,11 +474,7 @@ mod tests {
         let (mut b, id) = builder_with_kernel(2);
         b.schedule(id, &ContextSchedule::Weighted(vec![9.0, 1.0]), 5000);
         let w = b.build();
-        let ones = w
-            .invocations()
-            .iter()
-            .filter(|i| i.context == 1)
-            .count();
+        let ones = w.invocations().iter().filter(|i| i.context == 1).count();
         let frac = ones as f64 / 5000.0;
         assert!((frac - 0.1).abs() < 0.03, "observed fraction {frac}");
     }
@@ -498,11 +494,8 @@ mod tests {
         let (mut b, id) = builder_with_kernel(1);
         b.schedule(id, &ContextSchedule::Cyclic, 20_000);
         let w = b.build();
-        let s: stem_stats_like::Moments = w
-            .invocations()
-            .iter()
-            .map(|i| i.noise_z as f64)
-            .collect();
+        let s: stem_stats_like::Moments =
+            w.invocations().iter().map(|i| i.noise_z as f64).collect();
         assert!(s.mean.abs() < 0.03, "mean {}", s.mean);
         assert!((s.var - 1.0).abs() < 0.05, "var {}", s.var);
     }

@@ -195,7 +195,10 @@ impl ExecutionTrace {
 
     /// Count of communication nodes.
     pub fn num_communication_nodes(&self) -> usize {
-        self.nodes.iter().filter(|n| n.op.is_communication()).count()
+        self.nodes
+            .iter()
+            .filter(|n| n.op.is_communication())
+            .count()
     }
 }
 
@@ -228,7 +231,9 @@ pub fn data_parallel_training(
     ];
     let contexts = vec![
         vec![RuntimeContext::neutral().with_jitter(0.05)],
-        vec![RuntimeContext::neutral().with_jitter(0.07).with_locality(0.8)],
+        vec![RuntimeContext::neutral()
+            .with_jitter(0.07)
+            .with_locality(0.8)],
         vec![RuntimeContext::neutral().with_jitter(0.03)],
     ];
     let (fwd, bwd, opt) = (KernelId(0), KernelId(1), KernelId(2));

@@ -60,7 +60,9 @@ use crate::trace::{FingerprintFold, Workload};
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use stem_storage::sealed::{self, fnv1a64, fnv1a64_fold, Loaded, SnapshotError, FNV_OFFSET};
-use stem_storage::{quarantine, write_atomic, write_atomic_bytes, Storage, StorageError, StorageOp};
+use stem_storage::{
+    quarantine, write_atomic, write_atomic_bytes, Storage, StorageError, StorageOp,
+};
 
 /// The exact header this version writes and accepts.
 const HEADER: &str = "STEM-COLSTORE v1";
@@ -117,14 +119,22 @@ impl std::fmt::Display for ColStoreError {
         match self {
             ColStoreError::Io(e) => write!(f, "colstore io error: {e}"),
             ColStoreError::Manifest(e) => write!(f, "colstore manifest: {e}"),
-            ColStoreError::BlockSize { index, expected, found } => write!(
+            ColStoreError::BlockSize {
+                index,
+                expected,
+                found,
+            } => write!(
                 f,
                 "colstore block {index} is {found} bytes (manifest promises {expected})"
             ),
             ColStoreError::BlockChecksumMismatch { index } => {
                 write!(f, "colstore block {index} checksum mismatch")
             }
-            ColStoreError::InvalidRow { block, row, message } => {
+            ColStoreError::InvalidRow {
+                block,
+                row,
+                message,
+            } => {
                 write!(f, "colstore block {block} row {row}: {message}")
             }
             ColStoreError::FingerprintMismatch { expected, found } => write!(
@@ -333,10 +343,12 @@ impl<'a> StoreWriter<'a> {
     /// [`ColStoreError::Io`] on a failed manifest write, or
     /// [`ColStoreError::Manifest`] if no tables were ever received.
     pub fn finish(self, summary: &StreamSummary) -> Result<(), ColStoreError> {
-        let tables = self.tables_text.ok_or(ColStoreError::Manifest(SnapshotError::Malformed {
-            line: 0,
-            message: "stream ended before tables were emitted".to_string(),
-        }))?;
+        let tables = self
+            .tables_text
+            .ok_or(ColStoreError::Manifest(SnapshotError::Malformed {
+                line: 0,
+                message: "stream ended before tables were emitted".to_string(),
+            }))?;
         let mut records = String::new();
         let _ = writeln!(records, "block_len {}", self.block_len);
         let _ = writeln!(records, "invocations {}", summary.invocations);
@@ -348,7 +360,11 @@ impl<'a> StoreWriter<'a> {
         }
         records.push_str("end_tables\n");
         for (i, b) in self.blocks.iter().enumerate() {
-            let _ = writeln!(records, "block {i} {} {} {:016x}", b.rows, b.bytes, b.checksum);
+            let _ = writeln!(
+                records,
+                "block {i} {} {} {:016x}",
+                b.rows, b.bytes, b.checksum
+            );
         }
         let manifest = sealed::seal(HEADER, &records);
         write_atomic(self.storage, &self.dir.join(MANIFEST_NAME), &manifest)?;
@@ -465,7 +481,11 @@ fn parse_manifest(mut lines: sealed::Lines<'_>) -> Result<StoreManifest, Snapsho
                 if rows.checked_mul(ROW_BYTES) != Some(bytes) {
                     return Err(bad("block bytes disagree with rows"));
                 }
-                blocks.push(BlockEntry { rows, bytes, checksum });
+                blocks.push(BlockEntry {
+                    rows,
+                    bytes,
+                    checksum,
+                });
             }
             [] => {}
             [..] => return Err(bad(&format!("unexpected record {line:?}"))),
@@ -486,7 +506,13 @@ fn parse_manifest(mut lines: sealed::Lines<'_>) -> Result<StoreManifest, Snapsho
             message: "block rows do not sum to invocations".to_string(),
         });
     }
-    Ok(StoreManifest { skeleton, block_len, invocations, fingerprint, blocks })
+    Ok(StoreManifest {
+        skeleton,
+        block_len,
+        invocations,
+        fingerprint,
+        blocks,
+    })
 }
 
 /// Reads and verifies a store's manifest. A manifest failing any check
@@ -567,7 +593,10 @@ pub fn stream_store(
             found,
         });
     }
-    Ok(StreamSummary { fingerprint: found, invocations: emitted })
+    Ok(StreamSummary {
+        fingerprint: found,
+        invocations: emitted,
+    })
 }
 
 /// Maps a sink failure back into the reader's error space.
@@ -607,8 +636,7 @@ mod tests {
     use stem_storage::RealFs;
 
     fn scratch(tag: &str) -> PathBuf {
-        let dir =
-            std::env::temp_dir().join(format!("stem-colstore-{tag}-{}", std::process::id()));
+        let dir = std::env::temp_dir().join(format!("stem-colstore-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }
@@ -617,7 +645,10 @@ mod tests {
         let mut b = WorkloadBuilder::new("colstore_sample", SuiteKind::Custom, 99);
         let k = b.add_kernel(
             KernelClassBuilder::new("k").build(),
-            vec![RuntimeContext::neutral(), RuntimeContext::neutral().with_work(2.0)],
+            vec![
+                RuntimeContext::neutral(),
+                RuntimeContext::neutral().with_work(2.0),
+            ],
         );
         b.schedule(k, &ContextSchedule::Weighted(vec![2.0, 1.0]), 1000);
         b.build()
@@ -701,9 +732,14 @@ mod tests {
         write_store(&w, &dir, 256);
         let path = block_path(&dir, 1);
         let bytes = RealFs.read_bytes(&path).expect("read");
-        RealFs.write(&path, &bytes[..bytes.len() / 2]).expect("tear");
+        RealFs
+            .write(&path, &bytes[..bytes.len() / 2])
+            .expect("tear");
         let e = load_store(&RealFs, &dir).expect_err("torn block");
-        assert!(matches!(e, ColStoreError::BlockSize { index: 1, .. }), "{e}");
+        assert!(
+            matches!(e, ColStoreError::BlockSize { index: 1, .. }),
+            "{e}"
+        );
         assert!(RealFs.exists(&stem_storage::sibling(&path, ".quarantined")));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -718,7 +754,10 @@ mod tests {
         bytes[7] ^= 0x40;
         RealFs.write(&path, &bytes).expect("flip");
         let e = load_store(&RealFs, &dir).expect_err("corrupt block");
-        assert!(matches!(e, ColStoreError::BlockChecksumMismatch { index: 0 }), "{e}");
+        assert!(
+            matches!(e, ColStoreError::BlockChecksumMismatch { index: 0 }),
+            "{e}"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -730,7 +769,10 @@ mod tests {
         let mut b = WorkloadBuilder::new("golden", SuiteKind::Custom, 7);
         let k = b.add_kernel(
             KernelClassBuilder::new("k").build(),
-            vec![RuntimeContext::neutral(), RuntimeContext::neutral().with_work(2.0)],
+            vec![
+                RuntimeContext::neutral(),
+                RuntimeContext::neutral().with_work(2.0),
+            ],
         );
         b.schedule(k, &ContextSchedule::Weighted(vec![2.0, 1.0]), 6);
         write_store(&b.build(), &dir, 4);

@@ -59,7 +59,10 @@ impl RuntimeContext {
             return fail("locality_boost must be positive".to_string());
         }
         if !(0.0..=3.0).contains(&self.jitter_cov) {
-            return fail(format!("jitter_cov must be in [0, 3], got {}", self.jitter_cov));
+            return fail(format!(
+                "jitter_cov must be in [0, 3], got {}",
+                self.jitter_cov
+            ));
         }
         Ok(())
     }

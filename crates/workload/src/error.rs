@@ -34,7 +34,10 @@ pub struct WorkloadError {
 
 impl WorkloadError {
     pub(crate) fn new(kind: WorkloadErrorKind, message: impl Into<String>) -> Self {
-        WorkloadError { kind, message: message.into() }
+        WorkloadError {
+            kind,
+            message: message.into(),
+        }
     }
 }
 

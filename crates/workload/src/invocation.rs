@@ -8,11 +8,8 @@
 //! execution observed on different hardware — which is what makes the DSE
 //! and cross-GPU experiments meaningful.
 
-
 /// Index of a kernel class within its workload's kernel table.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct KernelId(pub u32);
 
 impl KernelId {

@@ -36,7 +36,11 @@ pub struct ParseWorkloadError {
 
 impl std::fmt::Display for ParseWorkloadError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "workload parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "workload parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 
@@ -180,7 +184,9 @@ pub fn from_text(text: &str) -> Result<Workload, ParseWorkloadError> {
                 if rest.len() != 5 {
                     return Err(err(line_no, "context record needs 5 fields"));
                 }
-                let ki: usize = rest[0].parse().map_err(|_| err(line_no, "bad kernel index"))?;
+                let ki: usize = rest[0]
+                    .parse()
+                    .map_err(|_| err(line_no, "bad kernel index"))?;
                 if ki >= contexts.len() {
                     return Err(err(line_no, "context before its kernel"));
                 }
@@ -199,11 +205,22 @@ pub fn from_text(text: &str) -> Result<Workload, ParseWorkloadError> {
                 if rest.len() != 4 {
                     return Err(err(line_no, "inv record needs 4 fields"));
                 }
-                let kernel: u32 = rest[0].parse().map_err(|_| err(line_no, "bad kernel index"))?;
-                let context: u16 = rest[1].parse().map_err(|_| err(line_no, "bad context index"))?;
-                let work: f32 = rest[2].parse().map_err(|_| err(line_no, "bad work scale"))?;
+                let kernel: u32 = rest[0]
+                    .parse()
+                    .map_err(|_| err(line_no, "bad kernel index"))?;
+                let context: u16 = rest[1]
+                    .parse()
+                    .map_err(|_| err(line_no, "bad context index"))?;
+                let work: f32 = rest[2]
+                    .parse()
+                    .map_err(|_| err(line_no, "bad work scale"))?;
                 let noise: f32 = rest[3].parse().map_err(|_| err(line_no, "bad noise"))?;
-                invocations.push(Invocation::with_work(KernelId(kernel), context, work, noise));
+                invocations.push(Invocation::with_work(
+                    KernelId(kernel),
+                    context,
+                    work,
+                    noise,
+                ));
             }
             other => {
                 return Err(err(line_no, &format!("unknown record tag {other}")));

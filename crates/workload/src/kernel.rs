@@ -89,8 +89,15 @@ impl InstructionMix {
         branch: f64,
         special: f64,
     ) -> Self {
-        match InstructionMix::try_new(fp32, fp16, int_alu, ldst_global, ldst_shared, branch, special)
-        {
+        match InstructionMix::try_new(
+            fp32,
+            fp16,
+            int_alu,
+            ldst_global,
+            ldst_shared,
+            branch,
+            special,
+        ) {
             Ok(mix) => mix,
             Err(e) => panic!("{e}"),
         }

@@ -7,7 +7,6 @@
 //! model, and Figure 14 compares full-workload sums against weighted
 //! sampled estimates.
 
-
 /// Number of metrics collected (the paper's 13).
 pub const METRIC_COUNT: usize = 13;
 
@@ -83,7 +82,9 @@ impl MetricKind {
     pub fn category(self) -> MetricCategory {
         use MetricKind::*;
         match self {
-            GlobalLoadTransactions | GlobalStoreTransactions | SharedLoadTransactions
+            GlobalLoadTransactions
+            | GlobalStoreTransactions
+            | SharedLoadTransactions
             | SharedStoreTransactions => MetricCategory::MemoryAccess,
             L1Accesses | L1HitRate | L2Accesses | L2ReadHitRate | DramReadBytes => {
                 MetricCategory::Cache

@@ -75,27 +75,52 @@ pub fn phase_drift(seed: u64) -> WorkloadSource {
         let gemm = b.add_kernel(
             ml::gemm("drift_gemm", ml::GemmSize::Medium),
             vec![
-                RuntimeContext::neutral().with_work(1.0).with_locality(3.0).with_jitter(0.05),
-                RuntimeContext::neutral().with_work(1.25).with_locality(1.8).with_jitter(0.07),
-                RuntimeContext::neutral().with_work(1.6).with_locality(1.0).with_jitter(0.09),
-                RuntimeContext::neutral().with_work(2.1).with_locality(0.5).with_jitter(0.12),
+                RuntimeContext::neutral()
+                    .with_work(1.0)
+                    .with_locality(3.0)
+                    .with_jitter(0.05),
+                RuntimeContext::neutral()
+                    .with_work(1.25)
+                    .with_locality(1.8)
+                    .with_jitter(0.07),
+                RuntimeContext::neutral()
+                    .with_work(1.6)
+                    .with_locality(1.0)
+                    .with_jitter(0.09),
+                RuntimeContext::neutral()
+                    .with_work(2.1)
+                    .with_locality(0.5)
+                    .with_jitter(0.12),
             ],
         );
         // Attention-score kernel whose working set falls out of cache.
         let attn = b.add_kernel(
             ml::softmax("drift_attn", 96),
             vec![
-                RuntimeContext::neutral().with_work(1.0).with_locality(2.5).with_jitter(0.10),
-                RuntimeContext::neutral().with_work(1.3).with_locality(1.0).with_jitter(0.10),
-                RuntimeContext::neutral().with_work(1.7).with_locality(0.4).with_jitter(0.10),
+                RuntimeContext::neutral()
+                    .with_work(1.0)
+                    .with_locality(2.5)
+                    .with_jitter(0.10),
+                RuntimeContext::neutral()
+                    .with_work(1.3)
+                    .with_locality(1.0)
+                    .with_jitter(0.10),
+                RuntimeContext::neutral()
+                    .with_work(1.7)
+                    .with_locality(0.4)
+                    .with_jitter(0.10),
             ],
         );
         // Memory-bound pooling kernel that both slows down and gets noisier.
         let pool = b.add_kernel(
             ml::pool("drift_pool", 64),
             vec![
-                RuntimeContext::neutral().with_locality(1.0).with_jitter(0.15),
-                RuntimeContext::neutral().with_locality(0.4).with_jitter(0.30),
+                RuntimeContext::neutral()
+                    .with_locality(1.0)
+                    .with_jitter(0.15),
+                RuntimeContext::neutral()
+                    .with_locality(0.4)
+                    .with_jitter(0.30),
             ],
         );
 
@@ -109,7 +134,11 @@ pub fn phase_drift(seed: u64) -> WorkloadSource {
             &ContextSchedule::Phased(vec![(0, 800), (1, 800), (2, 800)]),
             2400,
         );
-        b.schedule(pool, &ContextSchedule::Phased(vec![(0, 700), (1, 700)]), 1400);
+        b.schedule(
+            pool,
+            &ContextSchedule::Phased(vec![(0, 700), (1, 700)]),
+            1400,
+        );
     })
 }
 
@@ -129,7 +158,9 @@ pub fn bursty_interference(seed: u64) -> WorkloadSource {
             let gemm = b.add_kernel(
                 ml::gemm("tenant_gemm", ml::GemmSize::Medium),
                 vec![
-                    RuntimeContext::neutral().with_locality(2.5).with_jitter(0.04),
+                    RuntimeContext::neutral()
+                        .with_locality(2.5)
+                        .with_jitter(0.04),
                     RuntimeContext::neutral()
                         .with_locality(0.3)
                         .with_footprint(2.0)
@@ -139,21 +170,39 @@ pub fn bursty_interference(seed: u64) -> WorkloadSource {
             let embed = b.add_kernel(
                 ml::embedding("tenant_embed", 96),
                 vec![
-                    RuntimeContext::neutral().with_locality(1.0).with_jitter(0.20),
-                    RuntimeContext::neutral().with_locality(0.25).with_jitter(0.80),
+                    RuntimeContext::neutral()
+                        .with_locality(1.0)
+                        .with_jitter(0.20),
+                    RuntimeContext::neutral()
+                        .with_locality(0.25)
+                        .with_jitter(0.80),
                 ],
             );
             let norm = b.add_kernel(
                 ml::norm("tenant_norm", 96),
                 vec![
                     RuntimeContext::neutral().with_jitter(0.03),
-                    RuntimeContext::neutral().with_locality(0.5).with_jitter(0.40),
+                    RuntimeContext::neutral()
+                        .with_locality(0.5)
+                        .with_jitter(0.40),
                 ],
             );
 
-            b.schedule(gemm, &ContextSchedule::Phased(vec![(0, 280), (1, 70)]), 3500);
-            b.schedule(embed, &ContextSchedule::Phased(vec![(0, 160), (1, 40)]), 2000);
-            b.schedule(norm, &ContextSchedule::Phased(vec![(0, 120), (1, 60)]), 1440);
+            b.schedule(
+                gemm,
+                &ContextSchedule::Phased(vec![(0, 280), (1, 70)]),
+                3500,
+            );
+            b.schedule(
+                embed,
+                &ContextSchedule::Phased(vec![(0, 160), (1, 40)]),
+                2000,
+            );
+            b.schedule(
+                norm,
+                &ContextSchedule::Phased(vec![(0, 120), (1, 60)]),
+                1440,
+            );
         },
     )
 }
@@ -164,42 +213,47 @@ pub fn bursty_interference(seed: u64) -> WorkloadSource {
 /// (single member, or identical members) — the degenerate-stratum regime
 /// the Neyman-allocation guard exists for.
 pub fn longtail_skew(seed: u64) -> WorkloadSource {
-    WorkloadSource::new("longtail_skew", SuiteKind::Custom, seed ^ 0x10f7_a110, |b| {
-        let head_gemm = b.add_kernel(
-            ml::gemm("head_gemm", ml::GemmSize::Large),
-            ml::two_peak_contexts(2.2, 0.08),
-        );
-        let head_soft = b.add_kernel(ml::softmax("head_soft", 128), ml::stable_context(0.12));
-        // Tail kernels registered up front (registration draws no RNG, so
-        // hoisting it out of the invoke loop leaves content unchanged and
-        // lets the same body run against a streaming builder, which
-        // freezes the tables at the first invocation).
-        let mut tails = Vec::with_capacity(28);
-        for i in 0..28u64 {
-            let name = format!("tail_{i:02}");
-            let kernel = match i % 4 {
-                0 => ml::elementwise(&name, 48),
-                1 => ml::norm(&name, 48),
-                2 => ml::pool(&name, 48),
-                _ => ml::embedding(&name, 48),
-            };
-            let context = RuntimeContext::neutral()
-                .with_work(1.0 + i as f64 * 0.07)
-                .with_locality(if i % 2 == 0 { 0.8 } else { 1.5 })
-                .with_jitter(0.05 + 0.01 * (i % 5) as f64);
-            tails.push(b.add_kernel(kernel, vec![context]));
-        }
-
-        b.schedule(head_gemm, &ContextSchedule::Weighted(vec![3.0, 1.0]), 3600);
-        b.schedule(head_soft, &ContextSchedule::Cyclic, 2200);
-        for (i, &id) in tails.iter().enumerate() {
-            // 1 + (5i mod 9) calls: several kernels appear exactly once.
-            let count = 1 + (i as u64 * 5) % 9;
-            for _ in 0..count {
-                b.invoke(id, 0, 1.0);
+    WorkloadSource::new(
+        "longtail_skew",
+        SuiteKind::Custom,
+        seed ^ 0x10f7_a110,
+        |b| {
+            let head_gemm = b.add_kernel(
+                ml::gemm("head_gemm", ml::GemmSize::Large),
+                ml::two_peak_contexts(2.2, 0.08),
+            );
+            let head_soft = b.add_kernel(ml::softmax("head_soft", 128), ml::stable_context(0.12));
+            // Tail kernels registered up front (registration draws no RNG, so
+            // hoisting it out of the invoke loop leaves content unchanged and
+            // lets the same body run against a streaming builder, which
+            // freezes the tables at the first invocation).
+            let mut tails = Vec::with_capacity(28);
+            for i in 0..28u64 {
+                let name = format!("tail_{i:02}");
+                let kernel = match i % 4 {
+                    0 => ml::elementwise(&name, 48),
+                    1 => ml::norm(&name, 48),
+                    2 => ml::pool(&name, 48),
+                    _ => ml::embedding(&name, 48),
+                };
+                let context = RuntimeContext::neutral()
+                    .with_work(1.0 + i as f64 * 0.07)
+                    .with_locality(if i % 2 == 0 { 0.8 } else { 1.5 })
+                    .with_jitter(0.05 + 0.01 * (i % 5) as f64);
+                tails.push(b.add_kernel(kernel, vec![context]));
             }
-        }
-    })
+
+            b.schedule(head_gemm, &ContextSchedule::Weighted(vec![3.0, 1.0]), 3600);
+            b.schedule(head_soft, &ContextSchedule::Cyclic, 2200);
+            for (i, &id) in tails.iter().enumerate() {
+                // 1 + (5i mod 9) calls: several kernels appear exactly once.
+                let count = 1 + (i as u64 * 5) % 9;
+                for _ in 0..count {
+                    b.invoke(id, 0, 1.0);
+                }
+            }
+        },
+    )
 }
 
 #[cfg(test)]
@@ -213,7 +267,11 @@ mod tests {
             let b = scenario_by_name(name, 21).expect("known scenario");
             assert_eq!(a, b, "{name} must be reproducible");
             let c = scenario_by_name(name, 22).expect("known scenario");
-            assert_ne!(a.fingerprint(), c.fingerprint(), "{name} must vary with seed");
+            assert_ne!(
+                a.fingerprint(),
+                c.fingerprint(),
+                "{name} must vary with seed"
+            );
         }
         assert!(scenario_by_name("mystery", 1).is_none());
     }
@@ -255,7 +313,11 @@ mod tests {
     #[test]
     fn bursts_are_a_minority_of_the_stream() {
         let w = bursty_interference(3).materialize();
-        let burst = w.invocations().iter().filter(|inv| inv.context == 1).count();
+        let burst = w
+            .invocations()
+            .iter()
+            .filter(|inv| inv.context == 1)
+            .count();
         let frac = burst as f64 / w.num_invocations() as f64;
         assert!(
             (0.1..0.4).contains(&frac),

@@ -158,7 +158,11 @@ impl CollectSink {
             skeleton.suite(),
             skeleton.kernels().to_vec(),
             (0..skeleton.kernels().len())
-                .map(|k| skeleton.contexts_of(crate::invocation::KernelId(k as u32)).to_vec())
+                .map(|k| {
+                    skeleton
+                        .contexts_of(crate::invocation::KernelId(k as u32))
+                        .to_vec()
+                })
                 .collect(),
             self.invocations,
         )
@@ -190,7 +194,10 @@ impl Workload {
             self.suite(),
             self.kernels().to_vec(),
             (0..self.kernels().len())
-                .map(|k| self.contexts_of(crate::invocation::KernelId(k as u32)).to_vec())
+                .map(|k| {
+                    self.contexts_of(crate::invocation::KernelId(k as u32))
+                        .to_vec()
+                })
                 .collect(),
             Vec::new(),
         );

@@ -244,7 +244,10 @@ fn muzero(seed: u64) -> WorkloadSource {
             ml::gemm("sgemm_policy_head", GemmSize::Small),
             ml::stable_context(0.04),
         );
-        let bn = b.add_kernel(ml::norm("bn_fw_inf_CUDNN", 128), ml::three_peak_contexts(0.03));
+        let bn = b.add_kernel(
+            ml::norm("bn_fw_inf_CUDNN", 128),
+            ml::three_peak_contexts(0.03),
+        );
         // MCTS rollouts: many tiny inference steps.
         for _ in 0..4200 {
             b.schedule(repr, &ContextSchedule::Weighted(vec![1.0, 1.0]), 1);
@@ -271,7 +274,10 @@ mod tests {
     #[test]
     fn call_counts_are_paper_scale() {
         let suite = casio_suite(3);
-        let avg: f64 = suite.iter().map(|w| w.num_invocations() as f64).sum::<f64>()
+        let avg: f64 = suite
+            .iter()
+            .map(|w| w.num_invocations() as f64)
+            .sum::<f64>()
             / suite.len() as f64;
         // Paper Table 2: avg 64279 calls. Accept the right magnitude.
         assert!(avg > 20_000.0 && avg < 150_000.0, "avg = {avg}");
@@ -288,19 +294,29 @@ mod tests {
     #[test]
     fn bn_kernel_has_three_contexts() {
         let suite = casio_suite(3);
-        let r = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let r = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let bn_id = r
             .kernels()
             .iter()
             .position(|k| k.name.starts_with("bn_fw_inf"))
             .expect("bn kernel");
-        assert_eq!(r.contexts_of(crate::invocation::KernelId(bn_id as u32)).len(), 3);
+        assert_eq!(
+            r.contexts_of(crate::invocation::KernelId(bn_id as u32))
+                .len(),
+            3
+        );
     }
 
     #[test]
     fn dlrm_embedding_has_wide_jitter() {
         let suite = casio_suite(3);
-        let d = suite.iter().find(|w| w.name() == "dlrm_infer").expect("dlrm");
+        let d = suite
+            .iter()
+            .find(|w| w.name() == "dlrm_infer")
+            .expect("dlrm");
         let embed_id = d
             .kernels()
             .iter()

@@ -18,7 +18,6 @@ use super::ml::{self, GemmSize};
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HuggingfaceScale(f64);
 
-
 impl HuggingfaceScale {
     /// Paper scale: ~11.6M calls per workload on average.
     pub fn paper() -> Self {
@@ -103,7 +102,10 @@ fn decoder_llm(
         // Context 0: prefill (whole prompt, large GEMMs, good locality).
         // Context 1: decode (single token, GEMV-shaped, KV-cache bound).
         let prefill_decode = vec![
-            RuntimeContext::neutral().with_work(8.0).with_locality(2.0).with_jitter(0.05),
+            RuntimeContext::neutral()
+                .with_work(8.0)
+                .with_locality(2.0)
+                .with_jitter(0.05),
             RuntimeContext::neutral()
                 .with_work(1.0)
                 .with_locality(0.6)
@@ -200,7 +202,10 @@ fn resnet50_serving(seed: u64, scale: HuggingfaceScale) -> WorkloadSource {
             ml::gemm("sgemm_128x64_nn", GemmSize::Medium),
             ml::three_peak_contexts(0.03),
         );
-        let bn = b.add_kernel(ml::norm("bn_fw_inf_CUDNN", 192), ml::three_peak_contexts(0.025));
+        let bn = b.add_kernel(
+            ml::norm("bn_fw_inf_CUDNN", 192),
+            ml::three_peak_contexts(0.025),
+        );
         let pool = b.add_kernel(ml::pool("max_pool_fw_4d", 128), ml::wide_context(0.25));
         let relu = b.add_kernel(ml::elementwise("relu_fw", 192), ml::stable_context(0.02));
 

@@ -109,7 +109,9 @@ pub(crate) mod ml {
             .geometry(grid, 128)
             .resources(40, 16 * 1024)
             .instructions(1_400)
-            .mix(InstructionMix::new(0.30, 0.05, 0.20, 0.30, 0.05, 0.05, 0.05))
+            .mix(InstructionMix::new(
+                0.30, 0.05, 0.20, 0.30, 0.05, 0.05, 0.05,
+            ))
             .memory(12 << 20, 2.5)
             .bbv(vec![1.0, 5.0, 5.0, 2.0])
             .build()
@@ -227,7 +229,6 @@ pub(crate) mod trace_kernels {
 #[cfg(test)]
 mod tests {
     use super::ml::*;
-    
 
     #[test]
     fn ml_kernels_validate() {

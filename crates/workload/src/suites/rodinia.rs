@@ -435,8 +435,12 @@ fn srad(seed: u64) -> WorkloadSource {
 #[allow(dead_code)]
 fn two_locality_contexts() -> Vec<RuntimeContext> {
     vec![
-        RuntimeContext::neutral().with_locality(2.0).with_jitter(0.05),
-        RuntimeContext::neutral().with_locality(0.5).with_jitter(0.15),
+        RuntimeContext::neutral()
+            .with_locality(2.0)
+            .with_jitter(0.05),
+        RuntimeContext::neutral()
+            .with_locality(0.5)
+            .with_jitter(0.15),
     ]
 }
 
@@ -466,7 +470,10 @@ mod tests {
     #[test]
     fn average_call_count_is_paper_scale() {
         let suite = rodinia_suite(7);
-        let avg: f64 = suite.iter().map(|w| w.num_invocations() as f64).sum::<f64>()
+        let avg: f64 = suite
+            .iter()
+            .map(|w| w.num_invocations() as f64)
+            .sum::<f64>()
             / suite.len() as f64;
         // Paper Table 2: avg 1403 kernel calls. Accept the right magnitude.
         assert!(avg > 500.0 && avg < 3000.0, "avg = {avg}");
@@ -475,7 +482,10 @@ mod tests {
     #[test]
     fn gaussian_work_shrinks() {
         let suite = rodinia_suite(7);
-        let g = suite.iter().find(|w| w.name() == "gaussian").expect("gaussian");
+        let g = suite
+            .iter()
+            .find(|w| w.name() == "gaussian")
+            .expect("gaussian");
         let first = g.invocations().first().expect("nonempty").work_scale;
         let last = g.invocations().last().expect("nonempty").work_scale;
         assert!(first > 100.0 * last, "first {first} last {last}");
@@ -484,7 +494,10 @@ mod tests {
     #[test]
     fn heartwall_first_call_tiny() {
         let suite = rodinia_suite(7);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let first = h.invocations()[0].work_scale as f64;
         let second = h.invocations()[1].work_scale as f64;
         assert!((second / first - 1500.0).abs() < 1.0);
@@ -493,7 +506,10 @@ mod tests {
     #[test]
     fn pathfinder_has_long_outliers() {
         let suite = rodinia_suite(7);
-        let p = suite.iter().find(|w| w.name() == "pf_float").expect("pf_float");
+        let p = suite
+            .iter()
+            .find(|w| w.name() == "pf_float")
+            .expect("pf_float");
         let instr: Vec<u64> = p
             .invocations()
             .iter()
@@ -525,9 +541,6 @@ mod tests {
         let b = rodinia_suite(2);
         // Same structure, different jitter draws.
         assert_eq!(a.len(), b.len());
-        assert_ne!(
-            a[0].invocations()[0].noise_z,
-            b[0].invocations()[0].noise_z
-        );
+        assert_ne!(a[0].invocations()[0].noise_z, b[0].invocations()[0].noise_z);
     }
 }

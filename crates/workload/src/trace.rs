@@ -728,7 +728,10 @@ mod tests {
             vec![k0, k1],
             vec![
                 vec![RuntimeContext::neutral()],
-                vec![RuntimeContext::neutral(), RuntimeContext::neutral().with_work(2.0)],
+                vec![
+                    RuntimeContext::neutral(),
+                    RuntimeContext::neutral().with_work(2.0),
+                ],
             ],
             vec![
                 Invocation::new(KernelId(0), 0, 0.1),
@@ -828,7 +831,9 @@ mod tests {
         let w = Workload::new(
             "w",
             SuiteKind::Custom,
-            ["a", "unused", "c"].map(|n| KernelClassBuilder::new(n).build()).to_vec(),
+            ["a", "unused", "c"]
+                .map(|n| KernelClassBuilder::new(n).build())
+                .to_vec(),
             vec![vec![RuntimeContext::neutral()]; 3],
             vec![
                 Invocation::new(KernelId(2), 0, 0.0),
@@ -837,7 +842,10 @@ mod tests {
             ],
         );
         let groups = w.invocations_by_kernel();
-        assert_eq!(groups.keys().copied().collect::<Vec<_>>(), vec![KernelId(0), KernelId(2)]);
+        assert_eq!(
+            groups.keys().copied().collect::<Vec<_>>(),
+            vec![KernelId(0), KernelId(2)]
+        );
         assert_eq!(groups[&KernelId(2)], vec![0, 2]);
     }
 
