@@ -1,8 +1,8 @@
-//! Paper-scale hot-path benchmark: times workload materialization,
-//! ground-truth simulation, clustering (plan construction), and the
-//! end-to-end pipeline per suite, and emits a machine-readable
-//! `BENCH_hotpath.json` so every change can be compared against the previous
-//! perf trajectory point.
+//! Paper-scale hot-path benchmark: times workload generation (streamed
+//! into a counting sink) and materialization, ground-truth simulation,
+//! clustering (plan construction), and the end-to-end pipeline per suite,
+//! and emits a machine-readable `BENCH_hotpath.json` so every change can
+//! be compared against the previous perf trajectory point.
 //!
 //! Usage:
 //!
@@ -21,7 +21,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use gpu_workload::suites::HuggingfaceScale;
-use gpu_workload::{SuiteKind, Workload};
+use gpu_workload::{BlockSink, Invocation, SinkError, SuiteKind, Workload};
 use stem_bench::harness::ExperimentOptions;
 use stem_bench::memuse::peak_rss_kb;
 use stem_core::sampler::KernelSampler;
@@ -102,22 +102,62 @@ fn parse_args() -> Result<(f64, u64, u32, String), StemError> {
     Ok((hf_scale, seed, reps, out))
 }
 
+/// Counts streamed rows and drops them: the sink a generator pass feeds
+/// when only the generator is timed.
+#[derive(Default)]
+struct CountSink {
+    rows: u64,
+}
+
+impl BlockSink for CountSink {
+    fn tables(&mut self, _skeleton: &Workload) -> Result<(), SinkError> {
+        Ok(())
+    }
+
+    fn block(&mut self, invocations: &[Invocation]) -> Result<(), SinkError> {
+        self.rows += invocations.len() as u64;
+        Ok(())
+    }
+}
+
 fn bench_suite(kind: SuiteKind, options: &ExperimentOptions, reps: u32) -> SuiteReport {
+    // Workload generation alone: every source streamed into a counting
+    // sink (random draws, rows and the streaming fingerprint, no
+    // construction and no stored stream).
+    let sources = options.suite_sources(kind);
+    let mut generated = CountSink::default();
+    let t = Instant::now();
+    for source in &sources {
+        source
+            .stream(&mut generated, gpu_workload::DEFAULT_BLOCK_LEN)
+            .expect("a counting sink never fails");
+    }
+    let generate = Section {
+        name: "workload_generate",
+        wall_ns: t.elapsed().as_nanos(),
+        units: generated.rows,
+        peak_rss_kb: peak_rss_kb(),
+    };
+
     // Workload materialization: generation plus construction (range
     // checks, timing groups, content fingerprint) of every workload.
     let t = Instant::now();
     let workloads: Vec<Workload> = options.suite(kind);
     let materialize_ns = t.elapsed().as_nanos();
     let invocations: u64 = workloads.iter().map(|w| w.num_invocations() as u64).sum();
+    assert_eq!(generated.rows, invocations);
     let sim = options.simulator();
     let par = stem_par::Parallelism::from_env();
     let sampler = StemRootSampler::new(options.stem_config.clone());
-    let mut sections = vec![Section {
-        name: "workload_materialize",
-        wall_ns: materialize_ns,
-        units: invocations,
-        peak_rss_kb: peak_rss_kb(),
-    }];
+    let mut sections = vec![
+        generate,
+        Section {
+            name: "workload_materialize",
+            wall_ns: materialize_ns,
+            units: invocations,
+            peak_rss_kb: peak_rss_kb(),
+        },
+    ];
 
     // Ground-truth simulation: the full analytic model over every
     // invocation, through the fold `Pipeline`, campaigns and `repro` run.

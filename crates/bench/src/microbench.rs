@@ -465,6 +465,40 @@ pub fn construct_ratio_check(runs: usize) -> RatioCheck {
     )
 }
 
+/// Times the builder's normal draw (`gpu_workload::normal::fill`: tables
+/// and short polynomials behind a rounding test) against the libm
+/// expression it reproduces (`normal::reference::fill`) over 1 M seeded
+/// pairs, RNG included, `runs` times each, alternating, and reports the
+/// ratio of their fastest runs. Both loops are compiled in `gpu-workload`,
+/// so the ratio does not depend on this crate's optimization level.
+///
+/// # Panics
+///
+/// Panics if `runs == 0`.
+pub fn normal_ratio_check(runs: usize) -> RatioCheck {
+    use gpu_workload::normal;
+
+    const DRAWS: usize = 1_000_000;
+    let draw = |fill: fn(&mut [f32], u64)| {
+        let mut out = vec![0.0f32; DRAWS];
+        fill(&mut out, 2025);
+        out
+    };
+    let (fast_ns, reference_ns, identical) = alternate(
+        runs,
+        || draw(normal::reference::fill),
+        || draw(normal::fill),
+    );
+    RatioCheck::new(
+        "normal",
+        "seeded pairs",
+        DRAWS,
+        fast_ns,
+        reference_ns,
+        identical,
+    )
+}
+
 /// Times one cold `StemRootSampler`'s profile into ROOT over the
 /// HuggingFace suite against the path it replaced, `runs` times each,
 /// alternating. The sampler writes each workload's by-kernel rows over one

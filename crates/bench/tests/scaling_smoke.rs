@@ -4,15 +4,16 @@
 //! must produce a bit-identical summary. The measured speedup is printed
 //! (run with `--nocapture` to see it) but never gated on — CI machines are
 //! too noisy for absolute wall-clock thresholds. The timing gates are
-//! ratios of two paths measured in this same process (ROOT's recursion and
-//! workload construction, each against its reference), which machine speed
-//! cancels out of. The sampler's profile+ROOT ratio is printed only.
+//! ratios of two paths measured in this same process (ROOT's recursion,
+//! workload construction and the builder's normal draw, each against its
+//! reference), which machine speed cancels out of. The sampler's
+//! profile+ROOT ratio is printed only.
 
 use std::sync::{Mutex, MutexGuard};
 
 use stem_bench::microbench::{
-    construct_ratio_check, grouped_timing_check, profile_root_ratio_check, root_ratio_check,
-    scaling_smoke_check,
+    construct_ratio_check, grouped_timing_check, normal_ratio_check, profile_root_ratio_check,
+    root_ratio_check, scaling_smoke_check,
 };
 
 /// The probes take turns: the test harness runs tests concurrently, and a
@@ -101,6 +102,30 @@ fn workload_construction_matches_reference_and_beats_it() {
     assert!(
         check.ratio <= 0.5,
         "one-pass construction took {:.2}x the reference's time on {} (gate: 0.5x)",
+        check.ratio,
+        check.workload
+    );
+}
+
+/// The builder's normal draw must give the libm reference's `f32` bits
+/// on 1 M seeded pairs and take at most 0.7x its time, RNG included (the
+/// fastest of 5 runs each, alternated in this process).
+#[test]
+fn normal_draw_matches_reference_and_beats_it() {
+    let _turn = one_probe_at_a_time();
+    let check = normal_ratio_check(5);
+    println!(
+        "normal draw vs reference on {}: ratio {:.2}",
+        check.workload, check.ratio
+    );
+    assert!(
+        check.identical,
+        "the normal draw diverged from the libm reference on {}",
+        check.workload
+    );
+    assert!(
+        check.ratio <= 0.7,
+        "the normal draw took {:.2}x the reference's time on {} (gate: 0.7x)",
         check.ratio,
         check.workload
     );

@@ -8,8 +8,9 @@
 use crate::context::{ContextSchedule, RuntimeContext};
 use crate::invocation::{Invocation, KernelId};
 use crate::kernel::KernelClass;
+use crate::normal;
 use crate::stream::{BlockSink, SinkError, StreamSummary};
-use crate::trace::{FingerprintFold, SuiteKind, Workload};
+use crate::trace::{FingerprintFold, GroupSlots, MemoFold, SuiteKind, Workload};
 use stem_stats::rng::{RngExt, SeedableRng, StdRng};
 
 /// Builder for [`Workload`].
@@ -48,9 +49,39 @@ struct SinkState<'s> {
     /// Tables frozen (header folded, skeleton delivered)?
     frozen: bool,
     emitted: u64,
-    fold: FingerprintFold,
+    /// The content fingerprint; starts over from the header when the
+    /// tables freeze.
+    fold: MemoFold,
+    /// Dense `(kernel, context)` slots of the frozen tables: a row's slot
+    /// picks its memo table in `fold`.
+    slots: GroupSlots,
     /// First sink failure; emission stops, `finish_stream` reports it.
     failed: Option<SinkError>,
+}
+
+impl SinkState<'_> {
+    /// Freezes the tables: folds the header and ships the skeleton.
+    fn freeze(
+        &mut self,
+        name: &str,
+        suite: SuiteKind,
+        kernels: &[KernelClass],
+        contexts: &[Vec<RuntimeContext>],
+    ) -> Result<(), SinkError> {
+        self.frozen = true;
+        let mut header = FingerprintFold::new();
+        header.eat_header(name, suite, kernels, contexts);
+        self.fold = MemoFold::new(header);
+        self.slots = GroupSlots::new(contexts.iter().map(Vec::len));
+        let skeleton = Workload::new(
+            name.to_owned(),
+            suite,
+            kernels.to_vec(),
+            contexts.to_vec(),
+            Vec::new(),
+        );
+        self.sink.tables(&skeleton)
+    }
 }
 
 impl std::fmt::Debug for dyn BlockSink + '_ {
@@ -100,7 +131,8 @@ impl<'s> WorkloadBuilder<'s> {
             block_len,
             frozen: false,
             emitted: 0,
-            fold: FingerprintFold::new(),
+            fold: MemoFold::new(FingerprintFold::new()),
+            slots: GroupSlots::new([]),
             failed: None,
         });
         b
@@ -155,7 +187,7 @@ impl<'s> WorkloadBuilder<'s> {
             (context as usize) < self.contexts[kernel.index()].len(),
             "kernel {kernel} has no context {context}"
         );
-        let z = standard_normal(&mut self.rng) as f32;
+        let z = normal::standard_normal(&mut self.rng);
         let inv = Invocation::with_work(kernel, context, work_scale, z);
         if self.sink.is_some() {
             self.stream_invoke(inv);
@@ -176,23 +208,15 @@ impl<'s> WorkloadBuilder<'s> {
             return;
         }
         if !state.frozen {
-            state.frozen = true;
-            state
-                .fold
-                .eat_header(&self.name, self.suite, &self.kernels, &self.contexts);
-            let skeleton = Workload::new(
-                self.name.clone(),
-                self.suite,
-                self.kernels.clone(),
-                self.contexts.clone(),
-                Vec::new(),
-            );
-            if let Err(e) = state.sink.tables(&skeleton) {
+            if let Err(e) = state.freeze(&self.name, self.suite, &self.kernels, &self.contexts) {
                 state.failed = Some(e);
                 return;
             }
         }
-        state.fold.eat_invocation(&inv);
+        // `invoke` checked the kernel and context, so the slot exists; the
+        // builder assigns no timing groups, and the slot keys the memo.
+        let slot = state.slots.slot(&inv).map_or(0, |slot| slot as u32);
+        state.fold.eat_invocation(&inv, slot);
         state.emitted += 1;
         self.invocations.push(inv);
         if self.invocations.len() == state.block_len {
@@ -311,17 +335,7 @@ impl<'s> WorkloadBuilder<'s> {
             return Err(e);
         }
         if !state.frozen {
-            state
-                .fold
-                .eat_header(&self.name, self.suite, &self.kernels, &self.contexts);
-            let skeleton = Workload::new(
-                self.name.clone(),
-                self.suite,
-                self.kernels.clone(),
-                self.contexts.clone(),
-                Vec::new(),
-            );
-            state.sink.tables(&skeleton)?;
+            state.freeze(&self.name, self.suite, &self.kernels, &self.contexts)?;
         }
         if !self.invocations.is_empty() {
             state.sink.block(&self.invocations)?;
@@ -422,18 +436,6 @@ impl WorkloadSource {
             WorkloadBuilder::streaming(self.name.clone(), self.suite, self.seed, sink, block_len);
         (self.emit)(&mut b);
         b.finish_stream()
-    }
-}
-
-/// Box–Muller standard normal draw.
-pub(crate) fn standard_normal(rng: &mut StdRng) -> f64 {
-    loop {
-        let u1: f64 = rng.random();
-        if u1 <= f64::MIN_POSITIVE {
-            continue;
-        }
-        let u2: f64 = rng.random();
-        return (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
     }
 }
 
@@ -550,16 +552,43 @@ mod tests {
         })
     }
 
+    /// Every suite source (HuggingFace at test scale) and the demo source
+    /// stream the content they materialize, and the streamed fingerprint
+    /// matches both the materialized one and a plain byte fold.
     #[test]
     fn streaming_matches_materialized() {
-        let source = demo_source();
-        let reference = source.materialize();
-        let mut sink = crate::stream::CollectSink::new();
-        let summary = source.stream(&mut sink, 64).expect("stream");
-        let streamed = sink.into_workload();
-        assert_eq!(streamed, reference);
-        assert_eq!(summary.fingerprint, reference.fingerprint());
-        assert_eq!(summary.invocations, 1000);
+        use crate::suites::{
+            casio_sources, huggingface_sources, rodinia_sources, HuggingfaceScale,
+        };
+        let mut sources = vec![demo_source()];
+        sources.extend(rodinia_sources(5));
+        sources.extend(casio_sources(5));
+        sources.extend(huggingface_sources(5, HuggingfaceScale::test()));
+        for source in &sources {
+            let reference = source.materialize();
+            let mut sink = crate::stream::CollectSink::new();
+            let summary = source.stream(&mut sink, 64).expect("stream");
+            let streamed = sink.into_workload();
+            let mut plain = FingerprintFold::of_tables(&reference);
+            for inv in reference.invocations() {
+                plain.eat_invocation(inv);
+            }
+            assert_eq!(streamed, reference, "{}", source.name());
+            assert_eq!(
+                summary.fingerprint,
+                reference.fingerprint(),
+                "{}",
+                source.name()
+            );
+            assert_eq!(summary.fingerprint, plain.finish(), "{}", source.name());
+            assert_eq!(
+                summary.invocations,
+                reference.num_invocations() as u64,
+                "{}",
+                source.name()
+            );
+        }
+        assert_eq!(sources[0].materialize().num_invocations(), 1000);
     }
 
     /// Every block but the last carries exactly `block_len` invocations,

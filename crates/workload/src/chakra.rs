@@ -16,7 +16,17 @@
 use crate::context::RuntimeContext;
 use crate::invocation::KernelId;
 use crate::kernel::KernelClass;
+use crate::normal;
 use stem_stats::rng::{RngExt, SeedableRng, StdRng};
+
+/// One node's jitter draw: Box–Muller through the builder's transform
+/// ([`normal::box_muller`]), with a zero `u1` clamped to
+/// `f64::MIN_POSITIVE` rather than redrawn.
+fn jitter_draw(rng: &mut StdRng) -> f32 {
+    let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
+    let u2: f64 = rng.random();
+    normal::box_muller(u1, u2)
+}
 
 /// The operator performed by one ET node.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -217,12 +227,6 @@ pub fn data_parallel_training(
     assert!(num_gpus >= 1, "need at least one GPU");
     assert!(layers >= 1 && steps >= 1, "need work to trace");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut z = move || {
-        // Box-Muller.
-        let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.random();
-        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-    };
 
     let kernels = vec![
         super::suites::trace_kernels::layer_fwd(),
@@ -261,7 +265,7 @@ pub fn data_parallel_training(
                     },
                     gpu: g,
                     deps,
-                    noise_z: z(),
+                    noise_z: jitter_draw(&mut rng),
                 });
                 gpu_tail[g as usize] = Some(id);
                 fwd_ids[g as usize][layer] = id;
@@ -286,7 +290,7 @@ pub fn data_parallel_training(
                     },
                     gpu: g,
                     deps,
-                    noise_z: z(),
+                    noise_z: jitter_draw(&mut rng),
                 });
                 gpu_tail[g as usize] = Some(id);
                 bwd_ids.push(id);
@@ -297,7 +301,7 @@ pub fn data_parallel_training(
                     op: EtOp::AllReduce { bytes: grad_bytes },
                     gpu: 0,
                     deps: bwd_ids,
-                    noise_z: z(),
+                    noise_z: jitter_draw(&mut rng),
                 });
                 for t in gpu_tail.iter_mut() {
                     *t = Some(id); // collectives occupy every GPU
@@ -322,7 +326,7 @@ pub fn data_parallel_training(
                 },
                 gpu: g,
                 deps,
-                noise_z: z(),
+                noise_z: jitter_draw(&mut rng),
             });
             gpu_tail[g as usize] = Some(id);
         }
@@ -347,11 +351,6 @@ pub fn pipeline_parallel_inference(
         "need work to trace"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut z = move || {
-        let u1: f64 = rng.random::<f64>().max(f64::MIN_POSITIVE);
-        let u2: f64 = rng.random();
-        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
-    };
 
     let kernels = vec![super::suites::trace_kernels::layer_fwd()];
     let contexts = vec![vec![RuntimeContext::neutral().with_jitter(0.05)]];
@@ -383,7 +382,7 @@ pub fn pipeline_parallel_inference(
                     },
                     gpu: stage,
                     deps,
-                    noise_z: z(),
+                    noise_z: jitter_draw(&mut rng),
                 });
                 gpu_tail[(stage - 1) as usize] = Some(id);
                 gpu_tail[stage as usize] = Some(id);
@@ -409,7 +408,7 @@ pub fn pipeline_parallel_inference(
                     },
                     gpu: stage,
                     deps,
-                    noise_z: z(),
+                    noise_z: jitter_draw(&mut rng),
                 });
                 gpu_tail[stage as usize] = Some(id);
                 carry = Some(id);

@@ -40,6 +40,7 @@ pub mod invocation;
 pub mod io;
 pub mod kernel;
 pub mod metrics;
+pub mod normal;
 pub mod scenarios;
 pub mod stream;
 pub mod suites;

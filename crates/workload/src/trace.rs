@@ -156,10 +156,10 @@ const PREFIX_LEN: u32 = 10;
 const PRIME_POW_PREFIX: u64 = FNV_PRIME.wrapping_pow(PREFIX_LEN);
 
 /// Prefix tables one [`MemoFold`] keeps; a row's table is picked by its
-/// timing group id modulo this. This bounds a memo's memory to
-/// `MEMO_TABLES` tables of 2 096 bytes (256 folded tails, a 256-bit fill
-/// mask and the prefix tag), 131 KiB in all, whatever the stream length
-/// or table sizes. A row whose table is tagged with another prefix
+/// key (a timing group id or a `(kernel, context)` slot) modulo this.
+/// This bounds a memo's memory to `MEMO_TABLES` tables of 2 096 bytes
+/// (256 folded tails, a 256-bit fill mask and the prefix tag), 131 KiB in
+/// all, whatever the stream length or table sizes. A row whose table is tagged with another prefix
 /// retags it; each low byte it then meets costs one plain prefix fold.
 pub const MEMO_TABLES: usize = 64;
 
@@ -214,10 +214,14 @@ impl MemoFold {
 
     /// Folds one invocation: bit-identical to
     /// [`FingerprintFold::eat_invocation`] from the same state, whatever
-    /// `group` is. Passing the row's timing group id gives each of the
-    /// first [`MEMO_TABLES`] groups a table of its own.
+    /// `key` is. The key may be any `u32`; it only picks the memo table
+    /// (`key mod MEMO_TABLES`), so keys that stay equal while a row's
+    /// prefix does keep the tables warm. Passing the row's timing group
+    /// id gives each of the first [`MEMO_TABLES`] groups a table of its
+    /// own; the streaming builder passes the row's `(kernel, context)`
+    /// slot.
     #[inline]
-    pub fn eat_invocation(&mut self, inv: &Invocation, group: u32) {
+    pub fn eat_invocation(&mut self, inv: &Invocation, key: u32) {
         let [k0, k1, k2, k3] = inv.kernel.0.to_le_bytes();
         let [c0, c1] = inv.context.to_le_bytes();
         let work_bits = inv.work_scale.to_bits();
@@ -226,7 +230,7 @@ impl MemoFold {
         if self.tables.is_empty() {
             self.allocate();
         }
-        let table = &mut self.tables[group as usize % MEMO_TABLES];
+        let table = &mut self.tables[key as usize % MEMO_TABLES];
         if table.prefix != prefix {
             table.prefix = prefix;
             table.filled = [0; 4];

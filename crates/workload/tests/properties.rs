@@ -4,6 +4,7 @@
 //! property tests so the workspace builds hermetically.
 
 use gpu_workload::kernel::KernelClassBuilder;
+use gpu_workload::normal;
 use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
 use gpu_workload::trace::{reference, MEMO_TABLES};
 use gpu_workload::{
@@ -296,4 +297,113 @@ fn one_pass_construction_matches_reference() {
         missed.is_empty(),
         "low bytes never met at row entry: {missed:?}"
     );
+}
+
+/// The fast normal draw against the libm reference on seeded pairs drawn
+/// as the builder draws them: identical `f32` bits on every pair, some
+/// pairs whose approximation the rounding test rejects (the test is
+/// live), and the `f64` approximation within `2^-45` of the libm product,
+/// 32x inside the rounding test's `2^-40` guard.
+#[test]
+fn fast_normal_matches_reference_on_seeded_draws() {
+    let mut rng = rng_for(6, 0);
+    let (mut rejected, mut worst) = (0u64, 0.0f64);
+    let draws = 4_200_000;
+    for i in 0..draws {
+        let u1: f64 = rng.random();
+        if u1 <= f64::MIN_POSITIVE {
+            continue;
+        }
+        let u2: f64 = rng.random();
+        let want = normal::reference::box_muller(u1, u2);
+        let got = normal::box_muller(u1, u2);
+        assert_eq!(
+            got.to_bits(),
+            want.to_bits(),
+            "draw {i}: u1 {u1:e} u2 {u2:e}"
+        );
+        if let Some(f) = normal::approx(u1, u2) {
+            let libm = (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos();
+            worst = worst.max(((f - libm) / libm).abs());
+            if normal::try_fast(u1, u2).is_none() {
+                rejected += 1;
+            }
+        }
+    }
+    assert!(rejected > 0, "the rounding test passed all {draws} draws");
+    assert!(
+        worst <= 2f64.powi(-45),
+        "worst relative error 2^{:.2} (limit 2^-45)",
+        worst.log2()
+    );
+    // The builder's draw loop itself (u1 redraw included) on one seed.
+    let (mut fast, mut slow) = (vec![0.0f32; 100_000], vec![0.0f32; 100_000]);
+    normal::fill(&mut fast, 7);
+    normal::reference::fill(&mut slow, 7);
+    assert!(fast
+        .iter()
+        .zip(&slow)
+        .all(|(a, b)| a.to_bits() == b.to_bits()));
+}
+
+/// The doubles within `n` ulps of positive `x`, `x` included.
+fn ulps_around(x: f64, n: i64) -> impl Iterator<Item = f64> {
+    (-n..=n).map(move |k| f64::from_bits((x.to_bits() as i64 + k) as u64))
+}
+
+/// The fast normal draw against the libm reference where an
+/// approximation is most likely to slip: `u1` next to 1, next to the
+/// smallest draws (`2^-53`, and the `f64::MIN_POSITIVE` clamp of the
+/// trace generators) and around the edges and centres of the log
+/// table's cells; `u2` at and around every cos table cell `k/64` and its
+/// edges, and approaching the zeros of cos at 1/4 and 3/4 from 2^-6 down
+/// to a few ulps.
+#[test]
+fn fast_normal_matches_reference_on_adversarial_grid() {
+    let mut u1s: Vec<f64> = Vec::new();
+    u1s.extend(ulps_around(1.0, 64));
+    u1s.extend((1..64).map(|k| k as f64 / (1u64 << 53) as f64));
+    u1s.extend(ulps_around(f64::MIN_POSITIVE, 4));
+    u1s.extend(ulps_around(0.5, 4));
+    for exponent in [-1, -2, -9, -40, -1021] {
+        let scale = 2f64.powi(exponent);
+        for cell in 0..128 {
+            // The cell's centre and its upper edge, where rounding picks
+            // the next cell.
+            for offset in [0.0, 0.5] {
+                let m = 1.0 + (cell as f64 + offset) / 128.0;
+                u1s.extend(ulps_around(m * scale, 2));
+            }
+        }
+    }
+    let mut u2s: Vec<f64> = Vec::new();
+    for k in 0..128 {
+        let at = k as f64 / 128.0;
+        u2s.extend(ulps_around(at, 3));
+    }
+    for zero in [0.25, 0.75] {
+        for p in 6..52 {
+            let d = 2f64.powi(-p);
+            u2s.extend([zero - d, zero + d, zero - 1.5 * d, zero + 1.5 * d]);
+        }
+    }
+    // The draws' domain: u1 in (0, 1) (the builder redraws u1 at or
+    // below f64::MIN_POSITIVE), u2 in [0, 1).
+    u1s.retain(|&u1| u1 > 0.0 && u1 < 1.0);
+    u2s.retain(|&u2| (0.0..1.0).contains(&u2));
+    let (mut cases, mut mismatches) = (0u64, Vec::new());
+    for &u1 in &u1s {
+        for &u2 in &u2s {
+            cases += 1;
+            let (got, want) = (
+                normal::box_muller(u1, u2),
+                normal::reference::box_muller(u1, u2),
+            );
+            if got.to_bits() != want.to_bits() && mismatches.len() < 8 {
+                mismatches.push((u1, u2, got, want));
+            }
+        }
+    }
+    assert!(cases > 1_000_000, "grid has only {cases} cases");
+    assert!(mismatches.is_empty(), "fast != reference: {mismatches:?}");
 }
