@@ -247,7 +247,11 @@ where
     F: Fn(usize, T) -> U + Sync,
 {
     if par.is_serial() || items.len() <= 1 {
-        return items.into_iter().enumerate().map(|(i, t)| f(i, t)).collect();
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(i, t)| f(i, t))
+            .collect();
     }
     let slots: Vec<Mutex<Option<T>>> = items.into_iter().map(|t| Mutex::new(Some(t))).collect();
     // `par_map_range` visits every index exactly once, so every take
@@ -280,8 +284,11 @@ where
         return;
     }
     let chunk = chunk_size(out.len(), par.threads().min(out.len()));
-    let pieces: Vec<(usize, &mut [T])> =
-        out.chunks_mut(chunk).enumerate().map(|(c, piece)| (c * chunk, piece)).collect();
+    let pieces: Vec<(usize, &mut [T])> = out
+        .chunks_mut(chunk)
+        .enumerate()
+        .map(|(c, piece)| (c * chunk, piece))
+        .collect();
     par_map_owned(par, pieces, |_, (start, piece)| {
         for (j, slot) in piece.iter_mut().enumerate() {
             *slot = f(start + j);
@@ -508,11 +515,13 @@ mod tests {
     #[test]
     fn order_preserved_at_many_thread_counts() {
         let xs: Vec<u64> = (0..1013).collect();
-        let expect: Vec<u64> = xs.iter().enumerate().map(|(i, &x)| x * 3 + i as u64).collect();
+        let expect: Vec<u64> = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| x * 3 + i as u64)
+            .collect();
         for t in [1, 2, 3, 5, 8, 16, 64] {
-            let out = par_map_indexed(Parallelism::with_threads(t), &xs, |i, &x| {
-                x * 3 + i as u64
-            });
+            let out = par_map_indexed(Parallelism::with_threads(t), &xs, |i, &x| x * 3 + i as u64);
             assert_eq!(out, expect, "threads = {t}");
         }
     }
@@ -539,7 +548,13 @@ mod tests {
     fn reduce_matches_serial_fold_bitwise() {
         // Values chosen so that accumulation order matters in f64.
         let xs: Vec<f64> = (0..2000)
-            .map(|i| if i % 3 == 0 { 1e16 } else { 1.0 + i as f64 * 1e-3 })
+            .map(|i| {
+                if i % 3 == 0 {
+                    1e16
+                } else {
+                    1.0 + i as f64 * 1e-3
+                }
+            })
             .collect();
         let serial = xs
             .iter()
@@ -548,13 +563,8 @@ mod tests {
             .fold(0.0f64, |a, v| a + v);
         for t in [1, 2, 7, 13] {
             let par = Parallelism::with_threads(t);
-            let got = par_reduce_ordered(
-                par,
-                &xs,
-                |i, &x| x * (1.0 + i as f64),
-                0.0f64,
-                |a, v| a + v,
-            );
+            let got =
+                par_reduce_ordered(par, &xs, |i, &x| x * (1.0 + i as f64), 0.0f64, |a, v| a + v);
             assert_eq!(got.to_bits(), serial.to_bits(), "threads = {t}");
         }
     }

@@ -47,7 +47,10 @@ pub struct Supervisor {
 impl Supervisor {
     /// One retry per task, no soft deadline.
     pub fn new() -> Self {
-        Supervisor { retry_budget: 1, soft_deadline: None }
+        Supervisor {
+            retry_budget: 1,
+            soft_deadline: None,
+        }
     }
 
     /// How many times a panicked task is re-attempted before it is
@@ -169,9 +172,7 @@ where
     loop {
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| f(TaskCtx { index, attempt })));
-        let slow = sup
-            .soft_deadline
-            .is_some_and(|d| started.elapsed() > d);
+        let slow = sup.soft_deadline.is_some_and(|d| started.elapsed() > d);
         match outcome {
             Ok(value) => {
                 if slow {

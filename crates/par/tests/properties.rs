@@ -55,7 +55,8 @@ fn par_map_indexed_equals_serial_map() {
         let par = Parallelism::with_threads(threads);
         let got = par_map_indexed(par, &items, |i, &x| seeded_map(seed, i, x));
         assert_eq!(
-            got, serial,
+            got,
+            serial,
             "case {case}: len {} threads {threads}",
             items.len()
         );
@@ -108,10 +109,15 @@ fn par_fill_equals_serial_range_map() {
     for case in 0..CASES {
         let mut rng = rng_for(10, case);
         let (seed, items, threads) = triple(&mut rng);
-        let serial: Vec<f64> =
-            items.iter().enumerate().map(|(i, &x)| seeded_map(seed, i, x)).collect();
+        let serial: Vec<f64> = items
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| seeded_map(seed, i, x))
+            .collect();
         let mut got = vec![f64::NAN; items.len()];
-        par_fill(Parallelism::with_threads(threads), &mut got, |i| seeded_map(seed, i, items[i]));
+        par_fill(Parallelism::with_threads(threads), &mut got, |i| {
+            seeded_map(seed, i, items[i])
+        });
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&got), bits(&serial), "case {case}: threads {threads}");
     }
@@ -124,7 +130,10 @@ fn par_map_owned_equals_serial_map_and_moves_every_item() {
         let (seed, items, threads) = triple(&mut rng);
         // Owned buffers of varying length: each task must get its own
         // item, by value, exactly once.
-        let owned: Vec<Vec<f64>> = items.iter().map(|&x| vec![x; 1 + (x as usize % 5)]).collect();
+        let owned: Vec<Vec<f64>> = items
+            .iter()
+            .map(|&x| vec![x; 1 + (x as usize % 5)])
+            .collect();
         let serial: Vec<f64> = owned
             .iter()
             .enumerate()
@@ -162,7 +171,11 @@ fn thread_count_never_changes_results() {
                 0.0f64,
                 |acc, v| acc + v,
             );
-            assert_eq!(got.to_bits(), reference.to_bits(), "case {case} threads {threads}");
+            assert_eq!(
+                got.to_bits(),
+                reference.to_bits(),
+                "case {case} threads {threads}"
+            );
         }
     }
 }
@@ -178,7 +191,10 @@ fn explicit_edge_shapes() {
         42.0
     );
     // Single element.
-    assert_eq!(par_map_indexed(par8, &[5.0f64], |i, &x| x + i as f64), vec![5.0]);
+    assert_eq!(
+        par_map_indexed(par8, &[5.0f64], |i, &x| x + i as f64),
+        vec![5.0]
+    );
     // len < threads.
     let short = [1.0f64, 2.0, 3.0];
     let got = par_map_indexed(par8, &short, |i, &x| x * (i + 1) as f64);
@@ -194,7 +210,10 @@ fn split_seed_streams_are_distinct_and_stable() {
         let base = rng.next_u64();
         let mut seen = std::collections::HashSet::new();
         for i in 0..1000u64 {
-            assert!(seen.insert(split_seed(base, i)), "collision at base {base} index {i}");
+            assert!(
+                seen.insert(split_seed(base, i)),
+                "collision at base {base} index {i}"
+            );
         }
     }
 }
@@ -204,7 +223,11 @@ fn split_seed_streams_are_distinct_and_stable() {
 fn injected_panic(seed: u64, ctx: TaskCtx, fraction: f64, faulty_attempts: u32) {
     if ctx.attempt < faulty_attempts {
         let mut rng = StdRng::seed_from_u64(split_seed(seed ^ 0xFA_17, ctx.index as u64));
-        assert!(!rng.random_bool(fraction), "injected panic at task {}", ctx.index);
+        assert!(
+            !rng.random_bool(fraction),
+            "injected panic at task {}",
+            ctx.index
+        );
     }
 }
 
@@ -226,8 +249,14 @@ fn supervised_quiet_path_is_bit_identical_to_unsupervised() {
         )
         .expect("no faults injected");
         let same = out.len() == plain.len()
-            && out.iter().zip(&plain).all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "case {case}: supervised map diverged (threads {threads})");
+            && out
+                .iter()
+                .zip(&plain)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "case {case}: supervised map diverged (threads {threads})"
+        );
         assert!(log.is_quiet(), "case {case}: {log:?}");
     }
 }
@@ -261,8 +290,14 @@ fn supervised_recovery_is_bit_identical_to_unfaulted_run() {
         };
         let (out, log) = run(threads);
         let same = out.len() == clean.len()
-            && out.iter().zip(&clean).all(|(a, b)| a.to_bits() == b.to_bits());
-        assert!(same, "case {case}: recovered run diverged (threads {threads})");
+            && out
+                .iter()
+                .zip(&clean)
+                .all(|(a, b)| a.to_bits() == b.to_bits());
+        assert!(
+            same,
+            "case {case}: recovered run diverged (threads {threads})"
+        );
         assert_eq!(log.retries as usize, log.recovered.len(), "case {case}");
         let (_, serial_log) = run(1);
         assert_eq!(
@@ -283,7 +318,9 @@ fn supervised_failure_index_is_thread_count_invariant() {
             let mut r = StdRng::seed_from_u64(split_seed(seed ^ 0xFA_17, i as u64));
             r.random_bool(0.2)
         });
-        let Some(expected) = expected_fail else { continue };
+        let Some(expected) = expected_fail else {
+            continue;
+        };
         for t in [1, threads] {
             let err = supervised_map_indexed(
                 Parallelism::with_threads(t),
