@@ -105,11 +105,8 @@ mod tests {
         let sol_a = solve_sample_sizes(&set_a, eps, 1.96);
         let sol_b = solve_sample_sizes(&set_b, eps, 1.96);
         assert!(sol_a.bound_met && sol_b.bound_met);
-        let (e, holds) = union_bound_holds(
-            &[(set_a, sol_a.sizes), (set_b, sol_b.sizes)],
-            eps,
-            1.96,
-        );
+        let (e, holds) =
+            union_bound_holds(&[(set_a, sol_a.sizes), (set_b, sol_b.sizes)], eps, 1.96);
         assert!(holds, "union error {e} exceeded bound {eps}");
     }
 
@@ -122,11 +119,8 @@ mod tests {
         let set_b = vec![ClusterStat::new(1000, 10.0, 5.0)];
         let sizes = vec![25u64];
         let e_a = theoretical_error(&set_a, &sizes, 1.96);
-        let (e_union, _) = union_bound_holds(
-            &[(set_a, sizes.clone()), (set_b, sizes.clone())],
-            1.0,
-            1.96,
-        );
+        let (e_union, _) =
+            union_bound_holds(&[(set_a, sizes.clone()), (set_b, sizes.clone())], 1.0, 1.96);
         assert!(e_union <= e_a + 1e-12);
     }
 

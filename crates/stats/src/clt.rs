@@ -31,7 +31,11 @@ pub fn try_sampling_error(mu: f64, sigma: f64, m: u64, z: f64) -> Result<f64, St
     ensure_positive_finite("mean execution time", mu)?;
     ensure_nonnegative_finite("standard deviation", sigma)?;
     if m == 0 {
-        return Err(StatsError::TooFew { what: "sample size", got: 0, min: 1 });
+        return Err(StatsError::TooFew {
+            what: "sample size",
+            got: 0,
+            min: 1,
+        });
     }
     ensure_positive_finite("z-score", z)?;
     Ok(z * sigma / (mu * (m as f64).sqrt()))
@@ -192,7 +196,10 @@ mod tests {
             let m = sample_size(mu, sigma, eps, 1.96);
             if m > 1 {
                 let e = sampling_error(mu, sigma, m - 1, 1.96);
-                assert!(e > eps, "m not minimal: mu={mu} sigma={sigma} eps={eps} m={m}");
+                assert!(
+                    e > eps,
+                    "m not minimal: mu={mu} sigma={sigma} eps={eps} m={m}"
+                );
             }
         }
     }

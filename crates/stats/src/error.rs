@@ -116,13 +116,25 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = StatsError::NonPositive { what: "mean execution time", value: 0.0 };
+        let e = StatsError::NonPositive {
+            what: "mean execution time",
+            value: 0.0,
+        };
         assert_eq!(e.to_string(), "mean execution time must be positive, got 0");
-        let e = StatsError::NonFinite { what: "std dev", value: f64::NAN };
+        let e = StatsError::NonFinite {
+            what: "std dev",
+            value: f64::NAN,
+        };
         assert!(e.to_string().contains("must be finite"));
-        let e = StatsError::Empty { what: "cluster list" };
+        let e = StatsError::Empty {
+            what: "cluster list",
+        };
         assert!(e.to_string().contains("must not be empty"));
-        let e = StatsError::TooFew { what: "samples", got: 1, min: 2 };
+        let e = StatsError::TooFew {
+            what: "samples",
+            got: 1,
+            min: 2,
+        };
         assert!(e.to_string().contains("need at least 2"));
         let e = StatsError::AtCluster {
             index: 3,

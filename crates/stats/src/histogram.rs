@@ -6,7 +6,6 @@
 //! histograms, renders them as ASCII (for the `repro fig1` harness) and
 //! counts local maxima as a peak diagnostic.
 
-
 /// A fixed-bin-width histogram over `f64` observations.
 ///
 /// # Example
@@ -204,7 +203,6 @@ mod tests {
     fn unimodal_data_one_peak() {
         let values: Vec<f64> = (0..1000)
             .map(|i| {
-                
                 (i as f64 / 1000.0 - 0.5) * 6.0 // uniform ramp -> flat histogram -> 1 plateau peak
             })
             .collect();

@@ -99,12 +99,7 @@ impl Kde {
     /// Panics if `points < 2`.
     pub fn grid(&self, points: usize) -> (Vec<f64>, Vec<f64>) {
         assert!(points >= 2, "grid needs at least two points");
-        let lo = self
-            .samples
-            .iter()
-            .cloned()
-            .fold(f64::INFINITY, f64::min)
-            - 3.0 * self.bandwidth;
+        let lo = self.samples.iter().cloned().fold(f64::INFINITY, f64::min) - 3.0 * self.bandwidth;
         let hi = self
             .samples
             .iter()

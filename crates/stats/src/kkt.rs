@@ -54,7 +54,11 @@ impl ClusterStat {
     /// non-finite, or `std_dev` is negative or non-finite.
     pub fn try_new(n: u64, mean: f64, std_dev: f64) -> Result<Self, StatsError> {
         if n == 0 {
-            return Err(StatsError::TooFew { what: "cluster invocation count", got: 0, min: 1 });
+            return Err(StatsError::TooFew {
+                what: "cluster invocation count",
+                got: 0,
+                min: 1,
+            });
         }
         ensure_positive_finite("cluster mean", mean)?;
         ensure_nonnegative_finite("cluster std dev", std_dev)?;
@@ -130,7 +134,9 @@ pub fn try_solve_sample_sizes(
     z: f64,
 ) -> Result<KktSolution, StatsError> {
     if clusters.is_empty() {
-        return Err(StatsError::Empty { what: "cluster list" });
+        return Err(StatsError::Empty {
+            what: "cluster list",
+        });
     }
     ensure_positive_finite("error bound", epsilon)?;
     ensure_positive_finite("z-score", z)?;
@@ -138,7 +144,10 @@ pub fn try_solve_sample_sizes(
         // Re-validate: `ClusterStat` fields are public, so a stat built by
         // struct literal (or mutated since `try_new`) can be degenerate.
         if let Err(e) = ClusterStat::try_new(c.n, c.mean, c.std_dev) {
-            return Err(StatsError::AtCluster { index: i, source: Box::new(e) });
+            return Err(StatsError::AtCluster {
+                index: i,
+                source: Box::new(e),
+            });
         }
     }
     Ok(solve_validated(clusters, epsilon, z))
@@ -272,7 +281,9 @@ pub fn try_per_cluster_sample_sizes(
     z: f64,
 ) -> Result<Vec<u64>, StatsError> {
     if clusters.is_empty() {
-        return Err(StatsError::Empty { what: "cluster list" });
+        return Err(StatsError::Empty {
+            what: "cluster list",
+        });
     }
     clusters
         .iter()
@@ -280,7 +291,10 @@ pub fn try_per_cluster_sample_sizes(
         .map(|(i, c)| {
             crate::clt::try_sample_size(c.mean, c.std_dev, epsilon, z)
                 .map(|m| m.min(c.n.max(1)))
-                .map_err(|e| StatsError::AtCluster { index: i, source: Box::new(e) })
+                .map_err(|e| StatsError::AtCluster {
+                    index: i,
+                    source: Box::new(e),
+                })
         })
         .collect()
 }
@@ -460,7 +474,11 @@ mod tests {
         // attributed to the right cluster index.
         let clusters = vec![
             big(1000, 10.0, 4.0),
-            ClusterStat { n: 1000, mean: f64::NAN, std_dev: 1.0 },
+            ClusterStat {
+                n: 1000,
+                mean: f64::NAN,
+                std_dev: 1.0,
+            },
         ];
         match try_solve_sample_sizes(&clusters, 0.05, 1.96) {
             Err(StatsError::AtCluster { index, source }) => {

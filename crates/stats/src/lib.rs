@@ -57,6 +57,6 @@ pub mod summary;
 pub use bound::{theoretical_error, union_bound_holds};
 pub use clt::{sample_size, sampling_error, try_sample_size, try_sampling_error};
 pub use error::StatsError;
-pub use kkt::{ClusterStat, KktSolution, solve_sample_sizes, try_solve_sample_sizes};
+pub use kkt::{solve_sample_sizes, try_solve_sample_sizes, ClusterStat, KktSolution};
 pub use normal::z_for_confidence;
 pub use summary::Summary;

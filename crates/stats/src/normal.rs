@@ -198,7 +198,9 @@ mod tests {
 
     #[test]
     fn quantile_inverts_cdf() {
-        for &p in &[0.001, 0.01, 0.025, 0.1, 0.3, 0.5, 0.7, 0.9, 0.975, 0.99, 0.999] {
+        for &p in &[
+            0.001, 0.01, 0.025, 0.1, 0.3, 0.5, 0.7, 0.9, 0.975, 0.99, 0.999,
+        ] {
             let x = quantile(p);
             assert!(
                 (cdf(x) - p).abs() < 1e-12,

@@ -347,7 +347,11 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
-        assert_ne!(v, (0..100).collect::<Vec<_>>(), "shuffle should move elements");
+        assert_ne!(
+            v,
+            (0..100).collect::<Vec<_>>(),
+            "shuffle should move elements"
+        );
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! al.) so that summaries can be computed over millions of kernel invocations
 //! without holding them in memory, and combined across sub-clusters.
 
-
 /// A running summary of a stream of `f64` observations.
 ///
 /// Tracks count, mean, variance (via the sum of squared deviations `m2`),

@@ -44,7 +44,10 @@ fn welford_matches_two_pass() {
         let n = values.len() as f64;
         let mean = values.iter().sum::<f64>() / n;
         let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n;
-        assert!((s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()), "case {case}");
+        assert!(
+            (s.mean() - mean).abs() <= 1e-6 * (1.0 + mean.abs()),
+            "case {case}"
+        );
         assert!(
             (s.population_variance() - var).abs() <= 1e-5 * (1.0 + var.abs()),
             "case {case}"
@@ -89,7 +92,10 @@ fn normal_cdf_monotone() {
         let mut rng = rng_for(3, case);
         let x = rng.random_range(-8.0..8.0);
         let dx = rng.random_range(0.001..4.0);
-        assert!(normal::cdf(x + dx) >= normal::cdf(x), "case {case}: x={x} dx={dx}");
+        assert!(
+            normal::cdf(x + dx) >= normal::cdf(x),
+            "case {case}: x={x} dx={dx}"
+        );
     }
 }
 
