@@ -372,7 +372,11 @@ fn assign_step(
         .collect();
     stem_par::par_map_range(par, m.rows(), |i| {
         let (a, mut upper, lower) = state[i];
-        let bound = if half_seps[a] > lower { half_seps[a] } else { lower };
+        let bound = if half_seps[a] > lower {
+            half_seps[a]
+        } else {
+            lower
+        };
         if upper < bound {
             return (a, upper, lower);
         }
@@ -644,8 +648,12 @@ mod tests {
     fn parallel_fit_is_bit_identical() {
         let pts = two_blobs();
         let weights = vec![1.0; pts.len()];
-        let serial =
-            KMeans::fit_weighted_par(&pts, &weights, KMeansConfig::new(3, 42), Parallelism::serial());
+        let serial = KMeans::fit_weighted_par(
+            &pts,
+            &weights,
+            KMeansConfig::new(3, 42),
+            Parallelism::serial(),
+        );
         for threads in [1usize, 2, 3, 8] {
             let par = KMeans::fit_weighted_par(
                 &pts,
@@ -751,9 +759,7 @@ mod tests {
             ],
             KMeansConfig::new(1, 7),
         );
-        assert!(
-            (weighted.centroids()[0][0] - replicated.centroids()[0][0]).abs() < 1e-9
-        );
+        assert!((weighted.centroids()[0][0] - replicated.centroids()[0][0]).abs() < 1e-9);
     }
 
     #[test]
@@ -779,10 +785,8 @@ mod tests {
             }
             let weights: Vec<f64> = (0..n).map(|_| 0.5 + next()).collect();
             let config = KMeansConfig::new(k, 1000 + case as u64);
-            let fast =
-                KMeans::fit_weighted_par(&pts, &weights, config, Parallelism::serial());
-            let naive =
-                reference::fit_weighted_par(&pts, &weights, config, Parallelism::serial());
+            let fast = KMeans::fit_weighted_par(&pts, &weights, config, Parallelism::serial());
+            let naive = reference::fit_weighted_par(&pts, &weights, config, Parallelism::serial());
             assert_eq!(fast, naive, "case {case}: n={n} dim={dim} k={k}");
         }
     }

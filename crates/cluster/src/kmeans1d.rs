@@ -9,7 +9,6 @@
 //! pass, which ROOT feeds cut by cut). A general exact DP (`O(k n^2)`) is
 //! provided for arbitrary `k` ([`kmeans_1d`]).
 
-
 /// The optimal two-way split of a set of values.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TwoSplit {

@@ -39,7 +39,8 @@ pub fn bic(points: &[Vec<f64>], assignments: &[usize], centroids: &[Vec<f64>]) -
             continue;
         }
         let cn = count as f64;
-        log_likelihood += cn * cn.ln() - cn * n.ln()
+        log_likelihood += cn * cn.ln()
+            - cn * n.ln()
             - cn * d / 2.0 * (2.0 * std::f64::consts::PI * variance).ln()
             - (cn - 1.0) * d / 2.0;
     }
@@ -115,12 +116,12 @@ mod tests {
     fn blobs(k: usize, per: usize, gap: f64) -> Vec<Vec<f64>> {
         let mut state = 0x9e3779b97f4a7c15u64;
         let mut uniform = move || {
-            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             (state >> 11) as f64 / (1u64 << 53) as f64
         };
-        let mut gauss = move || {
-            (uniform() + uniform() + uniform() + uniform() - 2.0) * 2.0
-        };
+        let mut gauss = move || (uniform() + uniform() + uniform() + uniform() - 2.0) * 2.0;
         let mut pts = Vec::new();
         for c in 0..k {
             for _ in 0..per {

@@ -46,7 +46,10 @@ fn two_split_partitions_and_never_beats_total_sse() {
         // Split SSE never exceeds the unsplit SSE.
         let mean = values.iter().sum::<f64>() / values.len() as f64;
         let total: f64 = values.iter().map(|v| (v - mean).powi(2)).sum();
-        assert!(split.sse <= total + 1e-6 * total.abs().max(1.0), "case {case}");
+        assert!(
+            split.sse <= total + 1e-6 * total.abs().max(1.0),
+            "case {case}"
+        );
     }
 }
 
@@ -57,7 +60,10 @@ fn two_split_matches_dp() {
         let values = vec_in(&mut rng, 0.001, 1e4, 2, 60);
         let split = best_two_split(&values);
         let (_, dp_sse) = kmeans_1d(&values, 2);
-        assert!((split.sse - dp_sse).abs() <= 1e-6 * (1.0 + dp_sse), "case {case}");
+        assert!(
+            (split.sse - dp_sse).abs() <= 1e-6 * (1.0 + dp_sse),
+            "case {case}"
+        );
     }
 }
 
@@ -115,7 +121,10 @@ fn distances_satisfy_identity_and_symmetry() {
         let a = vec_in(&mut rng, -1e3, 1e3, 1, 20);
         assert!(euclidean(&a, &a) < 1e-9, "case {case}");
         let b: Vec<f64> = a.iter().map(|v| v + 1.0).collect();
-        assert!((euclidean(&a, &b) - euclidean(&b, &a)).abs() < 1e-9, "case {case}");
+        assert!(
+            (euclidean(&a, &b) - euclidean(&b, &a)).abs() < 1e-9,
+            "case {case}"
+        );
     }
 }
 
