@@ -121,12 +121,22 @@ impl StorageError {
         kind: io::ErrorKind,
         message: impl Into<String>,
     ) -> Self {
-        StorageError { op, path: path.into(), kind, message: message.into() }
+        StorageError {
+            op,
+            path: path.into(),
+            kind,
+            message: message.into(),
+        }
     }
 
     /// Wraps an `io::Error`, attaching the operation and path it lacks.
     pub fn from_io(op: StorageOp, path: impl Into<PathBuf>, err: &io::Error) -> Self {
-        StorageError { op, path: path.into(), kind: err.kind(), message: err.to_string() }
+        StorageError {
+            op,
+            path: path.into(),
+            kind: err.kind(),
+            message: err.to_string(),
+        }
     }
 
     /// True when the path simply did not exist (a missing snapshot or
@@ -257,8 +267,7 @@ impl Storage for RealFs {
     }
 
     fn create_dir_all(&self, path: &Path) -> Result<(), StorageError> {
-        fs::create_dir_all(path)
-            .map_err(|e| StorageError::from_io(StorageOp::CreateDir, path, &e))
+        fs::create_dir_all(path).map_err(|e| StorageError::from_io(StorageOp::CreateDir, path, &e))
     }
 
     fn list_dir(&self, dir: &Path) -> Result<Vec<PathBuf>, StorageError> {
@@ -398,7 +407,10 @@ mod tests {
         write_atomic(&RealFs, &path, "first\n").expect("write");
         write_atomic(&RealFs, &path, "second\n").expect("rewrite");
         assert_eq!(fs::read_to_string(&path).expect("read"), "second\n");
-        assert!(!RealFs.exists(&sibling(&path, ".tmp")), "tmp must be renamed away");
+        assert!(
+            !RealFs.exists(&sibling(&path, ".tmp")),
+            "tmp must be renamed away"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -407,7 +419,9 @@ mod tests {
         let dir = scratch("quarantine");
         let path = dir.join("file.snap");
         for round in 0..3 {
-            RealFs.write(&path, format!("evidence {round}\n").as_bytes()).expect("write");
+            RealFs
+                .write(&path, format!("evidence {round}\n").as_bytes())
+                .expect("write");
             quarantine(&RealFs, &path).expect("quarantine");
         }
         let q0 = sibling(&path, ".quarantined");
@@ -425,8 +439,12 @@ mod tests {
         let dir = scratch("sweep");
         let snap = dir.join("job.snap");
         RealFs.write(&snap, b"keep\n").expect("write");
-        RealFs.write(&sibling(&snap, ".tmp"), b"orphan\n").expect("write");
-        RealFs.write(&dir.join("serve.journal.tmp"), b"orphan\n").expect("write");
+        RealFs
+            .write(&sibling(&snap, ".tmp"), b"orphan\n")
+            .expect("write");
+        RealFs
+            .write(&dir.join("serve.journal.tmp"), b"orphan\n")
+            .expect("write");
 
         let one = sweep_tmp_sibling(&RealFs, &snap).expect("sibling sweep");
         assert_eq!(one, Some(sibling(&snap, ".tmp")));
@@ -435,7 +453,9 @@ mod tests {
         let many = sweep_tmp_dir(&RealFs, &dir).expect("dir sweep");
         assert_eq!(many, vec![dir.join("serve.journal.tmp")]);
         assert!(RealFs.exists(&snap), "durable files are never swept");
-        assert!(sweep_tmp_dir(&RealFs, &dir.join("missing")).expect("missing dir").is_empty());
+        assert!(sweep_tmp_dir(&RealFs, &dir.join("missing"))
+            .expect("missing dir")
+            .is_empty());
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -449,14 +469,19 @@ mod tests {
             "No space left on device (injected ENOSPC)",
         );
         let text = enospc.to_string();
-        assert!(text.starts_with("write /var/run/stem/campaign.snap.tmp:"), "{text}");
+        assert!(
+            text.starts_with("write /var/run/stem/campaign.snap.tmp:"),
+            "{text}"
+        );
         assert!(text.contains("No space left"), "{text}");
         assert_eq!(enospc.kind, io::ErrorKind::StorageFull);
 
         // Rename-failure rendering: a real failed rename names the source.
         let dir = scratch("errors");
         let missing = dir.join("missing.tmp");
-        let err = RealFs.rename(&missing, &dir.join("target")).expect_err("missing source");
+        let err = RealFs
+            .rename(&missing, &dir.join("target"))
+            .expect_err("missing source");
         assert_eq!(err.op, StorageOp::Rename);
         assert_eq!(err.path, missing);
         assert!(err.is_not_found());
@@ -465,7 +490,9 @@ mod tests {
         assert!(rendered.contains("missing.tmp"), "{rendered}");
 
         // Read on a missing path is the fresh-start signal.
-        let err = RealFs.read_bytes(&dir.join("absent")).expect_err("missing file");
+        let err = RealFs
+            .read_bytes(&dir.join("absent"))
+            .expect_err("missing file");
         assert_eq!(err.op, StorageOp::Read);
         assert!(err.is_not_found());
         let _ = fs::remove_dir_all(&dir);

@@ -166,7 +166,9 @@ pub fn open<'a>(bytes: &'a [u8], header: &str) -> Result<Lines<'a>, SnapshotErro
     if first != header {
         let family = header.rsplit_once(' ').map_or(header, |(family, _)| family);
         return Err(if first.starts_with(family) {
-            SnapshotError::VersionMismatch { found: first.to_string() }
+            SnapshotError::VersionMismatch {
+                found: first.to_string(),
+            }
         } else {
             SnapshotError::MissingHeader
         });
@@ -233,7 +235,10 @@ pub fn load_or_quarantine<T>(
         Ok(value) => Ok(Loaded::Valid(value)),
         Err(reason) => {
             let moved = crate::quarantine(storage, path)?;
-            Ok(Loaded::Quarantined(QuarantinedSnapshot { path: moved, reason }))
+            Ok(Loaded::Quarantined(QuarantinedSnapshot {
+                path: moved,
+                reason,
+            }))
         }
     }
 }
@@ -262,8 +267,9 @@ pub fn fingerprinted_records<T>(
             let fp = u64::from_str_radix(rest.trim(), 16)
                 .map_err(|_| malformed(format!("bad fingerprint {rest:?}")))?;
             fingerprint = Some(fp);
-        } else if let Some(rest) =
-            text.strip_prefix(keyword).and_then(|rest| rest.strip_prefix(' '))
+        } else if let Some(rest) = text
+            .strip_prefix(keyword)
+            .and_then(|rest| rest.strip_prefix(' '))
         {
             let (id, record) = fields(rest, line)?;
             if records.insert(id, record).is_some() {
@@ -287,11 +293,17 @@ mod tests {
     use std::fs;
 
     /// The headers of the three sealed formats in the workspace.
-    const HEADERS: [&str; 3] =
-        ["STEM-CAMPAIGN-SNAPSHOT v1", "STEM-SERVE-JOURNAL v1", "STEM-COLSTORE v1"];
+    const HEADERS: [&str; 3] = [
+        "STEM-CAMPAIGN-SNAPSHOT v1",
+        "STEM-SERVE-JOURNAL v1",
+        "STEM-COLSTORE v1",
+    ];
 
     fn sample(header: &str) -> String {
-        seal(header, "fingerprint 00000000000000ff\nrecord 1 a b\nrecord 2 c d\n")
+        seal(
+            header,
+            "fingerprint 00000000000000ff\nrecord 1 a b\nrecord 2 c d\n",
+        )
     }
 
     #[test]
@@ -307,9 +319,18 @@ mod tests {
         for header in HEADERS {
             let text = sample(header);
             let lines: Vec<_> = open(text.as_bytes(), header).expect("opens").collect();
-            let records = ["fingerprint 00000000000000ff", "record 1 a b", "record 2 c d"];
+            let records = [
+                "fingerprint 00000000000000ff",
+                "record 1 a b",
+                "record 2 c d",
+            ];
             assert_eq!(lines, (2..).zip(records).collect::<Vec<_>>(), "{header}");
-            assert_eq!(open(seal(header, "").as_bytes(), header).expect("opens").count(), 0);
+            assert_eq!(
+                open(seal(header, "").as_bytes(), header)
+                    .expect("opens")
+                    .count(),
+                0
+            );
         }
     }
 
@@ -338,11 +359,18 @@ mod tests {
                 .map(|(checksum, body)| (body, checksum))
                 .expect("one in sixteen checksums qualifies");
             let canonical = format!("{body}checksum {checksum:016x}\n");
-            assert!(open(canonical.as_bytes(), header).is_ok(), "{header}: canonical trailer");
+            assert!(
+                open(canonical.as_bytes(), header).is_ok(),
+                "{header}: canonical trailer"
+            );
             for (form, spelling) in forms {
                 let bytes = format!("{body}{}", spelling(checksum));
                 let got = open(bytes.as_bytes(), header).err();
-                assert_eq!(got, Some(SnapshotError::ChecksumMismatch), "{header}: {form} trailer");
+                assert_eq!(
+                    got,
+                    Some(SnapshotError::ChecksumMismatch),
+                    "{header}: {form} trailer"
+                );
             }
         }
     }
@@ -353,8 +381,17 @@ mod tests {
         for header in HEADERS {
             let text = sample(header);
             let reject = |bytes: &[u8]| open(bytes, header).err();
-            for cut in [header.len(), header.len() + 1, text.len() / 2, text.len() - 1] {
-                assert_eq!(reject(&text.as_bytes()[..cut]), Some(ChecksumMismatch), "cut {cut}");
+            for cut in [
+                header.len(),
+                header.len() + 1,
+                text.len() / 2,
+                text.len() - 1,
+            ] {
+                assert_eq!(
+                    reject(&text.as_bytes()[..cut]),
+                    Some(ChecksumMismatch),
+                    "cut {cut}"
+                );
             }
             // A trailer sharing its line with a record, checksum forged.
             let joined = format!("{header}\nrecord 1");
@@ -368,7 +405,10 @@ mod tests {
             let at = text.find("record 1").expect("record") + 3;
             invalid[at] = 0xff;
             let message = format!("byte {at} is not UTF-8");
-            assert_eq!(reject(&invalid), Some(SnapshotError::Malformed { line: 3, message }));
+            assert_eq!(
+                reject(&invalid),
+                Some(SnapshotError::Malformed { line: 3, message })
+            );
             let found = header.replace(" v1", " v999");
             let stale = text.replacen(header, &found, 1);
             assert_eq!(reject(stale.as_bytes()), Some(VersionMismatch { found }));
@@ -379,29 +419,50 @@ mod tests {
             assert_eq!(reject(b"not a sealed file\n"), Some(MissingHeader));
         }
         // Another format's file is not this format's.
-        assert_eq!(open(sample(HEADERS[1]).as_bytes(), HEADERS[0]).err(), Some(MissingHeader));
+        assert_eq!(
+            open(sample(HEADERS[1]).as_bytes(), HEADERS[0]).err(),
+            Some(MissingHeader)
+        );
     }
 
     #[test]
     fn fingerprinted_records_reject_duplicates_and_strays() {
         let parse = |records: &str| -> Result<(u64, BTreeMap<u64, ()>), SnapshotError> {
             let text = seal(HEADERS[0], records);
-            fingerprinted_records(open(text.as_bytes(), HEADERS[0])?, "record", |rest, line| {
-                let bad = || SnapshotError::Malformed { line, message: "bad id".to_string() };
-                Ok((rest.parse().map_err(|_| bad())?, ()))
-            })
+            fingerprinted_records(
+                open(text.as_bytes(), HEADERS[0])?,
+                "record",
+                |rest, line| {
+                    let bad = || SnapshotError::Malformed {
+                        line,
+                        message: "bad id".to_string(),
+                    };
+                    Ok((rest.parse().map_err(|_| bad())?, ()))
+                },
+            )
         };
         let (fp, records) = parse("fingerprint ff\nrecord 1\nrecord 2\n").expect("valid");
         assert_eq!((fp, records.len()), (0xff, 2));
         for (records, line, message) in [
-            ("fingerprint ff\nrecord 1\nrecord 1\n", 4, "duplicate record 1"),
+            (
+                "fingerprint ff\nrecord 1\nrecord 1\n",
+                4,
+                "duplicate record 1",
+            ),
             ("record 1\n", 2, "missing fingerprint line"),
-            ("fingerprint ff\nrecords 1\n", 3, "unrecognized line \"records 1\""),
+            (
+                "fingerprint ff\nrecords 1\n",
+                3,
+                "unrecognized line \"records 1\"",
+            ),
             ("fingerprint zz\n", 2, "bad fingerprint \"zz\""),
             ("fingerprint ff\nrecord x\n", 3, "bad id"),
         ] {
             let message = message.to_string();
-            assert_eq!(parse(records), Err(SnapshotError::Malformed { line, message }));
+            assert_eq!(
+                parse(records),
+                Err(SnapshotError::Malformed { line, message })
+            );
         }
     }
 
@@ -434,8 +495,14 @@ mod tests {
         let mut bytes = sample(header).into_bytes();
         bytes[header.len() + 3] = 0xff;
         fs::write(&path, &bytes).expect("write");
-        let Ok(Loaded::Quarantined(q)) = load() else { panic!("wanted a quarantine") };
-        assert!(matches!(q.reason, SnapshotError::Malformed { line: 2, .. }), "{:?}", q.reason);
+        let Ok(Loaded::Quarantined(q)) = load() else {
+            panic!("wanted a quarantine")
+        };
+        assert!(
+            matches!(q.reason, SnapshotError::Malformed { line: 2, .. }),
+            "{:?}",
+            q.reason
+        );
         assert_eq!(q.path, sibling(&path, ".quarantined.1"));
         assert_eq!(fs::read(&q.path).expect("evidence kept"), bytes);
         let _ = fs::remove_dir_all(&dir);
