@@ -185,7 +185,10 @@ mod tests {
         // Shrinking work shifts relative BBV weights, so Photon keeps
         // simulating as the kernel shrinks — moderate table, good accuracy.
         let suite = rodinia_suite(41);
-        let g = suite.iter().find(|w| w.name() == "gaussian").expect("gaussian");
+        let g = suite
+            .iter()
+            .find(|w| w.name() == "gaussian")
+            .expect("gaussian");
         let analysis = PhotonSampler::new().analyze(g);
         assert!(
             analysis.simulated > 10,
@@ -203,7 +206,10 @@ mod tests {
         // dlrm's embedding peaks differ by locality, not control flow:
         // Photon matches them together and inherits their spread as error.
         let suite = casio_suite(41);
-        let d = suite.iter().find(|w| w.name() == "dlrm_infer").expect("dlrm");
+        let d = suite
+            .iter()
+            .find(|w| w.name() == "dlrm_infer")
+            .expect("dlrm");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(d);
         let analysis = PhotonSampler::new().analyze(d);
@@ -217,7 +223,10 @@ mod tests {
     #[test]
     fn compare_ops_grow_with_stream_length() {
         let suite = casio_suite(41);
-        let w = suite.iter().find(|w| w.name() == "bert_infer").expect("bert");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "bert_infer")
+            .expect("bert");
         let analysis = PhotonSampler::new().analyze(w);
         assert!(analysis.compare_ops > w.num_invocations() as f64);
     }

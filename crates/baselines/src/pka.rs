@@ -17,10 +17,10 @@
 use gpu_profile::{FeatureProfiler, PKA_FEATURE_COUNT};
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
-use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
 use stem_cluster::{KMeans, KMeansConfig};
 use stem_core::plan::{ClusterSummary, SamplingPlan};
+use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use stem_core::sampler::KernelSampler;
 
 /// The PKA baseline sampler.
@@ -116,7 +116,8 @@ fn weighted_bic(points: &[Vec<f64>], weights: &[f64], km: &KMeans) -> f64 {
         if cn == 0.0 {
             continue;
         }
-        ll += cn * cn.ln() - cn * n.ln()
+        ll += cn * cn.ln()
+            - cn * n.ln()
             - cn * d / 2.0 * (2.0 * std::f64::consts::PI * variance).ln()
             - (cn - 1.0) * d / 2.0;
     }
@@ -220,7 +221,10 @@ mod tests {
         // ~1500x shorter, PKA's metrics cannot see it, so sampling the
         // first-chronological kernel underestimates by ~99.9%.
         let suite = rodinia_suite(21);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(h);
         let plan = PkaSampler::new().plan(h, 1);
@@ -232,7 +236,10 @@ mod tests {
     #[test]
     fn hand_tuned_random_rep_reduces_heartwall_error() {
         let suite = rodinia_suite(21);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(h);
         // Average over reps: a random rep is usually a full-length call.
@@ -261,7 +268,10 @@ mod tests {
         // rate-based metrics cannot separate them, so they land in one
         // cluster (the Sec. 5.1 failure mechanism on pf_*).
         let suite = rodinia_suite(21);
-        let p = suite.iter().find(|w| w.name() == "pf_float").expect("pf_float");
+        let p = suite
+            .iter()
+            .find(|w| w.name() == "pf_float")
+            .expect("pf_float");
         let plan = PkaSampler::new().plan(p, 1);
         assert_eq!(
             plan.num_clusters(),

@@ -8,8 +8,8 @@
 
 use gpu_sim::WeightedSample;
 use gpu_workload::{SuiteKind, Workload};
-use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use stem_core::plan::SamplingPlan;
+use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use stem_core::sampler::KernelSampler;
 
 /// Uniform random sampler with inclusion probability `p`.
@@ -52,7 +52,9 @@ impl RandomSampler {
             probability > 0.0 && probability <= 1.0,
             "inclusion probability must be in (0, 1], got {probability}"
         );
-        RandomSampler { mode: Mode::Fixed(probability) }
+        RandomSampler {
+            mode: Mode::Fixed(probability),
+        }
     }
 
     /// The paper's per-suite rates: 10% for Rodinia, 0.1% for CASIO and
@@ -68,7 +70,9 @@ impl RandomSampler {
     /// workload's own suite tag at plan time — the form the sampler
     /// registry registers, since a registry constructor sees no workload.
     pub fn auto() -> Self {
-        RandomSampler { mode: Mode::PerSuite }
+        RandomSampler {
+            mode: Mode::PerSuite,
+        }
     }
 
     /// The configured inclusion probability.
@@ -153,8 +157,14 @@ mod tests {
 
     #[test]
     fn suite_rates_match_paper() {
-        assert_eq!(RandomSampler::for_suite(SuiteKind::Rodinia).probability(), 0.10);
-        assert_eq!(RandomSampler::for_suite(SuiteKind::Casio).probability(), 0.001);
+        assert_eq!(
+            RandomSampler::for_suite(SuiteKind::Rodinia).probability(),
+            0.10
+        );
+        assert_eq!(
+            RandomSampler::for_suite(SuiteKind::Casio).probability(),
+            0.001
+        );
         assert_eq!(
             RandomSampler::for_suite(SuiteKind::Huggingface).probability(),
             0.001

@@ -26,7 +26,9 @@ use crate::two_phase::TwoPhaseSampler;
 /// ```
 pub fn standard_registry() -> SamplerRegistry {
     let mut registry = SamplerRegistry::new();
-    registry.register("STEM", || Box::new(StemRootSampler::new(StemConfig::default())));
+    registry.register("STEM", || {
+        Box::new(StemRootSampler::new(StemConfig::default()))
+    });
     registry.register("Random", || Box::new(RandomSampler::auto()));
     registry.register("PKA", || Box::new(PkaSampler::new()));
     registry.register("Sieve", || Box::new(SieveSampler::new()));

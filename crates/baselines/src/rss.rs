@@ -91,7 +91,10 @@ impl RssSampler {
     ///
     /// Panics if `subsamples < 2` (a spread needs at least two draws).
     pub fn with_subsamples(mut self, subsamples: usize) -> Self {
-        assert!(subsamples >= 2, "the empirical CI needs at least two subsamples");
+        assert!(
+            subsamples >= 2,
+            "the empirical CI needs at least two subsamples"
+        );
         self.subsamples = subsamples;
         self
     }
@@ -139,8 +142,8 @@ impl RssSampler {
     fn plan_internals(&self, workload: &Workload, rep_seed: u64) -> RssInternals {
         let n = workload.num_invocations();
         assert!(n > 0, "cannot sample an empty workload");
-        let times = ExecTimeProfiler::new(self.profile_config.clone(), self.profile_seed)
-            .profile(workload);
+        let times =
+            ExecTimeProfiler::new(self.profile_config.clone(), self.profile_seed).profile(workload);
 
         // Rank by the free static proxy: per-invocation dynamic
         // instructions (kernel instructions x context work x call work).
@@ -252,10 +255,19 @@ impl RssSampler {
             })
             .collect();
 
-        RssInternals { samples, summaries, estimates, analytic_fallback: {
-            let var = n as f64 / m_total as f64 * weighted_var;
-            if total_time > 0.0 { z * var.sqrt() / total_time } else { 0.0 }
-        } }
+        RssInternals {
+            samples,
+            summaries,
+            estimates,
+            analytic_fallback: {
+                let var = n as f64 / m_total as f64 * weighted_var;
+                if total_time > 0.0 {
+                    z * var.sqrt() / total_time
+                } else {
+                    0.0
+                }
+            },
+        }
     }
 }
 
@@ -312,8 +324,17 @@ impl KernelSampler for RssSampler {
             0.0
         };
         let predicted = empirical.max(internals.analytic_fallback).max(envelope);
-        let predicted = if predicted.is_finite() && predicted >= 0.0 { predicted } else { 0.0 };
-        SamplingPlan::new(self.name(), internals.samples, internals.summaries, predicted)
+        let predicted = if predicted.is_finite() && predicted >= 0.0 {
+            predicted
+        } else {
+            0.0
+        };
+        SamplingPlan::new(
+            self.name(),
+            internals.samples,
+            internals.summaries,
+            predicted,
+        )
     }
 }
 

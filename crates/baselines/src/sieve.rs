@@ -21,9 +21,9 @@
 use gpu_profile::instr::InstrProfiler;
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
-use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use std::collections::HashMap;
 use stem_core::plan::{ClusterSummary, SamplingPlan};
+use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use stem_core::sampler::KernelSampler;
 use stem_stats::kde::Kde;
 use stem_stats::Summary;
@@ -90,31 +90,31 @@ impl KernelSampler for SieveSampler {
             let summary: Summary = instr.iter().copied().collect();
             let cov = summary.cov();
 
-            let sub_groups: Vec<Vec<usize>> = if cov >= HIGH_COV && self.use_kde && members.len() >= 4
-            {
-                // KDE valley split on instruction counts.
-                let kde = Kde::new(&instr);
-                let value_clusters = kde.split_at_valleys(256, 0.15);
-                // Map value clusters back to member indices by thresholds.
-                let mut bounds: Vec<f64> = value_clusters
-                    .windows(2)
-                    .map(|pair| {
-                        let lo_max = pair[0].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-                        let hi_min = pair[1].iter().cloned().fold(f64::INFINITY, f64::min);
-                        (lo_max + hi_min) / 2.0
-                    })
-                    .collect();
-                bounds.sort_by(f64::total_cmp);
-                let mut groups = vec![Vec::new(); bounds.len() + 1];
-                for (&m, &v) in members.iter().zip(&instr) {
-                    let g = bounds.iter().take_while(|&&b| v > b).count();
-                    groups[g].push(m);
-                }
-                groups.retain(|g| !g.is_empty());
-                groups
-            } else {
-                vec![members.clone()]
-            };
+            let sub_groups: Vec<Vec<usize>> =
+                if cov >= HIGH_COV && self.use_kde && members.len() >= 4 {
+                    // KDE valley split on instruction counts.
+                    let kde = Kde::new(&instr);
+                    let value_clusters = kde.split_at_valleys(256, 0.15);
+                    // Map value clusters back to member indices by thresholds.
+                    let mut bounds: Vec<f64> = value_clusters
+                        .windows(2)
+                        .map(|pair| {
+                            let lo_max = pair[0].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+                            let hi_min = pair[1].iter().cloned().fold(f64::INFINITY, f64::min);
+                            (lo_max + hi_min) / 2.0
+                        })
+                        .collect();
+                    bounds.sort_by(f64::total_cmp);
+                    let mut groups = vec![Vec::new(); bounds.len() + 1];
+                    for (&m, &v) in members.iter().zip(&instr) {
+                        let g = bounds.iter().take_while(|&&b| v > b).count();
+                        groups[g].push(m);
+                    }
+                    groups.retain(|g| !g.is_empty());
+                    groups
+                } else {
+                    vec![members.clone()]
+                };
 
             for group in sub_groups {
                 // Dominant CTA size within the group.
@@ -185,18 +185,25 @@ mod tests {
         // shrinks) — the paper hand-tuned Sieve to random representatives
         // here, which averages the nonlinearity out.
         let suite = rodinia_suite(31);
-        let g = suite.iter().find(|w| w.name() == "gaussian").expect("gaussian");
+        let g = suite
+            .iter()
+            .find(|w| w.name() == "gaussian")
+            .expect("gaussian");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(g);
 
         let untuned = SieveSampler::new().plan(g, 1);
-        let untuned_err = sim.run_sampled(g, untuned.samples()).error(full.total_cycles);
+        let untuned_err = sim
+            .run_sampled(g, untuned.samples())
+            .error(full.total_cycles);
         assert!(untuned_err > 0.1, "untuned error {untuned_err}");
 
         let tuned = SieveSampler::new().with_random_representative();
         let mut sum = 0.0;
         for r in 0..10 {
-            sum += sim.run_sampled(g, tuned.plan(g, r).samples()).error(full.total_cycles);
+            sum += sim
+                .run_sampled(g, tuned.plan(g, r).samples())
+                .error(full.total_cycles);
         }
         let tuned_err = sum / 10.0;
         assert!(
@@ -223,7 +230,10 @@ mod tests {
         // wildly). Hand-tuning to a random representative drops the error
         // to a few percent (paper: 5.27%).
         let suite = rodinia_suite(31);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(h);
 
@@ -248,7 +258,10 @@ mod tests {
     #[test]
     fn without_kde_single_cluster_per_kernel() {
         let suite = rodinia_suite(31);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let plan = SieveSampler::new().without_kde().plan(h, 1);
         assert_eq!(plan.num_clusters(), 1);
     }
@@ -262,11 +275,16 @@ mod tests {
         // using the tuned (random-representative) variant so reps differ.
         use stem_core::{StemConfig, StemRootSampler};
         let suite = casio_suite(31);
-        let w = suite.iter().find(|w| w.name() == "dlrm_infer").expect("dlrm");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "dlrm_infer")
+            .expect("dlrm");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(w);
 
-        let sieve = SieveSampler::new().without_kde().with_random_representative();
+        let sieve = SieveSampler::new()
+            .without_kde()
+            .with_random_representative();
         let mut sieve_err = 0.0;
         for r in 0..8 {
             let run = sim.run_sampled(w, sieve.plan(w, r).samples());
@@ -293,11 +311,15 @@ mod tests {
         use gpu_workload::{RuntimeContext, SuiteKind, WorkloadBuilder};
         let mut b = WorkloadBuilder::new("t", SuiteKind::Custom, 1);
         let big = b.add_kernel(
-            KernelClassBuilder::new("same_kernel").geometry(128, 256).build(),
+            KernelClassBuilder::new("same_kernel")
+                .geometry(128, 256)
+                .build(),
             vec![RuntimeContext::neutral()],
         );
         let small = b.add_kernel(
-            KernelClassBuilder::new("same_kernel").geometry(128, 64).build(),
+            KernelClassBuilder::new("same_kernel")
+                .geometry(128, 64)
+                .build(),
             vec![RuntimeContext::neutral()],
         );
         b.invoke(small, 0, 1.0); // chronologically first, but minority CTA

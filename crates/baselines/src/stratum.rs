@@ -63,7 +63,11 @@ fn allocate_by_weight(weights: &[f64], budget: u64) -> Vec<u64> {
     }
     let total: f64 = weights.iter().sum();
     let uniform = vec![1.0; strata];
-    let weights = if total > 0.0 && total.is_finite() { weights } else { &uniform[..] };
+    let weights = if total > 0.0 && total.is_finite() {
+        weights
+    } else {
+        &uniform[..]
+    };
     let total: f64 = weights.iter().sum();
 
     let mut granted = 0u64;
@@ -112,7 +116,11 @@ pub fn neyman_allocation(sizes: &[u64], sigmas: &[f64], budget: u64) -> Vec<u64>
         .zip(sigmas)
         .map(|(&n, &s)| {
             let w = n as f64 * s.max(0.0);
-            if w.is_finite() { w } else { 0.0 }
+            if w.is_finite() {
+                w
+            } else {
+                0.0
+            }
         })
         .collect();
     if weights.iter().sum::<f64>() <= 0.0 {
@@ -168,7 +176,10 @@ mod tests {
         let sigmas = [10.0, 1.0, 0.0];
         let alloc = neyman_allocation(&sizes, &sigmas, 60);
         assert_eq!(alloc.iter().sum::<u64>(), 60);
-        assert!(alloc[0] > 5 * alloc[1], "high-variance stratum dominates: {alloc:?}");
+        assert!(
+            alloc[0] > 5 * alloc[1],
+            "high-variance stratum dominates: {alloc:?}"
+        );
         assert_eq!(alloc[2], 1, "constant stratum gets the floor");
     }
 
@@ -181,7 +192,10 @@ mod tests {
         let alloc = neyman_allocation(&sizes, &sigmas, 10);
         assert_eq!(alloc.iter().sum::<u64>(), 10);
         assert!(alloc.iter().all(|&m| m >= 1));
-        assert!(alloc[0] > alloc[1], "fallback is population-proportional: {alloc:?}");
+        assert!(
+            alloc[0] > alloc[1],
+            "fallback is population-proportional: {alloc:?}"
+        );
     }
 
     #[test]

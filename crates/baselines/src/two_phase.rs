@@ -70,7 +70,10 @@ impl TwoPhaseSampler {
     ///
     /// Panics if `pilot < 2` (a variance estimate needs two draws).
     pub fn with_pilot(mut self, pilot: usize) -> Self {
-        assert!(pilot >= 2, "pilot must draw at least two samples per stratum");
+        assert!(
+            pilot >= 2,
+            "pilot must draw at least two samples per stratum"
+        );
         self.pilot = pilot;
         self
     }
@@ -134,8 +137,8 @@ impl KernelSampler for TwoPhaseSampler {
     fn plan(&self, workload: &Workload, rep_seed: u64) -> SamplingPlan {
         let n = workload.num_invocations();
         assert!(n > 0, "cannot sample an empty workload");
-        let times = ExecTimeProfiler::new(self.profile_config.clone(), self.profile_seed)
-            .profile(workload);
+        let times =
+            ExecTimeProfiler::new(self.profile_config.clone(), self.profile_seed).profile(workload);
         let groups: BTreeMap<&str, Vec<usize>> = workload.invocations_by_kernel_name();
         let mut rng = StdRng::seed_from_u64(rep_seed ^ TWO_PHASE_SALT);
         let z = z_for_confidence(self.confidence);
@@ -161,7 +164,10 @@ impl KernelSampler for TwoPhaseSampler {
                     .map(|_| times[members[rng.random_range(0..members.len())]])
                     .collect();
                 let (mean, _) = stratum::mean_and_sigma(&vals);
-                (mean, pilot_sigma_upper(&vals, mean, stratum::sample_sigma(&vals), z))
+                (
+                    mean,
+                    pilot_sigma_upper(&vals, mean, stratum::sample_sigma(&vals), z),
+                )
             };
             names.push(*name);
             sizes.push(members.len() as u64);
@@ -172,7 +178,11 @@ impl KernelSampler for TwoPhaseSampler {
         // Phase-2 budget from the pilot: under Neyman allocation the CLT
         // half-width is z (Σ N_h σ_h) / (√m T̂), so the eps target needs
         // m ≥ (z Σ N_h σ_h / (eps T̂))².
-        let t_hat: f64 = sizes.iter().zip(&means).map(|(&n_h, &mu)| n_h as f64 * mu).sum();
+        let t_hat: f64 = sizes
+            .iter()
+            .zip(&means)
+            .map(|(&n_h, &mu)| n_h as f64 * mu)
+            .sum();
         let weighted_sigma: f64 = sizes
             .iter()
             .zip(&sigmas)
@@ -230,7 +240,11 @@ impl KernelSampler for TwoPhaseSampler {
         let predicted = if t_hat > 0.0 {
             let t = t_for_confidence(self.confidence, (self.pilot - 1) as f64);
             let pe = t * variance.max(0.0).sqrt() / t_hat;
-            if pe.is_finite() && pe >= 0.0 { pe } else { 0.0 }
+            if pe.is_finite() && pe >= 0.0 {
+                pe
+            } else {
+                0.0
+            }
         } else {
             0.0
         };
@@ -259,10 +273,7 @@ mod tests {
         let plan = TwoPhaseSampler::new().plan(w, 0);
         let groups = w.invocations_by_kernel_name();
         for (name, members) in &groups {
-            let hit = plan
-                .samples()
-                .iter()
-                .any(|s| members.contains(&s.index));
+            let hit = plan.samples().iter().any(|s| members.contains(&s.index));
             assert!(hit, "stratum {name} must receive at least one sample");
         }
         assert_eq!(plan.clusters().len(), groups.len());

@@ -18,7 +18,10 @@ use stem_core::{KernelSampler, StemError};
 const SEEDS: [u64; 5] = [0, 1, 7, 0xBEEF, u64::MAX];
 
 fn new_samplers() -> Vec<Box<dyn KernelSampler>> {
-    vec![Box::new(RssSampler::new()), Box::new(TwoPhaseSampler::new())]
+    vec![
+        Box::new(RssSampler::new()),
+        Box::new(TwoPhaseSampler::new()),
+    ]
 }
 
 /// A structurally valid workload with a kernel but zero invocations.
@@ -95,8 +98,7 @@ fn every_stratum_nonempty_when_budget_allows() {
             }
             // And the sampled indices really do land in distinct strata:
             // at least as many distinct invocations as strata.
-            let distinct: BTreeSet<usize> =
-                plan.samples().iter().map(|s| s.index).collect();
+            let distinct: BTreeSet<usize> = plan.samples().iter().map(|s| s.index).collect();
             assert!(
                 distinct.len() >= plan.clusters().len(),
                 "{} seed {seed}: {} distinct indices for {} strata",
@@ -115,7 +117,12 @@ fn plans_are_bit_deterministic_per_seed() {
         for seed in SEEDS {
             let a = sampler.try_plan(w, seed).expect("nonempty");
             let b = sampler.try_plan(w, seed).expect("nonempty");
-            assert_eq!(a, b, "{} seed {seed} must replay identically", sampler.name());
+            assert_eq!(
+                a,
+                b,
+                "{} seed {seed} must replay identically",
+                sampler.name()
+            );
         }
         let a = sampler.try_plan(w, 1).expect("nonempty");
         let b = sampler.try_plan(w, 2).expect("nonempty");
@@ -151,14 +158,20 @@ fn single_kernel_workload_stays_on_the_guarded_path() {
     // budget collapses to exact-or-floor sampling with a finite interval.
     let w = single_kernel_workload(64);
     for sampler in new_samplers() {
-        let plan = sampler.try_plan(&w, 3).expect("single-kernel workload plans");
+        let plan = sampler
+            .try_plan(&w, 3)
+            .expect("single-kernel workload plans");
         assert!(
             plan.predicted_error().is_finite(),
             "{}: predicted error must be finite",
             sampler.name()
         );
         for c in plan.clusters() {
-            assert!(c.std_time.is_finite(), "{}: sigma NaN leaked", sampler.name());
+            assert!(
+                c.std_time.is_finite(),
+                "{}: sigma NaN leaked",
+                sampler.name()
+            );
         }
         assert!(plan.num_samples() >= 1);
         assert!(plan.num_samples() <= 64);
@@ -173,6 +186,9 @@ fn registry_builds_match_direct_construction() {
     let via_registry = registry.build("RSS").expect("RSS registered").plan(&w, 9);
     assert_eq!(direct_rss, via_registry);
     let direct_tp = TwoPhaseSampler::new().plan(&w, 9);
-    let via_registry = registry.build("TwoPhase").expect("TwoPhase registered").plan(&w, 9);
+    let via_registry = registry
+        .build("TwoPhase")
+        .expect("TwoPhase registered")
+        .plan(&w, 9);
     assert_eq!(direct_tp, via_registry);
 }
