@@ -94,11 +94,7 @@ mod tests {
         pub fn bbv_similarity(a: &[f64], b: &[f64]) -> f64 {
             let sa: f64 = a.iter().sum();
             let sb: f64 = b.iter().sum();
-            let dist: f64 = a
-                .iter()
-                .zip(b)
-                .map(|(x, y)| (x / sa - y / sb).abs())
-                .sum();
+            let dist: f64 = a.iter().zip(b).map(|(x, y)| (x / sa - y / sb).abs()).sum();
             1.0 - dist / 2.0
         }
     }
@@ -111,7 +107,9 @@ mod tests {
                 .build(),
             vec![
                 RuntimeContext::neutral(),
-                RuntimeContext::neutral().with_work(work_b).with_locality(0.3),
+                RuntimeContext::neutral()
+                    .with_work(work_b)
+                    .with_locality(0.3),
             ],
         );
         b.invoke(id, 0, 1.0);
@@ -136,7 +134,11 @@ mod tests {
         let p = BbvProfiler::new();
         let a = p.bbv(&w, &w.invocations()[0], 0);
         let b = p.bbv(&w, &w.invocations()[1], 1);
-        assert!(bbv_similarity(&a, &b) < 0.95, "sim = {}", bbv_similarity(&a, &b));
+        assert!(
+            bbv_similarity(&a, &b) < 0.95,
+            "sim = {}",
+            bbv_similarity(&a, &b)
+        );
     }
 
     #[test]

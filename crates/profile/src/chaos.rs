@@ -54,7 +54,11 @@ impl TraceRecord {
         let mut out = Vec::with_capacity(times.len());
         let mut start = 0.0;
         for (i, &t) in times.iter().enumerate() {
-            out.push(TraceRecord { index: i as u64, start, time: t });
+            out.push(TraceRecord {
+                index: i as u64,
+                start,
+                time: t,
+            });
             start += t;
         }
         out
@@ -67,7 +71,11 @@ impl TraceRecord {
         times
             .iter()
             .enumerate()
-            .map(|(i, &t)| TraceRecord { index: i as u64, start: f64::NAN, time: t })
+            .map(|(i, &t)| TraceRecord {
+                index: i as u64,
+                start: f64::NAN,
+                time: t,
+            })
             .collect()
     }
 }
@@ -164,12 +172,18 @@ pub struct FaultPlan {
 impl FaultPlan {
     /// An empty plan (no corruption) with the given seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan { seed, faults: Vec::new() }
+        FaultPlan {
+            seed,
+            faults: Vec::new(),
+        }
     }
 
     /// A single-fault plan — the unit the chaos suite sweeps over.
     pub fn single(seed: u64, fault: Fault) -> Self {
-        FaultPlan { seed, faults: vec![fault] }
+        FaultPlan {
+            seed,
+            faults: vec![fault],
+        }
     }
 
     /// Appends a fault to the plan (builder style).
@@ -199,7 +213,10 @@ impl FaultPlan {
             Fault::NanTime { fraction: 0.05 },
             Fault::InfTime { fraction: 0.05 },
             Fault::NegativeTime { fraction: 0.05 },
-            Fault::ClockSkew { fraction: 0.1, factor: 8.0 },
+            Fault::ClockSkew {
+                fraction: 0.1,
+                factor: 8.0,
+            },
             Fault::RaggedRows { fraction: 0.1 },
         ]
         .into_iter()
@@ -600,12 +617,18 @@ pub struct WireFaultPlan {
 impl WireFaultPlan {
     /// An empty plan (every exchange clean) with the given seed.
     pub fn new(seed: u64) -> Self {
-        WireFaultPlan { seed, faults: Vec::new() }
+        WireFaultPlan {
+            seed,
+            faults: Vec::new(),
+        }
     }
 
     /// A single-fault plan — the unit the serve chaos suite sweeps over.
     pub fn single(seed: u64, fault: WireFault) -> Self {
-        WireFaultPlan { seed, faults: vec![fault] }
+        WireFaultPlan {
+            seed,
+            faults: vec![fault],
+        }
     }
 
     /// Appends a fault to the plan (builder style).
@@ -631,7 +654,10 @@ impl WireFaultPlan {
             WireFault::TruncateFrame { fraction: 1.0 },
             WireFault::GarbageLine { fraction: 1.0 },
             WireFault::DisconnectMidResponse { fraction: 1.0 },
-            WireFault::SlowWriter { fraction: 1.0, delay: Duration::from_millis(1) },
+            WireFault::SlowWriter {
+                fraction: 1.0,
+                delay: Duration::from_millis(1),
+            },
         ]
         .into_iter()
         .map(|f| WireFaultPlan::single(seed, f))
@@ -800,8 +826,14 @@ mod tests {
     #[test]
     fn clock_skew_scales_a_window_but_keeps_starts() {
         let recs = clean(100);
-        let out =
-            FaultPlan::single(7, Fault::ClockSkew { fraction: 0.1, factor: 10.0 }).apply(&recs);
+        let out = FaultPlan::single(
+            7,
+            Fault::ClockSkew {
+                fraction: 0.1,
+                factor: 10.0,
+            },
+        )
+        .apply(&recs);
         let skewed = out
             .iter()
             .zip(&recs)
@@ -831,10 +863,20 @@ mod tests {
     fn exec_panic_decisions_are_deterministic_and_attempt_bounded() {
         let plan = ExecFaultPlan::new(0xEC0).with_worker_panics(0.3, 2);
         let hit: Vec<u64> = (0..200).filter(|&t| plan.panics_at(t, 0)).collect();
-        assert!(!hit.is_empty() && hit.len() < 200, "fraction ~0.3: {}", hit.len());
+        assert!(
+            !hit.is_empty() && hit.len() < 200,
+            "fraction ~0.3: {}",
+            hit.len()
+        );
         for &t in &hit {
-            assert!(plan.panics_at(t, 1), "fault persists through its attempt budget");
-            assert!(!plan.panics_at(t, 2), "fault clears past the attempt budget");
+            assert!(
+                plan.panics_at(t, 1),
+                "fault persists through its attempt budget"
+            );
+            assert!(
+                !plan.panics_at(t, 2),
+                "fault clears past the attempt budget"
+            );
         }
         let replay: Vec<u64> = (0..200).filter(|&t| plan.panics_at(t, 0)).collect();
         assert_eq!(hit, replay);
@@ -863,14 +905,17 @@ mod tests {
         }
         assert_eq!(plan.kill_after_units(), None);
         assert_eq!(
-            ExecFaultPlan::new(3).with_kill_after_units(4).kill_after_units(),
+            ExecFaultPlan::new(3)
+                .with_kill_after_units(4)
+                .kill_after_units(),
             Some(4)
         );
     }
 
     #[test]
     fn snapshot_corruptions_damage_and_replay() {
-        let snapshot = "STEM-CAMPAIGN-SNAPSHOT v1\nfingerprint 00ff\nunit 0 0 1 2 3 4\nchecksum abcd\n";
+        let snapshot =
+            "STEM-CAMPAIGN-SNAPSHOT v1\nfingerprint 00ff\nunit 0 0 1 2 3 4\nchecksum abcd\n";
         for fault in [
             SnapshotFault::TruncateTail,
             SnapshotFault::FlipByte,
@@ -884,7 +929,10 @@ mod tests {
         let stale = ExecFaultPlan::new(11)
             .with_snapshot_fault(SnapshotFault::StaleVersion)
             .corrupt_snapshot(snapshot);
-        assert!(stale.starts_with("STEM-CAMPAIGN-SNAPSHOT v999\n"), "{stale}");
+        assert!(
+            stale.starts_with("STEM-CAMPAIGN-SNAPSHOT v999\n"),
+            "{stale}"
+        );
     }
 
     #[test]
@@ -922,15 +970,17 @@ mod tests {
 
     #[test]
     fn wire_disconnect_and_slow_writer_set_flags_only() {
-        let dis =
-            WireFaultPlan::single(5, WireFault::DisconnectMidResponse { fraction: 1.0 })
-                .exchange(0, "RESULT t1 0");
+        let dis = WireFaultPlan::single(5, WireFault::DisconnectMidResponse { fraction: 1.0 })
+            .exchange(0, "RESULT t1 0");
         assert_eq!(dis.payload, b"RESULT t1 0\n");
         assert!(dis.disconnect_after_write);
         assert_eq!(dis.chunk_delay, None);
         let slow = WireFaultPlan::single(
             5,
-            WireFault::SlowWriter { fraction: 1.0, delay: Duration::from_millis(2) },
+            WireFault::SlowWriter {
+                fraction: 1.0,
+                delay: Duration::from_millis(2),
+            },
         )
         .exchange(0, "PING");
         assert_eq!(slow.payload, b"PING\n");
@@ -955,7 +1005,10 @@ mod tests {
     #[test]
     fn wire_faults_compose_in_order() {
         let plan = WireFaultPlan::new(7)
-            .with(WireFault::SlowWriter { fraction: 1.0, delay: Duration::from_millis(1) })
+            .with(WireFault::SlowWriter {
+                fraction: 1.0,
+                delay: Duration::from_millis(1),
+            })
             .with(WireFault::DisconnectMidResponse { fraction: 1.0 });
         let ex = plan.exchange(0, "CANCEL t1 0");
         assert_eq!(ex.chunk_delay, Some(Duration::from_millis(1)));

@@ -97,12 +97,18 @@ pub struct StorageFaultPlan {
 impl StorageFaultPlan {
     /// An empty plan (every operation clean) with the given seed.
     pub fn new(seed: u64) -> Self {
-        StorageFaultPlan { seed, faults: Vec::new() }
+        StorageFaultPlan {
+            seed,
+            faults: Vec::new(),
+        }
     }
 
     /// A single-fault plan — the unit the storage chaos suite sweeps.
     pub fn single(seed: u64, fault: StorageFault) -> Self {
-        StorageFaultPlan { seed, faults: vec![fault] }
+        StorageFaultPlan {
+            seed,
+            faults: vec![fault],
+        }
     }
 
     /// Appends a fault to the plan (builder style).
@@ -256,7 +262,11 @@ impl FaultFs {
             ));
         }
         let index = self.ops.fetch_add(1, Ordering::SeqCst);
-        self.lock_census().push(SyscallRecord { index, op, path: path.to_path_buf() });
+        self.lock_census().push(SyscallRecord {
+            index,
+            op,
+            path: path.to_path_buf(),
+        });
         let fires = match self.crash_at {
             Some((at, _)) if at == index => {
                 self.crashed.store(true, Ordering::SeqCst);
@@ -329,7 +339,10 @@ impl Storage for FaultFs {
     fn write(&self, path: &Path, bytes: &[u8]) -> Result<(), StorageError> {
         let (index, crash) = self.begin(StorageOp::Write, path)?;
         if crash {
-            if self.crash_at.is_some_and(|(_, mode)| mode == CrashMode::Torn) {
+            if self
+                .crash_at
+                .is_some_and(|(_, mode)| mode == CrashMode::Torn)
+            {
                 let cut = self.torn_len(index, bytes.len());
                 let _ = RealFs.write(path, &bytes[..cut]);
             }
@@ -343,7 +356,10 @@ impl Storage for FaultFs {
                     StorageOp::Write,
                     path,
                     io::ErrorKind::Other,
-                    format!("injected torn write ({cut} of {} bytes landed)", bytes.len()),
+                    format!(
+                        "injected torn write ({cut} of {} bytes landed)",
+                        bytes.len()
+                    ),
                 ))
             }
             Some(StorageFault::ShortWrite { .. }) => {
@@ -353,7 +369,10 @@ impl Storage for FaultFs {
                     StorageOp::Write,
                     path,
                     io::ErrorKind::Other,
-                    format!("injected short write ({cut} of {} bytes landed)", bytes.len()),
+                    format!(
+                        "injected short write ({cut} of {} bytes landed)",
+                        bytes.len()
+                    ),
                 ))
             }
             Some(StorageFault::Enospc { .. }) => Err(StorageError::new(
@@ -464,7 +483,12 @@ mod tests {
         let ops: Vec<StorageOp> = fs_.census().iter().map(|r| r.op).collect();
         assert_eq!(
             ops,
-            vec![StorageOp::Write, StorageOp::SyncFile, StorageOp::Rename, StorageOp::SyncDir]
+            vec![
+                StorageOp::Write,
+                StorageOp::SyncFile,
+                StorageOp::Rename,
+                StorageOp::SyncDir
+            ]
         );
         assert_eq!(fs_.census()[0].path, stem_storage::sibling(&path, ".tmp"));
         let _ = fs::remove_dir_all(&dir);
@@ -476,7 +500,10 @@ mod tests {
         let fs_ = FaultFs::new(11).with_crash_at(0, CrashMode::Torn);
         let path = dir.join("file");
         let err = fs_.write(&path, b"0123456789").expect_err("crash fires");
-        assert!(err.message.contains("injected crash at syscall boundary 0"), "{err}");
+        assert!(
+            err.message.contains("injected crash at syscall boundary 0"),
+            "{err}"
+        );
         assert!(fs_.crashed());
         let torn = fs::read(&path).expect("prefix landed");
         assert!(torn.len() < 10, "torn prefix must be short of the payload");
@@ -543,8 +570,9 @@ mod tests {
             RealFs.write(&rsrc, b"seed").expect("seed rename source");
             RealFs.write(&spath, b"seed").expect("seed sync target");
             let write_fails = fs_.write(&wpath, b"abcdefgh").is_err();
-            let rename_fails =
-                fs_.rename(&rsrc, &dir.join(format!("{label}.renamed"))).is_err();
+            let rename_fails = fs_
+                .rename(&rsrc, &dir.join(format!("{label}.renamed")))
+                .is_err();
             let sync_fails = fs_.sync_file(&spath).is_err();
             match always {
                 StorageFault::TornWrite { .. }
@@ -573,7 +601,10 @@ mod tests {
         let err = stem_storage::write_atomic(&fs_, &path, "content\n").expect_err("rename fails");
         assert_eq!(err.op, StorageOp::Rename);
         assert!(!fs_.exists(&path), "commit never happened");
-        assert!(fs_.exists(&stem_storage::sibling(&path, ".tmp")), "tmp orphan remains");
+        assert!(
+            fs_.exists(&stem_storage::sibling(&path, ".tmp")),
+            "tmp orphan remains"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -258,7 +258,11 @@ mod tests {
             })
             .collect();
         for i in 0..n {
-            b.invoke(kernels[[0, 1, 1, 2, 2, 2][i % 6]], 0, 1.0 + (i % 7) as f32 * 0.1);
+            b.invoke(
+                kernels[[0, 1, 1, 2, 2, 2][i % 6]],
+                0,
+                1.0 + (i % 7) as f32 * 0.1,
+            );
         }
         b.build()
     }

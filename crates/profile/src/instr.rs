@@ -52,7 +52,10 @@ mod tests {
     #[test]
     fn heartwall_first_record_is_tiny() {
         let suite = rodinia_suite(5);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let p = InstrProfiler::new();
         let records = p.profile(h);
         assert!(records[1].instructions / records[0].instructions > 1000.0);
@@ -61,7 +64,10 @@ mod tests {
     #[test]
     fn gaussian_counts_decrease() {
         let suite = rodinia_suite(5);
-        let g = suite.iter().find(|w| w.name() == "gaussian").expect("gaussian");
+        let g = suite
+            .iter()
+            .find(|w| w.name() == "gaussian")
+            .expect("gaussian");
         let p = InstrProfiler::new();
         let records = p.profile(g);
         let first = records[1].instructions; // Fan2's first call

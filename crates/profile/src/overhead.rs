@@ -14,7 +14,6 @@
 //!   counting, amortized per block) *plus* the online BBV comparison bill,
 //!   O(N·S·d) to O(N²·d) in kernel count.
 
-
 /// Cost-model constants (seconds). Tuned to land in the regime Table 5
 /// reports for a mid-size ML suite; the *relative ordering and asymptotics*
 /// are the reproduction target.
@@ -110,7 +109,10 @@ impl OverheadModel {
     /// NVBit dynamic instruction counting (Sieve): per-instruction atomics
     /// plus a per-kernel instrumented-launch cost.
     pub fn nvbit(&self, base_s: f64, total_instructions: f64, num_kernels: u64) -> OverheadReport {
-        assert!(total_instructions >= 0.0, "instruction count must be nonnegative");
+        assert!(
+            total_instructions >= 0.0,
+            "instruction count must be nonnegative"
+        );
         self.report(
             base_s,
             self.nvbit_per_instr_s * total_instructions
@@ -124,7 +126,10 @@ impl OverheadModel {
     /// performed (its O(N·S·d)–O(N²·d) term); the Photon baseline
     /// implementation reports this.
     pub fn bbv(&self, base_s: f64, total_instructions: f64, compare_ops: f64) -> OverheadReport {
-        assert!(total_instructions >= 0.0, "instruction count must be nonnegative");
+        assert!(
+            total_instructions >= 0.0,
+            "instruction count must be nonnegative"
+        );
         assert!(compare_ops >= 0.0, "comparison ops must be nonnegative");
         self.report(
             base_s,
@@ -150,7 +155,11 @@ mod tests {
         let nvbit = m.nvbit(CASIO_BASE_S, CASIO_INSTR, CASIO_KERNELS).factor();
         // Photon with linear-ish matching: ~100 candidates x 100 dims each.
         let bbv = m
-            .bbv(CASIO_BASE_S, CASIO_INSTR, CASIO_KERNELS as f64 * 100.0 * 100.0)
+            .bbv(
+                CASIO_BASE_S,
+                CASIO_INSTR,
+                CASIO_KERNELS as f64 * 100.0 * 100.0,
+            )
             .factor();
         assert!(nsys < bbv, "nsys {nsys} < bbv {bbv}");
         assert!(bbv < nvbit, "bbv {bbv} < nvbit {nvbit}");

@@ -42,10 +42,7 @@ impl ExecTimeProfile {
     /// Returns [`InvalidProfileError`] if `times` is empty or contains
     /// nonpositive/non-finite entries (run such data through
     /// [`crate::validate::TraceValidator`] first to repair it).
-    pub fn new(
-        workload: impl Into<String>,
-        times: Vec<f64>,
-    ) -> Result<Self, InvalidProfileError> {
+    pub fn new(workload: impl Into<String>, times: Vec<f64>) -> Result<Self, InvalidProfileError> {
         let workload = workload.into();
         if times.is_empty() {
             return Err(InvalidProfileError {
@@ -174,8 +171,7 @@ mod tests {
 
     #[test]
     fn nonpositive_time_rejected() {
-        let err =
-            ExecTimeProfile::from_csv_string("index,time\n0,0\n").expect_err("bad time");
+        let err = ExecTimeProfile::from_csv_string("index,time\n0,0\n").expect_err("bad time");
         assert!(err.message.contains("nonpositive"));
     }
 

@@ -102,8 +102,7 @@ impl DataQualityReport {
     /// degrading events, clamped to `[0, 1]`. This is the knob downstream
     /// error accounting uses to inflate confidence intervals.
     pub fn degraded_fraction(&self) -> f64 {
-        let population =
-            self.output_records as u64 + self.missing_detected + self.truncated_tail;
+        let population = self.output_records as u64 + self.missing_detected + self.truncated_tail;
         if population == 0 {
             return 0.0;
         }
@@ -170,7 +169,10 @@ impl std::fmt::Display for ValidationError {
                 write!(f, "no usable records among {total}: every time was invalid")
             }
             ValidationError::BadHeader { found } => {
-                write!(f, "unrecognized trace header {found:?} (want index,time or index,start,time)")
+                write!(
+                    f,
+                    "unrecognized trace header {found:?} (want index,time or index,start,time)"
+                )
             }
         }
     }
@@ -195,7 +197,10 @@ impl TraceValidator {
     /// A validator with no expected-length knowledge (tail truncation is
     /// then undetectable) and the default skew tolerance.
     pub fn new() -> Self {
-        TraceValidator { expected_len: None, skew_rel_tol: SKEW_REL_TOL }
+        TraceValidator {
+            expected_len: None,
+            skew_rel_tol: SKEW_REL_TOL,
+        }
     }
 
     /// Declares how many invocations the trace should contain (usually the
@@ -229,15 +234,16 @@ impl TraceValidator {
         &self,
         records: &[TraceRecord],
     ) -> Result<(Vec<TraceRecord>, DataQualityReport), ValidationError> {
-        let mut report =
-            DataQualityReport { input_records: records.len(), ..DataQualityReport::default() };
+        let mut report = DataQualityReport {
+            input_records: records.len(),
+            ..DataQualityReport::default()
+        };
         if records.is_empty() {
             return Err(ValidationError::Empty);
         }
         let mut recs = records.to_vec();
 
-        report.out_of_order_fixed =
-            recs.windows(2).filter(|w| w[1].index < w[0].index).count();
+        report.out_of_order_fixed = recs.windows(2).filter(|w| w[1].index < w[0].index).count();
         recs.sort_by_key(|r| r.index);
         let before = recs.len();
         recs.dedup_by_key(|r| r.index);
@@ -278,7 +284,9 @@ impl TraceValidator {
             .filter(|t| t.is_finite() && *t > 0.0)
             .collect();
         if valid.is_empty() {
-            return Err(ValidationError::NoUsableRecords { total: report.input_records });
+            return Err(ValidationError::NoUsableRecords {
+                total: report.input_records,
+            });
         }
         valid.sort_by(|a, b| a.total_cmp(b));
         let median = valid[valid.len() / 2];
@@ -290,7 +298,10 @@ impl TraceValidator {
         }
 
         report.missing_detected = recs[0].index
-            + recs.windows(2).map(|w| w[1].index - w[0].index - 1).sum::<u64>();
+            + recs
+                .windows(2)
+                .map(|w| w[1].index - w[0].index - 1)
+                .sum::<u64>();
         if let Some(expected) = self.expected_len {
             let last = recs[recs.len() - 1].index;
             if last + 1 < expected {
@@ -363,7 +374,11 @@ fn trace_from_csv_lenient(text: &str) -> Result<(Vec<TraceRecord>, usize), Valid
     let has_start = match cols.as_slice() {
         ["index", "time"] => false,
         ["index", "start", "time"] => true,
-        _ => return Err(ValidationError::BadHeader { found: header.to_string() }),
+        _ => {
+            return Err(ValidationError::BadHeader {
+                found: header.to_string(),
+            })
+        }
     };
     let arity = cols.len();
     let mut records = Vec::new();
@@ -374,8 +389,7 @@ fn trace_from_csv_lenient(text: &str) -> Result<(Vec<TraceRecord>, usize), Valid
             skipped += 1;
             continue;
         }
-        let parsed: Option<Vec<f64>> =
-            cells.iter().map(|c| c.trim().parse::<f64>().ok()).collect();
+        let parsed: Option<Vec<f64>> = cells.iter().map(|c| c.trim().parse::<f64>().ok()).collect();
         let Some(vals) = parsed else {
             skipped += 1;
             continue;
@@ -387,8 +401,16 @@ fn trace_from_csv_lenient(text: &str) -> Result<(Vec<TraceRecord>, usize), Valid
             skipped += 1;
             continue;
         }
-        let (start, time) = if has_start { (vals[1], vals[2]) } else { (f64::NAN, vals[1]) };
-        records.push(TraceRecord { index: idx as u64, start, time });
+        let (start, time) = if has_start {
+            (vals[1], vals[2])
+        } else {
+            (f64::NAN, vals[1])
+        };
+        records.push(TraceRecord {
+            index: idx as u64,
+            start,
+            time,
+        });
     }
     Ok((records, skipped))
 }
@@ -495,8 +517,14 @@ mod tests {
     fn clock_skew_repaired_from_intervals() {
         let times = clean_times(200);
         let recs = TraceRecord::sequence(&times);
-        let bad =
-            FaultPlan::single(3, Fault::ClockSkew { fraction: 0.1, factor: 8.0 }).apply(&recs);
+        let bad = FaultPlan::single(
+            3,
+            Fault::ClockSkew {
+                fraction: 0.1,
+                factor: 8.0,
+            },
+        )
+        .apply(&recs);
         let (out, report) = TraceValidator::new().validate(&bad).expect("validates");
         assert!(report.clock_skew_repaired >= 19, "window minus last record");
         // All but possibly the final record carry exact times again.
@@ -567,7 +595,9 @@ mod tests {
 
     #[test]
     fn csv_bad_header_rejected() {
-        let err = TraceValidator::new().validate_csv("a,b\n0,5\n").expect_err("bad header");
+        let err = TraceValidator::new()
+            .validate_csv("a,b\n0,5\n")
+            .expect_err("bad header");
         assert!(matches!(err, ValidationError::BadHeader { .. }));
         assert!(TraceValidator::new().validate_csv("").is_err());
     }
