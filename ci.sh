@@ -5,8 +5,11 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Formatting gate, one crate at a time as each is made rustfmt-clean:
-# gpu-workload is clean, the rest of the workspace is not yet.
-cargo fmt --check -p gpu-workload
+# these seven are clean, the rest of the workspace is not yet.
+cargo fmt --check -p gpu-workload -p stem-par -p stem-stats -p stem-cluster \
+  -p stem-storage -p stem-baselines -p gpu-profile
+# Lint gate: every clippy warning, in every target, fails the run.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --workspace --release --offline
 # perfbench is a workspace of its own that compiles against the library
 # crates by path; building it here makes a change to an API it uses fail

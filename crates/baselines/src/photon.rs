@@ -33,10 +33,12 @@ use stem_core::sampler::KernelSampler;
 /// assert!(analysis.simulated < w.num_invocations());
 /// assert!(analysis.compare_ops > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PhotonSampler {
-    threshold: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct PhotonSampler;
+
+/// Photon's published BBV similarity threshold: a later invocation at or
+/// above it (with equal #warps) reuses the matched one's result.
+const THRESHOLD: f64 = 0.95;
 
 /// Photon's full analysis: the plan plus cost accounting.
 #[derive(Debug, Clone, PartialEq)]
@@ -52,21 +54,7 @@ pub struct PhotonAnalysis {
 impl PhotonSampler {
     /// Creates Photon with its published 95% similarity threshold.
     pub fn new() -> Self {
-        PhotonSampler { threshold: 0.95 }
-    }
-
-    /// Overrides the similarity threshold.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < threshold <= 1`.
-    pub fn with_threshold(mut self, threshold: f64) -> Self {
-        assert!(
-            threshold > 0.0 && threshold <= 1.0,
-            "threshold must be in (0, 1], got {threshold}"
-        );
-        self.threshold = threshold;
-        self
+        PhotonSampler
     }
 
     /// Runs the online matching pass, returning the plan and cost counters.
@@ -109,7 +97,7 @@ impl PhotonSampler {
                 }
             }
             match best {
-                Some((r, sim)) if sim >= self.threshold => {
+                Some((r, sim)) if sim >= THRESHOLD => {
                     reps[r].matched += 1.0;
                 }
                 _ => {
@@ -145,12 +133,6 @@ impl PhotonSampler {
             compare_ops,
             simulated,
         }
-    }
-}
-
-impl Default for PhotonSampler {
-    fn default() -> Self {
-        PhotonSampler::new()
     }
 }
 
@@ -232,25 +214,10 @@ mod tests {
     }
 
     #[test]
-    fn threshold_one_simulates_more() {
-        let suite = rodinia_suite(41);
-        let w = &suite[1];
-        let loose = PhotonSampler::new().with_threshold(0.5).analyze(w);
-        let strict = PhotonSampler::new().with_threshold(0.9999).analyze(w);
-        assert!(strict.simulated >= loose.simulated);
-    }
-
-    #[test]
     fn deterministic() {
         let suite = rodinia_suite(41);
         let w = &suite[2];
         let p = PhotonSampler::new();
         assert_eq!(p.plan(w, 1), p.plan(w, 999));
-    }
-
-    #[test]
-    #[should_panic(expected = "threshold must be in")]
-    fn bad_threshold_rejected() {
-        PhotonSampler::new().with_threshold(0.0);
     }
 }

@@ -23,10 +23,12 @@ use stem_core::plan::{ClusterSummary, SamplingPlan};
 use stem_core::rng::{RngExt, SeedableRng, StdRng};
 use stem_core::sampler::KernelSampler;
 
+/// The largest `k` of PKA's sweep (the paper's `k = 1..20`).
+const MAX_K: usize = 20;
+
 /// The PKA baseline sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PkaSampler {
-    max_k: usize,
     random_representative: bool,
 }
 
@@ -35,7 +37,6 @@ impl PkaSampler {
     /// first-chronological representatives.
     pub fn new() -> Self {
         PkaSampler {
-            max_k: 20,
             random_representative: false,
         }
     }
@@ -45,17 +46,6 @@ impl PkaSampler {
     /// gaussian and heartwall to pull PKA's error from 99.9% down to ~38%).
     pub fn with_random_representative(mut self) -> Self {
         self.random_representative = true;
-        self
-    }
-
-    /// Overrides the maximum `k` of the sweep.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_k == 0`.
-    pub fn with_max_k(mut self, max_k: usize) -> Self {
-        assert!(max_k > 0, "max_k must be positive");
-        self.max_k = max_k;
         self
     }
 }
@@ -97,8 +87,8 @@ fn dedup(features: &[[f64; PKA_FEATURE_COUNT]]) -> Dedup {
     }
 }
 
-/// Weighted BIC under identical spherical Gaussians (the weighted analogue
-/// of `stem_cluster::quality::bic`).
+/// Weighted BIC under identical spherical Gaussians (Pelleg & Moore,
+/// X-means), each distinct vector weighted by its count. Higher is better.
 fn weighted_bic(points: &[Vec<f64>], weights: &[f64], km: &KMeans) -> f64 {
     let n: f64 = weights.iter().sum();
     let k = km.k() as f64;
@@ -145,7 +135,7 @@ impl KernelSampler for PkaSampler {
 
         // Sweep k, keep the BIC-best clustering.
         let mut best: Option<(f64, KMeans)> = None;
-        for k in 1..=self.max_k.min(dd.distinct.len()) {
+        for k in 1..=MAX_K.min(dd.distinct.len()) {
             let km = KMeans::fit_weighted(
                 &dd.distinct,
                 &dd.counts,

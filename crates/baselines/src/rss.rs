@@ -17,8 +17,7 @@
 //! CLT/KKT prediction — the coverage calibration suite cross-checks the
 //! two on every clean run.
 
-use gpu_profile::ExecTimeProfiler;
-use gpu_sim::{GpuConfig, WeightedSample};
+use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
 use stem_core::plan::{ClusterSummary, SamplingPlan};
 use stem_core::rng::{RngExt, SeedableRng, StdRng};
@@ -33,6 +32,10 @@ const RSS_SALT: u64 = 0xa55e_55ed;
 /// Per-subsample seed stride (golden-ratio multiplier, the workspace's
 /// usual stream splitter).
 const SUBSAMPLE_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
+/// Rank strata `H`.
+const STRATA: usize = 12;
+/// Repeated subsamples `R` behind the empirical CI.
+const SUBSAMPLES: usize = 24;
 
 /// Ranked set sampling with repeated subsampling.
 ///
@@ -51,12 +54,8 @@ const SUBSAMPLE_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct RssSampler {
-    strata: usize,
-    subsamples: usize,
     epsilon: f64,
     confidence: f64,
-    profile_config: GpuConfig,
-    profile_seed: u64,
 }
 
 impl RssSampler {
@@ -65,38 +64,9 @@ impl RssSampler {
     /// measured on the RTX 2080 profile rig.
     pub fn new() -> Self {
         RssSampler {
-            strata: 12,
-            subsamples: 24,
             epsilon: 0.05,
             confidence: 0.95,
-            profile_config: GpuConfig::rtx2080(),
-            profile_seed: 0xC0FFEE,
         }
-    }
-
-    /// Sets the number of rank strata.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `strata` is zero.
-    pub fn with_strata(mut self, strata: usize) -> Self {
-        assert!(strata > 0, "need at least one rank stratum");
-        self.strata = strata;
-        self
-    }
-
-    /// Sets the number of repeated subsamples behind the empirical CI.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `subsamples < 2` (a spread needs at least two draws).
-    pub fn with_subsamples(mut self, subsamples: usize) -> Self {
-        assert!(
-            subsamples >= 2,
-            "the empirical CI needs at least two subsamples"
-        );
-        self.subsamples = subsamples;
-        self
     }
 
     /// Sets the relative error target driving the total budget.
@@ -113,37 +83,12 @@ impl RssSampler {
         self
     }
 
-    /// Sets the profiling rig (config and measurement-noise seed).
-    pub fn with_profile(mut self, config: GpuConfig, seed: u64) -> Self {
-        self.profile_config = config;
-        self.profile_seed = seed;
-        self
-    }
-
-    /// The number of rank strata.
-    pub fn strata(&self) -> usize {
-        self.strata
-    }
-
-    /// The number of repeated subsamples.
-    pub fn subsamples(&self) -> usize {
-        self.subsamples
-    }
-
-    /// The `R` repeated-subsample totals this sampler's empirical CI is
-    /// computed from, for the given rep seed — exposed so the coverage
-    /// suite can cross-check the interval construction directly.
-    pub fn subsample_totals(&self, workload: &Workload, rep_seed: u64) -> Vec<f64> {
-        self.plan_internals(workload, rep_seed).estimates
-    }
-
     /// Ranks invocations by the static proxy, cuts rank strata, sizes the
     /// budget, and performs all `R` stratified draws.
     fn plan_internals(&self, workload: &Workload, rep_seed: u64) -> RssInternals {
         let n = workload.num_invocations();
         assert!(n > 0, "cannot sample an empty workload");
-        let times =
-            ExecTimeProfiler::new(self.profile_config.clone(), self.profile_seed).profile(workload);
+        let times = stratum::profile_times(workload);
 
         // Rank by the free static proxy: per-invocation dynamic
         // instructions (kernel instructions x context work x call work).
@@ -160,7 +105,7 @@ impl RssSampler {
         order.sort_by(|&a, &b| proxy[a].total_cmp(&proxy[b]).then(a.cmp(&b)));
 
         // Equal-size rank strata (the first n % H strata get one extra).
-        let h_count = self.strata.min(n);
+        let h_count = STRATA.min(n);
         let base = n / h_count;
         let extra = n % h_count;
         let mut strata: Vec<&[usize]> = Vec::with_capacity(h_count);
@@ -210,9 +155,9 @@ impl RssSampler {
 
         // R repeated stratified subsamples. Subsample 0 doubles as the
         // plan's actual sample set; all R feed the empirical CI.
-        let mut estimates = Vec::with_capacity(self.subsamples);
+        let mut estimates = Vec::with_capacity(SUBSAMPLES);
         let mut samples = Vec::new();
-        for r in 0..self.subsamples {
+        for r in 0..SUBSAMPLES {
             let mut rng = StdRng::seed_from_u64(
                 rep_seed ^ RSS_SALT ^ (r as u64).wrapping_mul(SUBSAMPLE_STRIDE),
             );
@@ -341,6 +286,7 @@ impl KernelSampler for RssSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::GpuConfig;
     use gpu_sim::Simulator;
     use gpu_workload::scenarios::longtail_skew;
     use gpu_workload::suites::rodinia_suite;
@@ -370,16 +316,6 @@ mod tests {
             }
         }
         assert!(covered >= 8, "covered {covered}/{reps}");
-    }
-
-    #[test]
-    fn subsample_totals_match_the_reported_interval_inputs() {
-        let w = &rodinia_suite(3)[1];
-        let s = RssSampler::new().with_subsamples(8);
-        let totals = s.subsample_totals(w, 4);
-        assert_eq!(totals.len(), 8);
-        assert!(totals.iter().all(|t| t.is_finite() && *t > 0.0));
-        assert_eq!(totals, s.subsample_totals(w, 4), "totals are seeded");
     }
 
     #[test]
@@ -420,11 +356,5 @@ mod tests {
         // Budget clamps to the population: every invocation at weight 1.
         assert_eq!(plan.num_samples(), 4);
         assert!(plan.samples().iter().all(|s| s.weight == 1.0));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two subsamples")]
-    fn single_subsample_rejected() {
-        RssSampler::new().with_subsamples(1);
     }
 }

@@ -1,6 +1,6 @@
 //! Shared stratified-sampling arithmetic for the RSS and two-phase
-//! baselines: clamped moment estimates and deterministic integer
-//! allocation of a sample budget across strata.
+//! baselines: their one profile rig, clamped moment estimates and
+//! deterministic integer allocation of a sample budget across strata.
 //!
 //! The degenerate-stratum guard lives here: a stratum whose members all
 //! have *identical* times must report `sigma = 0` (the naive
@@ -8,6 +8,20 @@
 //! under the square root), and a Neyman allocation whose every weight is
 //! zero must fall back to population-proportional allocation instead of
 //! dividing by zero.
+
+use gpu_profile::ExecTimeProfiler;
+use gpu_sim::GpuConfig;
+use gpu_workload::Workload;
+
+/// Measurement-noise seed of the baselines' profile rig (the STEM
+/// default, so all samplers see the same profile).
+const PROFILE_SEED: u64 = 0xC0FFEE;
+
+/// Per-invocation profile times on the RTX 2080 profile rig, the strata
+/// measurements of the RSS and two-phase baselines.
+pub(crate) fn profile_times(workload: &Workload) -> Vec<f64> {
+    ExecTimeProfiler::new(GpuConfig::rtx2080(), PROFILE_SEED).profile(workload)
+}
 
 /// Mean and *population* standard deviation of `values`, with the
 /// variance clamped at zero before the square root so that a constant

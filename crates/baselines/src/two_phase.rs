@@ -11,8 +11,7 @@
 
 use std::collections::BTreeMap;
 
-use gpu_profile::ExecTimeProfiler;
-use gpu_sim::{GpuConfig, WeightedSample};
+use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
 use stem_core::plan::{ClusterSummary, SamplingPlan};
 use stem_core::rng::{RngExt, SeedableRng, StdRng};
@@ -24,6 +23,9 @@ use crate::stratum;
 
 /// Seed-mixing constant for the two-phase draw stream.
 const TWO_PHASE_SALT: u64 = 0x0002_fa5e;
+/// Phase-1 pilot draws per stratum: large enough that heavy-tailed strata
+/// (e.g. a 20%-burst mixture) land in the pilot with near certainty.
+const PILOT: usize = 32;
 
 /// Two-phase stratified sampler: pilot variance estimation, then Neyman
 /// allocation.
@@ -41,41 +43,19 @@ const TWO_PHASE_SALT: u64 = 0x0002_fa5e;
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct TwoPhaseSampler {
-    pilot: usize,
     epsilon: f64,
     confidence: f64,
-    profile_config: GpuConfig,
-    profile_seed: u64,
 }
 
 impl TwoPhaseSampler {
     /// Two-phase sampling with the paper-matched defaults: a 32-draw
-    /// pilot per stratum (large enough that heavy-tailed strata — e.g. a
-    /// 20%-burst mixture — land in the pilot with near certainty), a 5%
-    /// error target at 95% confidence, profile times measured on the
-    /// RTX 2080 profile rig.
+    /// pilot per stratum, a 5% error target at 95% confidence, profile
+    /// times measured on the RTX 2080 profile rig.
     pub fn new() -> Self {
         TwoPhaseSampler {
-            pilot: 32,
             epsilon: 0.05,
             confidence: 0.95,
-            profile_config: GpuConfig::rtx2080(),
-            profile_seed: 0xC0FFEE,
         }
-    }
-
-    /// Sets the phase-1 pilot size per stratum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pilot < 2` (a variance estimate needs two draws).
-    pub fn with_pilot(mut self, pilot: usize) -> Self {
-        assert!(
-            pilot >= 2,
-            "pilot must draw at least two samples per stratum"
-        );
-        self.pilot = pilot;
-        self
     }
 
     /// Sets the relative error target driving the phase-2 budget.
@@ -90,18 +70,6 @@ impl TwoPhaseSampler {
         );
         self.epsilon = epsilon;
         self
-    }
-
-    /// Sets the profiling rig (config and measurement-noise seed).
-    pub fn with_profile(mut self, config: GpuConfig, seed: u64) -> Self {
-        self.profile_config = config;
-        self.profile_seed = seed;
-        self
-    }
-
-    /// The phase-1 pilot size per stratum.
-    pub fn pilot(&self) -> usize {
-        self.pilot
     }
 }
 
@@ -137,8 +105,7 @@ impl KernelSampler for TwoPhaseSampler {
     fn plan(&self, workload: &Workload, rep_seed: u64) -> SamplingPlan {
         let n = workload.num_invocations();
         assert!(n > 0, "cannot sample an empty workload");
-        let times =
-            ExecTimeProfiler::new(self.profile_config.clone(), self.profile_seed).profile(workload);
+        let times = stratum::profile_times(workload);
         let groups: BTreeMap<&str, Vec<usize>> = workload.invocations_by_kernel_name();
         let mut rng = StdRng::seed_from_u64(rep_seed ^ TWO_PHASE_SALT);
         let z = z_for_confidence(self.confidence);
@@ -156,11 +123,11 @@ impl KernelSampler for TwoPhaseSampler {
         let mut sigmas = Vec::with_capacity(groups.len());
         let mut means = Vec::with_capacity(groups.len());
         for (name, members) in &groups {
-            let (mean, sigma) = if members.len() <= self.pilot {
+            let (mean, sigma) = if members.len() <= PILOT {
                 let vals: Vec<f64> = members.iter().map(|&i| times[i]).collect();
                 stratum::mean_and_sigma(&vals)
             } else {
-                let vals: Vec<f64> = (0..self.pilot)
+                let vals: Vec<f64> = (0..PILOT)
                     .map(|_| times[members[rng.random_range(0..members.len())]])
                     .collect();
                 let (mean, _) = stratum::mean_and_sigma(&vals);
@@ -238,7 +205,7 @@ impl KernelSampler for TwoPhaseSampler {
         // keeps the bound honest (same rationale as the workspace's
         // small-sample ablation).
         let predicted = if t_hat > 0.0 {
-            let t = t_for_confidence(self.confidence, (self.pilot - 1) as f64);
+            let t = t_for_confidence(self.confidence, (PILOT - 1) as f64);
             let pe = t * variance.max(0.0).sqrt() / t_hat;
             if pe.is_finite() && pe >= 0.0 {
                 pe
@@ -255,6 +222,7 @@ impl KernelSampler for TwoPhaseSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gpu_sim::GpuConfig;
     use gpu_sim::Simulator;
     use gpu_workload::scenarios::longtail_skew;
     use gpu_workload::suites::rodinia_suite;
@@ -324,11 +292,5 @@ mod tests {
         for c in plan.clusters() {
             assert!(c.samples <= c.population, "{}: {c:?}", c.kernel);
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two samples")]
-    fn degenerate_pilot_rejected() {
-        TwoPhaseSampler::new().with_pilot(1);
     }
 }

@@ -28,6 +28,7 @@ use gpu_workload::scenarios::{bursty_interference, longtail_skew, phase_drift};
 use gpu_workload::suites::{casio_sources, huggingface_sources, rodinia_sources, HuggingfaceScale};
 use gpu_workload::{Workload, WorkloadSource};
 use stem_baselines::stratum;
+use stem_core::eval::rep_seed;
 use stem_core::plan::SamplingPlan;
 use stem_core::{StemConfig, StemRootSampler};
 use stem_stats::z_for_confidence;
@@ -147,10 +148,13 @@ impl CoverageReport {
     }
 }
 
+/// Regenerates one scenario's workload at a seed.
+type Generator = fn(u64) -> Workload;
+
 /// The scenario roster: one representative workload per clean suite
 /// (regenerated per repetition at a shifted seed, so jitter is fresh)
 /// plus the three adversarial generators.
-fn scenario_roster() -> Vec<(&'static str, fn(u64) -> Workload, bool)> {
+fn scenario_roster() -> Vec<(&'static str, Generator, bool)> {
     /// Materializes only the named source, never the rest of its suite.
     fn named(sources: Vec<WorkloadSource>, name: &str) -> Workload {
         sources
@@ -249,10 +253,7 @@ fn run_rep(
     r: u32,
 ) -> RepOutcome {
     let workload = generate(options.seed.wrapping_add(r as u64));
-    let rep_seed = options
-        .seed
-        .wrapping_add(r as u64)
-        .wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    let rep_seed = rep_seed(options.seed, r as u64);
     let sim = Simulator::new(GpuConfig::rtx2080());
     let truth = ground_truth(&sim, &workload);
     let times = ExecTimeProfiler::new(GpuConfig::rtx2080(), 0xC0FFEE).profile(&workload);

@@ -1,6 +1,5 @@
 //! Text tables and CSV output for the experiment harness.
 
-use std::fs;
 use std::path::{Path, PathBuf};
 
 /// A simple aligned text table.
@@ -123,11 +122,6 @@ pub fn fnum(v: f64) -> String {
     }
 }
 
-/// Reads back a result file (used by tests).
-pub fn read_result(path: &Path) -> String {
-    fs::read_to_string(path).expect("read result file")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,7 +164,7 @@ mod tests {
     fn write_and_read_result() {
         let dir = std::env::temp_dir().join("stem_report_test");
         let path = write_result_in(&dir, "t.csv", "a\n1\n");
-        let back = read_result(&path);
+        let back = std::fs::read_to_string(&path).expect("read result file");
         assert_eq!(back, "a\n1\n");
         let _ = std::fs::remove_dir_all(dir);
     }

@@ -1,9 +1,8 @@
 //! Distance and similarity functions over feature vectors.
 //!
 //! PKA clusters 12-metric vectors with euclidean distance; Photon compares
-//! basic-block vectors (BBVs) with a similarity threshold (we provide both
-//! cosine similarity and the normalized-manhattan similarity SimPoint-family
-//! tools use).
+//! basic-block vectors (BBVs) with a similarity threshold on the
+//! normalized-manhattan similarity SimPoint-family tools use.
 
 /// Squared euclidean distance.
 ///
@@ -35,35 +34,8 @@ pub fn euclidean(a: &[f64], b: &[f64]) -> f64 {
     sq_euclidean(a, b).sqrt()
 }
 
-/// Manhattan (L1) distance.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn manhattan(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    a.iter().zip(b).map(|(x, y)| (x - y).abs()).sum()
-}
-
-/// Cosine similarity in `[-1, 1]`. Returns `0.0` if either vector is zero.
-///
-/// # Panics
-///
-/// Panics if the vectors have different lengths.
-pub fn cosine_similarity(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dimension mismatch");
-    let dot: f64 = a.iter().zip(b).map(|(x, y)| x * y).sum();
-    let na: f64 = a.iter().map(|x| x * x).sum::<f64>().sqrt();
-    let nb: f64 = b.iter().map(|x| x * x).sum::<f64>().sqrt();
-    if na == 0.0 || nb == 0.0 {
-        0.0
-    } else {
-        dot / (na * nb)
-    }
-}
-
 /// BBV similarity in `[0, 1]` following the SimPoint convention: vectors are
-/// L1-normalized and similarity is `1 - manhattan/2`. Photon's "95%
+/// L1-normalized and similarity is `1 - L1 distance / 2`. Photon's "95%
 /// threshold" is evaluated against this score.
 ///
 /// Returns `1.0` for two zero vectors and `0.0` when exactly one is zero.
@@ -126,23 +98,6 @@ mod tests {
     fn euclidean_basics() {
         assert_eq!(euclidean(&[0.0, 0.0], &[3.0, 4.0]), 5.0);
         assert_eq!(sq_euclidean(&[1.0], &[4.0]), 9.0);
-    }
-
-    #[test]
-    fn manhattan_basics() {
-        assert_eq!(manhattan(&[1.0, 2.0], &[4.0, 0.0]), 5.0);
-    }
-
-    #[test]
-    fn cosine_parallel_and_orthogonal() {
-        assert!((cosine_similarity(&[1.0, 2.0], &[2.0, 4.0]) - 1.0).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[0.0, 1.0])).abs() < 1e-12);
-        assert!((cosine_similarity(&[1.0, 0.0], &[-1.0, 0.0]) + 1.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cosine_zero_vector() {
-        assert_eq!(cosine_similarity(&[0.0, 0.0], &[1.0, 1.0]), 0.0);
     }
 
     #[test]

@@ -3,16 +3,14 @@
 //! ROOT (the paper's hierarchical clustering layer) needs a fast, seeded
 //! 2-means split over one-dimensional execution times; the baseline methods
 //! need d-dimensional k-means (PKA sweeps `k = 1..20` over 12-metric feature
-//! vectors), BBV distance functions, and cluster-quality scores for the k
-//! sweep.
+//! vectors) and BBV distance functions.
 //!
 //! * [`kmeans`] — d-dimensional Lloyd's algorithm with k-means++ seeding,
 //!   Hamerly-style bounds pruning on a flat point matrix.
 //! * [`matrix`] — the flat row-major storage the hot paths run on.
 //! * [`kmeans1d`] — exact 1-D k-means by dynamic programming, plus the O(n)
 //!   optimal two-way split ROOT uses at every recursion step.
-//! * [`distance`] — euclidean / manhattan / cosine metrics.
-//! * [`quality`] — BIC and silhouette scores for choosing `k`.
+//! * [`distance`] — euclidean distance and BBV similarity.
 //!
 //! # Example
 //!
@@ -34,7 +32,6 @@ pub mod distance;
 pub mod kmeans;
 pub mod kmeans1d;
 pub mod matrix;
-pub mod quality;
 
 pub use kmeans::{ClusterMembership, KMeans, KMeansConfig};
 pub use kmeans1d::{best_two_split, best_two_split_sorted, kmeans_1d, TwoSplit, TwoSplitScan};

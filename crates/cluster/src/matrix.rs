@@ -93,11 +93,6 @@ impl Matrix {
     pub fn as_slice(&self) -> &[f64] {
         &self.data
     }
-
-    /// Copies the matrix back out as nested rows.
-    pub fn to_rows(&self) -> Vec<Vec<f64>> {
-        (0..self.rows).map(|i| self.row(i).to_vec()).collect()
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +106,6 @@ mod tests {
         assert_eq!(m.rows(), 3);
         assert_eq!(m.dim(), 2);
         assert_eq!(m.row(1), &[3.0, 4.0]);
-        assert_eq!(m.to_rows(), rows);
         assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
     }
 

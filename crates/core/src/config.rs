@@ -66,12 +66,6 @@ impl StemConfig {
         self
     }
 
-    /// Returns a copy with a different profiling seed.
-    pub fn with_profile_seed(mut self, seed: u64) -> Self {
-        self.profile_seed = seed;
-        self
-    }
-
     /// Returns a copy with the Student-t small-sample correction enabled.
     pub fn with_small_sample_correction(mut self) -> Self {
         self.small_sample_correction = true;

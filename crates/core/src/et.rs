@@ -72,18 +72,6 @@ impl EtPlan {
     pub fn num_clusters(&self) -> usize {
         self.clusters.len()
     }
-
-    /// Indices of all sampled nodes (deduplicated, sorted).
-    pub fn sampled_nodes(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .clusters
-            .iter()
-            .flat_map(|c| c.sampled.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
 }
 
 /// Builds a node-sampling plan from profiled node durations.
@@ -226,10 +214,7 @@ pub fn evaluate_trace_sampling(
 }
 
 fn profile_noise(seed: u64, index: u64) -> f64 {
-    let mut z = seed ^ index.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
+    let z = stem_par::split_seed(seed, index);
     let u1 = ((z >> 11) as f64 / (1u64 << 53) as f64).max(f64::MIN_POSITIVE);
     let u2 = (z.wrapping_mul(0x2545f4914f6cdd1d) >> 11) as f64 / (1u64 << 53) as f64;
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()

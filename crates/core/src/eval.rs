@@ -126,9 +126,10 @@ impl StreamingAggregate {
 /// the campaign) seeds its reps here, so a campaign unit replays the
 /// exact stream of the matching plain rep. The seed depends on the rep
 /// index only — never on a worker or a retry attempt — so it is the same
-/// at every thread count. It predates `stem_par::split_seed`; moving to
-/// that would re-key every committed `results/*.csv` figure.
-pub(crate) fn rep_seed(base_seed: u64, rep: u64) -> u64 {
+/// at every thread count. The coverage calibration seeds its reps here
+/// too. It predates `stem_par::split_seed`; moving to that would re-key
+/// every committed `results/*.csv` figure.
+pub fn rep_seed(base_seed: u64, rep: u64) -> u64 {
     base_seed.wrapping_add(rep).wrapping_mul(0x9e3779b97f4a7c15)
 }
 

@@ -32,8 +32,11 @@ const CLUSTER_MEMO_CAPACITY: usize = 8;
 /// in parallel while duplicates of the same workload block on one compute.
 #[derive(Debug, Default)]
 struct ClusterMemo {
-    entries: Mutex<HashMap<u64, Arc<OnceLock<Arc<Vec<KernelCluster>>>>>>,
+    entries: Mutex<HashMap<u64, Arc<MemoCell>>>,
 }
+
+/// One memo key's clustering, computed at most once.
+type MemoCell = OnceLock<Arc<Vec<KernelCluster>>>;
 
 impl ClusterMemo {
     fn get_or_compute(
@@ -165,7 +168,7 @@ impl StemRootSampler {
     ///
     /// External profiles are ingested data, so this path never panics:
     /// malformed input surfaces as a typed [`StemError`] the caller can
-    /// match on (equivalent to [`StemRootSampler::try_plan_from_times`]).
+    /// match on.
     ///
     /// # Errors
     ///
@@ -198,28 +201,10 @@ impl StemRootSampler {
         times: &[f64],
         rep_seed: u64,
     ) -> Result<SamplingPlan, StemError> {
-        self.try_plan_from_times(workload, times, rep_seed)
-    }
-
-    /// Alias of [`StemRootSampler::plan_from_times`], kept for symmetry
-    /// with the other `try_` planners on this type.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StemError::EmptyWorkload`],
-    /// [`StemError::ProfileLengthMismatch`] if `times` is not one entry per
-    /// invocation, or [`StemError::BadTime`] at the first nonpositive or
-    /// non-finite entry.
-    pub fn try_plan_from_times(
-        &self,
-        workload: &Workload,
-        times: &[f64],
-        rep_seed: u64,
-    ) -> Result<SamplingPlan, StemError> {
         self.try_plan_degraded(workload, times, rep_seed, 0.0)
     }
 
-    /// Like [`StemRootSampler::try_plan_from_times`], but widens every
+    /// Like [`StemRootSampler::plan_from_times`], but widens every
     /// cluster's standard deviation by `degraded_fraction` (see
     /// [`crate::degrade::inflate_std`]) before sample sizing, so plans
     /// built from repaired traces buy their error bound back with more
@@ -227,7 +212,7 @@ impl StemRootSampler {
     ///
     /// # Errors
     ///
-    /// Same as [`StemRootSampler::try_plan_from_times`].
+    /// Same as [`StemRootSampler::plan_from_times`].
     pub fn try_plan_degraded(
         &self,
         workload: &Workload,
@@ -262,7 +247,7 @@ impl StemRootSampler {
     ///
     /// Returns [`StemError::Validation`] when nothing usable survives
     /// validation, plus everything
-    /// [`StemRootSampler::try_plan_from_times`] reports.
+    /// [`StemRootSampler::plan_from_times`] reports.
     pub fn plan_from_trace(
         &self,
         workload: &Workload,
@@ -466,7 +451,7 @@ mod tests {
         let (a, up) = (1000.0_f64, 1000.0_f64.next_up());
         let times: Vec<f64> = (0..1000).map(|i| if i % 2 == 0 { a } else { up }).collect();
         let plan = sampler()
-            .try_plan_from_times(&w, &times, 7)
+            .plan_from_times(&w, &times, 7)
             .expect("adjacent-ulp times are valid profiles");
         assert!(plan.num_samples() >= 1);
     }

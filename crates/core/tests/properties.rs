@@ -242,7 +242,7 @@ fn root_matches_reference_on_adversarial_cases() {
         let ids: Vec<_> = (0..kernels)
             .map(|k| {
                 b.add_kernel(
-                    KernelClassBuilder::new(&format!("k{k}")).build(),
+                    KernelClassBuilder::new(format!("k{k}")).build(),
                     vec![RuntimeContext::neutral()],
                 )
             })

@@ -339,7 +339,7 @@ mod tests {
     /// Deterministic transient fault: panic while `attempt < flaky_until`
     /// for every index divisible by `stride`.
     fn flaky(ctx: TaskCtx, stride: usize, flaky_until: u32) -> u64 {
-        if ctx.index % stride == 0 && ctx.attempt < flaky_until {
+        if ctx.index.is_multiple_of(stride) && ctx.attempt < flaky_until {
             panic!("transient fault at task {}", ctx.index);
         }
         ctx.index as u64 * 3 + 1

@@ -72,12 +72,11 @@ impl BbvProfiler {
 
 /// Deterministic uniform draw in [0, 1) from (index, block).
 fn unit_noise(index: u64, block: u64) -> f64 {
-    let mut z = index
-        .wrapping_mul(0x9e3779b97f4a7c15)
-        .wrapping_add(block.wrapping_mul(0xbf58476d1ce4e5b9));
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
+    let z = stem_par::mix64(
+        index
+            .wrapping_mul(0x9e3779b97f4a7c15)
+            .wrapping_add(block.wrapping_mul(0xbf58476d1ce4e5b9)),
+    );
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 

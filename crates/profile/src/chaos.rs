@@ -15,9 +15,8 @@
 //! developed against each other.
 //!
 //! Beyond *data* faults, [`ExecFaultPlan`] injects **runtime** faults —
-//! seeded worker panics by task index, slow-task stalls, a simulated
-//! process kill after N completed campaign units, and checkpoint-snapshot
-//! corruption — driving the supervised-execution and crash-resume recovery
+//! seeded worker panics by task index, a simulated process kill after N
+//! completed campaign units, and checkpoint-snapshot corruption — driving the supervised-execution and crash-resume recovery
 //! paths the same way [`FaultPlan`] drives trace repair.
 //!
 //! [`WireFaultPlan`] completes the set with **wire**-level faults for a
@@ -62,21 +61,6 @@ impl TraceRecord {
             start += t;
         }
         out
-    }
-
-    /// Builds a trace whose back-end reports no timestamps (`start = NaN`);
-    /// the validator then has no interval evidence and falls back to
-    /// median imputation for unrepairable times.
-    pub fn sequence_without_timestamps(times: &[f64]) -> Vec<TraceRecord> {
-        times
-            .iter()
-            .enumerate()
-            .map(|(i, &t)| TraceRecord {
-                index: i as u64,
-                start: f64::NAN,
-                time: t,
-            })
-            .collect()
     }
 }
 
@@ -160,48 +144,75 @@ impl Fault {
     }
 }
 
-/// A seeded, composable corruption recipe: an ordered list of [`Fault`]s
-/// applied to a trace. Two applications of the same plan to the same trace
-/// produce byte-identical corruption.
+/// A seeded, composable fault recipe: an ordered list of faults of one
+/// family — trace data ([`Fault`]), wire ([`WireFault`]) or storage
+/// ([`StorageFault`](crate::StorageFault)). Every decision draws from a
+/// generator keyed by the plan seed and the fault's position (and, for
+/// the wire and storage families, the exchange or operation index), so a
+/// plan replays exactly and editing one fault's parameters never perturbs
+/// another's draws.
 #[derive(Debug, Clone, PartialEq)]
-pub struct FaultPlan {
+pub struct KeyedPlan<F> {
     seed: u64,
-    faults: Vec<Fault>,
+    faults: Vec<F>,
 }
 
-impl FaultPlan {
-    /// An empty plan (no corruption) with the given seed.
+/// Trace-data corruption: two applications of the same plan to the same
+/// trace produce byte-identical corruption.
+pub type FaultPlan = KeyedPlan<Fault>;
+
+/// Wire faults for a line-framed protocol client — the chaos counterpart
+/// of [`FaultPlan`] for sockets.
+pub type WireFaultPlan = KeyedPlan<WireFault>;
+
+impl<F> KeyedPlan<F> {
+    /// An empty plan (no faults) with the given seed.
     pub fn new(seed: u64) -> Self {
-        FaultPlan {
+        KeyedPlan {
             seed,
             faults: Vec::new(),
         }
     }
 
-    /// A single-fault plan — the unit the chaos suite sweeps over.
-    pub fn single(seed: u64, fault: Fault) -> Self {
-        FaultPlan {
+    /// A single-fault plan — the unit the chaos suites sweep over.
+    pub fn single(seed: u64, fault: F) -> Self {
+        KeyedPlan {
             seed,
             faults: vec![fault],
         }
     }
 
     /// Appends a fault to the plan (builder style).
-    pub fn with(mut self, fault: Fault) -> Self {
+    pub fn with(mut self, fault: F) -> Self {
         self.faults.push(fault);
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The faults in application order.
-    pub fn faults(&self) -> &[Fault] {
+    pub fn faults(&self) -> &[F] {
         &self.faults
     }
 
+    /// The trace plan's per-fault generator, keyed by the plan seed and
+    /// the fault's position.
+    fn position_rng(&self, position: usize) -> StdRng {
+        let mix = (position as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        StdRng::seed_from_u64(self.seed ^ mix)
+    }
+
+    /// The wire and storage plans' per-decision generator, keyed by the
+    /// plan seed, the fault's position and the exchange or operation
+    /// index. Position `usize::MAX` wraps to a stream of its own.
+    pub(crate) fn indexed_rng(&self, position: usize, index: u64) -> StdRng {
+        let mix = (position as u64)
+            .wrapping_add(1)
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(index.wrapping_add(1).wrapping_mul(0xD6E8_FEB8_6659_FD93));
+        StdRng::seed_from_u64(self.seed ^ mix)
+    }
+}
+
+impl FaultPlan {
     /// One moderate-severity representative plan per fault class, in a
     /// stable order — the sweep axis of `tests/chaos.rs`.
     pub fn all_classes(seed: u64) -> Vec<FaultPlan> {
@@ -231,7 +242,7 @@ impl FaultPlan {
     pub fn apply(&self, records: &[TraceRecord]) -> Vec<TraceRecord> {
         let mut out = records.to_vec();
         for (i, fault) in self.faults.iter().enumerate() {
-            let mut rng = self.fault_rng(i);
+            let mut rng = self.position_rng(i);
             out = apply_one(fault, &mut rng, out);
         }
         out
@@ -247,7 +258,7 @@ impl FaultPlan {
             let Fault::RaggedRows { fraction } = *fault else {
                 continue;
             };
-            let mut rng = self.fault_rng(i);
+            let mut rng = self.position_rng(i);
             let mut out = String::with_capacity(text.len());
             let mut seen_header = false;
             for line in text.lines() {
@@ -269,14 +280,6 @@ impl FaultPlan {
             text = out;
         }
         text
-    }
-
-    /// Decorrelated per-fault generator: the stream depends on the plan
-    /// seed and the fault's position, so editing one fault's parameters
-    /// never perturbs another's draws.
-    fn fault_rng(&self, position: usize) -> StdRng {
-        let mix = (position as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        StdRng::seed_from_u64(self.seed ^ mix)
     }
 }
 
@@ -382,9 +385,8 @@ pub enum SnapshotFault {
 }
 
 /// A seeded plan of *runtime* faults, the execution-level counterpart of
-/// [`FaultPlan`]: worker panics keyed by task index, slow-task stalls, a
-/// simulated process kill after N completed campaign units, and snapshot
-/// corruption. Every decision derives from `(seed, task index)` — never
+/// [`FaultPlan`]: worker panics keyed by task index, a simulated process
+/// kill after N completed campaign units, and snapshot corruption. Every decision derives from `(seed, task index)` — never
 /// from worker identity or timing — so a chaos run replays exactly and is
 /// thread-count-invariant.
 #[derive(Debug, Clone, PartialEq)]
@@ -394,8 +396,6 @@ pub struct ExecFaultPlan {
     /// Injected panics fire while `attempt < panic_attempts`; a retry
     /// budget at least this large recovers every injected panic.
     panic_attempts: u32,
-    stall_fraction: f64,
-    stall: Duration,
     kill_after_units: Option<u64>,
     snapshot_faults: Vec<SnapshotFault>,
 }
@@ -407,8 +407,6 @@ impl ExecFaultPlan {
             seed,
             panic_fraction: 0.0,
             panic_attempts: 0,
-            stall_fraction: 0.0,
-            stall: Duration::ZERO,
             kill_after_units: None,
             snapshot_faults: Vec::new(),
         }
@@ -421,14 +419,6 @@ impl ExecFaultPlan {
     pub fn with_worker_panics(mut self, fraction: f64, attempts: u32) -> Self {
         self.panic_fraction = fraction;
         self.panic_attempts = attempts;
-        self
-    }
-
-    /// Each task stalls for `stall` with probability `fraction` (seeded by
-    /// task index) — the straggler a soft deadline should flag.
-    pub fn with_stalls(mut self, fraction: f64, stall: Duration) -> Self {
-        self.stall_fraction = fraction;
-        self.stall = stall;
         self
     }
 
@@ -450,11 +440,6 @@ impl ExecFaultPlan {
         self
     }
 
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
     /// The simulated-kill budget, if any.
     pub fn kill_after_units(&self) -> Option<u64> {
         self.kill_after_units
@@ -467,16 +452,13 @@ impl ExecFaultPlan {
         attempt < self.panic_attempts && self.coin(task, 0xFA_117).random_bool(self.panic_fraction)
     }
 
-    /// Injects this plan's per-task faults: stalls first, then panics.
+    /// Injects this plan's per-task fault: a panic, if one is planned.
     ///
     /// An injected panic unwinds via [`std::panic::panic_any`] with a
     /// `String` payload (not the `panic!` macro: injection is a deliberate,
     /// typed test stimulus for the supervisor, not an ingestion-path
     /// assertion), so the supervisor reports the message verbatim.
     pub fn inject(&self, task: u64, attempt: u32) {
-        if self.coin(task, 0x57A_11).random_bool(self.stall_fraction) {
-            std::thread::sleep(self.stall);
-        }
         if self.panics_at(task, attempt) {
             std::panic::panic_any(format!(
                 "injected worker panic: task {task}, attempt {attempt}"
@@ -526,7 +508,7 @@ impl ExecFaultPlan {
     }
 
     /// Decorrelated per-decision generator: the stream depends on the plan
-    /// seed, the task index, and the fault family, so panic and stall
+    /// seed, the task index, and the fault family, so panic and snapshot
     /// draws never alias.
     fn coin(&self, task: u64, family: u64) -> StdRng {
         let mix = (task.wrapping_add(1))
@@ -603,50 +585,7 @@ pub struct WireExchange {
     pub disconnect_after_write: bool,
 }
 
-/// A seeded, composable plan of wire-level faults for a line-framed
-/// protocol client — the chaos counterpart of [`FaultPlan`] for sockets.
-/// Decisions derive from `(plan seed, fault position, exchange index)`, so
-/// a chaos session replays exactly and editing one fault's parameters
-/// never perturbs another's draws.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WireFaultPlan {
-    seed: u64,
-    faults: Vec<WireFault>,
-}
-
 impl WireFaultPlan {
-    /// An empty plan (every exchange clean) with the given seed.
-    pub fn new(seed: u64) -> Self {
-        WireFaultPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// A single-fault plan — the unit the serve chaos suite sweeps over.
-    pub fn single(seed: u64, fault: WireFault) -> Self {
-        WireFaultPlan {
-            seed,
-            faults: vec![fault],
-        }
-    }
-
-    /// Appends a fault to the plan (builder style).
-    pub fn with(mut self, fault: WireFault) -> Self {
-        self.faults.push(fault);
-        self
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The faults in application order.
-    pub fn faults(&self) -> &[WireFault] {
-        &self.faults
-    }
-
     /// One always-firing representative plan per wire fault class, in a
     /// stable order — the sweep axis of the serve chaos tests.
     pub fn all_classes(seed: u64) -> Vec<WireFaultPlan> {
@@ -675,7 +614,7 @@ impl WireFaultPlan {
             disconnect_after_write: false,
         };
         for (pos, fault) in self.faults.iter().enumerate() {
-            let mut rng = self.wire_rng(pos, index);
+            let mut rng = self.indexed_rng(pos, index);
             match *fault {
                 WireFault::TruncateFrame { fraction } => {
                     if rng.random_bool(fraction) && !ex.payload.is_empty() {
@@ -713,15 +652,6 @@ impl WireFaultPlan {
         }
         ex
     }
-
-    /// Decorrelated per-exchange generator, keyed like
-    /// [`FaultPlan::fault_rng`] but additionally by the exchange index.
-    fn wire_rng(&self, position: usize, index: u64) -> StdRng {
-        let mix = (position as u64 + 1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(index.wrapping_add(1).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        StdRng::seed_from_u64(self.seed ^ mix)
-    }
 }
 
 #[cfg(test)]
@@ -741,6 +671,54 @@ mod tests {
                     && x.start.to_bits() == y.start.to_bits()
                     && x.time.to_bits() == y.time.to_bits()
             })
+    }
+
+    /// FNV-1a over 64-bit words: a compact pin for long decision streams.
+    fn digest(words: &[u64]) -> u64 {
+        words.iter().fold(0xcbf2_9ce4_8422_2325, |h, &w| {
+            (h ^ w).wrapping_mul(0x100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn plan_decisions_are_pinned() {
+        // Digests of every decision the trace and wire plans make for a few
+        // seeds and exchange indices, computed before the three plan types
+        // became one: the shared keying must draw the same bits.
+        let mut trace = Vec::new();
+        let mut wire = Vec::new();
+        for seed in [0u64, 7, 0xC0FFEE] {
+            for plan in FaultPlan::all_classes(seed) {
+                for r in plan.apply(&clean(64)) {
+                    trace.extend([r.index, r.start.to_bits(), r.time.to_bits()]);
+                }
+            }
+            let csv = "index,time\n0,1.5\n1,2.5\n2,3.5\n3,4.5\n4,5.5\n5,6.5\n";
+            trace.extend(
+                FaultPlan::single(seed, Fault::RaggedRows { fraction: 0.5 })
+                    .corrupt_csv(csv)
+                    .bytes()
+                    .map(u64::from),
+            );
+            let mixed = WireFaultPlan::new(seed)
+                .with(WireFault::TruncateFrame { fraction: 0.3 })
+                .with(WireFault::GarbageLine { fraction: 0.3 })
+                .with(WireFault::DisconnectMidResponse { fraction: 0.3 })
+                .with(WireFault::SlowWriter {
+                    fraction: 0.3,
+                    delay: Duration::from_millis(2),
+                });
+            for plan in WireFaultPlan::all_classes(seed).into_iter().chain([mixed]) {
+                for i in 0..16u64 {
+                    let ex = plan.exchange(i, "STATUS 42");
+                    wire.extend(ex.payload.iter().map(|&b| u64::from(b)));
+                    wire.push(ex.chunk_delay.map_or(0, |d| d.as_nanos() as u64 + 1));
+                    wire.push(u64::from(ex.disconnect_after_write));
+                }
+            }
+        }
+        assert_eq!(digest(&trace), 0x8ad3_ee5c_6224_5c3e);
+        assert_eq!(digest(&wire), 0x5e4d_1e60_f148_5b58);
     }
 
     #[test]

@@ -34,8 +34,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use stem_stats::rng::{RngExt, SeedableRng, StdRng};
+use stem_stats::rng::RngExt;
 use stem_storage::{RealFs, Storage, StorageError, StorageOp};
+
+use crate::chaos::KeyedPlan;
 
 /// One storage fault class with its firing probability per eligible
 /// operation. `fraction` is clamped to `[0, 1]` at draw time.
@@ -84,49 +86,13 @@ impl StorageFault {
     }
 }
 
-/// A seeded, composable storage-fault recipe — the chaos counterpart of
-/// [`FaultPlan`](crate::FaultPlan) for the [`Storage`] layer. Decisions
-/// derive from `(plan seed, fault position, operation index)`, so two
-/// runs issuing the same operation sequence see identical injections.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StorageFaultPlan {
-    seed: u64,
-    faults: Vec<StorageFault>,
-}
+/// Storage faults — the chaos counterpart of [`FaultPlan`](crate::FaultPlan)
+/// for the [`Storage`] layer. Decisions derive from `(plan seed, fault
+/// position, operation index)`, so two runs issuing the same operation
+/// sequence see identical injections.
+pub type StorageFaultPlan = KeyedPlan<StorageFault>;
 
 impl StorageFaultPlan {
-    /// An empty plan (every operation clean) with the given seed.
-    pub fn new(seed: u64) -> Self {
-        StorageFaultPlan {
-            seed,
-            faults: Vec::new(),
-        }
-    }
-
-    /// A single-fault plan — the unit the storage chaos suite sweeps.
-    pub fn single(seed: u64, fault: StorageFault) -> Self {
-        StorageFaultPlan {
-            seed,
-            faults: vec![fault],
-        }
-    }
-
-    /// Appends a fault to the plan (builder style).
-    pub fn with(mut self, fault: StorageFault) -> Self {
-        self.faults.push(fault);
-        self
-    }
-
-    /// The plan's seed.
-    pub fn seed(&self) -> u64 {
-        self.seed
-    }
-
-    /// The faults in application order.
-    pub fn faults(&self) -> &[StorageFault] {
-        &self.faults
-    }
-
     /// One moderate-severity representative plan per storage fault
     /// class, in a stable order — the sweep axis of
     /// `tests/storage_chaos.rs`.
@@ -141,17 +107,6 @@ impl StorageFaultPlan {
         .into_iter()
         .map(|f| StorageFaultPlan::single(seed, f))
         .collect()
-    }
-
-    /// Decorrelated per-decision generator, keyed like
-    /// [`WireFaultPlan::exchange`](crate::WireFaultPlan::exchange): by
-    /// the plan seed, the fault's position, and the operation index.
-    fn storage_rng(&self, position: usize, op_index: u64) -> StdRng {
-        let mix = (position as u64)
-            .wrapping_add(1)
-            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            .wrapping_add(op_index.wrapping_add(1).wrapping_mul(0xD6E8_FEB8_6659_FD93));
-        StdRng::seed_from_u64(self.seed ^ mix)
     }
 }
 
@@ -289,7 +244,7 @@ impl FaultFs {
     /// Draws the first firing fault among the plan's faults eligible for
     /// `op`, bumping the injection counter.
     fn draw(&self, op: StorageOp, index: u64) -> Option<StorageFault> {
-        for (pos, fault) in self.plan.faults.iter().enumerate() {
+        for (pos, fault) in self.plan.faults().iter().enumerate() {
             let eligible = match fault {
                 StorageFault::TornWrite { .. }
                 | StorageFault::ShortWrite { .. }
@@ -309,7 +264,7 @@ impl FaultFs {
                 | StorageFault::RenameFail { fraction }
                 | StorageFault::FsyncFail { fraction } => fraction.clamp(0.0, 1.0),
             };
-            let mut rng = self.plan.storage_rng(pos, index);
+            let mut rng = self.plan.indexed_rng(pos, index);
             if rng.random_bool(fraction) {
                 self.injected.fetch_add(1, Ordering::SeqCst);
                 return Some(*fault);
@@ -326,7 +281,7 @@ impl FaultFs {
         }
         // Key the cut independently of the fault position so crash-mode
         // tears (which have no position) draw from the same stream.
-        let mut rng = self.plan.storage_rng(usize::MAX, index);
+        let mut rng = self.plan.indexed_rng(usize::MAX, index);
         rng.random_range(0..len as u64) as usize
     }
 }
@@ -468,6 +423,28 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(&dir).expect("temp dir");
         dir
+    }
+
+    #[test]
+    fn storage_plan_draws_are_pinned() {
+        // A digest of the first draws of every (seed, fault position,
+        // operation index) stream, computed before the three plan types
+        // became one: the shared keying must draw the same bits. Position
+        // `usize::MAX` is the crash-point stream.
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for seed in [0u64, 7, 0xC0FFEE] {
+            let plan = StorageFaultPlan::new(seed);
+            for pos in [0usize, 1, 4, usize::MAX] {
+                for index in 0..16u64 {
+                    let mut rng = plan.indexed_rng(pos, index);
+                    for _ in 0..2 {
+                        h = (h ^ stem_stats::rng::RngCore::next_u64(&mut rng))
+                            .wrapping_mul(0x100_0000_01b3);
+                    }
+                }
+            }
+        }
+        assert_eq!(h, 0xae6f_d6f0_4e8c_efc3);
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl ExecTimeProfiler {
         }
     }
 
-    /// Wraps an existing hardware runner (to control measurement noise).
-    pub fn from_runner(hw: HardwareRunner) -> Self {
-        ExecTimeProfiler { hw }
-    }
-
     /// Measured execution time (cycles) of every invocation, stream order.
     pub fn profile(&self, workload: &Workload) -> Vec<f64> {
         self.hw.measure_all(workload)

@@ -184,7 +184,6 @@ impl std::error::Error for ValidationError {}
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TraceValidator {
     expected_len: Option<u64>,
-    skew_rel_tol: f64,
 }
 
 impl Default for TraceValidator {
@@ -197,25 +196,13 @@ impl TraceValidator {
     /// A validator with no expected-length knowledge (tail truncation is
     /// then undetectable) and the default skew tolerance.
     pub fn new() -> Self {
-        TraceValidator {
-            expected_len: None,
-            skew_rel_tol: SKEW_REL_TOL,
-        }
+        TraceValidator { expected_len: None }
     }
 
     /// Declares how many invocations the trace should contain (usually the
     /// workload's invocation count), enabling tail-truncation detection.
     pub fn with_expected_len(mut self, n: u64) -> Self {
         self.expected_len = Some(n);
-        self
-    }
-
-    /// Overrides the relative tolerance of the clock-skew detector.
-    /// Non-finite or nonpositive values fall back to the default.
-    pub fn with_skew_tolerance(mut self, rel_tol: f64) -> Self {
-        if rel_tol.is_finite() && rel_tol > 0.0 {
-            self.skew_rel_tol = rel_tol;
-        }
         self
     }
 
@@ -271,7 +258,7 @@ impl TraceValidator {
                 // NaN marks the record for median imputation below.
                 recs[i].time = interval.unwrap_or(f64::NAN);
             } else if let Some(d) = interval {
-                if (t - d).abs() > self.skew_rel_tol * d.max(t) {
+                if (t - d).abs() > SKEW_REL_TOL * d.max(t) {
                     recs[i].time = d;
                     report.clock_skew_repaired += 1;
                 }
@@ -310,23 +297,6 @@ impl TraceValidator {
         }
         report.output_records = recs.len();
         Ok((recs, report))
-    }
-
-    /// Validates a bare time series (no launch indices or timestamps):
-    /// invalid entries are median-imputed; ordering faults are
-    /// undetectable without indices.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ValidationError`] when `times` is empty or contains no
-    /// valid entry.
-    pub fn validate_times(
-        &self,
-        times: &[f64],
-    ) -> Result<(Vec<f64>, DataQualityReport), ValidationError> {
-        let records = TraceRecord::sequence_without_timestamps(times);
-        let (recs, report) = self.validate(&records)?;
-        Ok((recs.into_iter().map(|r| r.time).collect(), report))
     }
 
     /// Validates a trace serialized as CSV (`index,time` or
@@ -449,6 +419,21 @@ mod tests {
         (0..n).map(|i| 10.0 + (i % 7) as f64).collect()
     }
 
+    /// A trace whose back-end reports no timestamps (`start = NaN`): the
+    /// validator has no interval evidence and falls back to median
+    /// imputation for unrepairable times.
+    fn sequence_without_timestamps(times: &[f64]) -> Vec<TraceRecord> {
+        times
+            .iter()
+            .enumerate()
+            .map(|(i, &t)| TraceRecord {
+                index: i as u64,
+                start: f64::NAN,
+                time: t,
+            })
+            .collect()
+    }
+
     #[test]
     fn clean_trace_passes_untouched() {
         let times = clean_times(100);
@@ -496,7 +481,7 @@ mod tests {
     #[test]
     fn invalid_times_imputed_without_timestamps() {
         let times = clean_times(100);
-        let recs = TraceRecord::sequence_without_timestamps(&times);
+        let recs = sequence_without_timestamps(&times);
         let bad = FaultPlan::single(3, Fault::InfTime { fraction: 0.1 }).apply(&recs);
         let (out, report) = TraceValidator::new().validate(&bad).expect("validates");
         assert!(report.non_finite_repaired > 0);
@@ -550,20 +535,11 @@ mod tests {
     fn empty_and_hopeless_traces_rejected() {
         let v = TraceValidator::new();
         assert_eq!(v.validate(&[]), Err(ValidationError::Empty));
-        let all_bad = TraceRecord::sequence_without_timestamps(&[f64::NAN, -1.0]);
+        let all_bad = sequence_without_timestamps(&[f64::NAN, -1.0]);
         assert_eq!(
             v.validate(&all_bad),
             Err(ValidationError::NoUsableRecords { total: 2 })
         );
-        assert!(v.validate_times(&[]).is_err());
-    }
-
-    #[test]
-    fn validate_times_roundtrip() {
-        let times = clean_times(50);
-        let (out, report) = TraceValidator::new().validate_times(&times).expect("clean");
-        assert_eq!(out, times);
-        assert!(report.is_clean());
     }
 
     #[test]
@@ -626,7 +602,7 @@ mod tests {
 
     #[test]
     fn degraded_fraction_grows_with_severity() {
-        let recs = TraceRecord::sequence_without_timestamps(&clean_times(200));
+        let recs = sequence_without_timestamps(&clean_times(200));
         let v = TraceValidator::new();
         let mild = FaultPlan::single(3, Fault::NanTime { fraction: 0.05 }).apply(&recs);
         let harsh = FaultPlan::single(3, Fault::NanTime { fraction: 0.4 }).apply(&recs);

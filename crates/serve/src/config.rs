@@ -95,12 +95,6 @@ impl ServeConfig {
         }
     }
 
-    /// Overrides the target GPU.
-    pub fn with_gpu(mut self, gpu: GpuConfig) -> Self {
-        self.gpu = gpu;
-        self
-    }
-
     /// Overrides the queue bounds (`high_water` is clamped below
     /// `capacity` at validation).
     pub fn with_queue(mut self, capacity: usize, high_water: usize) -> Self {

@@ -102,9 +102,9 @@ mod tests {
             workload_index: idx,
             reps: 2,
             seed: 9,
-            deadline_ms: if idx % 2 == 0 { Some(500) } else { None },
-            sampler: if idx % 2 == 0 { "STEM" } else { "RSS" }.to_string(),
-            store: if idx % 2 == 0 {
+            deadline_ms: if idx.is_multiple_of(2) { Some(500) } else { None },
+            sampler: if idx.is_multiple_of(2) { "STEM" } else { "RSS" }.to_string(),
+            store: if idx.is_multiple_of(2) {
                 None
             } else {
                 Some(StoreRef {

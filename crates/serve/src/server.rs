@@ -423,9 +423,7 @@ impl Inner {
         let mut st = lock_state(&self.state);
         st.running = st.running.saturating_sub(1);
         let config = &self.config;
-        let Some(job) = st.jobs.get_mut(&id) else {
-            return None;
-        };
+        let job = st.jobs.get_mut(&id)?;
         let mut backoff = None;
         let mut persist = false;
         match outcome {

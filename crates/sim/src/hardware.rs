@@ -312,12 +312,8 @@ fn noise_z(seed: u64, index: u64) -> f64 {
     (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
 }
 
-fn splitmix_unit(mut x: u64) -> f64 {
-    x = x.wrapping_add(0x9e3779b97f4a7c15);
-    let mut z = x;
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
+fn splitmix_unit(x: u64) -> f64 {
+    let z = stem_par::mix64(x.wrapping_add(0x9e3779b97f4a7c15));
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 

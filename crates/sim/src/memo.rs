@@ -207,11 +207,12 @@ impl SimCache {
         }
     }
 
-    /// Chaos injection: poisons shard `index % num_shards` by panicking a
+    /// Test stimulus: poisons shard `index % num_shards` by panicking a
     /// throwaway thread while it holds the lock — the state a worker panic
     /// mid-insert leaves behind. The next access recovers (clears and
     /// rebuilds the shard); results are unaffected.
-    pub fn poison_shard(&self, index: usize) {
+    #[cfg(test)]
+    fn poison_shard(&self, index: usize) {
         let shard = &self.shards[index % SHARDS];
         std::thread::scope(|scope| {
             let handle = scope.spawn(|| {
@@ -225,7 +226,7 @@ impl SimCache {
         });
     }
 
-    /// Number of shards (the modulus [`SimCache::poison_shard`] applies).
+    /// Number of shards.
     pub fn num_shards(&self) -> usize {
         SHARDS
     }

@@ -109,9 +109,7 @@ impl Simulator {
 fn metric_noise(bits: u32) -> (f64, f64) {
     let mut z = (bits as u64).wrapping_mul(0x9e3779b97f4a7c15);
     let mut next = || {
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-        z ^= z >> 31;
+        z = stem_par::mix64(z);
         (z >> 11) as f64 / (1u64 << 53) as f64
     };
     let u1 = next().max(f64::MIN_POSITIVE);

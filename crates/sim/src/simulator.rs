@@ -86,12 +86,7 @@ impl Simulator {
 
     /// Deterministic timing core of every invocation group, in group order
     /// (one full model evaluation per distinct `(kernel, context,
-    /// work_scale)` triple).
-    pub fn group_timings(&self, workload: &Workload) -> Vec<DeterministicTiming> {
-        self.group_timings_par(workload, stem_par::Parallelism::serial())
-    }
-
-    /// [`Simulator::group_timings`] spread across `par` threads; groups are
+    /// work_scale)` triple), spread across `par` threads; groups are
     /// independent, so the result is identical at any thread count.
     pub fn group_timings_par(
         &self,

@@ -77,10 +77,7 @@ impl Simulator {
 
 /// Deterministic draw in [-1, 1] from (invocation bits, wave index).
 fn wave_noise(bits: u32, wave: u64) -> f64 {
-    let mut z = (bits as u64) ^ wave.wrapping_mul(0x9e3779b97f4a7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
-    z ^= z >> 31;
+    let z = stem_par::split_seed(bits as u64, wave);
     (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
 }
 

@@ -48,27 +48,6 @@ pub fn bound_holds(clusters: &[ClusterStat], sizes: &[u64], epsilon: f64, z: f64
     theoretical_error(clusters, sizes, z) <= epsilon + 1e-12
 }
 
-/// Theorem 3.1: given several cluster *sets*, each individually bounded by
-/// `epsilon` under its own sample sizes, verifies that their union is also
-/// bounded by `epsilon` (it always is — this function exists to make the
-/// theorem executable and testable, and returns the union's actual error).
-///
-/// Returns `(union_error, holds)`.
-pub fn union_bound_holds(
-    sets: &[(Vec<ClusterStat>, Vec<u64>)],
-    epsilon: f64,
-    z: f64,
-) -> (f64, bool) {
-    let mut all_clusters = Vec::new();
-    let mut all_sizes = Vec::new();
-    for (clusters, sizes) in sets {
-        all_clusters.extend_from_slice(clusters);
-        all_sizes.extend_from_slice(sizes);
-    }
-    let e = theoretical_error(&all_clusters, &all_sizes, z);
-    (e, e <= epsilon + 1e-12)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,6 +69,14 @@ mod tests {
         assert_eq!(e, 0.0);
     }
 
+    /// Theorem 3.1 made executable: the error of the union of cluster
+    /// sets, each under its own sample sizes.
+    fn union_error(sets: &[(Vec<ClusterStat>, Vec<u64>)], z: f64) -> f64 {
+        let clusters: Vec<ClusterStat> = sets.iter().flat_map(|(c, _)| c.clone()).collect();
+        let sizes: Vec<u64> = sets.iter().flat_map(|(_, m)| m.clone()).collect();
+        theoretical_error(&clusters, &sizes, z)
+    }
+
     #[test]
     fn union_of_bounded_sets_is_bounded() {
         // Two independently-solved kernel groups (as ROOT produces).
@@ -105,9 +92,8 @@ mod tests {
         let sol_a = solve_sample_sizes(&set_a, eps, 1.96);
         let sol_b = solve_sample_sizes(&set_b, eps, 1.96);
         assert!(sol_a.bound_met && sol_b.bound_met);
-        let (e, holds) =
-            union_bound_holds(&[(set_a, sol_a.sizes), (set_b, sol_b.sizes)], eps, 1.96);
-        assert!(holds, "union error {e} exceeded bound {eps}");
+        let e = union_error(&[(set_a, sol_a.sizes), (set_b, sol_b.sizes)], 1.96);
+        assert!(e <= eps + 1e-12, "union error {e} exceeded bound {eps}");
     }
 
     #[test]
@@ -119,8 +105,7 @@ mod tests {
         let set_b = vec![ClusterStat::new(1000, 10.0, 5.0)];
         let sizes = vec![25u64];
         let e_a = theoretical_error(&set_a, &sizes, 1.96);
-        let (e_union, _) =
-            union_bound_holds(&[(set_a, sizes.clone()), (set_b, sizes.clone())], 1.0, 1.96);
+        let e_union = union_error(&[(set_a, sizes.clone()), (set_b, sizes.clone())], 1.96);
         assert!(e_union <= e_a + 1e-12);
     }
 

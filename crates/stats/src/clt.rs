@@ -101,36 +101,6 @@ pub fn sample_size(mu: f64, sigma: f64, epsilon: f64, z: f64) -> u64 {
     }
 }
 
-/// Sample size computed directly from a coefficient of variation.
-///
-/// Identical to [`sample_size`] with `sigma/mu = cov`; convenient when only
-/// profiler-reported CoV is available (Sec. 3.2: CoV is used as a proxy for
-/// the unobtainable true `sigma`, `mu`).
-///
-/// # Errors
-///
-/// Returns [`StatsError`] if `cov` is negative or non-finite, or
-/// `epsilon`/`z` are nonpositive or non-finite.
-pub fn try_sample_size_from_cov(cov: f64, epsilon: f64, z: f64) -> Result<u64, StatsError> {
-    ensure_nonnegative_finite("CoV", cov)?;
-    ensure_positive_finite("error bound", epsilon)?;
-    ensure_positive_finite("z-score", z)?;
-    let m = (z / epsilon * cov).powi(2).ceil();
-    Ok((m as u64).max(1))
-}
-
-/// Panicking convenience wrapper over [`try_sample_size_from_cov`].
-///
-/// # Panics
-///
-/// Panics on any input [`try_sample_size_from_cov`] rejects.
-pub fn sample_size_from_cov(cov: f64, epsilon: f64, z: f64) -> u64 {
-    match try_sample_size_from_cov(cov, epsilon, z) {
-        Ok(m) => m,
-        Err(e) => panic!("{e}"),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -152,8 +122,8 @@ mod tests {
     fn paper_rule_of_thumb_magnitudes() {
         // CoV = 0.4, eps = 5%, z = 1.96: m = ceil((1.96*0.4/0.05)^2) = ceil(245.86) = 246.
         assert_eq!(sample_size(1000.0, 400.0, 0.05, 1.96), 246);
-        // Same via CoV entry point.
-        assert_eq!(sample_size_from_cov(0.4, 0.05, 1.96), 246);
+        // Only the CoV matters: the same CoV at unit mean.
+        assert_eq!(sample_size(1.0, 0.4, 0.05, 1.96), 246);
     }
 
     #[test]
@@ -161,7 +131,7 @@ mod tests {
         let mut last = 0;
         for cov10 in 1..=20 {
             let cov = cov10 as f64 / 10.0;
-            let m = sample_size_from_cov(cov, 0.05, 1.96);
+            let m = sample_size(1.0, cov, 0.05, 1.96);
             assert!(m >= last, "m must grow with CoV");
             last = m;
         }
@@ -169,8 +139,8 @@ mod tests {
 
     #[test]
     fn sample_size_monotone_in_epsilon() {
-        let m_tight = sample_size_from_cov(0.5, 0.01, 1.96);
-        let m_loose = sample_size_from_cov(0.5, 0.25, 1.96);
+        let m_tight = sample_size(1.0, 0.5, 0.01, 1.96);
+        let m_loose = sample_size(1.0, 0.5, 0.25, 1.96);
         assert!(m_tight > m_loose);
     }
 
@@ -219,7 +189,6 @@ mod tests {
     #[test]
     fn try_variants_match_panicking_on_valid_input() {
         assert_eq!(try_sample_size(100.0, 5.0, 0.05, 1.96), Ok(4));
-        assert_eq!(try_sample_size_from_cov(0.4, 0.05, 1.96), Ok(246));
         let e = try_sampling_error(10.0, 5.0, 100, 1.96).expect("valid");
         assert!((e - sampling_error(10.0, 5.0, 100, 1.96)).abs() < 1e-15);
     }
@@ -234,8 +203,7 @@ mod tests {
         assert!(try_sample_size(10.0, 1.0, f64::NAN, 1.96).is_err());
         assert!(try_sample_size(10.0, 1.0, 0.05, f64::INFINITY).is_err());
         assert!(try_sampling_error(10.0, 1.0, 0, 1.96).is_err());
-        assert!(try_sample_size_from_cov(f64::NAN, 0.05, 1.96).is_err());
-        assert!(try_sample_size_from_cov(-0.1, 0.05, 1.96).is_err());
+        assert!(try_sample_size(10.0, -0.1, 0.05, 1.96).is_err());
     }
 
     #[test]

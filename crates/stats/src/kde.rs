@@ -61,25 +61,6 @@ impl Kde {
         }
     }
 
-    /// Builds a KDE with an explicit bandwidth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `samples` is empty or `bandwidth <= 0`.
-    pub fn with_bandwidth(samples: &[f64], bandwidth: f64) -> Self {
-        assert!(!samples.is_empty(), "KDE needs at least one sample");
-        assert!(bandwidth > 0.0, "bandwidth must be positive");
-        Kde {
-            samples: samples.to_vec(),
-            bandwidth,
-        }
-    }
-
-    /// The bandwidth in use.
-    pub fn bandwidth(&self) -> f64 {
-        self.bandwidth
-    }
-
     /// Evaluates the density estimate at `x`.
     pub fn density(&self, x: f64) -> f64 {
         let h = self.bandwidth;
@@ -217,14 +198,8 @@ mod tests {
     #[test]
     fn constant_samples_do_not_panic() {
         let kde = Kde::new(&[4.0; 10]);
-        assert!(kde.bandwidth() > 0.0);
+        assert!(kde.bandwidth > 0.0);
         assert!(kde.density(4.0).is_finite());
-    }
-
-    #[test]
-    fn explicit_bandwidth_respected() {
-        let kde = Kde::with_bandwidth(&[0.0, 1.0], 0.5);
-        assert_eq!(kde.bandwidth(), 0.5);
     }
 
     #[test]

@@ -108,13 +108,6 @@ pub struct KktSolution {
     pub bound_met: bool,
 }
 
-impl KktSolution {
-    /// Total number of sampled kernels across all clusters.
-    pub fn total_samples(&self) -> u64 {
-        self.sizes.iter().sum()
-    }
-}
-
 /// Solves Problem 1: minimal-`tau` sample sizes meeting the joint error
 /// bound `epsilon` at standard score `z` (Eq. 6 / appendix 9.1).
 ///
@@ -271,39 +264,10 @@ fn solve_validated(clusters: &[ClusterStat], epsilon: f64, z: f64) -> KktSolutio
 /// size by 2–3x versus this per-cluster allocation; the `ablation-kkt`
 /// harness reproduces that comparison.
 ///
-/// # Errors
-///
-/// Returns [`StatsError`] on the same degenerate inputs as
-/// [`try_solve_sample_sizes`].
-pub fn try_per_cluster_sample_sizes(
-    clusters: &[ClusterStat],
-    epsilon: f64,
-    z: f64,
-) -> Result<Vec<u64>, StatsError> {
-    if clusters.is_empty() {
-        return Err(StatsError::Empty {
-            what: "cluster list",
-        });
-    }
-    clusters
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            crate::clt::try_sample_size(c.mean, c.std_dev, epsilon, z)
-                .map(|m| m.min(c.n.max(1)))
-                .map_err(|e| StatsError::AtCluster {
-                    index: i,
-                    source: Box::new(e),
-                })
-        })
-        .collect()
-}
-
-/// Panicking convenience wrapper over [`try_per_cluster_sample_sizes`].
-///
 /// # Panics
 ///
-/// Panics on any input [`try_per_cluster_sample_sizes`] rejects.
+/// Panics on any cluster statistic or `epsilon`/`z` that
+/// [`crate::clt::sample_size`] rejects.
 pub fn per_cluster_sample_sizes(clusters: &[ClusterStat], epsilon: f64, z: f64) -> Vec<u64> {
     clusters
         .iter()
@@ -355,16 +319,12 @@ mod tests {
             big(100_000, 8.0, 3.0),
             big(100_000, 20.0, 9.0),
         ];
-        let joint = solve_sample_sizes(&clusters, 0.05, 1.96);
+        let joint: u64 = solve_sample_sizes(&clusters, 0.05, 1.96).sizes.iter().sum();
         let per: u64 = per_cluster_sample_sizes(&clusters, 0.05, 1.96).iter().sum();
-        assert!(
-            joint.total_samples() < per,
-            "joint {} should beat per-cluster {per}",
-            joint.total_samples()
-        );
+        assert!(joint < per, "joint {joint} should beat per-cluster {per}");
         // The paper reports a 2-3x reduction on average; with equal-weight
         // clusters of similar CoV the reduction approaches k (here 4).
-        assert!(per as f64 / joint.total_samples() as f64 > 1.5);
+        assert!(per as f64 / joint as f64 > 1.5);
     }
 
     #[test]
@@ -431,9 +391,8 @@ mod tests {
     #[test]
     fn tighter_epsilon_needs_more_samples() {
         let clusters = vec![big(100_000, 10.0, 4.0), big(100_000, 7.0, 3.0)];
-        let tight = solve_sample_sizes(&clusters, 0.01, 1.96);
-        let loose = solve_sample_sizes(&clusters, 0.25, 1.96);
-        assert!(tight.total_samples() > loose.total_samples());
+        let total = |eps| -> u64 { solve_sample_sizes(&clusters, eps, 1.96).sizes.iter().sum() };
+        assert!(total(0.01) > total(0.25));
     }
 
     #[test]
@@ -464,8 +423,6 @@ mod tests {
         let clusters = vec![big(100_000, 10.0, 4.0), big(50_000, 200.0, 2.0)];
         let sol = try_solve_sample_sizes(&clusters, 0.05, 1.96).expect("valid");
         assert_eq!(sol, solve_sample_sizes(&clusters, 0.05, 1.96));
-        let per = try_per_cluster_sample_sizes(&clusters, 0.05, 1.96).expect("valid");
-        assert_eq!(per, per_cluster_sample_sizes(&clusters, 0.05, 1.96));
     }
 
     #[test]

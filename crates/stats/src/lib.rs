@@ -54,7 +54,7 @@ pub mod rng;
 pub mod student_t;
 pub mod summary;
 
-pub use bound::{theoretical_error, union_bound_holds};
+pub use bound::theoretical_error;
 pub use clt::{sample_size, sampling_error, try_sample_size, try_sampling_error};
 pub use error::StatsError;
 pub use kkt::{solve_sample_sizes, try_solve_sample_sizes, ClusterStat, KktSolution};

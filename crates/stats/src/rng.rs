@@ -75,6 +75,9 @@ impl SeedableRng for SplitMix64 {
 }
 
 impl RngCore for SplitMix64 {
+    /// The one copy of the SplitMix64 finalizer outside `stem_par::mix64`:
+    /// this crate sits below `stem-par`, so it cannot call it. A
+    /// `stem-par` test pins the two to the same outputs.
     fn next_u64(&mut self) -> u64 {
         self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let mut z = self.state;
@@ -95,20 +98,6 @@ pub struct Xoshiro256StarStar {
 /// `rand::rngs::StdRng` are a one-line import change (see the module-level
 /// seed-compatibility caveat).
 pub type StdRng = Xoshiro256StarStar;
-
-impl Xoshiro256StarStar {
-    /// Construct from raw state. At least one word must be non-zero; an
-    /// all-zero state is mapped to a fixed non-zero one (the all-zero state
-    /// is a fixed point of the transition function).
-    pub fn from_state(s: [u64; 4]) -> Self {
-        if s == [0; 4] {
-            // Expansion of seed 0 via SplitMix64, precomputed semantics:
-            // never hand the generator a degenerate state.
-            return Self::seed_from_u64(0);
-        }
-        Self { s }
-    }
-}
 
 impl SeedableRng for Xoshiro256StarStar {
     fn seed_from_u64(seed: u64) -> Self {
@@ -352,12 +341,5 @@ mod tests {
             (0..100).collect::<Vec<_>>(),
             "shuffle should move elements"
         );
-    }
-
-    #[test]
-    fn zero_state_guard() {
-        let r = Xoshiro256StarStar::from_state([0; 4]);
-        let mut r2 = r.clone();
-        assert_ne!(r2.next_u64(), 0, "degenerate state must be remapped");
     }
 }

@@ -112,23 +112,9 @@ impl Summary {
         }
     }
 
-    /// Sample variance (divides by `n - 1`). Returns `0.0` when `n < 2`.
-    pub fn sample_variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            (self.m2 / (self.count - 1) as f64).max(0.0)
-        }
-    }
-
     /// Population standard deviation.
     pub fn population_std_dev(&self) -> f64 {
         self.population_variance().sqrt()
-    }
-
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
     }
 
     /// Coefficient of variation `sigma / mu` (population sigma).
@@ -158,15 +144,6 @@ impl Summary {
     /// Largest observation. Returns `-inf` for an empty summary.
     pub fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Range `max - min`. Returns `0.0` for an empty summary.
-    pub fn range(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max - self.min
-        }
     }
 }
 
@@ -207,7 +184,6 @@ mod tests {
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.population_variance(), 0.0);
         assert_eq!(s.cov(), 0.0);
-        assert_eq!(s.range(), 0.0);
     }
 
     #[test]
@@ -217,7 +193,6 @@ mod tests {
         assert_eq!(s.count(), 1);
         assert_eq!(s.mean(), 42.0);
         assert_eq!(s.population_variance(), 0.0);
-        assert_eq!(s.sample_variance(), 0.0);
         assert_eq!(s.min(), 42.0);
         assert_eq!(s.max(), 42.0);
     }
@@ -229,13 +204,6 @@ mod tests {
         let (mean, var) = naive_mean_var(&values);
         assert!((s.mean() - mean).abs() < 1e-12);
         assert!((s.population_variance() - var).abs() < 1e-10);
-    }
-
-    #[test]
-    fn sample_variance_uses_n_minus_one() {
-        let s = Summary::from_slice(&[1.0, 2.0, 3.0]);
-        assert!((s.sample_variance() - 1.0).abs() < 1e-12);
-        assert!((s.population_variance() - 2.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]

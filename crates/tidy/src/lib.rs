@@ -120,6 +120,8 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
     let mut excused: BTreeMap<(String, String), usize> = BTreeMap::new();
     // Library-source texts for the semantic pass.
     let mut lib_sources: Vec<(String, String)> = Vec::new();
+    // Every Rust source, for the name-based `unused-pub` rule.
+    let mut rust_sources: Vec<(String, String)> = Vec::new();
 
     let take = |report: &mut Report,
                     excused: &mut BTreeMap<(String, String), usize>,
@@ -153,8 +155,9 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
         } else {
             let found = rules::check_rust_file(&rel_str, &text);
             if rules::in_lib_src(&rel_str) {
-                lib_sources.push((rel_str.clone(), text));
+                lib_sources.push((rel_str.clone(), text.clone()));
             }
+            rust_sources.push((rel_str.clone(), text));
             found
         };
         take(&mut report, &mut excused, found);
@@ -163,6 +166,8 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
     // Phase two: build the workspace call graph and run the semantic rules.
     let graph = callgraph::CallGraph::build(&lib_sources);
     take(&mut report, &mut excused, semantic::check(&graph));
+    // The name-based unused-API rule stays apart from the call graph.
+    take(&mut report, &mut excused, rules::unused_pub(&rust_sources));
 
     // An allowlist entry that excuses nothing is rot: either the file was
     // fixed (drop the entry), renamed (update it), or the entry names the

@@ -26,11 +26,15 @@
 //!   at setup time, outside the per-item loop.
 //! * **everywhere** — all `.rs` files outside `#[cfg(test)]`/`#[test]`
 //!   items, including benches and examples.
+//! * **unused public API** — a library-source `pub fn` whose name no
+//!   other code mentions (rule `unused-pub`, advisory; see [`unused_pub`]).
 //!
 //! Every source rule reads the one token stream of `tokens::tokenize`:
 //! a pattern is a token sequence, so text inside strings and comments
 //! never matches, and the test items exempted here are exactly the ones
 //! the semantic pass leaves out (`tokens::test_regions`).
+
+use std::collections::HashSet;
 
 use crate::tokens::{test_regions, tokenize, Tok, TokKind};
 
@@ -45,13 +49,14 @@ pub const NO_HOT_ALLOC: &str = "no-hot-alloc";
 pub const LINT_HEADERS: &str = "lint-headers";
 pub const NO_DEBUG_PRINT: &str = "no-debug-print";
 pub const HYGIENE: &str = "hygiene";
+pub const UNUSED_PUB: &str = "unused-pub";
 /// Semantic rules (call-graph pass, see `semantic`).
 pub const MEMO_PURITY: &str = "memo-purity";
 pub const RNG_STREAM: &str = "rng-stream-discipline";
 pub const ORDERED_FLOAT_REDUCE: &str = "ordered-float-reduce";
 
 /// Every rule name, in reporting order.
-pub const ALL_RULES: [&str; 13] = [
+pub const ALL_RULES: [&str; 14] = [
     HERMETIC_DEPS,
     NO_ENTROPY_RNG,
     NO_UNWRAP,
@@ -62,6 +67,7 @@ pub const ALL_RULES: [&str; 13] = [
     LINT_HEADERS,
     NO_DEBUG_PRINT,
     HYGIENE,
+    UNUSED_PUB,
     MEMO_PURITY,
     RNG_STREAM,
     ORDERED_FLOAT_REDUCE,
@@ -77,11 +83,12 @@ pub enum Severity {
     Warn,
 }
 
-/// Severity tier per rule. `no-hot-alloc` is the one advisory rule: Vec
+/// Severity tier per rule. Two rules are advisory. `no-hot-alloc`: Vec
 /// collection in the hot inner-loop files is worth a diff-time nudge, but
-/// hoisting is judgement, not a hard invariant.
+/// hoisting is judgement, not a hard invariant. `unused-pub`: matching by
+/// name can only over-approximate use, so a hit is a lead, not a proof.
 pub fn severity(rule: &str) -> Severity {
-    if rule == NO_HOT_ALLOC {
+    if rule == NO_HOT_ALLOC || rule == UNUSED_PUB {
         Severity::Warn
     } else {
         Severity::Deny
@@ -311,13 +318,18 @@ struct Scan<'a> {
     out: Vec<Violation>,
 }
 
+/// `live[i]` is false when token `i` lies in a test item.
+fn live_mask(toks: &[Tok]) -> Vec<bool> {
+    let mut live = vec![true; toks.len()];
+    for region in test_regions(toks) {
+        live[region].fill(false);
+    }
+    live
+}
+
 impl<'a> Scan<'a> {
     fn new(path: &'a str, toks: &'a [Tok]) -> Self {
-        let mut live = vec![true; toks.len()];
-        for region in test_regions(toks) {
-            live[region].fill(false);
-        }
-        Scan { path, toks, live, out: Vec::new() }
+        Scan { path, toks, live: live_mask(toks), out: Vec::new() }
     }
 
     /// Report `rule` at most once per line: at each live token `i` on a
@@ -372,6 +384,62 @@ fn float_compare(toks: &[Tok], i: usize) -> Option<&'static str> {
     };
     let is_float = |t: &Tok| t.kind == TokKind::Lit && t.text.contains('.');
     (left.is_some_and(is_float) || right.is_some_and(is_float)).then_some(op)
+}
+
+/// `unused-pub` over every `.rs` file of the scan, as `(path, source)`:
+/// each non-test `pub fn` in library source whose name appears as an
+/// identifier in no other code. The mentions come from the non-test items
+/// of every file, and from the whole of each integration-test file (under
+/// a `tests/` directory), where `#[test]` functions are the callers.
+/// Comments and string literals never count (the tokenizer drops them),
+/// nor do `fn` names being defined or the paths of `use` items, which
+/// import a name without calling it. Matching is by name alone, so a
+/// function that shares its name with anything called is never reported.
+pub fn unused_pub(files: &[(String, String)]) -> Vec<Violation> {
+    let mut defs: Vec<(&str, usize, String)> = Vec::new();
+    let mut mentioned: HashSet<String> = HashSet::new();
+    for (path, src) in files {
+        let toks = tokenize(src).toks;
+        let live = if path.starts_with("tests/") || path.contains("/tests/") {
+            vec![true; toks.len()]
+        } else {
+            live_mask(&toks)
+        };
+        let mut i = 0;
+        while i < toks.len() {
+            let t = &toks[i];
+            if !live[i] || t.kind != TokKind::Ident {
+                i += 1;
+            } else if t.text == "use" {
+                i += toks[i..]
+                    .iter()
+                    .position(|t| t.is_punct(';'))
+                    .unwrap_or(toks.len() - i);
+            } else if t.text == "fn" {
+                let is_pub = i > 0 && toks[i - 1].is_ident("pub");
+                if let Some(name) = toks.get(i + 1).filter(|n| n.kind == TokKind::Ident) {
+                    if is_pub && in_lib_src(path) {
+                        defs.push((path, name.line as usize, name.text.clone()));
+                    }
+                }
+                i += 2;
+            } else {
+                mentioned.insert(t.text.clone());
+                i += 1;
+            }
+        }
+    }
+    defs.into_iter()
+        .filter(|(_, _, name)| !mentioned.contains(name))
+        .map(|(path, line, name)| {
+            Violation::new(
+                path,
+                line,
+                UNUSED_PUB,
+                format!("`pub fn {name}` is mentioned by no code outside its own tests; delete it or allowlist it with a justification naming its caller"),
+            )
+        })
+        .collect()
 }
 
 /// Scan a `Cargo.toml` for non-path dependencies (the hermetic-deps rule).

@@ -37,13 +37,19 @@ pub fn check(graph: &CallGraph) -> Vec<Violation> {
 fn impure_extern(call: &CallSite) -> Option<String> {
     let qual = call.qual.last().map(String::as_str).unwrap_or("");
     let name = call.name.as_str();
-    let hit = match (qual, name) {
-        ("Instant" | "SystemTime", "now") => true,
-        ("env", "var" | "var_os" | "vars" | "vars_os" | "args" | "args_os" | "temp_dir") => true,
-        ("OsRng", _) => true,
-        (_, "thread_rng" | "from_entropy" | "getrandom" | "available_parallelism") => true,
-        _ => false,
-    };
+    let hit = matches!(
+        (qual, name),
+        ("Instant" | "SystemTime", "now")
+            | (
+                "env",
+                "var" | "var_os" | "vars" | "vars_os" | "args" | "args_os" | "temp_dir"
+            )
+            | ("OsRng", _)
+            | (
+                _,
+                "thread_rng" | "from_entropy" | "getrandom" | "available_parallelism"
+            )
+    );
     hit.then(|| call.label())
 }
 

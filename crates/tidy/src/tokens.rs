@@ -354,11 +354,7 @@ pub fn seek_body_or_semi(toks: &[Tok], start: usize, end: usize) -> Body {
                 // `->` never reaches here ('-' precedes), `<<` just nests.
                 angle += 1;
             }
-            TokKind::Punct('>') => {
-                if angle > 0 {
-                    angle -= 1;
-                }
-            }
+            TokKind::Punct('>') if angle > 0 => angle -= 1,
             _ => {}
         }
         i += 1;

@@ -78,8 +78,10 @@ fn fixtures_produce_exactly_the_golden_diagnostics() {
     assert_eq!(got, want, "diagnostics:\n{}", report.diagnostics().join("\n"));
     assert_eq!(report.files_scanned, TREE.len());
 
-    // The hot-alloc hits are advisory: they surface as warnings, not
-    // violations, and never dirty the tree on their own.
+    // The hot-alloc and unused-pub hits are advisory: they surface as
+    // warnings, not violations, and never dirty the tree on their own.
+    // Every fixture is library source and no fixture calls another, so
+    // each public function warns as unused.
     let mut warns: Vec<(String, usize, &str)> = report
         .warnings
         .iter()
@@ -89,12 +91,69 @@ fn fixtures_produce_exactly_the_golden_diagnostics() {
     assert_eq!(
         warns,
         vec![
+            ("crates/baselines/src/hygiene.rs".to_string(), 3, "unused-pub"),
+            ("crates/cluster/src/debug_print.rs".to_string(), 2, "unused-pub"),
+            ("crates/core/src/entropy.rs".to_string(), 2, "unused-pub"),
+            ("crates/core/src/unwrap.rs".to_string(), 7, "unused-pub"),
+            ("crates/profile/src/ingest_panic.rs".to_string(), 3, "unused-pub"),
+            ("crates/profile/src/lib.rs".to_string(), 6, "unused-pub"),
+            ("crates/sim/src/float_eq.rs".to_string(), 3, "unused-pub"),
+            ("crates/sim/src/float_eq.rs".to_string(), 7, "unused-pub"),
+            ("crates/sim/src/sampled.rs".to_string(), 3, "unused-pub"),
             ("crates/sim/src/sampled.rs".to_string(), 4, "no-hot-alloc"),
             ("crates/sim/src/sampled.rs".to_string(), 6, "no-hot-alloc"),
+            ("crates/stats/src/panic.rs".to_string(), 2, "unused-pub"),
+            ("crates/stats/src/panic.rs".to_string(), 6, "unused-pub"),
+            ("crates/workload/src/lib.rs".to_string(), 3, "unused-pub"),
         ],
         "warnings:\n{}",
         report.warning_diagnostics().join("\n")
     );
+}
+
+/// `unused-pub` counts a mention anywhere outside library tests: in other
+/// library code, integration tests, binaries and perfbench. Unit tests,
+/// comments, string literals and `use` items do not count.
+#[test]
+fn unused_pub_counts_callers_outside_library_tests() {
+    let root = build_tree(
+        "unused-pub",
+        &[
+            ("crates/core/src/api.rs", "unused_pub_lib.rs"),
+            ("crates/core/tests/api.rs", "unused_pub_test.rs"),
+            ("crates/core/src/bin/tool.rs", "unused_pub_bin.rs"),
+            ("perfbench/src/main.rs", "unused_pub_perfbench.rs"),
+            ("crates/sim/src/uses.rs", "unused_pub_import.rs"),
+        ],
+    );
+    let report = scan(&root, &Allowlist::default());
+    let _ = fs::remove_dir_all(&root);
+
+    assert!(report.is_clean(), "diagnostics:\n{}", report.diagnostics().join("\n"));
+    let warns: Vec<(String, usize, &str)> =
+        report.warnings.iter().map(|v| (v.path.clone(), v.line, v.rule)).collect();
+    assert_eq!(
+        warns,
+        vec![
+            ("crates/core/src/api.rs".to_string(), 5, "unused-pub"),
+            ("crates/core/src/api.rs".to_string(), 25, "unused-pub"),
+            ("crates/core/src/api.rs".to_string(), 35, "unused-pub"),
+        ],
+        "warnings:\n{}",
+        report.warning_diagnostics().join("\n")
+    );
+    assert!(report.warnings[0].message.contains("`pub fn only_tested`"));
+
+    // An allowlist entry excuses the file's hits and stays non-stale.
+    let root = build_tree("unused-pub-allow", &[("crates/core/src/api.rs", "unused_pub_lib.rs")]);
+    let allow = Allowlist::parse(
+        "[unused-pub]\n\"crates/core/src/api.rs\" = \"fixture: every function is an example\"\n",
+    )
+    .expect("allowlist parses");
+    let report = scan(&root, &allow);
+    let _ = fs::remove_dir_all(&root);
+    assert!(report.is_clean() && report.warnings.is_empty(), "{:?}", report.warning_diagnostics());
+    assert_eq!(report.allowed, 6, "every pub fn but from_library is unused here");
 }
 
 /// A test attribute covers exactly the item it is attached to: after

@@ -202,14 +202,6 @@ impl ExecutionTrace {
     pub fn is_empty(&self) -> bool {
         self.nodes.is_empty()
     }
-
-    /// Count of communication nodes.
-    pub fn num_communication_nodes(&self) -> usize {
-        self.nodes
-            .iter()
-            .filter(|n| n.op.is_communication())
-            .count()
-    }
 }
 
 /// Generates a synthetic data-parallel training trace: `steps` iterations
@@ -422,6 +414,10 @@ pub fn pipeline_parallel_inference(
 mod tests {
     use super::*;
 
+    fn communication_nodes(t: &ExecutionTrace) -> usize {
+        t.nodes().iter().filter(|n| n.op.is_communication()).count()
+    }
+
     #[test]
     fn generator_produces_valid_dag() {
         let t = data_parallel_training("ddp", 4, 8, 3, 1);
@@ -429,13 +425,13 @@ mod tests {
         // steps * (layers fwd * gpus + layers bwd * gpus + layers allreduce
         // + gpus optimizer)
         assert_eq!(t.len(), 3 * (8 * 4 + 8 * 4 + 8 + 4));
-        assert_eq!(t.num_communication_nodes(), 3 * 8);
+        assert_eq!(communication_nodes(&t), 3 * 8);
     }
 
     #[test]
     fn single_gpu_has_no_collectives() {
         let t = data_parallel_training("solo", 1, 4, 2, 1);
-        assert_eq!(t.num_communication_nodes(), 0);
+        assert_eq!(communication_nodes(&t), 0);
     }
 
     #[test]
@@ -462,7 +458,7 @@ mod tests {
         let t = pipeline_parallel_inference("pp", 4, 6, 8, 2);
         // Per microbatch: 4 stages x 6 layers + 3 transfers.
         assert_eq!(t.len(), 8 * (4 * 6 + 3));
-        assert_eq!(t.num_communication_nodes(), 8 * 3);
+        assert_eq!(communication_nodes(&t), 8 * 3);
         // Every communication node is a P2p between consecutive stages.
         for n in t.nodes() {
             if let EtOp::P2p { src, dst, .. } = n.op {
@@ -474,7 +470,7 @@ mod tests {
     #[test]
     fn single_stage_pipeline_has_no_transfers() {
         let t = pipeline_parallel_inference("pp1", 1, 4, 5, 2);
-        assert_eq!(t.num_communication_nodes(), 0);
+        assert_eq!(communication_nodes(&t), 0);
     }
 
     #[test]

@@ -425,11 +425,6 @@ impl StoreManifest {
     pub fn fingerprint(&self) -> u64 {
         self.fingerprint
     }
-
-    /// Number of blocks.
-    pub fn num_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 /// Parses a manifest's record lines. Pure (no storage): the loader

@@ -149,11 +149,6 @@ impl InstructionMix {
             + self.branch
             + self.special
     }
-
-    /// Fraction of instructions touching memory (global + shared).
-    pub fn memory_fraction(&self) -> f64 {
-        self.ldst_global + self.ldst_shared
-    }
 }
 
 /// Static description of a GPU kernel: the information a binary-analysis
@@ -315,17 +310,6 @@ impl KernelClassBuilder {
 
     /// Finishes, validating invariants.
     ///
-    /// # Errors
-    ///
-    /// Returns [`WorkloadError`] if the resulting kernel fails
-    /// [`KernelClass::try_validate`].
-    pub fn try_build(self) -> Result<KernelClass, WorkloadError> {
-        self.inner.try_validate()?;
-        Ok(self.inner)
-    }
-
-    /// Finishes, validating invariants.
-    ///
     /// # Panics
     ///
     /// Panics if the resulting kernel fails [`KernelClass::validate`].
@@ -351,14 +335,6 @@ mod tests {
         ] {
             assert!((mix.sum() - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn memory_fraction_ordering() {
-        assert!(
-            InstructionMix::memory_bound().memory_fraction()
-                > InstructionMix::compute_bound().memory_fraction()
-        );
     }
 
     #[test]

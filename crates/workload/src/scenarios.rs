@@ -48,21 +48,6 @@ pub fn adversarial_sources(seed: u64) -> Vec<WorkloadSource> {
     ]
 }
 
-/// Looks a scenario up by its [`SCENARIO_NAMES`] entry.
-pub fn scenario_by_name(name: &str, seed: u64) -> Option<Workload> {
-    scenario_source_by_name(name, seed).map(|s| s.materialize())
-}
-
-/// [`scenario_by_name`], deferred: the source can stream or materialize.
-pub fn scenario_source_by_name(name: &str, seed: u64) -> Option<WorkloadSource> {
-    match name {
-        "phase_drift" => Some(phase_drift(seed)),
-        "bursty_interference" => Some(bursty_interference(seed)),
-        "longtail_skew" => Some(longtail_skew(seed)),
-        _ => None,
-    }
-}
-
 /// Kernel time distributions shift mid-stream: every kernel walks through
 /// a sequence of contexts with growing work and decaying locality, one
 /// phase at a time ([`ContextSchedule::Phased`]). A sampler that trusts an
@@ -262,18 +247,19 @@ mod tests {
 
     #[test]
     fn scenarios_are_deterministic_per_seed() {
-        for name in SCENARIO_NAMES {
-            let a = scenario_by_name(name, 21).expect("known scenario");
-            let b = scenario_by_name(name, 21).expect("known scenario");
+        let (a, b, c) = (
+            adversarial_suite(21),
+            adversarial_suite(21),
+            adversarial_suite(22),
+        );
+        for (name, ((a, b), c)) in SCENARIO_NAMES.iter().zip(a.iter().zip(&b).zip(&c)) {
             assert_eq!(a, b, "{name} must be reproducible");
-            let c = scenario_by_name(name, 22).expect("known scenario");
             assert_ne!(
                 a.fingerprint(),
                 c.fingerprint(),
                 "{name} must vary with seed"
             );
         }
-        assert!(scenario_by_name("mystery", 1).is_none());
     }
 
     #[test]

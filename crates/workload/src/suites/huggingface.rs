@@ -32,7 +32,8 @@ impl HuggingfaceScale {
     }
 
     /// Tiny scale for unit tests.
-    pub fn test() -> Self {
+    #[cfg(test)]
+    pub(crate) fn test() -> Self {
         HuggingfaceScale(0.002)
     }
 

@@ -89,7 +89,7 @@ pub mod prelude {
     };
     pub use gpu_workload::scenarios::{
         adversarial_sources, adversarial_suite, bursty_interference, longtail_skew, phase_drift,
-        scenario_by_name, scenario_source_by_name, SCENARIO_NAMES,
+        SCENARIO_NAMES,
     };
     pub use stem_baselines::{
         standard_registry, PhotonSampler, PkaSampler, RandomSampler, RssSampler, SieveSampler,
