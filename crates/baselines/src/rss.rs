@@ -36,6 +36,10 @@ const SUBSAMPLE_STRIDE: u64 = 0x9e37_79b9_7f4a_7c15;
 const STRATA: usize = 12;
 /// Repeated subsamples `R` behind the empirical CI.
 const SUBSAMPLES: usize = 24;
+/// Relative error target driving the total budget.
+const EPSILON: f64 = 0.05;
+/// Confidence level of the budget and of the reported interval.
+const CONFIDENCE: f64 = 0.95;
 
 /// Ranked set sampling with repeated subsampling.
 ///
@@ -52,35 +56,15 @@ const SUBSAMPLES: usize = 24;
 /// // The empirical subsampling CI is carried as the predicted error.
 /// assert!(plan.predicted_error().is_finite());
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct RssSampler {
-    epsilon: f64,
-    confidence: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct RssSampler;
 
 impl RssSampler {
     /// RSS with the paper-matched defaults: 12 rank strata, 24 repeated
     /// subsamples, a 5% error target at 95% confidence, profile times
     /// measured on the RTX 2080 profile rig.
     pub fn new() -> Self {
-        RssSampler {
-            epsilon: 0.05,
-            confidence: 0.95,
-        }
-    }
-
-    /// Sets the relative error target driving the total budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < epsilon < 1`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(
-            epsilon > 0.0 && epsilon < 1.0,
-            "epsilon must be in (0, 1), got {epsilon}"
-        );
-        self.epsilon = epsilon;
-        self
+        RssSampler
     }
 
     /// Ranks invocations by the static proxy, cuts rank strata, sizes the
@@ -132,14 +116,14 @@ impl RssSampler {
         // Budget from the proportional-allocation CLT: with m_h = m N_h/n,
         // Var(T) = (n/m) * sum N_h sigma_h^2, so meeting
         // z sqrt(Var) <= eps T needs m >= n z^2 sum N_h sigma_h^2 / (eps T)^2.
-        let z = z_for_confidence(self.confidence);
+        let z = z_for_confidence(CONFIDENCE);
         let weighted_var: f64 = strata
             .iter()
             .zip(&stats)
             .map(|(members, &(_, sigma))| members.len() as f64 * sigma * sigma)
             .sum();
         let m_total = if total_time > 0.0 && weighted_var > 0.0 {
-            let target = self.epsilon * total_time;
+            let target = EPSILON * total_time;
             (n as f64 * z * z * weighted_var / (target * target)).ceil() as u64
         } else {
             h_count as u64
@@ -224,12 +208,6 @@ struct RssInternals {
     analytic_fallback: f64,
 }
 
-impl Default for RssSampler {
-    fn default() -> Self {
-        RssSampler::new()
-    }
-}
-
 impl KernelSampler for RssSampler {
     fn name(&self) -> &'static str {
         "RSS"
@@ -254,7 +232,7 @@ impl KernelSampler for RssSampler {
         let spread = stratum::sample_sigma(&internals.estimates);
         let df = (internals.estimates.len() - 1) as f64;
         let empirical = if mean > 0.0 && df >= 1.0 {
-            t_for_confidence(self.confidence, df) * spread / mean
+            t_for_confidence(CONFIDENCE, df) * spread / mean
         } else {
             0.0
         };

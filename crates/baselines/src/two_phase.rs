@@ -26,6 +26,10 @@ const TWO_PHASE_SALT: u64 = 0x0002_fa5e;
 /// Phase-1 pilot draws per stratum: large enough that heavy-tailed strata
 /// (e.g. a 20%-burst mixture) land in the pilot with near certainty.
 const PILOT: usize = 32;
+/// Relative error target driving the phase-2 budget.
+const EPSILON: f64 = 0.05;
+/// Confidence level of the budget and of the reported interval.
+const CONFIDENCE: f64 = 0.95;
 
 /// Two-phase stratified sampler: pilot variance estimation, then Neyman
 /// allocation.
@@ -41,41 +45,15 @@ const PILOT: usize = 32;
 /// let plan = TwoPhaseSampler::new().plan(w, 0);
 /// assert!(plan.num_samples() >= 1);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct TwoPhaseSampler {
-    epsilon: f64,
-    confidence: f64,
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct TwoPhaseSampler;
 
 impl TwoPhaseSampler {
     /// Two-phase sampling with the paper-matched defaults: a 32-draw
     /// pilot per stratum, a 5% error target at 95% confidence, profile
     /// times measured on the RTX 2080 profile rig.
     pub fn new() -> Self {
-        TwoPhaseSampler {
-            epsilon: 0.05,
-            confidence: 0.95,
-        }
-    }
-
-    /// Sets the relative error target driving the phase-2 budget.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < epsilon < 1`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(
-            epsilon > 0.0 && epsilon < 1.0,
-            "epsilon must be in (0, 1), got {epsilon}"
-        );
-        self.epsilon = epsilon;
-        self
-    }
-}
-
-impl Default for TwoPhaseSampler {
-    fn default() -> Self {
-        TwoPhaseSampler::new()
+        TwoPhaseSampler
     }
 }
 
@@ -108,7 +86,7 @@ impl KernelSampler for TwoPhaseSampler {
         let times = stratum::profile_times(workload);
         let groups: BTreeMap<&str, Vec<usize>> = workload.invocations_by_kernel_name();
         let mut rng = StdRng::seed_from_u64(rep_seed ^ TWO_PHASE_SALT);
-        let z = z_for_confidence(self.confidence);
+        let z = z_for_confidence(CONFIDENCE);
 
         // Phase 1: pilot every stratum. Small strata are enumerated
         // outright (population sigma, exact); large strata get `pilot`
@@ -156,7 +134,7 @@ impl KernelSampler for TwoPhaseSampler {
             .map(|(&n_h, &s)| n_h as f64 * s)
             .sum();
         let m_total = if t_hat > 0.0 && weighted_sigma > 0.0 {
-            let ratio = z * weighted_sigma / (self.epsilon * t_hat);
+            let ratio = z * weighted_sigma / (EPSILON * t_hat);
             (ratio * ratio).ceil() as u64
         } else {
             groups.len() as u64
@@ -205,7 +183,7 @@ impl KernelSampler for TwoPhaseSampler {
         // keeps the bound honest (same rationale as the workspace's
         // small-sample ablation).
         let predicted = if t_hat > 0.0 {
-            let t = t_for_confidence(self.confidence, (PILOT - 1) as f64);
+            let t = t_for_confidence(CONFIDENCE, (PILOT - 1) as f64);
             let pe = t * variance.max(0.0).sqrt() / t_hat;
             if pe.is_finite() && pe >= 0.0 {
                 pe
