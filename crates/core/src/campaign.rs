@@ -107,7 +107,10 @@ fn parse_unit_fields(rest: &str, line: usize) -> Result<(u64, UnitRecord), Snaps
     let malformed = |message: String| SnapshotError::Malformed { line, message };
     let fields: Vec<&str> = rest.split_whitespace().collect();
     if fields.len() != 5 {
-        return Err(malformed(format!("expected 5 unit fields, got {}", fields.len())));
+        return Err(malformed(format!(
+            "expected 5 unit fields, got {}",
+            fields.len()
+        )));
     }
     let index: u64 = fields[0]
         .parse()
@@ -212,7 +215,14 @@ impl Pipeline {
         workloads: &[Workload],
         snapshot_path: &Path,
     ) -> Result<CampaignReport, StemError> {
-        self.campaign(sampler, workloads, snapshot_path, BTreeMap::new(), None, Vec::new())
+        self.campaign(
+            sampler,
+            workloads,
+            snapshot_path,
+            BTreeMap::new(),
+            None,
+            Vec::new(),
+        )
     }
 
     /// Resumes a campaign from `snapshot_path`: completed units are
@@ -246,15 +256,22 @@ impl Pipeline {
         // A crash between the tmp write and the rename leaves an orphan
         // the atomic-write discipline will never look at again: sweep it
         // so interrupted runs do not accrete garbage next to snapshots.
-        let swept = stem_storage::sweep_tmp_sibling(storage, snapshot_path)
-            .map_err(SnapshotError::Io)?;
+        let swept =
+            stem_storage::sweep_tmp_sibling(storage, snapshot_path).map_err(SnapshotError::Io)?;
         let (done, quarantined) =
             sealed::load_or_quarantine(storage, snapshot_path, HEADER, |lines| {
                 parse_snapshot(lines, fingerprint, total_units)
             })?
             .or_default();
         let swept_tmp: Vec<PathBuf> = swept.into_iter().collect();
-        self.campaign(sampler, workloads, snapshot_path, done, quarantined, swept_tmp)
+        self.campaign(
+            sampler,
+            workloads,
+            snapshot_path,
+            done,
+            quarantined,
+            swept_tmp,
+        )
     }
 
     /// The campaign engine shared by fresh runs and resumes.
@@ -311,8 +328,7 @@ impl Pipeline {
                 }
                 if let Some(faults) = &self.exec_faults {
                     if let Some(kill_after) = faults.kill_after_units() {
-                        if ctx.attempt == 0
-                            && started.fetch_add(1, Ordering::SeqCst) >= kill_after
+                        if ctx.attempt == 0 && started.fetch_add(1, Ordering::SeqCst) >= kill_after
                         {
                             // Simulated process kill: stop admitting units.
                             // The real completed count is filled in below.
@@ -358,7 +374,9 @@ impl Pipeline {
             Err(failure) => {
                 // The supervisor numbers tasks by position in `missing`;
                 // report the global unit index instead.
-                let index = missing.get(failure.index).map_or(failure.index, |&u| u as usize);
+                let index = missing
+                    .get(failure.index)
+                    .map_or(failure.index, |&u| u as usize);
                 return Err(StemError::TaskFailure(TaskFailure { index, ..failure }));
             }
         };
@@ -443,7 +461,11 @@ mod tests {
         fingerprint: u64,
         total_units: u64,
     ) -> Result<BTreeMap<u64, UnitRecord>, SnapshotError> {
-        parse_snapshot(sealed::open(text.as_bytes(), HEADER)?, fingerprint, total_units)
+        parse_snapshot(
+            sealed::open(text.as_bytes(), HEADER)?,
+            fingerprint,
+            total_units,
+        )
     }
 
     #[test]
@@ -470,7 +492,10 @@ mod tests {
     #[test]
     fn foreign_fingerprint_rejected() {
         let text = serialize_snapshot(5, &sample_map());
-        assert_eq!(open_and_parse(&text, 6, 100), Err(SnapshotError::FingerprintMismatch));
+        assert_eq!(
+            open_and_parse(&text, 6, 100),
+            Err(SnapshotError::FingerprintMismatch)
+        );
         assert!(open_and_parse(&text, 5, 100).is_ok());
     }
 

@@ -92,7 +92,10 @@ impl StemConfig {
             "confidence must be in (0, 1)"
         );
         assert!(self.k_split >= 2, "k_split must be at least 2");
-        assert!(self.min_split_size >= 2, "min_split_size must be at least 2");
+        assert!(
+            self.min_split_size >= 2,
+            "min_split_size must be at least 2"
+        );
         assert!(self.max_depth >= 1, "max_depth must be at least 1");
         self.profile_config.validate();
     }

@@ -96,7 +96,10 @@ mod tests {
     fn pathological_fractions_clamped() {
         assert_eq!(inflate_std(10.0, 2.0, -0.5), 2.0);
         assert_eq!(inflate_std(10.0, 2.0, 7.0), inflate_std(10.0, 2.0, 1.0));
-        assert_eq!(inflate_std(10.0, 2.0, f64::NAN), inflate_std(10.0, 2.0, 1.0));
+        assert_eq!(
+            inflate_std(10.0, 2.0, f64::NAN),
+            inflate_std(10.0, 2.0, 1.0)
+        );
     }
 
     #[test]

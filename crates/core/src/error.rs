@@ -8,7 +8,6 @@
 //! on the precise failure class afterwards. Conversions are provided via
 //! `From`, so substrate errors propagate without explicit mapping.
 
-use stem_storage::sealed::SnapshotError;
 use gpu_profile::{
     DataQualityReport, InvalidProfileError, ParseCsvError, ValidationError, WriteCsvError,
 };
@@ -16,6 +15,7 @@ use gpu_workload::io::ParseWorkloadError;
 use gpu_workload::WorkloadError;
 use stem_par::TaskFailure;
 use stem_stats::StatsError;
+use stem_storage::sealed::SnapshotError;
 
 /// Any failure on the path from ingested data to a sampling plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +97,10 @@ impl std::fmt::Display for StemError {
             StemError::InvalidProfile(e) => e.fmt(f),
             StemError::Validation(e) => write!(f, "trace validation error: {e}"),
             StemError::DegradedTrace(report) => {
-                write!(f, "refusing degraded trace under fail-fast policy: {report}")
+                write!(
+                    f,
+                    "refusing degraded trace under fail-fast policy: {report}"
+                )
             }
             StemError::EmptyWorkload => f.write_str("cannot sample an empty workload"),
             StemError::ProfileLengthMismatch { expected, got } => write!(
@@ -118,7 +121,11 @@ impl std::fmt::Display for StemError {
                 "campaign interrupted after {completed_units} completed unit(s); \
                  resume from the snapshot to finish"
             ),
-            StemError::Overloaded { scope, depth, retry_after_ms } => write!(
+            StemError::Overloaded {
+                scope,
+                depth,
+                retry_after_ms,
+            } => write!(
                 f,
                 "overloaded: {scope} queue full at depth {depth}; \
                  retry after {retry_after_ms} ms"
@@ -210,10 +217,17 @@ mod tests {
             "cannot sample an empty workload"
         );
         assert_eq!(
-            StemError::ProfileLengthMismatch { expected: 4, got: 3 }.to_string(),
+            StemError::ProfileLengthMismatch {
+                expected: 4,
+                got: 3
+            }
+            .to_string(),
             "profile must have one entry per invocation: expected 4, got 3"
         );
-        let bad = StemError::BadTime { index: 2, value: f64::NAN };
+        let bad = StemError::BadTime {
+            index: 2,
+            value: f64::NAN,
+        };
         assert!(bad.to_string().contains("invocation 2"));
         assert!(StemError::InvalidConfig("epsilon must be in (0, 1)".into())
             .to_string()

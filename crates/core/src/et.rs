@@ -17,10 +17,10 @@
 //!   sampling; only durations do).
 
 use crate::config::StemConfig;
+use crate::rng::{RngExt, SeedableRng, StdRng};
 use crate::root::{cluster_indices, IndexCluster};
 use gpu_sim::multi_gpu::{node_durations, schedule, simulate_trace, ClusterConfig};
 use gpu_workload::chakra::{EtOp, ExecutionTrace};
-use crate::rng::{RngExt, SeedableRng, StdRng};
 use std::collections::BTreeMap;
 
 /// Operator signature used for the initial grouping (the analogue of
@@ -290,7 +290,11 @@ mod tests {
             &StemConfig::paper(),
             1,
         );
-        assert!(report.total_error() < 0.05, "total {}", report.total_error());
+        assert!(
+            report.total_error() < 0.05,
+            "total {}",
+            report.total_error()
+        );
         assert!(
             report.makespan_error() < 0.06,
             "makespan {}",

@@ -11,9 +11,9 @@
 //! waves)`.
 
 use crate::config::StemConfig;
+use crate::rng::{RngExt, SeedableRng, StdRng};
 use gpu_sim::Simulator;
 use gpu_workload::Workload;
-use crate::rng::{RngExt, SeedableRng, StdRng};
 use stem_stats::clt::sample_size;
 use stem_stats::Summary;
 
@@ -94,8 +94,8 @@ pub fn evaluate_intra_kernel(
         let m = if s.population_std_dev() == 0.0 {
             1
         } else {
-            sample_size(s.mean(), s.population_std_dev(), config.epsilon, z)
-                .min(full.len() as u64) as usize
+            sample_size(s.mean(), s.population_std_dev(), config.epsilon, z).min(full.len() as u64)
+                as usize
         };
         simulated_waves += m as u64 + 1; // sampled full waves + the tail
         let mean = if m == full.len() {

@@ -56,8 +56,8 @@ pub mod et;
 /// it without a dependency cycle); this re-export is the canonical path for
 /// samplers and downstream code.
 pub use stem_stats::rng;
-pub mod intra;
 pub mod eval;
+pub mod intra;
 pub mod pipeline;
 pub mod plan;
 pub mod registry;

@@ -48,7 +48,9 @@ impl std::fmt::Debug for SamplerRegistry {
 impl SamplerRegistry {
     /// An empty registry.
     pub fn new() -> Self {
-        SamplerRegistry { constructors: BTreeMap::new() }
+        SamplerRegistry {
+            constructors: BTreeMap::new(),
+        }
     }
 
     /// Registers (or replaces) a constructor under `name`. The name
@@ -97,7 +99,9 @@ mod tests {
 
     fn registry() -> SamplerRegistry {
         let mut r = SamplerRegistry::new();
-        r.register("STEM", || Box::new(StemRootSampler::new(StemConfig::default())));
+        r.register("STEM", || {
+            Box::new(StemRootSampler::new(StemConfig::default()))
+        });
         r
     }
 

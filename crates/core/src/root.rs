@@ -128,7 +128,10 @@ pub fn cluster_profile(
     config: &StemConfig,
     par: stem_par::Parallelism,
 ) -> Vec<KernelCluster> {
-    assert!(!profile.kernels().is_empty(), "cannot cluster an empty workload");
+    assert!(
+        !profile.kernels().is_empty(),
+        "cannot cluster an empty workload"
+    );
     config.validate();
     let rows = profile.kernels().iter().map(|k| k.rows().len()).sum();
     let par = par.serial_below(rows, MIN_PARALLEL_ROWS);
@@ -285,7 +288,13 @@ impl Recursion<'_> {
         let (src, dst, sorted) = self.buffers(depth);
         let dst = &mut dst[lo..hi];
         partition(&src[lo..hi], dst, cut.threshold, cut.lower_count);
-        Some(fold_children(dst, &sorted[lo..hi], lo, cut.lower_count, scan.lower_sums()))
+        Some(fold_children(
+            dst,
+            &sorted[lo..hi],
+            lo,
+            cut.lower_count,
+            scan.lower_sums(),
+        ))
     }
 
     /// Sorts the group's times, once, and scans the root's cuts. For
@@ -298,7 +307,10 @@ impl Recursion<'_> {
         // The group's one sortedness check, fused with the root's totals.
         let (mut prev, mut sum, mut sum_sq) = (0.0, 0.0, 0.0);
         for &v in &self.sorted {
-            assert!(prev <= v, "kernel times must sort as positive finite floats");
+            assert!(
+                prev <= v,
+                "kernel times must sort as positive finite floats"
+            );
             prev = v;
             sum += v;
             sum_sq += v * v;
@@ -350,7 +362,11 @@ impl Recursion<'_> {
         if odd.is_empty() {
             *odd = vec![(0, 0.0); even.len()];
         }
-        let (src, dst) = if depth.is_multiple_of(2) { (even, odd) } else { (odd, even) };
+        let (src, dst) = if depth.is_multiple_of(2) {
+            (even, odd)
+        } else {
+            (odd, even)
+        };
         (src, dst, &self.sorted)
     }
 
@@ -378,7 +394,10 @@ fn partition(src: &[Row], dst: &mut [Row], threshold: f64, lower_count: usize) {
         lower += usize::from(below);
         upper += usize::from(!below);
     }
-    assert_eq!(lower, lower_count, "a split's threshold must realize its cut");
+    assert_eq!(
+        lower, lower_count,
+        "a split's threshold must realize its cut"
+    );
 }
 
 /// One child's running fold: its stream-order [`Summary`] and the scan of
@@ -557,7 +576,14 @@ pub mod reference {
         );
         let mut sorted = values.clone();
         sorted.sort_by(f64::total_cmp);
-        (Node { members, values, sorted }, stat)
+        (
+            Node {
+                members,
+                values,
+                sorted,
+            },
+            stat,
+        )
     }
 
     /// Recursive splitter for one cluster of one kernel; `stat` is the
@@ -570,7 +596,11 @@ pub mod reference {
         depth: usize,
         out: &mut Vec<KernelCluster>,
     ) {
-        let Node { members, values, sorted } = node;
+        let Node {
+            members,
+            values,
+            sorted,
+        } = node;
         let stop_here = members.len() < config.min_split_size
             || stat.std_dev == 0.0
             || depth >= config.max_depth;
@@ -646,7 +676,11 @@ pub mod reference {
                 sorted: sorted[boundary..].to_vec(),
             };
             for (&idx, &v) in members.iter().zip(values) {
-                let child = if v < split.threshold { &mut lower } else { &mut upper };
+                let child = if v < split.threshold {
+                    &mut lower
+                } else {
+                    &mut upper
+                };
                 child.members.push(idx);
                 child.values.push(v);
             }
@@ -719,7 +753,13 @@ mod tests {
             }
             let w = b.build();
             let times: Vec<f64> = (0..n)
-                .map(|i| if i % 4 < 2 { 100.0 + (i % 7) as f64 } else { 900.0 + (i % 5) as f64 })
+                .map(|i| {
+                    if i % 4 < 2 {
+                        100.0 + (i % 7) as f64
+                    } else {
+                        900.0 + (i % 5) as f64
+                    }
+                })
                 .collect();
             let serial = cluster_workload(&w, &times, &config());
             for threads in [1usize, 2, 3, 8] {
@@ -817,7 +857,13 @@ mod tests {
         let n = 2000;
         let w = flat_workload(n);
         let times: Vec<f64> = (0..n)
-            .map(|i| if i % 2 == 0 { 10.0 + (i % 40) as f64 * 0.01 } else { 500.0 + (i % 40) as f64 * 0.3 })
+            .map(|i| {
+                if i % 2 == 0 {
+                    10.0 + (i % 40) as f64 * 0.01
+                } else {
+                    500.0 + (i % 40) as f64 * 0.3
+                }
+            })
             .collect();
         let cfg = config();
         let clusters = cluster_workload(&w, &times, &cfg);

@@ -64,12 +64,7 @@ mod tests {
             }
             fn plan(&self, workload: &Workload, _rep_seed: u64) -> SamplingPlan {
                 let n = workload.num_invocations() as f64;
-                SamplingPlan::new(
-                    self.name(),
-                    vec![WeightedSample::new(0, n)],
-                    vec![],
-                    0.0,
-                )
+                SamplingPlan::new(self.name(), vec![WeightedSample::new(0, n)], vec![], 0.0)
             }
         }
         let boxed: Box<dyn KernelSampler> = Box::new(Trivial);

@@ -5,13 +5,13 @@ use crate::config::StemConfig;
 use crate::degrade::inflate_cluster_stats;
 use crate::error::StemError;
 use crate::plan::{ClusterSummary, SamplingPlan};
+use crate::rng::{RngExt, SeedableRng, StdRng};
 use crate::root::{cluster_profile, cluster_workload_par, KernelCluster};
 use crate::sampler::KernelSampler;
 use gpu_profile::validate::reconstructed_times;
 use gpu_profile::{DataQualityReport, ExecTimeProfiler, TraceRecord, TraceValidator};
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
-use crate::rng::{RngExt, SeedableRng, StdRng};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -229,8 +229,10 @@ impl StemRootSampler {
                 got: times.len(),
             });
         }
-        if let Some((index, &value)) =
-            times.iter().enumerate().find(|(_, t)| !(**t > 0.0 && t.is_finite()))
+        if let Some((index, &value)) = times
+            .iter()
+            .enumerate()
+            .find(|(_, t)| !(**t > 0.0 && t.is_finite()))
         {
             return Err(StemError::BadTime { index, value });
         }
@@ -478,7 +480,10 @@ mod tests {
     fn heartwall_handled() {
         // The PKA/Sieve killer: STEM must stay accurate.
         let suite = rodinia_suite(11);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(h);
         let plan = sampler().plan(h, 3);
@@ -489,7 +494,10 @@ mod tests {
     #[test]
     fn casio_error_is_near_zero_with_large_speedup() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(w);
         let plan = sampler().plan(w, 5);
@@ -503,14 +511,15 @@ mod tests {
     #[test]
     fn multi_peak_kernels_get_multiple_clusters() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let s = sampler();
         let clusters = s.clusters(w);
         let bn_clusters = clusters
             .iter()
-            .filter(|c| {
-                w.kernels()[c.kernel.index()].name.starts_with("bn_fw_inf")
-            })
+            .filter(|c| w.kernels()[c.kernel.index()].name.starts_with("bn_fw_inf"))
             .count();
         assert!(bn_clusters >= 2, "bn split into {bn_clusters} clusters");
     }
@@ -518,7 +527,10 @@ mod tests {
     #[test]
     fn kkt_sizing_uses_fewer_samples_than_per_cluster() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "bert_infer").expect("bert");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "bert_infer")
+            .expect("bert");
         let joint = sampler().plan(w, 1).num_samples();
         let per = sampler()
             .with_sizing(Sizing::PerCluster)
@@ -537,7 +549,10 @@ mod tests {
     #[test]
     fn without_root_has_one_cluster_per_kernel() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let s = sampler().without_root();
         let clusters = s.clusters(w);
         assert_eq!(clusters.len(), w.kernels().len());
@@ -546,26 +561,35 @@ mod tests {
     #[test]
     fn root_reduces_samples_on_multimodal_workloads() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let with_root = sampler().plan(w, 2).num_samples();
         let without = sampler().without_root().plan(w, 2).num_samples();
-        assert!(
-            with_root < without,
-            "root {with_root} vs flat {without}"
-        );
+        assert!(with_root < without, "root {with_root} vs flat {without}");
     }
 
     #[test]
     fn small_sample_correction_never_reduces_samples() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "bert_infer").expect("bert");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "bert_infer")
+            .expect("bert");
         let base = sampler().plan(w, 1);
-        let corrected = StemRootSampler::new(StemConfig::paper().with_small_sample_correction())
-            .plan(w, 1);
+        let corrected =
+            StemRootSampler::new(StemConfig::paper().with_small_sample_correction()).plan(w, 1);
         assert!(corrected.num_samples() >= base.num_samples());
         // Per-cluster: corrected sizes dominate the base sizes.
         for (b, c) in base.clusters().iter().zip(corrected.clusters()) {
-            assert!(c.samples >= b.samples, "{}: {} < {}", b.kernel, c.samples, b.samples);
+            assert!(
+                c.samples >= b.samples,
+                "{}: {} < {}",
+                b.kernel,
+                c.samples,
+                b.samples
+            );
         }
         // Sizes already exact (m == N) or singleton stay put.
         for (b, c) in base.clusters().iter().zip(corrected.clusters()) {
@@ -589,7 +613,10 @@ mod tests {
     #[test]
     fn parallel_planning_is_bit_identical() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let serial = sampler().plan(w, 4);
         let serial_clusters = sampler().clusters(w);
         for threads in [1usize, 2, 3, 8] {
@@ -618,7 +645,10 @@ mod tests {
     #[test]
     fn memoized_plans_match_uncached_paths() {
         let suite = casio_suite(11);
-        let w = suite.iter().find(|w| w.name() == "bert_infer").expect("bert");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "bert_infer")
+            .expect("bert");
         let s = sampler();
         let warm = s.plan(w, 7);
         // Second call is served from the memo; a fresh sampler recomputes.

@@ -72,7 +72,10 @@ fn root_partitions_and_never_hurts() {
         for c in &clusters {
             let s: Summary = c.members.iter().map(|&i| times[i]).collect();
             assert_eq!(c.stat.n, c.members.len() as u64, "case {case}");
-            assert!((c.stat.mean - s.mean()).abs() < 1e-9 * (1.0 + s.mean()), "case {case}");
+            assert!(
+                (c.stat.mean - s.mean()).abs() < 1e-9 * (1.0 + s.mean()),
+                "case {case}"
+            );
         }
 
         // tau(leaves) <= tau(whole) under the same epsilon.
@@ -83,7 +86,10 @@ fn root_partitions_and_never_hurts() {
         let m = sample_size(whole.mean(), whole.population_std_dev(), cfg.epsilon, z)
             .min(times.len() as u64);
         let tau_whole = m as f64 * whole.mean();
-        assert!(sol.tau <= tau_whole * (1.0 + 1e-9) + whole.mean(), "case {case}");
+        assert!(
+            sol.tau <= tau_whole * (1.0 + 1e-9) + whole.mean(),
+            "case {case}"
+        );
     }
 }
 
@@ -210,7 +216,12 @@ fn shape_times(rng: &mut StdRng, shape: Shape, len: usize) -> Vec<f64> {
 #[test]
 fn root_matches_reference_on_adversarial_cases() {
     use stem_core::root::{cluster_indices, cluster_workload_par, reference};
-    const SHAPES: [Shape; 4] = [Shape::Modes, Shape::Ties, Shape::AdjacentUlps, Shape::Constant];
+    const SHAPES: [Shape; 4] = [
+        Shape::Modes,
+        Shape::Ties,
+        Shape::AdjacentUlps,
+        Shape::Constant,
+    ];
     for case in 0..96u64 {
         let mut rng = rng_for(5, case);
         let mut cfg = StemConfig::paper();
