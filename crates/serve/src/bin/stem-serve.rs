@@ -76,13 +76,19 @@ fn run() -> Result<(), StemError> {
     println!("stem-serve listening on {}", server.addr());
     let recovery = server.recovery();
     if !recovery.re_admitted.is_empty() {
-        println!("re-admitted {} journaled job(s)", recovery.re_admitted.len());
+        println!(
+            "re-admitted {} journaled job(s)",
+            recovery.re_admitted.len()
+        );
     }
     if let Some(q) = &recovery.quarantined {
         println!("quarantined corrupt journal at {}", q.path.display());
     }
     if !recovery.swept_tmp.is_empty() {
-        println!("swept {} orphan tmp file(s) from the journal dir", recovery.swept_tmp.len());
+        println!(
+            "swept {} orphan tmp file(s) from the journal dir",
+            recovery.swept_tmp.len()
+        );
     }
     // Serve until a client issues SHUTDOWN; `shutdown` joins the worker
     // pool and acceptor once the wire flips the flag.

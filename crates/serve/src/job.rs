@@ -114,7 +114,8 @@ pub(crate) fn parse_u64(token: &str, what: &str) -> Result<u64, String> {
 pub(crate) fn valid_token(s: &str) -> bool {
     !s.is_empty()
         && s.len() <= 64
-        && s.chars().all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.')
+        && s.chars()
+            .all(|c| c.is_ascii_alphanumeric() || c == '-' || c == '_' || c == '.')
 }
 
 /// True for store paths safe to embed in one-line whitespace-split
@@ -151,7 +152,10 @@ impl JobSpec {
             return Err(format!("bad tenant: {:?}", fields[0]));
         }
         let Some(suite) = SuiteId::parse(fields[1]) else {
-            return Err(format!("unknown suite {:?} (rodinia|casio|huggingface)", fields[1]));
+            return Err(format!(
+                "unknown suite {:?} (rodinia|casio|huggingface)",
+                fields[1]
+            ));
         };
         let spec = JobSpec {
             tenant: fields[0].to_string(),
@@ -338,7 +342,10 @@ impl JobPhase {
 
     /// True once the job can never run again (terminal phases).
     pub fn is_terminal(&self) -> bool {
-        matches!(self, JobPhase::Done | JobPhase::Cancelled | JobPhase::Failed)
+        matches!(
+            self,
+            JobPhase::Done | JobPhase::Cancelled | JobPhase::Failed
+        )
     }
 }
 
@@ -397,11 +404,16 @@ mod tests {
         bad.sampler = "no spaces allowed".to_string();
         assert!(bad.validate().is_err());
         let mut bad = spec();
-        bad.store = Some(StoreRef { path: PathBuf::from("has space/store"), fingerprint: 1 });
+        bad.store = Some(StoreRef {
+            path: PathBuf::from("has space/store"),
+            fingerprint: 1,
+        });
         assert!(bad.validate().is_err());
         let mut ok = spec();
-        ok.store =
-            Some(StoreRef { path: PathBuf::from("/tmp/stores/bfs"), fingerprint: 0xfeed });
+        ok.store = Some(StoreRef {
+            path: PathBuf::from("/tmp/stores/bfs"),
+            fingerprint: 0xfeed,
+        });
         assert!(ok.validate().is_ok());
     }
 
@@ -421,14 +433,19 @@ mod tests {
         writer.finish(&summary).expect("commit");
 
         let mut job = spec();
-        job.store = Some(StoreRef { path: dir.clone(), fingerprint: reference.fingerprint() });
+        job.store = Some(StoreRef {
+            path: dir.clone(),
+            fingerprint: reference.fingerprint(),
+        });
         let loaded = job.workload().expect("store-backed workload");
         assert_eq!(loaded, reference, "store job streams the exact workload");
 
         // A lying expectation is a typed rejection, not a wrong workload.
         let mut lied = spec();
-        lied.store =
-            Some(StoreRef { path: dir.clone(), fingerprint: reference.fingerprint() ^ 1 });
+        lied.store = Some(StoreRef {
+            path: dir.clone(),
+            fingerprint: reference.fingerprint() ^ 1,
+        });
         assert!(matches!(lied.workload(), Err(StemError::InvalidConfig(_))));
         let _ = std::fs::remove_dir_all(dir.parent().expect("parent"));
     }
@@ -447,13 +464,23 @@ mod tests {
         ] {
             assert_eq!(suite.sources(seed).len(), whole.len(), "{}", suite.as_str());
             for (i, expected) in whole.iter().enumerate() {
-                let job = JobSpec { suite, suite_seed: seed, workload_index: i, ..spec() };
+                let job = JobSpec {
+                    suite,
+                    suite_seed: seed,
+                    workload_index: i,
+                    ..spec()
+                };
                 let w = job.workload().expect("index in range");
                 let label = format!("{} #{i}", suite.as_str());
                 assert_eq!(w.fingerprint(), expected.fingerprint(), "{label}");
                 assert!(w == *expected, "{label}: workload differs from the suite's");
             }
-            let past = JobSpec { suite, suite_seed: seed, workload_index: whole.len(), ..spec() };
+            let past = JobSpec {
+                suite,
+                suite_seed: seed,
+                workload_index: whole.len(),
+                ..spec()
+            };
             assert!(matches!(past.workload(), Err(StemError::InvalidConfig(_))));
         }
     }

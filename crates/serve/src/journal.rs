@@ -102,7 +102,11 @@ mod tests {
             workload_index: idx,
             reps: 2,
             seed: 9,
-            deadline_ms: if idx.is_multiple_of(2) { Some(500) } else { None },
+            deadline_ms: if idx.is_multiple_of(2) {
+                Some(500)
+            } else {
+                None
+            },
             sampler: if idx.is_multiple_of(2) { "STEM" } else { "RSS" }.to_string(),
             store: if idx.is_multiple_of(2) {
                 None
@@ -193,8 +197,7 @@ mod tests {
         assert!(empty.is_empty() && q.is_none());
 
         // Valid file, matching fingerprint.
-        stem_storage::write_atomic(&storage, &path, &serialize_journal(7, &jobs()))
-            .expect("write");
+        stem_storage::write_atomic(&storage, &path, &serialize_journal(7, &jobs())).expect("write");
         assert!(!sibling(&path, ".tmp").exists(), "tmp must be renamed away");
         let (loaded, q) = load_journal(&storage, &path, 7).expect("load");
         assert_eq!(loaded, jobs());
@@ -215,8 +218,15 @@ mod tests {
         let (loaded, q2) = load_journal(&storage, &path, 7).expect("load");
         assert!(loaded.is_empty());
         let q2 = q2.expect("quarantined");
-        assert!(q2.path.to_string_lossy().ends_with(".quarantined.1"), "{:?}", q2.path);
-        assert!(q.path.exists() && q2.path.exists(), "both evidence files retained");
+        assert!(
+            q2.path.to_string_lossy().ends_with(".quarantined.1"),
+            "{:?}",
+            q2.path
+        );
+        assert!(
+            q.path.exists() && q2.path.exists(),
+            "both evidence files retained"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -74,7 +74,10 @@ pub enum Request {
 
 fn parse_tenant_job(fields: &[&str], verb: &str) -> Result<(String, u64), String> {
     if fields.len() != 2 {
-        return Err(format!("{verb} takes <tenant> <job>, got {} fields", fields.len()));
+        return Err(format!(
+            "{verb} takes <tenant> <job>, got {} fields",
+            fields.len()
+        ));
     }
     if !valid_token(fields[0]) {
         return Err(format!("bad tenant: {:?}", fields[0]));
@@ -121,7 +124,11 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
 /// `ERR rejected` with the error's display.
 pub fn render_error(e: &StemError) -> String {
     match e {
-        StemError::Overloaded { scope, depth, retry_after_ms } => {
+        StemError::Overloaded {
+            scope,
+            depth,
+            retry_after_ms,
+        } => {
             format!("ERR overloaded scope={scope} depth={depth} retry-after-ms={retry_after_ms}")
         }
         other => format!("ERR rejected {other}"),
@@ -222,24 +229,31 @@ mod tests {
         // A path without its fingerprint (9 fields) and a bad fingerprint
         // are typed messages, never a half-parsed store.
         assert!(parse_request("SUBMIT t1 rodinia 33 0 2 7 - STEM /tmp/stores/bfs").is_err());
-        assert!(
-            parse_request("SUBMIT t1 rodinia 33 0 2 7 - STEM /tmp/stores/bfs nothex").is_err()
-        );
+        assert!(parse_request("SUBMIT t1 rodinia 33 0 2 7 - STEM /tmp/stores/bfs nothex").is_err());
     }
 
     #[test]
     fn simple_verbs_parse() {
         assert_eq!(
             parse_request("STATUS t1 4"),
-            Ok(Request::Status { tenant: "t1".to_string(), job: 4 })
+            Ok(Request::Status {
+                tenant: "t1".to_string(),
+                job: 4
+            })
         );
         assert_eq!(
             parse_request("RESULT t1 4"),
-            Ok(Request::Result { tenant: "t1".to_string(), job: 4 })
+            Ok(Request::Result {
+                tenant: "t1".to_string(),
+                job: 4
+            })
         );
         assert_eq!(
             parse_request("CANCEL t1 4"),
-            Ok(Request::Cancel { tenant: "t1".to_string(), job: 4 })
+            Ok(Request::Cancel {
+                tenant: "t1".to_string(),
+                job: 4
+            })
         );
         assert_eq!(parse_request("SHUTDOWN"), Ok(Request::Shutdown));
         assert_eq!(parse_request("PING"), Ok(Request::Ping));
@@ -300,6 +314,10 @@ mod tests {
         let payload = render_result_payload(&summary);
         assert!(payload.ends_with("END\n"));
         assert!(payload.contains(&format!("{:016x}", 1.5f64.to_bits())));
-        assert_eq!(payload, render_result_payload(&summary), "rendering is a pure function");
+        assert_eq!(
+            payload,
+            render_result_payload(&summary),
+            "rendering is a pure function"
+        );
     }
 }

@@ -188,8 +188,8 @@ impl Inner {
         // small read) and pin its fingerprint to the client's expectation
         // now; dispatch re-verifies every streamed byte.
         if let Some(store) = &spec.store {
-            let manifest = gpu_workload::open_store(&*self.config.storage, &store.path)
-                .map_err(|e| {
+            let manifest =
+                gpu_workload::open_store(&*self.config.storage, &store.path).map_err(|e| {
                     StemError::InvalidConfig(format!("store {}: {e}", store.path.display()))
                 })?;
             if manifest.fingerprint() != store.fingerprint {
@@ -220,7 +220,11 @@ impl Inner {
         let tenant_depth = st
             .queue
             .iter()
-            .filter(|id| st.jobs.get(*id).is_some_and(|j| j.spec.tenant == spec.tenant))
+            .filter(|id| {
+                st.jobs
+                    .get(*id)
+                    .is_some_and(|j| j.spec.tenant == spec.tenant)
+            })
             .count();
         if tenant_depth >= self.config.per_tenant_queue_cap {
             return Err(overload(&spec.tenant, tenant_depth, 1));
@@ -334,8 +338,7 @@ impl Inner {
                     .filter(|j| matches!(j.phase, JobPhase::Queued | JobPhase::Running))
                     .map(|j| j.spec.tenant.as_str())
                     .collect();
-                let threads =
-                    (self.config.total_threads / active.len().max(1)).max(1);
+                let threads = (self.config.total_threads / active.len().max(1)).max(1);
                 (spec, cancel, threads)
             };
             let outcome = self.run_job(id, &spec, threads, Arc::clone(&cancel));
@@ -526,18 +529,16 @@ impl Inner {
                 Ok(id) => format!("OK job {id}\n"),
                 Err(e) => format!("{}\n", render_error(&e)),
             },
-            Request::Status { tenant, job } => {
-                match self.with_job(&tenant, job, |j| j.status()) {
-                    Ok(s) => format!(
-                        "OK status {} straggler={} resumed={} executed={}\n",
-                        s.phase.as_str(),
-                        u8::from(s.straggler),
-                        s.resumed_units,
-                        s.executed_units,
-                    ),
-                    Err(e) => access(e),
-                }
-            }
+            Request::Status { tenant, job } => match self.with_job(&tenant, job, |j| j.status()) {
+                Ok(s) => format!(
+                    "OK status {} straggler={} resumed={} executed={}\n",
+                    s.phase.as_str(),
+                    u8::from(s.straggler),
+                    s.resumed_units,
+                    s.executed_units,
+                ),
+                Err(e) => access(e),
+            },
             Request::Result { tenant, job } => {
                 match self.with_job(&tenant, job, |j| (j.phase, j.result.clone())) {
                     Ok((JobPhase::Done, Some(payload))) => format!("OK result\n{payload}"),
@@ -596,8 +597,10 @@ impl Server {
         let re_admitted: Vec<u64> = jobs.keys().copied().collect();
         let next_id = jobs.keys().next_back().map_or(0, |&id| id + 1);
         let queue: VecDeque<u64> = jobs.keys().copied().collect();
-        let jobs: BTreeMap<u64, Job> =
-            jobs.into_iter().map(|(id, spec)| (id, Job::new(spec))).collect();
+        let jobs: BTreeMap<u64, Job> = jobs
+            .into_iter()
+            .map(|(id, spec)| (id, Job::new(spec)))
+            .collect();
 
         let cache = Arc::new(match config.cache_capacity_per_shard {
             Some(cap) => SimCache::with_capacity(cap),
@@ -620,13 +623,22 @@ impl Server {
             fingerprint,
             journal_path,
             addr,
-            state: Mutex::new(State { jobs, queue, next_id, running: 0 }),
+            state: Mutex::new(State {
+                jobs,
+                queue,
+                next_id,
+                running: 0,
+            }),
             work_ready: Condvar::new(),
             cache,
             registry: standard_registry(),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(false),
-            recovery: RecoveryReport { re_admitted, quarantined, swept_tmp },
+            recovery: RecoveryReport {
+                re_admitted,
+                quarantined,
+                swept_tmp,
+            },
             journal_write_failures: AtomicU64::new(0),
         });
         // Re-persist immediately so a quarantined journal is replaced by
@@ -661,7 +673,10 @@ impl Server {
                 }
             }));
         }
-        Ok(Server { inner, threads: Mutex::new(threads) })
+        Ok(Server {
+            inner,
+            threads: Mutex::new(threads),
+        })
     }
 
     /// The bound listener address (`127.0.0.1:<ephemeral>`).
