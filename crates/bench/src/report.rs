@@ -79,11 +79,26 @@ impl Table {
     }
 }
 
-/// Where experiment CSVs are written.
+/// Where experiment CSVs are written: `$STEM_RESULTS_DIR`, else
+/// `results` under the working directory.
+#[cfg(not(test))]
 pub fn results_dir() -> PathBuf {
     std::env::var_os("STEM_RESULTS_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("results"))
+}
+
+/// Where a unit test's experiments write their CSVs: a temp dir of the
+/// test's own, named after its thread (libtest names it after the test),
+/// so `cargo test` writes nothing into the source tree and a rerun
+/// overwrites its last run's files.
+#[cfg(test)]
+pub fn results_dir() -> PathBuf {
+    let test = std::thread::current()
+        .name()
+        .unwrap_or("main")
+        .replace("::", "-");
+    std::env::temp_dir().join("stem-bench-results").join(test)
 }
 
 /// Writes `contents` to `results_dir()/name`, creating the directory.
