@@ -69,7 +69,8 @@ impl Supervisor {
     }
 
     /// The retry budget in effect.
-    pub fn retry_budget(&self) -> u32 {
+    #[cfg(test)]
+    fn retry_budget(&self) -> u32 {
         self.retry_budget
     }
 

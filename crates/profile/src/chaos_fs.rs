@@ -185,7 +185,8 @@ impl FaultFs {
     }
 
     /// Whether the armed crash has fired.
-    pub fn crashed(&self) -> bool {
+    #[cfg(test)]
+    fn crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
     }
 
