@@ -299,8 +299,10 @@ impl Pipeline {
         let missing: Vec<u64> = (0..total_units).filter(|u| !done.contains_key(u)).collect();
 
         // Ground-truth totals from the in-memory fold, computed lazily so
-        // fully-resumed workloads never pay for one. A unit is serial, so
-        // is its fold; the fold's fingerprint re-check turns corrupted
+        // fully-resumed workloads never pay for one, and read through the
+        // cache's totals memo, so campaigns sharing a cache (the serve
+        // daemon's jobs) fold each workload once. A unit is serial, so is
+        // its fold; the fold's fingerprint re-check turns corrupted
         // content into a typed error instead of a wrong total.
         let full_totals: Vec<OnceLock<Result<f64, StemError>>> =
             (0..workloads.len()).map(|_| OnceLock::new()).collect();
@@ -341,7 +343,9 @@ impl Pipeline {
                 let rep = unit % reps;
                 let workload = &workloads[wi];
                 let full_total = full_totals[wi]
-                    .get_or_init(|| self.ground_truth_total_on(workload, Parallelism::serial()))
+                    .get_or_init(|| {
+                        self.ground_truth_total_on(workload, Parallelism::serial(), &cache)
+                    })
                     .clone()?;
                 let result =
                     self.rep_unit(sampler.name(), workload, full_total, &cache, rep, |seed| {

@@ -194,25 +194,22 @@ impl Pipeline {
     /// matches the workload's fingerprint (only reachable for a workload
     /// whose invocations escape construction validation).
     pub fn ground_truth_total(&self, workload: &Workload) -> Result<f64, StemError> {
-        self.ground_truth_total_on(workload, self.parallelism)
+        self.ground_truth_total_on(workload, self.parallelism, &self.memo_cache())
     }
 
     /// [`Pipeline::ground_truth_total`] on an explicit thread budget (a
-    /// campaign folds each total inside one serial unit).
+    /// campaign folds each total inside one serial unit), read through
+    /// `cache`'s totals memo: a pipeline with a shared cache folds each
+    /// workload once.
     pub(crate) fn ground_truth_total_on(
         &self,
         workload: &Workload,
         par: Parallelism,
+        cache: &SimCache,
     ) -> Result<f64, StemError> {
-        gpu_sim::workload_total(
-            &self.sim,
-            par,
-            workload,
-            gpu_workload::DEFAULT_BLOCK_LEN,
-            gpu_sim::DEFAULT_CHANNEL_BLOCKS,
-        )
-        .map(|t| t.total_cycles)
-        .map_err(|e| StemError::GroundTruth(e.to_string()))
+        self.sim
+            .workload_total_cached(workload, par, cache)
+            .map_err(|e| StemError::GroundTruth(e.to_string()))
     }
 
     /// Runs the whole pipeline for one sampler on one workload: the ground
@@ -228,8 +225,9 @@ impl Pipeline {
     /// [`StemError::GroundTruth`]. Also panics wherever the sampler's
     /// [`KernelSampler::plan`] does.
     pub fn run(&self, sampler: &dyn KernelSampler, workload: &Workload) -> EvalSummary {
-        match self.ground_truth_total(workload) {
-            Ok(full_total) => self.run_total(sampler, workload, full_total),
+        let cache = self.memo_cache();
+        match self.ground_truth_total_on(workload, self.parallelism, &cache) {
+            Ok(full_total) => self.run_total(sampler, workload, full_total, &cache),
             Err(e) => panic!("{e}"),
         }
     }
@@ -243,7 +241,7 @@ impl Pipeline {
         workload: &Workload,
         full: &FullRun,
     ) -> EvalSummary {
-        self.run_total(sampler, workload, full.total_cycles)
+        self.run_total(sampler, workload, full.total_cycles, &self.memo_cache())
     }
 
     /// The unsupervised rep loop behind [`Pipeline::run`]: reps run on
@@ -254,14 +252,14 @@ impl Pipeline {
         sampler: &dyn KernelSampler,
         workload: &Workload,
         full_total: f64,
+        cache: &SimCache,
     ) -> EvalSummary {
-        let cache = self.memo_cache();
         let results = stem_par::par_map_range(self.parallelism, self.reps as usize, |rep| {
             let Ok(result) = self.rep_unit(
                 sampler.name(),
                 workload,
                 full_total,
-                &cache,
+                cache,
                 rep as u64,
                 |seed| Ok::<_, Infallible>(sampler.plan(workload, seed)),
             );
@@ -378,13 +376,13 @@ impl Pipeline {
         let times = reconstructed_times(clean, expected);
         let degraded = report.degraded_fraction();
 
-        let full_total = self.ground_truth_total(workload)?;
+        let cache = self.memo_cache();
+        let full_total = self.ground_truth_total_on(workload, self.parallelism, &cache)?;
         // Repetitions run on supervised worker threads: a panicking rep is
         // retried within the supervisor's budget (a retry recomputes the
         // same bits — randomness is index-derived), and any planning
         // failure is reported for the *lowest failing rep* — so success
         // and error behavior match the serial loop.
-        let cache = self.memo_cache();
         let (outcomes, _exec_log) = stem_par::supervised_map_range(
             self.parallelism,
             self.reps as usize,

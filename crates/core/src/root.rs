@@ -23,8 +23,10 @@ use stem_stats::Summary;
 pub struct KernelCluster {
     /// The kernel whose invocations this cluster holds.
     pub kernel: KernelId,
-    /// Invocation indices (into the workload's stream).
-    pub members: Vec<usize>,
+    /// Invocation indices (into the workload's stream), narrowed to
+    /// `u32`: half the bytes of `usize` members in the planning memo.
+    /// ROOT rejects a kernel group whose indices do not fit.
+    pub members: Vec<u32>,
     /// Profiled execution-time statistics of the members.
     pub stat: ClusterStat,
 }
@@ -66,11 +68,30 @@ pub fn cluster_indices(
     leaves
         .into_iter()
         .map(|c| IndexCluster {
-            members: c.members,
+            members: widen(c.members),
             stat: c.stat,
         })
         .collect()
 }
+
+/// A leaf's `u32` members as `usize` item indices.
+fn widen(members: Vec<u32>) -> Vec<usize> {
+    members.into_iter().map(|m| m as usize).collect()
+}
+
+/// Narrows a row's item index to a [`KernelCluster`] member.
+///
+/// # Panics
+///
+/// Panics if `m` does not fit in a `u32`.
+fn narrow(m: usize) -> u32 {
+    assert!(m <= MAX_MEMBER, "member index {m} does not fit in u32");
+    m as u32
+}
+
+/// The largest item index (and so the largest group) a
+/// [`KernelCluster`] can hold.
+const MAX_MEMBER: usize = u32::MAX as usize;
 
 /// Runs ROOT over a whole workload: groups invocations by kernel and
 /// recursively splits each group. `times[i]` is the profiled execution time
@@ -205,6 +226,11 @@ struct Recursion<'a> {
 fn split_group(group: KernelRows, config: &StemConfig, out: &mut Vec<KernelCluster>) {
     let (kernel, rows, summary) = group.into_parts();
     assert!(!rows.is_empty(), "cannot cluster an empty group");
+    assert!(
+        rows.len() <= MAX_MEMBER,
+        "a kernel group of {} rows exceeds u32 members",
+        rows.len()
+    );
     // The summary is the fold over the rows (`KernelRows` builds them
     // together), so its extremes and mean vouch for every row: the minimum
     // is positive, the maximum finite, and a NaN would have poisoned the
@@ -374,7 +400,7 @@ impl Recursion<'_> {
     /// stream order.
     fn leaf(&mut self, node: Node, depth: usize) {
         let rows = &self.rows[depth % 2][node.lo..node.hi];
-        let members = rows.iter().map(|&(m, _)| m).collect();
+        let members = rows.iter().map(|&(m, _)| narrow(m)).collect();
         self.out.push(KernelCluster {
             kernel: self.kernel,
             members,
@@ -499,7 +525,7 @@ fn cluster_stat(n: usize, summary: &Summary) -> ClusterStat {
 /// path to, bit for bit.
 #[doc(hidden)]
 pub mod reference {
-    use super::{validate_workload_times, IndexCluster, KernelCluster};
+    use super::{narrow, validate_workload_times, widen, IndexCluster, KernelCluster};
     use crate::config::StemConfig;
     use gpu_workload::{KernelId, Workload};
     use stem_cluster::{best_two_split_sorted, kmeans_1d};
@@ -532,7 +558,7 @@ pub mod reference {
         tagged
             .into_iter()
             .map(|c| IndexCluster {
-                members: c.members,
+                members: widen(c.members),
                 stat: c.stat,
             })
             .collect()
@@ -586,6 +612,15 @@ pub mod reference {
         )
     }
 
+    /// A leaf of `kernel` holding `members`, narrowed to `u32`.
+    fn leaf(kernel: KernelId, members: Vec<usize>, stat: ClusterStat) -> KernelCluster {
+        KernelCluster {
+            kernel,
+            members: members.into_iter().map(narrow).collect(),
+            stat,
+        }
+    }
+
     /// Recursive splitter for one cluster of one kernel; `stat` is the
     /// node's statistics, computed by the parent.
     fn split_recursive(
@@ -605,11 +640,7 @@ pub mod reference {
             || stat.std_dev == 0.0
             || depth >= config.max_depth;
         if stop_here {
-            out.push(KernelCluster {
-                kernel,
-                members,
-                stat,
-            });
+            out.push(leaf(kernel, members, stat));
             return;
         }
 
@@ -620,11 +651,7 @@ pub mod reference {
 
         let children = split_once(&members, &values, &sorted, config.k_split);
         if children.len() < 2 {
-            out.push(KernelCluster {
-                kernel,
-                members,
-                stat,
-            });
+            out.push(leaf(kernel, members, stat));
             return;
         }
 
@@ -643,11 +670,7 @@ pub mod reference {
                 split_recursive(kernel, child, child_stat, config, depth + 1, out);
             }
         } else {
-            out.push(KernelCluster {
-                kernel,
-                members,
-                stat,
-            });
+            out.push(leaf(kernel, members, stat));
         }
     }
 
@@ -828,8 +851,8 @@ mod tests {
         assert_eq!(total, n);
         // Members of each cluster come from one mode.
         for c in &clusters {
-            let all_low = c.members.iter().all(|&i| times[i] < 50.0);
-            let all_high = c.members.iter().all(|&i| times[i] > 50.0);
+            let all_low = c.members.iter().all(|&i| times[i as usize] < 50.0);
+            let all_high = c.members.iter().all(|&i| times[i as usize] > 50.0);
             assert!(all_low || all_high);
         }
     }
@@ -934,6 +957,13 @@ mod tests {
         cfg.k_split = 3;
         let clusters = cluster_workload(&w, &times, &cfg);
         assert_eq!(clusters.len(), 3);
+    }
+
+    #[test]
+    fn members_narrow_to_u32_and_no_further() {
+        assert_eq!(narrow(MAX_MEMBER), u32::MAX);
+        let past = std::panic::catch_unwind(|| narrow(MAX_MEMBER + 1));
+        assert!(past.is_err(), "an index past u32 must be rejected");
     }
 
     #[test]

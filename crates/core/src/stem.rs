@@ -13,49 +13,122 @@ use gpu_profile::{DataQualityReport, ExecTimeProfiler, TraceRecord, TraceValidat
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
 use std::borrow::Cow;
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex, OnceLock};
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
 use stem_par::Parallelism;
 use stem_stats::kkt::{per_cluster_sample_sizes, solve_sample_sizes};
 
-/// Upper bound on memoized clusterings held at once; reaching it clears
-/// the memo (campaigns visit workloads unit-major, so rep reuse survives
-/// any eviction policy — the bound only caps memory).
-const CLUSTER_MEMO_CAPACITY: usize = 8;
+/// Bytes of clusterings the planning memo keeps before it evicts: its
+/// entries' members and cluster records. 64 MiB holds every Rodinia and
+/// CASIO workload at once (about 2.4 MiB together) with room for large
+/// HuggingFace ones.
+const CLUSTER_MEMO_BYTES: usize = 64 << 20;
 
 /// Memoized profile → ROOT clustering, keyed by workload content
 /// fingerprint. The profile (fixed `profile_seed`) and the clustering are
 /// independent of the per-rep sampling seed, so every repetition of a
-/// workload reuses one deterministic computation; cached artifacts are
-/// bit-identical to recomputation, leaving plans unchanged. Per-key
-/// `OnceLock`s let concurrent repetitions of *different* workloads compute
-/// in parallel while duplicates of the same workload block on one compute.
-#[derive(Debug, Default)]
+/// workload, and every later plan of it by a long-lived sampler, reuses
+/// one deterministic computation; cached artifacts are bit-identical to
+/// recomputation, leaving plans unchanged. Per-key `OnceLock`s let
+/// concurrent plans of *different* workloads compute in parallel while
+/// duplicates of the same workload block on one compute.
+///
+/// The memo is bounded by the bytes its clusterings hold, not by an
+/// entry count. Past the budget it evicts whole entries, oldest
+/// computation first, but never the newest, so a campaign's reps reuse
+/// the clustering they just computed however large it is. The policy
+/// cannot move a plan's bits, but it decides how often a workload is
+/// recomputed: a sampler that cycles over more workloads than the budget
+/// holds recomputes every one of them on every visit.
+#[derive(Debug)]
 struct ClusterMemo {
-    entries: Mutex<HashMap<u64, Arc<MemoCell>>>,
+    budget: usize,
+    state: Mutex<MemoState>,
+    /// Clusterings computed so far (tests count profiles with it).
+    #[cfg(test)]
+    computes: std::sync::atomic::AtomicUsize,
+}
+
+/// The memo's cells, and the computed ones in computation order.
+#[derive(Debug, Default)]
+struct MemoState {
+    cells: HashMap<u64, Arc<MemoCell>>,
+    /// Keys of computed cells with their bytes, oldest first.
+    order: VecDeque<(u64, usize)>,
+    bytes: usize,
 }
 
 /// One memo key's clustering, computed at most once.
 type MemoCell = OnceLock<Arc<Vec<KernelCluster>>>;
 
+impl Default for ClusterMemo {
+    fn default() -> Self {
+        ClusterMemo::with_budget(CLUSTER_MEMO_BYTES)
+    }
+}
+
 impl ClusterMemo {
+    fn with_budget(budget: usize) -> Self {
+        ClusterMemo {
+            budget,
+            state: Mutex::default(),
+            #[cfg(test)]
+            computes: Default::default(),
+        }
+    }
+
+    /// The memo's state, recovered from poisoning: no compute runs under
+    /// the lock, and each update leaves the state consistent.
+    fn lock(&self) -> MutexGuard<'_, MemoState> {
+        match self.state.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
+
     fn get_or_compute(
         &self,
         key: u64,
         compute: impl FnOnce() -> Vec<KernelCluster>,
     ) -> Arc<Vec<KernelCluster>> {
-        let cell = {
-            let mut map = match self.entries.lock() {
-                Ok(guard) => guard,
-                Err(poisoned) => poisoned.into_inner(),
-            };
-            if map.len() >= CLUSTER_MEMO_CAPACITY && !map.contains_key(&key) {
-                map.clear();
-            }
-            Arc::clone(map.entry(key).or_default())
-        };
-        Arc::clone(cell.get_or_init(|| Arc::new(compute())))
+        let cell = Arc::clone(self.lock().cells.entry(key).or_default());
+        let mut computed = false;
+        let clusters = Arc::clone(cell.get_or_init(|| {
+            computed = true;
+            Arc::new(compute())
+        }));
+        if computed {
+            #[cfg(test)]
+            self.computes
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.admit(key, entry_bytes(&clusters));
+        }
+        clusters
     }
+
+    /// Counts a computed entry against the budget, then evicts the oldest
+    /// entries while the memo is over it, keeping the newest. An evicted
+    /// clustering stays alive for as long as a plan holds it.
+    fn admit(&self, key: u64, bytes: usize) {
+        let mut state = self.lock();
+        state.order.push_back((key, bytes));
+        state.bytes += bytes;
+        while state.bytes > self.budget && state.order.len() > 1 {
+            let Some((oldest, freed)) = state.order.pop_front() else {
+                break;
+            };
+            state.cells.remove(&oldest);
+            state.bytes -= freed;
+        }
+    }
+}
+
+/// The bytes one memo entry holds: its cluster records and their members.
+fn entry_bytes(clusters: &[KernelCluster]) -> usize {
+    clusters
+        .iter()
+        .map(|c| size_of::<KernelCluster>() + size_of_val(c.members.as_slice()))
+        .sum()
 }
 
 /// How sample sizes are assigned across clusters.
@@ -130,6 +203,13 @@ impl StemRootSampler {
         self.enable_root = false;
         // Clusterings memoized with ROOT enabled are stale now.
         self.memo = ClusterMemo::default();
+        self
+    }
+
+    /// Bounds the planning memo at `bytes` (tests exercise eviction).
+    #[cfg(test)]
+    fn with_memo_budget(mut self, bytes: usize) -> Self {
+        self.memo = ClusterMemo::with_budget(bytes);
         self
     }
 
@@ -369,13 +449,13 @@ impl StemRootSampler {
             if m == n {
                 // Fully simulated: take every member once, exactly.
                 for &idx in &cluster.members {
-                    samples.push(WeightedSample::new(idx, 1.0));
+                    samples.push(WeightedSample::new(idx as usize, 1.0));
                 }
             } else {
                 // Random sampling with replacement (i.i.d. for the CLT).
                 for _ in 0..m {
                     let pick = cluster.members[rng.random_range(0..n)];
-                    samples.push(WeightedSample::new(pick, weight));
+                    samples.push(WeightedSample::new(pick as usize, weight));
                 }
             }
             summaries.push(ClusterSummary {
@@ -676,5 +756,60 @@ mod tests {
             (total - n).abs() / n < 1e-9,
             "total weight {total} vs population {n}"
         );
+    }
+
+    /// Profiles+clusterings the sampler's memo has computed.
+    fn computes(s: &StemRootSampler) -> usize {
+        s.memo.computes.load(std::sync::atomic::Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_cycle_over_every_rodinia_and_casio_workload_profiles_each_once() {
+        let suite: Vec<Workload> = rodinia_suite(11)
+            .into_iter()
+            .chain(casio_suite(11))
+            .collect();
+        assert_eq!(suite.len(), 24);
+        let s = sampler();
+        let mut first = Vec::new();
+        for cycle in 0..3u64 {
+            for (i, w) in suite.iter().enumerate() {
+                let plan = s.plan(w, cycle);
+                if cycle == 0 {
+                    first.push(plan);
+                } else if cycle == 2 {
+                    assert_eq!(s.plan(w, 0), first[i], "{}", w.name());
+                }
+            }
+        }
+        assert_eq!(computes(&s), suite.len(), "each workload profiled once");
+        assert!(
+            s.memo.lock().bytes <= CLUSTER_MEMO_BYTES,
+            "the suites fit the memo budget"
+        );
+    }
+
+    #[test]
+    fn a_one_entry_memo_plans_like_a_fresh_sampler() {
+        let rodinia = rodinia_suite(11);
+        let casio = casio_suite(11);
+        let visits = [
+            &rodinia[0],
+            &rodinia[0],
+            &casio[3],
+            &rodinia[2],
+            &rodinia[0],
+            &casio[3],
+        ];
+        let s = sampler().with_memo_budget(1);
+        for (seed, w) in visits.iter().enumerate() {
+            let seed = seed as u64;
+            assert_eq!(s.plan(w, seed), sampler().plan(w, seed), "{}", w.name());
+            // The newest entry always stays: a repeat reuses it.
+            assert_eq!(s.plan(w, seed + 100), sampler().plan(w, seed + 100));
+        }
+        // Every change of workload evicted the one before.
+        assert_eq!(computes(&s), visits.len() - 1);
+        assert_eq!(s.memo.lock().order.len(), 1);
     }
 }

@@ -62,6 +62,7 @@ fn root_partitions_and_never_hurts() {
         let mut seen = vec![false; times.len()];
         for c in &clusters {
             for &m in &c.members {
+                let m = m as usize;
                 assert!(!seen[m], "case {case}: member {m} assigned twice");
                 seen[m] = true;
             }
@@ -70,7 +71,7 @@ fn root_partitions_and_never_hurts() {
 
         // Stats consistent with membership.
         for c in &clusters {
-            let s: Summary = c.members.iter().map(|&i| times[i]).collect();
+            let s: Summary = c.members.iter().map(|&i| times[i as usize]).collect();
             assert_eq!(c.stat.n, c.members.len() as u64, "case {case}");
             assert!(
                 (c.stat.mean - s.mean()).abs() < 1e-9 * (1.0 + s.mean()),

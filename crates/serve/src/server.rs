@@ -30,7 +30,9 @@ use crate::journal::{load_journal, serialize_journal, HEADER};
 use crate::proto::{parse_request, render_error, render_result_payload, Request};
 use gpu_sim::{SimCache, Simulator};
 use stem_baselines::standard_registry;
-use stem_core::{Pipeline, QuarantinedSnapshot, SamplerRegistry, SnapshotError, StemError};
+use stem_core::{
+    KernelSampler, Pipeline, QuarantinedSnapshot, SamplerRegistry, SnapshotError, StemError,
+};
 use stem_par::{Parallelism, Supervisor};
 use stem_storage::{sealed::fnv1a64, StorageError, StorageOp};
 
@@ -114,7 +116,7 @@ struct Inner {
     state: Mutex<State>,
     work_ready: Condvar,
     cache: Arc<SimCache>,
-    registry: SamplerRegistry,
+    samplers: Samplers,
     shutdown: AtomicBool,
     paused: AtomicBool,
     recovery: RecoveryReport,
@@ -122,6 +124,66 @@ struct Inner {
     /// the daemon keeps serving on a stale-but-valid journal and the
     /// next successful persist catches it up; see `persist_journal`).
     journal_write_failures: AtomicU64,
+}
+
+/// The daemon's samplers: one per registry name, built on first use and
+/// kept for the daemon's lifetime, so one sampler's caches (STEM's
+/// planning memo and noise table) serve every later job. A sampler is a
+/// pure function of (workload, rep seed): the baselines hold no state,
+/// and STEM's memo and noise table hold pure functions of their keys. So
+/// sharing one across jobs and tenants cannot move a bit.
+struct Samplers {
+    registry: SamplerRegistry,
+    built: Mutex<BTreeMap<String, Arc<dyn KernelSampler>>>,
+}
+
+impl std::fmt::Debug for Samplers {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let built: Vec<String> = self.lock().keys().cloned().collect();
+        f.debug_struct("Samplers")
+            .field("registry", &self.registry)
+            .field("built", &built)
+            .finish()
+    }
+}
+
+impl Samplers {
+    fn new(registry: SamplerRegistry) -> Self {
+        Samplers {
+            registry,
+            built: Mutex::default(),
+        }
+    }
+
+    /// Admission's check, which builds no sampler: an unknown name is the
+    /// registry's typed error, naming the available entries.
+    fn check(&self, name: &str) -> Result<(), StemError> {
+        if self.registry.contains(name) {
+            Ok(())
+        } else {
+            self.registry.build(name).map(drop)
+        }
+    }
+
+    /// The daemon's sampler for `name`, built on its first use.
+    fn get(&self, name: &str) -> Result<Arc<dyn KernelSampler>, StemError> {
+        let mut built = self.lock();
+        if let Some(sampler) = built.get(name) {
+            return Ok(Arc::clone(sampler));
+        }
+        let sampler: Arc<dyn KernelSampler> = Arc::from(self.registry.build(name)?);
+        built.insert(name.to_string(), Arc::clone(&sampler));
+        Ok(sampler)
+    }
+
+    /// The built samplers, recovered from poisoning: the map is only ever
+    /// extended by a complete entry.
+    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Arc<dyn KernelSampler>>> {
+        match self.built.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
 }
 
 /// Locks daemon state, recovering from poisoning: every mutation is
@@ -174,11 +236,10 @@ impl Inner {
     /// Admission control: the only way work enters the daemon.
     fn try_submit(&self, spec: JobSpec) -> Result<u64, StemError> {
         spec.validate()?;
-        // Reject unknown samplers at admission (the build is discarded;
-        // its error names the available registry entries) — a journaled
-        // job must never fail at dispatch time for a reason the daemon
-        // knew at submit time.
-        self.registry.build(&spec.sampler)?;
+        // Reject unknown samplers at admission (the error names the
+        // available registry entries) — a journaled job must never fail
+        // at dispatch time for a reason the daemon knew at submit time.
+        self.samplers.check(&spec.sampler)?;
         // Same principle for the workload index of a suite-drawn job:
         // listing the suite's sources generates nothing.
         if spec.store.is_none() {
@@ -407,7 +468,7 @@ impl Inner {
         if let Some(faults) = &self.config.exec_faults {
             pipeline = pipeline.with_exec_faults(faults.clone());
         }
-        let sampler = self.registry.build(&spec.sampler)?;
+        let sampler = self.samplers.get(&spec.sampler)?;
         pipeline.resume_from(
             sampler.as_ref(),
             std::slice::from_ref(&workload),
@@ -631,7 +692,7 @@ impl Server {
             }),
             work_ready: Condvar::new(),
             cache,
-            registry: standard_registry(),
+            samplers: Samplers::new(standard_registry()),
             shutdown: AtomicBool::new(false),
             paused: AtomicBool::new(false),
             recovery: RecoveryReport {
@@ -697,8 +758,9 @@ impl Server {
         self.inner.journal_write_failures.load(Ordering::SeqCst)
     }
 
-    /// The cross-campaign memo cache (shared by every job this daemon
-    /// runs; hits are pure, so sharing is tenant-safe).
+    /// The cross-campaign memo cache: timing cores and ground-truth
+    /// totals, shared by every job this daemon runs (hits are pure, so
+    /// sharing is tenant-safe).
     pub fn cache(&self) -> &Arc<SimCache> {
         &self.inner.cache
     }

@@ -20,6 +20,11 @@
 //! ([`SimCache::with_capacity`]): full shards evict their oldest insertion,
 //! which is equally output-invisible — an evicted entry is simply
 //! recomputed to the same bits on its next miss.
+//! The cache also memoizes ground-truth totals
+//! ([`Simulator::workload_total_cached`]), keyed by the workload's content
+//! fingerprint and the same environment fingerprint, and bounded by
+//! count. A long-lived process that shares one cache (the `stem-serve`
+//! daemon) folds each workload's ground truth once.
 //! Hit/miss counters are informational only. Keys are 128-bit structural
 //! fingerprints over the full µarch config, the sim options, the workload's
 //! kernel and context tables, and the group's own fields, so two different
@@ -33,11 +38,17 @@ use std::sync::Mutex;
 use crate::exec::{deterministic_of_invocation, DeterministicTiming};
 use crate::sampled::{SampledRun, WeightedSample};
 use crate::simulator::Simulator;
+use crate::streaming::{workload_total, StreamRunError, DEFAULT_CHANNEL_BLOCKS};
+use gpu_workload::stream::SinkError;
 use gpu_workload::Workload;
 use stem_par::Parallelism;
 
 /// Shard count; a power of two so `key & (SHARDS - 1)` selects a shard.
 const SHARDS: usize = 16;
+
+/// Ground-truth totals a cache keeps at most; a full memo evicts its
+/// oldest insertion. An entry is a 128-bit key and one `f64`.
+const TOTALS_CAPACITY: usize = 1024;
 
 /// One shard: the memo map plus its keys in insertion order, so a bounded
 /// shard can evict deterministically (oldest insertion first).
@@ -66,6 +77,7 @@ pub struct SimCache {
     misses: AtomicU64,
     evictions: AtomicU64,
     poison_recoveries: AtomicU64,
+    totals: TotalsMemo,
 }
 
 impl Default for SimCache {
@@ -96,6 +108,7 @@ impl SimCache {
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
             poison_recoveries: AtomicU64::new(0),
+            totals: TotalsMemo::default(),
         }
     }
 
@@ -230,6 +243,64 @@ impl SimCache {
     pub fn num_shards(&self) -> usize {
         SHARDS
     }
+
+    /// Ground-truth totals served from the memo so far.
+    pub fn total_hits(&self) -> u64 {
+        self.totals.hits.load(Ordering::Relaxed)
+    }
+
+    /// Ground-truth totals folded so far (successful folds only).
+    pub fn total_misses(&self) -> u64 {
+        self.totals.misses.load(Ordering::Relaxed)
+    }
+}
+
+/// The ground-truth totals memo: key → total cycles, with the keys in
+/// insertion order so a full memo evicts its oldest entry.
+#[derive(Debug, Default)]
+struct TotalsMemo {
+    entries: Mutex<(HashMap<u128, f64>, VecDeque<u128>)>,
+    hits: AtomicU64,
+    misses: AtomicU64,
+}
+
+impl TotalsMemo {
+    /// The memoized total for `key`, or `compute`'s, which is memoized
+    /// when it succeeds. `compute` runs outside the lock; a racing
+    /// duplicate fold is harmless, as the total is a pure function of
+    /// the key.
+    fn get_or_compute<E>(
+        &self,
+        key: u128,
+        compute: impl FnOnce() -> Result<f64, E>,
+    ) -> Result<f64, E> {
+        if let Some(&total) = self.lock().0.get(&key) {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok(total);
+        }
+        let total = compute()?;
+        self.misses.fetch_add(1, Ordering::Relaxed);
+        let mut guard = self.lock();
+        let (map, order) = &mut *guard;
+        if map.insert(key, total).is_none() {
+            order.push_back(key);
+            if order.len() > TOTALS_CAPACITY {
+                if let Some(oldest) = order.pop_front() {
+                    map.remove(&oldest);
+                }
+            }
+        }
+        Ok(total)
+    }
+
+    /// The memo, recovered from poisoning: no fold runs under the lock,
+    /// and every update leaves map and order consistent.
+    fn lock(&self) -> std::sync::MutexGuard<'_, (HashMap<u128, f64>, VecDeque<u128>)> {
+        match self.entries.lock() {
+            Ok(guard) => guard,
+            Err(poisoned) => poisoned.into_inner(),
+        }
+    }
 }
 
 /// Incremental dual-stream 64-bit fingerprint (FNV-1a plus an independent
@@ -328,6 +399,36 @@ impl Simulator {
             }
         }
         fp
+    }
+
+    /// The total cycles of [`workload_total`], memoized in `cache` by the
+    /// workload's content fingerprint and [`Simulator::environment_fingerprint`]
+    /// (µarch config, sim options, kernel and context tables).
+    /// Bit-identical to the uncached fold at every thread count and cache
+    /// temperature; a rejected workload is never memoized, so it is
+    /// rejected the same way on every call.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`workload_total`] returns for the workload.
+    pub fn workload_total_cached(
+        &self,
+        workload: &Workload,
+        par: Parallelism,
+        cache: &SimCache,
+    ) -> Result<f64, StreamRunError<SinkError>> {
+        let mut fp = self.environment_fingerprint(workload);
+        fp.word(workload.fingerprint());
+        cache.totals.get_or_compute(fp.key(), || {
+            workload_total(
+                self,
+                par,
+                workload,
+                gpu_workload::DEFAULT_BLOCK_LEN,
+                DEFAULT_CHANNEL_BLOCKS,
+            )
+            .map(|t| t.total_cycles)
+        })
     }
 
     /// [`Simulator::run_sampled`] with memoisation and optional
@@ -636,5 +737,51 @@ mod tests {
         assert_eq!(cache.len(), warm_len);
         // Recovery happened once; the shard is healthy again.
         assert_eq!(cache.poison_recoveries(), 1);
+    }
+
+    #[test]
+    fn memoized_totals_match_the_fold_and_hit_once_folded() {
+        let suite = rodinia_suite(5);
+        let sim = Simulator::new(GpuConfig::rtx2080());
+        let cache = SimCache::new();
+        for w in &suite[..3] {
+            let fold = crate::streaming::workload_total(&sim, Parallelism::serial(), w, 1, 1)
+                .expect("valid workload")
+                .total_cycles;
+            for threads in [1usize, 3] {
+                let par = Parallelism::with_threads(threads);
+                let total = sim.workload_total_cached(w, par, &cache).expect("valid");
+                assert_eq!(total.to_bits(), fold.to_bits(), "{}", w.name());
+            }
+        }
+        assert_eq!((cache.total_misses(), cache.total_hits()), (3, 3));
+        // Another µarch config folds its own total.
+        let h100 = Simulator::new(GpuConfig::h100());
+        let other = h100
+            .workload_total_cached(&suite[0], Parallelism::serial(), &cache)
+            .expect("valid");
+        assert_eq!(cache.total_misses(), 4);
+        assert_eq!(
+            other.to_bits(),
+            h100.run_full(&suite[0]).total_cycles.to_bits()
+        );
+    }
+
+    #[test]
+    fn totals_memo_keeps_only_successes_and_stays_bounded() {
+        let memo = TotalsMemo::default();
+        assert_eq!(
+            memo.get_or_compute(7, || Err::<f64, _>("rejected")),
+            Err("rejected")
+        );
+        assert_eq!(memo.get_or_compute(7, || Ok::<_, ()>(1.5)), Ok(1.5));
+        assert_eq!(memo.get_or_compute(7, || Ok::<_, ()>(9.0)), Ok(1.5));
+        for key in 0..=TOTALS_CAPACITY as u128 {
+            memo.get_or_compute(1000 + key, || Ok::<_, ()>(key as f64))
+                .expect("infallible");
+        }
+        let (map, order) = &*memo.lock();
+        assert_eq!((map.len(), order.len()), (TOTALS_CAPACITY, TOTALS_CAPACITY));
+        assert!(!map.contains_key(&7), "the oldest entry is evicted first");
     }
 }

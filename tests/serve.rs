@@ -17,7 +17,9 @@
 //! 4. A corrupt journal is quarantined — never trusted — and resubmitted
 //!    jobs recompute the same bits.
 //! 5. The shared memo cache never exceeds its entry cap across a warm
-//!    multi-campaign run, and eviction is output-invisible.
+//!    multi-campaign run, and eviction is output-invisible. The daemon's
+//!    one sampler per name and its memoized ground truth serve repeated
+//!    workloads with a fresh sampler's bits.
 //! 6. Wire-level chaos (truncated frames, garbage lines, disconnects,
 //!    slow writers) never takes the daemon down.
 
@@ -479,6 +481,79 @@ fn memo_cache_stays_bounded_across_a_warm_multi_campaign_run() {
         "identical specs through a hot, evicting cache must produce identical bits"
     );
     assert_ne!(payloads[0], payloads[2], "different seeds must differ");
+    server.shutdown();
+    drop(server);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn daemon_lifetime_samplers_and_totals_match_fresh_sampler_runs() {
+    // Two tenants on two workers, each repeating a Rodinia and a CASIO
+    // workload: the daemon plans every job with its one STEM sampler and
+    // folds each workload's ground truth once, and every payload must
+    // still equal a fresh sampler's `Pipeline::run`.
+    let dir = scratch("shared-planning");
+    let spec = |tenant: &str, suite, workload_index, seed| JobSpec {
+        tenant: tenant.to_string(),
+        suite,
+        suite_seed: 33,
+        workload_index,
+        reps: 2,
+        seed,
+        deadline_ms: None,
+        sampler: "STEM".to_string(),
+        store: None,
+    };
+    let specs = [
+        spec("alice", SuiteId::Rodinia, 7, 71), // kmeans
+        spec("bob", SuiteId::Casio, 7, 72),     // ssdrn34_infer
+        spec("alice", SuiteId::Casio, 7, 73),
+        spec("bob", SuiteId::Rodinia, 7, 74),
+        spec("bob", SuiteId::Rodinia, 7, 71),
+        spec("alice", SuiteId::Casio, 7, 72),
+    ];
+    let fresh = |spec: &JobSpec| {
+        let sampler = standard_registry().build(&spec.sampler).expect("registered sampler");
+        let workload = spec.workload().expect("spec workload");
+        let summary = Pipeline::new(Simulator::new(GpuConfig::rtx2080()))
+            .with_reps(spec.reps)
+            .expect("positive reps")
+            .with_seed(spec.seed)
+            .with_parallelism(Parallelism::with_threads(1))
+            .run(sampler.as_ref(), &workload);
+        render_result_payload(&summary)
+    };
+    // Every job is queued before any runs, with room in the queue and in
+    // each tenant's quota, so admission never races the workers.
+    let server = Server::start(
+        ServeConfig::new(&dir)
+            .with_workers(2, 1)
+            .with_queue(8, 7)
+            .with_per_tenant_cap(3),
+    )
+    .expect("daemon starts");
+    server.pause_workers();
+    let ids: Vec<u64> = specs
+        .iter()
+        .map(|s| server.try_submit(s.clone()).expect("admitted"))
+        .collect();
+    server.resume_workers();
+    assert!(server.wait_idle(IDLE), "every job must finish");
+    for (spec, &id) in specs.iter().zip(&ids) {
+        let payload = server
+            .result_payload(&spec.tenant, id)
+            .expect("own job")
+            .expect("payload present");
+        assert_eq!(payload, fresh(spec), "job {id}: shared planning moved a bit");
+    }
+    // Only two workers run at once, so a later job always finds at least
+    // one workload's total already folded.
+    assert!(
+        server.cache().total_hits() >= 1,
+        "the totals memo never hit: {} folds",
+        server.cache().total_misses()
+    );
+    assert!(server.cache().total_misses() <= 4, "each workload folds at most twice");
     server.shutdown();
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
