@@ -5,9 +5,9 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Formatting gate, one crate at a time as each is made rustfmt-clean:
-# these seven are clean, the rest of the workspace is not yet.
+# these nine are clean, the rest of the workspace is not yet.
 cargo fmt --check -p gpu-workload -p stem-par -p stem-stats -p stem-cluster \
-  -p stem-storage -p stem-baselines -p gpu-profile
+  -p stem-storage -p stem-baselines -p gpu-profile -p stem-core -p stem-serve
 # Lint gate: every clippy warning, in every target, fails the run.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --workspace --release --offline
