@@ -154,31 +154,6 @@ impl Pipeline {
         self
     }
 
-    /// The storage behind this pipeline's durable writes.
-    pub fn storage(&self) -> &Arc<dyn Storage> {
-        &self.storage
-    }
-
-    /// The thread budget in effect.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
-    /// The worker supervisor in effect.
-    pub fn supervisor(&self) -> Supervisor {
-        self.supervisor
-    }
-
-    /// The recovery policy in effect.
-    pub fn recovery(&self) -> RecoveryPolicy {
-        self.recovery
-    }
-
-    /// The target simulator.
-    pub fn simulator(&self) -> &Simulator {
-        &self.sim
-    }
-
     /// Ground-truth total `t*` of Eq. (1) via [`gpu_sim::workload_total`],
     /// the in-memory group fold: one deterministic core per invocation
     /// group, then every invocation's jittered cycles summed in stream

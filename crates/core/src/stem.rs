@@ -186,11 +186,6 @@ impl StemRootSampler {
         self
     }
 
-    /// The thread budget in use.
-    pub fn parallelism(&self) -> Parallelism {
-        self.parallelism
-    }
-
     /// Switches to per-cluster Eq. (3) sizing (ablation).
     pub fn with_sizing(mut self, sizing: Sizing) -> Self {
         self.sizing = sizing;

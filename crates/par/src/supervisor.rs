@@ -75,7 +75,8 @@ impl Supervisor {
     }
 
     /// The soft deadline in effect, if any.
-    pub fn soft_deadline(&self) -> Option<Duration> {
+    #[cfg(test)]
+    fn soft_deadline(&self) -> Option<Duration> {
         self.soft_deadline
     }
 }

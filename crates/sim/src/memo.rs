@@ -113,7 +113,8 @@ impl SimCache {
     }
 
     /// The per-shard entry cap, if the cache is bounded.
-    pub fn capacity_per_shard(&self) -> Option<usize> {
+    #[cfg(test)]
+    fn capacity_per_shard(&self) -> Option<usize> {
         self.capacity_per_shard
     }
 
