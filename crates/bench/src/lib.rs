@@ -10,10 +10,11 @@
 //!   it printed so integration tests can assert the paper's *shape* claims
 //!   (who wins, by roughly what factor).
 //!
-//! Benches (in `benches/`, on the [`microbench`] harness) cover the
-//! paper's performance claims: STEM's near-linear scalability versus
-//! Photon's quadratic matching (Sec. 5.6) and the costs of the core
-//! algorithms.
+//! The `perf` binary is the timing harness: it writes `BENCH_hotpath.json`
+//! (per-stage times, and the Sec. 5.6 sweep of STEM's planning cost
+//! against Photon's matching) and `BENCH_paperscale.json` (streamed
+//! ground truth at paper scale). [`microbench`] holds the same-process
+//! ratio probes that `tests/scaling_smoke.rs` gates on.
 
 // Workspace lint headers, enforced by `stem-tidy` (rule `lint-headers`).
 #![deny(missing_debug_implementations)]

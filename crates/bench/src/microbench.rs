@@ -1,49 +1,16 @@
-//! A minimal `std::time::Instant` micro-benchmark harness.
-//!
-//! Replaces the former `criterion` dev-dependency so the workspace builds
-//! hermetically. It keeps the parts of criterion the benches actually used:
-//! warmup, automatic iteration-count calibration toward a fixed measurement
-//! budget, and a one-line min/median/mean report per benchmark.
-//!
-//! Not a statistics engine: no outlier rejection or regression tracking.
-//! Numbers are for relative, same-machine comparison — exactly how the
-//! paper's Sec. 5.6 scaling claims are phrased.
+//! Same-process ratio probes: each times a production path against a
+//! reference (or a serial run) on the same inputs, alternating between the
+//! two, and reports the ratio of their fastest runs as a [`RatioCheck`].
+//! Both sides run in one process, so machine speed cancels out of the
+//! ratio where absolute times are noise. `tests/scaling_smoke.rs` gates on
+//! the ratios and on the bit-identity of the two sides' results.
 
 use std::hint::black_box;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Target wall-clock budget for the measured phase of one benchmark.
-const MEASURE_BUDGET: Duration = Duration::from_millis(200);
-/// Measured batches per benchmark (each batch runs `iters_per_batch` calls).
-const BATCHES: usize = 10;
+use gpu_workload::{SuiteKind, Workload};
 
-/// One benchmark's timing summary, in nanoseconds per iteration.
-#[derive(Debug, Clone)]
-pub struct BenchResult {
-    /// Group/benchmark label, e.g. `kkt_solver/64`.
-    pub name: String,
-    /// Fastest batch (least interference).
-    pub min_ns: f64,
-    /// Median batch.
-    pub median_ns: f64,
-    /// Mean over all batches.
-    pub mean_ns: f64,
-    /// Total iterations measured.
-    pub iters: u64,
-}
-
-impl BenchResult {
-    fn report(&self) {
-        println!(
-            "bench {:<44} min {:>12}  median {:>12}  mean {:>12}  ({} iters)",
-            self.name,
-            fmt_ns(self.min_ns),
-            fmt_ns(self.median_ns),
-            fmt_ns(self.mean_ns),
-            self.iters
-        );
-    }
-}
+use crate::harness::ExperimentOptions;
 
 fn fmt_ns(ns: f64) -> String {
     if ns >= 1e9 {
@@ -57,216 +24,19 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// Time `f`, returning per-iteration statistics. The closure's result is
-/// routed through [`black_box`] so the optimizer cannot delete the work.
-pub fn bench<T, F: FnMut() -> T>(name: &str, mut f: F) -> BenchResult {
-    // Warmup + calibration: run until 10ms or 3 calls, whichever is later.
-    let cal_start = Instant::now();
-    let mut cal_iters: u64 = 0;
-    while cal_iters < 3 || cal_start.elapsed() < Duration::from_millis(10) {
-        black_box(f());
-        cal_iters += 1;
-    }
-    let per_call = cal_start.elapsed().as_secs_f64() / cal_iters as f64;
-
-    let total_iters =
-        ((MEASURE_BUDGET.as_secs_f64() / per_call.max(1e-9)) as u64).clamp(BATCHES as u64, 1_000_000);
-    let iters_per_batch = (total_iters / BATCHES as u64).max(1);
-
-    let mut batch_ns: Vec<f64> = Vec::with_capacity(BATCHES);
-    for _ in 0..BATCHES {
-        let t = Instant::now();
-        for _ in 0..iters_per_batch {
-            black_box(f());
-        }
-        batch_ns.push(t.elapsed().as_nanos() as f64 / iters_per_batch as f64);
-    }
-    batch_ns.sort_by(f64::total_cmp);
-    let result = BenchResult {
-        name: name.to_string(),
-        min_ns: batch_ns[0],
-        median_ns: batch_ns[BATCHES / 2],
-        mean_ns: batch_ns.iter().sum::<f64>() / BATCHES as f64,
-        iters: iters_per_batch * BATCHES as u64,
-    };
-    result.report();
-    result
-}
-
-/// Group header, mirroring criterion's `benchmark_group` output shape.
-pub fn group(name: &str) {
-    println!("\n== {name}");
-}
-
-/// Outcome of the threads=1 vs threads=N scaling probe
-/// ([`scaling_smoke_check`]).
-#[derive(Debug, Clone)]
-pub struct ScalingCheck {
-    /// Thread count of the parallel run.
-    pub threads: usize,
-    /// Workload the probe ran on.
-    pub workload: String,
-    /// Wall-clock of the serial run, nanoseconds.
-    pub serial_ns: f64,
-    /// Wall-clock of the parallel run, nanoseconds.
-    pub parallel_ns: f64,
-    /// serial / parallel wall-clock ratio.
-    pub speedup: f64,
-    /// Whether the two runs produced bit-identical summaries. This is the
-    /// only field tests may gate on — timing is informational.
-    pub identical: bool,
-}
-
-impl ScalingCheck {
-    fn report(&self) {
-        println!(
-            "scaling {:<36} serial {:>12}  threads={} {:>12}  speedup {:.2}x  identical: {}",
-            self.workload,
-            fmt_ns(self.serial_ns),
-            self.threads,
-            fmt_ns(self.parallel_ns),
-            self.speedup,
-            self.identical
-        );
-    }
-}
-
-/// Runs the full pipeline on the largest workload of the HuggingFace suite
-/// (the paper's biggest synthetic suite) twice — serial, then on `threads`
-/// worker threads — and reports the wall-clock ratio.
-///
-/// Timing is informational only: machines and CI runners vary, so callers
-/// must never fail on `speedup`. The contract worth gating on is
-/// [`ScalingCheck::identical`] — the two runs must produce bit-identical
-/// evaluation summaries.
-///
-/// # Panics
-///
-/// Panics if `threads == 0` or the suite is empty.
-pub fn scaling_smoke_check(threads: usize) -> ScalingCheck {
-    use crate::harness::ExperimentOptions;
-    use gpu_workload::SuiteKind;
-    use stem_core::{Pipeline, StemRootSampler};
-    use stem_par::Parallelism;
-
-    let options = ExperimentOptions::fast();
-    let suite = options.suite(SuiteKind::Huggingface);
-    let workload = suite
+/// The largest workload of the fast options' HuggingFace suite, which the
+/// single-workload probes run on.
+fn largest_hf_workload(options: &ExperimentOptions) -> Workload {
+    options
+        .suite(SuiteKind::Huggingface)
         .into_iter()
-        .max_by_key(gpu_workload::Workload::num_invocations)
-        .expect("huggingface suite is non-empty");
-    let sampler = StemRootSampler::new(options.stem_config.clone());
-    let run_at = |par: Parallelism| {
-        let pipeline = Pipeline::new(options.simulator())
-            .with_reps(4)
-            .expect("positive reps")
-            .with_seed(options.seed)
-            .with_parallelism(par);
-        let t = Instant::now();
-        let summary = pipeline.run(&sampler, &workload);
-        (t.elapsed().as_nanos() as f64, summary)
-    };
-    let (serial_ns, serial) = run_at(Parallelism::serial());
-    let (parallel_ns, parallel) = run_at(Parallelism::with_threads(threads));
-    let check = ScalingCheck {
-        threads,
-        workload: workload.name().to_string(),
-        serial_ns,
-        parallel_ns,
-        speedup: serial_ns / parallel_ns.max(1.0),
-        identical: serial == parallel,
-    };
-    check.report();
-    check
+        .max_by_key(Workload::num_invocations)
+        .expect("huggingface suite is non-empty")
 }
 
-/// Outcome of the grouped vs per-invocation ground-truth timing probe
-/// ([`grouped_timing_check`]).
-#[derive(Debug, Clone)]
-pub struct GroupedTimingCheck {
-    /// Workload the probe ran on.
-    pub workload: String,
-    /// Distinct invocation groups (deterministic cores computed).
-    pub groups: usize,
-    /// Total invocations (jitter draws applied).
-    pub invocations: usize,
-    /// Wall-clock of the grouped fast path, nanoseconds.
-    pub grouped_ns: f64,
-    /// Wall-clock of the per-invocation reference path, nanoseconds.
-    pub per_invocation_ns: f64,
-    /// per-invocation / grouped wall-clock ratio.
-    pub speedup: f64,
-    /// Whether the two paths produced bit-identical ground-truth totals.
-    /// This is the only field tests may gate on — timing is informational.
-    pub identical: bool,
-}
-
-impl GroupedTimingCheck {
-    fn report(&self) {
-        println!(
-            "grouped {:<36} per-invocation {:>12}  grouped {:>12}  ({} groups / {} invocations)  speedup {:.2}x  identical: {}",
-            self.workload,
-            fmt_ns(self.per_invocation_ns),
-            fmt_ns(self.grouped_ns),
-            self.groups,
-            self.invocations,
-            self.speedup,
-            self.identical
-        );
-    }
-}
-
-/// Times the ground-truth simulation of the largest HuggingFace workload
-/// twice — once on the grouped in-memory fold every evaluation path uses
-/// (`harness::ground_truth`, i.e. `gpu_sim::workload_total`),
-/// once on the pre-overhaul per-invocation reference
-/// (`gpu_sim::simulator::reference::run_full`) — and reports the
-/// wall-clock ratio.
-///
-/// The regression contract is [`GroupedTimingCheck::identical`]: the two
-/// paths must produce bit-identical totals. The speedup is informational
-/// only (CI machines are too noisy for wall-clock gates).
-///
-/// # Panics
-///
-/// Panics if the HuggingFace suite is empty.
-pub fn grouped_timing_check() -> GroupedTimingCheck {
-    use crate::harness::ExperimentOptions;
-    use gpu_sim::simulator::reference as sim_reference;
-    use gpu_workload::SuiteKind;
-
-    let options = ExperimentOptions::fast();
-    let suite = options.suite(SuiteKind::Huggingface);
-    let workload = suite
-        .into_iter()
-        .max_by_key(gpu_workload::Workload::num_invocations)
-        .expect("huggingface suite is non-empty");
-    let sim = options.simulator();
-
-    let t = Instant::now();
-    let grouped = crate::harness::ground_truth(&sim, &workload);
-    let grouped_ns = t.elapsed().as_nanos() as f64;
-
-    let t = Instant::now();
-    let per_invocation = sim_reference::run_full(&sim, &workload);
-    let per_invocation_ns = t.elapsed().as_nanos() as f64;
-
-    let check = GroupedTimingCheck {
-        workload: workload.name().to_string(),
-        groups: workload.num_invocation_groups(),
-        invocations: workload.num_invocations(),
-        grouped_ns,
-        per_invocation_ns,
-        speedup: per_invocation_ns / grouped_ns.max(1.0),
-        identical: grouped.to_bits() == per_invocation.total_cycles.to_bits(),
-    };
-    check.report();
-    check
-}
-
-/// Outcome of a same-process ratio probe ([`root_ratio_check`],
-/// [`construct_ratio_check`], [`profile_root_ratio_check`]): a production
-/// path timed against its reference on the same inputs.
+/// Outcome of a same-process ratio probe: a production path (or a
+/// parallel run) timed against its reference (or a serial run) on the
+/// same inputs.
 #[derive(Debug, Clone)]
 pub struct RatioCheck {
     /// What the probe compares, e.g. `root`.
@@ -290,9 +60,7 @@ impl RatioCheck {
         probe: &'static str,
         workload: &str,
         invocations: usize,
-        fast_ns: f64,
-        reference_ns: f64,
-        identical: bool,
+        (fast_ns, reference_ns, identical): (f64, f64, bool),
     ) -> Self {
         let check = RatioCheck {
             probe,
@@ -318,94 +86,139 @@ impl RatioCheck {
 
 /// Runs `reference` and `fast` once each untimed (so neither pays
 /// first-touch costs inside the timed runs), then `runs` times each,
-/// alternating, and returns the fastest fast and reference runs in
-/// nanoseconds and whether every result equalled the first reference
-/// result.
-fn alternate<T: PartialEq>(
+/// alternating. Every call of `fast` takes a fresh `input()`, built before
+/// its clock starts. Returns the fastest fast and reference runs in
+/// nanoseconds and whether `agree` held for every pair of results.
+fn alternate_on<I, R, F>(
     runs: usize,
-    reference: impl Fn() -> T,
-    fast: impl Fn() -> T,
+    input: impl Fn() -> I,
+    reference: impl Fn() -> R,
+    fast: impl Fn(I) -> F,
+    agree: impl Fn(&R, &F) -> bool,
 ) -> (f64, f64, bool) {
     assert!(runs > 0, "at least one run per path");
-    let expected = reference();
-    let mut identical = fast() == expected;
+    let mut identical = agree(&reference(), &fast(input()));
     let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
     for _ in 0..runs {
         let t = Instant::now();
         let slow = black_box(reference());
         reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
+        let input = input();
         let t = Instant::now();
-        let quick = black_box(fast());
+        let quick = black_box(fast(input));
         fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
-        identical &= quick == expected && slow == expected;
+        identical &= agree(&slow, &quick);
     }
     (fast_ns, reference_ns, identical)
+}
+
+/// [`alternate_on`] for two paths without inputs and with one result type.
+fn alternate<T: PartialEq>(
+    runs: usize,
+    reference: impl Fn() -> T,
+    fast: impl Fn() -> T,
+) -> (f64, f64, bool) {
+    alternate_on(runs, || (), reference, |()| fast(), T::eq)
+}
+
+/// Times the full pipeline (4 reps) on the largest HuggingFace workload,
+/// serially against `threads` worker threads, `runs` times each,
+/// alternating. Every run builds its own sampler and pipeline, so both
+/// sides start from a cold sampler memo and a cold simulation cache, and
+/// both must give bit-identical evaluation summaries. The ratio (parallel
+/// over serial) is informational: it depends on the host's free CPUs.
+///
+/// # Panics
+///
+/// Panics if `threads == 0` or `runs == 0`.
+pub fn threads_ratio_check(threads: usize, runs: usize) -> RatioCheck {
+    use stem_core::{Pipeline, StemRootSampler};
+    use stem_par::Parallelism;
+
+    let options = ExperimentOptions::fast();
+    let workload = largest_hf_workload(&options);
+    let run_at = |par: Parallelism| {
+        let pipeline = Pipeline::new(options.simulator())
+            .with_reps(4)
+            .expect("positive reps")
+            .with_seed(options.seed)
+            .with_parallelism(par);
+        pipeline.run(&StemRootSampler::new(options.stem_config.clone()), &workload)
+    };
+    let timed = alternate(
+        runs,
+        || run_at(Parallelism::serial()),
+        || run_at(Parallelism::with_threads(threads)),
+    );
+    RatioCheck::new("threads", workload.name(), workload.num_invocations(), timed)
+}
+
+/// Times the ground-truth fold every evaluation path uses
+/// (`gpu_sim::workload_total`, through `harness::ground_truth`) on the
+/// largest HuggingFace workload against the per-invocation reference
+/// (`gpu_sim::simulator::reference::run_full`), `runs` times each,
+/// alternating. Both must give the same total, bit for bit.
+///
+/// # Panics
+///
+/// Panics if `runs == 0`.
+pub fn fold_ratio_check(runs: usize) -> RatioCheck {
+    use gpu_sim::simulator::reference;
+
+    let options = ExperimentOptions::fast();
+    let workload = largest_hf_workload(&options);
+    let sim = options.simulator();
+    let timed = alternate(
+        runs,
+        || reference::run_full(&sim, &workload).total_cycles.to_bits(),
+        || crate::harness::ground_truth(&sim, &workload).to_bits(),
+    );
+    RatioCheck::new("fold", workload.name(), workload.num_invocations(), timed)
 }
 
 /// Times ROOT on the largest HuggingFace workload's profiled times `runs`
 /// times each, alternating between the production recursion
 /// (`cluster_workload`) and the per-node-Vec reference recursion
-/// (`stem_core::root::reference::cluster_workload`), and reports the ratio
-/// of their fastest runs. Both paths run in this process on the same
-/// inputs, so the ratio is meaningful where absolute times are not.
+/// (`stem_core::root::reference::cluster_workload`). Both must give
+/// bit-identical clusters.
 ///
 /// # Panics
 ///
-/// Panics if `runs == 0` or the HuggingFace suite is empty.
+/// Panics if `runs == 0`.
 pub fn root_ratio_check(runs: usize) -> RatioCheck {
-    use crate::harness::ExperimentOptions;
     use gpu_profile::ExecTimeProfiler;
-    use gpu_workload::SuiteKind;
     use stem_core::root::{cluster_workload, reference};
 
     let options = ExperimentOptions::fast();
-    let workload = options
-        .suite(SuiteKind::Huggingface)
-        .into_iter()
-        .max_by_key(gpu_workload::Workload::num_invocations)
-        .expect("huggingface suite is non-empty");
+    let workload = largest_hf_workload(&options);
     let config = &options.stem_config;
     let times = ExecTimeProfiler::new(config.profile_config.clone(), config.profile_seed)
         .profile(&workload);
-
-    let (fast_ns, reference_ns, identical) = alternate(
+    let timed = alternate(
         runs,
         || reference::cluster_workload(&workload, &times, config),
         || cluster_workload(&workload, &times, config),
     );
-    RatioCheck::new(
-        "root",
-        workload.name(),
-        workload.num_invocations(),
-        fast_ns,
-        reference_ns,
-        identical,
-    )
+    RatioCheck::new("root", workload.name(), workload.num_invocations(), timed)
 }
 
-/// Times workload construction on the largest HuggingFace workload
-/// `runs` times each, alternating between the one-pass
-/// `Workload::try_new` (from owned parts cloned before the clock starts)
-/// and the three-pass `trace::reference::derive` (table and range checks,
-/// hashed timing groups, plain fingerprint fold), and reports the ratio
-/// of their fastest runs. Both paths run in this process on the same
-/// inputs, so the ratio is meaningful where absolute times are not.
+/// Times workload construction on the largest HuggingFace workload `runs`
+/// times each, alternating between the one-pass `Workload::try_new` (from
+/// owned parts cloned before the clock starts) and the three-pass
+/// `trace::reference::derive` (table and range checks, hashed timing
+/// groups, plain fingerprint fold). Both must derive the same group ids,
+/// representatives and fingerprint, and `try_new` must rebuild the
+/// workload.
 ///
 /// # Panics
 ///
-/// Panics if `runs == 0` or the HuggingFace suite is empty.
+/// Panics if `runs == 0`.
 pub fn construct_ratio_check(runs: usize) -> RatioCheck {
-    use crate::harness::ExperimentOptions;
     use gpu_workload::trace::reference;
-    use gpu_workload::{KernelId, SuiteKind, Workload};
+    use gpu_workload::KernelId;
 
-    assert!(runs > 0, "at least one run per path");
     let options = ExperimentOptions::fast();
-    let workload = options
-        .suite(SuiteKind::Huggingface)
-        .into_iter()
-        .max_by_key(Workload::num_invocations)
-        .expect("huggingface suite is non-empty");
+    let workload = largest_hf_workload(&options);
     let contexts: Vec<_> = (0..workload.kernels().len())
         .map(|k| workload.contexts_of(KernelId(k as u32)).to_vec())
         .collect();
@@ -419,9 +232,10 @@ pub fn construct_ratio_check(runs: usize) -> RatioCheck {
         )
         .expect("a generated workload is valid")
     };
-    let (group_of, representatives, fingerprint) = derive();
+    let expected = derive();
+    let (group_of, representatives, fingerprint) = &expected;
     let matches = |w: &Workload| {
-        w.fingerprint() == fingerprint
+        w.fingerprint() == *fingerprint
             && w.num_invocation_groups() == representatives.len()
             && group_of
                 .iter()
@@ -432,45 +246,29 @@ pub fn construct_ratio_check(runs: usize) -> RatioCheck {
                 .enumerate()
                 .all(|(g, &rep)| w.group_representative(g as u32) == rep)
     };
-    let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
-    let mut identical = true;
-    for _ in 0..runs {
-        let t = Instant::now();
-        let slow = black_box(derive());
-        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
-        let parts = (
-            workload.kernels().to_vec(),
-            contexts.clone(),
-            workload.invocations().to_vec(),
-        );
-        let t = Instant::now();
-        let fast = black_box(Workload::try_new(
-            workload.name(),
-            workload.suite(),
-            parts.0,
-            parts.1,
-            parts.2,
-        ));
-        fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
-        identical &= slow == (group_of.clone(), representatives.clone(), fingerprint)
-            && fast.as_ref().is_ok_and(|w| matches(w) && *w == workload);
-    }
-    RatioCheck::new(
-        "construct",
-        workload.name(),
-        workload.num_invocations(),
-        fast_ns,
-        reference_ns,
-        identical,
-    )
+    let timed = alternate_on(
+        runs,
+        || {
+            let kernels = workload.kernels().to_vec();
+            (kernels, contexts.clone(), workload.invocations().to_vec())
+        },
+        derive,
+        |(kernels, contexts, invocations)| {
+            Workload::try_new(workload.name(), workload.suite(), kernels, contexts, invocations)
+        },
+        |slow, fast| {
+            *slow == expected && fast.as_ref().is_ok_and(|w| matches(w) && *w == workload)
+        },
+    );
+    RatioCheck::new("construct", workload.name(), workload.num_invocations(), timed)
 }
 
 /// Times the builder's normal draw (`gpu_workload::normal::fill`: tables
 /// and short polynomials behind a rounding test) against the libm
 /// expression it reproduces (`normal::reference::fill`) over 1 M seeded
-/// pairs, RNG included, `runs` times each, alternating, and reports the
-/// ratio of their fastest runs. Both loops are compiled in `gpu-workload`,
-/// so the ratio does not depend on this crate's optimization level.
+/// pairs, RNG included, `runs` times each, alternating. Both loops are
+/// compiled in `gpu-workload`, so the ratio does not depend on this
+/// crate's optimization level.
 ///
 /// # Panics
 ///
@@ -484,19 +282,12 @@ pub fn normal_ratio_check(runs: usize) -> RatioCheck {
         fill(&mut out, 2025);
         out
     };
-    let (fast_ns, reference_ns, identical) = alternate(
+    let timed = alternate(
         runs,
         || draw(normal::reference::fill),
         || draw(normal::fill),
     );
-    RatioCheck::new(
-        "normal",
-        "seeded pairs",
-        DRAWS,
-        fast_ns,
-        reference_ns,
-        identical,
-    )
+    RatioCheck::new("normal", "seeded pairs", DRAWS, timed)
 }
 
 /// Times one cold `StemRootSampler`'s profile into ROOT over the
@@ -505,17 +296,15 @@ pub fn normal_ratio_check(runs: usize) -> RatioCheck {
 /// shared noise table and moves them into ROOT; the reference profiles
 /// each workload with a fresh runner, drawing every measurement's noise
 /// factor itself (`gpu_sim::hardware::reference::measure_all_grouped`),
-/// and runs `cluster_workload` over the times. Both run serially in this
-/// process on the same inputs and must give bit-identical clusters.
+/// and runs `cluster_workload` over the times. Both run serially and must
+/// give bit-identical clusters.
 ///
 /// # Panics
 ///
 /// Panics if `runs == 0`.
 pub fn profile_root_ratio_check(runs: usize) -> RatioCheck {
-    use crate::harness::ExperimentOptions;
     use gpu_sim::hardware::reference;
     use gpu_sim::HardwareRunner;
-    use gpu_workload::{SuiteKind, Workload};
     use stem_core::root::cluster_workload;
     use stem_core::StemRootSampler;
 
@@ -523,8 +312,7 @@ pub fn profile_root_ratio_check(runs: usize) -> RatioCheck {
     let workloads = options.suite(SuiteKind::Huggingface);
     let config = &options.stem_config;
     let serial = stem_par::Parallelism::serial();
-
-    let (fast_ns, reference_ns, identical) = alternate(
+    let timed = alternate(
         runs,
         || -> Vec<_> {
             let cluster = |w| {
@@ -538,25 +326,6 @@ pub fn profile_root_ratio_check(runs: usize) -> RatioCheck {
             workloads.iter().map(|w| sampler.clusters(w)).collect()
         },
     );
-    RatioCheck::new(
-        "profile+root",
-        "huggingface suite",
-        workloads.iter().map(Workload::num_invocations).sum(),
-        fast_ns,
-        reference_ns,
-        identical,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn bench_measures_something() {
-        let r = bench("smoke/sum", || (0..1000u64).sum::<u64>());
-        assert!(r.min_ns > 0.0);
-        assert!(r.min_ns <= r.mean_ns * 1.5 + 1.0);
-        assert!(r.iters >= BATCHES as u64);
-    }
+    let invocations = workloads.iter().map(Workload::num_invocations).sum();
+    RatioCheck::new("profile+root", "huggingface suite", invocations, timed)
 }
