@@ -141,7 +141,12 @@ fn parse_args() -> Result<Args, StemError> {
         reps: 3,
         threads: vec![1, 4],
         store_dir: PathBuf::from("target/paperscale_store"),
-        out: if hotpath { "BENCH_hotpath.json" } else { "BENCH_paperscale.json" }.to_string(),
+        out: if hotpath {
+            "BENCH_hotpath.json"
+        } else {
+            "BENCH_paperscale.json"
+        }
+        .to_string(),
     };
     for (flag, raw) in pairs {
         if !mode.takes(flag) {
@@ -252,27 +257,53 @@ fn run_hotpath(args: &Args, options: &ExperimentOptions) -> Vec<Section> {
                 .expect("a counting sink never fails");
         }
         let n = generated.rows;
-        record(&mut sections, format!("{suite}/workload_generate"), threads, t.elapsed().as_nanos(), n);
+        record(
+            &mut sections,
+            format!("{suite}/workload_generate"),
+            threads,
+            t.elapsed().as_nanos(),
+            n,
+        );
 
         // Workload materialization: generation plus construction (range
         // checks, timing groups, content fingerprint) of every workload.
         let t = Instant::now();
         let workloads = options.suite(kind);
         let materialize_ns = t.elapsed().as_nanos();
-        assert_eq!(n, workloads.iter().map(|w| w.num_invocations() as u64).sum());
-        record(&mut sections, format!("{suite}/workload_materialize"), threads, materialize_ns, n);
+        assert_eq!(
+            n,
+            workloads.iter().map(|w| w.num_invocations() as u64).sum()
+        );
+        record(
+            &mut sections,
+            format!("{suite}/workload_materialize"),
+            threads,
+            materialize_ns,
+            n,
+        );
 
         // Ground-truth simulation: the full analytic model over every
         // invocation, through the fold `Pipeline`, campaigns and `repro` run.
         let t = Instant::now();
         let mut total_cycles = 0.0_f64;
         for w in &workloads {
-            total_cycles +=
-                gpu_sim::workload_total(&sim, par, w, DEFAULT_BLOCK_LEN, gpu_sim::DEFAULT_CHANNEL_BLOCKS)
-                    .expect("generated workloads fold cleanly")
-                    .total_cycles;
+            total_cycles += gpu_sim::workload_total(
+                &sim,
+                par,
+                w,
+                DEFAULT_BLOCK_LEN,
+                gpu_sim::DEFAULT_CHANNEL_BLOCKS,
+            )
+            .expect("generated workloads fold cleanly")
+            .total_cycles;
         }
-        record(&mut sections, format!("{suite}/ground_truth_sim"), threads, t.elapsed().as_nanos(), n);
+        record(
+            &mut sections,
+            format!("{suite}/ground_truth_sim"),
+            threads,
+            t.elapsed().as_nanos(),
+            n,
+        );
         assert!(total_cycles.is_finite() && total_cycles > 0.0);
 
         // Clustering / plan construction (profiler + ROOT + KKT sizing).
@@ -282,7 +313,13 @@ fn run_hotpath(args: &Args, options: &ExperimentOptions) -> Vec<Section> {
         for w in &workloads {
             planned_samples += sampler.plan(w, options.seed).num_samples() as u64;
         }
-        record(&mut sections, format!("{suite}/clustering_plan"), threads, t.elapsed().as_nanos(), n);
+        record(
+            &mut sections,
+            format!("{suite}/clustering_plan"),
+            threads,
+            t.elapsed().as_nanos(),
+            n,
+        );
         assert!(planned_samples > 0);
 
         // End-to-end pipeline: ground truth + reps × (plan + sampled sim +
@@ -301,7 +338,13 @@ fn run_hotpath(args: &Args, options: &ExperimentOptions) -> Vec<Section> {
             mean_err += pipeline.run(&cold_sampler, w).mean_error_pct;
         }
         let units = n * (u64::from(args.reps) + 1);
-        record(&mut sections, format!("{suite}/pipeline_end_to_end"), threads, t.elapsed().as_nanos(), units);
+        record(
+            &mut sections,
+            format!("{suite}/pipeline_end_to_end"),
+            threads,
+            t.elapsed().as_nanos(),
+            units,
+        );
         assert!(mean_err.is_finite());
     }
 
@@ -329,11 +372,23 @@ fn run_hotpath(args: &Args, options: &ExperimentOptions) -> Vec<Section> {
             let sampler = StemRootSampler::new(options.stem_config.clone());
             black_box(sampler.plan(&bert, options.seed));
         });
-        record(&mut sections, format!("sec5_6/bert@{scale}/stem_plan"), threads, stem, n);
+        record(
+            &mut sections,
+            format!("sec5_6/bert@{scale}/stem_plan"),
+            threads,
+            stem,
+            n,
+        );
         let photon = fastest(&|| {
             black_box(PhotonSampler::new().analyze(&bert));
         });
-        record(&mut sections, format!("sec5_6/bert@{scale}/photon_analyze"), threads, photon, n);
+        record(
+            &mut sections,
+            format!("sec5_6/bert@{scale}/photon_analyze"),
+            threads,
+            photon,
+            n,
+        );
     }
     sections
 }
@@ -358,11 +413,19 @@ fn run_streamed(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section>
             let dir = store_dir_for(&args.store_dir, suite, source);
             let mut writer =
                 StoreWriter::create(&storage, &dir, DEFAULT_BLOCK_LEN).map_err(ground_truth)?;
-            let summary = source.stream(&mut writer, DEFAULT_BLOCK_LEN).map_err(ground_truth)?;
+            let summary = source
+                .stream(&mut writer, DEFAULT_BLOCK_LEN)
+                .map_err(ground_truth)?;
             writer.finish(&summary).map_err(ground_truth)?;
             written += summary.invocations;
         }
-        record(&mut sections, format!("{suite}/colstore_write"), 1, t.elapsed().as_nanos(), written);
+        record(
+            &mut sections,
+            format!("{suite}/colstore_write"),
+            1,
+            t.elapsed().as_nanos(),
+            written,
+        );
 
         // Streamed ground truth from the generator and from the store, at
         // each thread count, cross-checked bitwise.
@@ -393,9 +456,14 @@ fn run_streamed(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section>
             let mut units = 0_u64;
             for source in &sources {
                 let dir = store_dir_for(&args.store_dir, suite, source);
-                let total =
-                    gpu_sim::store_total(&sim, par, &storage, &dir, gpu_sim::DEFAULT_CHANNEL_BLOCKS)
-                        .map_err(ground_truth)?;
+                let total = gpu_sim::store_total(
+                    &sim,
+                    par,
+                    &storage,
+                    &dir,
+                    gpu_sim::DEFAULT_CHANNEL_BLOCKS,
+                )
+                .map_err(ground_truth)?;
                 units += total.invocations;
                 store_totals.push(total.total_cycles.to_bits());
             }
@@ -429,7 +497,13 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
         let t = Instant::now();
         let workloads = options.suite(kind);
         let invocations: u64 = workloads.iter().map(|w| w.num_invocations() as u64).sum();
-        record(&mut sections, format!("{suite}/materialize"), 1, t.elapsed().as_nanos(), invocations);
+        record(
+            &mut sections,
+            format!("{suite}/materialize"),
+            1,
+            t.elapsed().as_nanos(),
+            invocations,
+        );
 
         for &threads in &args.threads {
             let par = Parallelism::with_threads(threads);
@@ -452,7 +526,13 @@ fn run_in_memory(args: &Args, options: &ExperimentOptions) -> Result<Vec<Section
                 );
             }
             let name = format!("{suite}/ground_truth_in_memory");
-            record(&mut sections, name, threads, t.elapsed().as_nanos(), invocations);
+            record(
+                &mut sections,
+                name,
+                threads,
+                t.elapsed().as_nanos(),
+                invocations,
+            );
         }
     }
     Ok(sections)
@@ -465,7 +545,11 @@ fn run() -> Result<(), StemError> {
     options.hf_scale = HuggingfaceScale::custom(args.hf_scale);
     options.stem_config = StemConfig::paper();
     let hotpath = args.mode == Mode::Hotpath;
-    let threads = if hotpath { vec![Parallelism::from_env().threads()] } else { args.threads.clone() };
+    let threads = if hotpath {
+        vec![Parallelism::from_env().threads()]
+    } else {
+        args.threads.clone()
+    };
 
     eprintln!(
         "perf: mode={} hf_scale={} seed={} threads={threads:?} block_len={DEFAULT_BLOCK_LEN}",
@@ -489,7 +573,10 @@ fn run() -> Result<(), StemError> {
         "  \"bench\": \"{}\",\n",
         if hotpath { "hotpath" } else { "paperscale" }
     ));
-    json.push_str(&format!("  \"schema_version\": {},\n", if hotpath { 2 } else { 1 }));
+    json.push_str(&format!(
+        "  \"schema_version\": {},\n",
+        if hotpath { 2 } else { 1 }
+    ));
     json.push_str(&format!("  \"mode\": \"{}\",\n", args.mode.name()));
     json.push_str(&format!("  \"hf_scale\": {},\n", args.hf_scale));
     json.push_str(&format!("  \"seed\": {},\n", args.seed));
@@ -497,7 +584,10 @@ fn run() -> Result<(), StemError> {
         json.push_str(&format!("  \"reps\": {},\n", args.reps));
     }
     json.push_str(&format!("  \"block_len\": {DEFAULT_BLOCK_LEN},\n"));
-    json.push_str(&format!("  \"channel_blocks\": {},\n", gpu_sim::DEFAULT_CHANNEL_BLOCKS));
+    json.push_str(&format!(
+        "  \"channel_blocks\": {},\n",
+        gpu_sim::DEFAULT_CHANNEL_BLOCKS
+    ));
     let threads: Vec<String> = threads.iter().map(usize::to_string).collect();
     json.push_str(&format!("  \"threads\": [{}],\n", threads.join(", ")));
     json.push_str(&format!("  \"total_wall_ns\": {total_ns},\n"));

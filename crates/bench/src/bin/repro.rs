@@ -187,7 +187,9 @@ fn run() -> Result<(), StemError> {
             return Ok(());
         }
         other => {
-            return Err(StemError::InvalidConfig(format!("unknown command: {other}")));
+            return Err(StemError::InvalidConfig(format!(
+                "unknown command: {other}"
+            )));
         }
     }
     eprintln!(

@@ -120,7 +120,10 @@ pub fn ablation_root(options: &ExperimentOptions) -> Vec<RootRow> {
             fnum(r.without_root_error_pct),
         ]);
     }
-    println!("Ablation — ROOT hierarchical clustering on/off\n{}", t.render());
+    println!(
+        "Ablation — ROOT hierarchical clustering on/off\n{}",
+        t.render()
+    );
     write_result("ablation_root.csv", &t.to_csv());
     rows
 }
@@ -177,18 +180,12 @@ pub fn ablation_flush(options: &ExperimentOptions) -> Vec<FlushRow> {
                 let plan = build_sampler(method, w, &options.stem_config).plan(w, options.seed);
                 let full_n = ground_truth(&normal_sim, w);
                 let full_f = ground_truth(&flush_sim, w);
-                normal_err.push(
-                    normal_sim.run_sampled(w, plan.samples()).error(full_n) * 100.0,
-                );
-                flush_err.push(
-                    flush_sim.run_sampled(w, plan.samples()).error(full_f) * 100.0,
-                );
+                normal_err.push(normal_sim.run_sampled(w, plan.samples()).error(full_n) * 100.0);
+                flush_err.push(flush_sim.run_sampled(w, plan.samples()).error(full_f) * 100.0);
                 // The warmup strategy only changes the *sampled* run (full
                 // simulation keeps real inter-kernel state); its estimate is
                 // judged against the normal-residency ground truth.
-                warmup_err.push(
-                    warmup_sim.run_sampled(w, plan.samples()).error(full_n) * 100.0,
-                );
+                warmup_err.push(warmup_sim.run_sampled(w, plan.samples()).error(full_n) * 100.0);
             }
             rows.push(FlushRow {
                 suite,
@@ -312,7 +309,11 @@ mod tests {
         let mut z_cov = 0.0;
         let mut t_cov = 0.0;
         for r in &rows {
-            assert!(r.t_samples >= r.z_samples, "{}: t shrank samples", r.workload);
+            assert!(
+                r.t_samples >= r.z_samples,
+                "{}: t shrank samples",
+                r.workload
+            );
             any_growth |= r.t_samples > r.z_samples;
             z_cov += r.z_coverage;
             t_cov += r.t_coverage;
@@ -334,7 +335,11 @@ mod tests {
         // optimization's advantage — the direction is what matters.
         assert!(avg > 1.2, "KKT reduction only {avg}x");
         for r in &rows {
-            assert!(r.ratio >= 1.0, "{}: joint must not need more samples", r.workload);
+            assert!(
+                r.ratio >= 1.0,
+                "{}: joint must not need more samples",
+                r.workload
+            );
         }
     }
 

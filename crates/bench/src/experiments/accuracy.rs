@@ -119,7 +119,10 @@ pub fn table3(options: &ExperimentOptions) -> (Vec<MethodWorkload>, Vec<Table3Ro
             cell(SuiteKind::Huggingface, true),
         ]);
     }
-    println!("Table 3 — average speedup (x) and error (%)\n{}", t.render());
+    println!(
+        "Table 3 — average speedup (x) and error (%)\n{}",
+        t.render()
+    );
     write_result("table3.csv", &t.to_csv());
 
     // Per-workload data for Figures 7-9.
@@ -142,7 +145,10 @@ pub fn fig7_fig8(options: &ExperimentOptions) -> Vec<MethodWorkload> {
         let (pw, _) = run_suite(suite, options);
         data.extend(pw);
     }
-    for (title, err) in [("Figure 7 — speedup (x)", false), ("Figure 8 — error (%)", true)] {
+    for (title, err) in [
+        ("Figure 7 — speedup (x)", false),
+        ("Figure 8 — error (%)", true),
+    ] {
         let mut workloads: Vec<&str> = data.iter().map(|d| d.workload.as_str()).collect();
         workloads.dedup();
         let mut t = Table::new(&["workload", "PKA", "Sieve", "Photon", "STEM"]);

@@ -61,12 +61,18 @@ pub struct CoverageOptions {
 impl CoverageOptions {
     /// The tier-1 gate's settings: 40 repetitions at the repro seed.
     pub fn calibration() -> Self {
-        CoverageOptions { reps: 40, seed: 2025 }
+        CoverageOptions {
+            reps: 40,
+            seed: 2025,
+        }
     }
 
     /// Reduced settings for smoke tests.
     pub fn fast() -> Self {
-        CoverageOptions { reps: 4, seed: 2025 }
+        CoverageOptions {
+            reps: 4,
+            seed: 2025,
+        }
     }
 }
 
@@ -126,7 +132,10 @@ impl CoverageReport {
     /// is bit-identical across debug/release and thread counts).
     pub fn to_json(&self) -> String {
         let mut s = String::from("{\n");
-        s.push_str(&format!("  \"reps\": {},\n  \"seed\": {},\n", self.reps, self.seed));
+        s.push_str(&format!(
+            "  \"reps\": {},\n  \"seed\": {},\n",
+            self.reps, self.seed
+        ));
         s.push_str("  \"cells\": [\n");
         for (i, c) in self.cells.iter().enumerate() {
             let sep = if i + 1 == self.cells.len() { "" } else { "," };
@@ -137,7 +146,11 @@ impl CoverageReport {
         }
         s.push_str("  ],\n  \"crosscheck\": [\n");
         for (i, c) in self.crosscheck.iter().enumerate() {
-            let sep = if i + 1 == self.crosscheck.len() { "" } else { "," };
+            let sep = if i + 1 == self.crosscheck.len() {
+                ""
+            } else {
+                ","
+            };
             s.push_str(&format!(
                 "    {{\"scenario\": \"{}\", \"overlaps\": {}, \"reps\": {}}}{sep}\n",
                 c.scenario, c.overlaps, c.reps
@@ -170,7 +183,10 @@ fn scenario_roster() -> Vec<(&'static str, Generator, bool)> {
         named(casio_sources(seed), "ssdrn34_infer")
     }
     fn bert(seed: u64) -> Workload {
-        named(huggingface_sources(seed, HuggingfaceScale::custom(0.002)), "bert")
+        named(
+            huggingface_sources(seed, HuggingfaceScale::custom(0.002)),
+            "bert",
+        )
     }
     fn drift(seed: u64) -> Workload {
         phase_drift(seed).materialize()
@@ -263,7 +279,9 @@ fn run_rep(
     let mut intervals = Vec::with_capacity(COVERAGE_METHODS.len());
     for method in COVERAGE_METHODS {
         let plan = build_sampler(method, &workload, &stem_config).plan(&workload, rep_seed);
-        let estimate = sim.run_sampled(&workload, plan.samples()).estimated_total_cycles;
+        let estimate = sim
+            .run_sampled(&workload, plan.samples())
+            .estimated_total_cycles;
         let half = if plan.predicted_error() > 0.0 {
             plan.predicted_error()
         } else {
@@ -273,9 +291,14 @@ fn run_rep(
         intervals.push((estimate, half));
     }
 
-    let rss = intervals[COVERAGE_METHODS.iter().position(|m| *m == MethodKind::Rss).expect("RSS")];
-    let stem =
-        intervals[COVERAGE_METHODS.iter().position(|m| *m == MethodKind::Stem).expect("STEM")];
+    let rss = intervals[COVERAGE_METHODS
+        .iter()
+        .position(|m| *m == MethodKind::Rss)
+        .expect("RSS")];
+    let stem = intervals[COVERAGE_METHODS
+        .iter()
+        .position(|m| *m == MethodKind::Stem)
+        .expect("STEM")];
     let rss_stem_overlap = (rss.0 - stem.0).abs() <= rss.1 * rss.0 + stem.1 * stem.0;
 
     let chaos_covered = with_chaos.then(|| {
@@ -294,11 +317,17 @@ fn run_rep(
             .plan_from_trace(&workload, &damaged, rep_seed)
             .expect("damaged trace is recoverable");
         assert!(!report.is_clean(), "fault injection went undetected");
-        let estimate = sim.run_sampled(&workload, plan.samples()).estimated_total_cycles;
+        let estimate = sim
+            .run_sampled(&workload, plan.samples())
+            .estimated_total_cycles;
         covers(estimate, plan.predicted_error(), truth)
     });
 
-    RepOutcome { covered, rss_stem_overlap, chaos_covered }
+    RepOutcome {
+        covered,
+        rss_stem_overlap,
+        chaos_covered,
+    }
 }
 
 /// Runs the full calibration matrix and prints per-cell coverage.
@@ -308,11 +337,10 @@ pub fn coverage(options: &CoverageOptions) -> CoverageReport {
     let mut crosscheck = Vec::new();
     for (scenario, generate, clean) in scenario_roster() {
         let with_chaos = scenario == "adv/phase_drift";
-        let outcomes = stem_par::par_map_indexed(
-            stem_par::Parallelism::from_env(),
-            &rep_ids,
-            |_, &r| run_rep(generate, with_chaos, options, r),
-        );
+        let outcomes =
+            stem_par::par_map_indexed(stem_par::Parallelism::from_env(), &rep_ids, |_, &r| {
+                run_rep(generate, with_chaos, options, r)
+            });
         for (mi, method) in COVERAGE_METHODS.iter().enumerate() {
             let covered = outcomes.iter().filter(|o| o.covered[mi]).count() as u32;
             cells.push(CoverageCell {
@@ -342,7 +370,12 @@ pub fn coverage(options: &CoverageOptions) -> CoverageReport {
             });
         }
     }
-    let report = CoverageReport { reps: options.reps, seed: options.seed, cells, crosscheck };
+    let report = CoverageReport {
+        reps: options.reps,
+        seed: options.seed,
+        cells,
+        crosscheck,
+    };
     for c in &report.cells {
         println!(
             "coverage {:>8} × {:<24} {}/{} ({:.2})",

@@ -84,7 +84,15 @@ pub fn table4(options: &ExperimentOptions) -> Vec<DseCell> {
         }
     }
 
-    let mut t = Table::new(&["uarch_change", "PKA", "Sieve", "Photon", "RSS", "TwoPhase", "STEM"]);
+    let mut t = Table::new(&[
+        "uarch_change",
+        "PKA",
+        "Sieve",
+        "Photon",
+        "RSS",
+        "TwoPhase",
+        "STEM",
+    ]);
     for transform in DseTransform::TABLE4 {
         let label = transform.label();
         let cell = |m: &str| -> String {

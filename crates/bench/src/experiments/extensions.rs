@@ -2,15 +2,15 @@
 //! multi-GPU execution traces (the Sec. 6.2 future-work direction).
 
 use crate::harness::ExperimentOptions;
+use crate::harness::{build_sampler, MethodKind};
 use crate::report::{fnum, write_result, Table};
+use gpu_profile::TraceGenModel;
 use gpu_sim::multi_gpu::ClusterConfig;
+use gpu_sim::EnergyModel;
 use gpu_workload::chakra::data_parallel_training;
 use gpu_workload::SuiteKind;
 use stem_core::et::{evaluate_trace_sampling, EtReport};
 use stem_core::intra::{evaluate_intra_kernel, IntraReport};
-use crate::harness::{build_sampler, MethodKind};
-use gpu_profile::TraceGenModel;
-use gpu_sim::EnergyModel;
 
 /// One multi-GPU sampling row.
 #[derive(Debug, Clone, PartialEq)]
@@ -28,8 +28,7 @@ pub fn ext_chakra(options: &ExperimentOptions) -> Vec<ChakraRow> {
     let mut rows = Vec::new();
     for num_gpus in [1u8, 2, 4, 8] {
         let trace = data_parallel_training("ddp", num_gpus, 24, 40, options.seed);
-        let report =
-            evaluate_trace_sampling(&trace, &cluster, &options.stem_config, options.seed);
+        let report = evaluate_trace_sampling(&trace, &cluster, &options.stem_config, options.seed);
         rows.push(ChakraRow { num_gpus, report });
     }
     let mut t = Table::new(&[

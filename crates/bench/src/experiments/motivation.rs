@@ -175,9 +175,9 @@ mod tests {
         assert_eq!(rows[0].workloads, 13); // Rodinia
         assert_eq!(rows[1].workloads, 11); // CASIO
         assert_eq!(rows[2].workloads, 6); // HuggingFace
-        // CASIO has far more calls than Rodinia. (At the paper's scale the
-        // HuggingFace suite dwarfs CASIO too; the fast test scale shrinks
-        // it, so only a magnitude check is meaningful here.)
+                                          // CASIO has far more calls than Rodinia. (At the paper's scale the
+                                          // HuggingFace suite dwarfs CASIO too; the fast test scale shrinks
+                                          // it, so only a magnitude check is meaningful here.)
         assert!(rows[1].avg_calls > 10.0 * rows[0].avg_calls);
         assert!(rows[2].avg_calls > 10_000.0);
     }
@@ -185,9 +185,15 @@ mod tests {
     #[test]
     fn fig1_shows_heterogeneity() {
         let diags = fig1(&opts());
-        let bn = diags.iter().find(|d| d.kernel.starts_with("bn_fw")).expect("bn");
+        let bn = diags
+            .iter()
+            .find(|d| d.kernel.starts_with("bn_fw"))
+            .expect("bn");
         assert!(bn.peaks >= 2, "bn peaks = {}", bn.peaks);
-        let pool = diags.iter().find(|d| d.kernel.starts_with("max_pool")).expect("pool");
+        let pool = diags
+            .iter()
+            .find(|d| d.kernel.starts_with("max_pool"))
+            .expect("pool");
         assert!(pool.cov > 0.15, "pool CoV = {}", pool.cov);
         let gemm = diags
             .iter()

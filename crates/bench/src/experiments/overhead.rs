@@ -2,10 +2,10 @@
 
 use crate::harness::ExperimentOptions;
 use crate::report::{fnum, write_result, Table};
+use gpu_profile::OverheadModel;
 use gpu_sim::HardwareRunner;
 use gpu_workload::SuiteKind;
 use stem_baselines::PhotonSampler;
-use gpu_profile::OverheadModel;
 
 /// One Table 5 cell.
 #[derive(Debug, Clone, PartialEq)]
@@ -54,7 +54,9 @@ pub fn table5(options: &ExperimentOptions) -> Vec<OverheadCell> {
                 bbv_s += model.bbv(base_s, instr, ops).instrumented_s;
             } else {
                 let analysis = PhotonSampler::new().analyze(w);
-                bbv_s += model.bbv(base_s, instr, analysis.compare_ops).instrumented_s;
+                bbv_s += model
+                    .bbv(base_s, instr, analysis.compare_ops)
+                    .instrumented_s;
             }
         }
         let n_wl = workloads.len() as f64;
@@ -105,7 +107,10 @@ pub fn table5(options: &ExperimentOptions) -> Vec<OverheadCell> {
             cell(SuiteKind::Huggingface),
         ]);
     }
-    println!("Table 5 — profiling overhead (x original wall time)\n{}", t.render());
+    println!(
+        "Table 5 — profiling overhead (x original wall time)\n{}",
+        t.render()
+    );
     write_result("table5.csv", &t.to_csv());
     cells
 }

@@ -278,7 +278,10 @@ mod tests {
     fn tuning_applies_to_the_right_workloads() {
         let opts = ExperimentOptions::fast();
         let rodinia = opts.suite(SuiteKind::Rodinia);
-        let heartwall = rodinia.iter().find(|w| w.name() == "heartwall").expect("hw");
+        let heartwall = rodinia
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("hw");
         let backprop = rodinia.iter().find(|w| w.name() == "backprop").expect("bp");
         assert!(needs_random_representative(MethodKind::Pka, heartwall));
         assert!(!needs_random_representative(MethodKind::Pka, backprop));

@@ -143,14 +143,22 @@ pub fn threads_ratio_check(threads: usize, runs: usize) -> RatioCheck {
             .expect("positive reps")
             .with_seed(options.seed)
             .with_parallelism(par);
-        pipeline.run(&StemRootSampler::new(options.stem_config.clone()), &workload)
+        pipeline.run(
+            &StemRootSampler::new(options.stem_config.clone()),
+            &workload,
+        )
     };
     let timed = alternate(
         runs,
         || run_at(Parallelism::serial()),
         || run_at(Parallelism::with_threads(threads)),
     );
-    RatioCheck::new("threads", workload.name(), workload.num_invocations(), timed)
+    RatioCheck::new(
+        "threads",
+        workload.name(),
+        workload.num_invocations(),
+        timed,
+    )
 }
 
 /// Times the ground-truth fold every evaluation path uses
@@ -254,13 +262,22 @@ pub fn construct_ratio_check(runs: usize) -> RatioCheck {
         },
         derive,
         |(kernels, contexts, invocations)| {
-            Workload::try_new(workload.name(), workload.suite(), kernels, contexts, invocations)
+            Workload::try_new(
+                workload.name(),
+                workload.suite(),
+                kernels,
+                contexts,
+                invocations,
+            )
         },
-        |slow, fast| {
-            *slow == expected && fast.as_ref().is_ok_and(|w| matches(w) && *w == workload)
-        },
+        |slow, fast| *slow == expected && fast.as_ref().is_ok_and(|w| matches(w) && *w == workload),
     );
-    RatioCheck::new("construct", workload.name(), workload.num_invocations(), timed)
+    RatioCheck::new(
+        "construct",
+        workload.name(),
+        workload.num_invocations(),
+        timed,
+    )
 }
 
 /// Times the builder's normal draw (`gpu_workload::normal::fill`: tables

@@ -22,7 +22,9 @@ use stem_bench::microbench::{
 static PROBE: Mutex<()> = Mutex::new(());
 
 fn one_probe_at_a_time() -> MutexGuard<'static, ()> {
-    PROBE.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    PROBE
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 /// The in-memory ground-truth fold (one deterministic core per invocation
