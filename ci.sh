@@ -5,9 +5,10 @@ set -euo pipefail
 cd "$(dirname "$0")"
 
 # Formatting gate, one crate at a time as each is made rustfmt-clean:
-# these nine are clean, the rest of the workspace is not yet.
+# these ten are clean, the rest of the workspace is not yet.
 cargo fmt --check -p gpu-workload -p stem-par -p stem-stats -p stem-cluster \
-  -p stem-storage -p stem-baselines -p gpu-profile -p stem-core -p stem-serve
+  -p stem-storage -p stem-baselines -p gpu-profile -p stem-core -p stem-serve \
+  -p stem-bench
 # Lint gate: every clippy warning, in every target, fails the run.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 cargo build --workspace --release --offline
@@ -35,13 +36,15 @@ cargo test -q --offline -p stem-serve
 cargo test -q --offline --test parallel_equivalence
 cargo test -q --offline --test hotpath_equivalence
 cargo test -q --offline --test coverage
-# Threads=1 vs threads=4 smoke check: asserts bit-identical results; the
-# printed thread speedup is informational (never a gate). It also gates on
-# three ratios measured within one process, which machine speed cancels
-# out of: ROOT's recursion against its reference (<= 0.85x), one-pass
-# workload construction against its three-pass reference (<= 0.5x) and
-# the builder's rounding-tested normal draw against the libm expression
-# over 1 M seeded pairs (<= 0.7x, same f32 bits). A cold sampler's
+# Threads=1 vs threads=4 smoke check, a cold sampler on each side: asserts
+# bit-identical results; the printed thread speedup is informational
+# (never a gate). It also gates on four ratios measured within one
+# process, which machine speed cancels out of: the in-memory ground-truth
+# fold against the per-invocation reference (<= 0.5x, same total bits),
+# ROOT's recursion against its reference (<= 0.85x), one-pass workload
+# construction against its three-pass reference (<= 0.5x) and the
+# builder's rounding-tested normal draw against the libm expression over
+# 1 M seeded pairs (<= 0.7x, same f32 bits). A cold sampler's
 # profile+ROOT must match a fresh runner per workload plus
 # cluster_workload bit for bit; its time ratio is printed, not gated.
 cargo test -q --offline -p stem-bench --test scaling_smoke -- --nocapture
@@ -63,6 +66,19 @@ STEM_RESULTS_DIR=crates/bench/results \
 if ! git diff --quiet -- crates/bench/results/coverage_summary.json 2>/dev/null; then
   echo "crates/bench/results/coverage_summary.json drifted from the committed matrix:" >&2
   git --no-pager diff -- crates/bench/results/coverage_summary.json >&2
+  exit 1
+fi
+# Committed experiment artifacts: `repro all` must rewrite every CSV under
+# results/ and its stdout in repro_all_output.txt byte for byte. The
+# closing "done in" line (stderr: wall time and results directory) is left
+# out of the comparison.
+repro_tmp=$(mktemp -d)
+trap 'rm -rf "$repro_tmp"' EXIT
+STEM_RESULTS_DIR="$repro_tmp/results" \
+  cargo run -q -p stem-bench --release --offline --bin repro -- all > "$repro_tmp/stdout.txt"
+if ! diff -r results "$repro_tmp/results" >&2 ||
+  ! grep -v '^done in ' repro_all_output.txt | diff - "$repro_tmp/stdout.txt" >&2; then
+  echo "repro all drifted from the committed results/ or repro_all_output.txt" >&2
   exit 1
 fi
 # Hot-path perf baseline: informational only, never a gate (CI machines
