@@ -173,6 +173,11 @@ fn parse_args() -> Result<Args, StemError> {
             }
         }
     }
+    if parsed.reps == 0 || parsed.threads.contains(&0) {
+        return Err(StemError::InvalidConfig(
+            "--reps and --threads take positive counts".to_string(),
+        ));
+    }
     Ok(parsed)
 }
 
@@ -181,7 +186,8 @@ struct Section {
     name: String,
     threads: usize,
     wall_ns: u128,
-    /// Work units processed (invocations for every stage).
+    /// Work units processed: invocations, counted once per pass over them
+    /// (the end-to-end pipeline makes reps + 1).
     units: u64,
     /// Process peak RSS (`VmHWM`, kB) at the end of the section. Monotonic
     /// across sections: a flat sequence means nothing in later sections
@@ -352,14 +358,14 @@ fn run_hotpath(args: &Args, options: &ExperimentOptions) -> Vec<Section> {
     // invocation count grows 16x. Each run builds its own sampler, so every
     // STEM plan profiles and clusters from cold.
     let fastest = |f: &dyn Fn()| -> u128 {
-        (0..args.reps.max(1))
+        (0..args.reps)
             .map(|_| {
                 let t = Instant::now();
                 f();
                 t.elapsed().as_nanos()
             })
             .min()
-            .unwrap_or(0)
+            .expect("reps is positive")
     };
     for scale in [0.002, 0.008, 0.032] {
         let bert = huggingface_sources(options.seed, HuggingfaceScale::custom(scale))
