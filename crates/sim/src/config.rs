@@ -1,6 +1,5 @@
 //! GPU configurations: real-hardware presets and DSE transforms.
 
-
 /// A GPU (micro)architecture configuration.
 ///
 /// Presets model the machines of the paper's evaluation: RTX 2080 (the
@@ -166,8 +165,16 @@ impl GpuConfig {
     pub fn validate(&self) {
         assert!(self.num_sms > 0, "config {} has zero SMs", self.name);
         assert!(self.clock_ghz > 0.0, "config {} has zero clock", self.name);
-        assert!(self.max_threads_per_sm >= 32, "config {} too few threads", self.name);
-        assert!(self.l1_size > 0 && self.l2_size > 0, "config {} zero cache", self.name);
+        assert!(
+            self.max_threads_per_sm >= 32,
+            "config {} too few threads",
+            self.name
+        );
+        assert!(
+            self.l1_size > 0 && self.l2_size > 0,
+            "config {} zero cache",
+            self.name
+        );
         assert!(
             self.dram_bandwidth_gbps > 0.0,
             "config {} zero bandwidth",

@@ -69,12 +69,7 @@ impl EnergyModel {
     }
 
     /// Energy of one invocation in joules, given its timing on `config`.
-    pub fn invocation_energy(
-        &self,
-        workload: &Workload,
-        inv: &Invocation,
-        sim: &Simulator,
-    ) -> f64 {
+    pub fn invocation_energy(&self, workload: &Workload, inv: &Invocation, sim: &Simulator) -> f64 {
         let kernel = workload.kernel_of(inv);
         let ctx = workload.context_of(inv);
         let timing = sim.timing(workload, inv);

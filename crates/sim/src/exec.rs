@@ -243,7 +243,12 @@ pub fn deterministic_timing(
         let traffic_reuse = (access_bytes / footprint).max(1.0);
         let blocking = kernel.reuse_factor.sqrt();
         let l1_ws = footprint / effective_sms;
-        let l1_hit = hit_rate(l1_ws, config.l1_size as f64, locality * blocking, traffic_reuse);
+        let l1_hit = hit_rate(
+            l1_ws,
+            config.l1_size as f64,
+            locality * blocking,
+            traffic_reuse,
+        );
         let post_l1 = miss_bytes(access_bytes, l1_hit);
         let l2_reuse = (post_l1 / footprint).max(1.0);
         let l2_hit = hit_rate(footprint, config.l2_size as f64, locality, l2_reuse);
@@ -443,11 +448,7 @@ mod tests {
             .map(|inv| time_invocation(&w, inv, &cfg, SimOptions::default()).cycles)
             .sum::<f64>()
             / w.num_invocations() as f64;
-        assert!(
-            (mean / det - 1.0).abs() < 0.02,
-            "mean/det = {}",
-            mean / det
-        );
+        assert!((mean / det - 1.0).abs() < 0.02, "mean/det = {}", mean / det);
     }
 
     #[test]
@@ -456,8 +457,7 @@ mod tests {
         let cold = workload_with(pool_like(), RuntimeContext::neutral().with_locality(0.2));
         let warm = workload_with(pool_like(), RuntimeContext::neutral().with_locality(5.0));
         assert!(
-            time_one(&warm, &cfg).deterministic_cycles
-                < time_one(&cold, &cfg).deterministic_cycles
+            time_one(&warm, &cfg).deterministic_cycles < time_one(&cold, &cfg).deterministic_cycles
         );
     }
 

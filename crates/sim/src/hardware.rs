@@ -105,9 +105,12 @@ impl HardwareRunner {
         workload: &'w Workload,
         par: stem_par::Parallelism,
     ) -> Measurements<'w> {
-        let factors = self
-            .noise
-            .factors(self.seed, self.measurement_noise, workload.num_invocations(), par);
+        let factors = self.noise.factors(
+            self.seed,
+            self.measurement_noise,
+            workload.num_invocations(),
+            par,
+        );
         Measurements {
             workload,
             groups: self.group_cores(workload, par),
@@ -165,8 +168,8 @@ impl Measurements<'_> {
     #[inline]
     pub fn time(&self, i: usize) -> f64 {
         let w = self.workload;
-        let true_cycles = self.groups[w.group_of(i) as usize]
-            .jittered_cycles(w.invocations()[i].noise_z as f64);
+        let true_cycles =
+            self.groups[w.group_of(i) as usize].jittered_cycles(w.invocations()[i].noise_z as f64);
         true_cycles * self.factors[i]
     }
 }
@@ -201,13 +204,7 @@ const MIN_PARALLEL_GROUPS: usize = 1 << 12;
 impl NoiseTable {
     /// A table with at least `len` factors of `(seed, s)`, grown to exactly
     /// `len` across `par` threads if the current one is shorter.
-    fn factors(
-        &self,
-        seed: u64,
-        s: f64,
-        len: usize,
-        par: stem_par::Parallelism,
-    ) -> Arc<Vec<f64>> {
+    fn factors(&self, seed: u64, s: f64, len: usize, par: stem_par::Parallelism) -> Arc<Vec<f64>> {
         let mut slot = lock_table(&self.factors);
         if slot.len() >= len {
             return Arc::clone(&slot);

@@ -55,6 +55,6 @@ pub use multi_gpu::{simulate_trace, ClusterConfig, TraceRun};
 pub use sampled::{SampledRun, WeightedSample};
 pub use simulator::{FullRun, Simulator};
 pub use streaming::{
-    run_streaming_total, source_total, store_total, workload_total, StreamRunError,
-    StreamingTotal, DEFAULT_CHANNEL_BLOCKS,
+    run_streaming_total, source_total, store_total, workload_total, StreamRunError, StreamingTotal,
+    DEFAULT_CHANNEL_BLOCKS,
 };

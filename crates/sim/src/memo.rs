@@ -518,12 +518,8 @@ mod tests {
         let plain = sim.run_sampled(w, &samples);
         let cache = SimCache::new();
         for threads in [1usize, 2, 3, 8] {
-            let cached = sim.run_sampled_cached(
-                w,
-                &samples,
-                Parallelism::with_threads(threads),
-                &cache,
-            );
+            let cached =
+                sim.run_sampled_cached(w, &samples, Parallelism::with_threads(threads), &cache);
             assert_eq!(cached, plain, "threads = {threads}");
         }
     }
@@ -628,14 +624,11 @@ mod tests {
             let samples = unit_samples(w.num_invocations().min(500));
             let plain = sim.run_sampled(w, &samples);
             for threads in [1usize, 4] {
-                let run = sim.run_sampled_cached(
-                    w,
-                    &samples,
-                    Parallelism::with_threads(threads),
-                    &cache,
-                );
+                let run =
+                    sim.run_sampled_cached(w, &samples, Parallelism::with_threads(threads), &cache);
                 assert_eq!(
-                    run, plain,
+                    run,
+                    plain,
                     "{}: eviction must be output-invisible (threads {threads})",
                     w.name()
                 );
@@ -651,7 +644,10 @@ mod tests {
             total_groups > cache.num_shards(),
             "suite too small to force collisions: {total_groups} groups"
         );
-        assert!(cache.evictions() > 0, "a cap of 1 must have evicted something");
+        assert!(
+            cache.evictions() > 0,
+            "a cap of 1 must have evicted something"
+        );
     }
 
     #[test]
@@ -689,7 +685,10 @@ mod tests {
             cache.poison_shard(shard);
         }
         let after = sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
-        assert_eq!(after, plain, "recovery on a bounded cache must be output-invisible");
+        assert_eq!(
+            after, plain,
+            "recovery on a bounded cache must be output-invisible"
+        );
         assert!(cache.len() <= 2 * cache.num_shards());
     }
 

@@ -49,7 +49,10 @@ impl Simulator {
         m.set(MetricKind::L1Accesses, l1_accesses * tx);
         m.set(MetricKind::L1HitRate, clamp01(timing.l1_hit + hit_shift));
         m.set(MetricKind::L2Accesses, l2_accesses * tx);
-        m.set(MetricKind::L2ReadHitRate, clamp01(timing.l2_hit + hit_shift));
+        m.set(
+            MetricKind::L2ReadHitRate,
+            clamp01(timing.l2_hit + hit_shift),
+        );
         m.set(MetricKind::DramReadBytes, timing.dram_bytes * 0.7 * tx);
         m.set(MetricKind::Fp16Ops, thread_instr * mix.fp16);
         m.set(MetricKind::Fp32Ops, thread_instr * mix.fp32);

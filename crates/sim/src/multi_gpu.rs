@@ -158,10 +158,7 @@ pub fn schedule(trace: &ExecutionTrace, durations: &[f64]) -> TraceRun {
             EtOp::AllReduce { .. } => (0..num_gpus).collect(),
             EtOp::P2p { src, dst, .. } => vec![src as usize, dst as usize],
         };
-        let device_ready = devices
-            .iter()
-            .map(|&g| gpu_free[g])
-            .fold(0.0f64, f64::max);
+        let device_ready = devices.iter().map(|&g| gpu_free[g]).fold(0.0f64, f64::max);
         let start = deps_ready.max(device_ready);
         let end = start + durations[i];
         for &g in &devices {
@@ -235,11 +232,7 @@ mod tests {
                 .collect();
             intervals.sort_by(|a, b| a.0.total_cmp(&b.0));
             for w in intervals.windows(2) {
-                assert!(
-                    w[1].0 >= w[0].1 - 1e-6,
-                    "GPU {g} double-booked: {:?}",
-                    w
-                );
+                assert!(w[1].0 >= w[0].1 - 1e-6, "GPU {g} double-booked: {:?}", w);
             }
         }
     }
@@ -281,7 +274,10 @@ mod tests {
     #[test]
     fn deterministic() {
         let t = data_parallel_training("ddp", 2, 3, 2, 7);
-        assert_eq!(simulate_trace(&t, &cluster()), simulate_trace(&t, &cluster()));
+        assert_eq!(
+            simulate_trace(&t, &cluster()),
+            simulate_trace(&t, &cluster())
+        );
     }
 
     #[test]

@@ -53,7 +53,10 @@ impl SampledRun {
     /// Panics if either cycle count is nonpositive.
     pub fn speedup(&self, full_total_cycles: f64) -> f64 {
         assert!(full_total_cycles > 0.0, "full cycles must be positive");
-        assert!(self.simulated_cycles > 0.0, "sampled cycles must be positive");
+        assert!(
+            self.simulated_cycles > 0.0,
+            "sampled cycles must be positive"
+        );
         full_total_cycles / self.simulated_cycles
     }
 
@@ -149,15 +152,15 @@ mod tests {
     #[test]
     fn speedup_reflects_cycles_not_count() {
         let suite = rodinia_suite(1);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let full = sim.run_full(h);
         // Sampling only the tiny first kernel gives an enormous "speedup"
         // (and an enormous error) — exactly the PKA/Sieve failure mode.
-        let run = sim.run_sampled(
-            h,
-            &[WeightedSample::new(0, h.num_invocations() as f64)],
-        );
+        let run = sim.run_sampled(h, &[WeightedSample::new(0, h.num_invocations() as f64)]);
         assert!(run.speedup(full.total_cycles) > 1000.0);
         assert!(run.error(full.total_cycles) > 0.99);
     }

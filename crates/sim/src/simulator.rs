@@ -222,7 +222,10 @@ mod tests {
     #[test]
     fn heartwall_first_call_is_tiny() {
         let suite = rodinia_suite(3);
-        let h = suite.iter().find(|w| w.name() == "heartwall").expect("heartwall");
+        let h = suite
+            .iter()
+            .find(|w| w.name() == "heartwall")
+            .expect("heartwall");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let run = sim.run_full(h);
         // The paper: sampling only the first kernel underestimates total
@@ -236,7 +239,10 @@ mod tests {
     fn same_kernel_same_context_times_cluster_tightly() {
         // A stable CASIO kernel's per-context times have small CoV.
         let suite = casio_suite(3);
-        let w = suite.iter().find(|w| w.name() == "bert_infer").expect("bert");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "bert_infer")
+            .expect("bert");
         let sim = Simulator::new(GpuConfig::rtx2080());
         // gelu_fwd is a stable elementwise kernel with one context.
         let gelu = w
@@ -260,7 +266,10 @@ mod tests {
     #[test]
     fn multi_context_kernel_is_multimodal() {
         let suite = casio_suite(3);
-        let w = suite.iter().find(|w| w.name() == "resnet50_infer").expect("resnet");
+        let w = suite
+            .iter()
+            .find(|w| w.name() == "resnet50_infer")
+            .expect("resnet");
         let sim = Simulator::new(GpuConfig::rtx2080());
         let bn = w
             .kernels()
@@ -297,7 +306,11 @@ mod tests {
                 continue;
             }
             let left = if i == 0 { 0.0 } else { counts[i - 1] as f64 };
-            let right = if i + 1 == bins { 0.0 } else { counts[i + 1] as f64 };
+            let right = if i + 1 == bins {
+                0.0
+            } else {
+                counts[i + 1] as f64
+            };
             if c >= left && c > right {
                 peaks += 1;
             }

@@ -529,8 +529,8 @@ mod tests {
         let sources = rodinia_sources(9);
         let source = &sources[0];
         let w = source.materialize();
-        let got = source_total(&sim, stem_par::Parallelism::serial(), source, 128, 2)
-            .expect("stream");
+        let got =
+            source_total(&sim, stem_par::Parallelism::serial(), source, 128, 2).expect("stream");
         assert_eq!(got.fingerprint, w.fingerprint());
         assert_eq!(got.invocations, w.num_invocations() as u64);
         assert_eq!(got.groups, w.num_invocation_groups());
@@ -730,8 +730,8 @@ mod tests {
         let sim = sim();
         let sources = rodinia_sources(3);
         let source = &sources[0];
-        let honest = source_total(&sim, stem_par::Parallelism::serial(), source, 128, 2)
-            .expect("stream");
+        let honest =
+            source_total(&sim, stem_par::Parallelism::serial(), source, 128, 2).expect("stream");
         let result: Result<StreamingTotal, StreamRunError<SinkError>> =
             run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, |sink| {
                 let mut summary = source.stream(sink, 128)?;

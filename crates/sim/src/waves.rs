@@ -65,7 +65,8 @@ impl Simulator {
         let mut weights: Vec<f64> = (0..full_waves)
             .map(|w| 1.0 + 0.03 * wave_noise(inv.noise_z.to_bits(), w as u64))
             .collect();
-        weights.push(tail_fraction * (1.0 + 0.03 * wave_noise(inv.noise_z.to_bits(), waves as u64)));
+        weights
+            .push(tail_fraction * (1.0 + 0.03 * wave_noise(inv.noise_z.to_bits(), waves as u64)));
         let sum: f64 = weights.iter().sum();
         let wave_cycles = weights.into_iter().map(|w| body * w / sum).collect();
         WaveProfile {

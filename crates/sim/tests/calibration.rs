@@ -66,7 +66,10 @@ fn h200_helps_memory_bound_only() {
     // The H200 upgrade is memory bandwidth: streaming kernels gain
     // substantially, compute-bound GEMMs barely move.
     assert!(stream_gain > 1.2, "stream gain {stream_gain}");
-    assert!(gemm_gain < stream_gain, "gemm {gemm_gain} vs stream {stream_gain}");
+    assert!(
+        gemm_gain < stream_gain,
+        "gemm {gemm_gain} vs stream {stream_gain}"
+    );
     assert!(gemm_gain < 1.1, "gemm should barely move: {gemm_gain}");
 }
 
@@ -122,9 +125,17 @@ fn dse_grid_is_internally_consistent() {
     let ctx = RuntimeContext::neutral().with_locality(0.8);
     for k in [tensor_gemm(), streaming_kernel()] {
         let base = GpuConfig::macsim_baseline();
-        let c2 = det_cycles(&k, &ctx, &base.with_transform(DseTransform::CacheScale(2.0)));
+        let c2 = det_cycles(
+            &k,
+            &ctx,
+            &base.with_transform(DseTransform::CacheScale(2.0)),
+        );
         let c0 = det_cycles(&k, &ctx, &base);
-        let ch = det_cycles(&k, &ctx, &base.with_transform(DseTransform::CacheScale(0.5)));
+        let ch = det_cycles(
+            &k,
+            &ctx,
+            &base.with_transform(DseTransform::CacheScale(0.5)),
+        );
         assert!(c2 <= c0 * (1.0 + 1e-9) && c0 <= ch * (1.0 + 1e-9));
         let s2 = det_cycles(&k, &ctx, &base.with_transform(DseTransform::SmScale(2.0)));
         let sh = det_cycles(&k, &ctx, &base.with_transform(DseTransform::SmScale(0.5)));

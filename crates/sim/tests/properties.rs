@@ -58,11 +58,21 @@ fn timing_outputs_well_formed() {
         let kernel = gen_kernel(&mut rng);
         let ctx = gen_ctx(&mut rng);
         let z = rng.random_range(-4.0..4.0);
-        for config in [GpuConfig::rtx2080(), GpuConfig::h100(), GpuConfig::macsim_baseline()] {
+        for config in [
+            GpuConfig::rtx2080(),
+            GpuConfig::h100(),
+            GpuConfig::macsim_baseline(),
+        ] {
             let t = time_kernel(&kernel, &ctx, 1.0, z, &config, SimOptions::default());
             assert!(t.cycles.is_finite() && t.cycles > 0.0, "case {case}");
-            assert!(t.compute_cycles >= 0.0 && t.memory_cycles >= 0.0, "case {case}");
-            assert!(t.deterministic_cycles >= config.launch_overhead_cycles, "case {case}");
+            assert!(
+                t.compute_cycles >= 0.0 && t.memory_cycles >= 0.0,
+                "case {case}"
+            );
+            assert!(
+                t.deterministic_cycles >= config.launch_overhead_cycles,
+                "case {case}"
+            );
             assert!((0.0..=1.0).contains(&t.memory_boundedness), "case {case}");
             assert!((0.0..=1.0).contains(&t.l1_hit), "case {case}");
             assert!((0.0..=1.0).contains(&t.l2_hit), "case {case}");
@@ -85,7 +95,10 @@ fn monotone_in_work() {
         let cfg = GpuConfig::rtx2080();
         let t1 = time_kernel(&kernel, &ctx, 1.0, 0.0, &cfg, SimOptions::default());
         let t2 = time_kernel(&kernel, &ctx, 2.0, 0.0, &cfg, SimOptions::default());
-        assert!(t2.deterministic_cycles >= t1.deterministic_cycles, "case {case}");
+        assert!(
+            t2.deterministic_cycles >= t1.deterministic_cycles,
+            "case {case}"
+        );
     }
 }
 
@@ -100,7 +113,10 @@ fn zero_jitter_ignores_z() {
         let ctx = RuntimeContext::neutral().with_jitter(0.0);
         let a = time_kernel(&kernel, &ctx, 1.0, z, &cfg, SimOptions::default());
         let b = time_kernel(&kernel, &ctx, 1.0, 0.0, &cfg, SimOptions::default());
-        assert!((a.cycles - b.cycles).abs() < 1e-9 * b.cycles.max(1.0), "case {case}");
+        assert!(
+            (a.cycles - b.cycles).abs() < 1e-9 * b.cycles.max(1.0),
+            "case {case}"
+        );
     }
 }
 
@@ -135,7 +151,10 @@ fn bigger_cache_never_more_dram() {
         let big = base.with_transform(DseTransform::CacheScale(2.0));
         let t_base = time_kernel(&kernel, &ctx, 1.0, 0.0, &base, SimOptions::default());
         let t_big = time_kernel(&kernel, &ctx, 1.0, 0.0, &big, SimOptions::default());
-        assert!(t_big.dram_bytes <= t_base.dram_bytes * (1.0 + 1e-9), "case {case}");
+        assert!(
+            t_big.dram_bytes <= t_base.dram_bytes * (1.0 + 1e-9),
+            "case {case}"
+        );
     }
 }
 
@@ -154,7 +173,10 @@ fn flush_never_faster() {
             1.0,
             0.0,
             &cfg,
-            SimOptions { flush_l2_between_kernels: true, ..SimOptions::default() },
+            SimOptions {
+                flush_l2_between_kernels: true,
+                ..SimOptions::default()
+            },
         );
         assert!(
             flushed.deterministic_cycles >= normal.deterministic_cycles * (1.0 - 1e-9),
@@ -203,9 +225,22 @@ fn gen_workload(rng: &mut StdRng, n: usize) -> Workload {
 
 /// `hw` profiles `w` bit-identically to the per-invocation reference.
 fn assert_profile_exact(hw: &HardwareRunner, w: &Workload, par: Parallelism, what: &str) {
-    let got: Vec<u64> = hw.measure_all_par(w, par).iter().map(|t| t.to_bits()).collect();
-    let want: Vec<u64> = reference::measure_all(hw, w).iter().map(|t| t.to_bits()).collect();
-    assert_eq!(got, want, "{what}: {} calls, {} threads", w.num_invocations(), par.threads());
+    let got: Vec<u64> = hw
+        .measure_all_par(w, par)
+        .iter()
+        .map(|t| t.to_bits())
+        .collect();
+    let want: Vec<u64> = reference::measure_all(hw, w)
+        .iter()
+        .map(|t| t.to_bits())
+        .collect();
+    assert_eq!(
+        got,
+        want,
+        "{what}: {} calls, {} threads",
+        w.num_invocations(),
+        par.threads()
+    );
 }
 
 /// The runner's shared noise table never moves a bit: one runner profiles
@@ -237,7 +272,12 @@ fn noise_table_growth_clones_resets_and_races_match_the_reference() {
         let longer = gen_workload(&mut rng, huge + 100);
         let serial = Parallelism::serial();
         assert_profile_exact(&copy, &longer, serial, &format!("case {case}: clone"));
-        assert_profile_exact(&hw, &workloads[2], serial, &format!("case {case}: original"));
+        assert_profile_exact(
+            &hw,
+            &workloads[2],
+            serial,
+            &format!("case {case}: original"),
+        );
 
         // `with_noise` starts a fresh table for the new noise level.
         let noisier = hw.clone().with_noise(rng.random_range(0.02..0.2));
