@@ -22,9 +22,7 @@ use stem_bench::microbench::{
 static PROBE: Mutex<()> = Mutex::new(());
 
 fn one_probe_at_a_time() -> MutexGuard<'static, ()> {
-    PROBE
-        .lock()
-        .unwrap_or_else(|poisoned| poisoned.into_inner())
+    stem_par::lock_unpoisoned(&PROBE)
 }
 
 /// The in-memory ground-truth fold (one deterministic core per invocation

@@ -42,14 +42,14 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::Mutex;
 
 use crate::error::StemError;
 use crate::eval::{EvalResult, EvalSummary};
 use crate::pipeline::Pipeline;
 use crate::sampler::KernelSampler;
 use gpu_workload::Workload;
-use stem_par::{supervised_map_indexed, ExecLog, Parallelism, TaskFailure};
+use stem_par::{lock_unpoisoned, supervised_map_indexed, ExecLog, Parallelism, TaskFailure};
 use stem_storage::sealed::{self, QuarantinedSnapshot, SnapshotError};
 
 /// The exact header this version writes and accepts.
@@ -152,22 +152,6 @@ fn parse_snapshot(
         }
     }
     Ok(units)
-}
-
-/// Locks the shared campaign state, recovering from poisoning: the map
-/// only ever holds units that were already persisted to the snapshot, so
-/// a worker panic between insert and unlock cannot leave it inconsistent
-/// in a way that matters — the snapshot on disk is the durable truth.
-fn lock_state<'a>(
-    state: &'a Mutex<BTreeMap<u64, UnitRecord>>,
-) -> MutexGuard<'a, BTreeMap<u64, UnitRecord>> {
-    match state.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            state.clear_poison();
-            poisoned.into_inner()
-        }
-    }
 }
 
 impl Pipeline {
@@ -298,15 +282,16 @@ impl Pipeline {
         let resumed_units = done.len() as u64;
         let missing: Vec<u64> = (0..total_units).filter(|u| !done.contains_key(u)).collect();
 
-        // Ground-truth totals from the in-memory fold, computed lazily so
-        // fully-resumed workloads never pay for one, and read through the
-        // cache's totals memo, so campaigns sharing a cache (the serve
-        // daemon's jobs) fold each workload once. A unit is serial, so is
-        // its fold; the fold's fingerprint re-check turns corrupted
-        // content into a typed error instead of a wrong total.
-        let full_totals: Vec<OnceLock<Result<f64, StemError>>> =
-            (0..workloads.len()).map(|_| OnceLock::new()).collect();
+        // Each unit reads its ground truth (the serial in-memory fold)
+        // through the cache's totals memo, so fully-resumed workloads never
+        // fold and campaigns sharing a cache (the serve daemon's jobs) fold
+        // each workload once. The fold's fingerprint re-check turns
+        // corrupted content into a typed error, which is not memoized.
         let cache = self.memo_cache();
+        // Taken through `lock_unpoisoned`, which keeps the map on recovery:
+        // it only ever holds units already persisted to the snapshot, so a
+        // worker panic between insert and unlock cannot leave it wrong in a
+        // way that matters — the snapshot on disk is the durable truth.
         let state = Mutex::new(done);
         let executed = AtomicU64::new(0);
         // Admission counter for the simulated kill: gating on *starts*
@@ -342,11 +327,8 @@ impl Pipeline {
                 let wi = (unit / reps) as usize;
                 let rep = unit % reps;
                 let workload = &workloads[wi];
-                let full_total = full_totals[wi]
-                    .get_or_init(|| {
-                        self.ground_truth_total_on(workload, Parallelism::serial(), &cache)
-                    })
-                    .clone()?;
+                let full_total =
+                    self.ground_truth_total_on(workload, Parallelism::serial(), &cache)?;
                 let result =
                     self.rep_unit(sampler.name(), workload, full_total, &cache, rep, |seed| {
                         sampler.try_plan(workload, seed)
@@ -359,7 +341,7 @@ impl Pipeline {
                 };
                 // Persist under the state lock so concurrent writers
                 // cannot rename an older snapshot over a newer one.
-                let mut st = lock_state(&state);
+                let mut st = lock_unpoisoned(&state);
                 st.insert(unit, record);
                 stem_storage::write_atomic(
                     &*self.storage,
@@ -384,10 +366,7 @@ impl Pipeline {
                 return Err(StemError::TaskFailure(TaskFailure { index, ..failure }));
             }
         };
-        let final_state = match state.into_inner() {
-            Ok(map) => map,
-            Err(poisoned) => poisoned.into_inner(),
-        };
+        let final_state = std::mem::take(&mut *lock_unpoisoned(&state));
         let executed_units = executed.load(Ordering::SeqCst);
 
         let mut interrupted = false;

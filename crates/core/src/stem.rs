@@ -1,5 +1,6 @@
 //! The STEM+ROOT sampler: profile → ROOT clustering → KKT sample sizing →
-//! random sampling with replacement.
+//! random sampling with replacement. Profile and clustering are memoized
+//! per workload in a byte-bounded [`stem_par::Memo`] (see `cluster_memo`).
 
 use crate::config::StemConfig;
 use crate::degrade::inflate_cluster_stats;
@@ -13,9 +14,9 @@ use gpu_profile::{DataQualityReport, ExecTimeProfiler, TraceRecord, TraceValidat
 use gpu_sim::WeightedSample;
 use gpu_workload::Workload;
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
-use stem_par::Parallelism;
+use std::convert::Infallible;
+use std::sync::Arc;
+use stem_par::{Memo, Parallelism};
 use stem_stats::kkt::{per_cluster_sample_sizes, solve_sample_sizes};
 
 /// Bytes of clusterings the planning memo keeps before it evicts: its
@@ -24,103 +25,17 @@ use stem_stats::kkt::{per_cluster_sample_sizes, solve_sample_sizes};
 /// HuggingFace ones.
 const CLUSTER_MEMO_BYTES: usize = 64 << 20;
 
-/// Memoized profile → ROOT clustering, keyed by workload content
+/// A memo of profile → ROOT clusterings, keyed by workload content
 /// fingerprint. The profile (fixed `profile_seed`) and the clustering are
 /// independent of the per-rep sampling seed, so every repetition of a
 /// workload, and every later plan of it by a long-lived sampler, reuses
-/// one deterministic computation; cached artifacts are bit-identical to
-/// recomputation, leaving plans unchanged. Per-key `OnceLock`s let
-/// concurrent plans of *different* workloads compute in parallel while
-/// duplicates of the same workload block on one compute.
-///
-/// The memo is bounded by the bytes its clusterings hold, not by an
-/// entry count. Past the budget it evicts whole entries, oldest
-/// computation first, but never the newest, so a campaign's reps reuse
-/// the clustering they just computed however large it is. The policy
-/// cannot move a plan's bits, but it decides how often a workload is
-/// recomputed: a sampler that cycles over more workloads than the budget
-/// holds recomputes every one of them on every visit.
-#[derive(Debug)]
-struct ClusterMemo {
-    budget: usize,
-    state: Mutex<MemoState>,
-    /// Clusterings computed so far (tests count profiles with it).
-    #[cfg(test)]
-    computes: std::sync::atomic::AtomicUsize,
-}
-
-/// The memo's cells, and the computed ones in computation order.
-#[derive(Debug, Default)]
-struct MemoState {
-    cells: HashMap<u64, Arc<MemoCell>>,
-    /// Keys of computed cells with their bytes, oldest first.
-    order: VecDeque<(u64, usize)>,
-    bytes: usize,
-}
-
-/// One memo key's clustering, computed at most once.
-type MemoCell = OnceLock<Arc<Vec<KernelCluster>>>;
-
-impl Default for ClusterMemo {
-    fn default() -> Self {
-        ClusterMemo::with_budget(CLUSTER_MEMO_BYTES)
-    }
-}
-
-impl ClusterMemo {
-    fn with_budget(budget: usize) -> Self {
-        ClusterMemo {
-            budget,
-            state: Mutex::default(),
-            #[cfg(test)]
-            computes: Default::default(),
-        }
-    }
-
-    /// The memo's state, recovered from poisoning: no compute runs under
-    /// the lock, and each update leaves the state consistent.
-    fn lock(&self) -> MutexGuard<'_, MemoState> {
-        match self.state.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn get_or_compute(
-        &self,
-        key: u64,
-        compute: impl FnOnce() -> Vec<KernelCluster>,
-    ) -> Arc<Vec<KernelCluster>> {
-        let cell = Arc::clone(self.lock().cells.entry(key).or_default());
-        let mut computed = false;
-        let clusters = Arc::clone(cell.get_or_init(|| {
-            computed = true;
-            Arc::new(compute())
-        }));
-        if computed {
-            #[cfg(test)]
-            self.computes
-                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-            self.admit(key, entry_bytes(&clusters));
-        }
-        clusters
-    }
-
-    /// Counts a computed entry against the budget, then evicts the oldest
-    /// entries while the memo is over it, keeping the newest. An evicted
-    /// clustering stays alive for as long as a plan holds it.
-    fn admit(&self, key: u64, bytes: usize) {
-        let mut state = self.lock();
-        state.order.push_back((key, bytes));
-        state.bytes += bytes;
-        while state.bytes > self.budget && state.order.len() > 1 {
-            let Some((oldest, freed)) = state.order.pop_front() else {
-                break;
-            };
-            state.cells.remove(&oldest);
-            state.bytes -= freed;
-        }
-    }
+/// one deterministic computation, bit-identical to recomputation. The
+/// budget is the bytes the clusterings hold ([`entry_bytes`]), and the
+/// newest entry is kept however large, so a campaign's reps reuse the
+/// clustering they just computed; a sampler that cycles over more
+/// workloads than the budget holds recomputes each on every visit.
+fn cluster_memo(budget: usize) -> Memo<u64, Arc<Vec<KernelCluster>>> {
+    Memo::new(budget, |clusters| entry_bytes(clusters))
 }
 
 /// The bytes one memo entry holds: its cluster records and their members.
@@ -148,8 +63,8 @@ pub struct StemRootSampler {
     profiler: ExecTimeProfiler,
     sizing: Sizing,
     enable_root: bool,
-    /// Fingerprint-keyed profile+clustering memo (see [`ClusterMemo`]).
-    memo: ClusterMemo,
+    /// Fingerprint-keyed profile+clustering memo (see [`cluster_memo`]).
+    memo: Memo<u64, Arc<Vec<KernelCluster>>>,
     /// Thread budget for profiling and ROOT clustering. Defaults to
     /// serial: the evaluation pipeline already parallelizes across
     /// repetitions, so nested parallelism would only oversubscribe;
@@ -172,7 +87,7 @@ impl StemRootSampler {
             profiler,
             sizing: Sizing::JointKkt,
             enable_root: true,
-            memo: ClusterMemo::default(),
+            memo: cluster_memo(CLUSTER_MEMO_BYTES),
             parallelism: Parallelism::serial(),
         }
     }
@@ -197,14 +112,14 @@ impl StemRootSampler {
     pub fn without_root(mut self) -> Self {
         self.enable_root = false;
         // Clusterings memoized with ROOT enabled are stale now.
-        self.memo = ClusterMemo::default();
+        self.memo = cluster_memo(CLUSTER_MEMO_BYTES);
         self
     }
 
     /// Bounds the planning memo at `bytes` (tests exercise eviction).
     #[cfg(test)]
     fn with_memo_budget(mut self, bytes: usize) -> Self {
-        self.memo = ClusterMemo::with_budget(bytes);
+        self.memo = cluster_memo(bytes);
         self
     }
 
@@ -229,10 +144,15 @@ impl StemRootSampler {
     /// The profile comes grouped by kernel and moves straight into ROOT,
     /// so no stream-order time vector is built or gathered.
     fn cached_clusters(&self, workload: &Workload) -> Arc<Vec<KernelCluster>> {
-        self.memo.get_or_compute(workload.fingerprint(), || {
+        let Ok(clusters) = self.memo.get_or_compute(workload.fingerprint(), || {
             let profile = self.profiler.profile_by_kernel(workload, self.parallelism);
-            cluster_profile(profile, &self.root_config(), self.parallelism)
-        })
+            Ok::<_, Infallible>(Arc::new(cluster_profile(
+                profile,
+                &self.root_config(),
+                self.parallelism,
+            )))
+        });
+        clusters
     }
 
     /// Builds a plan from an *externally supplied* execution-time profile
@@ -367,7 +287,7 @@ impl Clone for StemRootSampler {
             profiler: self.profiler.clone(),
             sizing: self.sizing,
             enable_root: self.enable_root,
-            memo: ClusterMemo::default(),
+            memo: cluster_memo(CLUSTER_MEMO_BYTES),
             parallelism: self.parallelism,
         }
     }
@@ -753,11 +673,6 @@ mod tests {
         );
     }
 
-    /// Profiles+clusterings the sampler's memo has computed.
-    fn computes(s: &StemRootSampler) -> usize {
-        s.memo.computes.load(std::sync::atomic::Ordering::Relaxed)
-    }
-
     #[test]
     fn a_cycle_over_every_rodinia_and_casio_workload_profiles_each_once() {
         let suite: Vec<Workload> = rodinia_suite(11)
@@ -777,11 +692,12 @@ mod tests {
                 }
             }
         }
-        assert_eq!(computes(&s), suite.len(), "each workload profiled once");
-        assert!(
-            s.memo.lock().bytes <= CLUSTER_MEMO_BYTES,
-            "the suites fit the memo budget"
+        assert_eq!(
+            s.memo.misses(),
+            suite.len() as u64,
+            "each workload profiled once"
         );
+        assert_eq!(s.memo.evictions(), 0, "the suites fit the memo budget");
     }
 
     #[test]
@@ -804,7 +720,7 @@ mod tests {
             assert_eq!(s.plan(w, seed + 100), sampler().plan(w, seed + 100));
         }
         // Every change of workload evicted the one before.
-        assert_eq!(computes(&s), visits.len() - 1);
-        assert_eq!(s.memo.lock().order.len(), 1);
+        assert_eq!(s.memo.misses(), visits.len() as u64 - 1);
+        assert_eq!(s.memo.len(), 1);
     }
 }

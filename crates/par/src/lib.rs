@@ -34,7 +34,9 @@
 //! For long campaigns where a worker panic must not tear down the whole
 //! map, the [`supervisor`] module wraps the same primitives in
 //! panic-isolated, deterministically-retried execution
-//! ([`supervised_map_range`]).
+//! ([`supervised_map_range`]). Shared state that a worker panic may have
+//! poisoned is taken through [`lock_unpoisoned`], and every memo in the
+//! workspace is a [`Memo`]: bounded, one compute per key at a time.
 //!
 //! # Example
 //!
@@ -59,10 +61,12 @@
 
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard};
 
+pub mod memo;
 pub mod supervisor;
 
+pub use memo::Memo;
 pub use supervisor::{
     supervised_map_indexed, supervised_map_range, ExecLog, Supervisor, TaskCtx, TaskFailure,
 };
@@ -179,6 +183,19 @@ pub fn mix64(z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Locks `mutex`, recovering it if a panic poisoned it: the poison flag is
+/// cleared and the guard returned as the panicking thread left the data.
+/// Sound for the workspace's shared state, which every holder keeps
+/// consistent at each step or which is rebuilt from disk; a lock that
+/// must discard its data after a panic (the [`Memo`] table) handles its
+/// own poisoning.
+pub fn lock_unpoisoned<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(|poisoned| {
+        mutex.clear_poison();
+        poisoned.into_inner()
+    })
+}
+
 /// Maps `f` over `0..len` on a scoped thread pool, returning results in
 /// index order. The deterministic core primitive: [`par_map_indexed`] and
 /// [`par_reduce_ordered`] are built on it.
@@ -269,10 +286,7 @@ where
     // `par_map_range` visits every index exactly once, so every take
     // finds its item and the flatten drops nothing.
     par_map_range(par, slots.len(), |i| {
-        let item = match slots[i].lock() {
-            Ok(mut slot) => slot.take(),
-            Err(poisoned) => poisoned.into_inner().take(),
-        };
+        let item = lock_unpoisoned(&slots[i]).take();
         item.map(|t| f(i, t))
     })
     .into_iter()

@@ -34,6 +34,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
+use stem_par::lock_unpoisoned;
 use stem_stats::rng::RngExt;
 use stem_storage::{RealFs, Storage, StorageError, StorageOp};
 
@@ -192,17 +193,7 @@ impl FaultFs {
 
     /// The census of mutating operations, in issue order.
     pub fn census(&self) -> Vec<SyscallRecord> {
-        self.lock_census().clone()
-    }
-
-    fn lock_census(&self) -> std::sync::MutexGuard<'_, Vec<SyscallRecord>> {
-        match self.census.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.census.clear_poison();
-                poisoned.into_inner()
-            }
-        }
+        lock_unpoisoned(&self.census).clone()
     }
 
     /// Admits one mutating operation: fails fast if the disk is dead,
@@ -218,7 +209,7 @@ impl FaultFs {
             ));
         }
         let index = self.ops.fetch_add(1, Ordering::SeqCst);
-        self.lock_census().push(SyscallRecord {
+        lock_unpoisoned(&self.census).push(SyscallRecord {
             index,
             op,
             path: path.to_path_buf(),

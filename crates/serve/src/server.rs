@@ -20,7 +20,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -33,7 +33,7 @@ use stem_baselines::standard_registry;
 use stem_core::{
     KernelSampler, Pipeline, QuarantinedSnapshot, SamplerRegistry, SnapshotError, StemError,
 };
-use stem_par::{Parallelism, Supervisor};
+use stem_par::{lock_unpoisoned, Parallelism, Supervisor};
 use stem_storage::{sealed::fnv1a64, StorageError, StorageOp};
 
 /// Why a tenant-scoped lookup was refused.
@@ -113,6 +113,9 @@ struct Inner {
     fingerprint: u64,
     journal_path: PathBuf,
     addr: SocketAddr,
+    /// Taken through `lock_unpoisoned`: every mutation is journaled or
+    /// snapshot-backed before it matters, so a panicking thread cannot
+    /// leave the map wrong in a way the disk does not correct.
     state: Mutex<State>,
     work_ready: Condvar,
     cache: Arc<SimCache>,
@@ -134,12 +137,14 @@ struct Inner {
 /// sharing one across jobs and tenants cannot move a bit.
 struct Samplers {
     registry: SamplerRegistry,
+    /// Taken through `lock_unpoisoned`: the map is only ever extended by a
+    /// complete entry.
     built: Mutex<BTreeMap<String, Arc<dyn KernelSampler>>>,
 }
 
 impl std::fmt::Debug for Samplers {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let built: Vec<String> = self.lock().keys().cloned().collect();
+        let built: Vec<String> = lock_unpoisoned(&self.built).keys().cloned().collect();
         f.debug_struct("Samplers")
             .field("registry", &self.registry)
             .field("built", &built)
@@ -167,35 +172,13 @@ impl Samplers {
 
     /// The daemon's sampler for `name`, built on its first use.
     fn get(&self, name: &str) -> Result<Arc<dyn KernelSampler>, StemError> {
-        let mut built = self.lock();
+        let mut built = lock_unpoisoned(&self.built);
         if let Some(sampler) = built.get(name) {
             return Ok(Arc::clone(sampler));
         }
         let sampler: Arc<dyn KernelSampler> = Arc::from(self.registry.build(name)?);
         built.insert(name.to_string(), Arc::clone(&sampler));
         Ok(sampler)
-    }
-
-    /// The built samplers, recovered from poisoning: the map is only ever
-    /// extended by a complete entry.
-    fn lock(&self) -> MutexGuard<'_, BTreeMap<String, Arc<dyn KernelSampler>>> {
-        match self.built.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-}
-
-/// Locks daemon state, recovering from poisoning: every mutation is
-/// journaled or snapshot-backed before it matters, so a panicking thread
-/// cannot leave the map wrong in a way the disk does not correct.
-fn lock_state(m: &Mutex<State>) -> MutexGuard<'_, State> {
-    match m.lock() {
-        Ok(g) => g,
-        Err(poisoned) => {
-            m.clear_poison();
-            poisoned.into_inner()
-        }
     }
 }
 
@@ -270,7 +253,7 @@ impl Inner {
         if self.shutdown.load(Ordering::SeqCst) {
             return Err(overload("shutdown", 0, 4));
         }
-        let mut st = lock_state(&self.state);
+        let mut st = lock_unpoisoned(&self.state);
         let depth = st.queue.len();
         if depth >= self.config.queue_capacity {
             return Err(overload("queue", depth, 4));
@@ -313,7 +296,7 @@ impl Inner {
         id: u64,
         f: impl FnOnce(&mut Job) -> T,
     ) -> Result<T, AccessError> {
-        let mut st = lock_state(&self.state);
+        let mut st = lock_unpoisoned(&self.state);
         let Some(job) = st.jobs.get_mut(&id) else {
             return Err(AccessError::UnknownJob);
         };
@@ -327,7 +310,7 @@ impl Inner {
     /// running one finishes its current unit and stops. Returns the
     /// phase after the request took effect.
     fn cancel_job(&self, tenant: &str, id: u64) -> Result<JobPhase, AccessError> {
-        let mut st = lock_state(&self.state);
+        let mut st = lock_unpoisoned(&self.state);
         let state = &mut *st;
         let Some(job) = state.jobs.get_mut(&id) else {
             return Err(AccessError::UnknownJob);
@@ -358,7 +341,7 @@ impl Inner {
             return;
         }
         {
-            let mut st = lock_state(&self.state);
+            let mut st = lock_unpoisoned(&self.state);
             for job in st.jobs.values_mut() {
                 if job.phase == JobPhase::Running {
                     job.cancel.store(true, Ordering::SeqCst);
@@ -377,7 +360,7 @@ impl Inner {
                 return;
             };
             let (spec, cancel, threads) = {
-                let mut st = lock_state(&self.state);
+                let mut st = lock_unpoisoned(&self.state);
                 let Some(job) = st.jobs.get_mut(&id) else {
                     continue;
                 };
@@ -406,7 +389,7 @@ impl Inner {
             let backoff = self.apply_outcome(id, &cancel, outcome);
             if let Some(pause) = backoff {
                 std::thread::sleep(pause);
-                let mut st = lock_state(&self.state);
+                let mut st = lock_unpoisoned(&self.state);
                 if let Some(job) = st.jobs.get_mut(&id) {
                     if job.phase == JobPhase::Running {
                         job.phase = JobPhase::Queued;
@@ -421,7 +404,7 @@ impl Inner {
 
     /// Blocks until a job is available (respecting pause), or shutdown.
     fn next_job(&self) -> Option<u64> {
-        let mut st = lock_state(&self.state);
+        let mut st = lock_unpoisoned(&self.state);
         loop {
             if self.shutdown.load(Ordering::SeqCst) {
                 return None;
@@ -431,14 +414,15 @@ impl Inner {
                     return Some(id);
                 }
             }
-            let (g, _) = match self.work_ready.wait_timeout(st, Duration::from_millis(25)) {
-                Ok(pair) => pair,
+            st = match self.work_ready.wait_timeout(st, Duration::from_millis(25)) {
+                Ok((g, _)) => g,
+                // A poisoned wait hands back the guard of a poisoned
+                // mutex: release it and take the lock again, recovered.
                 Err(poisoned) => {
-                    self.state.clear_poison();
-                    poisoned.into_inner()
+                    drop(poisoned);
+                    lock_unpoisoned(&self.state)
                 }
             };
-            st = g;
         }
     }
 
@@ -484,7 +468,7 @@ impl Inner {
         cancel: &AtomicBool,
         outcome: Result<stem_core::CampaignReport, StemError>,
     ) -> Option<Duration> {
-        let mut st = lock_state(&self.state);
+        let mut st = lock_unpoisoned(&self.state);
         st.running = st.running.saturating_sub(1);
         let config = &self.config;
         let job = st.jobs.get_mut(&id)?;
@@ -709,7 +693,7 @@ impl Server {
         // valid journal with these same jobs — all safe to restart from
         // — and the failure is counted like any other journal write.
         {
-            let st = lock_state(&inner.state);
+            let st = lock_unpoisoned(&inner.state);
             let _ = inner.persist_journal(&st);
         }
 
@@ -822,7 +806,7 @@ impl Server {
         let deadline = Instant::now() + timeout;
         loop {
             {
-                let st = lock_state(&self.inner.state);
+                let st = lock_unpoisoned(&self.inner.state);
                 let settled = st.queue.is_empty()
                     && st.running == 0
                     && st
@@ -855,16 +839,7 @@ impl Server {
     /// daemon threads. Idempotent.
     pub fn shutdown(&self) {
         self.inner.begin_shutdown();
-        let handles: Vec<JoinHandle<()>> = {
-            let mut guard = match self.threads.lock() {
-                Ok(g) => g,
-                Err(poisoned) => {
-                    self.threads.clear_poison();
-                    poisoned.into_inner()
-                }
-            };
-            guard.drain(..).collect()
-        };
+        let handles: Vec<JoinHandle<()>> = { lock_unpoisoned(&self.threads).drain(..).collect() };
         for handle in handles {
             let _ = handle.join();
         }

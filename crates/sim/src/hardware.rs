@@ -11,7 +11,8 @@ use crate::config::GpuConfig;
 use crate::exec::DeterministicTiming;
 use crate::simulator::Simulator;
 use gpu_workload::Workload;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
+use stem_par::lock_unpoisoned;
 
 /// Measures kernel execution times the way a lightweight profiler would.
 #[derive(Debug, Clone)]
@@ -125,18 +126,8 @@ impl HardwareRunner {
         workload: &Workload,
         par: stem_par::Parallelism,
     ) -> Vec<DeterministicTiming> {
-        let invocations = workload.invocations();
-        let groups = workload.num_invocation_groups();
-        let par = par.serial_below(groups, MIN_PARALLEL_GROUPS);
-        stem_par::par_map_range(par, groups, |g| {
-            let rep = &invocations[workload.group_representative(g as u32)];
-            crate::exec::deterministic_of_invocation(
-                workload,
-                rep,
-                self.sim.config(),
-                self.sim.options(),
-            )
-        })
+        let par = par.serial_below(workload.num_invocation_groups(), MIN_PARALLEL_GROUPS);
+        self.sim.group_timings_par(workload, par)
     }
 }
 
@@ -185,7 +176,9 @@ impl Measurements<'_> {
 /// and releases the lock, a growth computes the longer table outside the
 /// lock and swaps it in, so concurrent profiles never wait on each other's
 /// work. Two racing growths each compute the same values; the longer
-/// table stays. A clone shares the current table.
+/// table stays. A clone shares the current table. A panic elsewhere cannot
+/// leave the handle half-written (it is swapped whole), so the lock is
+/// taken through [`lock_unpoisoned`], which clears poison.
 #[derive(Default)]
 struct NoiseTable {
     factors: Mutex<Arc<Vec<f64>>>,
@@ -205,7 +198,7 @@ impl NoiseTable {
     /// A table with at least `len` factors of `(seed, s)`, grown to exactly
     /// `len` across `par` threads if the current one is shorter.
     fn factors(&self, seed: u64, s: f64, len: usize, par: stem_par::Parallelism) -> Arc<Vec<f64>> {
-        let mut slot = lock_table(&self.factors);
+        let mut slot = lock_unpoisoned(&self.factors);
         if slot.len() >= len {
             return Arc::clone(&slot);
         }
@@ -228,7 +221,7 @@ impl NoiseTable {
             noise_factor(seed, s, (have + j) as u64)
         });
         let grown = Arc::new(grown);
-        let mut slot = lock_table(&self.factors);
+        let mut slot = lock_unpoisoned(&self.factors);
         if slot.len() < len {
             *slot = Arc::clone(&grown);
         }
@@ -239,27 +232,15 @@ impl NoiseTable {
 impl Clone for NoiseTable {
     fn clone(&self) -> Self {
         NoiseTable {
-            factors: Mutex::new(Arc::clone(&lock_table(&self.factors))),
+            factors: Mutex::new(Arc::clone(&lock_unpoisoned(&self.factors))),
         }
     }
 }
 
 impl std::fmt::Debug for NoiseTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let len = lock_table(&self.factors).len();
+        let len = lock_unpoisoned(&self.factors).len();
         f.debug_struct("NoiseTable").field("len", &len).finish()
-    }
-}
-
-/// Locks the table handle. A panic elsewhere cannot leave the handle
-/// half-written (it is swapped whole), so poison is cleared, not spread.
-fn lock_table(m: &Mutex<Arc<Vec<f64>>>) -> MutexGuard<'_, Arc<Vec<f64>>> {
-    match m.lock() {
-        Ok(guard) => guard,
-        Err(poisoned) => {
-            m.clear_poison();
-            poisoned.into_inner()
-        }
     }
 }
 

@@ -1,83 +1,62 @@
-//! Sharded memoisation of deterministic timing cores.
+//! Memoisation of deterministic timing cores and ground-truth totals.
 //!
 //! Sampling plans revisit the same `(kernel signature, runtime context,
 //! work scale, µarch config)` group many times — across repetitions, across
 //! warm re-runs, and across clusters that share a kernel. [`SimCache`]
 //! memoises [`DeterministicTiming`] cores (the jitter-free half of the
-//! model) behind a sharded mutex map so parallel workers rarely contend,
-//! and [`Simulator::run_sampled_cached`] is the cached, optionally parallel
-//! twin of [`Simulator::run_sampled`].
+//! model) in key-selected shards so parallel workers rarely contend, and
+//! [`Simulator::run_sampled_cached`] is the one sampled executor:
+//! [`Simulator::run_sampled`] runs it serially on a cache of its own. The
+//! cache keys the *group*, not the invocation: fingerprints are computed
+//! once per group per run, the per-invocation noise draw never enters the
+//! key, and a hit leaves one `exp` per sample.
 //!
-//! Since the hot-path overhaul the cache keys the *group*, not the
-//! invocation: fingerprints are computed once per group per run (not once
-//! per sample), the per-invocation noise draw never enters the key, and a
-//! hit saves the whole analytic model, leaving one `exp` per sample.
-//!
-//! The cache is *output-invisible*: `deterministic_timing` is a pure
-//! function, so a hit returns exactly the bits a recomputation would
-//! produce, and the weighted-sum reduction still folds in sample order.
-//! For long-lived processes the table can be bounded
-//! ([`SimCache::with_capacity`]): full shards evict their oldest insertion,
-//! which is equally output-invisible — an evicted entry is simply
-//! recomputed to the same bits on its next miss.
 //! The cache also memoizes ground-truth totals
 //! ([`Simulator::workload_total_cached`]), keyed by the workload's content
-//! fingerprint and the same environment fingerprint, and bounded by
-//! count. A long-lived process that shares one cache (the `stem-serve`
-//! daemon) folds each workload's ground truth once.
-//! Hit/miss counters are informational only. Keys are 128-bit structural
-//! fingerprints over the full µarch config, the sim options, the workload's
-//! kernel and context tables, and the group's own fields, so two different
-//! configurations (or workloads) can never alias a cache line — the
-//! cache-poisoning guard tests below pin this.
+//! fingerprint and the same environment fingerprint, so a long-lived
+//! process that shares one cache (the `stem-serve` daemon) folds each
+//! workload's ground truth once.
+//!
+//! Every shard and the totals are a [`stem_par::Memo`], with its one
+//! policy: bounded, oldest computation evicted first, one compute per key
+//! at a time, no failure kept. Entries are pure functions of their keys,
+//! so the cache is *output-invisible* at every temperature and bound, and
+//! the weighted-sum reduction still folds in sample order. Keys are
+//! 128-bit structural fingerprints over the full µarch config, the sim
+//! options, the workload's kernel and context tables, and the group's own
+//! fields, so two different configurations (or workloads) can never alias
+//! a cache line — the cache-poisoning guard tests below pin this.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::convert::Infallible;
 
-use crate::exec::{deterministic_of_invocation, DeterministicTiming};
+use crate::exec::DeterministicTiming;
 use crate::sampled::{SampledRun, WeightedSample};
 use crate::simulator::Simulator;
 use crate::streaming::{workload_total, StreamRunError, DEFAULT_CHANNEL_BLOCKS};
 use gpu_workload::stream::SinkError;
 use gpu_workload::Workload;
-use stem_par::Parallelism;
+use stem_par::{Memo, Parallelism};
 
 /// Shard count; a power of two so `key & (SHARDS - 1)` selects a shard.
 const SHARDS: usize = 16;
 
-/// Ground-truth totals a cache keeps at most; a full memo evicts its
-/// oldest insertion. An entry is a 128-bit key and one `f64`.
+/// Ground-truth totals a cache keeps at most. An entry is a 128-bit key
+/// and one `f64`.
 const TOTALS_CAPACITY: usize = 1024;
 
-/// One shard: the memo map plus its keys in insertion order, so a bounded
-/// shard can evict deterministically (oldest insertion first).
-#[derive(Debug, Default)]
-struct Shard {
-    map: HashMap<u128, DeterministicTiming>,
-    order: VecDeque<u128>,
-}
-
-/// A sharded, thread-safe memo table from group fingerprints to
-/// [`DeterministicTiming`] cores.
+/// [`DeterministicTiming`] cores keyed by group fingerprint, in
+/// key-selected shards, plus ground-truth totals.
 ///
-/// By default the table is unbounded — the right choice for one-shot runs,
-/// where the working set is the run's own group count. Long-lived processes
-/// (the `stem-serve` daemon shares one cache across every campaign it ever
-/// runs) must bound it with [`SimCache::with_capacity`]: each shard then
-/// holds at most `cap` entries and evicts its **oldest insertion** to make
-/// room. Eviction is output-invisible — entries are pure functions of their
-/// key, so an evicted-then-recomputed entry is bit-identical to the cached
-/// one; only the hit rate and [`SimCache::evictions`] move.
+/// By default the core shards are unbounded — the right choice for
+/// one-shot runs, where the working set is the run's own group count.
+/// Long-lived processes (the `stem-serve` daemon shares one cache across
+/// every campaign it ever runs) bound them with [`SimCache::with_capacity`]:
+/// each shard then evicts its oldest computation past `cap` entries, which
+/// moves only the hit rate and [`SimCache::evictions`].
 #[derive(Debug)]
 pub struct SimCache {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: Option<usize>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    poison_recoveries: AtomicU64,
-    totals: TotalsMemo,
+    shards: Vec<Memo<u128, DeterministicTiming>>,
+    totals: Memo<u128, f64>,
 }
 
 impl Default for SimCache {
@@ -89,154 +68,63 @@ impl Default for SimCache {
 impl SimCache {
     /// Creates an empty, unbounded cache.
     pub fn new() -> Self {
-        Self::build(None)
+        Self::with_capacity(usize::MAX)
     }
 
     /// Creates an empty cache holding at most `per_shard` entries per shard
-    /// (so at most `per_shard * num_shards()` entries total). A zero cap is
-    /// promoted to one — a cache that cannot hold anything would turn every
-    /// lookup into a miss-and-evict churn for no benefit.
+    /// (so at most `per_shard * num_shards()` entries total). A zero cap
+    /// acts as one: a shard always keeps the entry it computed last.
     pub fn with_capacity(per_shard: usize) -> Self {
-        Self::build(Some(per_shard.max(1)))
-    }
-
-    fn build(capacity_per_shard: Option<usize>) -> Self {
         SimCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            capacity_per_shard,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            poison_recoveries: AtomicU64::new(0),
-            totals: TotalsMemo::default(),
+            shards: (0..SHARDS).map(|_| Memo::new(per_shard, |_| 1)).collect(),
+            totals: Memo::new(TOTALS_CAPACITY, |_| 1),
         }
     }
 
-    /// The per-shard entry cap, if the cache is bounded.
-    #[cfg(test)]
-    fn capacity_per_shard(&self) -> Option<usize> {
-        self.capacity_per_shard
+    /// The shard `key` belongs to.
+    fn shard(&self, key: u128) -> &Memo<u128, DeterministicTiming> {
+        &self.shards[(key as usize) & (SHARDS - 1)]
     }
 
     /// Number of memoised timings.
     pub fn len(&self) -> usize {
-        (0..SHARDS).map(|i| self.lock_shard(i).map.len()).sum()
+        self.shards.iter().map(Memo::len).sum()
     }
 
     /// True if nothing has been memoised yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.shards.iter().all(Memo::is_empty)
     }
 
     /// Lookups served from the cache so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.shards.iter().map(Memo::hits).sum()
     }
 
     /// Lookups that had to simulate.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Fraction of lookups served from the cache (0 when untouched).
-    pub fn hit_rate(&self) -> f64 {
-        let h = self.hits();
-        let total = h + self.misses();
-        if total == 0 {
-            0.0
-        } else {
-            h as f64 / total as f64
-        }
-    }
-
-    /// Shard-lock poisonings recovered so far (see [`SimCache::lock_shard`]).
-    pub fn poison_recoveries(&self) -> u64 {
-        self.poison_recoveries.load(Ordering::Relaxed)
+        self.shards.iter().map(Memo::misses).sum()
     }
 
     /// Entries evicted so far to honour the per-shard cap (always 0 for an
     /// unbounded cache).
     pub fn evictions(&self) -> u64 {
-        self.evictions.load(Ordering::Relaxed)
+        self.shards.iter().map(Memo::evictions).sum()
     }
 
-    /// Returns the memoised core for `key`, computing and inserting it on
-    /// a miss. `compute` runs outside the shard lock so a slow simulation
-    /// never blocks other shard traffic; a racing duplicate insert is
-    /// harmless because the computed value is a pure function of the key.
-    fn get_or_insert(
-        &self,
-        key: u128,
-        compute: impl FnOnce() -> DeterministicTiming,
-    ) -> DeterministicTiming {
-        let shard = (key as usize) & (SHARDS - 1);
-        if let Some(&t) = self.lock_shard(shard).map.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return t;
-        }
-        let t = compute();
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.lock_shard(shard);
-        // A racing worker may have inserted the same key while we computed;
-        // re-inserting would double-count it in the insertion-order queue.
-        if !guard.map.contains_key(&key) {
-            if let Some(cap) = self.capacity_per_shard {
-                while guard.map.len() >= cap {
-                    match guard.order.pop_front() {
-                        Some(oldest) => {
-                            guard.map.remove(&oldest);
-                            self.evictions.fetch_add(1, Ordering::Relaxed);
-                        }
-                        // Map and queue can only disagree transiently after
-                        // a poison recovery cleared both; nothing to evict.
-                        None => break,
-                    }
-                }
-            }
-            guard.map.insert(key, t);
-            guard.order.push_back(key);
-        }
-        t
-    }
-
-    /// Locks one shard, recovering from poisoning. A poisoned shard means
-    /// a worker panicked while holding the lock; under supervised
-    /// execution that worker's task is retried rather than tearing down
-    /// the pool, so the cache must stay usable. Every memoised value is a
-    /// pure function of its key, which makes the recovery trivially sound:
-    /// clear the shard and let it rebuild — a rebuilt entry is
-    /// bit-identical to the lost one, so recovery is output-invisible
-    /// (only the hit rate and [`SimCache::poison_recoveries`] move).
-    fn lock_shard(&self, shard: usize) -> std::sync::MutexGuard<'_, Shard> {
-        match self.shards[shard].lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => {
-                self.poison_recoveries.fetch_add(1, Ordering::Relaxed);
-                self.shards[shard].clear_poison();
-                let mut guard = poisoned.into_inner();
-                guard.map.clear();
-                guard.order.clear();
-                guard
-            }
-        }
-    }
-
-    /// Test stimulus: poisons shard `index % num_shards` by panicking a
-    /// throwaway thread while it holds the lock — the state a worker panic
-    /// mid-insert leaves behind. The next access recovers (clears and
-    /// rebuilds the shard); results are unaffected.
+    /// Test stimulus: a compute of a key of shard `index % num_shards`
+    /// panics — the state a worker panic mid-insert leaves behind, a
+    /// poisoned gate and no value. The key's next caller computes it;
+    /// results are unaffected.
     #[cfg(test)]
     fn poison_shard(&self, index: usize) {
-        let shard = &self.shards[index % SHARDS];
-        std::thread::scope(|scope| {
-            let handle = scope.spawn(|| {
-                let _guard = shard.lock();
-                // Poison the mutex without the panic! macro: this is a
-                // deliberate, typed chaos stimulus, not a hot-path bug.
-                std::panic::panic_any("injected memo-shard poisoning");
-            });
-            // The join error is the injected panic itself.
-            let _ = handle.join();
+        let key = (index % SHARDS) as u128;
+        // The unwind error is the injected panic itself.
+        let _ = std::panic::catch_unwind(|| {
+            // Poison the gate without the panic! macro: this is a
+            // deliberate, typed chaos stimulus, not a hot-path bug.
+            let compute = || -> Result<_, Infallible> { std::panic::panic_any("injected") };
+            self.shard(key).get_or_compute(key, compute)
         });
     }
 
@@ -247,60 +135,12 @@ impl SimCache {
 
     /// Ground-truth totals served from the memo so far.
     pub fn total_hits(&self) -> u64 {
-        self.totals.hits.load(Ordering::Relaxed)
+        self.totals.hits()
     }
 
     /// Ground-truth totals folded so far (successful folds only).
     pub fn total_misses(&self) -> u64 {
-        self.totals.misses.load(Ordering::Relaxed)
-    }
-}
-
-/// The ground-truth totals memo: key → total cycles, with the keys in
-/// insertion order so a full memo evicts its oldest entry.
-#[derive(Debug, Default)]
-struct TotalsMemo {
-    entries: Mutex<(HashMap<u128, f64>, VecDeque<u128>)>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl TotalsMemo {
-    /// The memoized total for `key`, or `compute`'s, which is memoized
-    /// when it succeeds. `compute` runs outside the lock; a racing
-    /// duplicate fold is harmless, as the total is a pure function of
-    /// the key.
-    fn get_or_compute<E>(
-        &self,
-        key: u128,
-        compute: impl FnOnce() -> Result<f64, E>,
-    ) -> Result<f64, E> {
-        if let Some(&total) = self.lock().0.get(&key) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(total);
-        }
-        let total = compute()?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        let mut guard = self.lock();
-        let (map, order) = &mut *guard;
-        if map.insert(key, total).is_none() {
-            order.push_back(key);
-            if order.len() > TOTALS_CAPACITY {
-                if let Some(oldest) = order.pop_front() {
-                    map.remove(&oldest);
-                }
-            }
-        }
-        Ok(total)
-    }
-
-    /// The memo, recovered from poisoning: no fold runs under the lock,
-    /// and every update leaves map and order consistent.
-    fn lock(&self) -> std::sync::MutexGuard<'_, (HashMap<u128, f64>, VecDeque<u128>)> {
-        match self.entries.lock() {
-            Ok(guard) => guard,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        self.totals.misses()
     }
 }
 
@@ -475,9 +315,11 @@ impl Simulator {
             fp.word(rep.kernel.index() as u64);
             fp.word(rep.context as u64);
             fp.word(rep.work_scale.to_bits() as u64);
-            cache.get_or_insert(fp.key(), || {
-                deterministic_of_invocation(workload, rep, self.config(), self.options())
-            })
+            let key = fp.key();
+            let Ok(core) = cache
+                .shard(key)
+                .get_or_compute(key, || Ok::<_, Infallible>(self.group_core(workload, g)));
+            core
         });
         // Stream the jitter: one `exp` per sample, folded in sample order.
         let pairs = stem_par::par_map_indexed(par, samples, |_, s| {
@@ -546,7 +388,6 @@ mod tests {
             touched_groups.len() as u64,
             "warm run must hit exactly once per touched group"
         );
-        assert!(cache.hit_rate() > 0.0);
         // The warm run computed nothing new.
         assert_eq!(cache.misses(), misses_after_cold);
     }
@@ -602,13 +443,7 @@ mod tests {
         assert_eq!(cache.len(), 0);
         assert_eq!(cache.hits(), 0);
         assert_eq!(cache.misses(), 0);
-        assert_eq!(cache.hit_rate(), 0.0);
-        assert_eq!(cache.poison_recoveries(), 0);
         assert_eq!(cache.evictions(), 0);
-        assert_eq!(cache.capacity_per_shard(), None);
-        assert_eq!(SimCache::with_capacity(7).capacity_per_shard(), Some(7));
-        // A zero cap is promoted to one entry per shard.
-        assert_eq!(SimCache::with_capacity(0).capacity_per_shard(), Some(1));
     }
 
     #[test]
@@ -709,11 +544,6 @@ mod tests {
         }
         let after = sim.run_sampled_cached(w, &samples, par, &cache);
         assert_eq!(after, plain, "recovery must be output-invisible");
-        assert!(
-            cache.poison_recoveries() >= 1,
-            "recoveries must be counted: {}",
-            cache.poison_recoveries()
-        );
     }
 
     #[test]
@@ -726,17 +556,14 @@ mod tests {
         let warm_len = cache.len();
         assert!(warm_len > 0);
         cache.poison_shard(3);
-        // `len` touches every shard, recovering (clearing) the poisoned
-        // one; the rest keep their entries.
+        // The panicked compute memoized nothing; every shard keeps its
+        // entries.
         let after_poison = cache.len();
         assert!(after_poison <= warm_len);
-        assert_eq!(cache.poison_recoveries(), 1);
         // A re-run repopulates whatever the recovery dropped.
         let rerun = sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
         assert_eq!(rerun, sim.run_sampled(w, &samples));
         assert_eq!(cache.len(), warm_len);
-        // Recovery happened once; the shard is healthy again.
-        assert_eq!(cache.poison_recoveries(), 1);
     }
 
     #[test]
@@ -769,7 +596,8 @@ mod tests {
 
     #[test]
     fn totals_memo_keeps_only_successes_and_stays_bounded() {
-        let memo = TotalsMemo::default();
+        let cache = SimCache::new();
+        let memo = &cache.totals;
         assert_eq!(
             memo.get_or_compute(7, || Err::<f64, _>("rejected")),
             Err("rejected")
@@ -780,8 +608,11 @@ mod tests {
             memo.get_or_compute(1000 + key, || Ok::<_, ()>(key as f64))
                 .expect("infallible");
         }
-        let (map, order) = &*memo.lock();
-        assert_eq!((map.len(), order.len()), (TOTALS_CAPACITY, TOTALS_CAPACITY));
-        assert!(!map.contains_key(&7), "the oldest entry is evicted first");
+        assert_eq!(memo.len(), TOTALS_CAPACITY);
+        assert_eq!(
+            memo.get_or_compute(7, || Ok::<_, ()>(9.0)),
+            Ok(9.0),
+            "the oldest entry is evicted first"
+        );
     }
 }

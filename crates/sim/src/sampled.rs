@@ -1,9 +1,10 @@
 //! Sampled simulation: simulate only selected invocations and extrapolate
 //! by weighted sum (Sec. 3.5).
 
-use crate::exec::{deterministic_of_invocation, DeterministicTiming};
+use crate::memo::SimCache;
 use crate::simulator::Simulator;
 use gpu_workload::Workload;
+use stem_par::Parallelism;
 
 /// One sampled invocation with the number of workload invocations it
 /// represents (its extrapolation weight).
@@ -80,36 +81,14 @@ impl Simulator {
     ///
     /// Panics if `samples` is empty or any index is out of range.
     ///
-    /// Grouped fast path: the deterministic core is computed lazily once
-    /// per invocation group touched by the sample set; each sample then
-    /// costs one jitter `exp`. The accumulation order over `samples` is
-    /// unchanged, so the result is bit-identical to the per-invocation
-    /// reference ([`crate::simulator::reference::run_sampled`]).
+    /// This is [`Simulator::run_sampled_cached`], serial, on a cache of its
+    /// own: the deterministic core is computed once per invocation group
+    /// the sample set touches, and each sample then costs one jitter `exp`.
+    /// The accumulation order over `samples` is unchanged, so the result is
+    /// bit-identical to the per-invocation reference
+    /// ([`crate::simulator::reference::run_sampled`]).
     pub fn run_sampled(&self, workload: &Workload, samples: &[WeightedSample]) -> SampledRun {
-        assert!(!samples.is_empty(), "sampled simulation needs samples");
-        let n = workload.num_invocations();
-        let mut groups: Vec<Option<DeterministicTiming>> =
-            vec![None; workload.num_invocation_groups()];
-        let mut estimated = 0.0;
-        let mut simulated = 0.0;
-        for s in samples {
-            assert!(s.index < n, "sample index {} out of range", s.index);
-            let inv = &workload.invocations()[s.index];
-            let g = workload.group_of(s.index) as usize;
-            let det = groups[g].get_or_insert_with(|| {
-                deterministic_of_invocation(workload, inv, self.config(), self.options())
-            });
-            let cycles = det.jittered_cycles(inv.noise_z as f64);
-            estimated += s.weight * cycles;
-            // Warmup passes (SimOptions::warmup_kernels) cost simulation
-            // time but are excluded from the measured kernel time.
-            simulated += cycles + det.warmup_cycles;
-        }
-        SampledRun {
-            estimated_total_cycles: estimated,
-            simulated_cycles: simulated,
-            num_samples: samples.len(),
-        }
+        self.run_sampled_cached(workload, samples, Parallelism::serial(), &SimCache::new())
     }
 }
 

@@ -94,9 +94,15 @@ impl Simulator {
         par: stem_par::Parallelism,
     ) -> Vec<DeterministicTiming> {
         stem_par::par_map_range(par, workload.num_invocation_groups(), |g| {
-            let rep = &workload.invocations()[workload.group_representative(g as u32)];
-            deterministic_of_invocation(workload, rep, &self.config, self.options)
+            self.group_core(workload, g as u32)
         })
+    }
+
+    /// The deterministic timing core of invocation group `g`, evaluated at
+    /// the group's representative.
+    pub(crate) fn group_core(&self, workload: &Workload, g: u32) -> DeterministicTiming {
+        let rep = &workload.invocations()[workload.group_representative(g)];
+        deterministic_of_invocation(workload, rep, &self.config, self.options)
     }
 
     /// Simulates every invocation (the "full simulation" the paper treats
@@ -121,10 +127,7 @@ impl Simulator {
         let per_invocation = stem_par::par_map_grouped(
             par,
             workload.num_invocation_groups(),
-            |g| {
-                let rep = &invocations[workload.group_representative(g as u32)];
-                deterministic_of_invocation(workload, rep, &self.config, self.options)
-            },
+            |g| self.group_core(workload, g as u32),
             invocations.len(),
             |i, groups: &[DeterministicTiming]| {
                 groups[workload.group_of(i) as usize].jittered_cycles(invocations[i].noise_z as f64)

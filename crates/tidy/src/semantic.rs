@@ -20,8 +20,9 @@ use crate::parse::CallSite;
 use crate::rules::{Violation, MEMO_PURITY, ORDERED_FLOAT_REDUCE, RNG_STREAM};
 
 /// Names whose *call* marks the enclosing function as a memoization root:
-/// the sharded `SimCache` insert path and the fingerprint-keyed
-/// `ClusterMemo` compute path.
+/// `stem_par::Memo::get_or_compute`, the compute path behind every memo in
+/// the workspace (timing cores, ground-truth totals, planning), and the
+/// `get_or_insert` spelling of the same shape.
 const MEMO_INSERT_FNS: [&str; 2] = ["get_or_insert", "get_or_compute"];
 
 /// Run every semantic rule over the built graph.

@@ -438,13 +438,6 @@ fn corrupt_journal_is_quarantined_and_jobs_recompute_the_same_bits() {
 
 #[test]
 fn memo_cache_stays_bounded_across_a_warm_multi_campaign_run() {
-    let dir = scratch("cache-bound");
-    let mut config = ServeConfig::new(&dir).with_workers(1, 2);
-    // A cap of one entry per shard is far below the workload's group
-    // count, so the bound is only honored if eviction actually works.
-    config.cache_capacity_per_shard = Some(1);
-    let server = Server::start(config).expect("daemon starts");
-    let cap = server.cache().num_shards();
     let spec = |seed| JobSpec {
         tenant: "alice".to_string(),
         suite: SuiteId::Rodinia,
@@ -456,34 +449,55 @@ fn memo_cache_stays_bounded_across_a_warm_multi_campaign_run() {
         sampler: "STEM".to_string(),
         store: None,
     };
-    let mut payloads = Vec::new();
-    for seed in [41u64, 41, 42] {
-        let id = server.try_submit(spec(seed)).expect("admitted");
-        assert!(server.wait_idle(IDLE), "campaign {id} must finish");
-        assert!(
-            server.cache().len() <= cap,
-            "campaign {id}: cache holds {} entries, cap is {cap}",
-            server.cache().len()
-        );
-        payloads.push(
-            server
-                .result_payload("alice", id)
-                .expect("own job")
-                .expect("payload present"),
-        );
-    }
-    assert!(
-        server.cache().evictions() > 0,
-        "the cap must actually have been enforced by evicting"
-    );
+    // Runs the same job sequence on a fresh daemon whose timing-core
+    // cache holds at most `cap` entries per shard (`None`: unbounded);
+    // returns the RESULT payloads, the journal bytes and the evictions.
+    let replay = |cap: Option<usize>, tag: &str| {
+        let dir = scratch(tag);
+        let mut config = ServeConfig::new(&dir).with_workers(1, 2);
+        config.cache_capacity_per_shard = cap;
+        let server = Server::start(config).expect("daemon starts");
+        let mut payloads = Vec::new();
+        for seed in [41u64, 41, 42] {
+            let id = server.try_submit(spec(seed)).expect("admitted");
+            assert!(server.wait_idle(IDLE), "campaign {id} must finish");
+            let held = server.cache().len();
+            assert!(
+                cap.is_none_or(|c| held <= c * server.cache().num_shards()),
+                "campaign {id}: cache holds {held} entries, cap is {cap:?} per shard"
+            );
+            payloads.push(
+                server
+                    .result_payload("alice", id)
+                    .expect("own job")
+                    .expect("payload present"),
+            );
+        }
+        let evictions = server.cache().evictions();
+        server.shutdown();
+        drop(server);
+        let journal = std::fs::read(dir.join("serve.journal")).expect("journal written");
+        let _ = std::fs::remove_dir_all(&dir);
+        (payloads, journal, evictions)
+    };
+    // A cap of one entry per shard is far below the workload's group
+    // count, so the bound is only honored if eviction actually works.
+    let (payloads, journal, evictions) = replay(Some(1), "cache-bound");
+    assert!(evictions > 0, "the cap must have been enforced by evicting");
     assert_eq!(
         payloads[0], payloads[1],
         "identical specs through a hot, evicting cache must produce identical bits"
     );
     assert_ne!(payloads[0], payloads[2], "different seeds must differ");
-    server.shutdown();
-    drop(server);
-    let _ = std::fs::remove_dir_all(&dir);
+    // The caches are output-invisible: with no bound, nothing is evicted
+    // and every payload and journal byte is the same.
+    let (unbounded, unbounded_journal, none) = replay(None, "cache-unbounded");
+    assert_eq!(none, 0, "an unbounded cache never evicts");
+    assert_eq!(unbounded, payloads, "RESULT payloads with and without the cap");
+    assert_eq!(
+        unbounded_journal, journal,
+        "serve.journal bytes with and without the cap"
+    );
 }
 
 #[test]
