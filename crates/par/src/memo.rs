@@ -12,11 +12,11 @@
 //!   so a caller always gets to reuse what it just computed.
 //! * **One compute per key at a time.** Callers of the same key wait for
 //!   one compute and share its value; different keys compute in parallel.
-//! * **No failure is kept.** A compute that returns `Err` leaves nothing
-//!   behind, so the next caller of that key computes again.
-//! * **Poisoning.** A compute that panics leaves its key to the next
-//!   caller, which computes it. A panic under the memo's own
-//!   table lock clears the table, which later misses rebuild.
+//! * **No failure is kept.** A compute that returns `Err` or panics
+//!   leaves nothing behind, so the next caller of that key computes
+//!   again; a caller already waiting on it takes the key over.
+//! * **Poisoning.** A panic under the memo's own table lock clears the
+//!   table, which later misses rebuild.
 //!
 //! Each value is a pure function of its key, so none of this can move a
 //! result bit: an evicted, failed or cleared entry is recomputed to the
@@ -66,6 +66,27 @@ impl<V> Slot<V> {
     }
 }
 
+/// Removes a key's gate when its compute ends without a value (it failed
+/// or panicked) and no other caller waits on it, so nothing of a failure
+/// stays in the memo. A caller waiting on the gate takes the key over.
+struct Vacate<'a, K: Copy + Eq + Hash, V: Clone> {
+    memo: &'a Memo<K, V>,
+    key: K,
+    gate: &'a Arc<Mutex<()>>,
+}
+
+impl<K: Copy + Eq + Hash, V: Clone> Drop for Vacate<'_, K, V> {
+    fn drop(&mut self) {
+        let mut table = self.memo.table();
+        let ours = matches!(table.slots.get(&self.key),
+            Some(Slot::Computing(g)) if Arc::ptr_eq(g, self.gate));
+        // Only the table and this caller hold the gate: nobody waits.
+        if ours && Arc::strong_count(self.gate) == 2 {
+            table.slots.remove(&self.key);
+        }
+    }
+}
+
 impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
     /// An empty memo holding entries whose costs sum to at most `budget`,
     /// apart from the newest entry, which it keeps whatever its cost.
@@ -88,7 +109,7 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
     /// The value memoized for `key`, or `compute`'s, which is memoized
     /// when it succeeds. `compute` runs outside the table lock, and at
     /// most one caller of `key` runs it at a time: the others wait and
-    /// take its value, or run their own compute if it failed.
+    /// take its value, or run their own compute if it failed or panicked.
     ///
     /// # Errors
     ///
@@ -98,33 +119,31 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
         key: K,
         compute: impl FnOnce() -> Result<V, E>,
     ) -> Result<V, E> {
-        let mut table = self.table();
-        let gate = match table.slots.entry(key).or_insert_with(Slot::computing) {
-            Slot::Ready(value) => return Ok(self.hit(value)),
-            Slot::Computing(gate) => Arc::clone(gate),
-        };
-        drop(table);
-        let _turn = lock_unpoisoned(&gate);
-        // The caller that held the gate before may have left a value.
-        if let Some(Slot::Ready(value)) = self.table().slots.get(&key) {
-            return Ok(self.hit(value));
-        }
-        match compute() {
-            Ok(value) => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                self.admit(key, V::clone(&value));
-                Ok(value)
+        loop {
+            let mut table = self.table();
+            let gate = match table.slots.entry(key).or_insert_with(Slot::computing) {
+                Slot::Ready(value) => return Ok(self.hit(value)),
+                Slot::Computing(gate) => Arc::clone(gate),
+            };
+            drop(table);
+            let _turn = lock_unpoisoned(&gate);
+            // While this caller waited, the one before it may have left a
+            // value, or the key may have been evicted and another caller
+            // may have opened a new gate: then go round again.
+            match self.table().slots.get(&key) {
+                Some(Slot::Ready(value)) => return Ok(self.hit(value)),
+                Some(Slot::Computing(g)) if Arc::ptr_eq(g, &gate) => {}
+                _ => continue,
             }
-            Err(err) => {
-                // Drop the gate unless another caller waits on it.
-                let mut table = self.table();
-                let ours = matches!(table.slots.get(&key),
-                    Some(Slot::Computing(g)) if Arc::ptr_eq(g, &gate));
-                if ours && Arc::strong_count(&gate) == 2 {
-                    table.slots.remove(&key);
-                }
-                Err(err)
-            }
+            let _vacate = Vacate {
+                memo: self,
+                key,
+                gate: &gate,
+            };
+            let value = compute()?;
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            self.admit(key, V::clone(&value));
+            return Ok(value);
         }
     }
 
@@ -137,11 +156,14 @@ impl<K: Copy + Eq + Hash, V: Clone> Memo<K, V> {
     /// Stores a computed value and counts it against the budget, then
     /// evicts the oldest entries while the memo is over it, keeping the
     /// newest. An evicted value stays alive for as long as a caller holds
-    /// it.
+    /// it. A key that is already memoized (its compute raced a table
+    /// cleared on poisoning) is not counted twice.
     fn admit(&self, key: K, value: V) {
         let cost = (self.cost)(&value);
         let mut table = self.table();
-        table.slots.insert(key, Slot::Ready(value));
+        if let Some(Slot::Ready(_)) = table.slots.insert(key, Slot::Ready(value)) {
+            return;
+        }
         table.order.push_back((key, cost));
         table.cost += cost;
         while table.cost > self.budget && table.order.len() > 1 {
@@ -259,10 +281,6 @@ mod tests {
         let memo = &Memo::<u32, u64>::new(usize::MAX, |_| 1);
         let (started, wait_started) = mpsc::channel();
         let (release, wait_release) = mpsc::channel();
-        let holders = || match memo.table().slots.get(&5) {
-            Some(Slot::Computing(gate)) => Arc::strong_count(gate),
-            _ => 0,
-        };
         std::thread::scope(|scope| {
             let first = scope.spawn(move || {
                 memo.get_or_compute(5, || {
@@ -277,7 +295,7 @@ mod tests {
                 .collect();
             // The table and all four callers hold the key's gate: the
             // three late callers are blocked on the compute in flight.
-            while holders() < 5 {
+            while gate_holders(memo, 5) < 5 {
                 std::thread::yield_now();
             }
             release.send(()).ok();
@@ -304,13 +322,108 @@ mod tests {
         assert_eq!((memo.len(), memo.misses()), (1, 5));
     }
 
+    fn panics() -> Result<u64, Infallible> {
+        std::panic::panic_any("injected compute panic")
+    }
+
+    /// How many hold `key`'s gate (the table counts as one), or 0 if the
+    /// key has no compute in flight.
+    fn gate_holders(memo: &Memo<u32, u64>, key: u32) -> usize {
+        match memo.table().slots.get(&key) {
+            Some(Slot::Computing(gate)) => Arc::strong_count(gate),
+            _ => 0,
+        }
+    }
+
     #[test]
     fn a_compute_that_panics_leaves_its_key_to_the_next_caller() {
         let memo: Memo<u32, u64> = Memo::new(8, |_| 1);
-        let panics = || -> Result<u64, Infallible> { std::panic::panic_any("injected") };
         assert!(std::panic::catch_unwind(|| memo.get_or_compute(3, panics)).is_err());
-        assert!(memo.is_empty());
+        assert!(memo.table().slots.is_empty(), "no gate is left");
         assert_eq!(memo.get_or_compute(3, || ok(30)), Ok(30));
         assert_eq!(memo.get_or_compute(3, || ok(0)), Ok(30));
+        assert_eq!((memo.misses(), memo.hits()), (1, 1));
+    }
+
+    #[test]
+    fn a_caller_waiting_on_a_compute_that_panics_takes_the_key_over() {
+        let memo = &Memo::<u32, u64>::new(8, |_| 1);
+        let (started, wait_started) = mpsc::channel();
+        let (release, wait_release) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                memo.get_or_compute(4, || {
+                    started.send(()).ok();
+                    wait_release.recv().ok();
+                    panics()
+                })
+            });
+            wait_started.recv().ok();
+            let waiter = scope.spawn(|| memo.get_or_compute(4, || ok(40)));
+            while gate_holders(memo, 4) < 3 {
+                std::thread::yield_now();
+            }
+            release.send(()).ok();
+            assert!(first.join().is_err(), "the first compute panicked");
+            assert_eq!(waiter.join().ok(), Some(Ok(40)));
+        });
+        assert_eq!((memo.len(), memo.misses(), memo.hits()), (1, 1, 0));
+    }
+
+    #[test]
+    fn a_waiter_whose_key_was_evicted_waits_on_the_new_compute() {
+        let memo = &Memo::<u32, u64>::new(1, |_| 1);
+        // A compute of key 9 in flight, standing in for a caller that has
+        // since admitted and lost the key to eviction.
+        let old_gate: Arc<Mutex<()>> = Arc::default();
+        let old_turn = lock_unpoisoned(&old_gate);
+        memo.table()
+            .slots
+            .insert(9, Slot::Computing(Arc::clone(&old_gate)));
+        let late_computes = &AtomicU64::new(0);
+        let (started, wait_started) = mpsc::channel();
+        let (release, wait_release) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            // The late caller clones the old gate and blocks on it.
+            let late = scope.spawn(move || {
+                memo.get_or_compute(9, || {
+                    late_computes.fetch_add(1, Ordering::Relaxed);
+                    ok(0)
+                })
+            });
+            while Arc::strong_count(&old_gate) < 3 {
+                std::thread::yield_now();
+            }
+            // The key is evicted and a new caller opens a new gate.
+            memo.table().slots.remove(&9);
+            let new = scope.spawn(move || {
+                memo.get_or_compute(9, || {
+                    started.send(()).ok();
+                    wait_release.recv().ok();
+                    ok(90)
+                })
+            });
+            wait_started.recv().ok();
+            // The old gate opens: the late caller must find the new gate
+            // and wait on it, not compute beside the new caller.
+            drop(old_turn);
+            while gate_holders(memo, 9) < 3 && !late.is_finished() {
+                std::thread::yield_now();
+            }
+            release.send(()).ok();
+            assert_eq!(new.join().ok(), Some(Ok(90)));
+            assert_eq!(late.join().ok(), Some(Ok(90)));
+        });
+        assert_eq!(late_computes.load(Ordering::Relaxed), 0);
+        assert_eq!((memo.len(), memo.misses(), memo.hits()), (1, 1, 1));
+    }
+
+    #[test]
+    fn a_key_computed_twice_across_a_cleared_table_is_counted_once() {
+        let memo: Memo<u32, u64> = Memo::new(8, |_| 1);
+        memo.admit(6, 60);
+        memo.admit(6, 60);
+        assert_eq!(memo.len(), 1);
+        assert_eq!(memo.table().cost, 1);
     }
 }

@@ -6,7 +6,7 @@
 //! memoises [`DeterministicTiming`] cores (the jitter-free half of the
 //! model) in key-selected shards so parallel workers rarely contend, and
 //! [`Simulator::run_sampled_cached`] is the one sampled executor:
-//! [`Simulator::run_sampled`] runs it serially on a cache of its own. The
+//! [`Simulator::run_sampled`] runs it serially with no cache. The
 //! cache keys the *group*, not the invocation: fingerprints are computed
 //! once per group per run, the per-invocation noise draw never enters the
 //! key, and a hit leaves one `exp` per sample.
@@ -112,20 +112,17 @@ impl SimCache {
         self.shards.iter().map(Memo::evictions).sum()
     }
 
-    /// Test stimulus: a compute of a key of shard `index % num_shards`
-    /// panics — the state a worker panic mid-insert leaves behind, a
-    /// poisoned gate and no value. The key's next caller computes it;
-    /// results are unaffected.
+    /// Test stimulus: a worker panics computing group `g` of `workload` on
+    /// `sim`, as a panic inside the timing model would. Returns whether
+    /// the compute ran (the group was not memoized); a panicked compute
+    /// memoizes nothing, so the group's next caller computes it.
     #[cfg(test)]
-    fn poison_shard(&self, index: usize) {
-        let key = (index % SHARDS) as u128;
-        // The unwind error is the injected panic itself.
-        let _ = std::panic::catch_unwind(|| {
-            // Poison the gate without the panic! macro: this is a
-            // deliberate, typed chaos stimulus, not a hot-path bug.
-            let compute = || -> Result<_, Infallible> { std::panic::panic_any("injected") };
-            self.shard(key).get_or_compute(key, compute)
-        });
+    fn panic_group_compute(&self, sim: &Simulator, workload: &Workload, g: u32) -> bool {
+        let key = group_key(sim.environment_fingerprint(workload), workload, g);
+        // Panic without the panic! macro: this is a deliberate, typed
+        // chaos stimulus, not a hot-path bug.
+        let compute = || -> Result<_, Infallible> { std::panic::panic_any("injected") };
+        std::panic::catch_unwind(|| self.shard(key).get_or_compute(key, compute)).is_err()
     }
 
     /// Number of shards.
@@ -183,6 +180,16 @@ impl Fingerprint {
     fn key(self) -> u128 {
         ((self.a as u128) << 64) | self.b as u128
     }
+}
+
+/// The cache key of group `g`: the environment fingerprint `env` plus the
+/// kernel, context and work scale of the group's representative.
+fn group_key(mut env: Fingerprint, workload: &Workload, g: u32) -> u128 {
+    let rep = &workload.invocations()[workload.group_representative(g)];
+    env.word(rep.kernel.index() as u64);
+    env.word(rep.context as u64);
+    env.word(rep.work_scale.to_bits() as u64);
+    env.key()
 }
 
 impl Simulator {
@@ -292,9 +299,22 @@ impl Simulator {
         par: Parallelism,
         cache: &SimCache,
     ) -> SampledRun {
+        self.run_sampled_with(workload, samples, par, Some(cache))
+    }
+
+    /// The one sampled executor. Without a cache each touched group's core
+    /// is evaluated once, as a private cache would, minus the keys and
+    /// the locking.
+    pub(crate) fn run_sampled_with(
+        &self,
+        workload: &Workload,
+        samples: &[WeightedSample],
+        par: Parallelism,
+        cache: Option<&SimCache>,
+    ) -> SampledRun {
         assert!(!samples.is_empty(), "sampled simulation needs samples");
         let n = workload.num_invocations();
-        let env = self.environment_fingerprint(workload);
+        let cache = cache.map(|cache| (cache, self.environment_fingerprint(workload)));
         // Which groups this sample set touches, and where each group's
         // fetched core lands (`slot_of[g]` indexes into `cores`).
         let num_groups = workload.num_invocation_groups();
@@ -309,18 +329,17 @@ impl Simulator {
             }
         }
         // One cache lookup (and at most one model evaluation) per group.
-        let cores: Vec<DeterministicTiming> = stem_par::par_map_indexed(par, &needed, |_, &g| {
-            let rep = &workload.invocations()[workload.group_representative(g)];
-            let mut fp = env;
-            fp.word(rep.kernel.index() as u64);
-            fp.word(rep.context as u64);
-            fp.word(rep.work_scale.to_bits() as u64);
-            let key = fp.key();
-            let Ok(core) = cache
-                .shard(key)
-                .get_or_compute(key, || Ok::<_, Infallible>(self.group_core(workload, g)));
-            core
-        });
+        let cores: Vec<DeterministicTiming> =
+            stem_par::par_map_indexed(par, &needed, |_, &g| match cache {
+                Some((cache, env)) => {
+                    let key = group_key(env, workload, g);
+                    let Ok(core) = cache
+                        .shard(key)
+                        .get_or_compute(key, || Ok::<_, Infallible>(self.group_core(workload, g)));
+                    core
+                }
+                None => self.group_core(workload, g),
+            });
         // Stream the jitter: one `exp` per sample, folded in sample order.
         let pairs = stem_par::par_map_indexed(par, samples, |_, s| {
             let inv = &workload.invocations()[s.index];
@@ -350,6 +369,26 @@ mod tests {
 
     fn unit_samples(n: usize) -> Vec<WeightedSample> {
         (0..n).map(|i| WeightedSample::new(i, 1.5)).collect()
+    }
+
+    /// The groups `samples` touches, split in two halves by group id;
+    /// neither half is empty.
+    fn split_groups(w: &Workload, samples: &[WeightedSample]) -> (Vec<u32>, Vec<u32>) {
+        let groups: std::collections::BTreeSet<u32> =
+            samples.iter().map(|s| w.group_of(s.index)).collect();
+        let mut first: Vec<u32> = groups.into_iter().collect();
+        assert!(first.len() >= 2, "the samples touch one group");
+        let second = first.split_off(first.len() / 2);
+        (first, second)
+    }
+
+    /// The samples whose group is in `groups`.
+    fn samples_of(w: &Workload, samples: &[WeightedSample], groups: &[u32]) -> Vec<WeightedSample> {
+        samples
+            .iter()
+            .filter(|s| groups.contains(&w.group_of(s.index)))
+            .copied()
+            .collect()
     }
 
     #[test]
@@ -510,20 +549,33 @@ mod tests {
 
     #[test]
     fn poisoned_bounded_shard_recovers_clean() {
-        let w = &rodinia_suite(5)[2];
+        // gaussian: 200 samples touch 200 groups, so a cap of 2 per
+        // shard evicts.
+        let w = &rodinia_suite(5)[4];
         let sim = Simulator::new(GpuConfig::rtx2080());
         let samples = unit_samples(w.num_invocations().min(200));
         let plain = sim.run_sampled(w, &samples);
         let cache = SimCache::with_capacity(2);
-        sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
-        for shard in 0..cache.num_shards() {
-            cache.poison_shard(shard);
+        let (warm, fresh) = split_groups(w, &samples);
+        sim.run_sampled_cached(
+            w,
+            &samples_of(w, &samples, &warm),
+            Parallelism::serial(),
+            &cache,
+        );
+        for &g in &fresh {
+            assert!(
+                cache.panic_group_compute(&sim, w, g),
+                "group {g} was never computed"
+            );
         }
+        let misses = cache.misses();
         let after = sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
         assert_eq!(
             after, plain,
             "recovery on a bounded cache must be output-invisible"
         );
+        assert!(cache.misses() - misses >= fresh.len() as u64);
         assert!(cache.len() <= 2 * cache.num_shards());
     }
 
@@ -535,15 +587,32 @@ mod tests {
         let plain = sim.run_sampled(w, &samples);
         let cache = SimCache::new();
         let par = Parallelism::with_threads(4);
-        // Warm the cache, then poison every shard — the worst case a
+        // Warm the cache on half of the groups, then panic a compute of
+        // every other group the full sample set reads — the worst case a
         // storm of worker panics could leave behind.
-        let cold = sim.run_sampled_cached(w, &samples, par, &cache);
-        assert_eq!(cold, plain);
-        for shard in 0..cache.num_shards() {
-            cache.poison_shard(shard);
+        let (warm, fresh) = split_groups(w, &samples);
+        let warm_samples = samples_of(w, &samples, &warm);
+        let cold = sim.run_sampled_cached(w, &warm_samples, par, &cache);
+        assert_eq!(cold, sim.run_sampled(w, &warm_samples));
+        for &g in &fresh {
+            assert!(
+                cache.panic_group_compute(&sim, w, g),
+                "group {g} was never computed"
+            );
         }
+        assert_eq!(
+            cache.len(),
+            warm.len(),
+            "a panicked compute memoizes nothing"
+        );
+        let (hits, misses) = (cache.hits(), cache.misses());
         let after = sim.run_sampled_cached(w, &samples, par, &cache);
         assert_eq!(after, plain, "recovery must be output-invisible");
+        assert_eq!(
+            (cache.hits() - hits, cache.misses() - misses),
+            (warm.len() as u64, fresh.len() as u64),
+            "the warm groups hit and every panicked group is recomputed"
+        );
     }
 
     #[test]
@@ -552,18 +621,22 @@ mod tests {
         let sim = Simulator::new(GpuConfig::rtx2080());
         let samples = unit_samples(w.num_invocations().min(200));
         let cache = SimCache::new();
-        sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
-        let warm_len = cache.len();
-        assert!(warm_len > 0);
-        cache.poison_shard(3);
-        // The panicked compute memoized nothing; every shard keeps its
-        // entries.
-        let after_poison = cache.len();
-        assert!(after_poison <= warm_len);
-        // A re-run repopulates whatever the recovery dropped.
+        // The first compute of every group the run reads panics.
+        let (warm, fresh) = split_groups(w, &samples);
+        let groups: Vec<u32> = warm.into_iter().chain(fresh).collect();
+        for &g in &groups {
+            assert!(cache.panic_group_compute(&sim, w, g));
+        }
+        assert!(cache.is_empty(), "a panicked compute memoizes nothing");
+        // A run rebuilds every group, and a rerun hits all of them.
         let rerun = sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
         assert_eq!(rerun, sim.run_sampled(w, &samples));
-        assert_eq!(cache.len(), warm_len);
+        assert_eq!(
+            (cache.len(), cache.misses()),
+            (groups.len(), groups.len() as u64)
+        );
+        sim.run_sampled_cached(w, &samples, Parallelism::serial(), &cache);
+        assert_eq!(cache.hits(), groups.len() as u64);
     }
 
     #[test]

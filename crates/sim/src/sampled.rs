@@ -1,7 +1,6 @@
 //! Sampled simulation: simulate only selected invocations and extrapolate
 //! by weighted sum (Sec. 3.5).
 
-use crate::memo::SimCache;
 use crate::simulator::Simulator;
 use gpu_workload::Workload;
 use stem_par::Parallelism;
@@ -81,14 +80,14 @@ impl Simulator {
     ///
     /// Panics if `samples` is empty or any index is out of range.
     ///
-    /// This is [`Simulator::run_sampled_cached`], serial, on a cache of its
-    /// own: the deterministic core is computed once per invocation group
+    /// This is [`Simulator::run_sampled_cached`], serial, without a shared
+    /// cache: the deterministic core is computed once per invocation group
     /// the sample set touches, and each sample then costs one jitter `exp`.
     /// The accumulation order over `samples` is unchanged, so the result is
     /// bit-identical to the per-invocation reference
     /// ([`crate::simulator::reference::run_sampled`]).
     pub fn run_sampled(&self, workload: &Workload, samples: &[WeightedSample]) -> SampledRun {
-        self.run_sampled_cached(workload, samples, Parallelism::serial(), &SimCache::new())
+        self.run_sampled_with(workload, samples, Parallelism::serial(), None)
     }
 }
 

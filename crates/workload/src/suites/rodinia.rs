@@ -15,7 +15,7 @@
 //!   work varies widely.
 
 use crate::builder::WorkloadSource;
-use crate::context::{ContextSchedule, RuntimeContext};
+use crate::context::ContextSchedule;
 use crate::kernel::{InstructionMix, KernelClassBuilder};
 use crate::trace::{SuiteKind, Workload};
 
@@ -428,20 +428,6 @@ fn srad(seed: u64) -> WorkloadSource {
             b.invoke(srad2, 0, 1.0);
         }
     })
-}
-
-/// One small reusable context: kernels with two locality usages (used by a
-/// couple of workloads' tests).
-#[allow(dead_code)]
-fn two_locality_contexts() -> Vec<RuntimeContext> {
-    vec![
-        RuntimeContext::neutral()
-            .with_locality(2.0)
-            .with_jitter(0.05),
-        RuntimeContext::neutral()
-            .with_locality(0.5)
-            .with_jitter(0.15),
-    ]
 }
 
 #[cfg(test)]
