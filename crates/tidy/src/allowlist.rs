@@ -37,17 +37,23 @@ impl Allowlist {
                 continue;
             }
             let Some(rule) = &section else {
-                return Err(format!("allowlist line {lineno}: entry before any [rule] section"));
+                return Err(format!(
+                    "allowlist line {lineno}: entry before any [rule] section"
+                ));
             };
             let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("allowlist line {lineno}: expected `\"path\" = \"reason\"`"));
+                return Err(format!(
+                    "allowlist line {lineno}: expected `\"path\" = \"reason\"`"
+                ));
             };
             let path = unquote(key.trim())
                 .ok_or_else(|| format!("allowlist line {lineno}: path must be quoted"))?;
             let reason = unquote(value.trim())
                 .ok_or_else(|| format!("allowlist line {lineno}: reason must be quoted"))?;
             if reason.trim().is_empty() {
-                return Err(format!("allowlist line {lineno}: empty justification for {path}"));
+                return Err(format!(
+                    "allowlist line {lineno}: empty justification for {path}"
+                ));
             }
             entries
                 .entry(rule.clone())
@@ -59,9 +65,7 @@ impl Allowlist {
 
     /// Is `path` (workspace-relative, `/`-separated) excused from `rule`?
     pub fn allows(&self, rule: &str, path: &str) -> bool {
-        self.entries
-            .get(rule)
-            .is_some_and(|m| m.contains_key(path))
+        self.entries.get(rule).is_some_and(|m| m.contains_key(path))
     }
 
     /// All (rule, path, reason) entries, for reporting and for checking

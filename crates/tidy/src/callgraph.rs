@@ -50,7 +50,10 @@ impl CallGraph {
         for (i, f) in fns.iter().enumerate() {
             by_name.entry(&f.name).or_default().push(i);
             if let Some(t) = &f.type_name {
-                methods.entry((t.as_str(), f.name.as_str())).or_default().push(i);
+                methods
+                    .entry((t.as_str(), f.name.as_str()))
+                    .or_default()
+                    .push(i);
             }
         }
 
@@ -70,12 +73,18 @@ impl CallGraph {
                 }
             }
         }
-        CallGraph { fns, edges, externs }
+        CallGraph {
+            fns,
+            edges,
+            externs,
+        }
     }
 
     /// Indices of fns satisfying `pred`.
     pub fn find<F: Fn(&FnItem) -> bool>(&self, pred: F) -> Vec<usize> {
-        (0..self.fns.len()).filter(|&i| pred(&self.fns[i])).collect()
+        (0..self.fns.len())
+            .filter(|&i| pred(&self.fns[i]))
+            .collect()
     }
 
     /// BFS from `roots`; returns for each visited node the edge it was
@@ -112,11 +121,21 @@ impl CallGraph {
         loop {
             match visited.get(&cur) {
                 Some(Some((parent, line))) => {
-                    steps.push(format!("{}:{} {}", self.fns[cur].file, line, self.fns[cur].id()));
+                    steps.push(format!(
+                        "{}:{} {}",
+                        self.fns[cur].file,
+                        line,
+                        self.fns[cur].id()
+                    ));
                     cur = *parent;
                 }
                 _ => {
-                    steps.push(format!("{}:{} {}", self.fns[cur].file, self.fns[cur].line, self.fns[cur].id()));
+                    steps.push(format!(
+                        "{}:{} {}",
+                        self.fns[cur].file,
+                        self.fns[cur].line,
+                        self.fns[cur].id()
+                    ));
                     break;
                 }
             }
@@ -137,7 +156,14 @@ impl CallGraph {
             out.push_str(&format!("fn {} ({}:{})\n", f.id(), f.file, f.line));
             let mut callees: Vec<String> = self.edges[i]
                 .iter()
-                .map(|&(c, _)| format!("  -> {} ({}:{})\n", self.fns[c].id(), self.fns[c].file, self.fns[c].line))
+                .map(|&(c, _)| {
+                    format!(
+                        "  -> {} ({}:{})\n",
+                        self.fns[c].id(),
+                        self.fns[c].file,
+                        self.fns[c].line
+                    )
+                })
                 .collect();
             callees.sort();
             callees.dedup();
@@ -192,8 +218,14 @@ fn resolve(
             .filter(|&i| fns[i].type_name.is_none())
             .collect();
         for scope in [
-            free.iter().copied().filter(|&i| fns[i].module == me.module).collect::<Vec<_>>(),
-            free.iter().copied().filter(|&i| fns[i].krate == me.krate).collect::<Vec<_>>(),
+            free.iter()
+                .copied()
+                .filter(|&i| fns[i].module == me.module)
+                .collect::<Vec<_>>(),
+            free.iter()
+                .copied()
+                .filter(|&i| fns[i].krate == me.krate)
+                .collect::<Vec<_>>(),
             free,
         ] {
             if !scope.is_empty() {
@@ -218,7 +250,12 @@ fn resolve(
     let segs: Vec<String> = call
         .qual
         .iter()
-        .filter(|s| !matches!(s.as_str(), "crate" | "self" | "super" | "std" | "core" | "alloc"))
+        .filter(|s| {
+            !matches!(
+                s.as_str(),
+                "crate" | "self" | "super" | "std" | "core" | "alloc"
+            )
+        })
         .map(|s| crate_short(s))
         .collect();
     let candidates = by_name.get(name).map(Vec::as_slice).unwrap_or(&[]);
@@ -248,13 +285,17 @@ mod tests {
     use super::*;
 
     fn graph(files: &[(&str, &str)]) -> CallGraph {
-        let owned: Vec<(String, String)> =
-            files.iter().map(|(p, t)| (p.to_string(), t.to_string())).collect();
+        let owned: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, t)| (p.to_string(), t.to_string()))
+            .collect();
         CallGraph::build(&owned)
     }
 
     fn idx(g: &CallGraph, id: &str) -> usize {
-        g.find(|f| f.id() == id).pop().unwrap_or_else(|| panic!("no fn {id}"))
+        g.find(|f| f.id() == id)
+            .pop()
+            .unwrap_or_else(|| panic!("no fn {id}"))
     }
 
     #[test]
@@ -265,10 +306,7 @@ mod tests {
                 "pub mod m;\npub fn top() { m::leaf(); }\n",
             ),
             ("crates/a/src/m.rs", "pub fn leaf() {}\n"),
-            (
-                "crates/b/src/lib.rs",
-                "pub fn user() { stem_a::top(); }\n",
-            ),
+            ("crates/b/src/lib.rs", "pub fn user() { stem_a::top(); }\n"),
         ]);
         let top = idx(&g, "a::top");
         let leaf = idx(&g, "a::m::leaf");
@@ -338,9 +376,10 @@ mod tests {
 
     #[test]
     fn dump_is_sorted_and_stable() {
-        let g = graph(&[
-            ("crates/a/src/lib.rs", "pub fn b() { a(); }\npub fn a() {}\n"),
-        ]);
+        let g = graph(&[(
+            "crates/a/src/lib.rs",
+            "pub fn b() { a(); }\npub fn a() {}\n",
+        )]);
         let d = g.dump();
         let a_pos = d.find("fn a::a ").expect("a listed");
         let b_pos = d.find("fn a::b ").expect("b listed");

@@ -124,12 +124,14 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
     let mut rust_sources: Vec<(String, String)> = Vec::new();
 
     let take = |report: &mut Report,
-                    excused: &mut BTreeMap<(String, String), usize>,
-                    found: Vec<Violation>| {
+                excused: &mut BTreeMap<(String, String), usize>,
+                found: Vec<Violation>| {
         for v in found {
             if allowlist.allows(v.rule, &v.path) {
                 report.allowed += 1;
-                *excused.entry((v.rule.to_string(), v.path.clone())).or_default() += 1;
+                *excused
+                    .entry((v.rule.to_string(), v.path.clone()))
+                    .or_default() += 1;
             } else {
                 report.push(v);
             }
@@ -175,8 +177,15 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
     // around silently excusing a different rule's future hit.
     for (rule, path, _) in allowlist.entries() {
         let msg = if !scanned_paths.iter().any(|p| p == path) {
-            Some(format!("stale allowlist entry for rule `{rule}`: file not found in scan"))
-        } else if excused.get(&(rule.to_string(), path.to_string())).copied().unwrap_or(0) == 0 {
+            Some(format!(
+                "stale allowlist entry for rule `{rule}`: file not found in scan"
+            ))
+        } else if excused
+            .get(&(rule.to_string(), path.to_string()))
+            .copied()
+            .unwrap_or(0)
+            == 0
+        {
             Some(format!(
                 "stale allowlist entry for rule `{rule}`: the file has no `{rule}` hit to excuse"
             ))
@@ -197,7 +206,9 @@ pub fn scan(root: &Path, allowlist: &Allowlist) -> Report {
 }
 
 fn collect_files(root: &Path, dir: &Path, out: &mut Vec<PathBuf>) {
-    let Ok(entries) = fs::read_dir(dir) else { return };
+    let Ok(entries) = fs::read_dir(dir) else {
+        return;
+    };
     for entry in entries.flatten() {
         let path = entry.path();
         let name = entry.file_name();
@@ -252,7 +263,8 @@ mod tests {
     /// clean up, return the report. Each rule's self-test seeds one
     /// deliberate violation this way.
     fn scan_tree(tag: &str, files: &[(&str, &str)], allow: &str) -> Report {
-        let root = std::env::temp_dir().join(format!("stem-tidy-selftest-{tag}-{}", std::process::id()));
+        let root =
+            std::env::temp_dir().join(format!("stem-tidy-selftest-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         for (rel, content) in files {
             let abs = root.join(rel);
@@ -304,7 +316,10 @@ mod tests {
             rules::HYGIENE,
             rules::LINT_HEADERS,
         ] {
-            assert!(rules_hit.contains(&expected), "missing {expected}: {rules_hit:?}");
+            assert!(
+                rules_hit.contains(&expected),
+                "missing {expected}: {rules_hit:?}"
+            );
         }
         // Diagnostics carry file:line.
         assert!(r
@@ -340,7 +355,11 @@ mod tests {
 
     #[test]
     fn summary_json_shape() {
-        let r = scan_tree("json", &[("crates/core/src/bad.rs", "fn f() { x.unwrap(); }\n")], "");
+        let r = scan_tree(
+            "json",
+            &[("crates/core/src/bad.rs", "fn f() { x.unwrap(); }\n")],
+            "",
+        );
         let json = r.summary_json();
         assert!(
             json.starts_with(
@@ -364,14 +383,22 @@ mod tests {
         assert_eq!(r.warnings.len(), 1);
         assert_eq!(r.warnings[0].rule, rules::NO_HOT_ALLOC);
         assert!(r.warning_diagnostics()[0].contains("warning [no-hot-alloc]"));
-        assert!(r.summary_json().contains("\"warnings\":1"), "{}", r.summary_json());
+        assert!(
+            r.summary_json().contains("\"warnings\":1"),
+            "{}",
+            r.summary_json()
+        );
         // Allowlisted warnings stay silent and keep the entry non-stale.
         let r = scan_tree(
             "warn-allow",
             &[("crates/sim/src/memo.rs", "fn f() { let v = s.to_vec(); }\n")],
             "[no-hot-alloc]\n\"crates/sim/src/memo.rs\" = \"setup-time copy\"\n",
         );
-        assert!(r.is_clean() && r.warnings.is_empty(), "{:?}", r.warning_diagnostics());
+        assert!(
+            r.is_clean() && r.warnings.is_empty(),
+            "{:?}",
+            r.warning_diagnostics()
+        );
         assert_eq!(r.allowed, 1);
     }
 

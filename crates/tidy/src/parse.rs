@@ -153,8 +153,22 @@ pub fn parse_file(path: &str, src: &str) -> ParsedFile {
     let toks = tokenize(src).toks;
     let (krate, module) = module_of(path);
     let mut fns = Vec::new();
-    parse_items(&toks, 0, toks.len(), &Ctx { path, krate: &krate, module, type_name: None }, &mut fns);
-    ParsedFile { path: path.to_string(), fns }
+    parse_items(
+        &toks,
+        0,
+        toks.len(),
+        &Ctx {
+            path,
+            krate: &krate,
+            module,
+            type_name: None,
+        },
+        &mut fns,
+    );
+    ParsedFile {
+        path: path.to_string(),
+        fns,
+    }
 }
 
 struct Ctx<'a> {
@@ -229,8 +243,8 @@ fn parse_items(toks: &[Tok], start: usize, end: usize, ctx: &Ctx<'_>, out: &mut 
                     i = after;
                 }
                 // Items with bodies or terminators we step over wholesale.
-                "struct" | "enum" | "union" | "use" | "static" | "const" | "type"
-                | "extern" | "macro_rules" => {
+                "struct" | "enum" | "union" | "use" | "static" | "const" | "type" | "extern"
+                | "macro_rules" => {
                     // `const fn` / `extern "C" fn` qualifiers: don't swallow
                     // the fn keyword.
                     let mut j = i + 1;
@@ -325,7 +339,10 @@ fn scan_body(body: &[Tok], item: &mut FnItem) {
             // Collect a path `a::b::c` and check whether a call follows.
             let (segs, after) = take_path(body, i);
             let call_at = after_turbofish(body, after);
-            if body.get(call_at).is_some_and(|t| t.kind == TokKind::Open('(')) {
+            if body
+                .get(call_at)
+                .is_some_and(|t| t.kind == TokKind::Open('('))
+            {
                 let name = segs.last().expect("non-empty path").clone();
                 let line = body[i].line;
                 let qual: Vec<String> = segs[..segs.len() - 1].to_vec();
@@ -335,7 +352,13 @@ fn scan_body(body: &[Tok], item: &mut FnItem) {
                     item.par_sites.push(scan_par_site(&name, line, args));
                 }
                 let has_closure_arg = args.iter().any(|t| t.is_punct('|'));
-                item.calls.push(CallSite { qual, name, method: false, has_closure_arg, line });
+                item.calls.push(CallSite {
+                    qual,
+                    name,
+                    method: false,
+                    has_closure_arg,
+                    line,
+                });
             }
             i = after;
             continue;
@@ -343,7 +366,10 @@ fn scan_body(body: &[Tok], item: &mut FnItem) {
         if t.is_punct('.') {
             if let Some(m) = body.get(i + 1).filter(|t| t.kind == TokKind::Ident) {
                 let call_at = after_turbofish(body, i + 2);
-                if body.get(call_at).is_some_and(|t| t.kind == TokKind::Open('(')) {
+                if body
+                    .get(call_at)
+                    .is_some_and(|t| t.kind == TokKind::Open('('))
+                {
                     let close = skip_balanced(body, call_at);
                     let args = &body[call_at + 1..close.saturating_sub(1)];
                     if PAR_PRIMITIVES.contains(&m.text.as_str()) {
@@ -522,7 +548,8 @@ fn scan_closure(body: &[Tok], bound: &[String], site: &mut ParSite) {
             if body.get(j).is_some_and(|t| t.is_punct('=')) && !names.is_empty() {
                 let init_end = stmt_end(body, j + 1);
                 let (name, line) = names[0].clone();
-                site.seed_lets.push(seed_expr(name, line, &body[j + 1..init_end]));
+                site.seed_lets
+                    .push(seed_expr(name, line, &body[j + 1..init_end]));
                 i = init_end;
                 continue;
             }
@@ -577,7 +604,9 @@ fn stmt_end(toks: &[Tok], mut i: usize) -> usize {
 /// Skip a turbofish then expect `(`; returns the open-paren index.
 fn next_call_open(toks: &[Tok], i: usize) -> Option<usize> {
     let at = after_turbofish(toks, i);
-    toks.get(at).filter(|t| t.kind == TokKind::Open('(')).map(|_| at)
+    toks.get(at)
+        .filter(|t| t.kind == TokKind::Open('('))
+        .map(|_| at)
 }
 
 /// Walk backwards from the compound-assign operator at `op_idx` to the
@@ -632,8 +661,16 @@ fn seed_expr(name: String, line: u32, expr: &[Tok]) -> SeedExpr {
         .map(|t| t.text.clone())
         .collect();
     let has_split_seed = idents.iter().any(|s| s == "split_seed");
-    let has_attempt = idents.iter().any(|s| s == "attempt" || s.ends_with("_attempt"));
-    SeedExpr { name, line, idents, has_split_seed, has_attempt }
+    let has_attempt = idents
+        .iter()
+        .any(|s| s == "attempt" || s.ends_with("_attempt"));
+    SeedExpr {
+        name,
+        line,
+        idents,
+        has_split_seed,
+        has_attempt,
+    }
 }
 
 #[cfg(test)]
@@ -642,8 +679,14 @@ mod tests {
 
     #[test]
     fn modules_from_paths() {
-        assert_eq!(module_of("crates/sim/src/memo.rs"), ("sim".into(), "sim::memo".into()));
-        assert_eq!(module_of("crates/core/src/lib.rs"), ("core".into(), "core".into()));
+        assert_eq!(
+            module_of("crates/sim/src/memo.rs"),
+            ("sim".into(), "sim::memo".into())
+        );
+        assert_eq!(
+            module_of("crates/core/src/lib.rs"),
+            ("core".into(), "core".into())
+        );
         assert_eq!(module_of("src/lib.rs"), ("stem".into(), "stem".into()));
         assert_eq!(
             module_of("crates/par/src/sub/mod.rs"),
@@ -664,7 +707,12 @@ mod tests {
         let ids: Vec<String> = f.fns.iter().map(|f| f.id()).collect();
         assert_eq!(
             ids,
-            ["sim::x::W::go", "sim::x::W::clone", "sim::x::helper", "sim::x::inner::deep"]
+            [
+                "sim::x::W::go",
+                "sim::x::W::clone",
+                "sim::x::helper",
+                "sim::x::inner::deep"
+            ]
         );
         assert_eq!(f.fns[0].calls[0].name, "helper");
         assert_eq!(f.fns[3].calls[0].qual, vec!["crate".to_string()]);

@@ -182,8 +182,18 @@ pub struct Violation {
 }
 
 impl Violation {
-    pub(crate) fn new(path: &str, line: usize, rule: &'static str, message: impl Into<String>) -> Self {
-        Self { path: path.to_string(), line, rule, message: message.into() }
+    pub(crate) fn new(
+        path: &str,
+        line: usize,
+        rule: &'static str,
+        message: impl Into<String>,
+    ) -> Self {
+        Self {
+            path: path.to_string(),
+            line,
+            rule,
+            message: message.into(),
+        }
     }
 }
 
@@ -292,7 +302,10 @@ pub fn check_rust_file(path: &str, src: &str) -> Vec<Violation> {
     }
 
     if path.ends_with("src/lib.rs") {
-        for attr in ["#![deny(missing_debug_implementations)]", "#![forbid(unsafe_code)]"] {
+        for attr in [
+            "#![deny(missing_debug_implementations)]",
+            "#![forbid(unsafe_code)]",
+        ] {
             let seq = tokenize(attr).toks;
             if !(0..tokens.toks.len()).any(|i| starts_with(&tokens.toks[i..], &seq)) {
                 out.push(Violation::new(
@@ -329,7 +342,12 @@ fn live_mask(toks: &[Tok]) -> Vec<bool> {
 
 impl<'a> Scan<'a> {
     fn new(path: &'a str, toks: &'a [Tok]) -> Self {
-        Scan { path, toks, live: live_mask(toks), out: Vec::new() }
+        Scan {
+            path,
+            toks,
+            live: live_mask(toks),
+            out: Vec::new(),
+        }
     }
 
     /// Report `rule` at most once per line: at each live token `i` on a
@@ -341,7 +359,8 @@ impl<'a> Scan<'a> {
             if self.live[i] && t.line != last_line {
                 if let Some(message) = hit(self.toks, i) {
                     last_line = t.line;
-                    self.out.push(Violation::new(self.path, t.line as usize, rule, message));
+                    self.out
+                        .push(Violation::new(self.path, t.line as usize, rule, message));
                 }
             }
         }
@@ -352,14 +371,20 @@ impl<'a> Scan<'a> {
     fn flag_patterns(&mut self, rule: &'static str, pats: &[&str], why: impl Fn(&str) -> String) {
         for pat in pats {
             let seq = tokenize(pat).toks;
-            self.flag(rule, |toks, i| starts_with(&toks[i..], &seq).then(|| why(pat)));
+            self.flag(rule, |toks, i| {
+                starts_with(&toks[i..], &seq).then(|| why(pat))
+            });
         }
     }
 }
 
 /// True when `toks` begins with the kinds and texts of `seq`.
 fn starts_with(toks: &[Tok], seq: &[Tok]) -> bool {
-    toks.len() >= seq.len() && toks.iter().zip(seq).all(|(t, s)| t.kind == s.kind && t.text == s.text)
+    toks.len() >= seq.len()
+        && toks
+            .iter()
+            .zip(seq)
+            .all(|(t, s)| t.kind == s.kind && t.text == s.text)
 }
 
 /// `==` or `!=` at `i` with a float literal on either side (`x == 0.5`,
@@ -481,7 +506,9 @@ pub fn check_manifest(path: &str, text: &str) -> Vec<Violation> {
         if !in_dep_section {
             continue;
         }
-        let Some((name, value)) = line.split_once('=') else { continue };
+        let Some((name, value)) = line.split_once('=') else {
+            continue;
+        };
         let name = name.trim();
         let value = value.trim();
         if name.ends_with(".workspace") || value.contains("workspace = true") {
@@ -522,7 +549,10 @@ mod tests {
 
     #[test]
     fn unwrap_only_in_lib_scope() {
-        assert_eq!(check("crates/core/src/a.rs", "x.unwrap();\n")[0].rule, NO_UNWRAP);
+        assert_eq!(
+            check("crates/core/src/a.rs", "x.unwrap();\n")[0].rule,
+            NO_UNWRAP
+        );
         assert_eq!(check("src/lib.rs", "x.expect(\"y\");\n")[0].rule, NO_UNWRAP);
         assert!(check("crates/bench/src/a.rs", "x.unwrap();\n").is_empty());
         assert!(check("crates/core/tests/a.rs", "x.unwrap();\n").is_empty());
@@ -531,8 +561,14 @@ mod tests {
 
     #[test]
     fn serve_daemon_is_lib_hot_and_wire_ingest_scoped() {
-        assert_eq!(check("crates/serve/src/server.rs", "x.unwrap();\n")[0].rule, NO_UNWRAP);
-        assert_eq!(check("crates/serve/src/server.rs", "panic!(\"x\");\n")[0].rule, NO_PANIC);
+        assert_eq!(
+            check("crates/serve/src/server.rs", "x.unwrap();\n")[0].rule,
+            NO_UNWRAP
+        );
+        assert_eq!(
+            check("crates/serve/src/server.rs", "panic!(\"x\");\n")[0].rule,
+            NO_PANIC
+        );
         assert_eq!(
             check("crates/serve/src/proto.rs", "assert!(ok);\n")[0].rule,
             NO_INGEST_PANIC
@@ -554,8 +590,14 @@ mod tests {
 
     #[test]
     fn float_eq_detection() {
-        assert_eq!(check("crates/sim/src/a.rs", "if x == 0.5 {}\n")[0].rule, NO_FLOAT_EQ);
-        assert_eq!(check("crates/sim/src/a.rs", "if 1.0 != y {}\n")[0].rule, NO_FLOAT_EQ);
+        assert_eq!(
+            check("crates/sim/src/a.rs", "if x == 0.5 {}\n")[0].rule,
+            NO_FLOAT_EQ
+        );
+        assert_eq!(
+            check("crates/sim/src/a.rs", "if 1.0 != y {}\n")[0].rule,
+            NO_FLOAT_EQ
+        );
         assert!(check("crates/sim/src/a.rs", "if x == 5 {}\n").is_empty());
         assert!(check("crates/sim/src/a.rs", "if x <= 0.5 {}\n").is_empty());
         assert!(check("crates/sim/src/a.rs", "if x >= 0.5 {}\n").is_empty());
@@ -565,9 +607,15 @@ mod tests {
 
     #[test]
     fn panic_family_only_on_hot_paths() {
-        assert_eq!(check("crates/stats/src/a.rs", "panic!(\"x\");\n")[0].rule, NO_PANIC);
+        assert_eq!(
+            check("crates/stats/src/a.rs", "panic!(\"x\");\n")[0].rule,
+            NO_PANIC
+        );
         assert_eq!(check("crates/core/src/a.rs", "todo!()\n")[0].rule, NO_PANIC);
-        assert_eq!(check("crates/core/src/a.rs", "todo!(\"later\")\n")[0].rule, NO_PANIC);
+        assert_eq!(
+            check("crates/core/src/a.rs", "todo!(\"later\")\n")[0].rule,
+            NO_PANIC
+        );
         assert!(check("crates/baselines/src/a.rs", "panic!(\"x\");\n").is_empty());
     }
 
@@ -611,10 +659,16 @@ mod tests {
         let v = check("crates/sim/src/memo.rs", "let t = s.to_vec();\n");
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].rule, NO_HOT_ALLOC);
-        let v = check("crates/sim/src/simulator.rs", "let g: Vec<u32> = i.collect::<Vec<u32>>();\n");
+        let v = check(
+            "crates/sim/src/simulator.rs",
+            "let g: Vec<u32> = i.collect::<Vec<u32>>();\n",
+        );
         assert_eq!(v.len(), 1, "{v:?}");
         // ROOT's recursion is a hot inner-loop file too.
-        assert_eq!(check("crates/core/src/root.rs", "let xs = vec![0.0; k];\n").len(), 1);
+        assert_eq!(
+            check("crates/core/src/root.rs", "let xs = vec![0.0; k];\n").len(),
+            1
+        );
         // Advisory scope is per-file, not per-crate: the rest of the hot
         // crates (and tests anywhere) allocate freely.
         assert!(check("crates/core/src/stem.rs", "let xs = vec![0.0; k];\n").is_empty());
@@ -628,7 +682,10 @@ mod tests {
 
     #[test]
     fn print_rule_spares_harness_crates() {
-        assert_eq!(check("crates/core/src/a.rs", "println!(\"x\");\n")[0].rule, NO_DEBUG_PRINT);
+        assert_eq!(
+            check("crates/core/src/a.rs", "println!(\"x\");\n")[0].rule,
+            NO_DEBUG_PRINT
+        );
         assert!(check("crates/bench/src/report.rs", "println!(\"x\");\n").is_empty());
         assert!(check("crates/tidy/src/main.rs", "println!(\"x\");\n").is_empty());
     }
@@ -646,14 +703,26 @@ mod tests {
     #[test]
     fn token_patterns_follow_tokens_not_layout() {
         // A negated float literal is still a float compare.
-        assert_eq!(check("crates/sim/src/a.rs", "if x == -0.5 {}\n")[0].rule, NO_FLOAT_EQ);
+        assert_eq!(
+            check("crates/sim/src/a.rs", "if x == -0.5 {}\n")[0].rule,
+            NO_FLOAT_EQ
+        );
         // A marker inside a multi-line block comment is reported on its
         // own line.
-        let v = check("crates/core/src/a.rs", "/* one\n two T\u{4f}DO\n */\nfn a() {}\n");
-        assert_eq!(v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(), [(HYGIENE, 2)]);
+        let v = check(
+            "crates/core/src/a.rs",
+            "/* one\n two T\u{4f}DO\n */\nfn a() {}\n",
+        );
+        assert_eq!(
+            v.iter().map(|v| (v.rule, v.line)).collect::<Vec<_>>(),
+            [(HYGIENE, 2)]
+        );
         // Patterns match whole identifiers: `eprintln!(` is not also a
         // `println!(` hit.
-        assert_eq!(check("crates/core/src/a.rs", "eprintln!(\"x\");\n").len(), 1);
+        assert_eq!(
+            check("crates/core/src/a.rs", "eprintln!(\"x\");\n").len(),
+            1
+        );
     }
 
     #[test]
@@ -670,7 +739,10 @@ mod tests {
             "crates/x/Cargo.toml",
             "[package]\nname = \"x\"\n[dependencies]\nrand = \"0.8\"\nserde = { version = \"1\", features = [\"derive\"] }\nfoo = { git = \"https://example.com\" }\nlocal = { path = \"../local\" }\nws.workspace = true\n",
         );
-        let names: Vec<&str> = v.iter().map(|v| v.message.split('`').nth(1).unwrap()).collect();
+        let names: Vec<&str> = v
+            .iter()
+            .map(|v| v.message.split('`').nth(1).unwrap())
+            .collect();
         assert_eq!(names, ["rand", "serde", "foo"]);
         assert!(v.iter().all(|v| v.rule == HERMETIC_DEPS));
     }

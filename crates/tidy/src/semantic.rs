@@ -195,8 +195,10 @@ mod tests {
     use super::*;
 
     fn run(files: &[(&str, &str)]) -> Vec<Violation> {
-        let owned: Vec<(String, String)> =
-            files.iter().map(|(p, t)| (p.to_string(), t.to_string())).collect();
+        let owned: Vec<(String, String)> = files
+            .iter()
+            .map(|(p, t)| (p.to_string(), t.to_string()))
+            .collect();
         check(&CallGraph::build(&owned))
     }
 

@@ -103,7 +103,10 @@ pub fn tokenize(src: &str) -> Tokens {
                 while i < chars.len() && chars[i] != '\n' {
                     i += 1;
                 }
-                comments.push(Comment { line, text: chars[start..i].iter().collect() });
+                comments.push(Comment {
+                    line,
+                    text: chars[start..i].iter().collect(),
+                });
             }
             '/' if next == Some('*') => {
                 let mut depth = 1u32;
@@ -112,7 +115,10 @@ pub fn tokenize(src: &str) -> Tokens {
                 while i < chars.len() && depth > 0 {
                     match (chars[i], chars.get(i + 1).copied()) {
                         ('\n', _) => {
-                            comments.push(Comment { line, text: chars[seg..i].iter().collect() });
+                            comments.push(Comment {
+                                line,
+                                text: chars[seg..i].iter().collect(),
+                            });
                             seg = i + 1;
                             line += 1;
                         }
@@ -128,7 +134,10 @@ pub fn tokenize(src: &str) -> Tokens {
                     }
                     i += 1;
                 }
-                comments.push(Comment { line, text: chars[seg..i].iter().collect() });
+                comments.push(Comment {
+                    line,
+                    text: chars[seg..i].iter().collect(),
+                });
             }
             'r' | 'b' if raw_string_hashes(&chars, i).is_some() => {
                 let (hashes, prefix) = raw_string_hashes(&chars, i).expect("checked");
@@ -143,26 +152,46 @@ pub fn tokenize(src: &str) -> Tokens {
                     }
                     i += 1;
                 }
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                toks.push(Tok {
+                    kind: TokKind::Lit,
+                    text: String::new(),
+                    line: start,
+                });
             }
             'b' if next == Some('"') => {
                 let start = line;
                 i = consume_string(&chars, i + 2, &mut line);
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                toks.push(Tok {
+                    kind: TokKind::Lit,
+                    text: String::new(),
+                    line: start,
+                });
             }
             'b' if next == Some('\'') => {
                 let start = line;
                 i = consume_char_lit(&chars, i + 2);
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                toks.push(Tok {
+                    kind: TokKind::Lit,
+                    text: String::new(),
+                    line: start,
+                });
             }
             '"' => {
                 let start = line;
                 i = consume_string(&chars, i + 1, &mut line);
-                toks.push(Tok { kind: TokKind::Lit, text: String::new(), line: start });
+                toks.push(Tok {
+                    kind: TokKind::Lit,
+                    text: String::new(),
+                    line: start,
+                });
             }
             '\'' => {
                 if is_char_literal(&chars, i) {
-                    toks.push(Tok { kind: TokKind::Lit, text: String::new(), line });
+                    toks.push(Tok {
+                        kind: TokKind::Lit,
+                        text: String::new(),
+                        line,
+                    });
                     i = consume_char_lit(&chars, i + 1);
                 } else {
                     // Lifetime: skip the quote and the label identifier.
@@ -175,29 +204,53 @@ pub fn tokenize(src: &str) -> Tokens {
             'r' if next == Some('#') && chars.get(i + 2).is_some_and(|&c| is_ident_start(c)) => {
                 // Raw identifier `r#type`: token text drops the prefix.
                 let (text, end) = take_ident(&chars, i + 2);
-                toks.push(Tok { kind: TokKind::Ident, text, line });
+                toks.push(Tok {
+                    kind: TokKind::Ident,
+                    text,
+                    line,
+                });
                 i = end;
             }
             c if is_ident_start(c) => {
                 let (text, end) = take_ident(&chars, i);
-                toks.push(Tok { kind: TokKind::Ident, text, line });
+                toks.push(Tok {
+                    kind: TokKind::Ident,
+                    text,
+                    line,
+                });
                 i = end;
             }
             c if c.is_ascii_digit() => {
                 let end = consume_number(&chars, i);
-                toks.push(Tok { kind: TokKind::Lit, text: chars[i..end].iter().collect(), line });
+                toks.push(Tok {
+                    kind: TokKind::Lit,
+                    text: chars[i..end].iter().collect(),
+                    line,
+                });
                 i = end;
             }
             '(' | '[' | '{' => {
-                toks.push(Tok { kind: TokKind::Open(c), text: String::new(), line });
+                toks.push(Tok {
+                    kind: TokKind::Open(c),
+                    text: String::new(),
+                    line,
+                });
                 i += 1;
             }
             ')' | ']' | '}' => {
-                toks.push(Tok { kind: TokKind::Close(c), text: String::new(), line });
+                toks.push(Tok {
+                    kind: TokKind::Close(c),
+                    text: String::new(),
+                    line,
+                });
                 i += 1;
             }
             c => {
-                toks.push(Tok { kind: TokKind::Punct(c), text: String::new(), line });
+                toks.push(Tok {
+                    kind: TokKind::Punct(c),
+                    text: String::new(),
+                    line,
+                });
                 i += 1;
             }
         }
@@ -223,7 +276,10 @@ fn take_ident(chars: &[char], start: usize) -> (String, usize) {
 
 /// Length of the run of `c` starting at `i`.
 fn run_of(chars: &[char], i: usize, c: char) -> usize {
-    chars[i.min(chars.len())..].iter().take_while(|&&x| x == c).count()
+    chars[i.min(chars.len())..]
+        .iter()
+        .take_while(|&&x| x == c)
+        .count()
 }
 
 /// If position `i` opens a raw (byte) string, return `(hash_count,
@@ -375,7 +431,11 @@ pub fn item_end(toks: &[Tok], start: usize, end: usize) -> usize {
 /// just past its `]`, and whether it marks test code. Exactly `#[test]`
 /// and `#[cfg(test)]` do; `#[cfg(not(test))]` guards live code.
 pub fn attribute(toks: &[Tok], i: usize) -> Option<(usize, bool)> {
-    if !toks[i].is_punct('#') || !toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Open('[')) {
+    if !toks[i].is_punct('#')
+        || !toks
+            .get(i + 1)
+            .is_some_and(|t| t.kind == TokKind::Open('['))
+    {
         return None;
     }
     let close = skip_balanced(toks, i + 1);
@@ -438,7 +498,10 @@ mod tests {
     /// Whether the first identifier `name` lies inside a test region.
     fn in_test(src: &str, name: &str) -> bool {
         let toks = tokenize(src).toks;
-        let at = toks.iter().position(|t| t.is_ident(name)).expect("ident present");
+        let at = toks
+            .iter()
+            .position(|t| t.is_ident(name))
+            .expect("ident present");
         test_regions(&toks).iter().any(|r| r.contains(&at))
     }
 
@@ -467,8 +530,11 @@ mod tests {
         assert_eq!(idents_on(src, 3), ["b"]);
         // One comment entry per covered line, so a marker is reported on
         // its own line.
-        let per_line: Vec<(u32, bool)> =
-            t.comments.iter().map(|c| (c.line, c.text.contains("still"))).collect();
+        let per_line: Vec<(u32, bool)> = t
+            .comments
+            .iter()
+            .map(|c| (c.line, c.text.contains("still")))
+            .collect();
         assert_eq!(per_line, [(2, false), (3, true)]);
     }
 
@@ -476,9 +542,15 @@ mod tests {
     fn raw_strings_span_lines() {
         let src = "let a = r##\"x\ny \"# z\nw\"##; tail();\n";
         let toks = tokenize(src).toks;
-        let tail = toks.iter().find(|t| t.is_ident("tail")).expect("tail survives");
+        let tail = toks
+            .iter()
+            .find(|t| t.is_ident("tail"))
+            .expect("tail survives");
         assert_eq!(tail.line, 3);
-        assert!(!toks.iter().any(|t| t.is_ident("w")), "raw body leaked into code");
+        assert!(
+            !toks.iter().any(|t| t.is_ident("w")),
+            "raw body leaked into code"
+        );
     }
 
     #[test]
@@ -523,7 +595,10 @@ mod tests {
         let src = "fn f<'a>(x: &'a str) -> char { let c = '\\''; let d = 'x'; c }\n";
         let ids = idents(src);
         assert!(ids.contains(&"str".to_string()));
-        assert!(!ids.contains(&"a".to_string()), "lifetime label leaked: {ids:?}");
+        assert!(
+            !ids.contains(&"a".to_string()),
+            "lifetime label leaked: {ids:?}"
+        );
         assert!(!ids.contains(&"x".to_string()) || ids.iter().filter(|s| *s == "x").count() == 1);
     }
 
@@ -537,9 +612,15 @@ mod tests {
     fn numbers_do_not_eat_ranges_or_methods() {
         let src = "for i in 0..10 { let x = 1.5e-3; let y = 2.max(i); }\n";
         let toks = tokenize(src).toks;
-        assert!(toks.iter().any(|t| t.is_ident("max")), "method after int literal lost");
-        let lits: Vec<&str> =
-            toks.iter().filter(|t| t.kind == TokKind::Lit).map(|t| t.text.as_str()).collect();
+        assert!(
+            toks.iter().any(|t| t.is_ident("max")),
+            "method after int literal lost"
+        );
+        let lits: Vec<&str> = toks
+            .iter()
+            .filter(|t| t.kind == TokKind::Lit)
+            .map(|t| t.text.as_str())
+            .collect();
         assert_eq!(lits, ["0", "10", "1.5e-3", "2"]);
     }
 
@@ -592,7 +673,11 @@ mod tests {
 
     #[test]
     fn only_test_and_cfg_test_are_test_attributes() {
-        for attr in ["#[cfg(not(test))]", "#[cfg_attr(test, derive(Debug))]", "#![cfg(test)]"] {
+        for attr in [
+            "#[cfg(not(test))]",
+            "#[cfg_attr(test, derive(Debug))]",
+            "#![cfg(test)]",
+        ] {
             let src = format!("{attr}\nfn leaf() {{ now(); }}\n");
             assert!(!in_test(&src, "now"), "{attr} marked live code as test");
         }

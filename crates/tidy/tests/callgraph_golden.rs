@@ -32,11 +32,14 @@ fn build_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
 
 #[test]
 fn dump_matches_committed_golden() {
-    let root = build_tree("golden", &[
-        ("crates/cluster/src/lib.rs", "cluster_lib.rs"),
-        ("crates/cluster/src/geom.rs", "cluster_geom.rs"),
-        ("crates/sim/src/lib.rs", "sim_lib.rs"),
-    ]);
+    let root = build_tree(
+        "golden",
+        &[
+            ("crates/cluster/src/lib.rs", "cluster_lib.rs"),
+            ("crates/cluster/src/geom.rs", "cluster_geom.rs"),
+            ("crates/sim/src/lib.rs", "sim_lib.rs"),
+        ],
+    );
     let got = dump_workspace_callgraph(&root);
     let _ = fs::remove_dir_all(&root);
 
@@ -51,11 +54,14 @@ fn dump_matches_committed_golden() {
 
 #[test]
 fn dump_edges_cover_the_resolution_strategies() {
-    let root = build_tree("edges", &[
-        ("crates/cluster/src/lib.rs", "cluster_lib.rs"),
-        ("crates/cluster/src/geom.rs", "cluster_geom.rs"),
-        ("crates/sim/src/lib.rs", "sim_lib.rs"),
-    ]);
+    let root = build_tree(
+        "edges",
+        &[
+            ("crates/cluster/src/lib.rs", "cluster_lib.rs"),
+            ("crates/cluster/src/geom.rs", "cluster_geom.rs"),
+            ("crates/sim/src/lib.rs", "sim_lib.rs"),
+        ],
+    );
     let dump = dump_workspace_callgraph(&root);
     let _ = fs::remove_dir_all(&root);
 

@@ -11,7 +11,9 @@ use std::path::{Path, PathBuf};
 use stem_tidy::{scan, Allowlist};
 
 fn fixture(name: &str) -> String {
-    let p = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let p = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
     fs::read_to_string(&p).unwrap_or_else(|e| panic!("read fixture {name}: {e}"))
 }
 
@@ -57,16 +59,32 @@ fn fixtures_produce_exactly_the_golden_diagnostics() {
 
     let mut want: Vec<(String, usize, &str)> = vec![
         ("crates/baselines/src/hygiene.rs".into(), 2, "hygiene"),
-        ("crates/cluster/src/debug_print.rs".into(), 3, "no-debug-print"),
-        ("crates/cluster/src/debug_print.rs".into(), 4, "no-debug-print"),
+        (
+            "crates/cluster/src/debug_print.rs".into(),
+            3,
+            "no-debug-print",
+        ),
+        (
+            "crates/cluster/src/debug_print.rs".into(),
+            4,
+            "no-debug-print",
+        ),
         ("crates/core/Cargo.toml".into(), 6, "hermetic-deps"),
         ("crates/core/Cargo.toml".into(), 7, "hermetic-deps"),
         ("crates/core/Cargo.toml".into(), 11, "hermetic-deps"),
         ("crates/core/src/entropy.rs".into(), 3, "no-entropy-rng"),
         ("crates/core/src/unwrap.rs".into(), 4, "no-unwrap"),
         ("crates/core/src/unwrap.rs".into(), 8, "no-unwrap"),
-        ("crates/profile/src/ingest_panic.rs".into(), 4, "no-ingest-panic"),
-        ("crates/profile/src/ingest_panic.rs".into(), 6, "no-ingest-panic"),
+        (
+            "crates/profile/src/ingest_panic.rs".into(),
+            4,
+            "no-ingest-panic",
+        ),
+        (
+            "crates/profile/src/ingest_panic.rs".into(),
+            6,
+            "no-ingest-panic",
+        ),
         ("crates/sim/src/float_eq.rs".into(), 4, "no-float-eq"),
         ("crates/stats/src/panic.rs".into(), 3, "no-panic"),
         ("crates/stats/src/panic.rs".into(), 7, "no-panic"),
@@ -75,7 +93,12 @@ fn fixtures_produce_exactly_the_golden_diagnostics() {
     ];
     want.sort();
 
-    assert_eq!(got, want, "diagnostics:\n{}", report.diagnostics().join("\n"));
+    assert_eq!(
+        got,
+        want,
+        "diagnostics:\n{}",
+        report.diagnostics().join("\n")
+    );
     assert_eq!(report.files_scanned, TREE.len());
 
     // The hot-alloc and unused-pub hits are advisory: they surface as
@@ -91,11 +114,23 @@ fn fixtures_produce_exactly_the_golden_diagnostics() {
     assert_eq!(
         warns,
         vec![
-            ("crates/baselines/src/hygiene.rs".to_string(), 3, "unused-pub"),
-            ("crates/cluster/src/debug_print.rs".to_string(), 2, "unused-pub"),
+            (
+                "crates/baselines/src/hygiene.rs".to_string(),
+                3,
+                "unused-pub"
+            ),
+            (
+                "crates/cluster/src/debug_print.rs".to_string(),
+                2,
+                "unused-pub"
+            ),
             ("crates/core/src/entropy.rs".to_string(), 2, "unused-pub"),
             ("crates/core/src/unwrap.rs".to_string(), 7, "unused-pub"),
-            ("crates/profile/src/ingest_panic.rs".to_string(), 3, "unused-pub"),
+            (
+                "crates/profile/src/ingest_panic.rs".to_string(),
+                3,
+                "unused-pub"
+            ),
             ("crates/profile/src/lib.rs".to_string(), 6, "unused-pub"),
             ("crates/sim/src/float_eq.rs".to_string(), 3, "unused-pub"),
             ("crates/sim/src/float_eq.rs".to_string(), 7, "unused-pub"),
@@ -129,9 +164,16 @@ fn unused_pub_counts_callers_outside_library_tests() {
     let report = scan(&root, &Allowlist::default());
     let _ = fs::remove_dir_all(&root);
 
-    assert!(report.is_clean(), "diagnostics:\n{}", report.diagnostics().join("\n"));
-    let warns: Vec<(String, usize, &str)> =
-        report.warnings.iter().map(|v| (v.path.clone(), v.line, v.rule)).collect();
+    assert!(
+        report.is_clean(),
+        "diagnostics:\n{}",
+        report.diagnostics().join("\n")
+    );
+    let warns: Vec<(String, usize, &str)> = report
+        .warnings
+        .iter()
+        .map(|v| (v.path.clone(), v.line, v.rule))
+        .collect();
     assert_eq!(
         warns,
         vec![
@@ -145,27 +187,43 @@ fn unused_pub_counts_callers_outside_library_tests() {
     assert!(report.warnings[0].message.contains("`pub fn only_tested`"));
 
     // An allowlist entry excuses the file's hits and stays non-stale.
-    let root = build_tree("unused-pub-allow", &[("crates/core/src/api.rs", "unused_pub_lib.rs")]);
+    let root = build_tree(
+        "unused-pub-allow",
+        &[("crates/core/src/api.rs", "unused_pub_lib.rs")],
+    );
     let allow = Allowlist::parse(
         "[unused-pub]\n\"crates/core/src/api.rs\" = \"fixture: every function is an example\"\n",
     )
     .expect("allowlist parses");
     let report = scan(&root, &allow);
     let _ = fs::remove_dir_all(&root);
-    assert!(report.is_clean() && report.warnings.is_empty(), "{:?}", report.warning_diagnostics());
-    assert_eq!(report.allowed, 6, "every pub fn but from_library is unused here");
+    assert!(
+        report.is_clean() && report.warnings.is_empty(),
+        "{:?}",
+        report.warning_diagnostics()
+    );
+    assert_eq!(
+        report.allowed, 6,
+        "every pub fn but from_library is unused here"
+    );
 }
 
 /// A test attribute covers exactly the item it is attached to: after
 /// `#[cfg(test)] use super::*;` the next fn is library code again.
 #[test]
 fn test_attribute_ends_with_its_item() {
-    let root = build_tree("cfg-test-use", &[("crates/core/src/a.rs", "cfg_test_use.rs")]);
+    let root = build_tree(
+        "cfg-test-use",
+        &[("crates/core/src/a.rs", "cfg_test_use.rs")],
+    );
     let report = scan(&root, &Allowlist::default());
     let _ = fs::remove_dir_all(&root);
 
-    let got: Vec<(String, usize, &str)> =
-        report.violations.iter().map(|v| (v.path.clone(), v.line, v.rule)).collect();
+    let got: Vec<(String, usize, &str)> = report
+        .violations
+        .iter()
+        .map(|v| (v.path.clone(), v.line, v.rule))
+        .collect();
     assert_eq!(
         got,
         vec![("crates/core/src/a.rs".to_string(), 7, "no-unwrap")],

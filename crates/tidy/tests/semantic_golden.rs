@@ -9,7 +9,9 @@ use std::path::{Path, PathBuf};
 use stem_tidy::{scan, Allowlist};
 
 fn fixture(name: &str) -> String {
-    let p = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures").join(name);
+    let p = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("tests/fixtures")
+        .join(name);
     fs::read_to_string(&p).unwrap_or_else(|e| panic!("read fixture {name}: {e}"))
 }
 
@@ -22,8 +24,7 @@ const TREE: [(&str, &str); 3] = [
 /// Materialize `(workspace-relative path, fixture name)` pairs under a
 /// scratch root and return it.
 fn build_tree(tag: &str, files: &[(&str, &str)]) -> PathBuf {
-    let root =
-        std::env::temp_dir().join(format!("stem-tidy-sem-{tag}-{}", std::process::id()));
+    let root = std::env::temp_dir().join(format!("stem-tidy-sem-{tag}-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
     for (rel, name) in files {
         let abs = root.join(rel);
@@ -46,12 +47,21 @@ fn each_semantic_rule_has_a_true_positive() {
         .collect();
     got.sort();
     let mut want: Vec<(String, usize, &str)> = vec![
-        ("crates/cluster/src/accum.rs".into(), 5, "ordered-float-reduce"),
+        (
+            "crates/cluster/src/accum.rs".into(),
+            5,
+            "ordered-float-reduce",
+        ),
         ("crates/core/src/eval.rs".into(), 4, "rng-stream-discipline"),
         ("crates/sim/src/memo.rs".into(), 11, "memo-purity"),
     ];
     want.sort();
-    assert_eq!(got, want, "diagnostics:\n{}", report.diagnostics().join("\n"));
+    assert_eq!(
+        got,
+        want,
+        "diagnostics:\n{}",
+        report.diagnostics().join("\n")
+    );
 
     // The memo-purity diagnostic carries the full call path to the impure
     // leaf, not just the leaf location.
@@ -76,8 +86,11 @@ fn cfg_not_test_code_is_analyzed() {
     let report = scan(&root, &Allowlist::default());
     let _ = fs::remove_dir_all(&root);
 
-    let got: Vec<(String, usize, &str)> =
-        report.violations.iter().map(|v| (v.path.clone(), v.line, v.rule)).collect();
+    let got: Vec<(String, usize, &str)> = report
+        .violations
+        .iter()
+        .map(|v| (v.path.clone(), v.line, v.rule))
+        .collect();
     assert_eq!(
         got,
         vec![("crates/sim/src/memo.rs".to_string(), 9, "memo-purity")],

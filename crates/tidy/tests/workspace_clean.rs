@@ -29,8 +29,11 @@ fn stem_tidy_fails_with_diagnostics_on_a_dirty_tree() {
     let _ = std::fs::remove_dir_all(&root);
     let src = root.join("crates/core/src");
     std::fs::create_dir_all(&src).expect("mkdir");
-    std::fs::write(src.join("bad.rs"), "pub fn f(x: Option<u64>) -> u64 { x.unwrap() }\n")
-        .expect("write");
+    std::fs::write(
+        src.join("bad.rs"),
+        "pub fn f(x: Option<u64>) -> u64 { x.unwrap() }\n",
+    )
+    .expect("write");
     let out = Command::new(env!("CARGO_BIN_EXE_stem-tidy"))
         .arg(&root)
         .output()
