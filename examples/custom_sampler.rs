@@ -55,8 +55,12 @@ fn main() -> Result<(), stem::core::StemError> {
             .memory(512 << 20, 1.0)
             .build(),
         vec![
-            RuntimeContext::neutral().with_locality(0.2).with_jitter(0.3),
-            RuntimeContext::neutral().with_locality(2.0).with_jitter(0.1),
+            RuntimeContext::neutral()
+                .with_locality(0.2)
+                .with_jitter(0.3),
+            RuntimeContext::neutral()
+                .with_locality(2.0)
+                .with_jitter(0.1),
         ],
     );
     for i in 0..4000 {
@@ -72,10 +76,7 @@ fn main() -> Result<(), stem::core::StemError> {
     let systematic = SystematicSampler { stride: 100 };
     let random = RandomSampler::new(0.01);
 
-    println!(
-        "{:<12} {:>10} {:>10}",
-        "method", "error %", "speedup"
-    );
+    println!("{:<12} {:>10} {:>10}", "method", "error %", "speedup");
     for sampler in [&stem as &dyn KernelSampler, &systematic, &random] {
         let summary = pipeline.run(sampler, &workload);
         println!(

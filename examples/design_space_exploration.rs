@@ -35,7 +35,10 @@ fn main() {
 
     // Sweep the design space with the *same* plan.
     let base = GpuConfig::macsim_baseline();
-    println!("{:<16} {:>14} {:>14} {:>9}", "variant", "full cycles", "estimate", "error");
+    println!(
+        "{:<16} {:>14} {:>14} {:>9}",
+        "variant", "full cycles", "estimate", "error"
+    );
     for transform in DseTransform::TABLE4 {
         let sim = Simulator::new(base.with_transform(transform));
         let full = sim.run_full(workload);
@@ -55,10 +58,9 @@ fn main() {
     }
 
     println!("\ncross-GPU portability: profile on H100, simulate on H200");
-    let h100_plan = StemRootSampler::new(
-        StemConfig::default().with_profile_config(GpuConfig::h100()),
-    )
-    .plan(workload, 0);
+    let h100_plan =
+        StemRootSampler::new(StemConfig::default().with_profile_config(GpuConfig::h100()))
+            .plan(workload, 0);
     let h200 = Simulator::new(GpuConfig::h200());
     let full = h200.run_full(workload);
     let run = h200.run_sampled(workload, h100_plan.samples());

@@ -41,10 +41,7 @@ fn main() {
     let sim = Simulator::new(GpuConfig::rtx2080());
     let full = sim.run_full(workload);
     let sampled = sim.run_sampled(workload, plan.samples());
-    println!(
-        "full simulation:    {:.3e} cycles",
-        full.total_cycles
-    );
+    println!("full simulation:    {:.3e} cycles", full.total_cycles);
     println!(
         "sampled estimate:   {:.3e} cycles ({} kernels simulated)",
         sampled.estimated_total_cycles, sampled.num_samples

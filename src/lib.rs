@@ -72,10 +72,18 @@ pub use stem_storage as storage;
 
 /// One-stop imports for the common workflow.
 pub mod prelude {
+    pub use gpu_profile::{
+        CrashMode, DataQualityReport, ExecFaultPlan, Fault, FaultFs, FaultPlan, SnapshotFault,
+        StorageFault, StorageFaultPlan, TraceRecord, TraceValidator,
+    };
     pub use gpu_sim::{
         run_streaming_total, source_total, store_total, workload_total, DseTransform, GpuConfig,
         SampledRun, Simulator, StreamRunError, StreamingTotal, WeightedSample,
         DEFAULT_CHANNEL_BLOCKS,
+    };
+    pub use gpu_workload::scenarios::{
+        adversarial_sources, adversarial_suite, bursty_interference, longtail_skew, phase_drift,
+        SCENARIO_NAMES,
     };
     pub use gpu_workload::suites::{
         casio_sources, casio_suite, huggingface_sources, huggingface_suite, rodinia_sources,
@@ -87,26 +95,18 @@ pub mod prelude {
         StoreWriter, StreamSummary, SuiteKind, Workload, WorkloadBuilder, WorkloadSource,
         DEFAULT_BLOCK_LEN,
     };
-    pub use gpu_workload::scenarios::{
-        adversarial_sources, adversarial_suite, bursty_interference, longtail_skew, phase_drift,
-        SCENARIO_NAMES,
-    };
     pub use stem_baselines::{
         standard_registry, PhotonSampler, PkaSampler, RandomSampler, RssSampler, SieveSampler,
         TbPointSampler, TwoPhaseSampler,
     };
-    pub use gpu_profile::{
-        CrashMode, DataQualityReport, ExecFaultPlan, Fault, FaultFs, FaultPlan, SnapshotFault,
-        StorageFault, StorageFaultPlan, TraceRecord, TraceValidator,
-    };
-    pub use stem_storage::{RealFs, Storage, StorageError, StorageOp};
     pub use stem_core::sampler::KernelSampler;
-    pub use stem_par::{ExecLog, Parallelism, Supervisor, TaskFailure};
     pub use stem_core::{
         CampaignReport, Pipeline, QuarantinedSnapshot, RecoveryPolicy, SamplerRegistry,
         SamplingPlan, SnapshotError, StemConfig, StemError, StemRootSampler,
     };
+    pub use stem_par::{ExecLog, Parallelism, Supervisor, TaskFailure};
     pub use stem_serve::{JobPhase, JobSpec, ServeConfig, Server, StoreRef, SuiteId};
+    pub use stem_storage::{RealFs, Storage, StorageError, StorageOp};
 }
 
 #[cfg(test)]

@@ -60,10 +60,17 @@ fn all_sources(seed: u64) -> Vec<WorkloadSource> {
 }
 
 /// Writes `source` into a fresh store directory and returns the path.
-fn write_store(storage: &dyn Storage, tag: &str, source: &WorkloadSource, block_len: usize) -> PathBuf {
+fn write_store(
+    storage: &dyn Storage,
+    tag: &str,
+    source: &WorkloadSource,
+    block_len: usize,
+) -> PathBuf {
     let dir = scratch(tag).join(source.name());
     let mut writer = StoreWriter::create(storage, &dir, block_len).expect("create store");
-    let summary = source.stream(&mut writer, block_len).expect("stream into store");
+    let summary = source
+        .stream(&mut writer, block_len)
+        .expect("stream into store");
     writer.finish(&summary).expect("commit manifest");
     dir
 }
@@ -131,9 +138,11 @@ fn streamed_totals_match_in_memory_reference_across_suites_and_threads() {
                     .expect("store stream");
                 let replayed = workload_total(&sim, par, &w, 2048, DEFAULT_CHANNEL_BLOCKS)
                     .expect("replay stream");
-                for (path, got) in
-                    [("generate", &generated), ("store", &stored), ("replay", &replayed)]
-                {
+                for (path, got) in [
+                    ("generate", &generated),
+                    ("store", &stored),
+                    ("replay", &replayed),
+                ] {
                     assert_eq!(
                         got.total_cycles.to_bits(),
                         expected.to_bits(),
@@ -178,8 +187,7 @@ fn corrupt_stores_are_typed_and_quarantined_never_garbage_cycles() {
             let manifest = dir.join("manifest.txt");
             let text = std::fs::read_to_string(&manifest).expect("read manifest");
             let keep = text.lines().count() / 2;
-            let truncated: String =
-                text.lines().take(keep).map(|l| format!("{l}\n")).collect();
+            let truncated: String = text.lines().take(keep).map(|l| format!("{l}\n")).collect();
             std::fs::write(&manifest, truncated).expect("truncate manifest");
         }),
         ("bad-header", |dir| {

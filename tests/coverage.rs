@@ -66,7 +66,11 @@ fn every_cell_and_crosscheck_meets_the_gate() {
 
     // Cross-check: the two error mechanisms must agree on every clean
     // repetition — a single non-overlap means one of the intervals lied.
-    assert_eq!(report.crosscheck.len(), 3, "one cross-check per clean suite");
+    assert_eq!(
+        report.crosscheck.len(),
+        3,
+        "one cross-check per clean suite"
+    );
     for c in &report.crosscheck {
         assert_eq!(
             c.overlaps, c.reps,

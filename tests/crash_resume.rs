@@ -164,7 +164,9 @@ fn new_sampler_on_adversarial_scenario_resumes_bit_identical() {
         let foreign = pipeline(threads)
             .resume_from(&TwoPhaseSampler::new(), &workloads, &snap)
             .expect("foreign-sampler resume recomputes");
-        let quarantined = foreign.quarantined.expect("sampler mismatch must quarantine");
+        let quarantined = foreign
+            .quarantined
+            .expect("sampler mismatch must quarantine");
         assert_eq!(quarantined.reason, SnapshotError::FingerprintMismatch);
         assert_eq!(foreign.resumed_units, 0);
     }
@@ -184,7 +186,10 @@ fn recovered_worker_panics_are_output_invisible() {
         .with_exec_faults(ExecFaultPlan::new(7).with_worker_panics(0.5, 1))
         .run_campaign(&sampler, &workloads, &dir.join("faulty.snap"))
         .expect("recovered campaign completes");
-    assert_eq!(report.summaries, baseline.summaries, "recovery leaked into results");
+    assert_eq!(
+        report.summaries, baseline.summaries,
+        "recovery leaked into results"
+    );
     assert!(
         report.exec_log.retries > 0 && !report.exec_log.recovered.is_empty(),
         "the fault plan must actually have fired: {:?}",
@@ -223,7 +228,11 @@ fn corrupted_snapshots_are_quarantined_never_trusted() {
                 bytes
             }
         };
-        assert_ne!(corrupted, pristine.as_bytes(), "{fault:?}: corruption was a no-op");
+        assert_ne!(
+            corrupted,
+            pristine.as_bytes(),
+            "{fault:?}: corruption was a no-op"
+        );
         std::fs::write(&snap, &corrupted).expect("plant corrupted snapshot");
 
         let report = pipeline(4)
@@ -267,7 +276,9 @@ fn foreign_campaign_snapshot_is_quarantined() {
     let report = other
         .resume_from(&sampler, &workloads, &snap)
         .expect("foreign resume recomputes");
-    let quarantined = report.quarantined.expect("fingerprint mismatch must quarantine");
+    let quarantined = report
+        .quarantined
+        .expect("fingerprint mismatch must quarantine");
     assert_eq!(
         quarantined.reason,
         SnapshotError::FingerprintMismatch,
@@ -353,7 +364,12 @@ fn campaign_matches_the_plain_pipeline_bitwise() {
         .expect("campaign");
     for (w, summary) in workloads.iter().zip(&report.summaries) {
         let direct = pipe.run(&sampler, w);
-        assert_eq!(*summary, direct, "{}: campaign bits differ from run()", w.name());
+        assert_eq!(
+            *summary,
+            direct,
+            "{}: campaign bits differ from run()",
+            w.name()
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -126,7 +126,10 @@ fn microarchitectural_metrics_are_preserved() {
     use stem::workload::MetricKind;
     let sim = rtx();
     let suite = casio_suite(109);
-    let w = suite.iter().find(|w| w.name() == "bert_train").expect("bert_train");
+    let w = suite
+        .iter()
+        .find(|w| w.name() == "bert_train")
+        .expect("bert_train");
     let plan = StemRootSampler::new(StemConfig::default()).plan(w, 0);
     let full = sim.metrics_full(w);
     let sampled = sim.metrics_sampled(w, plan.samples());
@@ -186,8 +189,14 @@ fn huggingface_scale_speedup_grows_with_workload() {
 #[test]
 fn full_pipeline_through_facade() {
     let suite = rodinia_suite(115);
-    let w = suite.iter().find(|w| w.name() == "hotspot").expect("hotspot");
-    let pipeline = Pipeline::new(rtx()).with_reps(3).expect("positive reps").with_seed(7);
+    let w = suite
+        .iter()
+        .find(|w| w.name() == "hotspot")
+        .expect("hotspot");
+    let pipeline = Pipeline::new(rtx())
+        .with_reps(3)
+        .expect("positive reps")
+        .with_seed(7);
     let sampler = StemRootSampler::new(StemConfig::default());
     let summary = pipeline.run(&sampler, w);
     assert_eq!(summary.method, "STEM");

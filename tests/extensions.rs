@@ -41,7 +41,10 @@ fn multi_gpu_node_sampling_end_to_end() {
 #[test]
 fn intra_kernel_sampling_through_facade() {
     let suite = rodinia_suite(23);
-    let w = suite.iter().find(|w| w.name() == "hotspot").expect("hotspot");
+    let w = suite
+        .iter()
+        .find(|w| w.name() == "hotspot")
+        .expect("hotspot");
     let sim = Simulator::new(GpuConfig::rtx2080());
     let report = evaluate_intra_kernel(w, &sim, &StemConfig::default(), 1);
     assert!(report.error() < 0.05);
@@ -92,7 +95,10 @@ fn energy_estimation_through_facade() {
 #[test]
 fn selective_tracegen_through_facade() {
     let suite = casio_suite(29);
-    let w = suite.iter().find(|w| w.name() == "unet_infer").expect("unet");
+    let w = suite
+        .iter()
+        .find(|w| w.name() == "unet_infer")
+        .expect("unet");
     let plan = StemRootSampler::new(StemConfig::default()).plan(w, 0);
     let sampled: Vec<usize> = plan.samples().iter().map(|s| s.index).collect();
     let report = TraceGenModel::default().selective(w, &sampled);
@@ -103,7 +109,10 @@ fn selective_tracegen_through_facade() {
 #[test]
 fn small_sample_correction_through_facade() {
     let suite = rodinia_suite(31);
-    let w = suite.iter().find(|w| w.name() == "pf_float").expect("pf_float");
+    let w = suite
+        .iter()
+        .find(|w| w.name() == "pf_float")
+        .expect("pf_float");
     let loose = StemConfig::default().with_epsilon(0.20);
     let plain = StemRootSampler::new(loose.clone()).plan(w, 0).num_samples();
     let corrected = StemRootSampler::new(loose.with_small_sample_correction())

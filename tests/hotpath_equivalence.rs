@@ -20,8 +20,8 @@ use stem::cluster::kmeans::reference as kmeans_reference;
 use stem::cluster::{KMeans, KMeansConfig};
 use stem::core::eval::StreamingAggregate;
 use stem::core::root::{cluster_indices, cluster_workload_par, reference as root_reference};
-use stem::profile::ExecTimeProfiler;
 use stem::prelude::*;
+use stem::profile::ExecTimeProfiler;
 use stem::sim::hardware::{reference as hw_reference, HardwareRunner};
 use stem::sim::simulator::reference as sim_reference;
 use stem::sim::SimCache;
@@ -251,9 +251,7 @@ fn campaign_aggregates_match_reference_slow_path() {
         let mut errors = Vec::new();
         let mut speedups = Vec::new();
         for rep in 0..REPS as u64 {
-            let seed = BASE_SEED
-                .wrapping_add(rep)
-                .wrapping_mul(0x9e3779b97f4a7c15);
+            let seed = BASE_SEED.wrapping_add(rep).wrapping_mul(0x9e3779b97f4a7c15);
             let plan = sampler.plan(w, seed);
             let run = sim_reference::run_sampled(&sim, w, plan.samples());
             errors.push(run.error(full.total_cycles) * 100.0);
@@ -289,8 +287,14 @@ fn campaign_aggregates_match_reference_slow_path() {
                 "campaign harmonic speedup diverged at threads = {threads}"
             );
             for (r, (e, s)) in summary.results.iter().zip(errors.iter().zip(speedups)) {
-                assert_eq!(r.error_pct, *e, "per-rep error diverged at threads = {threads}");
-                assert_eq!(r.speedup, *s, "per-rep speedup diverged at threads = {threads}");
+                assert_eq!(
+                    r.error_pct, *e,
+                    "per-rep error diverged at threads = {threads}"
+                );
+                assert_eq!(
+                    r.speedup, *s,
+                    "per-rep speedup diverged at threads = {threads}"
+                );
             }
         }
     }
@@ -304,11 +308,8 @@ fn memo_cache_is_group_keyed_and_warm_runs_are_free() {
     for w in &suite_workloads() {
         let plan = sampler.plan(w, BASE_SEED);
         let uncached = sim.run_sampled(w, plan.samples());
-        let touched: std::collections::BTreeSet<u32> = plan
-            .samples()
-            .iter()
-            .map(|s| w.group_of(s.index))
-            .collect();
+        let touched: std::collections::BTreeSet<u32> =
+            plan.samples().iter().map(|s| w.group_of(s.index)).collect();
 
         let cache = SimCache::new();
         let cold = sim.run_sampled_cached(w, plan.samples(), Parallelism::serial(), &cache);
@@ -364,12 +365,8 @@ fn pruned_kmeans_matches_naive_reference_on_64_seeded_cases() {
         }
         let weights: Vec<f64> = (0..n).map(|_| 0.25 + next() * 4.0).collect();
         let config = KMeansConfig::new(k, 0xABCD ^ case);
-        let naive = kmeans_reference::fit_weighted_par(
-            &pts,
-            &weights,
-            config,
-            Parallelism::serial(),
-        );
+        let naive =
+            kmeans_reference::fit_weighted_par(&pts, &weights, config, Parallelism::serial());
         for threads in THREADS {
             let fast = KMeans::fit_weighted_par(
                 &pts,
@@ -389,12 +386,22 @@ fn pruned_kmeans_matches_naive_reference_on_64_seeded_cases() {
 fn streaming_aggregation_matches_collected_means() {
     // The evaluation/campaign fold and the two-vector means are both
     // left-to-right sums; pin them to each other on awkward magnitudes.
-    let errors: Vec<f64> = (0..17).map(|i| (i as f64 * 0.731).sin().abs() * 1e3).collect();
-    let speedups: Vec<f64> = (0..17).map(|i| 1.0 + (i as f64 * 1.37).cos().abs() * 99.0).collect();
+    let errors: Vec<f64> = (0..17)
+        .map(|i| (i as f64 * 0.731).sin().abs() * 1e3)
+        .collect();
+    let speedups: Vec<f64> = (0..17)
+        .map(|i| 1.0 + (i as f64 * 1.37).cos().abs() * 99.0)
+        .collect();
     let mut agg = StreamingAggregate::new();
     for (&e, &s) in errors.iter().zip(&speedups) {
         agg.push(e, s);
     }
-    assert_eq!(agg.mean_error_pct(), stem::core::eval::arithmetic_mean(&errors));
-    assert_eq!(agg.harmonic_speedup(), stem::core::eval::harmonic_mean(&speedups));
+    assert_eq!(
+        agg.mean_error_pct(),
+        stem::core::eval::arithmetic_mean(&errors)
+    );
+    assert_eq!(
+        agg.harmonic_speedup(),
+        stem::core::eval::harmonic_mean(&speedups)
+    );
 }

@@ -156,8 +156,10 @@ fn chaos_path_is_bit_identical_across_thread_counts() {
 #[test]
 fn new_samplers_on_adversarial_scenarios_are_bit_identical() {
     let w = phase_drift(33).materialize();
-    let samplers: Vec<Box<dyn KernelSampler>> =
-        vec![Box::new(RssSampler::new()), Box::new(TwoPhaseSampler::new())];
+    let samplers: Vec<Box<dyn KernelSampler>> = vec![
+        Box::new(RssSampler::new()),
+        Box::new(TwoPhaseSampler::new()),
+    ];
     for sampler in &samplers {
         let serial_plan = sampler.plan(&w, BASE_SEED);
         let serial = pipeline_with(Parallelism::serial()).run(sampler.as_ref(), &w);

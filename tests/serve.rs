@@ -58,8 +58,8 @@ fn suite_specs() -> Vec<JobSpec> {
         store: None,
     };
     vec![
-        spec("alice", SuiteId::Rodinia, 7, 11),   // kmeans
-        spec("bob", SuiteId::Casio, 7, 12),       // ssdrn34_infer
+        spec("alice", SuiteId::Rodinia, 7, 11),     // kmeans
+        spec("bob", SuiteId::Casio, 7, 12),         // ssdrn34_infer
         spec("carol", SuiteId::Huggingface, 5, 13), // resnet50
     ]
 }
@@ -68,7 +68,9 @@ fn suite_specs() -> Vec<JobSpec> {
 /// campaign, with the spec's sampler built through the same registry the
 /// daemon dispatches from, rendered through the payload formatter.
 fn serial_payload(spec: &JobSpec, dir: &Path, tag: &str) -> String {
-    let sampler = standard_registry().build(&spec.sampler).expect("registered sampler");
+    let sampler = standard_registry()
+        .build(&spec.sampler)
+        .expect("registered sampler");
     let workload = spec.workload().expect("spec workload");
     let report = Pipeline::new(Simulator::new(GpuConfig::rtx2080()))
         .with_reps(spec.reps)
@@ -96,14 +98,19 @@ impl Wire {
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("read timeout");
-        Wire { stream, buf: Vec::new() }
+        Wire {
+            stream,
+            buf: Vec::new(),
+        }
     }
 
     /// Sends one request line and reads the complete reply: a single
     /// line, or the full multi-line payload (through `END`) after an
     /// `OK result` header.
     fn roundtrip(&mut self, line: &str) -> String {
-        self.stream.write_all(line.as_bytes()).expect("send request");
+        self.stream
+            .write_all(line.as_bytes())
+            .expect("send request");
         let header = self.read_line();
         if header == "OK result\n" {
             let mut payload = String::new();
@@ -144,7 +151,10 @@ impl Wire {
                 status.starts_with("OK status "),
                 "job {job} left the normal lifecycle: {status:?}"
             );
-            assert!(std::time::Instant::now() < deadline, "job {job} never finished");
+            assert!(
+                std::time::Instant::now() < deadline,
+                "job {job} never finished"
+            );
             std::thread::sleep(Duration::from_millis(50));
         }
     }
@@ -243,8 +253,7 @@ fn concurrent_tenants_over_the_wire_match_serial_pipeline() {
     let alice_ref = serial_payload(&alice, &dir, "alice-ref");
     let bob_ref = serial_payload(&bob, &dir, "bob-ref");
 
-    let server =
-        Server::start(ServeConfig::new(&dir).with_workers(2, 2)).expect("daemon starts");
+    let server = Server::start(ServeConfig::new(&dir).with_workers(2, 2)).expect("daemon starts");
     let mut wire = Wire::connect(server.addr());
     assert_eq!(wire.roundtrip("PING\n"), "OK pong\n");
     assert_eq!(
@@ -262,7 +271,10 @@ fn concurrent_tenants_over_the_wire_match_serial_pipeline() {
 
     let alice_status = wire.wait_done("alice", 0);
     let bob_status = wire.wait_done("bob", 1);
-    assert_eq!(alice_status, "OK status done straggler=0 resumed=0 executed=2\n");
+    assert_eq!(
+        alice_status,
+        "OK status done straggler=0 resumed=0 executed=2\n"
+    );
     assert_eq!(
         bob_status, "OK status done straggler=1 resumed=0 executed=2\n",
         "a zero deadline must flag stragglers"
@@ -305,7 +317,9 @@ fn overload_rejections_are_typed_and_admitted_jobs_complete() {
         sampler: "STEM".to_string(),
         store: None,
     };
-    let t1 = server.try_submit(spec("t1", 1)).expect("first job admitted");
+    let t1 = server
+        .try_submit(spec("t1", 1))
+        .expect("first job admitted");
     match server.try_submit(spec("t1", 2)) {
         Err(StemError::Overloaded { scope, depth, .. }) => {
             assert_eq!(scope, "t1", "tenant quota must name the tenant");
@@ -313,9 +327,15 @@ fn overload_rejections_are_typed_and_admitted_jobs_complete() {
         }
         other => panic!("tenant quota must refuse: {other:?}"),
     }
-    let t2 = server.try_submit(spec("t2", 3)).expect("second tenant admitted");
+    let t2 = server
+        .try_submit(spec("t2", 3))
+        .expect("second tenant admitted");
     match server.try_submit(spec("t3", 4)) {
-        Err(StemError::Overloaded { scope, retry_after_ms, .. }) => {
+        Err(StemError::Overloaded {
+            scope,
+            retry_after_ms,
+            ..
+        }) => {
             assert_eq!(scope, "load-shed", "past high water the daemon sheds");
             assert!(retry_after_ms > 0, "shed must carry a retry hint");
         }
@@ -325,12 +345,18 @@ fn overload_rejections_are_typed_and_admitted_jobs_complete() {
     server.resume_workers();
     assert!(server.wait_idle(IDLE), "admitted jobs drain after shedding");
     for (tenant, id, seed) in [("t1", t1, 1), ("t2", t2, 3)] {
-        assert_eq!(server.status(tenant, id).expect("own job").phase, JobPhase::Done);
+        assert_eq!(
+            server.status(tenant, id).expect("own job").phase,
+            JobPhase::Done
+        );
         let payload = server
             .result_payload(tenant, id)
             .expect("own job")
             .expect("payload present");
-        assert_eq!(payload, serial_payload(&spec(tenant, seed), &dir, &format!("ref-{tenant}")));
+        assert_eq!(
+            payload,
+            serial_payload(&spec(tenant, seed), &dir, &format!("ref-{tenant}"))
+        );
     }
     server.shutdown();
     drop(server);
@@ -339,7 +365,10 @@ fn overload_rejections_are_typed_and_admitted_jobs_complete() {
     // Hard queue bound, observed over the wire.
     let dir = scratch("overload-queue");
     let server = Server::start(
-        ServeConfig::new(&dir).with_queue(2, 2).with_per_tenant_cap(5).with_workers(1, 1),
+        ServeConfig::new(&dir)
+            .with_queue(2, 2)
+            .with_per_tenant_cap(5)
+            .with_workers(1, 1),
     )
     .expect("daemon starts");
     server.pause_workers();
@@ -420,16 +449,24 @@ fn corrupt_journal_is_quarantined_and_jobs_recompute_the_same_bits() {
             second.recovery().re_admitted.is_empty(),
             "nothing from a corrupt journal may be re-admitted"
         );
-        let id = second.try_submit(spec.clone()).expect("resubmission admitted");
+        let id = second
+            .try_submit(spec.clone())
+            .expect("resubmission admitted");
         assert!(second.wait_idle(IDLE));
         let status = second.status(&spec.tenant, id).expect("own job");
         assert_eq!(status.phase, JobPhase::Done);
-        assert_eq!(status.resumed_units, 0, "snapshots were removed; nothing to resume");
+        assert_eq!(
+            status.resumed_units, 0,
+            "snapshots were removed; nothing to resume"
+        );
         let recomputed = second
             .result_payload(&spec.tenant, id)
             .expect("own job")
             .expect("payload present");
-        assert_eq!(recomputed, pristine_payload, "recompute after quarantine changed bits");
+        assert_eq!(
+            recomputed, pristine_payload,
+            "recompute after quarantine changed bits"
+        );
         second.shutdown();
         drop(second);
     }
@@ -493,7 +530,10 @@ fn memo_cache_stays_bounded_across_a_warm_multi_campaign_run() {
     // and every payload and journal byte is the same.
     let (unbounded, unbounded_journal, none) = replay(None, "cache-unbounded");
     assert_eq!(none, 0, "an unbounded cache never evicts");
-    assert_eq!(unbounded, payloads, "RESULT payloads with and without the cap");
+    assert_eq!(
+        unbounded, payloads,
+        "RESULT payloads with and without the cap"
+    );
     assert_eq!(
         unbounded_journal, journal,
         "serve.journal bytes with and without the cap"
@@ -527,7 +567,9 @@ fn daemon_lifetime_samplers_and_totals_match_fresh_sampler_runs() {
         spec("alice", SuiteId::Casio, 7, 72),
     ];
     let fresh = |spec: &JobSpec| {
-        let sampler = standard_registry().build(&spec.sampler).expect("registered sampler");
+        let sampler = standard_registry()
+            .build(&spec.sampler)
+            .expect("registered sampler");
         let workload = spec.workload().expect("spec workload");
         let summary = Pipeline::new(Simulator::new(GpuConfig::rtx2080()))
             .with_reps(spec.reps)
@@ -558,7 +600,11 @@ fn daemon_lifetime_samplers_and_totals_match_fresh_sampler_runs() {
             .result_payload(&spec.tenant, id)
             .expect("own job")
             .expect("payload present");
-        assert_eq!(payload, fresh(spec), "job {id}: shared planning moved a bit");
+        assert_eq!(
+            payload,
+            fresh(spec),
+            "job {id}: shared planning moved a bit"
+        );
     }
     // Only two workers run at once, so a later job always finds at least
     // one workload's total already folded.
@@ -567,7 +613,10 @@ fn daemon_lifetime_samplers_and_totals_match_fresh_sampler_runs() {
         "the totals memo never hit: {} folds",
         server.cache().total_misses()
     );
-    assert!(server.cache().total_misses() <= 4, "each workload folds at most twice");
+    assert!(
+        server.cache().total_misses() <= 4,
+        "each workload folds at most twice"
+    );
     server.shutdown();
     drop(server);
     let _ = std::fs::remove_dir_all(&dir);
@@ -596,7 +645,10 @@ fn per_job_samplers_dispatch_through_the_registry() {
     bad.sampler = "Oracle".to_string();
     match server.try_submit(bad) {
         Err(StemError::InvalidConfig(msg)) => {
-            assert!(msg.contains("unknown sampler"), "error must name the problem: {msg}");
+            assert!(
+                msg.contains("unknown sampler"),
+                "error must name the problem: {msg}"
+            );
             assert!(msg.contains("RSS"), "error must list the registry: {msg}");
         }
         other => panic!("unknown sampler must be refused: {other:?}"),
@@ -606,9 +658,15 @@ fn per_job_samplers_dispatch_through_the_registry() {
     // slot. The payload must be bit-identical to the serial pipeline run
     // of the same spec (method label included).
     let mut wire = Wire::connect(server.addr());
-    assert_eq!(wire.roundtrip("SUBMIT alice rodinia 33 7 2 61 - RSS\n"), "OK job 0\n");
+    assert_eq!(
+        wire.roundtrip("SUBMIT alice rodinia 33 7 2 61 - RSS\n"),
+        "OK job 0\n"
+    );
     wire.wait_done("alice", 0);
-    assert_eq!(wire.roundtrip("RESULT alice 0\n"), format!("OK result\n{rss_ref}"));
+    assert_eq!(
+        wire.roundtrip("RESULT alice 0\n"),
+        format!("OK result\n{rss_ref}")
+    );
 
     // A TwoPhase job through in-process admission matches its own serial
     // reference too — the registry covers every sampler, not just RSS.
@@ -621,8 +679,14 @@ fn per_job_samplers_dispatch_through_the_registry() {
         .result_payload(&tp.tenant, id)
         .expect("own job")
         .expect("payload present");
-    assert_eq!(payload, tp_ref, "TwoPhase daemon payload bits differ from serial");
-    assert_ne!(payload, rss_ref, "different samplers must not share payloads");
+    assert_eq!(
+        payload, tp_ref,
+        "TwoPhase daemon payload bits differ from serial"
+    );
+    assert_ne!(
+        payload, rss_ref,
+        "different samplers must not share payloads"
+    );
     drop(wire);
     server.shutdown();
     drop(server);
@@ -651,7 +715,10 @@ fn out_of_range_workload_index_is_refused_at_admission() {
     }
     let mut far = suite_specs().remove(0);
     far.workload_index = 10_000;
-    assert!(matches!(server.try_submit(far), Err(StemError::InvalidConfig(_))));
+    assert!(matches!(
+        server.try_submit(far),
+        Err(StemError::InvalidConfig(_))
+    ));
 
     // Nothing was journaled and no job id was spent: the first honest
     // submission is job 0 and the only `job` record.
@@ -663,8 +730,15 @@ fn out_of_range_workload_index_is_refused_at_admission() {
             .filter(|l| l.starts_with("job "))
             .count()
     };
-    assert_eq!(job_lines(), 0, "a refused SUBMIT must never reach the journal");
-    assert_eq!(wire.roundtrip("SUBMIT alice rodinia 33 7 1 51\n"), "OK job 0\n");
+    assert_eq!(
+        job_lines(),
+        0,
+        "a refused SUBMIT must never reach the journal"
+    );
+    assert_eq!(
+        wire.roundtrip("SUBMIT alice rodinia 33 7 1 51\n"),
+        "OK job 0\n"
+    );
     wire.wait_done("alice", 0);
     assert_eq!(job_lines(), 1);
     drop(wire);
@@ -682,8 +756,11 @@ fn wire_chaos_never_takes_the_daemon_down() {
     for plan in WireFaultPlan::all_classes(0x5EED) {
         let label = plan.faults()[0].label();
         for index in 0..3u64 {
-            let WireExchange { payload, chunk_delay, disconnect_after_write } =
-                plan.exchange(index, "PING\n");
+            let WireExchange {
+                payload,
+                chunk_delay,
+                disconnect_after_write,
+            } = plan.exchange(index, "PING\n");
             let mut stream = TcpStream::connect(addr).expect("connect for chaos");
             stream
                 .set_read_timeout(Some(Duration::from_millis(500)))
@@ -721,7 +798,10 @@ fn wire_chaos_never_takes_the_daemon_down() {
 
     // After the whole chaos sweep the daemon still serves real work.
     let mut wire = Wire::connect(addr);
-    assert_eq!(wire.roundtrip("SUBMIT alice rodinia 33 7 1 51\n"), "OK job 0\n");
+    assert_eq!(
+        wire.roundtrip("SUBMIT alice rodinia 33 7 1 51\n"),
+        "OK job 0\n"
+    );
     wire.wait_done("alice", 0);
     let spec = JobSpec {
         tenant: "alice".to_string(),
@@ -735,7 +815,10 @@ fn wire_chaos_never_takes_the_daemon_down() {
         store: None,
     };
     let reference = serial_payload(&spec, &dir, "post-chaos-ref");
-    assert_eq!(wire.roundtrip("RESULT alice 0\n"), format!("OK result\n{reference}"));
+    assert_eq!(
+        wire.roundtrip("RESULT alice 0\n"),
+        format!("OK result\n{reference}")
+    );
     assert_eq!(wire.roundtrip("SHUTDOWN\n"), "OK shutting-down\n");
     server.shutdown();
     drop(server);
@@ -769,8 +852,7 @@ fn store_backed_jobs_serve_byte_identical_payloads() {
     writer.finish(&summary).expect("commit store");
     let fp = summary.fingerprint;
 
-    let server =
-        Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
+    let server = Server::start(ServeConfig::new(&dir).with_workers(1, 1)).expect("daemon starts");
     let mut wire = Wire::connect(server.addr());
 
     // A lying fingerprint is a typed rejection at admission — the job is
@@ -789,7 +871,10 @@ fn store_backed_jobs_serve_byte_identical_payloads() {
         "SUBMIT alice rodinia 33 7 2 61 - STEM {}/no-such-store {fp:016x}\n",
         dir.display()
     ));
-    assert!(gone.starts_with("ERR rejected"), "missing store must be typed: {gone:?}");
+    assert!(
+        gone.starts_with("ERR rejected"),
+        "missing store must be typed: {gone:?}"
+    );
 
     // The honest submission streams the store and serves a payload
     // byte-identical to the suite-drawn reference.

@@ -94,16 +94,28 @@ fn campaign_crash_point_explorer_recovers_bit_identical() {
         let census_fs = Arc::new(FaultFs::new(0));
         let census = pipeline(threads, &cache)
             .with_storage(Arc::clone(&census_fs) as Arc<dyn Storage>)
-            .run_campaign(&sampler, &workloads, &dir.join(format!("census-t{threads}.snap")))
+            .run_campaign(
+                &sampler,
+                &workloads,
+                &dir.join(format!("census-t{threads}.snap")),
+            )
             .expect("pass-through FaultFs campaign");
-        assert_eq!(census.summaries, baseline.summaries, "pass-through wrapper changed bits");
+        assert_eq!(
+            census.summaries, baseline.summaries,
+            "pass-through wrapper changed bits"
+        );
         let boundaries = census_fs.ops();
         assert!(
             boundaries >= total_units * 4,
             "threads {threads}: census must cover a write+fsync+rename+dir-sync \
              per persisted unit, saw {boundaries}"
         );
-        for op in [StorageOp::Write, StorageOp::SyncFile, StorageOp::Rename, StorageOp::SyncDir] {
+        for op in [
+            StorageOp::Write,
+            StorageOp::SyncFile,
+            StorageOp::Rename,
+            StorageOp::SyncDir,
+        ] {
             assert!(
                 census_fs.census().iter().any(|r| r.op == op),
                 "threads {threads}: boundary class {op} missing from the census"
@@ -176,7 +188,10 @@ fn campaign_fault_sweep_recovers_every_class() {
             .with_storage(Arc::clone(&fs) as Arc<dyn Storage>)
             .run_campaign(&sampler, &workloads, &snap)
         {
-            Ok(r) => assert_eq!(r.summaries, baseline.summaries, "{label}: survived-faults bits"),
+            Ok(r) => assert_eq!(
+                r.summaries, baseline.summaries,
+                "{label}: survived-faults bits"
+            ),
             Err(StemError::Snapshot(SnapshotError::Io(e))) => {
                 // Typed failure: the error names the operation and path.
                 let rendered = e.to_string();
@@ -193,8 +208,14 @@ fn campaign_fault_sweep_recovers_every_class() {
                 let retried = pipeline(1, &cache)
                     .resume_from(&sampler, &workloads, &snap)
                     .expect("clean retry");
-                assert_eq!(retried.summaries, baseline.summaries, "{label}: retry bits differ");
-                assert!(retried.quarantined.is_none(), "{label}: fault corrupted the snapshot");
+                assert_eq!(
+                    retried.summaries, baseline.summaries,
+                    "{label}: retry bits differ"
+                );
+                assert!(
+                    retried.quarantined.is_none(),
+                    "{label}: fault corrupted the snapshot"
+                );
             }
             Err(other) => panic!("{label}: wrong error class: {other}"),
         }
@@ -229,7 +250,10 @@ fn enospc_and_rename_failures_are_typed_with_operation_and_path() {
             assert_eq!(e.kind, std::io::ErrorKind::StorageFull);
             let rendered = e.to_string();
             assert!(rendered.contains("write"), "op lost: {rendered}");
-            assert!(rendered.contains("No space left"), "errno text lost: {rendered}");
+            assert!(
+                rendered.contains("No space left"),
+                "errno text lost: {rendered}"
+            );
             assert!(rendered.contains("enospc.snap"), "path lost: {rendered}");
         }
         other => panic!("wrong error class: {other}"),
@@ -255,11 +279,18 @@ fn enospc_and_rename_failures_are_typed_with_operation_and_path() {
         other => panic!("wrong error class: {other}"),
     }
     let tmp = stem::storage::sibling(&snap, ".tmp");
-    assert!(tmp.exists(), "failed rename must leave its tmp for the sweep");
+    assert!(
+        tmp.exists(),
+        "failed rename must leave its tmp for the sweep"
+    );
     let recovered = pipeline(1, &cache)
         .resume_from(&sampler, &workloads, &snap)
         .expect("recovery after rename failure");
-    assert_eq!(recovered.swept_tmp, vec![tmp.clone()], "sweep must report the orphan");
+    assert_eq!(
+        recovered.swept_tmp,
+        vec![tmp.clone()],
+        "sweep must report the orphan"
+    );
     assert!(!tmp.exists(), "sweep must remove the orphan");
     assert_eq!(recovered.summaries, baseline.summaries);
     let _ = std::fs::remove_dir_all(&dir);
@@ -286,23 +317,35 @@ fn repeated_corruption_quarantines_to_unique_names() {
         let report = pipeline(1, &cache)
             .resume_from(&sampler, &workloads, &snap)
             .expect("resume survives corruption");
-        let q = report.quarantined.unwrap_or_else(|| panic!("round {round}: undetected"));
+        let q = report
+            .quarantined
+            .unwrap_or_else(|| panic!("round {round}: undetected"));
         assert!(
             q.path.to_string_lossy().ends_with(suffix),
             "round {round}: quarantined to {} instead of *{suffix}",
             q.path.display()
         );
-        assert_eq!(report.summaries, baseline.summaries, "round {round}: recompute bits");
+        assert_eq!(
+            report.summaries, baseline.summaries,
+            "round {round}: recompute bits"
+        );
         quarantined.push(q.path);
     }
     for path in &quarantined {
-        assert!(path.exists(), "quarantine evidence lost at {}", path.display());
+        assert!(
+            path.exists(),
+            "quarantine evidence lost at {}",
+            path.display()
+        );
     }
     let contents: Vec<String> = quarantined
         .iter()
         .map(|p| std::fs::read_to_string(p).expect("read quarantine"))
         .collect();
-    assert_ne!(contents[0], contents[1], "distinct corruptions must both survive");
+    assert_ne!(
+        contents[0], contents[1],
+        "distinct corruptions must both survive"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -327,7 +370,10 @@ fn orphan_tmp_files_are_swept_on_resume() {
     assert_eq!(report.swept_tmp, vec![tmp.clone()]);
     assert!(!tmp.exists(), "orphan must be removed");
     assert!(report.quarantined.is_none(), "the real snapshot was valid");
-    assert_eq!(report.resumed_units, workloads.len() as u64 * u64::from(REPS));
+    assert_eq!(
+        report.resumed_units,
+        workloads.len() as u64 * u64::from(REPS)
+    );
     assert_eq!(report.summaries, baseline.summaries);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -350,13 +396,18 @@ fn serve_specs() -> Vec<JobSpec> {
         sampler: "STEM".to_string(),
         store: None,
     };
-    vec![spec("t0", SuiteId::Rodinia, 7, 11), spec("t1", SuiteId::Casio, 7, 12)]
+    vec![
+        spec("t0", SuiteId::Rodinia, 7, 11),
+        spec("t1", SuiteId::Casio, 7, 12),
+    ]
 }
 
 /// Ground truth: the spec run as a plain serial pipeline campaign,
 /// rendered through the daemon's payload formatter.
 fn serial_payload(spec: &JobSpec, dir: &Path, tag: &str) -> String {
-    let sampler = standard_registry().build(&spec.sampler).expect("registered sampler");
+    let sampler = standard_registry()
+        .build(&spec.sampler)
+        .expect("registered sampler");
     let workload = spec.workload().expect("spec workload");
     let report = Pipeline::new(Simulator::new(GpuConfig::rtx2080()))
         .with_reps(spec.reps)
@@ -413,7 +464,10 @@ fn serve_crash_point_explorer_never_drops_admitted_jobs() {
     }
     server.shutdown();
     let boundaries = census_fs.ops();
-    assert!(boundaries >= 8, "census must see journal and snapshot commits, saw {boundaries}");
+    assert!(
+        boundaries >= 8,
+        "census must see journal and snapshot commits, saw {boundaries}"
+    );
 
     for at in 0..boundaries {
         let dir = scratch(&format!("serve-crash-{at}"));
@@ -423,9 +477,8 @@ fn serve_crash_point_explorer_never_drops_admitted_jobs() {
         // never silently half-admitted.
         let mut admitted: Vec<(JobSpec, u64)> = Vec::new();
         let mut rejected: Vec<JobSpec> = Vec::new();
-        match Server::start(
-            serve_config(&dir, 1).with_storage(Arc::clone(&fs) as Arc<dyn Storage>),
-        ) {
+        match Server::start(serve_config(&dir, 1).with_storage(Arc::clone(&fs) as Arc<dyn Storage>))
+        {
             Ok(server) => {
                 for spec in &specs {
                     // The crash is permanent in this session, so a few
@@ -438,7 +491,10 @@ fn serve_crash_point_explorer_never_drops_admitted_jobs() {
                 }
                 // Jobs settle (Done or Failed-on-dead-disk); either way
                 // the journal already holds every admitted spec.
-                assert!(server.wait_idle(IDLE), "crashed-disk session must still settle");
+                assert!(
+                    server.wait_idle(IDLE),
+                    "crashed-disk session must still settle"
+                );
                 server.shutdown();
             }
             // The crash fired during startup: the daemon never came up,
@@ -463,7 +519,12 @@ fn serve_crash_point_explorer_never_drops_admitted_jobs() {
         }
         let resubmitted: Vec<(JobSpec, u64)> = rejected
             .iter()
-            .map(|s| (s.clone(), server.try_submit(s.clone()).expect("resubmission admitted")))
+            .map(|s| {
+                (
+                    s.clone(),
+                    server.try_submit(s.clone()).expect("resubmission admitted"),
+                )
+            })
             .collect();
         assert!(server.wait_idle(IDLE), "recovered jobs must finish");
         for (spec, id) in admitted.iter().chain(&resubmitted) {
@@ -479,8 +540,15 @@ fn serve_crash_point_explorer_never_drops_admitted_jobs() {
                 .result_payload(&spec.tenant, *id)
                 .expect("tenant access")
                 .expect("payload ready");
-            let want = &reference[specs.iter().position(|s| s.tenant == spec.tenant).expect("spec")];
-            assert_eq!(&payload, want, "boundary {at}: recovered bits differ for {}", spec.tenant);
+            let want = &reference[specs
+                .iter()
+                .position(|s| s.tenant == spec.tenant)
+                .expect("spec")];
+            assert_eq!(
+                &payload, want,
+                "boundary {at}: recovered bits differ for {}",
+                spec.tenant
+            );
         }
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
@@ -558,7 +626,10 @@ fn serve_absorbs_every_storage_fault_class() {
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }
-    assert!(total_injected > 0, "the sweep never actually injected a fault");
+    assert!(
+        total_injected > 0,
+        "the sweep never actually injected a fault"
+    );
     let _ = std::fs::remove_dir_all(&ref_dir);
 }
 
