@@ -54,7 +54,7 @@ use gpu_workload::{
     DEFAULT_BLOCK_LEN,
 };
 use stem_baselines::PhotonSampler;
-use stem_bench::harness::ExperimentOptions;
+use stem_bench::harness::{hf_scale_arg, ExperimentOptions};
 use stem_bench::memuse::peak_rss_kb;
 use stem_core::sampler::KernelSampler;
 use stem_core::{Pipeline, SnapshotError, StemConfig, StemError, StemRootSampler};
@@ -97,7 +97,7 @@ impl Mode {
 
 struct Args {
     mode: Mode,
-    hf_scale: f64,
+    hf_scale: HuggingfaceScale,
     seed: u64,
     reps: u32,
     threads: Vec<usize>,
@@ -136,7 +136,11 @@ fn parse_args() -> Result<Args, StemError> {
     let hotpath = mode == Mode::Hotpath;
     let mut parsed = Args {
         mode,
-        hf_scale: if hotpath { 0.05 } else { 1.0 },
+        hf_scale: if hotpath {
+            HuggingfaceScale::default_repro()
+        } else {
+            HuggingfaceScale::paper()
+        },
         seed: 2025,
         reps: 3,
         threads: vec![1, 4],
@@ -157,7 +161,7 @@ fn parse_args() -> Result<Args, StemError> {
         }
         match flag {
             "--mode" => {}
-            "--hf-scale" => parsed.hf_scale = number(flag, raw)?,
+            "--hf-scale" => parsed.hf_scale = hf_scale_arg(number(flag, raw)?)?,
             "--seed" => parsed.seed = number(flag, raw)?,
             "--reps" => parsed.reps = number(flag, raw)?,
             "--threads" => {
@@ -548,7 +552,7 @@ fn run() -> Result<(), StemError> {
     let args = parse_args()?;
     let mut options = ExperimentOptions::default_repro();
     options.seed = args.seed;
-    options.hf_scale = HuggingfaceScale::custom(args.hf_scale);
+    options.hf_scale = args.hf_scale;
     options.stem_config = StemConfig::paper();
     let hotpath = args.mode == Mode::Hotpath;
     let threads = if hotpath {
@@ -560,7 +564,7 @@ fn run() -> Result<(), StemError> {
     eprintln!(
         "perf: mode={} hf_scale={} seed={} threads={threads:?} block_len={DEFAULT_BLOCK_LEN}",
         args.mode.name(),
-        args.hf_scale,
+        args.hf_scale.factor(),
         args.seed,
     );
 
@@ -584,7 +588,7 @@ fn run() -> Result<(), StemError> {
         if hotpath { 2 } else { 1 }
     ));
     json.push_str(&format!("  \"mode\": \"{}\",\n", args.mode.name()));
-    json.push_str(&format!("  \"hf_scale\": {},\n", args.hf_scale));
+    json.push_str(&format!("  \"hf_scale\": {},\n", args.hf_scale.factor()));
     json.push_str(&format!("  \"seed\": {},\n", args.seed));
     if hotpath {
         json.push_str(&format!("  \"reps\": {},\n", args.reps));

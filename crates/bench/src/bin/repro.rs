@@ -42,7 +42,7 @@ use std::process::ExitCode;
 use stem_bench::experiments::{
     ablations, accuracy, coverage, dse, extensions, limits, metrics, motivation, overhead,
 };
-use stem_bench::harness::ExperimentOptions;
+use stem_bench::harness::{hf_scale_arg, ExperimentOptions};
 use stem_core::StemError;
 
 fn main() -> ExitCode {
@@ -80,7 +80,7 @@ fn run() -> Result<(), StemError> {
             }
             "--hf-scale" => {
                 let f: f64 = parse_next(&args, &mut i, "hf-scale")?;
-                options.hf_scale = gpu_workload::suites::HuggingfaceScale::custom(f);
+                options.hf_scale = hf_scale_arg(f)?;
             }
             other => {
                 return Err(StemError::InvalidConfig(format!("unknown option: {other}")));

@@ -13,7 +13,7 @@ use stem_baselines::{
 };
 use stem_core::eval::EvalSummary;
 use stem_core::sampler::KernelSampler;
-use stem_core::{Pipeline, StemConfig, StemRootSampler};
+use stem_core::{Pipeline, StemConfig, StemError, StemRootSampler};
 use stem_par::Parallelism;
 
 /// The sampling methods of the paper's evaluation.
@@ -188,6 +188,18 @@ impl ExperimentOptions {
     }
 }
 
+/// The HuggingFace scale a `--hf-scale` flag names: the one check both
+/// command-line parsers (`repro`, `perf`) share.
+///
+/// # Errors
+///
+/// [`StemError::InvalidConfig`] unless `0 < scale <= 4` (NaN included).
+pub fn hf_scale_arg(scale: f64) -> Result<HuggingfaceScale, StemError> {
+    HuggingfaceScale::try_custom(scale).ok_or_else(|| {
+        StemError::InvalidConfig(format!("--hf-scale must be in (0, 4], got {scale}"))
+    })
+}
+
 /// Evaluates one method across a suite, returning one summary per workload
 /// (input order preserved). Workloads are evaluated on the `stem-par` pool
 /// (`STEM_THREADS` honoured), which merges results by input index — the
@@ -273,6 +285,17 @@ pub fn aggregate(summaries: &[EvalSummary]) -> (f64, f64) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn hf_scale_arg_rejects_what_the_suite_cannot_build() {
+        for bad in [0.0, 4.5, f64::NAN] {
+            assert!(
+                matches!(hf_scale_arg(bad), Err(StemError::InvalidConfig(_))),
+                "{bad}"
+            );
+        }
+        assert_eq!(hf_scale_arg(0.2).map(|s| s.factor()), Ok(0.2));
+    }
 
     #[test]
     fn tuning_applies_to_the_right_workloads() {

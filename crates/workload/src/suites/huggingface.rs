@@ -37,17 +37,22 @@ impl HuggingfaceScale {
         HuggingfaceScale(0.002)
     }
 
+    /// Custom scale, or `None` unless `0 < scale <= 4` (NaN included):
+    /// the checked form for scales read from a command line.
+    pub fn try_custom(scale: f64) -> Option<Self> {
+        (scale > 0.0 && scale <= 4.0).then_some(HuggingfaceScale(scale))
+    }
+
     /// Custom scale.
     ///
     /// # Panics
     ///
     /// Panics unless `0 < scale <= 4`.
     pub fn custom(scale: f64) -> Self {
-        assert!(
-            scale > 0.0 && scale <= 4.0,
-            "scale must be in (0, 4], got {scale}"
-        );
-        HuggingfaceScale(scale)
+        match HuggingfaceScale::try_custom(scale) {
+            Some(s) => s,
+            None => panic!("scale must be in (0, 4], got {scale}"),
+        }
     }
 
     /// The raw factor.
@@ -302,6 +307,17 @@ mod tests {
     #[should_panic(expected = "scale must be in")]
     fn zero_scale_rejected() {
         HuggingfaceScale::custom(0.0);
+    }
+
+    #[test]
+    fn try_custom_rejects_out_of_range_and_nan() {
+        for bad in [0.0, -1.0, 4.5, f64::NAN, f64::INFINITY] {
+            assert_eq!(HuggingfaceScale::try_custom(bad), None, "{bad}");
+        }
+        assert_eq!(
+            HuggingfaceScale::try_custom(4.0).map(|s| s.factor()),
+            Some(4.0)
+        );
     }
 
     #[test]
