@@ -80,9 +80,9 @@ impl PhotonSampler {
         let mut reps: Vec<Rep> = Vec::new();
         let mut compare_ops = 0.0;
 
-        for (i, inv) in workload.invocations().iter().enumerate() {
-            let bbv = profiler.bbv(workload, inv, i);
-            let warps = profiler.num_warps(workload, inv);
+        for (i, inv) in workload.invocations().enumerate() {
+            let bbv = profiler.bbv(workload, &inv, i);
+            let warps = profiler.num_warps(workload, &inv);
             let table = tables.entry(inv.kernel.0).or_default();
             let mut best: Option<(usize, f64)> = None;
             for &r in table.iter() {
@@ -119,7 +119,7 @@ impl PhotonSampler {
             samples.push(WeightedSample::new(rep.index, rep.matched));
             summaries.push(ClusterSummary {
                 kernel: workload
-                    .kernel_of(&workload.invocations()[rep.index])
+                    .kernel_of(&workload.invocation(rep.index))
                     .name
                     .clone(),
                 population: rep.matched as u64,

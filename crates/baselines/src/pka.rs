@@ -173,10 +173,7 @@ impl KernelSampler for PkaSampler {
             let population = members.len() as f64;
             samples.push(WeightedSample::new(rep, population));
             summaries.push(ClusterSummary {
-                kernel: workload
-                    .kernel_of(&workload.invocations()[rep])
-                    .name
-                    .clone(),
+                kernel: workload.kernel_of(&workload.invocation(rep)).name.clone(),
                 population: members.len() as u64,
                 mean_time: 0.0, // PKA never profiles execution time
                 std_time: 0.0,

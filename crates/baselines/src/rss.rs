@@ -78,10 +78,9 @@ impl RssSampler {
         // instructions (kernel instructions x context work x call work).
         let proxy: Vec<f64> = workload
             .invocations()
-            .iter()
             .map(|inv| {
-                workload.kernel_of(inv).total_instructions() as f64
-                    * workload.context_of(inv).work_scale
+                workload.kernel_of(&inv).total_instructions() as f64
+                    * workload.context_of(&inv).work_scale
                     * inv.work_scale as f64
             })
             .collect();

@@ -110,10 +110,7 @@ impl KernelSampler for TbPointSampler {
             let population: f64 = slots.iter().map(|&s| counts[s]).sum();
             samples.push(WeightedSample::new(rep, population));
             summaries.push(ClusterSummary {
-                kernel: workload
-                    .kernel_of(&workload.invocations()[rep])
-                    .name
-                    .clone(),
+                kernel: workload.kernel_of(&workload.invocation(rep)).name.clone(),
                 population: population as u64,
                 mean_time: 0.0,
                 std_time: 0.0,

@@ -37,11 +37,7 @@ pub fn fig10(options: &ExperimentOptions) -> Vec<IdenticalGroup> {
         .find(|w| w.name() == "dlrm_infer")
         .expect("dlrm_infer exists");
     let sim = options.simulator();
-    let times: Vec<f64> = w
-        .invocations()
-        .iter()
-        .map(|inv| sim.cycles(w, inv))
-        .collect();
+    let times: Vec<f64> = w.invocations().map(|inv| sim.cycles(w, &inv)).collect();
 
     let mut groups = Vec::new();
     // PKA: cluster membership via its plan's weights is lossy; instead we
@@ -56,7 +52,6 @@ pub fn fig10(options: &ExperimentOptions) -> Vec<IdenticalGroup> {
         // Gather the invocations of this cluster's kernel.
         let members: Vec<usize> = w
             .invocations()
-            .iter()
             .enumerate()
             .filter(|(_, inv)| w.kernel_of(inv).name == cluster.kernel)
             .map(|(i, _)| i)
@@ -71,10 +66,9 @@ pub fn fig10(options: &ExperimentOptions) -> Vec<IdenticalGroup> {
         }
         // Membership is not retained by the plan; approximate with the
         // representative's kernel-and-context set.
-        let rep = &w.invocations()[s.index];
+        let rep = &w.invocation(s.index);
         let members: Vec<usize> = w
             .invocations()
-            .iter()
             .enumerate()
             .filter(|(_, inv)| inv.kernel == rep.kernel && inv.context == rep.context)
             .map(|(i, _)| i)

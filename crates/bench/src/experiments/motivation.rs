@@ -135,9 +135,8 @@ fn kernel_diag(w: &Workload, sim: &Simulator, kernel_name: &str, print: bool) ->
         .unwrap_or_else(|| panic!("kernel {kernel_name} not found in {}", w.name()));
     let times: Vec<f64> = w
         .invocations()
-        .iter()
         .filter(|inv| inv.kernel.index() == kernel_idx)
-        .map(|inv| sim.cycles(w, inv))
+        .map(|inv| sim.cycles(w, &inv))
         .collect();
     assert!(!times.is_empty(), "kernel {kernel_name} never invoked");
     let summary: Summary = times.iter().copied().collect();

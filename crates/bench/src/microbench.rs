@@ -223,20 +223,21 @@ pub fn root_ratio_check(runs: usize) -> RatioCheck {
 /// Panics if `runs == 0`.
 pub fn construct_ratio_check(runs: usize) -> RatioCheck {
     use gpu_workload::trace::reference;
-    use gpu_workload::KernelId;
+    use gpu_workload::{Invocation, KernelId};
 
     let options = ExperimentOptions::fast();
     let workload = largest_hf_workload(&options);
     let contexts: Vec<_> = (0..workload.kernels().len())
         .map(|k| workload.contexts_of(KernelId(k as u32)).to_vec())
         .collect();
+    let invocations: Vec<Invocation> = workload.invocations().collect();
     let derive = || {
         reference::derive(
             workload.name(),
             workload.suite(),
             workload.kernels(),
             &contexts,
-            workload.invocations(),
+            &invocations,
         )
         .expect("a generated workload is valid")
     };
@@ -258,7 +259,7 @@ pub fn construct_ratio_check(runs: usize) -> RatioCheck {
         runs,
         || {
             let kernels = workload.kernels().to_vec();
-            (kernels, contexts.clone(), workload.invocations().to_vec())
+            (kernels, contexts.clone(), invocations.clone())
         },
         derive,
         |(kernels, contexts, invocations)| {

@@ -73,7 +73,7 @@ pub fn evaluate_intra_kernel(
     let mut true_total = 0.0;
     let mut estimated_total = 0.0;
     for inv in workload.invocations() {
-        let profile = sim.wave_profile(workload, inv);
+        let profile = sim.wave_profile(workload, &inv);
         let n = profile.num_waves();
         total_waves += n as u64;
         true_total += profile.total();

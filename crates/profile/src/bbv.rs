@@ -63,9 +63,8 @@ impl BbvProfiler {
     pub fn profile(&self, workload: &Workload) -> Vec<Vec<f64>> {
         workload
             .invocations()
-            .iter()
             .enumerate()
-            .map(|(i, inv)| self.bbv(workload, inv, i))
+            .map(|(i, inv)| self.bbv(workload, &inv, i))
             .collect()
     }
 }
@@ -121,8 +120,8 @@ mod tests {
         // Contexts differing only in locality: BBVs nearly identical.
         let w = two_context_workload(1.0);
         let p = BbvProfiler::new();
-        let a = p.bbv(&w, &w.invocations()[0], 0);
-        let b = p.bbv(&w, &w.invocations()[1], 1);
+        let a = p.bbv(&w, &w.invocation(0), 0);
+        let b = p.bbv(&w, &w.invocation(1), 1);
         assert!(bbv_similarity(&a, &b) > 0.97);
     }
 
@@ -131,8 +130,8 @@ mod tests {
         // Heavier loop bodies shift the relative block weights.
         let w = two_context_workload(50.0);
         let p = BbvProfiler::new();
-        let a = p.bbv(&w, &w.invocations()[0], 0);
-        let b = p.bbv(&w, &w.invocations()[1], 1);
+        let a = p.bbv(&w, &w.invocation(0), 0);
+        let b = p.bbv(&w, &w.invocation(1), 1);
         assert!(
             bbv_similarity(&a, &b) < 0.95,
             "sim = {}",
@@ -145,8 +144,8 @@ mod tests {
         let w = two_context_workload(2.0);
         let p = BbvProfiler::new();
         assert_eq!(
-            p.bbv(&w, &w.invocations()[0], 0),
-            p.bbv(&w, &w.invocations()[0], 0)
+            p.bbv(&w, &w.invocation(0), 0),
+            p.bbv(&w, &w.invocation(0), 0)
         );
     }
 
@@ -154,7 +153,7 @@ mod tests {
     fn bbv_length_is_static_block_count() {
         let w = two_context_workload(2.0);
         let p = BbvProfiler::new();
-        assert_eq!(p.bbv(&w, &w.invocations()[0], 0).len(), 3);
+        assert_eq!(p.bbv(&w, &w.invocation(0), 0).len(), 3);
     }
 
     #[test]
@@ -162,8 +161,8 @@ mod tests {
         let w = two_context_workload(9.0);
         let p = BbvProfiler::new();
         assert_eq!(
-            p.num_warps(&w, &w.invocations()[0]),
-            p.num_warps(&w, &w.invocations()[1])
+            p.num_warps(&w, &w.invocation(0)),
+            p.num_warps(&w, &w.invocation(1))
         );
     }
 }

@@ -182,12 +182,17 @@ fn by_kernel(
     par: Parallelism,
     time: impl Fn(usize) -> f64 + Sync,
 ) -> KernelProfile {
-    let invocations = workload.invocations();
+    let rows = workload.rows();
+    let kernel_of: Vec<usize> = workload
+        .group_keys()
+        .iter()
+        .map(|key| key.kernel.index())
+        .collect();
     let mut counts = vec![0usize; workload.kernels().len()];
-    for inv in invocations {
-        counts[inv.kernel.index()] += 1;
+    for row in rows {
+        counts[kernel_of[row.group as usize]] += 1;
     }
-    let par = par.serial_below(invocations.len(), MIN_PARALLEL_ROWS);
+    let par = par.serial_below(rows.len(), MIN_PARALLEL_ROWS);
     let (owner, tasks) = deal_kernels(&counts, par.threads());
     let per_task = stem_par::par_map_range(par, tasks, |task| {
         // `slot[k]`: kernel `k`'s place in this task's buffers, if it owns
@@ -204,8 +209,10 @@ fn by_kernel(
                 });
             }
         }
-        for (i, inv) in invocations.iter().enumerate() {
-            if let Some(kernel) = kernels.get_mut(slot[inv.kernel.index()]) {
+        // A row's group fixes its kernel, so its slot too.
+        let group_slot: Vec<usize> = kernel_of.iter().map(|&k| slot[k]).collect();
+        for (i, row) in rows.iter().enumerate() {
+            if let Some(kernel) = kernels.get_mut(group_slot[row.group as usize]) {
                 let t = time(i);
                 kernel.rows.push((i, t));
                 kernel.summary.push(t);
@@ -293,7 +300,7 @@ mod tests {
             assert_eq!(rows, w.num_invocations());
             for k in expected.kernels() {
                 let same = |&(m, t): &(usize, f64)| {
-                    w.invocations()[m].kernel == k.kernel() && t.to_bits() == times[m].to_bits()
+                    w.invocation(m).kernel == k.kernel() && t.to_bits() == times[m].to_bits()
                 };
                 assert!(k.rows().iter().all(same), "kernel and time bits");
                 assert!(k.rows().windows(2).all(|r| r[0].0 < r[1].0), "stream order");

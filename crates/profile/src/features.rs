@@ -54,8 +54,7 @@ impl FeatureProfiler {
     pub fn profile(&self, workload: &Workload) -> Vec<[f64; PKA_FEATURE_COUNT]> {
         workload
             .invocations()
-            .iter()
-            .map(|inv| self.features(workload, inv))
+            .map(|inv| self.features(workload, &inv))
             .collect()
     }
 
@@ -109,7 +108,7 @@ mod tests {
     fn feature_count_is_twelve() {
         let suite = casio_suite(1);
         let w = &suite[0];
-        let f = FeatureProfiler::new().features(w, &w.invocations()[0]);
+        let f = FeatureProfiler::new().features(w, &w.invocation(0));
         assert_eq!(f.len(), PKA_FEATURE_COUNT);
         assert!(f.iter().all(|v| v.is_finite()));
     }
@@ -131,8 +130,8 @@ mod tests {
         let w = b.build();
         let p = FeatureProfiler::new();
         assert_eq!(
-            p.features(&w, &w.invocations()[0]),
-            p.features(&w, &w.invocations()[1])
+            p.features(&w, &w.invocation(0)),
+            p.features(&w, &w.invocation(1))
         );
     }
 
@@ -150,8 +149,8 @@ mod tests {
         let w = b.build();
         let p = FeatureProfiler::new();
         assert_eq!(
-            p.features(&w, &w.invocations()[0]),
-            p.features(&w, &w.invocations()[1])
+            p.features(&w, &w.invocation(0)),
+            p.features(&w, &w.invocation(1))
         );
     }
 
@@ -175,8 +174,8 @@ mod tests {
         let w = b.build();
         let p = FeatureProfiler::new();
         assert_ne!(
-            p.features(&w, &w.invocations()[0]),
-            p.features(&w, &w.invocations()[1])
+            p.features(&w, &w.invocation(0)),
+            p.features(&w, &w.invocation(1))
         );
     }
 

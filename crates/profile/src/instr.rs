@@ -38,8 +38,7 @@ impl InstrProfiler {
     pub fn profile(&self, workload: &Workload) -> Vec<InstrRecord> {
         workload
             .invocations()
-            .iter()
-            .map(|inv| self.record(workload, inv))
+            .map(|inv| self.record(workload, &inv))
             .collect()
     }
 }
@@ -80,7 +79,7 @@ mod tests {
         let suite = rodinia_suite(5);
         let w = &suite[0];
         let p = InstrProfiler::new();
-        let r = p.record(w, &w.invocations()[0]);
-        assert_eq!(r.cta_size, w.kernel_of(&w.invocations()[0]).block_dim);
+        let r = p.record(w, &w.invocation(0));
+        assert_eq!(r.cta_size, w.kernel_of(&w.invocation(0)).block_dim);
     }
 }

@@ -70,7 +70,7 @@ impl TraceGenModel {
     /// Panics if any sampled index is out of range.
     pub fn selective(&self, workload: &Workload, sampled: &[usize]) -> TraceGenReport {
         let instr_of = |i: usize| -> f64 {
-            let inv = &workload.invocations()[i];
+            let inv = &workload.invocation(i);
             let k = workload.kernel_of(inv);
             let c = workload.context_of(inv);
             k.total_instructions() as f64 * c.work_scale * inv.work_scale as f64

@@ -94,8 +94,7 @@ impl EnergyModel {
     pub fn full_energy(&self, workload: &Workload, sim: &Simulator) -> f64 {
         workload
             .invocations()
-            .iter()
-            .map(|inv| self.invocation_energy(workload, inv, sim))
+            .map(|inv| self.invocation_energy(workload, &inv, sim))
             .sum()
     }
 
@@ -114,7 +113,7 @@ impl EnergyModel {
         samples
             .iter()
             .map(|s| {
-                let inv = &workload.invocations()[s.index];
+                let inv = &workload.invocation(s.index);
                 s.weight * self.invocation_energy(workload, inv, sim)
             })
             .sum()
@@ -180,8 +179,8 @@ mod tests {
         let w = b.build();
         let sim = Simulator::new(GpuConfig::rtx2080());
         let m = EnergyModel::default();
-        let e_mem = m.invocation_energy(&w, &w.invocations()[0], &sim);
-        let e_comp = m.invocation_energy(&w, &w.invocations()[1], &sim);
+        let e_mem = m.invocation_energy(&w, &w.invocation(0), &sim);
+        let e_comp = m.invocation_energy(&w, &w.invocation(1), &sim);
         // Same instruction count, but the memory-bound kernel pays DRAM
         // energy and longer static integration.
         assert!(e_mem > e_comp, "mem {e_mem} vs comp {e_comp}");

@@ -330,7 +330,7 @@ mod tests {
     }
 
     fn time_one(w: &Workload, config: &GpuConfig) -> KernelTiming {
-        time_invocation(w, &w.invocations()[0], config, SimOptions::default())
+        time_invocation(w, &w.invocation(0), config, SimOptions::default())
     }
 
     #[test]
@@ -440,12 +440,11 @@ mod tests {
             b.invoke(id, 0, 1.0);
         }
         let w = b.build();
-        let det = time_invocation(&w, &w.invocations()[0], &cfg, SimOptions::default())
-            .deterministic_cycles;
+        let det =
+            time_invocation(&w, &w.invocation(0), &cfg, SimOptions::default()).deterministic_cycles;
         let mean: f64 = w
             .invocations()
-            .iter()
-            .map(|inv| time_invocation(&w, inv, &cfg, SimOptions::default()).cycles)
+            .map(|inv| time_invocation(&w, &inv, &cfg, SimOptions::default()).cycles)
             .sum::<f64>()
             / w.num_invocations() as f64;
         assert!((mean / det - 1.0).abs() < 0.02, "mean/det = {}", mean / det);
@@ -468,7 +467,7 @@ mod tests {
         let normal = time_one(&warm, &cfg);
         let flushed = time_invocation(
             &warm,
-            &warm.invocations()[0],
+            &warm.invocation(0),
             &cfg,
             SimOptions {
                 flush_l2_between_kernels: true,
@@ -482,7 +481,7 @@ mod tests {
         let n = time_one(&cold, &cfg);
         let f = time_invocation(
             &cold,
-            &cold.invocations()[0],
+            &cold.invocation(0),
             &cfg,
             SimOptions {
                 flush_l2_between_kernels: true,
@@ -497,7 +496,7 @@ mod tests {
         let cfg = GpuConfig::rtx2080();
         let warm_ctx = RuntimeContext::neutral().with_locality(5.0);
         let w = workload_with(pool_like(), warm_ctx);
-        let inv = &w.invocations()[0];
+        let inv = &w.invocation(0);
         let normal = time_invocation(&w, inv, &cfg, SimOptions::default());
         let flushed = time_invocation(
             &w,
@@ -525,7 +524,7 @@ mod tests {
         assert_eq!(normal.warmup_cycles, 0.0);
         // Without residency to restore, warmup changes nothing but the tax.
         let cold = workload_with(pool_like(), RuntimeContext::neutral().with_locality(0.7));
-        let cold_inv = &cold.invocations()[0];
+        let cold_inv = &cold.invocation(0);
         let n = time_invocation(&cold, cold_inv, &cfg, SimOptions::default());
         let wu = time_invocation(
             &cold,

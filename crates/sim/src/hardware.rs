@@ -70,8 +70,7 @@ impl HardwareRunner {
 
     /// Measures one invocation (cycles, with measurement noise).
     pub fn measure_one(&self, workload: &Workload, index: usize) -> f64 {
-        let inv = &workload.invocations()[index];
-        let true_cycles = self.sim.cycles(workload, inv);
+        let true_cycles = self.sim.cycles(workload, &workload.invocation(index));
         true_cycles * noise_factor(self.seed, self.measurement_noise, index as u64)
     }
 
@@ -158,9 +157,8 @@ impl Measurements<'_> {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn time(&self, i: usize) -> f64 {
-        let w = self.workload;
-        let true_cycles =
-            self.groups[w.group_of(i) as usize].jittered_cycles(w.invocations()[i].noise_z as f64);
+        let row = self.workload.rows()[i];
+        let true_cycles = self.groups[row.group as usize].jittered_cycles(row.noise_z() as f64);
         true_cycles * self.factors[i]
     }
 }
@@ -266,10 +264,10 @@ pub mod reference {
         par: stem_par::Parallelism,
     ) -> Vec<f64> {
         let groups = hw.group_cores(workload, par);
-        let invocations = workload.invocations();
-        stem_par::par_map_range(par, invocations.len(), |i| {
-            let true_cycles = groups[workload.group_of(i) as usize]
-                .jittered_cycles(invocations[i].noise_z as f64);
+        let rows = workload.rows();
+        stem_par::par_map_range(par, rows.len(), |i| {
+            let row = rows[i];
+            let true_cycles = groups[row.group as usize].jittered_cycles(row.noise_z() as f64);
             true_cycles * noise_factor(hw.seed, hw.measurement_noise, i as u64)
         })
     }

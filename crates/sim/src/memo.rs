@@ -183,12 +183,12 @@ impl Fingerprint {
 }
 
 /// The cache key of group `g`: the environment fingerprint `env` plus the
-/// kernel, context and work scale of the group's representative.
+/// kernel, context and work-scale bits the group fixes.
 fn group_key(mut env: Fingerprint, workload: &Workload, g: u32) -> u128 {
-    let rep = &workload.invocations()[workload.group_representative(g)];
-    env.word(rep.kernel.index() as u64);
-    env.word(rep.context as u64);
-    env.word(rep.work_scale.to_bits() as u64);
+    let key = workload.group_keys()[g as usize];
+    env.word(key.kernel.index() as u64);
+    env.word(key.context as u64);
+    env.word(key.work_bits as u64);
     env.key()
 }
 
@@ -342,9 +342,9 @@ impl Simulator {
             });
         // Stream the jitter: one `exp` per sample, folded in sample order.
         let pairs = stem_par::par_map_indexed(par, samples, |_, s| {
-            let inv = &workload.invocations()[s.index];
-            let det = &cores[slot_of[workload.group_of(s.index) as usize] as usize];
-            let cycles = det.jittered_cycles(inv.noise_z as f64);
+            let row = workload.rows()[s.index];
+            let det = &cores[slot_of[row.group as usize] as usize];
+            let cycles = det.jittered_cycles(row.noise_z() as f64);
             (s.weight * cycles, cycles + det.warmup_cycles)
         });
         let mut estimated = 0.0;

@@ -73,7 +73,7 @@ impl Simulator {
         let mut acc = MetricVector::zero();
         let mut total_w = 0.0;
         for inv in workload.invocations() {
-            let m = self.metrics(workload, inv);
+            let m = self.metrics(workload, &inv);
             acc.accumulate(&m, 1.0);
             total_w += 1.0;
         }
@@ -97,7 +97,7 @@ impl Simulator {
         let mut acc = MetricVector::zero();
         let mut total_w = 0.0;
         for s in samples {
-            let inv = &workload.invocations()[s.index];
+            let inv = &workload.invocation(s.index);
             let m = self.metrics(workload, inv);
             acc.accumulate(&m, s.weight);
             total_w += s.weight;
@@ -134,7 +134,7 @@ mod tests {
     fn metrics_are_finite_and_rates_bounded() {
         let w = &rodinia_suite(4)[0];
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let m = sim.metrics(w, &w.invocations()[0]);
+        let m = sim.metrics(w, &w.invocation(0));
         for kind in MetricKind::ALL {
             let v = m.get(kind);
             assert!(v.is_finite() && v >= 0.0, "{kind} = {v}");
@@ -185,8 +185,8 @@ mod tests {
         b.invoke(m, 0, 1.0);
         let w = b.build();
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let mc = sim.metrics(&w, &w.invocations()[0]);
-        let mm = sim.metrics(&w, &w.invocations()[1]);
+        let mc = sim.metrics(&w, &w.invocation(0));
+        let mm = sim.metrics(&w, &w.invocation(1));
         assert!(mc.get(MetricKind::Fp32Ops) > mm.get(MetricKind::Fp32Ops));
         assert!(
             mm.get(MetricKind::GlobalLoadTransactions) > mc.get(MetricKind::GlobalLoadTransactions)

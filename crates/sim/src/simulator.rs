@@ -101,8 +101,8 @@ impl Simulator {
     /// The deterministic timing core of invocation group `g`, evaluated at
     /// the group's representative.
     pub(crate) fn group_core(&self, workload: &Workload, g: u32) -> DeterministicTiming {
-        let rep = &workload.invocations()[workload.group_representative(g)];
-        deterministic_of_invocation(workload, rep, &self.config, self.options)
+        let rep = workload.invocation(workload.group_representative(g));
+        deterministic_of_invocation(workload, &rep, &self.config, self.options)
     }
 
     /// Simulates every invocation (the "full simulation" the paper treats
@@ -123,14 +123,15 @@ impl Simulator {
     /// preserved, so the result is bit-identical to the serial run at every
     /// thread count.
     pub fn run_full_par(&self, workload: &Workload, par: stem_par::Parallelism) -> FullRun {
-        let invocations = workload.invocations();
+        let rows = workload.rows();
         let per_invocation = stem_par::par_map_grouped(
             par,
             workload.num_invocation_groups(),
             |g| self.group_core(workload, g as u32),
-            invocations.len(),
+            rows.len(),
             |i, groups: &[DeterministicTiming]| {
-                groups[workload.group_of(i) as usize].jittered_cycles(invocations[i].noise_z as f64)
+                let row = rows[i];
+                groups[row.group as usize].jittered_cycles(row.noise_z() as f64)
             },
         );
         let total_cycles = per_invocation.iter().sum();
@@ -155,8 +156,7 @@ pub mod reference {
     pub fn run_full(sim: &Simulator, workload: &Workload) -> FullRun {
         let per_invocation: Vec<f64> = workload
             .invocations()
-            .iter()
-            .map(|inv| sim.cycles(workload, inv))
+            .map(|inv| sim.cycles(workload, &inv))
             .collect();
         let total_cycles = per_invocation.iter().sum();
         FullRun {
@@ -177,7 +177,7 @@ pub mod reference {
         let mut simulated = 0.0;
         for s in samples {
             assert!(s.index < n, "sample index {} out of range", s.index);
-            let timing = sim.timing(workload, &workload.invocations()[s.index]);
+            let timing = sim.timing(workload, &workload.invocation(s.index));
             estimated += s.weight * timing.cycles;
             simulated += timing.cycles + timing.warmup_cycles;
         }
@@ -255,10 +255,9 @@ mod tests {
             .expect("gelu");
         let times: Vec<f64> = w
             .invocations()
-            .iter()
             .filter(|inv| inv.kernel.index() == gelu)
             .take(2000)
-            .map(|inv| sim.cycles(w, inv))
+            .map(|inv| sim.cycles(w, &inv))
             .collect();
         let mean = times.iter().sum::<f64>() / times.len() as f64;
         let var = times.iter().map(|t| (t - mean).powi(2)).sum::<f64>() / times.len() as f64;
@@ -281,10 +280,9 @@ mod tests {
             .expect("bn");
         let times: Vec<f64> = w
             .invocations()
-            .iter()
             .filter(|inv| inv.kernel.index() == bn)
             .take(5000)
-            .map(|inv| sim.cycles(w, inv))
+            .map(|inv| sim.cycles(w, &inv))
             .collect();
         let h = stem_stats_histogram(&times);
         assert!(h >= 2, "expected multi-peak bn histogram, got {h} peaks");

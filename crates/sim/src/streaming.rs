@@ -375,14 +375,14 @@ pub fn workload_total(
     _block_len: usize,
     _channel_blocks: usize,
 ) -> Result<StreamingTotal, StreamRunError<SinkError>> {
-    let invocations = workload.invocations();
+    let keys = workload.group_keys();
     // Group members share their work-scale bits, and a group's
     // representative is its first row, so the first bad row of the
     // stream is the representative of the first bad group.
-    for g in 0..workload.num_invocation_groups() {
-        let index = workload.group_representative(g as u32);
-        let work_scale = invocations[index].work_scale;
+    for (g, key) in keys.iter().enumerate() {
+        let work_scale = f32::from_bits(key.work_bits);
         if !work_scale.is_finite() || work_scale <= 0.0 {
+            let index = workload.group_representative(g as u32);
             return Err(StreamRunError::InvalidInvocation {
                 index: index as u64,
                 message: format!("work scale {work_scale} not finite-positive"),
@@ -392,10 +392,10 @@ pub fn workload_total(
     let timings = sim.group_timings_par(workload, par);
     let mut fingerprint = MemoFold::new(FingerprintFold::of_tables(workload));
     let mut total = 0.0;
-    for (i, inv) in invocations.iter().enumerate() {
-        let group = workload.group_of(i);
-        fingerprint.eat_invocation(inv, group);
-        total += timings[group as usize].jittered_cycles(inv.noise_z as f64);
+    for row in workload.rows() {
+        let inv = keys[row.group as usize].invocation(row.noise_bits);
+        fingerprint.eat_invocation(&inv, row.group);
+        total += timings[row.group as usize].jittered_cycles(row.noise_z() as f64);
     }
     let found = fingerprint.finish();
     if found != workload.fingerprint() {
@@ -406,7 +406,7 @@ pub fn workload_total(
     }
     Ok(StreamingTotal {
         total_cycles: total,
-        invocations: invocations.len() as u64,
+        invocations: workload.num_invocations() as u64,
         fingerprint: found,
         groups: timings.len(),
     })
@@ -481,19 +481,6 @@ mod tests {
             work_scale,
             noise_z,
         }
-    }
-
-    /// `w`'s tables with an empty invocation stream.
-    fn skeleton_of(w: &Workload) -> Workload {
-        Workload::new(
-            w.name().to_string(),
-            w.suite(),
-            w.kernels().to_vec(),
-            (0..w.kernels().len())
-                .map(|k| w.contexts_of(KernelId(k as u32)).to_vec())
-                .collect(),
-            Vec::new(),
-        )
     }
 
     fn stream_of(
@@ -597,8 +584,9 @@ mod tests {
         for source in sources {
             let w = source.materialize();
             let mut fold = StreamFold::new(&sim, stem_par::Parallelism::serial());
-            fold.tables::<SinkError>(skeleton_of(&w)).expect("tables");
-            for (b, chunk) in w.invocations().chunks(4096).enumerate() {
+            fold.tables::<SinkError>(w.skeleton()).expect("tables");
+            let invocations: Vec<Invocation> = w.invocations().collect();
+            for (b, chunk) in invocations.chunks(4096).enumerate() {
                 fold.block::<SinkError>(chunk.to_vec()).expect("block");
                 for (offset, &group) in fold.block_groups.iter().enumerate() {
                     let i = b * 4096 + offset;
@@ -632,7 +620,7 @@ mod tests {
     #[test]
     fn out_of_range_invocation_is_typed_error_not_panic() {
         let sim = sim();
-        let skeleton = skeleton_of(&rodinia_sources(3)[0].materialize());
+        let skeleton = rodinia_sources(3)[0].materialize().skeleton();
         let bogus = Invocation::with_work(KernelId(99), 0, 1.0, 0.0);
         let result: Result<StreamingTotal, StreamRunError<SinkError>> =
             run_streaming_total(&sim, stem_par::Parallelism::serial(), 2, move |sink| {

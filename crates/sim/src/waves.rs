@@ -107,7 +107,7 @@ mod tests {
     fn waves_sum_to_invocation_total() {
         let w = long_kernel_workload();
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let inv = &w.invocations()[0];
+        let inv = &w.invocation(0);
         let profile = sim.wave_profile(&w, inv);
         let total = sim.cycles(&w, inv);
         assert!(
@@ -128,7 +128,7 @@ mod tests {
         b.invoke(id, 0, 1.0);
         let w = b.build();
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let profile = sim.wave_profile(&w, &w.invocations()[0]);
+        let profile = sim.wave_profile(&w, &w.invocation(0));
         assert_eq!(profile.num_waves(), 1);
     }
 
@@ -136,7 +136,7 @@ mod tests {
     fn full_waves_are_similar_tail_shorter_or_equal() {
         let w = long_kernel_workload();
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let profile = sim.wave_profile(&w, &w.invocations()[0]);
+        let profile = sim.wave_profile(&w, &w.invocation(0));
         let full = &profile.wave_cycles[..profile.num_waves() - 1];
         let mean = full.iter().sum::<f64>() / full.len() as f64;
         for &c in full {
@@ -150,7 +150,7 @@ mod tests {
     fn deterministic() {
         let w = long_kernel_workload();
         let sim = Simulator::new(GpuConfig::rtx2080());
-        let inv = &w.invocations()[0];
+        let inv = &w.invocation(0);
         assert_eq!(sim.wave_profile(&w, inv), sim.wave_profile(&w, inv));
     }
 }

@@ -10,7 +10,7 @@ use crate::invocation::{Invocation, KernelId};
 use crate::kernel::KernelClass;
 use crate::normal;
 use crate::stream::{BlockSink, SinkError, StreamSummary};
-use crate::trace::{FingerprintFold, GroupSlots, MemoFold, SuiteKind, Workload};
+use crate::trace::{FingerprintFold, GroupSlots, MemoFold, RowFold, SuiteKind, Workload};
 use stem_stats::rng::{RngExt, SeedableRng, StdRng};
 
 /// Builder for [`Workload`].
@@ -36,9 +36,18 @@ pub struct WorkloadBuilder<'s> {
     suite: SuiteKind,
     kernels: Vec<KernelClass>,
     contexts: Vec<Vec<RuntimeContext>>,
-    invocations: Vec<Invocation>,
     rng: StdRng,
-    sink: Option<SinkState<'s>>,
+    target: Target<'s>,
+}
+
+/// Where appended invocations go.
+#[derive(Debug)]
+enum Target<'s> {
+    /// Materialized: each invocation becomes an 8-byte row as it is
+    /// appended. `None` until the first invocation folds the header.
+    Rows(Option<RowFold>),
+    /// Streaming: invocations are cut into blocks for a sink.
+    Stream(SinkState<'s>),
 }
 
 /// Streaming-mode state: where blocks go and the running fingerprint.
@@ -46,6 +55,8 @@ pub struct WorkloadBuilder<'s> {
 struct SinkState<'s> {
     sink: &'s mut dyn BlockSink,
     block_len: usize,
+    /// The block being filled.
+    block: Vec<Invocation>,
     /// Tables frozen (header folded, skeleton delivered)?
     frozen: bool,
     emitted: u64,
@@ -60,6 +71,41 @@ struct SinkState<'s> {
 }
 
 impl SinkState<'_> {
+    /// Streaming-mode append: freeze tables on first call, fold the
+    /// fingerprint, flush a full block. After a sink failure the RNG
+    /// keeps advancing (draws happen before this point) but nothing more
+    /// is emitted; the failure surfaces from `finish_stream`.
+    fn append(
+        &mut self,
+        inv: Invocation,
+        name: &str,
+        suite: SuiteKind,
+        kernels: &[KernelClass],
+        contexts: &[Vec<RuntimeContext>],
+    ) {
+        if self.failed.is_some() {
+            return;
+        }
+        if !self.frozen {
+            if let Err(e) = self.freeze(name, suite, kernels, contexts) {
+                self.failed = Some(e);
+                return;
+            }
+        }
+        // `invoke` checked the kernel and context, so the slot exists; the
+        // builder assigns no timing groups, and the slot keys the memo.
+        let slot = self.slots.slot(&inv).map_or(0, |slot| slot as u32);
+        self.fold.eat_invocation(&inv, slot);
+        self.emitted += 1;
+        self.block.push(inv);
+        if self.block.len() == self.block_len {
+            if let Err(e) = self.sink.block(&self.block) {
+                self.failed = Some(e);
+            }
+            self.block.clear();
+        }
+    }
+
     /// Freezes the tables: folds the header and ships the skeleton.
     fn freeze(
         &mut self,
@@ -99,9 +145,8 @@ impl<'s> WorkloadBuilder<'s> {
             suite,
             kernels: Vec::new(),
             contexts: Vec::new(),
-            invocations: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
-            sink: None,
+            target: Target::Rows(None),
         }
     }
 
@@ -125,10 +170,10 @@ impl<'s> WorkloadBuilder<'s> {
     ) -> Self {
         assert!(block_len > 0, "streaming block length must be positive");
         let mut b = WorkloadBuilder::new(name, suite, seed);
-        b.invocations.reserve(block_len);
-        b.sink = Some(SinkState {
+        b.target = Target::Stream(SinkState {
             sink,
             block_len,
+            block: Vec::with_capacity(block_len),
             frozen: false,
             emitted: 0,
             fold: MemoFold::new(FingerprintFold::new()),
@@ -148,7 +193,7 @@ impl<'s> WorkloadBuilder<'s> {
     /// invocation, because the tables are frozen and shipped downstream
     /// at that point.
     pub fn add_kernel(&mut self, kernel: KernelClass, contexts: Vec<RuntimeContext>) -> KernelId {
-        if let Some(sink) = &self.sink {
+        if let Target::Stream(sink) = &self.target {
             assert!(
                 !sink.frozen,
                 "streaming builder: kernel {} registered after the first invocation \
@@ -164,6 +209,9 @@ impl<'s> WorkloadBuilder<'s> {
         );
         for c in &contexts {
             c.validate();
+        }
+        if let Target::Rows(Some(rows)) = &mut self.target {
+            rows.push_kernel(contexts.len());
         }
         let id = KernelId(self.kernels.len() as u32);
         self.kernels.push(kernel);
@@ -189,41 +237,19 @@ impl<'s> WorkloadBuilder<'s> {
         );
         let z = normal::standard_normal(&mut self.rng);
         let inv = Invocation::with_work(kernel, context, work_scale, z);
-        if self.sink.is_some() {
-            self.stream_invoke(inv);
-        } else {
-            self.invocations.push(inv);
-        }
-    }
-
-    /// Streaming-mode append: freeze tables on first call, fold the
-    /// fingerprint, flush a full block. After a sink failure the RNG
-    /// keeps advancing (draws happen before this point) but nothing more
-    /// is emitted; the failure surfaces from `finish_stream`.
-    fn stream_invoke(&mut self, inv: Invocation) {
-        let Some(state) = self.sink.as_mut() else {
-            return;
-        };
-        if state.failed.is_some() {
-            return;
-        }
-        if !state.frozen {
-            if let Err(e) = state.freeze(&self.name, self.suite, &self.kernels, &self.contexts) {
-                state.failed = Some(e);
-                return;
+        match &mut self.target {
+            Target::Rows(rows) => {
+                let rows = rows.get_or_insert_with(|| {
+                    let mut header = FingerprintFold::new();
+                    header.eat_header(&self.name, self.suite, &self.kernels, &self.contexts);
+                    RowFold::new(header, self.contexts.iter().map(Vec::len))
+                });
+                // The asserts above placed the row inside the tables.
+                let _ = rows.push(&inv);
             }
-        }
-        // `invoke` checked the kernel and context, so the slot exists; the
-        // builder assigns no timing groups, and the slot keys the memo.
-        let slot = state.slots.slot(&inv).map_or(0, |slot| slot as u32);
-        state.fold.eat_invocation(&inv, slot);
-        state.emitted += 1;
-        self.invocations.push(inv);
-        if self.invocations.len() == state.block_len {
-            if let Err(e) = state.sink.block(&self.invocations) {
-                state.failed = Some(e);
+            Target::Stream(state) => {
+                state.append(inv, &self.name, self.suite, &self.kernels, &self.contexts)
             }
-            self.invocations.clear();
         }
     }
 
@@ -282,14 +308,18 @@ impl<'s> WorkloadBuilder<'s> {
         }
     }
 
-    /// Number of invocations appended so far.
+    /// Number of invocations appended so far (in streaming mode: held in
+    /// the block being filled).
     pub fn len(&self) -> usize {
-        self.invocations.len()
+        match &self.target {
+            Target::Rows(rows) => rows.as_ref().map_or(0, RowFold::len),
+            Target::Stream(state) => state.block.len(),
+        }
     }
 
     /// Whether no invocations have been appended yet.
     pub fn is_empty(&self) -> bool {
-        self.invocations.is_empty()
+        self.len() == 0
     }
 
     /// Finalizes into a validated [`Workload`].
@@ -301,17 +331,19 @@ impl<'s> WorkloadBuilder<'s> {
     /// [`WorkloadBuilder::finish_stream`] there — earlier blocks are
     /// already downstream, so nothing could be materialized here).
     pub fn build(self) -> Workload {
-        assert!(
-            self.sink.is_none(),
-            "streaming builder must be finished with finish_stream, not build"
-        );
-        Workload::new(
-            self.name,
-            self.suite,
-            self.kernels,
-            self.contexts,
-            self.invocations,
-        )
+        let Target::Rows(rows) = self.target else {
+            panic!("streaming builder must be finished with finish_stream, not build");
+        };
+        match rows {
+            Some(rows) => rows.finish(self.name, self.suite, self.kernels, self.contexts),
+            None => Workload::new(
+                self.name,
+                self.suite,
+                self.kernels,
+                self.contexts,
+                Vec::new(),
+            ),
+        }
     }
 
     /// Finalizes a streaming build: flushes the trailing partial block
@@ -327,8 +359,8 @@ impl<'s> WorkloadBuilder<'s> {
     ///
     /// Panics if the builder was not started in streaming mode, or if
     /// no kernels were registered.
-    pub fn finish_stream(mut self) -> Result<StreamSummary, SinkError> {
-        let Some(mut state) = self.sink.take() else {
+    pub fn finish_stream(self) -> Result<StreamSummary, SinkError> {
+        let Target::Stream(mut state) = self.target else {
             panic!("finish_stream called on a non-streaming builder");
         };
         if let Some(e) = state.failed {
@@ -337,8 +369,8 @@ impl<'s> WorkloadBuilder<'s> {
         if !state.frozen {
             state.freeze(&self.name, self.suite, &self.kernels, &self.contexts)?;
         }
-        if !self.invocations.is_empty() {
-            state.sink.block(&self.invocations)?;
+        if !state.block.is_empty() {
+            state.sink.block(&state.block)?;
         }
         Ok(StreamSummary {
             fingerprint: state.fold.finish(),
@@ -458,7 +490,7 @@ mod tests {
         let (mut b, id) = builder_with_kernel(3);
         b.schedule(id, &ContextSchedule::Cyclic, 7);
         let w = b.build();
-        let ctxs: Vec<u16> = w.invocations().iter().map(|i| i.context).collect();
+        let ctxs: Vec<u16> = w.invocations().map(|i| i.context).collect();
         assert_eq!(ctxs, vec![0, 1, 2, 0, 1, 2, 0]);
     }
 
@@ -467,7 +499,7 @@ mod tests {
         let (mut b, id) = builder_with_kernel(2);
         b.schedule(id, &ContextSchedule::Phased(vec![(0, 2), (1, 1)]), 7);
         let w = b.build();
-        let ctxs: Vec<u16> = w.invocations().iter().map(|i| i.context).collect();
+        let ctxs: Vec<u16> = w.invocations().map(|i| i.context).collect();
         assert_eq!(ctxs, vec![0, 0, 1, 0, 0, 1, 0]);
     }
 
@@ -476,7 +508,7 @@ mod tests {
         let (mut b, id) = builder_with_kernel(2);
         b.schedule(id, &ContextSchedule::Weighted(vec![9.0, 1.0]), 5000);
         let w = b.build();
-        let ones = w.invocations().iter().filter(|i| i.context == 1).count();
+        let ones = w.invocations().filter(|i| i.context == 1).count();
         let frac = ones as f64 / 5000.0;
         assert!((frac - 0.1).abs() < 0.03, "observed fraction {frac}");
     }
@@ -496,8 +528,7 @@ mod tests {
         let (mut b, id) = builder_with_kernel(1);
         b.schedule(id, &ContextSchedule::Cyclic, 20_000);
         let w = b.build();
-        let s: stem_stats_like::Moments =
-            w.invocations().iter().map(|i| i.noise_z as f64).collect();
+        let s: stem_stats_like::Moments = w.invocations().map(|i| i.noise_z as f64).collect();
         assert!(s.mean.abs() < 0.03, "mean {}", s.mean);
         assert!((s.var - 1.0).abs() < 0.05, "var {}", s.var);
     }
@@ -541,6 +572,31 @@ mod tests {
         assert_eq!(b.len(), 1);
     }
 
+    /// A kernel registered after the first invocation joins the tables;
+    /// groups and fingerprint match construction from the whole stream.
+    #[test]
+    fn late_kernel_registration_matches_try_new() {
+        let (mut b, a) = builder_with_kernel(2);
+        b.schedule(a, &ContextSchedule::Cyclic, 5);
+        let late = b.add_kernel(
+            KernelClassBuilder::new("late").build(),
+            vec![RuntimeContext::neutral()],
+        );
+        b.invoke(late, 0, 2.0);
+        b.invoke(a, 1, 1.0);
+        let w = b.build();
+        let rebuilt = Workload::try_new(
+            "t",
+            SuiteKind::Custom,
+            w.kernels().to_vec(),
+            vec![w.contexts_of(a).to_vec(), w.contexts_of(late).to_vec()],
+            w.invocations().collect(),
+        )
+        .expect("valid");
+        assert_eq!(w, rebuilt);
+        assert_eq!(w.num_invocation_groups(), 3);
+    }
+
     fn demo_source() -> WorkloadSource {
         WorkloadSource::new("s", SuiteKind::Custom, 11, |b| {
             let ctxs = vec![
@@ -571,7 +627,7 @@ mod tests {
             let streamed = sink.into_workload();
             let mut plain = FingerprintFold::of_tables(&reference);
             for inv in reference.invocations() {
-                plain.eat_invocation(inv);
+                plain.eat_invocation(&inv);
             }
             assert_eq!(streamed, reference, "{}", source.name());
             assert_eq!(

@@ -653,28 +653,8 @@ mod tests {
     /// length (test helper mirroring the streaming path).
     fn write_store(w: &Workload, dir: &Path, block_len: usize) {
         let mut writer = StoreWriter::create(&RealFs, dir, block_len).expect("create");
-        writer.tables(&skeleton_of(w)).expect("tables");
-        for chunk in w.invocations().chunks(block_len) {
-            writer.block(chunk).expect("block");
-        }
-        writer
-            .finish(&StreamSummary {
-                fingerprint: w.fingerprint(),
-                invocations: w.num_invocations() as u64,
-            })
-            .expect("finish");
-    }
-
-    fn skeleton_of(w: &Workload) -> Workload {
-        Workload::new(
-            w.name().to_string(),
-            w.suite(),
-            w.kernels().to_vec(),
-            (0..w.kernels().len())
-                .map(|k| w.contexts_of(KernelId(k as u32)).to_vec())
-                .collect(),
-            Vec::new(),
-        )
+        let summary = w.stream_blocks(&mut writer, block_len).expect("blocks");
+        writer.finish(&summary).expect("finish");
     }
 
     #[test]
@@ -693,8 +673,9 @@ mod tests {
         let dir = scratch("commit");
         let w = sample_workload();
         let mut writer = StoreWriter::create(&RealFs, &dir, 256).expect("create");
-        writer.tables(&skeleton_of(&w)).expect("tables");
-        writer.block(&w.invocations()[..256]).expect("block");
+        writer.tables(&w.skeleton()).expect("tables");
+        let head: Vec<Invocation> = w.invocations().take(256).collect();
+        writer.block(&head).expect("block");
         // No finish: the store is not committed, opening it is NotFound.
         let e = open_store(&RealFs, &dir).expect_err("no manifest yet");
         match e {

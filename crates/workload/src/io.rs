@@ -251,7 +251,7 @@ mod tests {
         assert_eq!(back.kernels(), original.kernels());
         assert_eq!(back.num_invocations(), original.num_invocations());
         // f32 fields round-trip exactly through Display.
-        for (a, b) in back.invocations().iter().zip(original.invocations()) {
+        for (a, b) in back.invocations().zip(original.invocations()) {
             assert_eq!(a, b);
         }
     }

@@ -58,4 +58,7 @@ pub use invocation::{Invocation, KernelId};
 pub use kernel::{InstructionMix, KernelClass};
 pub use metrics::{MetricCategory, MetricKind, MetricVector, METRIC_COUNT};
 pub use stream::{BlockSink, ChannelSink, CollectSink, SinkError, StreamItem, StreamSummary};
-pub use trace::{FingerprintFold, GroupSlots, MemoFold, SlotError, SuiteKind, Workload};
+pub use trace::{
+    FingerprintFold, GroupKey, GroupSlots, Invocations, MemoFold, Row, SlotError, SuiteKind,
+    Workload,
+};

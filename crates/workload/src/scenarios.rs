@@ -282,7 +282,6 @@ mod tests {
         let w = phase_drift(3).materialize();
         let gemm: Vec<u16> = w
             .invocations()
-            .iter()
             .filter(|inv| w.kernel_of(inv).name == "drift_gemm")
             .map(|inv| inv.context)
             .collect();
@@ -299,11 +298,7 @@ mod tests {
     #[test]
     fn bursts_are_a_minority_of_the_stream() {
         let w = bursty_interference(3).materialize();
-        let burst = w
-            .invocations()
-            .iter()
-            .filter(|inv| inv.context == 1)
-            .count();
+        let burst = w.invocations().filter(|inv| inv.context == 1).count();
         let frac = burst as f64 / w.num_invocations() as f64;
         assert!(
             (0.1..0.4).contains(&frac),

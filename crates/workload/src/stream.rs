@@ -16,8 +16,9 @@
 //!   disk through the `stem-storage` durability contract.
 
 use crate::colstore::ColStoreError;
-use crate::invocation::Invocation;
-use crate::trace::Workload;
+use crate::error::WorkloadError;
+use crate::invocation::{Invocation, KernelId};
+use crate::trace::{row_out_of_range, FingerprintFold, RowFold, Workload};
 use std::sync::mpsc::SyncSender;
 
 /// Why a block stream stopped.
@@ -126,14 +127,17 @@ impl BlockSink for ChannelSink {
     }
 }
 
-/// A [`BlockSink`] that materializes the stream back into tables plus a
-/// flat invocation vector — the reference consumer the equivalence tests
-/// compare streamed paths against, and the bridge for consumers that
-/// genuinely need a whole [`Workload`].
+/// A [`BlockSink`] that materializes the stream back into a [`Workload`],
+/// each invocation becoming an 8-byte row as its block arrives: the
+/// reference consumer the equivalence tests compare streamed paths
+/// against, and the bridge for consumers that genuinely need a whole
+/// [`Workload`].
 #[derive(Debug, Default)]
 pub struct CollectSink {
     skeleton: Option<Workload>,
-    invocations: Vec<Invocation>,
+    rows: Option<RowFold>,
+    /// The first row outside the tables; `into_workload` reports it.
+    bad_row: Option<WorkloadError>,
 }
 
 impl CollectSink {
@@ -149,29 +153,19 @@ impl CollectSink {
     /// Panics if no tables were received or the stream violates table
     /// ranges (producer bug — generation sinks emit validated streams).
     pub fn into_workload(self) -> Workload {
-        let skeleton = match self.skeleton {
-            Some(s) => s,
-            None => panic!("stream sent no tables before its blocks"),
+        if let Some(e) = self.bad_row {
+            panic!("{e}");
+        }
+        let (Some(skeleton), Some(rows)) = (self.skeleton, self.rows) else {
+            panic!("stream sent no tables before its blocks");
         };
-        Workload::new(
-            skeleton.name().to_string(),
-            skeleton.suite(),
-            skeleton.kernels().to_vec(),
-            (0..skeleton.kernels().len())
-                .map(|k| {
-                    skeleton
-                        .contexts_of(crate::invocation::KernelId(k as u32))
-                        .to_vec()
-                })
-                .collect(),
-            self.invocations,
-        )
+        rows.finish_over(skeleton)
     }
 }
 
 impl Workload {
     /// Replays this materialized workload as a block stream: skeleton
-    /// tables first, then the invocation vector cut into `block_len`
+    /// tables first, then the invocations rebuilt into `block_len`
     /// chunks. Lets every streaming consumer (the pipelined executor,
     /// the columnar store writer) also run off an in-memory workload —
     /// the bridge the streamed-vs-reference equivalence gates use.
@@ -189,21 +183,16 @@ impl Workload {
         block_len: usize,
     ) -> Result<StreamSummary, SinkError> {
         assert!(block_len > 0, "block length must be positive");
-        let skeleton = Workload::new(
-            self.name().to_string(),
-            self.suite(),
-            self.kernels().to_vec(),
-            (0..self.kernels().len())
-                .map(|k| {
-                    self.contexts_of(crate::invocation::KernelId(k as u32))
-                        .to_vec()
-                })
-                .collect(),
-            Vec::new(),
-        );
-        sink.tables(&skeleton)?;
-        for chunk in self.invocations().chunks(block_len) {
-            sink.block(chunk)?;
+        sink.tables(&self.skeleton())?;
+        let mut block = Vec::with_capacity(block_len.min(self.num_invocations()));
+        let mut invocations = self.invocations();
+        loop {
+            block.clear();
+            block.extend(invocations.by_ref().take(block_len));
+            if block.is_empty() {
+                break;
+            }
+            sink.block(&block)?;
         }
         Ok(StreamSummary {
             fingerprint: self.fingerprint(),
@@ -214,12 +203,34 @@ impl Workload {
 
 impl BlockSink for CollectSink {
     fn tables(&mut self, skeleton: &Workload) -> Result<(), SinkError> {
+        self.rows = Some(RowFold::new(
+            FingerprintFold::of_tables(skeleton),
+            (0..skeleton.kernels().len()).map(|k| skeleton.contexts_of(KernelId(k as u32)).len()),
+        ));
         self.skeleton = Some(skeleton.clone());
         Ok(())
     }
 
     fn block(&mut self, invocations: &[Invocation]) -> Result<(), SinkError> {
-        self.invocations.extend_from_slice(invocations);
+        let (Some(skeleton), Some(rows)) = (&self.skeleton, &mut self.rows) else {
+            panic!("stream sent no tables before its blocks");
+        };
+        if self.bad_row.is_some() {
+            return Ok(());
+        }
+        for inv in invocations {
+            if let Err(e) = rows.push(inv) {
+                let i = rows.len();
+                self.bad_row = Some(row_out_of_range(
+                    skeleton.name(),
+                    skeleton.kernels(),
+                    i,
+                    inv,
+                    e,
+                ));
+                break;
+            }
+        }
         Ok(())
     }
 }

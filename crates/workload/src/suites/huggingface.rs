@@ -294,7 +294,6 @@ mod tests {
             .expect("attn kernel");
         let works: Vec<f32> = gpt2
             .invocations()
-            .iter()
             .filter(|i| i.kernel.index() == attn_id && i.context == 1)
             .map(|i| i.work_scale)
             .collect();

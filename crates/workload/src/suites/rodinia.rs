@@ -472,8 +472,8 @@ mod tests {
             .iter()
             .find(|w| w.name() == "gaussian")
             .expect("gaussian");
-        let first = g.invocations().first().expect("nonempty").work_scale;
-        let last = g.invocations().last().expect("nonempty").work_scale;
+        let first = g.invocations().next().expect("nonempty").work_scale;
+        let last = g.invocations().next_back().expect("nonempty").work_scale;
         assert!(first > 100.0 * last, "first {first} last {last}");
     }
 
@@ -484,8 +484,8 @@ mod tests {
             .iter()
             .find(|w| w.name() == "heartwall")
             .expect("heartwall");
-        let first = h.invocations()[0].work_scale as f64;
-        let second = h.invocations()[1].work_scale as f64;
+        let first = h.invocation(0).work_scale as f64;
+        let second = h.invocation(1).work_scale as f64;
         assert!((second / first - 1500.0).abs() < 1.0);
     }
 
@@ -498,8 +498,7 @@ mod tests {
             .expect("pf_float");
         let instr: Vec<u64> = p
             .invocations()
-            .iter()
-            .map(|inv| p.kernel_of(inv).instr_per_thread)
+            .map(|inv| p.kernel_of(&inv).instr_per_thread)
             .collect();
         let max = *instr.iter().max().expect("nonempty");
         let min = *instr.iter().min().expect("nonempty");
@@ -510,7 +509,7 @@ mod tests {
     fn bfs_work_rises_and_falls() {
         let suite = rodinia_suite(7);
         let b = suite.iter().find(|w| w.name() == "bfs").expect("bfs");
-        let works: Vec<f32> = b.invocations().iter().map(|i| i.work_scale).collect();
+        let works: Vec<f32> = b.invocations().map(|i| i.work_scale).collect();
         let peak = works.iter().cloned().fold(0.0f32, f32::max);
         assert!(works[0] < peak / 10.0);
         assert!(*works.last().expect("nonempty") < peak / 10.0);
@@ -527,6 +526,6 @@ mod tests {
         let b = rodinia_suite(2);
         // Same structure, different jitter draws.
         assert_eq!(a.len(), b.len());
-        assert_ne!(a[0].invocations()[0].noise_z, b[0].invocations()[0].noise_z);
+        assert_ne!(a[0].invocation(0).noise_z, b[0].invocation(0).noise_z);
     }
 }

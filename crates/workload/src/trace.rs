@@ -35,6 +35,12 @@ impl std::fmt::Display for SuiteKind {
 }
 
 /// A complete GPU workload as seen by a kernel-level sampler.
+///
+/// The invocation stream is held as one 8-byte [`Row`] per call (its
+/// timing group and its noise bits) beside a per-group [`GroupKey`] table
+/// (kernel, context, work-scale bits): a call's group fixes every field
+/// but its noise draw, so [`Workload::invocation`] rebuilds each
+/// [`Invocation`] bit for bit from the two.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Workload {
     name: String,
@@ -42,13 +48,14 @@ pub struct Workload {
     kernels: Vec<KernelClass>,
     /// `contexts[k]` are the runtime contexts of kernel `k`.
     contexts: Vec<Vec<RuntimeContext>>,
-    invocations: Vec<Invocation>,
-    /// `group_of[i]` is the timing group of invocation `i`: invocations
-    /// sharing `(kernel, context, work_scale)` are timing-identical up to
-    /// their noise draw, so simulators precompute per group and stream the
-    /// per-invocation jitter. Derived deterministically from `invocations`
-    /// (first occurrence assigns the next id, so ids follow stream order).
-    group_of: Vec<u32>,
+    /// `rows[i]` is invocation `i`: its timing group and its noise bits.
+    /// Invocations sharing `(kernel, context, work_scale)` are
+    /// timing-identical up to their noise draw, so simulators precompute
+    /// per group and stream the per-invocation jitter. The first
+    /// occurrence of a key mints the next id, so ids follow stream order.
+    rows: Vec<Row>,
+    /// `groups[g]` is what timing group `g` fixes.
+    groups: Vec<GroupKey>,
     /// `group_representatives[g]` is the lowest invocation index in group `g`.
     group_representatives: Vec<usize>,
     /// FNV-1a 64 over the full workload content (name, suite, kernel and
@@ -57,6 +64,80 @@ pub struct Workload {
     /// by workload identity without rehashing the stream per lookup.
     fingerprint: u64,
 }
+
+/// One materialized invocation: its timing group and the bits of its
+/// noise draw, 8 bytes. The group's [`GroupKey`] holds the other fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Row {
+    /// Timing group id: an index into [`Workload::group_keys`].
+    pub group: u32,
+    /// `noise_z.to_bits()` of the invocation.
+    pub noise_bits: u32,
+}
+
+impl Row {
+    /// The invocation's standard-normal jitter draw.
+    #[inline]
+    pub fn noise_z(self) -> f32 {
+        f32::from_bits(self.noise_bits)
+    }
+}
+
+/// What a timing group fixes: every field of its invocations but the
+/// noise draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct GroupKey {
+    /// Which kernel class the group's invocations launch.
+    pub kernel: KernelId,
+    /// Their runtime context, an index into the kernel's context table.
+    pub context: u16,
+    /// `work_scale.to_bits()` of their extra work multiplier.
+    pub work_bits: u32,
+}
+
+impl GroupKey {
+    /// The group's invocation with noise draw bits `noise_bits`.
+    #[inline]
+    pub fn invocation(self, noise_bits: u32) -> Invocation {
+        Invocation {
+            kernel: self.kernel,
+            context: self.context,
+            work_scale: f32::from_bits(self.work_bits),
+            noise_z: f32::from_bits(noise_bits),
+        }
+    }
+}
+
+/// The invocation stream of a [`Workload`], each [`Invocation`] rebuilt
+/// from its row and its group's key; see [`Workload::invocations`].
+#[derive(Debug, Clone)]
+pub struct Invocations<'a> {
+    rows: std::slice::Iter<'a, Row>,
+    groups: &'a [GroupKey],
+}
+
+impl Iterator for Invocations<'_> {
+    type Item = Invocation;
+
+    #[inline]
+    fn next(&mut self) -> Option<Invocation> {
+        let row = self.rows.next()?;
+        Some(self.groups[row.group as usize].invocation(row.noise_bits))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.rows.size_hint()
+    }
+}
+
+impl DoubleEndedIterator for Invocations<'_> {
+    fn next_back(&mut self) -> Option<Invocation> {
+        let row = self.rows.next_back()?;
+        Some(self.groups[row.group as usize].invocation(row.noise_bits))
+    }
+}
+
+impl ExactSizeIterator for Invocations<'_> {}
 
 /// Incremental FNV-1a 64 fold over a workload's content, in the exact
 /// byte order [`Workload::fingerprint`] uses: first the header (name,
@@ -322,6 +403,20 @@ impl GroupSlots {
         GroupSlots::new(workload.contexts.iter().map(Vec::len))
     }
 
+    /// Appends the slots of one more kernel with `contexts` contexts; the
+    /// slots and groups already resolved keep their ids.
+    fn push_kernel(&mut self, contexts: usize) {
+        let base = self.slots.len() + contexts;
+        self.slot_base.push(base);
+        self.slots.resize(
+            base,
+            Slot {
+                work_bits: 0,
+                group: NO_GROUP,
+            },
+        );
+    }
+
     /// The slot of `inv`'s `(kernel, context)`; the kernel is checked
     /// first.
     ///
@@ -360,6 +455,129 @@ impl GroupSlots {
         }
         self.slots[slot] = Slot { work_bits, group };
         (group, group == next)
+    }
+}
+
+/// A workload's rows under construction: each appended invocation is
+/// resolved to its timing group ([`GroupSlots`]) and folded into the
+/// fingerprint ([`MemoFold`], keyed by the group) as it arrives, so no
+/// 16-byte-per-call vector is ever held. The one per-row pass behind
+/// [`Workload::try_new`], the materialized
+/// [`WorkloadBuilder`](crate::WorkloadBuilder) and
+/// [`CollectSink`](crate::CollectSink).
+#[derive(Debug, Clone)]
+pub(crate) struct RowFold {
+    slots: GroupSlots,
+    fold: MemoFold,
+    rows: Vec<Row>,
+    groups: Vec<GroupKey>,
+    representatives: Vec<usize>,
+    /// A kernel was registered after the header was folded: `finish`
+    /// folds the fingerprint again under the final header.
+    refold: bool,
+}
+
+impl RowFold {
+    /// An empty stream continuing `header` (a fold that has eaten the
+    /// tables' header), whose kernel `k` has `context_counts[k]` contexts.
+    pub(crate) fn new(
+        header: FingerprintFold,
+        context_counts: impl IntoIterator<Item = usize>,
+    ) -> Self {
+        RowFold {
+            slots: GroupSlots::new(context_counts),
+            fold: MemoFold::new(header),
+            rows: Vec::new(),
+            groups: Vec::new(),
+            representatives: Vec::new(),
+            refold: false,
+        }
+    }
+
+    /// Room for `additional` more rows.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.rows.reserve(additional);
+    }
+
+    /// Rows appended so far.
+    pub(crate) fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// Registers one more kernel with `contexts` contexts after rows were
+    /// appended (the materialized builder allows it).
+    pub(crate) fn push_kernel(&mut self, contexts: usize) {
+        self.slots.push_kernel(contexts);
+        self.refold = true;
+    }
+
+    /// Appends one invocation.
+    ///
+    /// # Errors
+    ///
+    /// [`SlotError`] names the first table `inv` falls outside; nothing is
+    /// appended then.
+    #[inline]
+    pub(crate) fn push(&mut self, inv: &Invocation) -> Result<(), SlotError> {
+        let slot = self.slots.slot(inv)?;
+        let work_bits = inv.work_scale.to_bits();
+        let (group, fresh) = self.slots.resolve(slot, work_bits);
+        if fresh {
+            self.groups.push(GroupKey {
+                kernel: inv.kernel,
+                context: inv.context,
+                work_bits,
+            });
+            self.representatives.push(self.rows.len());
+        }
+        self.rows.push(Row {
+            group,
+            noise_bits: inv.noise_z.to_bits(),
+        });
+        self.fold.eat_invocation(inv, group);
+        Ok(())
+    }
+
+    /// The workload of these rows over `skeleton`'s tables.
+    pub(crate) fn finish_over(self, skeleton: Workload) -> Workload {
+        self.finish(
+            skeleton.name,
+            skeleton.suite,
+            skeleton.kernels,
+            skeleton.contexts,
+        )
+    }
+
+    /// The workload of these rows over the final tables.
+    pub(crate) fn finish(
+        mut self,
+        name: String,
+        suite: SuiteKind,
+        kernels: Vec<KernelClass>,
+        contexts: Vec<Vec<RuntimeContext>>,
+    ) -> Workload {
+        if self.refold {
+            let mut header = FingerprintFold::new();
+            header.eat_header(&name, suite, &kernels, &contexts);
+            self.fold = MemoFold::new(header);
+            for row in &self.rows {
+                let inv = self.groups[row.group as usize].invocation(row.noise_bits);
+                self.fold.eat_invocation(&inv, row.group);
+            }
+        }
+        self.rows.shrink_to_fit();
+        self.groups.shrink_to_fit();
+        self.representatives.shrink_to_fit();
+        Workload {
+            name,
+            suite,
+            kernels,
+            contexts,
+            rows: self.rows,
+            groups: self.groups,
+            group_representatives: self.representatives,
+            fingerprint: self.fold.finish(),
+        }
     }
 }
 
@@ -415,6 +633,23 @@ fn context_out_of_range(name: &str, i: usize, context: u16, kernel: &str) -> Wor
              out of range"
         ),
     )
+}
+
+/// The error for invocation `i` of workload `name`, which [`SlotError`]
+/// places outside `kernels` or its kernel's context table.
+pub(crate) fn row_out_of_range(
+    name: &str,
+    kernels: &[KernelClass],
+    i: usize,
+    inv: &Invocation,
+    error: SlotError,
+) -> WorkloadError {
+    match error {
+        SlotError::Kernel => kernel_out_of_range(name, i, inv.kernel.index()),
+        SlotError::Context => {
+            context_out_of_range(name, i, inv.context, &kernels[inv.kernel.index()].name)
+        }
+    }
 }
 
 /// The three-pass construction [`Workload::try_new`] replaced: a range
@@ -534,40 +769,17 @@ impl Workload {
         invocations: Vec<Invocation>,
     ) -> Result<Self, WorkloadError> {
         check_tables(&name, &kernels, &contexts)?;
-        let mut slots = GroupSlots::new(contexts.iter().map(Vec::len));
         let mut header = FingerprintFold::new();
         header.eat_header(&name, suite, &kernels, &contexts);
-        let mut fold = MemoFold::new(header);
-        let mut group_of = Vec::with_capacity(invocations.len());
-        let mut group_representatives = Vec::new();
+        let mut rows = RowFold::new(header, contexts.iter().map(Vec::len));
+        rows.reserve(invocations.len());
         for (i, inv) in invocations.iter().enumerate() {
-            let slot = match slots.slot(inv) {
-                Ok(slot) => slot,
-                Err(SlotError::Kernel) => {
-                    return Err(kernel_out_of_range(&name, i, inv.kernel.index()))
-                }
-                Err(SlotError::Context) => {
-                    let kernel = &kernels[inv.kernel.index()].name;
-                    return Err(context_out_of_range(&name, i, inv.context, kernel));
-                }
-            };
-            let (group, fresh) = slots.resolve(slot, inv.work_scale.to_bits());
-            if fresh {
-                group_representatives.push(i);
+            if let Err(e) = rows.push(inv) {
+                return Err(row_out_of_range(&name, &kernels, i, inv, e));
             }
-            group_of.push(group);
-            fold.eat_invocation(inv, group);
         }
-        Ok(Workload {
-            name,
-            suite,
-            kernels,
-            contexts,
-            invocations,
-            group_of,
-            group_representatives,
-            fingerprint: fold.finish(),
-        })
+        drop(invocations);
+        Ok(rows.finish(name, suite, kernels, contexts))
     }
 
     /// Panicking convenience wrapper over [`Workload::try_new`].
@@ -612,14 +824,81 @@ impl Workload {
         &self.contexts[k.index()]
     }
 
-    /// The invocation stream.
-    pub fn invocations(&self) -> &[Invocation] {
-        &self.invocations
+    /// Invocation `i`, rebuilt bit for bit from its row and its group's
+    /// key.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is out of range.
+    #[inline]
+    pub fn invocation(&self, i: usize) -> Invocation {
+        let row = self.rows[i];
+        self.groups[row.group as usize].invocation(row.noise_bits)
+    }
+
+    /// The invocation stream in order, each [`Invocation`] rebuilt from
+    /// its row.
+    pub fn invocations(&self) -> Invocations<'_> {
+        Invocations {
+            rows: self.rows.iter(),
+            groups: &self.groups,
+        }
+    }
+
+    /// One 8-byte row per invocation, in stream order: its timing group
+    /// and noise bits. Hot loops read these and the per-group
+    /// [`Workload::group_keys`] directly.
+    pub fn rows(&self) -> &[Row] {
+        &self.rows
+    }
+
+    /// `group_keys()[g]` is what timing group `g` fixes: kernel, context
+    /// and work-scale bits.
+    pub fn group_keys(&self) -> &[GroupKey] {
+        &self.groups
     }
 
     /// Number of kernel launches.
     pub fn num_invocations(&self) -> usize {
-        self.invocations.len()
+        self.rows.len()
+    }
+
+    /// A workload with these tables (name, suite, kernel and context
+    /// tables) and no invocations: the frozen header a block stream opens
+    /// with.
+    pub fn skeleton(&self) -> Workload {
+        Workload {
+            name: self.name.clone(),
+            suite: self.suite,
+            kernels: self.kernels.clone(),
+            contexts: self.contexts.clone(),
+            rows: Vec::new(),
+            groups: Vec::new(),
+            group_representatives: Vec::new(),
+            fingerprint: FingerprintFold::of_tables(self).finish(),
+        }
+    }
+
+    /// Heap bytes this workload holds: the rows (8 per invocation), the
+    /// timing-group keys and representatives, counted by capacity, plus
+    /// the name, kernel and context tables, counted by length.
+    pub fn heap_bytes(&self) -> usize {
+        let kernels: usize = self
+            .kernels
+            .iter()
+            .map(|k| size_of::<KernelClass>() + k.name.len() + size_of_val(&k.bbv_template[..]))
+            .sum();
+        let contexts: usize = self
+            .contexts
+            .iter()
+            .map(|c| size_of::<Vec<RuntimeContext>>() + size_of_val(&c[..]))
+            .sum();
+        self.name.len()
+            + kernels
+            + contexts
+            + self.rows.capacity() * size_of::<Row>()
+            + self.groups.capacity() * size_of::<GroupKey>()
+            + self.group_representatives.capacity() * size_of::<usize>()
     }
 
     /// FNV-1a 64 content fingerprint (name, suite, kernel/context tables,
@@ -654,7 +933,7 @@ impl Workload {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn group_of(&self, i: usize) -> u32 {
-        self.group_of[i]
+        self.rows[i].group
     }
 
     /// Lowest invocation index belonging to group `g` (its representative:
@@ -674,13 +953,14 @@ impl Workload {
         // Kernel ids are dense indices into `kernels`: count, fill one
         // exactly-sized `Vec` per kernel, then one map insert per kernel
         // that has calls.
+        let kernel_of: Vec<usize> = self.groups.iter().map(|g| g.kernel.index()).collect();
         let mut counts = vec![0usize; self.kernels.len()];
-        for inv in &self.invocations {
-            counts[inv.kernel.index()] += 1;
+        for row in &self.rows {
+            counts[kernel_of[row.group as usize]] += 1;
         }
         let mut groups: Vec<Vec<usize>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for (i, inv) in self.invocations.iter().enumerate() {
-            groups[inv.kernel.index()].push(i);
+        for (i, row) in self.rows.iter().enumerate() {
+            groups[kernel_of[row.group as usize]].push(i);
         }
         groups
             .into_iter()
@@ -696,8 +976,9 @@ impl Workload {
     /// (Sieve's stratification) must see them as one group.
     pub fn invocations_by_kernel_name(&self) -> BTreeMap<&str, Vec<usize>> {
         let mut map: BTreeMap<&str, Vec<usize>> = BTreeMap::new();
-        for (i, inv) in self.invocations.iter().enumerate() {
-            map.entry(self.kernel_of(inv).name.as_str())
+        for (i, row) in self.rows.iter().enumerate() {
+            let kernel = self.groups[row.group as usize].kernel;
+            map.entry(self.kernels[kernel.index()].name.as_str())
                 .or_default()
                 .push(i);
         }
@@ -707,11 +988,10 @@ impl Workload {
     /// Total dynamic instructions across the workload (at per-invocation
     /// work scales), used by profiling-overhead models.
     pub fn total_instructions(&self) -> f64 {
-        self.invocations
-            .iter()
+        self.invocations()
             .map(|inv| {
-                let k = self.kernel_of(inv);
-                let c = self.context_of(inv);
+                let k = self.kernel_of(&inv);
+                let c = self.context_of(&inv);
                 k.total_instructions() as f64 * c.work_scale * inv.work_scale as f64
             })
             .sum()
@@ -753,9 +1033,9 @@ mod tests {
         assert_eq!(w.num_invocations(), 3);
         assert_eq!(w.kernels().len(), 2);
         assert_eq!(w.contexts_of(KernelId(1)).len(), 2);
-        let inv = &w.invocations()[1];
-        assert_eq!(w.kernel_of(inv).name, "b");
-        assert_eq!(w.context_of(inv).work_scale, 2.0);
+        let inv = w.invocation(1);
+        assert_eq!(w.kernel_of(&inv).name, "b");
+        assert_eq!(w.context_of(&inv).work_scale, 2.0);
     }
 
     #[test]
@@ -804,10 +1084,10 @@ mod tests {
                 a.contexts_of(KernelId(0)).to_vec(),
                 a.contexts_of(KernelId(1)).to_vec(),
             ],
-            a.invocations().to_vec(),
+            a.invocations().collect(),
         );
         assert_ne!(a.fingerprint(), renamed.fingerprint());
-        let mut invs = a.invocations().to_vec();
+        let mut invs: Vec<Invocation> = a.invocations().collect();
         invs[0].noise_z = 0.5;
         let jittered = Workload::new(
             a.name().to_string(),

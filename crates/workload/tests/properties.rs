@@ -5,13 +5,18 @@
 
 use gpu_workload::kernel::KernelClassBuilder;
 use gpu_workload::normal;
-use gpu_workload::suites::{casio_suite, huggingface_suite, rodinia_suite, HuggingfaceScale};
+use gpu_workload::scenarios::adversarial_sources;
+use gpu_workload::suites::{
+    casio_sources, casio_suite, huggingface_sources, huggingface_suite, rodinia_sources,
+    rodinia_suite, HuggingfaceScale,
+};
 use gpu_workload::trace::{reference, MEMO_TABLES};
 use gpu_workload::{
-    ContextSchedule, FingerprintFold, Invocation, KernelClass, KernelId, RuntimeContext, SuiteKind,
-    Workload, WorkloadBuilder,
+    load_store, BlockSink, ContextSchedule, FingerprintFold, GroupKey, Invocation, KernelClass,
+    KernelId, RuntimeContext, SinkError, StoreWriter, SuiteKind, Workload, WorkloadBuilder,
 };
 use stem_stats::rng::{RngExt, SeedableRng, StdRng};
+use stem_storage::RealFs;
 
 fn rng_for(test_tag: u64, case: u64) -> StdRng {
     StdRng::seed_from_u64(0x3093_10AD ^ (test_tag << 32) ^ case)
@@ -406,4 +411,187 @@ fn fast_normal_matches_reference_on_adversarial_grid() {
     }
     assert!(cases > 1_000_000, "grid has only {cases} cases");
     assert!(mismatches.is_empty(), "fast != reference: {mismatches:?}");
+}
+
+/// A block stream as its producer emitted it: the tables and every raw
+/// invocation, before any workload rows are built from them.
+#[derive(Default)]
+struct RawSink {
+    skeleton: Option<Workload>,
+    invocations: Vec<Invocation>,
+}
+
+impl BlockSink for RawSink {
+    fn tables(&mut self, skeleton: &Workload) -> Result<(), SinkError> {
+        self.skeleton = Some(skeleton.clone());
+        Ok(())
+    }
+
+    fn block(&mut self, invocations: &[Invocation]) -> Result<(), SinkError> {
+        self.invocations.extend_from_slice(invocations);
+        Ok(())
+    }
+}
+
+/// Every field of an invocation by bit pattern.
+fn bits(inv: &Invocation) -> (u32, u16, u32, u32) {
+    (
+        inv.kernel.0,
+        inv.context,
+        inv.work_scale.to_bits(),
+        inv.noise_z.to_bits(),
+    )
+}
+
+fn context_tables(w: &Workload) -> Vec<Vec<RuntimeContext>> {
+    (0..w.kernels().len())
+        .map(|k| w.contexts_of(KernelId(k as u32)).to_vec())
+        .collect()
+}
+
+/// `w`'s rows give back `input` bit for bit (by index, forwards and
+/// backwards), and its group ids, representatives and fingerprint are
+/// the three-pass reference's over `input`.
+fn assert_rows_rebuild(w: &Workload, input: &[Invocation]) {
+    let name = w.name();
+    assert_eq!(w.num_invocations(), input.len(), "{name}");
+    for (i, inv) in input.iter().enumerate() {
+        assert_eq!(bits(&w.invocation(i)), bits(inv), "{name} row {i}");
+        let row = w.rows()[i];
+        let key = w.group_keys()[row.group as usize];
+        assert_eq!(row.noise_bits, inv.noise_z.to_bits(), "{name} row {i}");
+        assert_eq!(
+            key,
+            GroupKey {
+                kernel: inv.kernel,
+                context: inv.context,
+                work_bits: inv.work_scale.to_bits(),
+            },
+            "{name} row {i}"
+        );
+    }
+    assert!(w
+        .invocations()
+        .map(|inv| bits(&inv))
+        .eq(input.iter().map(bits)));
+    assert!(w
+        .invocations()
+        .rev()
+        .map(|inv| bits(&inv))
+        .eq(input.iter().rev().map(bits)));
+    let (group_of, representatives, fingerprint) =
+        reference::derive(name, w.suite(), w.kernels(), &context_tables(w), input)
+            .expect("a valid workload");
+    assert_eq!(w.fingerprint(), fingerprint, "{name}");
+    assert_eq!(w.num_invocation_groups(), representatives.len(), "{name}");
+    assert_eq!(w.group_keys().len(), representatives.len(), "{name}");
+    for (i, &g) in group_of.iter().enumerate() {
+        assert_eq!(w.group_of(i), g, "{name} row {i}");
+    }
+    for (g, &rep) in representatives.iter().enumerate() {
+        assert_eq!(w.group_representative(g as u32), rep, "{name} group {g}");
+    }
+}
+
+/// Writes `w` as a columnar store and loads it back: the same workload.
+fn assert_store_round_trip(w: &Workload) {
+    let dir = std::env::temp_dir().join(format!(
+        "gpu-workload-rows-{}-{}",
+        std::process::id(),
+        w.name()
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let mut writer = StoreWriter::create(&RealFs, &dir, 4096).expect("create");
+    let summary = w.stream_blocks(&mut writer, 4096).expect("blocks");
+    writer.finish(&summary).expect("finish");
+    let back = load_store(&RealFs, &dir).expect("load");
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(back, *w, "{}", w.name());
+}
+
+/// Every suite and scenario workload: the materialized rows rebuild the
+/// stream the generator emitted, bit for bit, with the reference's group
+/// ids, representatives and fingerprint, and survive a store round trip.
+#[test]
+fn rows_rebuild_every_generated_stream() {
+    let sources = rodinia_sources(29)
+        .into_iter()
+        .chain(casio_sources(29))
+        .chain(huggingface_sources(29, HuggingfaceScale::custom(0.01)))
+        .chain(adversarial_sources(29));
+    for source in sources {
+        let mut raw = RawSink::default();
+        source.stream(&mut raw, 8192).expect("stream");
+        let w = source.materialize();
+        assert_eq!(raw.skeleton.as_ref(), Some(&w.skeleton()), "{}", w.name());
+        assert_rows_rebuild(&w, &raw.invocations);
+        assert_store_round_trip(&w);
+    }
+}
+
+/// Hand-built rows whose noise draws (and, apart from the stored cases,
+/// work scales) are NaNs with payloads, signed zeros, subnormals and
+/// infinities: every bit pattern comes back, and a store round trip of
+/// the storable ones compares equal.
+#[test]
+fn rows_keep_every_bit_pattern() {
+    let noise = [
+        f32::from_bits(0x7fc0_0001),
+        f32::from_bits(0xffc1_2345),
+        f32::from_bits(0x7f80_0001),
+        -0.0,
+        0.0,
+        f32::from_bits(1),
+        -f32::from_bits(0x0000_8000),
+        f32::MIN_POSITIVE,
+        f32::INFINITY,
+        f32::NEG_INFINITY,
+        0.25,
+    ];
+    let storable_work = [1.0, 2.0, f32::from_bits(3), f32::MAX, 1.0 + f32::EPSILON];
+    let odd_work = [f32::from_bits(0x7fc0_0007), -0.0, 0.0, -1.0, f32::INFINITY];
+    let (classes, contexts) = oracle_tables(3, 3, 1);
+    for (tag, works) in [("storable", &storable_work[..]), ("odd", &odd_work[..])] {
+        let mut rng = rng_for(9, tag.len() as u64);
+        let invocations: Vec<Invocation> = (0..2000)
+            .map(|i| {
+                let k = rng.random_range(0..classes.len());
+                let c = rng.random_range(0..contexts[k].len()) as u16;
+                let work = works[rng.random_range(0..works.len())];
+                raw_row(k as u32, c, work, noise[i % noise.len()])
+            })
+            .collect();
+        let w = Workload::try_new(
+            format!("bits_{tag}"),
+            SuiteKind::Custom,
+            classes.clone(),
+            contexts.clone(),
+            invocations.clone(),
+        )
+        .expect("in range");
+        assert_rows_rebuild(&w, &invocations);
+        if tag == "storable" {
+            assert_store_round_trip(&w);
+        }
+    }
+}
+
+/// Resident-size guard: a materialized workload holds 8 bytes per call
+/// plus its timing-group table (a key and a representative per group)
+/// and its kernel and context tables, nothing more.
+#[test]
+fn a_call_costs_eight_bytes() {
+    assert_eq!(std::mem::size_of::<gpu_workload::Row>(), 8);
+    for w in huggingface_suite(7, HuggingfaceScale::custom(0.01)) {
+        let calls = w.num_invocations();
+        let per_group = std::mem::size_of::<GroupKey>() + std::mem::size_of::<usize>();
+        let bound = 8 * calls + per_group * w.num_invocation_groups() + w.skeleton().heap_bytes();
+        assert!(
+            w.heap_bytes() <= bound,
+            "{}: {} heap bytes for {calls} calls and {} groups, bound {bound}",
+            w.name(),
+            w.heap_bytes(),
+            w.num_invocation_groups()
+        );
+    }
 }

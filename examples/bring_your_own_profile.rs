@@ -25,8 +25,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let sim = Simulator::new(GpuConfig::rtx2080());
         let times: Vec<f64> = original
             .invocations()
-            .iter()
-            .map(|inv| sim.cycles(original, inv))
+            .map(|inv| sim.cycles(original, &inv))
             .collect();
         let profile = ExecTimeProfile::new(original.name(), times)?;
         std::fs::write(&profile_path, profile.to_csv_string()?)?;

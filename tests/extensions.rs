@@ -60,8 +60,7 @@ fn external_workload_and_profile_roundtrip_plan() {
     let sim = Simulator::new(GpuConfig::rtx2080());
     let times: Vec<f64> = workload
         .invocations()
-        .iter()
-        .map(|inv| sim.cycles(&workload, inv))
+        .map(|inv| sim.cycles(&workload, &inv))
         .collect();
     let profile = ExecTimeProfile::new(workload.name(), times).expect("valid profile");
     let csv = profile.to_csv_string().expect("serializable profile");
