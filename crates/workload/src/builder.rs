@@ -240,9 +240,7 @@ impl<'s> WorkloadBuilder<'s> {
         match &mut self.target {
             Target::Rows(rows) => {
                 let rows = rows.get_or_insert_with(|| {
-                    let mut header = FingerprintFold::new();
-                    header.eat_header(&self.name, self.suite, &self.kernels, &self.contexts);
-                    RowFold::new(header, self.contexts.iter().map(Vec::len))
+                    RowFold::new(&self.name, self.suite, &self.kernels, &self.contexts)
                 });
                 // The asserts above placed the row inside the tables.
                 let _ = rows.push(&inv);

@@ -2,11 +2,14 @@
 //!
 //! Large-scale workloads reach tens of millions of kernel calls (the
 //! paper's HuggingFace suite averages 11.6M), so each invocation is a small
-//! POD: 16 bytes. The per-invocation randomness (`noise_z`) is pre-drawn at
-//! generation time so that "running" the same invocation on two different
-//! GPU configurations yields *correlated* times — the same physical
-//! execution observed on different hardware — which is what makes the DSE
-//! and cross-GPU experiments meaningful.
+//! POD: 16 bytes, the unit generators emit and block streams carry. A
+//! materialized [`Workload`](crate::Workload) keeps only 8 of them per
+//! call ([`Row`](crate::Row)): the kernel, context and work scale live
+//! once per timing group. The per-invocation randomness (`noise_z`) is
+//! pre-drawn at generation time so that "running" the same invocation on
+//! two different GPU configurations yields *correlated* times — the same
+//! physical execution observed on different hardware — which is what makes
+//! the DSE and cross-GPU experiments meaningful.
 
 /// Index of a kernel class within its workload's kernel table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]

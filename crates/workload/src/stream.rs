@@ -17,8 +17,8 @@
 
 use crate::colstore::ColStoreError;
 use crate::error::WorkloadError;
-use crate::invocation::{Invocation, KernelId};
-use crate::trace::{row_out_of_range, FingerprintFold, RowFold, Workload};
+use crate::invocation::Invocation;
+use crate::trace::{row_out_of_range, RowFold, Workload};
 use std::sync::mpsc::SyncSender;
 
 /// Why a block stream stopped.
@@ -134,8 +134,8 @@ impl BlockSink for ChannelSink {
 /// [`Workload`].
 #[derive(Debug, Default)]
 pub struct CollectSink {
-    skeleton: Option<Workload>,
-    rows: Option<RowFold>,
+    /// The stream's tables and its rows so far.
+    collected: Option<(Workload, RowFold)>,
     /// The first row outside the tables; `into_workload` reports it.
     bad_row: Option<WorkloadError>,
 }
@@ -156,7 +156,7 @@ impl CollectSink {
         if let Some(e) = self.bad_row {
             panic!("{e}");
         }
-        let (Some(skeleton), Some(rows)) = (self.skeleton, self.rows) else {
+        let Some((skeleton, rows)) = self.collected else {
             panic!("stream sent no tables before its blocks");
         };
         rows.finish_over(skeleton)
@@ -203,16 +203,12 @@ impl Workload {
 
 impl BlockSink for CollectSink {
     fn tables(&mut self, skeleton: &Workload) -> Result<(), SinkError> {
-        self.rows = Some(RowFold::new(
-            FingerprintFold::of_tables(skeleton),
-            (0..skeleton.kernels().len()).map(|k| skeleton.contexts_of(KernelId(k as u32)).len()),
-        ));
-        self.skeleton = Some(skeleton.clone());
+        self.collected = Some((skeleton.clone(), RowFold::of_tables(skeleton)));
         Ok(())
     }
 
     fn block(&mut self, invocations: &[Invocation]) -> Result<(), SinkError> {
-        let (Some(skeleton), Some(rows)) = (&self.skeleton, &mut self.rows) else {
+        let Some((skeleton, rows)) = &mut self.collected else {
             panic!("stream sent no tables before its blocks");
         };
         if self.bad_row.is_some() {

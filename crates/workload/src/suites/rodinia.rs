@@ -473,7 +473,7 @@ mod tests {
             .find(|w| w.name() == "gaussian")
             .expect("gaussian");
         let first = g.invocations().next().expect("nonempty").work_scale;
-        let last = g.invocations().next_back().expect("nonempty").work_scale;
+        let last = g.invocations().last().expect("nonempty").work_scale;
         assert!(first > 100.0 * last, "first {first} last {last}");
     }
 

@@ -130,13 +130,6 @@ impl Iterator for Invocations<'_> {
     }
 }
 
-impl DoubleEndedIterator for Invocations<'_> {
-    fn next_back(&mut self) -> Option<Invocation> {
-        let row = self.rows.next_back()?;
-        Some(self.groups[row.group as usize].invocation(row.noise_bits))
-    }
-}
-
 impl ExactSizeIterator for Invocations<'_> {}
 
 /// Incremental FNV-1a 64 fold over a workload's content, in the exact
@@ -478,20 +471,33 @@ pub(crate) struct RowFold {
 }
 
 impl RowFold {
-    /// An empty stream continuing `header` (a fold that has eaten the
-    /// tables' header), whose kernel `k` has `context_counts[k]` contexts.
+    /// An empty stream over these tables, its header folded.
     pub(crate) fn new(
-        header: FingerprintFold,
-        context_counts: impl IntoIterator<Item = usize>,
+        name: &str,
+        suite: SuiteKind,
+        kernels: &[KernelClass],
+        contexts: &[Vec<RuntimeContext>],
     ) -> Self {
+        let mut header = FingerprintFold::new();
+        header.eat_header(name, suite, kernels, contexts);
         RowFold {
-            slots: GroupSlots::new(context_counts),
+            slots: GroupSlots::new(contexts.iter().map(Vec::len)),
             fold: MemoFold::new(header),
             rows: Vec::new(),
             groups: Vec::new(),
             representatives: Vec::new(),
             refold: false,
         }
+    }
+
+    /// An empty stream over `skeleton`'s tables.
+    pub(crate) fn of_tables(skeleton: &Workload) -> Self {
+        RowFold::new(
+            &skeleton.name,
+            skeleton.suite,
+            &skeleton.kernels,
+            &skeleton.contexts,
+        )
     }
 
     /// Room for `additional` more rows.
@@ -769,15 +775,14 @@ impl Workload {
         invocations: Vec<Invocation>,
     ) -> Result<Self, WorkloadError> {
         check_tables(&name, &kernels, &contexts)?;
-        let mut header = FingerprintFold::new();
-        header.eat_header(&name, suite, &kernels, &contexts);
-        let mut rows = RowFold::new(header, contexts.iter().map(Vec::len));
+        let mut rows = RowFold::new(&name, suite, &kernels, &contexts);
         rows.reserve(invocations.len());
         for (i, inv) in invocations.iter().enumerate() {
             if let Err(e) = rows.push(inv) {
                 return Err(row_out_of_range(&name, &kernels, i, inv, e));
             }
         }
+        // The 16-byte rows go before the 8-byte ones are shrunk to fit.
         drop(invocations);
         Ok(rows.finish(name, suite, kernels, contexts))
     }
