@@ -10,17 +10,19 @@
 //! dividing by zero.
 
 use gpu_profile::ExecTimeProfiler;
-use gpu_sim::GpuConfig;
 use gpu_workload::Workload;
+use stem_core::StemConfig;
 
-/// Measurement-noise seed of the baselines' profile rig (the STEM
-/// default, so all samplers see the same profile).
-const PROFILE_SEED: u64 = 0xC0FFEE;
-
-/// Per-invocation profile times on the RTX 2080 profile rig, the strata
-/// measurements of the RSS and two-phase baselines.
+/// Per-invocation profile times on STEM's paper profile rig (its profile
+/// machine and measurement-noise seed, so all samplers see the same
+/// profile), the strata measurements of the RSS and two-phase baselines.
 pub(crate) fn profile_times(workload: &Workload) -> Vec<f64> {
-    ExecTimeProfiler::new(GpuConfig::rtx2080(), PROFILE_SEED).profile(workload)
+    let StemConfig {
+        profile_config,
+        profile_seed,
+        ..
+    } = StemConfig::paper();
+    ExecTimeProfiler::new(profile_config, profile_seed).profile(workload)
 }
 
 /// Mean and *population* standard deviation of `values`, with the

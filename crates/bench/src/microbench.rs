@@ -53,71 +53,84 @@ pub struct RatioCheck {
     pub ratio: f64,
     /// Whether every run of both paths produced bit-identical results.
     pub identical: bool,
+    /// Each alternation's own fast / reference ratio, in run order: the
+    /// spread behind the fastest-of ratio.
+    pub run_ratios: Vec<f64>,
 }
 
 impl RatioCheck {
-    fn new(
-        probe: &'static str,
-        workload: &str,
-        invocations: usize,
-        (fast_ns, reference_ns, identical): (f64, f64, bool),
-    ) -> Self {
+    fn new(probe: &'static str, workload: &str, invocations: usize, timed: Timed) -> Self {
         let check = RatioCheck {
             probe,
             workload: workload.to_string(),
             invocations,
-            fast_ns,
-            reference_ns,
-            ratio: fast_ns / reference_ns.max(1.0),
-            identical,
+            fast_ns: timed.fast_ns,
+            reference_ns: timed.reference_ns,
+            ratio: timed.fast_ns / timed.reference_ns.max(1.0),
+            identical: timed.identical,
+            run_ratios: timed.run_ratios,
         };
+        let runs: Vec<String> = check.run_ratios.iter().map(|r| format!("{r:.2}")).collect();
         println!(
-            "{:<41} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}",
+            "{:<41} reference {:>12}  fast {:>12}  ({} invocations)  ratio {:.2}  identical: {}  runs: {}",
             format!("{} {}", check.probe, check.workload),
             fmt_ns(check.reference_ns),
             fmt_ns(check.fast_ns),
             check.invocations,
             check.ratio,
-            check.identical
+            check.identical,
+            runs.join(" ")
         );
         check
     }
+}
+
+/// The timings of one probe (see [`alternate_on`]).
+struct Timed {
+    fast_ns: f64,
+    reference_ns: f64,
+    identical: bool,
+    run_ratios: Vec<f64>,
 }
 
 /// Runs `reference` and `fast` once each untimed (so neither pays
 /// first-touch costs inside the timed runs), then `runs` times each,
 /// alternating. Every call of `fast` takes a fresh `input()`, built before
 /// its clock starts. Returns the fastest fast and reference runs in
-/// nanoseconds and whether `agree` held for every pair of results.
+/// nanoseconds, each alternation's ratio, and whether `agree` held for
+/// every pair of results.
 fn alternate_on<I, R, F>(
     runs: usize,
     input: impl Fn() -> I,
     reference: impl Fn() -> R,
     fast: impl Fn(I) -> F,
     agree: impl Fn(&R, &F) -> bool,
-) -> (f64, f64, bool) {
+) -> Timed {
     assert!(runs > 0, "at least one run per path");
-    let mut identical = agree(&reference(), &fast(input()));
-    let (mut fast_ns, mut reference_ns) = (f64::INFINITY, f64::INFINITY);
+    let mut timed = Timed {
+        fast_ns: f64::INFINITY,
+        reference_ns: f64::INFINITY,
+        identical: agree(&reference(), &fast(input())),
+        run_ratios: Vec::with_capacity(runs),
+    };
     for _ in 0..runs {
         let t = Instant::now();
         let slow = black_box(reference());
-        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64);
+        let reference_ns = t.elapsed().as_nanos() as f64;
         let input = input();
         let t = Instant::now();
         let quick = black_box(fast(input));
-        fast_ns = fast_ns.min(t.elapsed().as_nanos() as f64);
-        identical &= agree(&slow, &quick);
+        let fast_ns = t.elapsed().as_nanos() as f64;
+        timed.fast_ns = timed.fast_ns.min(fast_ns);
+        timed.reference_ns = timed.reference_ns.min(reference_ns);
+        timed.run_ratios.push(fast_ns / reference_ns.max(1.0));
+        timed.identical &= agree(&slow, &quick);
     }
-    (fast_ns, reference_ns, identical)
+    timed
 }
 
 /// [`alternate_on`] for two paths without inputs and with one result type.
-fn alternate<T: PartialEq>(
-    runs: usize,
-    reference: impl Fn() -> T,
-    fast: impl Fn() -> T,
-) -> (f64, f64, bool) {
+fn alternate<T: PartialEq>(runs: usize, reference: impl Fn() -> T, fast: impl Fn() -> T) -> Timed {
     alternate_on(runs, || (), reference, |()| fast(), T::eq)
 }
 
@@ -310,8 +323,9 @@ pub fn normal_ratio_check(runs: usize) -> RatioCheck {
 
 /// Times one cold `StemRootSampler`'s profile into ROOT over the
 /// HuggingFace suite against the path it replaced, `runs` times each,
-/// alternating. The sampler writes each workload's by-kernel rows over one
-/// shared noise table and moves them into ROOT; the reference profiles
+/// alternating. The sampler's ROOT gathers each kernel's times, one kernel
+/// at a time, from measurements over one shared noise table; the reference
+/// profiles
 /// each workload with a fresh runner, drawing every measurement's noise
 /// factor itself (`gpu_sim::hardware::reference::measure_all_grouped`),
 /// and runs `cluster_workload` over the times. Both run serially and must

@@ -11,9 +11,9 @@
 //! ROOT's point.
 
 use crate::config::StemConfig;
-use gpu_profile::{KernelProfile, KernelRows};
 use gpu_workload::{KernelId, Workload};
 use stem_cluster::{kmeans_1d, TwoSplitScan};
+use stem_par::Parallelism;
 use stem_stats::clt::sample_size;
 use stem_stats::kkt::{solve_sample_sizes, ClusterStat};
 use stem_stats::Summary;
@@ -23,9 +23,9 @@ use stem_stats::Summary;
 pub struct KernelCluster {
     /// The kernel whose invocations this cluster holds.
     pub kernel: KernelId,
-    /// Invocation indices (into the workload's stream), narrowed to
-    /// `u32`: half the bytes of `usize` members in the planning memo.
-    /// ROOT rejects a kernel group whose indices do not fit.
+    /// Invocation indices (into the workload's stream) as `u32`: half the
+    /// bytes of `usize` members in the planning memo. Grouping a workload
+    /// by kernel rejects one whose indices do not fit.
     pub members: Vec<u32>,
     /// Profiled execution-time statistics of the members.
     pub stat: ClusterStat,
@@ -46,8 +46,8 @@ pub struct IndexCluster {
 ///
 /// # Panics
 ///
-/// Panics if `members` is empty, any index is out of range, or any
-/// referenced time is nonpositive/non-finite.
+/// Panics if `members` is empty, any index is out of range or does not
+/// fit in a `u32`, or any referenced time is nonpositive/non-finite.
 pub fn cluster_indices(
     members: Vec<usize>,
     times: &[f64],
@@ -62,9 +62,9 @@ pub fn cluster_indices(
         );
     }
     config.validate();
-    let group = KernelRows::gather(KernelId(0), members, |m| times[m]);
+    let members = members.into_iter().map(narrow).collect();
     let mut leaves = Vec::new();
-    split_group(group, config, &mut leaves);
+    split_group(KernelId(0), members, |m| times[m], config, &mut leaves);
     leaves
         .into_iter()
         .map(|c| IndexCluster {
@@ -79,7 +79,7 @@ fn widen(members: Vec<u32>) -> Vec<usize> {
     members.into_iter().map(|m| m as usize).collect()
 }
 
-/// Narrows a row's item index to a [`KernelCluster`] member.
+/// Narrows an item index to a [`KernelCluster`] member.
 ///
 /// # Panics
 ///
@@ -89,8 +89,7 @@ fn narrow(m: usize) -> u32 {
     m as u32
 }
 
-/// The largest item index (and so the largest group) a
-/// [`KernelCluster`] can hold.
+/// The largest item index a [`KernelCluster`] can hold.
 const MAX_MEMBER: usize = u32::MAX as usize;
 
 /// Runs ROOT over a whole workload: groups invocations by kernel and
@@ -106,13 +105,12 @@ pub fn cluster_workload(
     times: &[f64],
     config: &StemConfig,
 ) -> Vec<KernelCluster> {
-    cluster_workload_par(workload, times, config, stem_par::Parallelism::serial())
+    cluster_workload_par(workload, times, config, Parallelism::serial())
 }
 
 /// [`cluster_workload`] with the per-kernel groups split across `par`
-/// threads: a gather of `times` into a [`KernelProfile`], then
-/// [`cluster_profile`]. Bit-identical to the serial clustering at any
-/// thread count.
+/// threads: [`cluster_kernels`] timing each call by `times[i]`.
+/// Bit-identical to the serial clustering at any thread count.
 ///
 /// # Panics
 ///
@@ -121,44 +119,48 @@ pub fn cluster_workload_par(
     workload: &Workload,
     times: &[f64],
     config: &StemConfig,
-    par: stem_par::Parallelism,
+    par: Parallelism,
 ) -> Vec<KernelCluster> {
     validate_workload_times(workload, times, config);
-    cluster_profile(KernelProfile::from_times(workload, times, par), config, par)
+    cluster_kernels(workload, |i| times[i], config, par)
 }
 
-/// Below this many rows ROOT splits its kernels serially: at ~80 ns a
-/// row, a smaller workload (Rodinia's are at most a few thousand calls)
-/// takes less time than starting a pool.
+/// Below this many invocations ROOT splits its kernels serially: at
+/// ~80 ns a row, a smaller workload (Rodinia's are at most a few thousand
+/// calls) takes less time than starting a pool.
 const MIN_PARALLEL_ROWS: usize = 1 << 13;
 
-/// ROOT's one entry point: splits each kernel's profiled rows, across
-/// `par` threads. Each kernel's row buffer moves into its recursion (no
-/// gather) and is freed when that kernel finishes. Each kernel's recursive
-/// splitting is independent of every other kernel's (no RNG, no shared
-/// accumulators, buffers owned by the task), and the leaf clusters are
-/// concatenated in kernel order, so the result is bit-identical to the
-/// serial clustering at any thread count.
+/// ROOT's one entry point: groups the workload's calls by kernel
+/// ([`Workload::invocations_by_kernel`]) and splits each kernel as one
+/// task under `par`. A task gathers its kernel's times through `time`
+/// (`time(i)` is invocation `i`'s profiled time), in stream order, folds
+/// their [`Summary`] in the same pass and runs the recursion, so only the
+/// kernels in flight hold rows, and each frees them when it finishes.
+/// Each kernel's recursive splitting is independent of every other
+/// kernel's (no RNG, no shared accumulators, buffers owned by the task),
+/// and the leaf clusters are concatenated in kernel order, so the result
+/// is bit-identical to the serial clustering at any thread count.
 ///
 /// # Panics
 ///
-/// Panics if the profile has no kernels, a kernel has no rows, or any
-/// time is nonpositive or non-finite.
-pub fn cluster_profile(
-    profile: KernelProfile,
+/// Panics if the workload is empty or any time is nonpositive or
+/// non-finite.
+pub fn cluster_kernels(
+    workload: &Workload,
+    time: impl Fn(usize) -> f64 + Sync,
     config: &StemConfig,
-    par: stem_par::Parallelism,
+    par: Parallelism,
 ) -> Vec<KernelCluster> {
     assert!(
-        !profile.kernels().is_empty(),
+        workload.num_invocations() > 0,
         "cannot cluster an empty workload"
     );
     config.validate();
-    let rows = profile.kernels().iter().map(|k| k.rows().len()).sum();
-    let par = par.serial_below(rows, MIN_PARALLEL_ROWS);
-    let per_kernel = stem_par::par_map_owned(par, profile.into_kernels(), |_, group| {
+    let par = par.serial_below(workload.num_invocations(), MIN_PARALLEL_ROWS);
+    let kernels: Vec<_> = workload.invocations_by_kernel().into_iter().collect();
+    let per_kernel = stem_par::par_map_owned(par, kernels, |_, (kernel, members)| {
         let mut leaves = Vec::new();
-        split_group(group, config, &mut leaves);
+        split_group(kernel, members, &time, config, &mut leaves);
         leaves
     });
     per_kernel.into_iter().flatten().collect()
@@ -182,9 +184,6 @@ fn validate_workload_times(workload: &Workload, times: &[f64], config: &StemConf
     config.validate();
 }
 
-/// A `(member, time)` row: an item index and its profiled time.
-type Row = (usize, f64);
-
 /// One node of the recursion: rows `lo..hi` of its kernel's buffers and
 /// sorted times, the node's stream-order statistics, and (k = 2) its
 /// optimal cut, scanned while its parent folded it. A node owns no
@@ -200,14 +199,16 @@ struct Node {
 
 /// One kernel group's recursion state, allocated once per group:
 ///
-/// - `rows`: a ping-pong pair of `(member, time)` buffers. A node at
-///   depth `d` holds its rows, in stream order, in `rows[d % 2][lo..hi]`
-///   (the root's are the group's [`KernelRows`], moved in as `rows[0]`).
-///   Splitting it partitions them stably into `rows[1 - d % 2][lo..hi]`,
-///   lower child first, so each child keeps stream order (its `Summary`
-///   bits equal a fold over the original stream) and nothing is copied
-///   back. A child's subtree only touches its own range of either buffer,
-///   and a node whose split is rejected still has its rows intact.
+/// - `members` and `times`: a ping-pong pair of packed row buffers, a
+///   row being a `u32` member and its `f64` time at the same index
+///   (12 bytes). A node at depth `d` holds its rows, in stream order, at
+///   `lo..hi` of buffer `d % 2` (the root's are the group's member list,
+///   moved in, and its gathered times). Splitting it partitions them
+///   stably into buffer `1 - d % 2`, lower child first, so each child
+///   keeps stream order (its `Summary` bits equal a fold over the
+///   original stream) and nothing is copied back. A child's subtree only
+///   touches its own range of either buffer, and a node whose split is
+///   rejected still has its rows intact.
 /// - `sorted`: the group's times, sorted once, when the root first needs
 ///   to split. A node's sorted values are `sorted[lo..hi]`: the children
 ///   of a sorted range are contiguous subranges, so nothing is re-sorted
@@ -215,40 +216,58 @@ struct Node {
 struct Recursion<'a> {
     kernel: KernelId,
     config: &'a StemConfig,
-    rows: [Vec<Row>; 2],
+    rows: PingPong,
     sorted: Vec<f64>,
     out: &'a mut Vec<KernelCluster>,
 }
 
+/// The two row buffers of a kernel group's recursion (see [`Recursion`]).
+struct PingPong {
+    members: [Vec<u32>; 2],
+    times: [Vec<f64>; 2],
+}
+
 /// Runs ROOT over one kernel group, appending its leaves to `out` in
-/// depth-first, lower-child-first order. The group's rows become the
-/// root's rows and its summary the root's statistics.
-fn split_group(group: KernelRows, config: &StemConfig, out: &mut Vec<KernelCluster>) {
-    let (kernel, rows, summary) = group.into_parts();
-    assert!(!rows.is_empty(), "cannot cluster an empty group");
-    assert!(
-        rows.len() <= MAX_MEMBER,
-        "a kernel group of {} rows exceeds u32 members",
-        rows.len()
-    );
-    // The summary is the fold over the rows (`KernelRows` builds them
-    // together), so its extremes and mean vouch for every row: the minimum
-    // is positive, the maximum finite, and a NaN would have poisoned the
-    // mean.
+/// depth-first, lower-child-first order. `members` (in stream order)
+/// become the root's rows; their times are gathered through `time` and
+/// folded into the root's statistics in the same pass.
+fn split_group(
+    kernel: KernelId,
+    members: Vec<u32>,
+    time: impl Fn(usize) -> f64,
+    config: &StemConfig,
+    out: &mut Vec<KernelCluster>,
+) {
+    assert!(!members.is_empty(), "cannot cluster an empty group");
+    let mut summary = Summary::new();
+    let times = members
+        .iter()
+        .map(|&m| {
+            let t = time(m as usize);
+            summary.push(t);
+            t
+        })
+        .collect();
+    // The summary is the fold over the times, so its extremes and mean
+    // vouch for every row: the minimum is positive, the maximum finite,
+    // and a NaN would have poisoned the mean.
     assert!(
         summary.min() > 0.0 && summary.max().is_finite() && !summary.mean().is_nan(),
         "profiled times must be positive and finite"
     );
     let root = Node {
         lo: 0,
-        hi: rows.len(),
-        stat: cluster_stat(rows.len(), &summary),
+        hi: members.len(),
+        stat: cluster_stat(members.len(), &summary),
         scan: None,
     };
     let mut recursion = Recursion {
         kernel,
         config,
-        rows: [rows, Vec::new()],
+        rows: PingPong {
+            members: [members, Vec::new()],
+            times: [times, Vec::new()],
+        },
         sorted: Vec::new(),
         out,
     };
@@ -311,12 +330,11 @@ impl Recursion<'_> {
         if cut.lower_count == 0 || cut.lower_count == hi - lo {
             return None;
         }
-        let (src, dst, sorted) = self.buffers(depth);
-        let dst = &mut dst[lo..hi];
-        partition(&src[lo..hi], dst, cut.threshold, cut.lower_count);
+        let [src, mut dst] = self.rows.pair(depth, lo..hi);
+        partition(&src, &mut dst, cut.threshold, cut.lower_count);
         Some(fold_children(
-            dst,
-            &sorted[lo..hi],
+            dst.times,
+            &self.sorted[lo..hi],
             lo,
             cut.lower_count,
             scan.lower_sums(),
@@ -327,7 +345,7 @@ impl Recursion<'_> {
     /// positive finite floats the `u64` bit order is exactly the
     /// `total_cmp` order, and an integer sort is the cheaper one.
     fn sort_root(&mut self) -> TwoSplitScan {
-        let mut bits: Vec<u64> = self.rows[0].iter().map(|&(_, v)| v.to_bits()).collect();
+        let mut bits: Vec<u64> = self.rows.times[0].iter().map(|v| v.to_bits()).collect();
         bits.sort_unstable();
         self.sorted = bits.into_iter().map(f64::from_bits).collect();
         // The group's one sortedness check, fused with the root's totals.
@@ -351,10 +369,8 @@ impl Recursion<'_> {
     fn split_k(&mut self, node: Node, depth: usize) -> Vec<Node> {
         let Node { lo, hi, .. } = node;
         let k = self.config.k_split;
-        let (src, dst, _) = self.buffers(depth);
-        let (src, dst) = (&src[lo..hi], &mut dst[lo..hi]);
-        let values: Vec<f64> = src.iter().map(|&(_, v)| v).collect();
-        let (assignments, _) = kmeans_1d(&values, k);
+        let [src, dst] = self.rows.pair(depth, lo..hi);
+        let (assignments, _) = kmeans_1d(src.times, k);
         let clusters = assignments.iter().max().map_or(0, |&a| a + 1);
         // starts[c] = first row of cluster c in `dst`.
         let mut starts = vec![0; clusters + 1];
@@ -365,8 +381,9 @@ impl Recursion<'_> {
             starts[c] += starts[c - 1];
         }
         let mut next = starts.clone();
-        for (&row, &a) in src.iter().zip(&assignments) {
-            dst[next[a]] = row;
+        for ((&m, &t), &a) in src.members.iter().zip(src.times.iter()).zip(&assignments) {
+            dst.members[next[a]] = m;
+            dst.times[next[a]] = t;
             next[a] += 1;
         }
         starts
@@ -375,32 +392,21 @@ impl Recursion<'_> {
             .map(|w| Node {
                 lo: lo + w[0],
                 hi: lo + w[1],
-                stat: stream_stat(&dst[w[0]..w[1]]),
+                stat: stream_stat(&dst.times[w[0]..w[1]]),
                 scan: None,
             })
             .collect()
     }
 
-    /// The rows of the nodes at `depth`, the buffer their children go to,
-    /// and the sorted times; the second buffer is allocated on first use.
-    fn buffers(&mut self, depth: usize) -> (&[Row], &mut [Row], &[f64]) {
-        let [even, odd] = &mut self.rows;
-        if odd.is_empty() {
-            *odd = vec![(0, 0.0); even.len()];
-        }
-        let (src, dst) = if depth.is_multiple_of(2) {
-            (even, odd)
-        } else {
-            (odd, even)
-        };
-        (src, dst, &self.sorted)
-    }
-
     /// Emits `node` (at `depth`) as a leaf; its members are its rows, in
-    /// stream order.
+    /// stream order. A leaf at the root takes the group's member list
+    /// itself, which the recursion is done with.
     fn leaf(&mut self, node: Node, depth: usize) {
-        let rows = &self.rows[depth % 2][node.lo..node.hi];
-        let members = rows.iter().map(|&(m, _)| narrow(m)).collect();
+        let members = if depth == 0 {
+            std::mem::take(&mut self.rows.members[0])
+        } else {
+            self.rows.members[depth % 2][node.lo..node.hi].to_vec()
+        };
         self.out.push(KernelCluster {
             kernel: self.kernel,
             members,
@@ -409,14 +415,49 @@ impl Recursion<'_> {
     }
 }
 
+impl PingPong {
+    /// Rows `range` of the nodes at `depth` and of the buffer their
+    /// children go to; the second buffer is allocated on first use.
+    fn pair(&mut self, depth: usize, range: std::ops::Range<usize>) -> [Rows<'_>; 2] {
+        if self.times[1].is_empty() {
+            let len = self.times[0].len();
+            self.members[1] = vec![0; len];
+            self.times[1] = vec![0.0; len];
+        }
+        let [even_members, odd_members] = &mut self.members;
+        let [even_times, odd_times] = &mut self.times;
+        let even = Rows {
+            members: &mut even_members[range.clone()],
+            times: &mut even_times[range.clone()],
+        };
+        let odd = Rows {
+            members: &mut odd_members[range.clone()],
+            times: &mut odd_times[range],
+        };
+        if depth.is_multiple_of(2) {
+            [even, odd]
+        } else {
+            [odd, even]
+        }
+    }
+}
+
+/// One range of a ping-pong buffer: each row's member and its time.
+struct Rows<'a> {
+    members: &'a mut [u32],
+    times: &'a mut [f64],
+}
+
 /// Stable branchless partition of `src` into `dst` (same length): rows
 /// timed `< threshold` fill `dst[..lower_count]`, the rest
 /// `dst[lower_count..]`, each side in `src` order.
-fn partition(src: &[Row], dst: &mut [Row], threshold: f64, lower_count: usize) {
+fn partition(src: &Rows<'_>, dst: &mut Rows<'_>, threshold: f64, lower_count: usize) {
     let (mut lower, mut upper) = (0, lower_count);
-    for &row in src {
-        let below = row.1 < threshold;
-        dst[if below { lower } else { upper }] = row;
+    for (&m, &t) in src.members.iter().zip(src.times.iter()) {
+        let below = t < threshold;
+        let at = if below { lower } else { upper };
+        dst.members[at] = m;
+        dst.times[at] = t;
         lower += usize::from(below);
         upper += usize::from(!below);
     }
@@ -449,11 +490,12 @@ impl Fold {
         self.scan.step(cut, w[0], w[1]);
     }
 
-    /// Folds the child's rows and cuts from `cut` (at least 1) to its end.
-    fn push_from(&mut self, cut: usize, rows: &[Row], sorted: &[f64]) {
-        let cuts = rows[cut..].iter().zip(sorted[cut - 1..].windows(2));
-        for (cut, (r, w)) in (cut..).zip(cuts) {
-            self.push(cut, r.1, w);
+    /// Folds the child's times and cuts from `cut` (at least 1) to its
+    /// end.
+    fn push_from(&mut self, cut: usize, times: &[f64], sorted: &[f64]) {
+        let cuts = times[cut..].iter().zip(sorted[cut - 1..].windows(2));
+        for (cut, (&t, w)) in (cut..).zip(cuts) {
+            self.push(cut, t, w);
         }
     }
 
@@ -468,49 +510,46 @@ impl Fold {
 }
 
 /// Folds both children of a split at `lo + lower_count` in one loop;
-/// `rows` and `sorted` are the parent's partitioned rows and sorted range,
+/// `times` and `sorted` are the parent's partitioned times and sorted range,
 /// `lower_sums` the lower child's sorted totals (from the parent's scan).
 /// Per child that is its stream-order `Summary` (its statistics) and the
 /// scan of its own cuts, so a child that splits needs no pass of its own.
 /// The children's chains are independent, so the loop overlaps them while
 /// every bit equals a separate fold and scan per child.
 fn fold_children(
-    rows: &[Row],
+    times: &[f64],
     sorted: &[f64],
     lo: usize,
     lower_count: usize,
     lower_sums: (f64, f64),
 ) -> [Node; 2] {
-    let (lower_rows, upper_rows) = rows.split_at(lower_count);
+    let (lower_times, upper_times) = times.split_at(lower_count);
     let (lower_sorted, upper_sorted) = sorted.split_at(lower_count);
     let upper_sums = upper_sorted
         .iter()
         .fold((0.0, 0.0), |(s, s2), &v| (s + v, s2 + v * v));
     let mut lower = Fold::new(lower_count, lower_sums);
     let mut upper = Fold::new(upper_sorted.len(), upper_sums);
-    lower.summary.push(lower_rows[0].1);
-    upper.summary.push(upper_rows[0].1);
+    lower.summary.push(lower_times[0]);
+    upper.summary.push(upper_times[0]);
     // Row `cut >= 1` of a child pairs with its sorted cut `cut`.
-    let lower_cuts = lower_rows[1..].iter().zip(lower_sorted.windows(2));
-    let upper_cuts = upper_rows[1..].iter().zip(upper_sorted.windows(2));
-    for (cut, ((l, lw), (u, uw))) in (1..).zip(lower_cuts.zip(upper_cuts)) {
-        lower.push(cut, l.1, lw);
-        upper.push(cut, u.1, uw);
+    let lower_cuts = lower_times[1..].iter().zip(lower_sorted.windows(2));
+    let upper_cuts = upper_times[1..].iter().zip(upper_sorted.windows(2));
+    for (cut, ((&l, lw), (&u, uw))) in (1..).zip(lower_cuts.zip(upper_cuts)) {
+        lower.push(cut, l, lw);
+        upper.push(cut, u, uw);
     }
-    let both = lower_rows.len().min(upper_rows.len());
-    lower.push_from(both, lower_rows, lower_sorted);
-    upper.push_from(both, upper_rows, upper_sorted);
+    let both = lower_times.len().min(upper_times.len());
+    lower.push_from(both, lower_times, lower_sorted);
+    upper.push_from(both, upper_times, upper_sorted);
     let mid = lo + lower_count;
-    [lower.node(lo, mid), upper.node(mid, lo + rows.len())]
+    [lower.node(lo, mid), upper.node(mid, lo + times.len())]
 }
 
-/// A node's statistics: the stream-order [`Summary`] fold over its rows.
-fn stream_stat(rows: &[Row]) -> ClusterStat {
-    let mut summary = Summary::new();
-    for &(_, v) in rows {
-        summary.push(v);
-    }
-    cluster_stat(rows.len(), &summary)
+/// A node's statistics: the stream-order [`Summary`] fold over its times.
+fn stream_stat(times: &[f64]) -> ClusterStat {
+    let summary: Summary = times.iter().copied().collect();
+    cluster_stat(times.len(), &summary)
 }
 
 /// The [`ClusterStat`] of `n` rows folded into `summary`.
@@ -577,7 +616,7 @@ pub mod reference {
         validate_workload_times(workload, times, config);
         let mut out = Vec::new();
         for (kernel, members) in workload.invocations_by_kernel() {
-            let (node, stat) = root_node(members, times);
+            let (node, stat) = root_node(widen(members), times);
             split_recursive(kernel, node, stat, config, 0, &mut out);
         }
         out
@@ -786,12 +825,8 @@ mod tests {
                 .collect();
             let serial = cluster_workload(&w, &times, &config());
             for threads in [1usize, 2, 3, 8] {
-                let par = cluster_workload_par(
-                    &w,
-                    &times,
-                    &config(),
-                    stem_par::Parallelism::with_threads(threads),
-                );
+                let par =
+                    cluster_workload_par(&w, &times, &config(), Parallelism::with_threads(threads));
                 assert_eq!(par, serial, "n = {n}, threads = {threads}");
             }
         }
@@ -980,18 +1015,70 @@ mod tests {
         cluster_workload(&w, &[1.0, 0.0], &config());
     }
 
-    /// A profile built from unchecked times reaches ROOT only through its
-    /// summaries, which must still reject every bad row.
+    /// Times from a closure reach ROOT unchecked, through each kernel's
+    /// gathered summary, which must still reject every bad row.
     #[test]
-    fn bad_times_in_a_profile_are_rejected() {
+    fn bad_times_through_the_time_closure_are_rejected() {
         let w = flat_workload(4);
         for bad in [0.0, -1.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let times = [1.0, 2.0, bad, 3.0];
-            let profile = KernelProfile::from_times(&w, &times, stem_par::Parallelism::serial());
             let rejected = std::panic::catch_unwind(|| {
-                cluster_profile(profile, &config(), stem_par::Parallelism::serial())
+                cluster_kernels(&w, |i| times[i], &config(), Parallelism::serial())
             });
             assert!(rejected.is_err(), "time {bad} was accepted");
+        }
+    }
+
+    /// The one-kernel-at-a-time entry point against the reference
+    /// recursion, through both time sources, at every thread count. The
+    /// workload has a kernel registered but never called, a one-call
+    /// kernel, a kernel above `MIN_PARALLEL_ROWS` with a bimodal profile
+    /// (so it recurses) and more kernels than threads.
+    #[test]
+    fn kernels_cluster_as_the_reference_at_every_thread_count() {
+        let mut b = WorkloadBuilder::new("t", SuiteKind::Custom, 1);
+        let kernels: Vec<KernelId> = (0..12)
+            .map(|k| {
+                b.add_kernel(
+                    KernelClassBuilder::new(format!("k{k}")).build(),
+                    vec![RuntimeContext::neutral()],
+                )
+            })
+            .collect();
+        // Kernel 0 is never called, kernel 1 once, kernel 2 on every
+        // other call, and kernels 3..12 share the rest.
+        let n = 2 * MIN_PARALLEL_ROWS + 1200;
+        b.invoke(kernels[1], 0, 1.0);
+        for i in 1..n {
+            let k = if i % 2 == 0 { 2 } else { 3 + i % 9 };
+            b.invoke(kernels[k], 0, 1.0);
+        }
+        let w = b.build();
+        let groups = w.invocations_by_kernel();
+        assert!(!groups.contains_key(&kernels[0]));
+        assert_eq!(groups[&kernels[1]].len(), 1);
+        assert!(groups[&kernels[2]].len() > MIN_PARALLEL_ROWS);
+        let times: Vec<f64> = (0..n)
+            .map(|i| {
+                let mode = if i % 4 < 2 { 100.0 } else { 900.0 };
+                mode + (i % 7) as f64 + (i % 13) as f64 * 0.5
+            })
+            .collect();
+        let expected = reference::cluster_workload(&w, &times, &config());
+        let splits = expected.iter().filter(|c| c.kernel == kernels[2]).count();
+        assert!(splits >= 2, "the large kernel must recurse");
+        for threads in [1usize, 2, 3, 8] {
+            let par = Parallelism::with_threads(threads);
+            assert_eq!(
+                cluster_kernels(&w, |i| times[i], &config(), par),
+                expected,
+                "threads = {threads}"
+            );
+            assert_eq!(
+                cluster_workload_par(&w, &times, &config(), par),
+                expected,
+                "threads = {threads}"
+            );
         }
     }
 }

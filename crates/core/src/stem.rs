@@ -7,7 +7,7 @@ use crate::degrade::inflate_cluster_stats;
 use crate::error::StemError;
 use crate::plan::{ClusterSummary, SamplingPlan};
 use crate::rng::{RngExt, SeedableRng, StdRng};
-use crate::root::{cluster_profile, cluster_workload_par, KernelCluster};
+use crate::root::{cluster_kernels, cluster_workload_par, KernelCluster};
 use crate::sampler::KernelSampler;
 use gpu_profile::validate::reconstructed_times;
 use gpu_profile::{DataQualityReport, ExecTimeProfiler, TraceRecord, TraceValidator};
@@ -141,13 +141,15 @@ impl StemRootSampler {
     /// deliberately: caller-supplied profiles are not keyed by the
     /// workload fingerprint.
     ///
-    /// The profile comes grouped by kernel and moves straight into ROOT,
-    /// so no stream-order time vector is built or gathered.
+    /// ROOT gathers each kernel's times straight from the profiler's
+    /// measurements, one kernel at a time, so no stream-order time vector
+    /// or whole-workload profile is built.
     fn cached_clusters(&self, workload: &Workload) -> Arc<Vec<KernelCluster>> {
         let Ok(clusters) = self.memo.get_or_compute(workload.fingerprint(), || {
-            let profile = self.profiler.profile_by_kernel(workload, self.parallelism);
-            Ok::<_, Infallible>(Arc::new(cluster_profile(
-                profile,
+            let measurements = self.profiler.measurements(workload, self.parallelism);
+            Ok::<_, Infallible>(Arc::new(cluster_kernels(
+                workload,
+                |i| measurements.time(i),
                 &self.root_config(),
                 self.parallelism,
             )))

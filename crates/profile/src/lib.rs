@@ -39,7 +39,7 @@ pub use chaos::{
 };
 pub use chaos_fs::{CrashMode, FaultFs, StorageFault, StorageFaultPlan, SyscallRecord};
 pub use csv::{ParseCsvError, WriteCsvError};
-pub use exec_time::{ExecTimeProfiler, KernelProfile, KernelRows};
+pub use exec_time::ExecTimeProfiler;
 pub use features::{FeatureProfiler, PKA_FEATURE_COUNT};
 pub use instr::InstrProfiler;
 pub use overhead::{OverheadModel, OverheadReport};

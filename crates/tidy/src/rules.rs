@@ -144,9 +144,9 @@ const INGEST_SRC_PREFIXES: [&str; 7] = [
 /// The hot inner-loop files: the per-invocation simulation loop, the
 /// per-invocation profile pass, the k-means assignment loop and ROOT's
 /// per-node recursion. `Vec` collection here is advisory (rule
-/// `no-hot-alloc`): the grouped deterministic-core split, the by-kernel
-/// profile rows, the flat bounds-pruned k-means and ROOT's per-kernel
-/// buffers exist precisely to keep allocation out of the per-item and
+/// `no-hot-alloc`): the grouped deterministic-core split, the flat
+/// bounds-pruned k-means and ROOT's per-kernel packed row buffers exist
+/// precisely to keep allocation out of the per-item and
 /// per-node loops, so any allocation that stays must carry an allowlist
 /// justification placing it at setup time.
 const HOT_ALLOC_SRC_FILES: [&str; 13] = [

@@ -95,7 +95,9 @@ pub enum ColStoreError {
         /// Block index.
         index: usize,
     },
-    /// A decoded row references a kernel or context outside the tables.
+    /// A row references a kernel or context outside the tables, or has a
+    /// work scale that is not positive and finite: read from a block, or
+    /// handed to [`StoreWriter`] (which then writes no block file).
     InvalidRow {
         /// Block index.
         block: usize,
@@ -175,10 +177,61 @@ pub fn block_path(dir: &Path, index: usize) -> PathBuf {
     dir.join(format!("block-{index:05}.col"))
 }
 
-/// Encodes one block of invocations into the column-major layout.
-fn encode_block(invocations: &[Invocation]) -> Vec<u8> {
+/// The row check a store keeps on both sides: the kernel and its context
+/// are in the skeleton's tables, and the work scale is positive and
+/// finite. The writer runs it before it writes a block and the reader on
+/// every row it decodes, so a store commits exactly the rows its reader
+/// accepts. `Err` says what is wrong with the row.
+#[inline]
+fn check_row(skeleton: &Workload, kernel: u32, context: u16, work: f32) -> Result<(), String> {
+    let in_tables = (kernel as usize) < skeleton.kernels().len()
+        && usize::from(context) < skeleton.contexts_of(KernelId(kernel)).len();
+    if in_tables && work.is_finite() && work > 0.0 {
+        Ok(())
+    } else {
+        Err(row_fault(skeleton, kernel, context, work))
+    }
+}
+
+/// What is wrong with a row that fails [`check_row`].
+#[cold]
+fn row_fault(skeleton: &Workload, kernel: u32, context: u16, work: f32) -> String {
+    let kernels = skeleton.kernels().len();
+    if kernel as usize >= kernels {
+        return format!("kernel {kernel} out of range ({kernels} kernels)");
+    }
+    let contexts = skeleton.contexts_of(KernelId(kernel)).len();
+    if usize::from(context) >= contexts {
+        return format!("context {context} out of range ({contexts} contexts of kernel {kernel})");
+    }
+    format!("work scale {work} not positive and finite")
+}
+
+/// The error of a stream that sent a block, or ended, before its tables.
+fn no_tables() -> ColStoreError {
+    ColStoreError::Manifest(SnapshotError::Malformed {
+        line: 0,
+        message: "stream sent a block or ended before its tables".to_string(),
+    })
+}
+
+/// Encodes block `block` of invocations into the column-major layout,
+/// checking each row against the skeleton's tables in the first column
+/// pass.
+fn encode_block(
+    invocations: &[Invocation],
+    block: usize,
+    skeleton: &Workload,
+) -> Result<Vec<u8>, ColStoreError> {
     let mut out = Vec::with_capacity(invocations.len() * ROW_BYTES);
-    for inv in invocations {
+    for (row, inv) in invocations.iter().enumerate() {
+        check_row(skeleton, inv.kernel.0, inv.context, inv.work_scale).map_err(|message| {
+            ColStoreError::InvalidRow {
+                block,
+                row,
+                message,
+            }
+        })?;
         out.extend_from_slice(&inv.kernel.0.to_le_bytes());
     }
     for inv in invocations {
@@ -190,7 +243,7 @@ fn encode_block(invocations: &[Invocation]) -> Vec<u8> {
     for inv in invocations {
         out.extend_from_slice(&inv.noise_z.to_bits().to_le_bytes());
     }
-    out
+    Ok(out)
 }
 
 /// The four little-endian column slices of one block.
@@ -259,32 +312,16 @@ fn decode_block(
 ) -> Result<(), ColStoreError> {
     out.clear();
     out.reserve(rows);
-    let kernels = skeleton.kernels().len();
     for (row, (k, c, w, z)) in Columns::of(bytes, rows).rows().enumerate() {
         let k = u32::from_le_bytes(*k);
         let c = u16::from_le_bytes(*c);
         let w = f32::from_bits(u32::from_le_bytes(*w));
         let z = f32::from_bits(u32::from_le_bytes(*z));
-        if (k as usize) >= kernels {
+        if let Err(message) = check_row(skeleton, k, c, w) {
             return Err(ColStoreError::InvalidRow {
                 block,
                 row,
-                message: format!("kernel {k} out of range ({kernels} kernels)"),
-            });
-        }
-        let contexts = skeleton.contexts_of(KernelId(k)).len();
-        if (c as usize) >= contexts {
-            return Err(ColStoreError::InvalidRow {
-                block,
-                row,
-                message: format!("context {c} out of range ({contexts} contexts of kernel {k})"),
-            });
-        }
-        if !(w.is_finite() && w > 0.0) {
-            return Err(ColStoreError::InvalidRow {
-                block,
-                row,
-                message: format!("work scale {w} not positive and finite"),
+                message,
             });
         }
         out.push(Invocation::with_work(KernelId(k), c, w, z));
@@ -308,7 +345,9 @@ pub struct StoreWriter<'a> {
     storage: &'a dyn Storage,
     dir: PathBuf,
     block_len: usize,
-    tables_text: Option<String>,
+    /// The stream's tables, once received: every block's rows are
+    /// checked against them, and the manifest records them.
+    skeleton: Option<Workload>,
     blocks: Vec<BlockEntry>,
 }
 
@@ -329,7 +368,7 @@ impl<'a> StoreWriter<'a> {
             storage,
             dir: dir.to_path_buf(),
             block_len,
-            tables_text: None,
+            skeleton: None,
             blocks: Vec::new(),
         })
     }
@@ -343,12 +382,7 @@ impl<'a> StoreWriter<'a> {
     /// [`ColStoreError::Io`] on a failed manifest write, or
     /// [`ColStoreError::Manifest`] if no tables were ever received.
     pub fn finish(self, summary: &StreamSummary) -> Result<(), ColStoreError> {
-        let tables = self
-            .tables_text
-            .ok_or(ColStoreError::Manifest(SnapshotError::Malformed {
-                line: 0,
-                message: "stream ended before tables were emitted".to_string(),
-            }))?;
+        let tables = to_text(self.skeleton.as_ref().ok_or_else(no_tables)?);
         let mut records = String::new();
         let _ = writeln!(records, "block_len {}", self.block_len);
         let _ = writeln!(records, "invocations {}", summary.invocations);
@@ -374,13 +408,17 @@ impl<'a> StoreWriter<'a> {
 
 impl BlockSink for StoreWriter<'_> {
     fn tables(&mut self, skeleton: &Workload) -> Result<(), SinkError> {
-        self.tables_text = Some(to_text(skeleton));
+        self.skeleton = Some(skeleton.skeleton());
         Ok(())
     }
 
+    /// Checks every row (see `check_row`) before the block's file is
+    /// written: a bad row fails the block with
+    /// [`ColStoreError::InvalidRow`], so the store is never committed.
     fn block(&mut self, invocations: &[Invocation]) -> Result<(), SinkError> {
         let index = self.blocks.len();
-        let bytes = encode_block(invocations);
+        let skeleton = self.skeleton.as_ref().ok_or_else(no_tables)?;
+        let bytes = encode_block(invocations, index, skeleton)?;
         let entry = BlockEntry {
             rows: invocations.len(),
             bytes: bytes.len(),
@@ -682,6 +720,54 @@ mod tests {
             ColStoreError::Io(io) => assert!(io.is_not_found()),
             other => panic!("unexpected error {other}"),
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The writer checks every row as the reader does: a work scale that
+    /// is not positive and finite fails its block before the block file is
+    /// written, so no store is committed, while the valid rows of the same
+    /// stream still round-trip.
+    #[test]
+    fn writer_rejects_the_rows_the_reader_would_quarantine() {
+        let w = sample_workload();
+        let rows: Vec<Invocation> = w.invocations().take(300).collect();
+        for bad in [0.0, -0.0, -1.0, f32::NAN, f32::INFINITY] {
+            let dir = scratch("badrow");
+            let mut writer = StoreWriter::create(&RealFs, &dir, 256).expect("create");
+            writer.tables(&w.skeleton()).expect("tables");
+            writer.block(&rows[..256]).expect("a valid block");
+            let mut tail = rows[256..].to_vec();
+            tail[7].work_scale = bad;
+            let e = writer.block(&tail).expect_err("a bad work scale");
+            let SinkError::Store(e) = e else {
+                panic!("work scale {bad}: unexpected error {e}");
+            };
+            assert!(
+                matches!(
+                    *e,
+                    ColStoreError::InvalidRow {
+                        block: 1,
+                        row: 7,
+                        ..
+                    }
+                ),
+                "work scale {bad}: {e}"
+            );
+            assert!(RealFs.exists(&block_path(&dir, 0)));
+            assert!(!RealFs.exists(&block_path(&dir, 1)), "work scale {bad}");
+            assert!(!RealFs.exists(&dir.join(MANIFEST_NAME)), "work scale {bad}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        let dir = scratch("goodrows");
+        let valid = Workload::new(
+            "valid",
+            SuiteKind::Custom,
+            w.kernels().to_vec(),
+            vec![w.contexts_of(KernelId(0)).to_vec()],
+            rows,
+        );
+        write_store(&valid, &dir, 256);
+        assert_eq!(load_store(&RealFs, &dir).expect("load"), valid);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -953,8 +953,18 @@ impl Workload {
 
     /// Invocation indices grouped by kernel id, in stream order — the
     /// "group kernel calls by name" first step of the STEM+ROOT pipeline
-    /// (Fig. 3).
-    pub fn invocations_by_kernel(&self) -> BTreeMap<KernelId, Vec<usize>> {
+    /// (Fig. 3). Each kernel with calls gets one exactly-sized `u32` list,
+    /// 4 bytes per call.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an invocation index does not fit in a `u32`.
+    pub fn invocations_by_kernel(&self) -> BTreeMap<KernelId, Vec<u32>> {
+        assert!(
+            self.rows.len() <= u32::MAX as usize,
+            "{} invocations exceed u32 indices",
+            self.rows.len()
+        );
         // Kernel ids are dense indices into `kernels`: count, fill one
         // exactly-sized `Vec` per kernel, then one map insert per kernel
         // that has calls.
@@ -963,8 +973,8 @@ impl Workload {
         for row in &self.rows {
             counts[kernel_of[row.group as usize]] += 1;
         }
-        let mut groups: Vec<Vec<usize>> = counts.into_iter().map(Vec::with_capacity).collect();
-        for (i, row) in self.rows.iter().enumerate() {
+        let mut groups: Vec<Vec<u32>> = counts.into_iter().map(Vec::with_capacity).collect();
+        for (i, row) in (0..).zip(&self.rows) {
             groups[kernel_of[row.group as usize]].push(i);
         }
         groups

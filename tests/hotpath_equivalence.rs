@@ -175,7 +175,11 @@ fn root_matches_reference_recursion() {
                 w.name()
             );
         }
-        let mut groups: Vec<Vec<usize>> = w.invocations_by_kernel().into_values().collect();
+        let mut groups: Vec<Vec<usize>> = w
+            .invocations_by_kernel()
+            .into_values()
+            .map(|members| members.into_iter().map(|m| m as usize).collect())
+            .collect();
         groups.push((0..w.num_invocations()).collect());
         for members in groups {
             assert_eq!(
@@ -190,8 +194,9 @@ fn root_matches_reference_recursion() {
 
 #[test]
 fn sampler_profile_into_root_matches_the_reference_chain() {
-    // The sampler's one data flow (the by-kernel profile over the shared
-    // noise table, moved straight into ROOT) against the reference chain
+    // The sampler's one data flow (each kernel's times gathered from the
+    // measurements over the shared noise table, straight into ROOT, one
+    // kernel at a time) against the reference chain
     // it replaced: the per-invocation profile, then the per-node-Vec
     // recursion. One sampler visits every workload in turn, so its noise
     // table grows, is reused by shorter workloads and grows again.
