@@ -181,15 +181,26 @@ pub fn block_path(dir: &Path, index: usize) -> PathBuf {
 /// are in the skeleton's tables, and the work scale is positive and
 /// finite. The writer runs it before it writes a block and the reader on
 /// every row it decodes, so a store commits exactly the rows its reader
-/// accepts. `Err` says what is wrong with the row.
+/// accepts. A failing row is [`ColStoreError::InvalidRow`] at `(block,
+/// row)`, with what is wrong with it.
 #[inline]
-fn check_row(skeleton: &Workload, kernel: u32, context: u16, work: f32) -> Result<(), String> {
+fn check_row(
+    skeleton: &Workload,
+    (block, row): (usize, usize),
+    kernel: u32,
+    context: u16,
+    work: f32,
+) -> Result<(), ColStoreError> {
     let in_tables = (kernel as usize) < skeleton.kernels().len()
         && usize::from(context) < skeleton.contexts_of(KernelId(kernel)).len();
     if in_tables && work.is_finite() && work > 0.0 {
         Ok(())
     } else {
-        Err(row_fault(skeleton, kernel, context, work))
+        Err(ColStoreError::InvalidRow {
+            block,
+            row,
+            message: row_fault(skeleton, kernel, context, work),
+        })
     }
 }
 
@@ -225,13 +236,13 @@ fn encode_block(
 ) -> Result<Vec<u8>, ColStoreError> {
     let mut out = Vec::with_capacity(invocations.len() * ROW_BYTES);
     for (row, inv) in invocations.iter().enumerate() {
-        check_row(skeleton, inv.kernel.0, inv.context, inv.work_scale).map_err(|message| {
-            ColStoreError::InvalidRow {
-                block,
-                row,
-                message,
-            }
-        })?;
+        check_row(
+            skeleton,
+            (block, row),
+            inv.kernel.0,
+            inv.context,
+            inv.work_scale,
+        )?;
         out.extend_from_slice(&inv.kernel.0.to_le_bytes());
     }
     for inv in invocations {
@@ -317,13 +328,7 @@ fn decode_block(
         let c = u16::from_le_bytes(*c);
         let w = f32::from_bits(u32::from_le_bytes(*w));
         let z = f32::from_bits(u32::from_le_bytes(*z));
-        if let Err(message) = check_row(skeleton, k, c, w) {
-            return Err(ColStoreError::InvalidRow {
-                block,
-                row,
-                message,
-            });
-        }
+        check_row(skeleton, (block, row), k, c, w)?;
         out.push(Invocation::with_work(KernelId(k), c, w, z));
     }
     Ok(())
